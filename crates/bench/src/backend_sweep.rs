@@ -9,21 +9,24 @@
 //! offloaded layer landed on.
 //!
 //! The sweep also pins the ISA refactor's core contract: the Newton
-//! *interpretation* of the typed ISA is bit-identical to the legacy
-//! command-trace timing. Newton-only plans are re-searched at several
-//! worker-pool widths and must serialize to identical bytes, and one
-//! compiled kernel per model is round-tripped through the ISA text format
-//! and re-interpreted to the same channel statistics. `figures backends`
-//! writes the result as `BENCH_backends.json`.
+//! *interpretation* of the typed ISA is bit-identical to the pricing the
+//! search runs. Newton-only plans are re-searched at several worker-pool
+//! widths and must serialize to identical bytes, and every PIM candidate's
+//! compiled kernel is round-tripped through the ISA text format and
+//! re-interpreted to the same channel statistics — which must also equal
+//! the streamed pricer's merged and per-channel statistics.
+//! `figures backends` writes the result as `BENCH_backends.json`.
 
 use pimflow::backend::{Backend, DramPimBackend, KernelArtifact};
+use pimflow::codegen::{execute_workload_fused_per_channel, PimWorkload};
 use pimflow::costcache::CostCache;
 use pimflow::engine::{EngineConfig, PimBackendSet};
 use pimflow::search::{Decision, Search, SearchOptions};
 use pimflow::{BackendKind, CrossbarConfig};
 use pimflow_ir::models;
+use pimflow_isa::FusedRole;
 use pimflow_json::json_struct;
-use pimflow_pimsim::{NewtonInterpreter, RunOptions};
+use pimflow_pimsim::{ChannelStats, NewtonInterpreter, RunOptions};
 use pimflow_pool::WorkerPool;
 
 /// One model's predicted time under each backend set.
@@ -39,9 +42,11 @@ pub struct ModelBackendRow {
     pub crossbar_us: f64,
     /// Predicted end-to-end time with per-layer backend choice.
     pub mixed_us: f64,
-    /// Split decisions the mixed search placed on the Newton engine.
+    /// Split and fused-group decisions the mixed search placed on the
+    /// Newton engine.
     pub mixed_newton_splits: usize,
-    /// Split decisions the mixed search placed on the crossbar.
+    /// Split and fused-group decisions the mixed search placed on the
+    /// crossbar.
     pub mixed_crossbar_splits: usize,
     /// Pipeline chains the mixed search kept (Newton-only by construction).
     pub mixed_pipelines: usize,
@@ -49,8 +54,9 @@ pub struct ModelBackendRow {
     /// mixed search space contains both single-backend spaces).
     pub mixed_beats_or_matches_both: bool,
     /// Newton-only plans at every probed pool width serialized to the same
-    /// bytes, and the compiled ISA program survived the text round-trip
-    /// with identical interpreted statistics.
+    /// bytes, and every PIM candidate's compiled ISA program survived the
+    /// text round-trip with interpreted statistics identical to the
+    /// streamed pricer's.
     pub newton_bit_identical: bool,
 }
 
@@ -79,7 +85,8 @@ pub struct BackendReport {
     /// One entry per model, in input order.
     pub models: Vec<ModelBackendRow>,
     /// Every model passed the Newton bit-identity check — the property CI
-    /// asserts (the ISA interpreter changed no timing anywhere).
+    /// asserts (interpreting the ISA artifact and streaming the schedule
+    /// price every layer identically).
     pub newton_interpreter_bit_identical: bool,
     /// Mixed placement was no worse than either single-backend placement
     /// on every model.
@@ -98,24 +105,37 @@ json_struct!(BackendReport {
     models_using_crossbar,
 });
 
-/// Compiles one PIM candidate of `g` to an ISA program, round-trips it
-/// through the text encoding, and checks both copies interpret to the
-/// channel statistics the compiler reported. Models without a PIM
-/// candidate pass vacuously.
-fn kernel_roundtrips(g: &pimflow_ir::Graph) -> bool {
+/// Compiles every PIM candidate of `g` to an ISA program, round-trips it
+/// through the text encoding, and checks that both copies interpret to
+/// the channel statistics the compiler reported and that the streamed
+/// pricer the search uses reports the same merged and per-channel
+/// statistics. Models without a PIM candidate pass vacuously.
+fn kernels_roundtrip(g: &pimflow_ir::Graph) -> bool {
     let be = DramPimBackend::newton_plus_plus();
-    let Some(id) = g.node_ids().find(|&id| g.is_pim_candidate(id)) else {
-        return true;
-    };
-    let kernel = be.compile(g, id).expect("zoo candidate compiles");
-    let KernelArtifact::PimProgram { program, .. } = &kernel.artifact else {
-        return false;
-    };
-    let text = pimflow_isa::program_to_text(program);
-    let back = pimflow_isa::parse_program(&text).expect("emitted program parses");
-    let direct = NewtonInterpreter::new(&be.pim).run(program, RunOptions::new());
-    let replayed = NewtonInterpreter::new(&be.pim).run(&back, RunOptions::new());
-    direct == replayed && kernel.pim_stats == Some(direct)
+    g.node_ids().filter(|&id| g.is_pim_candidate(id)).all(|id| {
+        let kernel = be.compile(g, id).expect("zoo candidate compiles");
+        let KernelArtifact::PimProgram { program, .. } = &kernel.artifact else {
+            return false;
+        };
+        let text = pimflow_isa::program_to_text(program);
+        let back = pimflow_isa::parse_program(&text).expect("emitted program parses");
+        let mut interpreted = Vec::new();
+        let mut collect = |_: usize, s: &ChannelStats| interpreted.push(*s);
+        let direct = NewtonInterpreter::new(&be.pim)
+            .run(program, RunOptions::new().on_channel(&mut collect));
+        let replayed = NewtonInterpreter::new(&be.pim).run(&back, RunOptions::new());
+        let (priced, priced_channels) = execute_workload_fused_per_channel(
+            &PimWorkload::from_node(g, id),
+            &be.pim,
+            be.channels,
+            be.granularity,
+            FusedRole::Standalone,
+        );
+        direct == replayed
+            && kernel.pim_stats == Some(direct)
+            && priced.stats == direct
+            && priced_channels == interpreted
+    })
 }
 
 /// Searches every named model under the three backend sets and runs the
@@ -170,6 +190,11 @@ pub fn sweep(model_names: &[&str], widths: &[usize], jobs: usize) -> BackendRepo
                         BackendKind::Newton => newton_splits += 1,
                         BackendKind::Crossbar => crossbar_splits += 1,
                     },
+                    // A fused group commits all its layers to one backend.
+                    Decision::Fused { backend, .. } => match backend {
+                        BackendKind::Newton => newton_splits += 1,
+                        BackendKind::Crossbar => crossbar_splits += 1,
+                    },
                     Decision::Pipeline { .. } => pipelines += 1,
                     _ => {}
                 }
@@ -187,7 +212,7 @@ pub fn sweep(model_names: &[&str], widths: &[usize], jobs: usize) -> BackendRepo
                     && mixed_plan.predicted_us <= crossbar_plan.predicted_us,
                 newton_bit_identical: width_identical
                     && pimflow_json::to_string(&newton_plan) == newton_plans[0]
-                    && kernel_roundtrips(&g),
+                    && kernels_roundtrip(&g),
             }
         })
         .collect();
@@ -234,7 +259,7 @@ pub fn write_bench_artifact(
     };
     if let Some(bad) = report.models.iter().find(|m| !m.newton_bit_identical) {
         return Err(format!(
-            "Newton-via-ISA timing diverged from the legacy path on {}",
+            "Newton-via-ISA timing diverged from the streamed pricer on {}",
             bad.model
         ));
     }

@@ -7,14 +7,22 @@
 //! (the command-reuse optimization, §4.1). The blocks are then distributed
 //! over the PIM channels by the command scheduler and timed by the
 //! DRAM-PIM simulator.
+//!
+//! Two paths share one block schedule. The `generate_*program` functions
+//! compile it into the typed ISA program — the artifact backends carry,
+//! print and validate. The `execute_*` pricers stream the same schedule
+//! straight into the channel timing engine and simulate each distinct
+//! channel stream once; their statistics are bit-identical to interpreting
+//! the compiled program (`tests/pricer.rs` holds that contract).
 
 use pimflow_gpusim::GpuConfig;
 use pimflow_ir::{Conv2dAttrs, Graph, NodeId, Op, Shape};
-use pimflow_isa::{FusedRole, IsaProgram};
+use pimflow_isa::{FusedRole, IsaProgram, PimInst};
 use pimflow_kernels::lowered_dims;
 use pimflow_pimsim::{
-    lift_traces, pim_energy_nj, schedule, ChannelStats, CommandBlock, NewtonInterpreter, PimConfig,
-    PimEnergyParams, RunOptions, ScheduleGranularity,
+    assign, lift_command, lift_traces, pim_energy_nj, schedule, ChannelEngine, ChannelStats,
+    CommandBlock, NewtonInterpreter, PimCommand, PimConfig, PimEnergyParams, RunOptions,
+    ScheduleGranularity,
 };
 
 /// A PIM-offloadable workload in lowered (matrix) form.
@@ -213,9 +221,11 @@ pub fn generate_group_program_overlapped(
     linked.unwrap_or_else(|| IsaProgram::new(channels.max(1)))
 }
 
-/// Compiles and executes a fusion group as one overlap-linked program
-/// (see [`generate_group_program_overlapped`]), returning the chain's
-/// wall-clock microseconds on the Newton model.
+/// Prices a fusion group as one overlap-linked program (see
+/// [`generate_group_program_overlapped`]), returning the chain's
+/// wall-clock microseconds on the Newton model. The schedule is streamed
+/// into the timing engine rather than compiled; the cycles equal those of
+/// interpreting the compiled program bit for bit.
 ///
 /// # Panics
 ///
@@ -226,9 +236,107 @@ pub fn execute_group_overlapped_us(
     channels: usize,
     granularity: ScheduleGranularity,
 ) -> f64 {
-    let program = generate_group_program_overlapped(members, cfg, channels, granularity);
-    let stats = NewtonInterpreter::new(cfg).run(&program, RunOptions::new());
+    let (stats, _) = stream_members(members, cfg, channels, granularity);
     cfg.cycles_to_ns(stats.cycles) * 1e-3
+}
+
+/// One member's share of a streamed group: its LPT assignment, its role,
+/// and the row offset its overlap link applies.
+struct StreamedMember {
+    units: Vec<CommandBlock>,
+    per_channel: Vec<Vec<usize>>,
+    role: FusedRole,
+    row_offset: u32,
+}
+
+impl StreamedMember {
+    /// The member's command for unit command `cmd`: the role's bus
+    /// elisions applied through the ISA rewrite, then the row offset.
+    fn lower(&self, cmd: PimCommand) -> PimCommand {
+        let inst = match self.role.rewrite(lift_command(cmd)) {
+            PimInst::RowActivate { row } => PimInst::RowActivate {
+                row: row.saturating_add(self.row_offset),
+            },
+            other => other,
+        };
+        NewtonInterpreter::lower_inst(&inst).expect("block commands lower to commands")
+    }
+}
+
+/// The Newton pricer: simulates `members` — lowered under their roles and
+/// overlap-linked as [`generate_group_program_overlapped`] compiles them;
+/// a single `Standalone` member is [`generate_program`] — straight from
+/// the block schedule. Returns the merged statistics and each channel's
+/// own statistics, in channel order.
+///
+/// A channel's command stream is fixed by its sequence of units per
+/// member, and a healthy channel engine is a pure function of the config
+/// and the stream, so channels with equal unit sequences share one
+/// simulation. [`ChannelStats`] is all-integer, so folding the per-channel
+/// results in channel order reproduces interpreting the compiled program
+/// exactly.
+fn stream_members(
+    members: &[(PimWorkload, FusedRole)],
+    cfg: &PimConfig,
+    channels: usize,
+    granularity: ScheduleGranularity,
+) -> (ChannelStats, Vec<ChannelStats>) {
+    let mut row_base = 0u32;
+    let streamed: Vec<StreamedMember> = members
+        .iter()
+        .map(|(w, role)| {
+            let blocks = generate_blocks(w, cfg);
+            let (units, per_channel) =
+                assign(&blocks, channels, granularity, cfg, &RunOptions::new());
+            let row_offset = row_base;
+            // Each member's rows start past its predecessors' (the
+            // `offset_rows` step of the overlap-linked compilation).
+            if let Some(max) = units.iter().filter_map(CommandBlock::max_row).max() {
+                row_base = max.saturating_add(row_offset).saturating_add(1);
+            }
+            StreamedMember {
+                units,
+                per_channel,
+                role: *role,
+                row_offset,
+            }
+        })
+        .collect();
+    let same_stream = |a: usize, b: usize| {
+        streamed.iter().all(|m| {
+            let (ua, ub) = (&m.per_channel[a], &m.per_channel[b]);
+            ua.len() == ub.len() && ua.iter().zip(ub).all(|(&x, &y)| m.units[x] == m.units[y])
+        })
+    };
+    let simulate = |ch: usize| {
+        let mut engine = ChannelEngine::new(*cfg);
+        for m in &streamed {
+            for &i in &m.per_channel[ch] {
+                // Internal iteration: the nested block expansion folds
+                // into straight loops instead of a chain of `next` calls.
+                m.units[i]
+                    .expand()
+                    .for_each(|cmd| engine.execute(&m.lower(cmd)));
+            }
+        }
+        engine.finish()
+    };
+    let mut per_channel: Vec<ChannelStats> = Vec::with_capacity(channels);
+    let mut simulated: Vec<usize> = Vec::new();
+    for ch in 0..channels {
+        let stats = match simulated.iter().find(|&&rep| same_stream(rep, ch)) {
+            Some(&rep) => per_channel[rep],
+            None => {
+                simulated.push(ch);
+                simulate(ch)
+            }
+        };
+        per_channel.push(stats);
+    }
+    let merged = per_channel
+        .iter()
+        .fold(ChannelStats::default(), |acc, s| acc.merge_parallel(s));
+    (merged, per_channel)
 }
 
 /// Result of executing a PIM workload on the simulator.
@@ -288,7 +396,8 @@ pub fn execute_workload_per_channel(
     execute_workload_fused_per_channel(w, cfg, channels, granularity, FusedRole::Standalone)
 }
 
-/// Role-aware variant of [`execute_workload_per_channel`].
+/// Role-aware variant of [`execute_workload_per_channel`]. The statistics
+/// equal interpreting [`generate_fused_program`]'s output bit for bit.
 ///
 /// # Panics
 ///
@@ -300,11 +409,7 @@ pub fn execute_workload_fused_per_channel(
     granularity: ScheduleGranularity,
     role: FusedRole,
 ) -> (PimExecution, Vec<ChannelStats>) {
-    let program = generate_fused_program(w, cfg, channels, granularity, role);
-    let mut per_channel = Vec::with_capacity(channels);
-    let mut collect = |_: usize, s: &ChannelStats| per_channel.push(*s);
-    let stats =
-        NewtonInterpreter::new(cfg).run(&program, RunOptions::new().on_channel(&mut collect));
+    let (stats, per_channel) = stream_members(&[(*w, role)], cfg, channels, granularity);
     let energy_uj = pim_energy_nj(&stats, cfg, &PimEnergyParams::default(), channels) * 1e-3;
     let exec = PimExecution {
         time_us: cfg.cycles_to_ns(stats.cycles) * 1e-3,

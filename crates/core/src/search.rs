@@ -1833,13 +1833,6 @@ pub fn apply_plan(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
     Ok(out)
 }
 
-/// Former name of the fallible [`apply_plan`]; both have returned
-/// `Result` since the core API became panic-free.
-#[deprecated(since = "0.2.0", note = "renamed to `apply_plan`")]
-pub fn try_apply_plan(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
-    apply_plan(graph, plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -107,40 +107,42 @@ impl CommandBlock {
         self.buffer_rows as u64 * self.gwrites_per_row as u64
     }
 
-    /// Expands the block into its command sequence for one channel.
+    /// Expands the block into its command sequence for one channel,
+    /// generated lazily so a timing engine can consume it without
+    /// materialising a trace.
     ///
     /// The order follows the paper: all GWRITEs (one buffer per input row),
     /// then for each G_ACT a COMP burst per buffer, then one READRES per
     /// input row.
-    pub fn expand(&self) -> Vec<PimCommand> {
-        let mut out = Vec::with_capacity(
-            self.total_gwrites() as usize
-                + self.gacts as usize * (1 + self.buffer_rows as usize)
-                + 1,
-        );
-        for row in 0..self.buffer_rows {
-            for _ in 0..self.gwrites_per_row {
-                out.push(PimCommand::Gwrite {
-                    buffer: row,
-                    bytes: self.gwrite_bytes / self.gwrites_per_row.max(1) as u32,
-                });
-            }
-        }
-        for a in 0..self.gacts {
-            out.push(PimCommand::GAct {
-                row: self.row_base + a,
-            });
-            for row in 0..self.buffer_rows {
-                out.push(PimCommand::Comp {
-                    buffer: row,
-                    repeat: self.comps_per_gact,
-                });
-            }
-        }
-        out.push(PimCommand::ReadRes {
-            bytes: self.readres_bytes * self.buffer_rows as u32,
+    pub fn expand(&self) -> impl Iterator<Item = PimCommand> {
+        let b = *self;
+        let gwrite_bytes = b.gwrite_bytes / b.gwrites_per_row.max(1) as u32;
+        let gwrites = (0..b.buffer_rows).flat_map(move |row| {
+            (0..b.gwrites_per_row).map(move |_| PimCommand::Gwrite {
+                buffer: row,
+                bytes: gwrite_bytes,
+            })
         });
-        out
+        let streams = (0..b.gacts).flat_map(move |a| {
+            std::iter::once(PimCommand::GAct {
+                row: b.row_base + a,
+            })
+            .chain((0..b.buffer_rows).map(move |row| PimCommand::Comp {
+                buffer: row,
+                repeat: b.comps_per_gact,
+            }))
+        });
+        gwrites
+            .chain(streams)
+            .chain(std::iter::once(PimCommand::ReadRes {
+                bytes: b.readres_bytes * b.buffer_rows as u32,
+            }))
+    }
+
+    /// The highest filter-row identifier the block activates, if it
+    /// activates any.
+    pub fn max_row(&self) -> Option<u32> {
+        self.gacts.checked_sub(1).map(|last| self.row_base + last)
     }
 }
 
@@ -163,7 +165,7 @@ mod tests {
 
     #[test]
     fn expansion_order_is_gwrite_gact_comp_readres() {
-        let cmds = sample_block().expand();
+        let cmds: Vec<PimCommand> = sample_block().expand().collect();
         // 4 GWRITEs, then (GACT, 4 COMPs) x2, then READRES.
         assert!(matches!(cmds[0], PimCommand::Gwrite { buffer: 0, .. }));
         assert!(matches!(cmds[3], PimCommand::Gwrite { buffer: 3, .. }));
@@ -193,7 +195,7 @@ mod tests {
     fn non_strided_splits_gwrites() {
         let mut b = sample_block();
         b.gwrites_per_row = 4;
-        let cmds = b.expand();
+        let cmds: Vec<PimCommand> = b.expand().collect();
         let gwrites = cmds
             .iter()
             .filter(|c| matches!(c, PimCommand::Gwrite { .. }))

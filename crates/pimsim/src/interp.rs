@@ -15,9 +15,11 @@
 //! — so lowering a program and lifting a trace are exact inverses, and a
 //! barrier-free program times **bit-identically** to running its lowered
 //! traces through [`run_channels`] directly. That identity is the
-//! interpreter contract the compiler relies on: moving codegen onto the ISA
-//! changed no timing anywhere. `BARRIER`s (which command traces cannot
-//! express) split a program into epochs that run back to back.
+//! interpreter contract: the compiler prices layers by streaming their
+//! block schedule through the channel engine rather than through a
+//! compiled program, and must land on exactly what interpreting the
+//! program reports. `BARRIER`s (which command traces cannot express) split
+//! a program into epochs that run back to back.
 
 use crate::command::PimCommand;
 use crate::config::PimConfig;
@@ -30,22 +32,22 @@ pub fn lift_traces(traces: &[Vec<PimCommand>]) -> IsaProgram {
     IsaProgram::from_channels(
         traces
             .iter()
-            .map(|t| {
-                t.iter()
-                    .map(|cmd| match *cmd {
-                        PimCommand::Gwrite { buffer, bytes } => PimInst::BufWrite { buffer, bytes },
-                        PimCommand::GAct { row } => PimInst::RowActivate { row },
-                        PimCommand::Comp { buffer, repeat } => PimInst::MacBurst { buffer, repeat },
-                        PimCommand::ReadRes { bytes } => PimInst::Drain { bytes },
-                        PimCommand::BankFeed { buffer, bytes } => {
-                            PimInst::BankFeed { buffer, bytes }
-                        }
-                        PimCommand::GpuBurst { bytes } => PimInst::HostBurst { bytes },
-                    })
-                    .collect()
-            })
+            .map(|t| t.iter().map(|&cmd| lift_command(cmd)).collect())
             .collect(),
     )
+}
+
+/// Lifts one Newton command to its ISA instruction (the exact inverse of
+/// [`NewtonInterpreter::lower_inst`]).
+pub fn lift_command(cmd: PimCommand) -> PimInst {
+    match cmd {
+        PimCommand::Gwrite { buffer, bytes } => PimInst::BufWrite { buffer, bytes },
+        PimCommand::GAct { row } => PimInst::RowActivate { row },
+        PimCommand::Comp { buffer, repeat } => PimInst::MacBurst { buffer, repeat },
+        PimCommand::ReadRes { bytes } => PimInst::Drain { bytes },
+        PimCommand::BankFeed { buffer, bytes } => PimInst::BankFeed { buffer, bytes },
+        PimCommand::GpuBurst { bytes } => PimInst::HostBurst { bytes },
+    }
 }
 
 /// Executes ISA programs on the cycle-level Newton channel engine.
@@ -71,7 +73,9 @@ impl<'a> NewtonInterpreter<'a> {
             .collect()
     }
 
-    fn lower_inst(inst: &PimInst) -> Option<PimCommand> {
+    /// Lowers one instruction to its Newton command; barriers lower to
+    /// nothing.
+    pub fn lower_inst(inst: &PimInst) -> Option<PimCommand> {
         match *inst {
             PimInst::BufWrite { buffer, bytes } => Some(PimCommand::Gwrite { buffer, bytes }),
             PimInst::RowActivate { row } => Some(PimCommand::GAct { row }),

@@ -63,10 +63,11 @@ pub use command::{CommandBlock, PimCommand};
 pub use config::{ConfigError, DramTiming, PimConfig};
 pub use energy::{pim_energy_breakdown, pim_energy_nj, PimEnergyBreakdown, PimEnergyParams};
 pub use fault::{ChannelFault, FaultKind, FaultPlan};
-pub use interp::{lift_traces, NewtonInterpreter};
+pub use interp::{lift_command, lift_traces, NewtonInterpreter};
 pub use memsys::MemorySystem;
 pub use scheduler::{
-    estimate_block_cycles, schedule, schedule_refined, split_for_channels, ScheduleGranularity,
+    assign, estimate_block_cycles, schedule, schedule_refined, split_for_channels,
+    ScheduleGranularity,
 };
 pub use timing::{run_channels, ChannelEngine, ChannelStats, RunOptions};
 pub use trace::{

@@ -21,6 +21,7 @@ use crate::command::{CommandBlock, PimCommand};
 use crate::config::PimConfig;
 use crate::fault::FaultPlan;
 use crate::timing::RunOptions;
+use std::cmp::Reverse;
 
 /// How finely blocks may be split across channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,19 +152,80 @@ pub fn split_for_channels(
     units
 }
 
-/// Distributes blocks across `channels` channels and expands each channel's
-/// assignment into a command trace.
+/// Distributes blocks across `channels` channels without expanding them:
+/// returns the schedulable units (the blocks, split as `granularity`
+/// allows) and, per physical channel, the indices of the units it runs in
+/// program order. [`schedule`] is this assignment expanded into command
+/// traces; pricing paths that simulate the units directly share the same
+/// assignment, so there is exactly one load balancer.
 ///
 /// Assignment is longest-processing-time greedy on the per-block cycle
 /// estimate, which keeps channel loads balanced without simulating twice.
 ///
-/// With a [`FaultPlan`] attached to `opts`, dead channels receive empty
-/// traces, derated channels are LPT-weighted by their remaining bandwidth
+/// With a [`FaultPlan`] attached to `opts`, dead channels receive no
+/// units, derated channels are LPT-weighted by their remaining bandwidth
 /// so the balanced makespan accounts for their slower bus, and a channel
 /// with a pending stall is pre-loaded with the stall's duration
 /// (pessimistically assuming the freeze lands inside the layer). The
 /// per-channel callback, if any, is ignored here — it belongs to
 /// [`run_channels`](crate::timing::run_channels).
+///
+/// The returned index lists always have `channels` entries so entry `i`
+/// always corresponds to physical channel `i`.
+///
+/// # Panics
+///
+/// Panics if `channels == 0` or the plan leaves no channel alive.
+pub fn assign(
+    blocks: &[CommandBlock],
+    channels: usize,
+    granularity: ScheduleGranularity,
+    cfg: &PimConfig,
+    opts: &RunOptions<'_>,
+) -> (Vec<CommandBlock>, Vec<Vec<usize>>) {
+    assert!(channels > 0, "need at least one PIM channel");
+    let healthy;
+    let plan = match opts.faults {
+        Some(p) => p,
+        None => {
+            healthy = FaultPlan::healthy();
+            &healthy
+        }
+    };
+    let alive = plan.alive_channels(channels);
+    assert!(!alive.is_empty(), "need at least one live PIM channel");
+    let units = split_for_channels(blocks, alive.len(), granularity);
+    let estimates: Vec<u64> = units
+        .iter()
+        .map(|u| estimate_block_cycles(u, cfg))
+        .collect();
+    let mut order: Vec<usize> = (0..units.len()).collect();
+    order.sort_by_key(|&i| Reverse(estimates[i]));
+
+    // LPT over the live channels only, with per-channel weighting: a block
+    // on a derated channel costs proportionally more, and a pending stall
+    // counts as load the channel must drain before it can help.
+    let mut loads: Vec<u64> = alive
+        .iter()
+        .map(|&ch| plan.stall(ch).map_or(0, |(_, duration)| duration))
+        .collect();
+    let mut per_channel: Vec<Vec<usize>> = vec![Vec::new(); channels];
+    for i in order {
+        let slot = (0..alive.len()).min_by_key(|&s| loads[s]).expect("alive");
+        loads[slot] += estimates[i] * 100 / plan.derate_percent(alive[slot]) as u64;
+        per_channel[alive[slot]].push(i);
+    }
+    for idxs in &mut per_channel {
+        // Preserve original program order within a channel.
+        idxs.sort_unstable();
+    }
+    (units, per_channel)
+}
+
+/// Distributes blocks across `channels` channels and expands each channel's
+/// assignment into a command trace: [`assign`] followed by block
+/// expansion, so the traces carry exactly the assignment's load balance
+/// and fault routing (dead channels receive empty traces).
 ///
 /// The returned vector always has `channels` entries so trace index `i`
 /// always corresponds to physical channel `i`.
@@ -178,46 +240,11 @@ pub fn schedule(
     cfg: &PimConfig,
     opts: &RunOptions<'_>,
 ) -> Vec<Vec<PimCommand>> {
-    assert!(channels > 0, "need at least one PIM channel");
-    let healthy;
-    let plan = match opts.faults {
-        Some(p) => p,
-        None => {
-            healthy = FaultPlan::healthy();
-            &healthy
-        }
-    };
-    let alive = plan.alive_channels(channels);
-    assert!(!alive.is_empty(), "need at least one live PIM channel");
-    let units = split_for_channels(blocks, alive.len(), granularity);
-    let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(estimate_block_cycles(&units[i], cfg)));
-
-    // LPT over the live channels only, with per-channel weighting: a block
-    // on a derated channel costs proportionally more, and a pending stall
-    // counts as load the channel must drain before it can help.
-    let mut loads: Vec<u64> = alive
+    let (units, per_channel) = assign(blocks, channels, granularity, cfg, opts);
+    per_channel
         .iter()
-        .map(|&ch| plan.stall(ch).map_or(0, |(_, duration)| duration))
-        .collect();
-    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); alive.len()];
-    for i in order {
-        let slot = (0..alive.len()).min_by_key(|&s| loads[s]).expect("alive");
-        let est = estimate_block_cycles(&units[i], cfg);
-        loads[slot] += est * 100 / plan.derate_percent(alive[slot]) as u64;
-        assignment[slot].push(i);
-    }
-
-    let mut traces: Vec<Vec<PimCommand>> = vec![Vec::new(); channels];
-    for (slot, mut idxs) in assignment.into_iter().enumerate() {
-        // Preserve original program order within a channel.
-        idxs.sort_unstable();
-        let trace = &mut traces[alive[slot]];
-        for i in idxs {
-            trace.extend(units[i].expand());
-        }
-    }
-    traces
+        .map(|idxs| idxs.iter().flat_map(|&i| units[i].expand()).collect())
+        .collect()
 }
 
 /// Measurement-guided refinement of [`schedule`]: simulate the LPT
@@ -239,31 +266,12 @@ pub fn schedule_refined(
     cfg: &PimConfig,
     max_rounds: usize,
 ) -> Vec<Vec<PimCommand>> {
-    assert!(channels > 0, "need at least one PIM channel");
-    let units = split_for_channels(blocks, channels, granularity);
     // Start from the LPT assignment (indices into `units` per channel).
-    let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(estimate_block_cycles(&units[i], cfg)));
-    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); channels];
-    {
-        let mut loads = vec![0u64; channels];
-        for i in order {
-            let ch = (0..channels)
-                .min_by_key(|&c| loads[c])
-                .expect("channels > 0");
-            loads[ch] += estimate_block_cycles(&units[i], cfg);
-            assignment[ch].push(i);
-        }
-    }
-
+    let (units, mut assignment) = assign(blocks, channels, granularity, cfg, &RunOptions::new());
     let expand_channel = |idxs: &[usize]| -> Vec<PimCommand> {
         let mut sorted: Vec<usize> = idxs.to_vec();
         sorted.sort_unstable();
-        let mut trace = Vec::new();
-        for i in sorted {
-            trace.extend(units[i].expand());
-        }
-        trace
+        sorted.iter().flat_map(|&i| units[i].expand()).collect()
     };
     let measure = |idxs: &[usize]| -> u64 {
         crate::timing::ChannelEngine::new(*cfg)

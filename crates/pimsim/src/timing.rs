@@ -554,7 +554,7 @@ mod tests {
             oc_splits: 1,
             row_base: 0,
         };
-        let trace = block.expand();
+        let trace: Vec<PimCommand> = block.expand().collect();
         let hidden = ChannelEngine::new(PimConfig::default()).run(&trace);
         let no_hide_cfg = PimConfig {
             gwrite_latency_hiding: false,
@@ -598,7 +598,7 @@ mod tests {
             buffer_rows: 1,
             ..shared
         };
-        let shared_stats = ChannelEngine::new(cfg()).run(&shared.expand());
+        let shared_stats = ChannelEngine::new(cfg()).run(&shared.expand().collect::<Vec<_>>());
         let mut single_trace = Vec::new();
         for _ in 0..4 {
             single_trace.extend(single.expand());

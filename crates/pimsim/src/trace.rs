@@ -369,7 +369,7 @@ mod tests {
             oc_splits: 4,
             row_base: 0,
         };
-        validate_trace(&block.expand(), &cfg).unwrap();
+        validate_trace(&block.expand().collect::<Vec<_>>(), &cfg).unwrap();
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn hiding_never_hurts() {
     let mut rng = Rng::seed_from_u64(0x7151_0002);
     for _ in 0..CASES {
         let block = random_block(&mut rng);
-        let trace = block.expand();
+        let trace: Vec<PimCommand> = block.expand().collect();
         let hidden = ChannelEngine::new(PimConfig::default()).run(&trace);
         let cfg = PimConfig {
             gwrite_latency_hiding: false,
@@ -91,7 +91,8 @@ fn expansion_counts() {
     let mut rng = Rng::seed_from_u64(0x7151_0003);
     for _ in 0..CASES {
         let block = random_block(&mut rng);
-        let stats = ChannelEngine::new(PimConfig::default()).run(&block.expand());
+        let stats =
+            ChannelEngine::new(PimConfig::default()).run(&block.expand().collect::<Vec<_>>());
         assert_eq!(stats.comps, block.total_comps());
         assert_eq!(stats.gwrites, block.total_gwrites());
         // Open-row reuse can only reduce issued activations; refreshes may
@@ -140,8 +141,8 @@ fn timing_is_deterministic() {
     let mut rng = Rng::seed_from_u64(0x7151_0005);
     for _ in 0..CASES {
         let block = random_block(&mut rng);
-        let a = ChannelEngine::new(PimConfig::default()).run(&block.expand());
-        let b = ChannelEngine::new(PimConfig::default()).run(&block.expand());
+        let a = ChannelEngine::new(PimConfig::default()).run(&block.expand().collect::<Vec<_>>());
+        let b = ChannelEngine::new(PimConfig::default()).run(&block.expand().collect::<Vec<_>>());
         assert_eq!(a, b);
     }
 }
@@ -154,8 +155,8 @@ fn merge_parallel_semantics() {
         let b1 = random_block(&mut rng);
         let b2 = random_block(&mut rng);
         let cfg = PimConfig::default();
-        let s1 = ChannelEngine::new(cfg).run(&b1.expand());
-        let s2 = ChannelEngine::new(cfg).run(&b2.expand());
+        let s1 = ChannelEngine::new(cfg).run(&b1.expand().collect::<Vec<_>>());
+        let s2 = ChannelEngine::new(cfg).run(&b2.expand().collect::<Vec<_>>());
         let m = s1.merge_parallel(&s2);
         assert_eq!(m.cycles, s1.cycles.max(s2.cycles));
         assert_eq!(m.comps, s1.comps + s2.comps);

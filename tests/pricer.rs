@@ -1,0 +1,247 @@
+//! The Newton pricing contract: the compiler prices PIM layers by
+//! streaming their block schedule through the channel timing engine, one
+//! simulation per distinct channel stream, and never through a compiled
+//! program. The ISA program stays the artifact, so the two must agree bit
+//! for bit: for every zoo PIM candidate, under every fusion role,
+//! granularity, channel count, MD-DP row fraction and PIM config, the
+//! pricer's merged and per-channel statistics equal interpreting
+//! `generate_fused_program`'s output, and overlap-linked group pricing
+//! equals interpreting `generate_group_program_overlapped`'s output.
+
+use pimflow::codegen::{
+    execute_group_overlapped_us, execute_workload_fused_per_channel, generate_fused_program,
+    generate_group_program_overlapped, PimWorkload,
+};
+use pimflow_ir::models;
+use pimflow_isa::FusedRole;
+use pimflow_pimsim::{ChannelStats, NewtonInterpreter, PimConfig, RunOptions, ScheduleGranularity};
+
+/// Every model of the zoo (`models::by_name`), whose PIM candidates the
+/// contract covers.
+const MODELS: [&str; 15] = [
+    "toy",
+    "squeezenet-1.1",
+    "mobilenet-v2",
+    "mnasnet-1.0",
+    "efficientnet-v1-b0",
+    "efficientnet-v1-b2",
+    "efficientnet-v1-b4",
+    "efficientnet-v1-b6",
+    "resnet-18",
+    "resnet-34",
+    "resnet-50",
+    "vgg-16",
+    "unet-small",
+    "bert-3",
+    "bert-64",
+];
+
+const ROLES: [FusedRole; 4] = [
+    FusedRole::Standalone,
+    FusedRole::Head,
+    FusedRole::Middle,
+    FusedRole::Tail,
+];
+
+const GRANULARITIES: [ScheduleGranularity; 3] = [
+    ScheduleGranularity::Comp,
+    ScheduleGranularity::ReadRes,
+    ScheduleGranularity::GAct,
+];
+
+const CHANNELS: [usize; 3] = [1, 5, 16];
+
+/// MD-DP row fractions: the whole layer down to a 3% PIM share.
+const FRACTIONS: [f64; 4] = [1.0, 0.5, 0.1, 0.03];
+
+/// The Newton configurations: Newton++ (`PimConfig::default()`), Newton+
+/// (one buffer, no latency hiding, no strided GWRITE) and the HBM-PIM-like
+/// substrate (its short refresh interval stresses refresh chunking).
+fn configs() -> [(&'static str, PimConfig); 3] {
+    [
+        ("newton_plus_plus", PimConfig::newton_plus_plus()),
+        ("newton_plus", PimConfig::newton_plus()),
+        ("hbm_pim_like", PimConfig::hbm_pim_like()),
+    ]
+}
+
+/// Each model's PIM candidates as workloads, in topological order.
+fn candidates(name: &str) -> Vec<PimWorkload> {
+    let g = models::by_name(name).expect("zoo model");
+    g.node_ids()
+        .filter(|&id| g.is_pim_candidate(id))
+        .map(|id| PimWorkload::from_node(&g, id))
+        .collect()
+}
+
+/// `w` with its rows scaled to `frac`, as the search scales an MD-DP split.
+fn scaled(w: PimWorkload, frac: f64) -> PimWorkload {
+    PimWorkload {
+        rows: ((w.rows as f64 * frac).round() as usize).max(1),
+        ..w
+    }
+}
+
+/// Interprets a compiled program on the Newton engine, returning the
+/// merged and per-channel statistics.
+fn interpret(
+    program: &pimflow_isa::IsaProgram,
+    cfg: &PimConfig,
+) -> (ChannelStats, Vec<ChannelStats>) {
+    let mut per_channel = Vec::new();
+    let mut collect = |_: usize, s: &ChannelStats| per_channel.push(*s);
+    let merged =
+        NewtonInterpreter::new(cfg).run(program, RunOptions::new().on_channel(&mut collect));
+    (merged, per_channel)
+}
+
+/// Every distinct PIM candidate workload of the zoo.
+fn zoo_workloads() -> Vec<PimWorkload> {
+    let mut workloads: Vec<PimWorkload> = Vec::new();
+    for name in MODELS {
+        for w in candidates(name) {
+            if !workloads.contains(&w) {
+                workloads.push(w);
+            }
+        }
+    }
+    workloads
+}
+
+/// Checks every zoo candidate at every row fraction, granularity, channel
+/// count and role under `cfg`.
+fn check_layers(cfg_name: &str, cfg: &PimConfig) {
+    let workloads = zoo_workloads();
+    assert!(workloads.len() > 100, "zoo candidates: {}", workloads.len());
+    for w in &workloads {
+        for frac in FRACTIONS {
+            let w = scaled(*w, frac);
+            for granularity in GRANULARITIES {
+                for channels in CHANNELS {
+                    for role in ROLES {
+                        let program = generate_fused_program(&w, cfg, channels, granularity, role);
+                        let (merged, per_channel) = interpret(&program, cfg);
+                        let (exec, streamed) = execute_workload_fused_per_channel(
+                            &w,
+                            cfg,
+                            channels,
+                            granularity,
+                            role,
+                        );
+                        let case = format!(
+                            "{w:?} under {cfg_name}, {granularity}, {channels} ch, {role:?}"
+                        );
+                        assert_eq!(exec.stats, merged, "merged stats: {case}");
+                        assert_eq!(streamed, per_channel, "per-channel stats: {case}");
+                        assert_eq!(
+                            exec.time_us.to_bits(),
+                            (cfg.cycles_to_ns(merged.cycles) * 1e-3).to_bits(),
+                            "time: {case}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn streamed_layer_pricing_equals_interpreting_the_program_on_newton_plus_plus() {
+    check_layers("newton_plus_plus", &PimConfig::newton_plus_plus());
+}
+
+#[test]
+fn streamed_layer_pricing_equals_interpreting_the_program_on_newton_plus() {
+    check_layers("newton_plus", &PimConfig::newton_plus());
+}
+
+#[test]
+fn streamed_layer_pricing_equals_interpreting_the_program_on_hbm_pim() {
+    check_layers("hbm_pim_like", &PimConfig::hbm_pim_like());
+}
+
+/// Fusion groups of 2 and 3 consecutive PIM candidates of every model.
+fn groups() -> Vec<Vec<(PimWorkload, FusedRole)>> {
+    let mut out: Vec<Vec<(PimWorkload, FusedRole)>> = Vec::new();
+    for name in MODELS {
+        let ws = candidates(name);
+        for len in [2usize, 3] {
+            for window in ws.windows(len) {
+                let members: Vec<(PimWorkload, FusedRole)> = window
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &w)| {
+                        let role = match k {
+                            0 => FusedRole::Head,
+                            k if k == len - 1 => FusedRole::Tail,
+                            _ => FusedRole::Middle,
+                        };
+                        (w, role)
+                    })
+                    .collect();
+                if !out.contains(&members) {
+                    out.push(members);
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn streamed_group_pricing_equals_interpreting_the_overlapped_program() {
+    let groups = groups();
+    assert!(groups.len() > 100, "zoo groups: {}", groups.len());
+    for (cfg_name, cfg) in configs() {
+        for group in &groups {
+            for frac in [1.0, 0.1] {
+                let members: Vec<(PimWorkload, FusedRole)> =
+                    group.iter().map(|&(w, r)| (scaled(w, frac), r)).collect();
+                for granularity in GRANULARITIES {
+                    for channels in [5usize, 16] {
+                        let program = generate_group_program_overlapped(
+                            &members,
+                            &cfg,
+                            channels,
+                            granularity,
+                        );
+                        let (merged, _) = interpret(&program, &cfg);
+                        let interpreted_us = cfg.cycles_to_ns(merged.cycles) * 1e-3;
+                        let streamed_us =
+                            execute_group_overlapped_us(&members, &cfg, channels, granularity);
+                        assert_eq!(
+                            streamed_us.to_bits(),
+                            interpreted_us.to_bits(),
+                            "{members:?} under {cfg_name}, {granularity}, {channels} ch"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn empty_groups_and_workloads_price_to_zero() {
+    let cfg = PimConfig::default();
+    assert_eq!(
+        execute_group_overlapped_us(&[], &cfg, 4, ScheduleGranularity::Comp),
+        0.0
+    );
+    let empty = PimWorkload {
+        rows: 0,
+        k_elems: 16,
+        out_channels: 16,
+        strided: false,
+        segments: 1,
+    };
+    let (exec, per_channel) = execute_workload_fused_per_channel(
+        &empty,
+        &cfg,
+        4,
+        ScheduleGranularity::Comp,
+        FusedRole::Head,
+    );
+    assert_eq!(exec.stats, ChannelStats::default());
+    assert_eq!(per_channel, vec![ChannelStats::default(); 4]);
+}
