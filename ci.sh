@@ -45,6 +45,17 @@ cargo run -q --offline -p pimflow-bench --bin figures -- costcache "$tmpdir" --s
 grep -q '"meets_speedup_floor": true' "$tmpdir/BENCH_costcache.json"
 rm -rf "$tmpdir"
 
+# The serving, fault-resilience and fleet sweeps are pure simulated time,
+# so their full runs must reproduce the committed artifacts byte for byte.
+# Any change to the serving event loop that moves a number shows up here.
+for sweep in serve resilience fleet; do
+  echo "==> figures $sweep (byte-identical to BENCH_$sweep.json)"
+  tmpdir="$(mktemp -d)"
+  PIMFLOW_JOBS=4 cargo run -q --offline --release -p pimflow-bench --bin figures -- "$sweep" "$tmpdir" > /dev/null
+  cmp "$tmpdir/BENCH_$sweep.json" "BENCH_$sweep.json"
+  rm -rf "$tmpdir"
+done
+
 # The fleet smoke sweep runs the multi-tenant simulator end to end. All
 # three invariants are simulated-time properties (no wall-clock), so they
 # must hold unconditionally: no admitted request is dropped on a healthy

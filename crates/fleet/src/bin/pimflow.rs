@@ -47,7 +47,7 @@ use pimflow::policy::{evaluate, Policy};
 use pimflow::search::{apply_plan, search, ExecutionPlan, SearchOptions};
 use pimflow_fleet::{run_fleet, FleetConfig, NodeClass, RouterPolicy, TenantSpec, TrafficSpec};
 use pimflow_ir::models;
-use pimflow_serve::{parse_trace, ArrivalSpec, FaultScenario, ServeConfig};
+use pimflow_serve::{parse_trace, ArrivalSpec, EventLog, FaultScenario, ServeConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -124,12 +124,37 @@ fn load_model(net: &Option<String>) -> Result<pimflow_ir::Graph, String> {
     })
 }
 
-fn write_json<T: pimflow_json::ToJson>(path: &Path, value: &T) -> Result<(), String> {
+fn write_file(path: &Path, contents: String) -> Result<(), String> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     }
-    let json = pimflow_json::to_string_pretty(value);
-    std::fs::write(path, json).map_err(|e| format!("writing {}: {e}", path.display()))
+    std::fs::write(path, contents).map_err(|e| format!("writing {}: {e}", path.display()))
+}
+
+fn write_json<T: pimflow_json::ToJson>(path: &Path, value: &T) -> Result<(), String> {
+    write_file(path, pimflow_json::to_string_pretty(value))
+}
+
+/// Writes a serving run's event trace and report where the flags ask.
+fn write_run<T: pimflow_json::ToJson>(
+    events_out: &Option<PathBuf>,
+    events: &EventLog,
+    report_out: &Option<PathBuf>,
+    report: &T,
+) -> Result<(), String> {
+    if let Some(path) = events_out {
+        write_file(path, events.to_jsonl())?;
+        println!(
+            "  event trace ({} events) -> {}",
+            events.len(),
+            path.display()
+        );
+    }
+    if let Some(path) = report_out {
+        write_json(path, report)?;
+        println!("  report -> {}", path.display());
+    }
+    Ok(())
 }
 
 fn profile(args: &Args) -> Result<(), String> {
@@ -369,10 +394,7 @@ fn parse_serve_args(raw: &[String]) -> Result<ServeArgs, String> {
             "--seed" => sa.cfg.seed = int(&key, &value(&key)?)? as u64,
             "--max-batch" => sa.cfg.max_batch = int(&key, &value(&key)?)?,
             "--timeout-us" => sa.cfg.batch_timeout_us = num(&key, &value(&key)?)?,
-            // `--plan-cache-cap` is the canonical spelling (matching the
-            // PIMFLOW_PLAN_CACHE_CAP variable); `--cache-size` stays as an
-            // alias for older scripts.
-            "--plan-cache-cap" | "--cache-size" => {
+            "--plan-cache-cap" => {
                 let v = value(&key)?;
                 let n = int(&key, &v)?;
                 if n == 0 {
@@ -505,23 +527,7 @@ fn serve(raw: &[String]) -> Result<(), String> {
             );
         }
     }
-    if let Some(path) = &sa.events_out {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        }
-        std::fs::write(path, run.events.to_jsonl())
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!(
-            "  event trace ({} events) -> {}",
-            run.events.len(),
-            path.display()
-        );
-    }
-    if let Some(path) = &sa.report_out {
-        write_json(path, r)?;
-        println!("  report -> {}", path.display());
-    }
-    Ok(())
+    write_run(&sa.events_out, &run.events, &sa.report_out, r)
 }
 
 /// Flags of the `pimflow fleet` subcommand, before they are folded into a
@@ -787,23 +793,7 @@ fn fleet(raw: &[String]) -> Result<(), String> {
             n.final_state
         );
     }
-    if let Some(path) = &fa.events_out {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        }
-        std::fs::write(path, out.events.to_jsonl())
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!(
-            "  event trace ({} events) -> {}",
-            out.events.len(),
-            path.display()
-        );
-    }
-    if let Some(path) = &fa.report_out {
-        write_json(path, r)?;
-        println!("  report -> {}", path.display());
-    }
-    Ok(())
+    write_run(&fa.events_out, &out.events, &fa.report_out, r)
 }
 
 fn main() -> ExitCode {

@@ -1,29 +1,26 @@
 //! # pimflow-fleet
 //!
-//! A deterministic **fleet-scale multi-tenant serving simulator** layered
-//! on `pimflow-serve`: where the serving crate models one PIM-GPU node
-//! behind a batching queue, this crate models a *fleet* of them behind a
-//! router, with tenants, admission control, autoscaling, and node-granular
-//! faults.
+//! The `pimflow` command-line driver and the public face of **fleet-scale
+//! multi-tenant serving**: heterogeneous PIM-GPU nodes behind a router,
+//! with tenants, admission control, autoscaling, and node-granular faults.
 //!
-//! The pieces, bottom up:
+//! The simulator itself lives in `pimflow-serve`: its one discrete-event
+//! loop ([`pimflow_serve::sim`]) runs both fleets ([`run_fleet`]) and
+//! single-node serving (`pimflow_serve::run`, a fleet of one node with one
+//! tenant). This crate re-exports the fleet-facing names so existing
+//! callers keep their paths:
 //!
-//! 1. **Traffic** ([`traffic`]) — seeded per-tenant arrival streams beyond
-//!    the single-node generators: diurnal sinusoid load, Markov-modulated
-//!    bursts, and heavy-tailed (Zipf) per-tenant rate mixes.
+//! 1. **Traffic** ([`traffic`]) — seeded per-tenant arrival streams:
+//!    diurnal sinusoid load, Markov-modulated bursts, and heavy-tailed
+//!    (Zipf) per-tenant rate mixes.
 //! 2. **Admission** ([`admission`]) — per-tenant continuous-refill token
-//!    buckets; queue-depth shedding happens after routing, in the
-//!    simulator.
-//! 3. **Routing** ([`router`]) — pluggable pure-function policies:
-//!    round-robin, least-loaded by queue depth, and SLO-aware by predicted
-//!    batch latency from the compiled plans.
+//!    buckets; queue-depth shedding happens after routing, in the loop.
+//! 3. **Routing** ([`router`]) — round-robin, least-loaded by queue depth,
+//!    and SLO-aware by predicted batch latency from the compiled plans.
 //! 4. **Autoscaling** ([`autoscale`]) — a pure decision rule over sampled
-//!    queue-depth/utilization signals; the simulator activates standby
-//!    nodes and drains idle ones.
-//! 5. **Simulation** ([`sim`]) — the discrete-event loop tying it all
-//!    together: per-node plan/cost caches and dynamic batching (exactly
-//!    the `pimflow-serve` cycle), node failures that reroute admitted
-//!    requests without drops, and per-tenant/per-node/fleet-wide reports.
+//!    queue-depth/utilization signals.
+//! 5. **Simulation** ([`sim`]) — the event loop and the per-tenant,
+//!    per-node and fleet-wide reports.
 //!
 //! Everything is deterministic: one fleet seed fans out into per-tenant
 //! stream seeds, host-side compilation parallelism (`PIMFLOW_JOBS`) never
@@ -54,18 +51,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod admission;
-pub mod autoscale;
-pub mod config;
-pub mod router;
-pub mod sim;
-pub mod traffic;
-
-pub use admission::TokenBucket;
-pub use autoscale::{decide, ScaleDecision, ScaleSignal};
-pub use config::{
-    AdmissionConfig, AutoscaleConfig, FleetConfig, NodeClass, RouterPolicy, TenantSpec,
+pub use pimflow_serve::{admission, autoscale, config, router, sim, traffic};
+pub use pimflow_serve::{
+    decide, route, run_fleet, tenant_seed, traffic_times_us, zipf_weights, AdmissionConfig,
+    AutoscaleConfig, FleetConfig, FleetError, FleetOutcome, FleetReport, NodeClass, NodeLoad,
+    NodeReport, RouterPolicy, ScaleDecision, ScaleSignal, TenantReport, TenantSpec, TokenBucket,
+    TrafficSpec,
 };
-pub use router::{route, NodeLoad};
-pub use sim::{run_fleet, FleetError, FleetOutcome, FleetReport, NodeReport, TenantReport};
-pub use traffic::{tenant_seed, traffic_times_us, zipf_weights, TrafficSpec};

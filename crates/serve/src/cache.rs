@@ -14,34 +14,8 @@
 
 use std::collections::HashMap;
 
-/// Environment variable controlling the default plan-cache capacity.
-pub const PLAN_CACHE_CAP_ENV_VAR: &str = "PIMFLOW_PLAN_CACHE_CAP";
-
-/// Plan-cache capacity when neither the CLI flag nor the environment
-/// variable overrides it.
+/// Default plan-cache capacity of serving and fleet runs.
 pub const DEFAULT_PLAN_CACHE_CAP: usize = 16;
-
-/// Hard cap on configured capacity: far above any real working set, it
-/// only bounds accidental `PIMFLOW_PLAN_CACHE_CAP=999999999` memory blowups.
-const MAX_PLAN_CACHE_CAP: usize = 65_536;
-
-/// Resolves a `PIMFLOW_PLAN_CACHE_CAP`-style setting to a capacity: a
-/// positive integer is used as-is (clamped to 65 536); anything else —
-/// unset, empty, `0`, garbage — falls back to
-/// [`DEFAULT_PLAN_CACHE_CAP`].
-pub fn plan_cache_cap_from_setting(setting: Option<&str>) -> usize {
-    match setting.and_then(|s| s.trim().parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n.min(MAX_PLAN_CACHE_CAP),
-        _ => DEFAULT_PLAN_CACHE_CAP,
-    }
-}
-
-/// Reads the default plan-cache capacity from the
-/// `PIMFLOW_PLAN_CACHE_CAP` environment variable (see
-/// [`plan_cache_cap_from_setting`] for the resolution rules).
-pub fn plan_cache_cap_from_env() -> usize {
-    plan_cache_cap_from_setting(std::env::var(PLAN_CACHE_CAP_ENV_VAR).ok().as_deref())
-}
 
 /// Cache key: one compiled serving configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -310,29 +284,6 @@ mod tests {
         let (v, hit) = c.get_or_insert_with(b, || "baseline");
         assert!(!hit);
         assert_eq!(*v, "baseline");
-    }
-
-    #[test]
-    fn capacity_setting_resolution() {
-        assert_eq!(plan_cache_cap_from_setting(Some("3")), 3);
-        assert_eq!(plan_cache_cap_from_setting(Some(" 128 ")), 128);
-        assert_eq!(
-            plan_cache_cap_from_setting(Some("999999999")),
-            MAX_PLAN_CACHE_CAP
-        );
-        assert_eq!(
-            plan_cache_cap_from_setting(Some("0")),
-            DEFAULT_PLAN_CACHE_CAP
-        );
-        assert_eq!(
-            plan_cache_cap_from_setting(Some("nope")),
-            DEFAULT_PLAN_CACHE_CAP
-        );
-        assert_eq!(
-            plan_cache_cap_from_setting(Some("")),
-            DEFAULT_PLAN_CACHE_CAP
-        );
-        assert_eq!(plan_cache_cap_from_setting(None), DEFAULT_PLAN_CACHE_CAP);
     }
 
     #[test]

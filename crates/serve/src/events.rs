@@ -1,18 +1,30 @@
 //! JSONL event-trace exporter.
 //!
-//! Every scheduling decision of a serving run is appended as one compact
-//! JSON object per line: request arrivals, batch dispatches (with the
-//! plan-cache outcome), and batch completions. The encoder is the in-repo
-//! `pimflow-json` writer, whose output is fully deterministic — two runs
-//! with the same seed produce byte-identical traces, which the determinism
-//! tests assert and which makes traces diffable across code changes.
+//! Every scheduling decision of a run is recorded as one event: request
+//! routing, batch dispatches (with the plan-cache outcome), completions,
+//! faults, retries and autoscaler actions. Events are kept as values while
+//! the simulation runs and rendered only by [`EventLog::to_jsonl`], one
+//! compact JSON object per line, so tracing costs the event loop no
+//! formatting. The encoder is the in-repo `pimflow-json` writer, whose
+//! output is fully deterministic — two runs with the same seed produce
+//! byte-identical traces, which the determinism tests assert and which
+//! makes traces diffable across code changes.
 
 use pimflow_json::Json;
 
-/// Accumulates the JSONL lines of one serving run.
+/// One recorded event: its simulated time, its kind and its fields in
+/// rendering order.
+#[derive(Debug, Clone, PartialEq)]
+struct Event {
+    t_us: f64,
+    kind: &'static str,
+    fields: Vec<(&'static str, Json)>,
+}
+
+/// Accumulates the events of one run, in simulated-time order.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
-    lines: Vec<String>,
+    events: Vec<Event>,
 }
 
 impl EventLog {
@@ -21,108 +33,32 @@ impl EventLog {
         EventLog::default()
     }
 
-    fn push(&mut self, fields: Vec<(&str, Json)>) {
-        self.lines.push(Json::obj(fields).to_string_compact());
-    }
-
-    /// Records an arbitrary event with caller-supplied fields, rendered
-    /// after the standard `t_us`/`event` pair. The fleet simulator uses
-    /// this to tag its trace with node/tenant context without this crate
-    /// having to know about fleets.
-    pub fn record(&mut self, t_us: f64, event: &str, fields: Vec<(&str, Json)>) {
-        let mut all = vec![
-            ("t_us", Json::Num(t_us)),
-            ("event", Json::Str(event.into())),
-        ];
-        all.extend(fields);
-        self.push(all);
-    }
-
-    /// Records a request arrival.
-    pub fn arrival(&mut self, t_us: f64, request: u64) {
-        self.push(vec![
-            ("t_us", Json::Num(t_us)),
-            ("event", Json::Str("arrival".into())),
-            ("request", Json::Num(request as f64)),
-        ]);
-    }
-
-    /// Records a batch dispatch onto the device.
-    pub fn dispatch(&mut self, t_us: f64, batch: u64, requests: &[u64], cache_hit: bool) {
-        self.push(vec![
-            ("t_us", Json::Num(t_us)),
-            ("event", Json::Str("dispatch".into())),
-            ("batch", Json::Num(batch as f64)),
-            (
-                "requests",
-                Json::Arr(requests.iter().map(|&r| Json::Num(r as f64)).collect()),
-            ),
-            (
-                "cache",
-                Json::Str(if cache_hit { "hit" } else { "miss" }.into()),
-            ),
-        ]);
-    }
-
-    /// Records a batch completion.
-    pub fn complete(&mut self, t_us: f64, batch: u64, size: usize, exec_us: f64) {
-        self.push(vec![
-            ("t_us", Json::Num(t_us)),
-            ("event", Json::Str("complete".into())),
-            ("batch", Json::Num(batch as f64)),
-            ("size", Json::Num(size as f64)),
-            ("exec_us", Json::Num(exec_us)),
-        ]);
-    }
-
-    /// Records a channel availability transition (fault injection).
-    pub fn fault(&mut self, t_us: f64, channel: usize, up: bool) {
-        self.push(vec![
-            ("t_us", Json::Num(t_us)),
-            ("event", Json::Str("fault".into())),
-            ("channel", Json::Num(channel as f64)),
-            ("up", Json::Bool(up)),
-        ]);
-    }
-
-    /// Records an in-flight batch aborted by a channel failure and
-    /// re-dispatched on a degraded plan. `wasted_us` is the execution time
-    /// lost to the abort.
-    pub fn retry(&mut self, t_us: f64, batch: u64, channel: usize, wasted_us: f64) {
-        self.push(vec![
-            ("t_us", Json::Num(t_us)),
-            ("event", Json::Str("retry".into())),
-            ("batch", Json::Num(batch as f64)),
-            ("channel", Json::Num(channel as f64)),
-            ("wasted_us", Json::Num(wasted_us)),
-        ]);
+    /// Records an event with caller-supplied fields, rendered after the
+    /// standard `t_us`/`event` pair.
+    pub fn record(&mut self, t_us: f64, kind: &'static str, fields: Vec<(&'static str, Json)>) {
+        self.events.push(Event { t_us, kind, fields });
     }
 
     /// Number of events recorded.
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.events.len()
     }
 
     /// True when no events were recorded.
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
-    /// The recorded lines, in order.
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
-    /// Consumes the log, returning its lines.
-    pub fn into_lines(self) -> Vec<String> {
-        self.lines
+        self.events.is_empty()
     }
 
     /// Renders the whole trace as one newline-terminated JSONL document.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for line in &self.lines {
-            out.push_str(line);
+        for e in &self.events {
+            let mut fields = vec![
+                ("t_us", Json::Num(e.t_us)),
+                ("event", Json::Str(e.kind.into())),
+            ];
+            fields.extend(e.fields.iter().cloned());
+            out.push_str(&Json::obj(fields).to_string_compact());
             out.push('\n');
         }
         out
@@ -133,29 +69,36 @@ impl EventLog {
 mod tests {
     use super::*;
 
+    fn sample() -> EventLog {
+        let mut log = EventLog::new();
+        log.record(0.0, "route", vec![("request", Json::Num(0.0))]);
+        log.record(
+            10.5,
+            "dispatch",
+            vec![
+                ("batch", Json::Num(0.0)),
+                ("cache", Json::Str("miss".into())),
+            ],
+        );
+        log.record(20.0, "complete", vec![("exec_us", Json::Num(9.5))]);
+        log
+    }
+
     #[test]
     fn events_render_one_object_per_line() {
-        let mut log = EventLog::new();
-        log.arrival(0.0, 0);
-        log.dispatch(10.5, 0, &[0, 1], false);
-        log.complete(20.0, 0, 2, 9.5);
-        let text = log.to_jsonl();
+        let text = sample().to_jsonl();
         assert_eq!(text.lines().count(), 3);
         for line in text.lines() {
             let parsed = Json::parse(line).unwrap();
             assert!(parsed.field("event").is_ok(), "line `{line}`");
         }
+        assert!(text.starts_with("{\"t_us\":0,\"event\":\"route\",\"request\":0}\n"));
         assert!(text.contains("\"cache\":\"miss\""));
     }
 
     #[test]
     fn rendering_is_deterministic() {
-        let build = || {
-            let mut log = EventLog::new();
-            log.arrival(1.25, 3);
-            log.dispatch(2.5, 1, &[3], true);
-            log.to_jsonl()
-        };
-        assert_eq!(build(), build());
+        assert_eq!(sample().to_jsonl(), sample().to_jsonl());
+        assert_eq!(sample().len(), 3);
     }
 }

@@ -1,10 +1,8 @@
 //! Serving observability: monotonic counters and streaming latency
 //! histograms.
 //!
-//! The latency [`Histogram`] lives in the shared [`pimflow_metrics`] crate
-//! (the fleet simulator tracks per-tenant latencies with the same
-//! implementation); this module re-exports it next to the serve-specific
-//! [`Counters`].
+//! The latency [`Histogram`] lives in the shared [`pimflow_metrics`] crate;
+//! this module re-exports it next to the single-node [`Counters`].
 
 use pimflow_json::json_struct;
 

@@ -4,11 +4,10 @@
 //! This is the bridge between the serving layer and the compiler: one call
 //! batches the model ([`pimflow::batch::with_batch`]), runs the
 //! execution-mode search when the policy has one, and prices the result on
-//! the execution engine. The fleet simulator compiles per-node profiles
-//! through the same two entry points, so they live in their own module
-//! rather than buried in the single-node event loop.
+//! the execution engine. The event loop ([`crate::sim`]) compiles and
+//! repairs every node's profiles through these two entry points.
 
-use crate::sim::ServeError;
+use crate::serve::ServeError;
 use pimflow::batch::with_batch;
 use pimflow::costcache::CostCache;
 use pimflow::engine::{execute, ChannelMask, EngineConfig, ExecutionReport, FusedGroupStat};

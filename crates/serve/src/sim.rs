@@ -1,364 +1,353 @@
-//! The discrete-event serving simulator.
+//! The discrete-event serving loop — the one simulator behind both
+//! [`run_fleet`] and [`crate::run`].
 //!
-//! One serving run wires the pieces together: an arrival stream feeds the
-//! dynamic-batching queue; whenever the (single, serial) simulated
-//! GPU+PIM device is free and the queue is ready, the scheduler takes a
-//! FIFO batch, compiles it through the LRU plan cache — batching the model
-//! with [`pimflow::batch::with_batch`], searching an execution plan once
-//! per (model, policy, batch size, channel mask), and pricing the batch on
-//! the execution engine — and advances simulated time by the batch
-//! latency. Counters, the latency histogram, per-channel utilization, and
-//! the JSONL event trace are recorded along the way.
+//! One run drives N simulated PIM-GPU nodes (possibly of heterogeneous
+//! [`NodeClass`](crate::config::NodeClass)es) from per-tenant arrival
+//! streams. Each arrival passes admission control (the tenant's token
+//! bucket, then queue-depth shedding), is routed to a node by the
+//! configured [`RouterPolicy`], and joins that node's per-model batching
+//! queue. Whenever a node's device is free and a queue is ready, the node
+//! takes a FIFO batch, compiles it through its LRU plan cache — batching
+//! the model with [`pimflow::batch::with_batch`], searching an execution
+//! plan once per (model, policy, batch size, channel mask), and pricing
+//! the batch on the execution engine — and flies it for the batch latency.
+//! Single-node serving ([`crate::run`]) is this loop with one node and one
+//! tenant.
 //!
-//! ## Fault injection
+//! ## Channel faults
 //!
-//! A [`FaultScenario`] replays channel failures on the simulated
-//! timeline. On a channel-down transition the scheduler folds the change
-//! into its [`ChannelMask`], *repairs* every cached plan onto the degraded
-//! mask ([`pimflow::search::ExecutionPlan::repair`] — a cheap re-pricing
-//! walk, not a full Algorithm-1 search), and aborts + retries any
-//! in-flight batch that was using the failed channel. Requests are never
-//! dropped: a retried batch finishes on the degraded plan, paying the
-//! wasted execution time in its latency. Recoveries switch future
-//! dispatches back to the healthy plans (masks are part of the cache key,
-//! so degraded plans never leak into healthy serving).
+//! A node may replay a channel-granular [`FaultScenario`] (serving's
+//! `--faults`). A down transition folds into the node's [`ChannelMask`],
+//! *repairs* every cached plan of the node onto the degraded mask
+//! ([`pimflow::search::ExecutionPlan::repair`] — a cheap re-pricing walk,
+//! not a full Algorithm-1 search) and aborts + retries an in-flight batch
+//! that was using the failed channel on the same node, paying the wasted
+//! execution time in its latency. Recoveries switch future dispatches back
+//! to the healthy plans (masks are part of the cache key, so degraded plans
+//! never leak into healthy serving).
+//!
+//! ## Node faults and drains
+//!
+//! The fleet's [`FaultScenario`] works at node granularity: a down
+//! transition of "channel" `k` hard-fails node `k`. Its in-flight batch
+//! aborts and every queued request is *rerouted* (bypassing admission — an
+//! admitted request is never dropped), paying the detour in its latency.
+//! Recoveries bring the node back as active. Autoscaler drains are the
+//! graceful version: a draining node takes no new routes, finishes its
+//! queue, and parks in standby.
+//!
+//! ## Determinism
+//!
+//! The event loop is strictly sequential with a total order on event
+//! candidates — `(time, kind, node, model)` with kind priority completion
+//! < fault < autoscaler-tick < arrival < dispatch — and all randomness
+//! comes from per-tenant streams derived from the seed. Worker pools are
+//! only used for host-side compilation (precompile and the execution-mode
+//! search itself), which is width-deterministic, so the whole
+//! [`FleetReport`] and event trace are byte-identical at any
+//! `PIMFLOW_JOBS` width. Events are recorded in simulated-time order.
 
-use crate::arrival::{arrival_times_us, ArrivalSpec};
-use crate::cache::{plan_cache_cap_from_env, PlanCache, PlanKey};
+use crate::admission::TokenBucket;
+use crate::autoscale::{decide, ScaleDecision, ScaleSignal};
+use crate::cache::{PlanCache, PlanKey};
+use crate::config::{FleetConfig, RouterPolicy};
 use crate::events::EventLog;
-use crate::fault::FaultScenario;
-use crate::metrics::{Counters, Histogram};
+use crate::fault::{FaultEvent, FaultScenario};
+use crate::metrics::Histogram;
 use crate::profile::{compile_batch, compile_err, repair_batch, BatchProfile};
 use crate::queue::{BatchQueue, QueuedRequest};
+use crate::router::{route, NodeLoad};
+use crate::serve::{normalize_model_name, ServeError};
+use crate::traffic::{tenant_seed, traffic_times_us};
 use pimflow::batch::with_batch;
 use pimflow::costcache::{CacheCounters, CostCache};
 use pimflow::engine::{ChannelMask, EngineConfig};
-use pimflow::policy::Policy;
 use pimflow::search::{Search, SearchOptions};
-use pimflow_ir::models;
-use pimflow_json::json_struct;
+use pimflow_ir::{models, Graph};
+use pimflow_json::{json_struct, Json};
 use pimflow_pool::WorkerPool;
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Configuration of one serving run.
+/// Why a fleet run could not start or finish.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServeConfig {
-    /// Model name; aliases such as `resnet50` normalize to the zoo's
-    /// canonical `resnet-50` spelling.
-    pub model: String,
-    /// Offloading mechanism the device runs under.
-    pub policy: Policy,
-    /// Arrival stream.
-    pub arrival: ArrivalSpec,
-    /// Run window in seconds (arrivals beyond it are dropped; queued work
-    /// still drains).
-    pub duration_s: f64,
-    /// PRNG seed (Poisson arrivals).
-    pub seed: u64,
-    /// Dynamic batching: maximum batch size.
-    pub max_batch: usize,
-    /// Dynamic batching: flush timeout after the oldest arrival, us.
-    pub batch_timeout_us: f64,
-    /// LRU plan-cache capacity (plans). [`ServeConfig::new`] reads the
-    /// default from the `PIMFLOW_PLAN_CACHE_CAP` environment variable (16
-    /// when unset); the CLI `--plan-cache-cap` flag overrides both.
-    pub cache_capacity: usize,
-    /// Compile plans for every batch size `1..=max_batch` on the worker
-    /// pool before serving starts (width from `PIMFLOW_JOBS`/`--jobs`).
-    /// The serving timeline is unchanged — compilation is host work, not
-    /// simulated time — so every metric except the cache counters matches
-    /// the lazy path; cold-start misses just move off the serving loop.
-    pub precompile: bool,
-    /// Channel failures/recoveries to replay during the run.
-    pub faults: FaultScenario,
-    /// After each plan repair, also run the full Algorithm-1 search under
-    /// the degraded mask and record the plan-quality gap (the
-    /// `repair_quality_delta` report field). Costs one extra search per
-    /// repair; off by default.
+pub enum FleetError {
+    /// The fleet configuration is structurally invalid.
+    Config(String),
+    /// Per-node model handling failed (unknown model, batching, compile).
+    Serve(ServeError),
+}
+
+impl fmt::Display for FleetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FleetError::Config(m) => write!(f, "invalid fleet config: {m}"),
+            FleetError::Serve(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for FleetError {}
+
+impl From<ServeError> for FleetError {
+    fn from(e: ServeError) -> Self {
+        FleetError::Serve(e)
+    }
+}
+
+/// Lifecycle state of one node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NodeState {
+    /// Accepting routes and dispatching.
+    Active,
+    /// Finishing its queue; no new routes.
+    Draining,
+    /// Idle pool capacity the autoscaler can activate.
+    Standby,
+    /// Hard-failed by the fault scenario.
+    Down,
+}
+
+impl NodeState {
+    fn name(self) -> &'static str {
+        match self {
+            NodeState::Active => "active",
+            NodeState::Draining => "draining",
+            NodeState::Standby => "standby",
+            NodeState::Down => "down",
+        }
+    }
+}
+
+/// A batch executing on a node's device.
+#[derive(Debug, Clone)]
+struct InFlight {
+    batch_id: u64,
+    model_idx: usize,
+    start_us: f64,
+    finish_us: f64,
+    exec_us: f64,
+    requests: Vec<QueuedRequest>,
+    /// The profile of the current attempt.
+    profile: BatchProfile,
+}
+
+/// Per-node settings no public configuration carries: the single-node
+/// server's channel faults and repair-quality measurement.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeSpec {
+    /// Channel failures/recoveries replayed on this node.
+    pub channel_faults: FaultScenario,
+    /// After each plan repair, also run the full search under the degraded
+    /// mask and record the plan-quality gap.
     pub measure_replan: bool,
 }
 
-impl ServeConfig {
-    /// Default serving parameters for `model` under `policy`: 100 fixed
-    /// RPS for 5 seconds, batches of up to 8 with a 2 ms timeout, seed 0,
-    /// no faults, and a plan-cache capacity of 16 unless overridden by the
-    /// `PIMFLOW_PLAN_CACHE_CAP` environment variable.
-    pub fn new(model: impl Into<String>, policy: Policy) -> Self {
-        ServeConfig {
-            model: model.into(),
-            policy,
-            arrival: ArrivalSpec::Fixed { rps: 100.0 },
-            duration_s: 5.0,
-            seed: 0,
-            max_batch: 8,
-            batch_timeout_us: 2_000.0,
-            cache_capacity: plan_cache_cap_from_env(),
-            precompile: false,
-            faults: FaultScenario::none(),
-            measure_replan: false,
-        }
-    }
-}
-
-/// Why a serving run could not start or finish.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServeError {
-    /// The model name matched nothing in the zoo, even after normalization.
-    UnknownModel(String),
-    /// The model could not be batched (shape inference failed).
-    Batch(String),
-    /// The compiler pipeline (search / plan application / engine) failed.
-    Compile(String),
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::UnknownModel(m) => write!(
-                f,
-                "unknown model `{m}` (try: toy, mobilenet-v2, resnet-50, vgg-16, ...)"
-            ),
-            ServeError::Batch(e) => write!(f, "batching the model failed: {e}"),
-            ServeError::Compile(e) => write!(f, "compiling a batch failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-/// Canonicalizes a model name against the zoo: exact names pass through,
-/// and separator-insensitive aliases (`resnet50`, `ResNet_50`) resolve to
-/// the canonical spelling. Returns `None` for unknown models.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(pimflow_serve::normalize_model_name("resnet50").as_deref(), Some("resnet-50"));
-/// assert_eq!(pimflow_serve::normalize_model_name("toy").as_deref(), Some("toy"));
-/// assert_eq!(pimflow_serve::normalize_model_name("gpt-5"), None);
-/// ```
-pub fn normalize_model_name(name: &str) -> Option<String> {
-    const KNOWN: &[&str] = &[
-        "toy",
-        "efficientnet-v1-b0",
-        "efficientnet-v1-b2",
-        "efficientnet-v1-b4",
-        "efficientnet-v1-b6",
-        "mobilenet-v2",
-        "mnasnet-1.0",
-        "resnet-18",
-        "resnet-34",
-        "resnet-50",
-        "vgg-16",
-        "squeezenet-1.1",
-        "unet-small",
-        "bert-3",
-        "bert-64",
-    ];
-    if models::by_name(name).is_some() {
-        return Some(name.to_string());
-    }
-    let canon = |s: &str| {
-        s.chars()
-            .filter(char::is_ascii_alphanumeric)
-            .collect::<String>()
-            .to_ascii_lowercase()
-    };
-    let target = canon(name);
-    KNOWN
-        .iter()
-        .find(|k| canon(k) == target)
-        .map(|k| k.to_string())
-}
-
-/// Metrics summary of one serving run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeReport {
-    /// Canonical model name.
-    pub model: String,
-    /// Policy display name.
-    pub policy: String,
-    /// Monotonic counters.
-    pub counters: Counters,
-    /// Time of the last batch completion, microseconds (0 when idle).
-    pub makespan_us: f64,
-    /// Completed requests per second of makespan.
-    pub throughput_rps: f64,
-    /// Median end-to-end request latency, microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile latency, microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: f64,
-    /// Mean latency, microseconds.
-    pub mean_us: f64,
-    /// Worst latency, microseconds.
-    pub max_us: f64,
-    /// Plan-cache hit rate over all dispatches.
-    pub cache_hit_rate: f64,
+/// Per-node accumulators that only the single-node report reads.
+#[derive(Debug, Default)]
+pub(crate) struct NodeStats {
+    /// Dispatches whose plan-cache lookup hit.
+    pub cache_hits: u64,
+    /// Times the execution-mode search ran on this node.
+    pub search_invocations: u64,
+    /// Channel transitions replayed.
+    pub fault_events: u64,
+    /// Cached plans repaired after a channel failure.
+    pub repairs: u64,
     /// `(batch size, batches dispatched)` pairs, ascending.
     pub batch_sizes: Vec<(usize, u64)>,
-    /// Per-PIM-channel MAC-pipeline busy fraction of the makespan.
-    pub pim_channel_utilization: Vec<f64>,
-    /// Total simulated energy, microjoules.
-    pub energy_uj: f64,
-    /// Total host↔PIM traffic over every flown batch (including aborted
-    /// attempts), bytes: PIM→host drains plus host→PIM GWRITE payload
-    /// fetches. Fusion-enabled plans keep inter-layer activations near the
-    /// banks, so this is the serving-level view of the traffic the fused
-    /// search removes.
+    /// Per-PIM-channel busy time of completed batches, microseconds.
+    pub pim_busy_us: Vec<f64>,
+    /// Host↔PIM traffic of every flown attempt, bytes.
     pub host_pim_traffic_bytes: u64,
-    /// Fused-group count of the last profile flown (a gauge of the plan in
-    /// effect at run end; 0 for policies whose search never flips a group).
-    pub fused_groups: usize,
-    /// Per-group member counts of that same last-flown profile, in group
-    /// order — shows *which* groups the search flipped and how deep.
-    pub fused_group_members: Vec<usize>,
-    /// Total PIM-pipeline time hidden by overlapped fusion epochs across
-    /// every flown batch (including aborted attempts), microseconds.
-    /// Accumulated like `energy_uj`, so it is the serving-level view of
-    /// the gap the overlap-aware epoch semantics closed.
+    /// Overlap-hidden PIM time of every flown attempt, microseconds.
     pub overlap_hidden_us: f64,
-    /// Median latency of requests completing before the first failure
-    /// (equals `p50_us` when the run has no faults).
-    pub p50_before_us: f64,
-    /// p99 of requests completing before the first failure.
-    pub p99_before_us: f64,
-    /// Median latency of requests completing while ≥ 1 channel is down.
-    pub p50_during_us: f64,
-    /// p99 of requests completing while ≥ 1 channel is down.
-    pub p99_during_us: f64,
-    /// Median latency of requests completing after full recovery.
-    pub p50_after_us: f64,
-    /// p99 of requests completing after full recovery.
-    pub p99_after_us: f64,
-    /// Fraction of completed requests served by an all-GPU batch (PIM
-    /// fully evicted by faults — or never used by the policy).
-    pub gpu_fallback_fraction: f64,
-    /// Mean relative plan-quality gap of repair vs full replan,
-    /// `(repair.predicted_us - replan.predicted_us) / replan.predicted_us`
-    /// averaged over repairs. Only populated with
-    /// [`ServeConfig::measure_replan`]; 0 means repair matched the full
-    /// search.
-    pub repair_quality_delta: f64,
-    /// Hit/miss/entry counters of the run-wide cost cache every search in
-    /// this run (precompile, lazy compiles, retries, repairs, replan
-    /// measurements) shared. Hits are PIM workload timings reused instead
-    /// of re-simulated. Deterministic at any worker-pool width.
-    pub cost_cache: CacheCounters,
+    /// Fused-group member counts of the last completed batch's profile.
+    pub fused_group_members: Vec<usize>,
+    /// Completed requests whose batch ran entirely on the GPU.
+    pub completed_gpu_only: u64,
+    /// Latency of requests completing before / during / after the node's
+    /// channel-fault window.
+    pub phase_hists: [Histogram; 3],
+    /// Sum and count of the repair-vs-replan quality gaps measured.
+    pub repair_delta_sum: f64,
+    pub repair_delta_count: u64,
 }
 
-json_struct!(ServeReport {
-    model,
-    policy,
-    counters,
-    makespan_us,
-    throughput_rps,
-    p50_us,
-    p95_us,
-    p99_us,
-    mean_us,
-    max_us,
-    cache_hit_rate,
-    batch_sizes,
-    pim_channel_utilization,
-    energy_uj,
-    host_pim_traffic_bytes,
-    fused_groups,
-    fused_group_members,
-    overlap_hidden_us,
-    p50_before_us,
-    p99_before_us,
-    p50_during_us,
-    p99_during_us,
-    p50_after_us,
-    p99_after_us,
-    gpu_fallback_fraction,
-    repair_quality_delta,
-    cost_cache,
-});
-
-/// A finished serving run: the metrics summary plus the JSONL event trace.
-#[derive(Debug, Clone)]
-pub struct ServeRun {
-    /// Metrics summary.
-    pub report: ServeReport,
-    /// Event trace (one compact JSON object per line).
-    pub events: EventLog,
-}
-
-/// Everything the fault-repair path needs to mutate, bundled so the event
-/// loop can hand it around without a dozen arguments.
-struct RepairCtx<'a> {
-    base: &'a pimflow_ir::Graph,
-    model: &'a str,
-    policy: &'a str,
-    engine_cfg: &'a EngineConfig,
-    search_opts: &'a Option<SearchOptions>,
-    cost_cache: &'a CostCache,
+/// One simulated PIM-GPU node.
+#[derive(Debug)]
+struct Node {
+    class_idx: usize,
+    class_name: String,
+    policy_name: String,
+    engine_cfg: EngineConfig,
+    search_opts: Option<SearchOptions>,
+    state: NodeState,
+    /// One dynamic-batching queue per co-resident model.
+    queues: Vec<BatchQueue>,
+    cache: PlanCache<BatchProfile>,
+    cost_cache: CostCache,
+    inflight: Option<InFlight>,
+    busy_us: f64,
+    window_busy_us: f64,
+    energy_uj: f64,
+    batches: u64,
+    completed: u64,
+    retries: u64,
+    /// Channels currently up.
+    mask: ChannelMask,
+    /// Channel transitions to replay, sorted, and the replay cursor.
+    channel_faults: Vec<FaultEvent>,
+    next_fault: usize,
+    /// The `[start, end]` window with at least one channel down.
+    fault_window: Option<(f64, f64)>,
     measure_replan: bool,
-    compiled_sizes: BTreeSet<usize>,
-    repair_delta_sum: f64,
-    repair_delta_count: u64,
+    /// `(model, batch size)` pairs compiled on this node: the plans a
+    /// channel failure repairs.
+    compiled: BTreeSet<(usize, usize)>,
+    stats: NodeStats,
 }
 
-impl RepairCtx<'_> {
-    fn key(&self, size: usize, mask: ChannelMask) -> PlanKey {
+impl Node {
+    fn queue_depth(&self) -> usize {
+        self.queues.iter().map(|q| q.len()).sum()
+    }
+
+    fn is_idle(&self) -> bool {
+        self.inflight.is_none() && self.queues.iter().all(|q| q.is_empty())
+    }
+
+    fn accepts_routes(&self) -> bool {
+        self.state == NodeState::Active
+    }
+
+    /// Earliest `(time, model)` this node could dispatch a batch, or `None`
+    /// when it cannot dispatch at all. Ties across models break toward the
+    /// lower model index.
+    fn dispatch_candidate(&self, now_us: f64, run_draining: bool) -> Option<(f64, usize)> {
+        if self.inflight.is_some() || !matches!(self.state, NodeState::Active | NodeState::Draining)
+        {
+            return None;
+        }
+        let draining = run_draining || self.state == NodeState::Draining;
+        let mut best: Option<(f64, usize)> = None;
+        for (m, q) in self.queues.iter().enumerate() {
+            if q.is_empty() {
+                continue;
+            }
+            let at = if q.len() >= q.max_batch() || draining {
+                now_us
+            } else {
+                now_us.max(q.flush_deadline_us().expect("non-empty queue"))
+            };
+            if best.is_none_or(|(bt, _)| at < bt) {
+                best = Some((at, m));
+            }
+        }
+        best
+    }
+
+    fn plan_key(&self, model: &str, size: usize, mask: ChannelMask) -> PlanKey {
         PlanKey {
-            model: self.model.to_string(),
-            policy: self.policy.to_string(),
+            model: model.to_string(),
+            policy: self.policy_name.clone(),
             batch: size,
             mask: mask.bits(),
         }
     }
 
-    /// On a channel-down transition, migrate every cached plan onto the
-    /// new mask via the cheap repair path (sizes ascending, so the walk is
-    /// deterministic). Healthy entries stay cached under their own mask
+    /// The profile of a `size` batch of `model` under the current mask,
+    /// compiled into the plan cache on a miss. Returns it with whether the
+    /// lookup hit.
+    fn profile(
+        &mut self,
+        graph: &Graph,
+        model: &str,
+        size: usize,
+    ) -> Result<(BatchProfile, bool), ServeError> {
+        let key = self.plan_key(model, size, self.mask);
+        let (mask, engine_cfg, search_opts, cost_cache) = (
+            self.mask,
+            &self.engine_cfg,
+            &self.search_opts,
+            &self.cost_cache,
+        );
+        let mut failure = None;
+        let (profile, hit) = self.cache.get_or_insert_with(key, || {
+            compile_batch(
+                graph,
+                size,
+                &engine_cfg.with_mask(mask),
+                search_opts,
+                cost_cache,
+            )
+            .unwrap_or_else(|e| {
+                failure = Some(e);
+                BatchProfile::empty()
+            })
+        });
+        let profile = profile.clone();
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        self.stats.search_invocations += (!hit && self.search_opts.is_some()) as u64;
+        Ok((profile, hit))
+    }
+
+    /// Charges one flown attempt of `profile` to the node.
+    fn charge(&mut self, profile: &BatchProfile) {
+        self.energy_uj += profile.energy_uj;
+        self.stats.host_pim_traffic_bytes += profile.host_pim_traffic_bytes;
+        self.stats.overlap_hidden_us += profile.overlap_hidden_us();
+    }
+
+    /// After a channel failure moved the mask off `old`, migrates every
+    /// cached plan onto the current mask via the cheap repair path,
+    /// walking (model, size) in ascending order so the walk is
+    /// deterministic. Healthy entries stay cached under their own mask
     /// for when the channel recovers.
     fn repair_all(
         &mut self,
-        cache: &mut PlanCache<BatchProfile>,
-        counters: &mut Counters,
-        old_mask: ChannelMask,
-        new_mask: ChannelMask,
+        graphs: &[Graph],
+        models: &[String],
+        old: ChannelMask,
     ) -> Result<(), ServeError> {
-        let sizes: Vec<usize> = self.compiled_sizes.iter().copied().collect();
-        for size in sizes {
-            if cache.peek(&self.key(size, new_mask)).is_some() {
+        let new = self.mask;
+        for &(mi, size) in &self.compiled {
+            let key = self.plan_key(&models[mi], size, new);
+            if self.cache.peek(&key).is_some() {
                 continue;
             }
-            let Some(source) = cache.peek(&self.key(size, old_mask)).cloned() else {
+            let Some(source) = self.cache.peek(&self.plan_key(&models[mi], size, old)) else {
                 continue;
             };
             let repaired = repair_batch(
-                self.base,
+                &graphs[mi],
                 size,
-                self.engine_cfg,
-                &source,
-                old_mask,
-                new_mask,
-                self.cost_cache,
+                &self.engine_cfg,
+                source,
+                old,
+                new,
+                &self.cost_cache,
             )?;
-            counters.repairs += 1;
+            self.stats.repairs += 1;
             if self.measure_replan {
-                if let (Some(opts), Some(repaired_plan)) = (self.search_opts, &repaired.plan) {
-                    let batched = with_batch(self.base, size)
+                if let (Some(opts), Some(repaired_plan)) = (&self.search_opts, &repaired.plan) {
+                    let batched = with_batch(&graphs[mi], size)
                         .map_err(|e| ServeError::Batch(e.to_string()))?;
-                    let replanned = Search::new(&batched, &self.engine_cfg.with_mask(new_mask))
+                    let replanned = Search::new(&batched, &self.engine_cfg.with_mask(new))
                         .options(*opts)
-                        .cache(self.cost_cache)
+                        .cache(&self.cost_cache)
                         .run()
                         .map_err(compile_err)?;
-                    counters.search_invocations += 1;
+                    self.stats.search_invocations += 1;
                     let denom = replanned.predicted_us.max(1e-12);
-                    self.repair_delta_sum +=
+                    self.stats.repair_delta_sum +=
                         (repaired_plan.predicted_us - replanned.predicted_us) / denom;
-                    self.repair_delta_count += 1;
+                    self.stats.repair_delta_count += 1;
                 }
             }
-            cache.insert(self.key(size, new_mask), repaired);
+            self.cache.insert(key, repaired);
         }
         Ok(())
     }
@@ -374,612 +363,1161 @@ fn phase_of(finish_us: f64, window: Option<(f64, f64)>) -> usize {
     }
 }
 
-/// Runs the serving simulation described by `cfg`.
+/// Per-tenant serving summary.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TenantReport {
+    /// Tenant display name.
+    pub name: String,
+    /// Canonical model name.
+    pub model: String,
+    /// Requests that arrived within the run window.
+    pub arrived: u64,
+    /// Requests past admission control and routed to a node.
+    pub admitted: u64,
+    /// Requests whose batch completed.
+    pub completed: u64,
+    /// Requests rejected by the tenant's token bucket.
+    pub rejected_rate_limited: u64,
+    /// Requests shed because the routed-to node's queue was too deep.
+    pub rejected_shed: u64,
+    /// Requests rejected because no node was accepting traffic.
+    pub rejected_unavailable: u64,
+    /// Median end-to-end latency, microseconds.
+    pub p50_us: f64,
+    /// 95th-percentile latency, microseconds.
+    pub p95_us: f64,
+    /// 99th-percentile latency, microseconds.
+    pub p99_us: f64,
+    /// Mean latency, microseconds.
+    pub mean_us: f64,
+    /// Worst latency, microseconds.
+    pub max_us: f64,
+}
+
+json_struct!(TenantReport {
+    name,
+    model,
+    arrived,
+    admitted,
+    completed,
+    rejected_rate_limited,
+    rejected_shed,
+    rejected_unavailable,
+    p50_us,
+    p95_us,
+    p99_us,
+    mean_us,
+    max_us
+});
+
+/// Per-node serving summary.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NodeReport {
+    /// Node id.
+    pub node: usize,
+    /// Node-class display name.
+    pub class: String,
+    /// Policy display name.
+    pub policy: String,
+    /// Batches dispatched on this node.
+    pub batches: u64,
+    /// Requests completed on this node.
+    pub completed: u64,
+    /// In-flight batches aborted by a node or channel failure.
+    pub retries: u64,
+    /// Device busy time (completed batches), microseconds.
+    pub busy_us: f64,
+    /// Busy fraction of the fleet makespan.
+    pub utilization: f64,
+    /// Simulated energy, microjoules.
+    pub energy_uj: f64,
+    /// Plan-cache hit rate over this node's lookups.
+    pub cache_hit_rate: f64,
+    /// This node's cost-cache counters.
+    pub cost_cache: CacheCounters,
+    /// Lifecycle state at the end of the run.
+    pub final_state: String,
+}
+
+json_struct!(NodeReport {
+    node,
+    class,
+    policy,
+    batches,
+    completed,
+    retries,
+    busy_us,
+    utilization,
+    energy_uj,
+    cache_hit_rate,
+    cost_cache,
+    final_state
+});
+
+/// Metrics summary of one fleet run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetReport {
+    /// Router policy display name.
+    pub router: String,
+    /// Run window, seconds.
+    pub duration_s: f64,
+    /// Fleet seed.
+    pub seed: u64,
+    /// Requests that arrived across all tenants.
+    pub arrived: u64,
+    /// Requests admitted (routed to a node).
+    pub admitted: u64,
+    /// Requests completed.
+    pub completed: u64,
+    /// Requests rejected by admission control (all reasons).
+    pub rejected: u64,
+    /// Admitted requests never served (only possible when every node is
+    /// down and none recovers; healthy and recovering fleets report 0).
+    pub dropped: u64,
+    /// Time of the last batch completion, microseconds.
+    pub makespan_us: f64,
+    /// Completed requests per second of makespan.
+    pub throughput_rps: f64,
+    /// Mean busy fraction across all nodes over the makespan.
+    pub fleet_utilization: f64,
+    /// Rejected requests as a fraction of arrivals.
+    pub rejection_rate: f64,
+    /// Fleet-wide median latency, microseconds.
+    pub p50_us: f64,
+    /// Fleet-wide 99th-percentile latency, microseconds.
+    pub p99_us: f64,
+    /// Fleet-wide mean latency, microseconds.
+    pub mean_us: f64,
+    /// Fleet-wide worst latency, microseconds.
+    pub max_us: f64,
+    /// Node up/down transitions replayed.
+    pub node_fault_events: u64,
+    /// Requests rerouted off a failed node.
+    pub rerouted: u64,
+    /// Standby nodes activated (autoscaler or emergency).
+    pub scale_ups: u64,
+    /// Active nodes drained by the autoscaler.
+    pub scale_downs: u64,
+    /// Per-tenant summaries, in tenant order.
+    pub tenants: Vec<TenantReport>,
+    /// Per-node summaries, in node order.
+    pub nodes: Vec<NodeReport>,
+}
+
+json_struct!(FleetReport {
+    router,
+    duration_s,
+    seed,
+    arrived,
+    admitted,
+    completed,
+    rejected,
+    dropped,
+    makespan_us,
+    throughput_rps,
+    fleet_utilization,
+    rejection_rate,
+    p50_us,
+    p99_us,
+    mean_us,
+    max_us,
+    node_fault_events,
+    rerouted,
+    scale_ups,
+    scale_downs,
+    tenants,
+    nodes
+});
+
+/// A finished fleet run: the metrics summary plus the JSONL event trace.
+#[derive(Debug, Clone)]
+pub struct FleetOutcome {
+    /// Metrics summary.
+    pub report: FleetReport,
+    /// Event trace (one compact JSON object per line).
+    pub events: EventLog,
+}
+
+/// Identity of one admitted request, indexed by its global id.
+#[derive(Debug, Clone, Copy)]
+struct RequestMeta {
+    tenant: usize,
+    model_idx: usize,
+    arrival_us: f64,
+}
+
+/// Per-tenant monotonic counters.
+#[derive(Debug, Clone, Copy, Default)]
+struct TenantCounters {
+    arrived: u64,
+    admitted: u64,
+    completed: u64,
+    rej_rate: u64,
+    rej_shed: u64,
+    rej_unavail: u64,
+}
+
+/// Load snapshot of every route-eligible node, ascending node id. The
+/// per-(class, model) service-time estimates exist only under the
+/// SLO-aware router, the one policy that reads `est_finish_us`.
+fn eligible_loads(nodes: &[Node], est_us: Option<&[Vec<f64>]>, now_us: f64) -> Vec<NodeLoad> {
+    nodes
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| n.accepts_routes())
+        .map(|(id, n)| {
+            let est_finish_us = est_us.map_or(0.0, |est_us| {
+                let mut est = n
+                    .inflight
+                    .as_ref()
+                    .map(|f| (f.finish_us - now_us).max(0.0))
+                    .unwrap_or(0.0);
+                for (m, q) in n.queues.iter().enumerate() {
+                    est += q.len() as f64 * est_us[n.class_idx][m];
+                }
+                est
+            });
+            NodeLoad {
+                node: id,
+                queue_depth: n.queue_depth(),
+                est_finish_us,
+            }
+        })
+        .collect()
+}
+
+/// Activates the lowest-id standby node, if any. Returns its id.
+fn activate_standby(nodes: &mut [Node]) -> Option<usize> {
+    let id = nodes.iter().position(|n| n.state == NodeState::Standby)?;
+    nodes[id].state = NodeState::Active;
+    Some(id)
+}
+
+/// What the event loop decided to do next.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    Complete(usize),
+    Fault,
+    ChannelFault(usize),
+    Tick,
+    Arrival,
+    Dispatch(usize, usize),
+}
+
+/// Runs the fleet simulation described by `cfg`.
 ///
 /// # Errors
 ///
-/// Returns [`ServeError`] when the model is unknown, cannot be batched, or
-/// a batch fails to compile.
-pub fn run(cfg: &ServeConfig) -> Result<ServeRun, ServeError> {
-    let model_name = normalize_model_name(&cfg.model)
-        .ok_or_else(|| ServeError::UnknownModel(cfg.model.clone()))?;
-    let base = models::by_name(&model_name).expect("normalized names resolve");
-    let engine_cfg: EngineConfig = cfg.policy.engine_config();
-    let search_opts = cfg.policy.search_options();
-    let policy_name = cfg.policy.name().to_string();
+/// Returns [`FleetError`] when the configuration is invalid, a model is
+/// unknown, or a batch fails to compile.
+pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetOutcome, FleetError> {
+    cfg.validate().map_err(FleetError::Config)?;
+    let streams = cfg
+        .tenants
+        .iter()
+        .enumerate()
+        .map(|(ti, t)| traffic_times_us(&t.traffic, cfg.duration_s, tenant_seed(cfg.seed, ti)))
+        .collect();
+    let (outcome, _) = simulate(cfg, streams, &[])?;
+    Ok(outcome)
+}
 
-    let arrivals = arrival_times_us(&cfg.arrival, cfg.duration_s, cfg.seed);
-    let mut queue = BatchQueue::new(cfg.max_batch, cfg.batch_timeout_us);
-    let mut cache: PlanCache<BatchProfile> = PlanCache::new(cfg.cache_capacity);
-    let mut events = EventLog::new();
-    let mut hist = Histogram::new();
-    // Latency phases relative to the fault window: before / during / after.
-    let mut phase_hists = [Histogram::new(), Histogram::new(), Histogram::new()];
-    let fault_window = cfg.faults.degraded_window_us();
-    let mut counters = Counters::default();
-    let mut batch_size_counts: Vec<(usize, u64)> = Vec::new();
-    let mut pim_busy_us = vec![0.0f64; engine_cfg.pim_channels];
-    let mut energy_uj = 0.0f64;
-    let mut host_pim_traffic_bytes = 0u64;
-    let mut overlap_hidden_us = 0.0f64;
-    let mut fused_group_members: Vec<usize> = Vec::new();
-    let mut completed_gpu_only = 0u64;
-    // One cost cache for the whole run: precompile, lazy compiles, retry
-    // compiles, repairs, and replan measurements all share PIM timings.
-    let cost_cache = CostCache::new();
+/// The event loop. `streams[t]` holds tenant `t`'s sorted arrival times
+/// (the tenants' `traffic` specs are not read); `specs[n]` holds node
+/// `n`'s extra settings (nodes past its end get the defaults). Returns the
+/// outcome and each node's single-node accumulators.
+pub(crate) fn simulate(
+    cfg: &FleetConfig,
+    streams: Vec<Vec<f64>>,
+    specs: &[NodeSpec],
+) -> Result<(FleetOutcome, Vec<NodeStats>), ServeError> {
+    // Intern the models tenants reference: one graph + one queue slot per
+    // distinct canonical name.
+    let mut model_names: Vec<String> = Vec::new();
+    let mut tenant_model: Vec<usize> = Vec::new();
+    for t in &cfg.tenants {
+        let name = normalize_model_name(&t.model)
+            .ok_or_else(|| ServeError::UnknownModel(t.model.clone()))?;
+        let idx = match model_names.iter().position(|m| *m == name) {
+            Some(i) => i,
+            None => {
+                model_names.push(name);
+                model_names.len() - 1
+            }
+        };
+        tenant_model.push(idx);
+    }
+    let graphs: Vec<Graph> = model_names
+        .iter()
+        .map(|m| models::by_name(m).expect("normalized names resolve"))
+        .collect();
 
-    let mut repair = RepairCtx {
-        base: &base,
-        model: &model_name,
-        policy: &policy_name,
-        engine_cfg: &engine_cfg,
-        search_opts: &search_opts,
-        cost_cache: &cost_cache,
-        measure_replan: cfg.measure_replan,
-        compiled_sizes: BTreeSet::new(),
-        repair_delta_sum: 0.0,
-        repair_delta_count: 0,
+    // Build the nodes, class by class; the last `initial_standby` ids
+    // start parked.
+    let mut nodes: Vec<Node> = Vec::new();
+    for (ci, class) in cfg.classes.iter().enumerate() {
+        for _ in 0..class.count {
+            let spec = specs.get(nodes.len()).cloned().unwrap_or_default();
+            let engine_cfg = class.engine_config();
+            nodes.push(Node {
+                class_idx: ci,
+                class_name: class.name.clone(),
+                policy_name: class.policy.name().to_string(),
+                search_opts: class.policy.search_options(),
+                state: NodeState::Active,
+                queues: (0..model_names.len())
+                    .map(|_| BatchQueue::new(cfg.max_batch, cfg.batch_timeout_us))
+                    .collect(),
+                cache: PlanCache::new(cfg.plan_cache_cap),
+                cost_cache: CostCache::new(),
+                inflight: None,
+                busy_us: 0.0,
+                window_busy_us: 0.0,
+                energy_uj: 0.0,
+                batches: 0,
+                completed: 0,
+                retries: 0,
+                mask: engine_cfg.pim_channel_mask,
+                fault_window: spec.channel_faults.degraded_window_us(),
+                channel_faults: spec.channel_faults.events,
+                next_fault: 0,
+                measure_replan: spec.measure_replan,
+                compiled: BTreeSet::new(),
+                stats: NodeStats {
+                    pim_busy_us: vec![0.0; engine_cfg.pim_channels],
+                    ..NodeStats::default()
+                },
+                engine_cfg,
+            });
+        }
+    }
+    let n_nodes = nodes.len();
+    for k in 0..cfg.initial_standby {
+        nodes[n_nodes - 1 - k].state = NodeState::Standby;
+    }
+
+    // Per-(class, model) service-time estimates for the SLO-aware router:
+    // the batch-1 plan's predicted latency, compiled against scratch cost
+    // caches so node counters stay untouched. Host work, compiled only for
+    // the router that reads it.
+    let est_us = if cfg.router == RouterPolicy::SloAware {
+        let mut est_us = vec![vec![0.0f64; model_names.len()]; cfg.classes.len()];
+        for (ci, class) in cfg.classes.iter().enumerate() {
+            let ecfg = class.engine_config();
+            let opts = class.policy.search_options();
+            let scratch = CostCache::new();
+            for (mi, g) in graphs.iter().enumerate() {
+                let p = compile_batch(g, 1, &ecfg, &opts, &scratch)?;
+                est_us[ci][mi] = p
+                    .plan
+                    .as_ref()
+                    .map(|plan| plan.predicted_us)
+                    .unwrap_or(p.latency_us);
+            }
+        }
+        Some(est_us)
+    } else {
+        None
     };
-    let mut current_mask = ChannelMask::all();
-    let mut fault_idx = 0usize;
+    let est_us = est_us.as_deref();
 
-    // Warm the plan cache in parallel: every batch size the dynamic
-    // batcher can produce, compiled as one worker-pool task each, inserted
-    // in ascending-size order (deterministic regardless of pool width).
-    // Precompilation targets the healthy mask; degraded plans are derived
-    // by repair when faults arrive.
+    // Warm every node's plan cache in parallel: one worker-pool task per
+    // (node, model, batch size), inserted in task order — deterministic at
+    // any pool width. Host work; the simulated timeline is unchanged.
     if cfg.precompile {
-        let sizes: Vec<usize> = (1..=cfg.max_batch.max(1)).collect();
+        let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
+        for nid in 0..n_nodes {
+            for mi in 0..model_names.len() {
+                for size in 1..=cfg.max_batch {
+                    tasks.push((nid, mi, size));
+                }
+            }
+        }
         let pool = WorkerPool::from_env();
-        let compiled = pool.map(&sizes, |_, &size| {
-            compile_batch(&base, size, &engine_cfg, &search_opts, &cost_cache)
+        let compiled = pool.map(&tasks, |_, &(nid, mi, size)| {
+            let node = &nodes[nid];
+            compile_batch(
+                &graphs[mi],
+                size,
+                &node.engine_cfg,
+                &node.search_opts,
+                &node.cost_cache,
+            )
         });
-        for (&size, result) in sizes.iter().zip(compiled) {
+        for (&(nid, mi, size), result) in tasks.iter().zip(compiled) {
             let profile = result?;
-            counters.search_invocations += search_opts.is_some() as u64;
-            repair.compiled_sizes.insert(size);
-            cache.insert(repair.key(size, current_mask), profile);
+            let node = &mut nodes[nid];
+            node.stats.search_invocations += node.search_opts.is_some() as u64;
+            node.compiled.insert((mi, size));
+            let key = node.plan_key(&model_names[mi], size, node.mask);
+            node.cache.insert(key, profile);
         }
     }
 
-    let mut next = 0usize; // index of the next arrival to admit
-    let mut device_free_us = 0.0f64;
-    let mut makespan_us = 0.0f64;
+    // Merge the per-tenant arrival streams into one global timeline; ties
+    // break by tenant index, and the stable sort keeps each tenant's own
+    // stream in order.
+    struct Arrival {
+        t_us: f64,
+        tenant: usize,
+    }
+    let mut arrivals: Vec<Arrival> = Vec::new();
+    for (ti, stream) in streams.into_iter().enumerate() {
+        arrivals.extend(stream.into_iter().map(|t_us| Arrival { t_us, tenant: ti }));
+    }
+    arrivals.sort_by(|a, b| {
+        a.t_us
+            .partial_cmp(&b.t_us)
+            .expect("finite arrival times")
+            .then(a.tenant.cmp(&b.tenant))
+    });
+
+    let mut buckets: Vec<TokenBucket> = cfg
+        .tenants
+        .iter()
+        .map(|t| TokenBucket::new(t.rate_limit_rps, t.burst))
+        .collect();
+    let mut tc = vec![TenantCounters::default(); cfg.tenants.len()];
+    let mut tenant_hists = vec![Histogram::new(); cfg.tenants.len()];
+    let mut fleet_hist = Histogram::new();
+    let mut metas: Vec<RequestMeta> = Vec::new();
+    let mut events = EventLog::new();
+    // Admitted requests with nowhere to go (every node down); flushed on
+    // the next recovery, counted as drops if none comes.
+    let mut parked: Vec<QueuedRequest> = Vec::new();
+    let mut rr_cursor = 0usize;
+    let mut batch_seq = 0u64;
+    let mut node_fault_events = 0u64;
+    let mut rerouted = 0u64;
+    let mut scale_ups = 0u64;
+    let mut scale_downs = 0u64;
     let mut now_us = 0.0f64;
+    let mut makespan_us = 0.0f64;
+    let mut next_arr = 0usize;
+    let mut fault_idx = 0usize;
+    let mut next_tick_us = if cfg.autoscale.enabled {
+        cfg.autoscale.interval_us
+    } else {
+        f64::INFINITY
+    };
+
+    // Re-enqueues an already-admitted request after its node failed:
+    // bypasses admission and shedding (zero-drop guarantee), falls back to
+    // emergency standby activation, and parks only when the whole fleet is
+    // down.
+    macro_rules! reroute_admitted {
+        ($req:expr, $nodes:expr, $at:expr) => {{
+            let req: QueuedRequest = $req;
+            let meta = metas[req.id as usize];
+            let mut cands = eligible_loads($nodes, est_us, $at);
+            if cands.is_empty() {
+                if let Some(id) = activate_standby($nodes) {
+                    scale_ups += 1;
+                    events.record($at, "activate", vec![("node", Json::Num(id as f64))]);
+                    cands = eligible_loads($nodes, est_us, $at);
+                }
+            }
+            if cands.is_empty() {
+                parked.push(req);
+            } else {
+                let nid = route(cfg.router, &mut rr_cursor, &cands);
+                rerouted += 1;
+                events.record(
+                    $at,
+                    "reroute",
+                    vec![
+                        ("request", Json::Num(req.id as f64)),
+                        ("node", Json::Num(nid as f64)),
+                    ],
+                );
+                $nodes[nid].queues[meta.model_idx].push(req);
+            }
+        }};
+    }
 
     loop {
-        let draining = next >= arrivals.len();
-        if draining && queue.is_empty() {
+        let run_draining = next_arr >= arrivals.len();
+        let work_left = nodes.iter().any(|n| !n.is_idle());
+        let faults_left = fault_idx < cfg.node_faults.events.len();
+        if run_draining && !work_left && (parked.is_empty() || !faults_left) {
             break;
         }
 
-        // Earliest time the queue can dispatch: the device must be free,
-        // and the queue must be ready (full batch, expired timeout, or
-        // end-of-run drain).
-        let dispatch_at = if queue.is_empty() {
-            f64::INFINITY
-        } else if queue.len() >= queue.max_batch() || draining {
-            now_us.max(device_free_us)
-        } else {
-            let deadline = queue.flush_deadline_us().expect("non-empty queue");
-            now_us.max(device_free_us).max(deadline)
+        // Pick the next event: earliest time wins; at equal times the kind
+        // priority (completion < fault < tick < arrival < dispatch) and
+        // then the node/model order decide. `<` comparisons keep the first
+        // (lowest-id) candidate on exact ties.
+        let mut best_t = f64::INFINITY;
+        let mut best_prio = u8::MAX;
+        let mut best_ev: Option<Ev> = None;
+        let offer = |t: f64,
+                     prio: u8,
+                     ev: Ev,
+                     best_t: &mut f64,
+                     best_prio: &mut u8,
+                     best_ev: &mut Option<Ev>| {
+            if t < *best_t || (t == *best_t && prio < *best_prio) {
+                *best_t = t;
+                *best_prio = prio;
+                *best_ev = Some(ev);
+            }
         };
+        for (id, node) in nodes.iter().enumerate() {
+            if let Some(fl) = &node.inflight {
+                offer(
+                    fl.finish_us,
+                    0,
+                    Ev::Complete(id),
+                    &mut best_t,
+                    &mut best_prio,
+                    &mut best_ev,
+                );
+            }
+        }
+        if let Some(e) = cfg.node_faults.events.get(fault_idx) {
+            offer(
+                e.at_us.max(now_us),
+                1,
+                Ev::Fault,
+                &mut best_t,
+                &mut best_prio,
+                &mut best_ev,
+            );
+        }
+        for (id, node) in nodes.iter().enumerate() {
+            if let Some(e) = node.channel_faults.get(node.next_fault) {
+                offer(
+                    e.at_us.max(now_us),
+                    1,
+                    Ev::ChannelFault(id),
+                    &mut best_t,
+                    &mut best_prio,
+                    &mut best_ev,
+                );
+            }
+        }
+        if next_tick_us.is_finite() && (work_left || !run_draining) {
+            offer(
+                next_tick_us.max(now_us),
+                2,
+                Ev::Tick,
+                &mut best_t,
+                &mut best_prio,
+                &mut best_ev,
+            );
+        }
+        if let Some(a) = arrivals.get(next_arr) {
+            offer(
+                a.t_us.max(now_us),
+                3,
+                Ev::Arrival,
+                &mut best_t,
+                &mut best_prio,
+                &mut best_ev,
+            );
+        }
+        for (id, node) in nodes.iter().enumerate() {
+            if let Some((at, mi)) = node.dispatch_candidate(now_us, run_draining) {
+                offer(
+                    at,
+                    4,
+                    Ev::Dispatch(id, mi),
+                    &mut best_t,
+                    &mut best_prio,
+                    &mut best_ev,
+                );
+            }
+        }
 
-        // Replay any fault transition that fires before the next arrival
-        // or dispatch, so dispatches always compile against the current
-        // mask. Down-transitions repair the cached plans immediately.
-        if let Some(e) = cfg.faults.events.get(fault_idx) {
-            let arrival_horizon = arrivals.get(next).copied().unwrap_or(f64::INFINITY);
-            if e.at_us <= dispatch_at.min(arrival_horizon) {
-                let old_mask = current_mask;
-                current_mask = if e.up {
-                    current_mask.with(e.channel)
-                } else {
-                    current_mask.without(e.channel)
-                };
-                counters.fault_events += 1;
-                events.fault(e.at_us, e.channel, e.up);
-                if !e.up && current_mask != old_mask {
-                    repair.repair_all(&mut cache, &mut counters, old_mask, current_mask)?;
+        let Some(ev) = best_ev else {
+            // Nothing can ever fire again (e.g. parked work with no
+            // recovery left was handled by the break above).
+            break;
+        };
+        now_us = now_us.max(best_t);
+
+        match ev {
+            Ev::Complete(nid) => {
+                let node = &mut nodes[nid];
+                let fl = node.inflight.take().expect("offered completion");
+                node.busy_us += fl.exec_us;
+                node.window_busy_us += fl.exec_us;
+                node.completed += fl.requests.len() as u64;
+                makespan_us = makespan_us.max(fl.finish_us);
+                let phase = phase_of(fl.finish_us, node.fault_window);
+                for req in &fl.requests {
+                    let meta = metas[req.id as usize];
+                    let latency = fl.finish_us - meta.arrival_us;
+                    tenant_hists[meta.tenant].record(latency);
+                    fleet_hist.record(latency);
+                    node.stats.phase_hists[phase].record(latency);
+                    tc[meta.tenant].completed += 1;
                 }
-                now_us = now_us.max(e.at_us);
+                let stats = &mut node.stats;
+                if fl.profile.gpu_only() {
+                    stats.completed_gpu_only += fl.requests.len() as u64;
+                }
+                for (acc, b) in stats
+                    .pim_busy_us
+                    .iter_mut()
+                    .zip(&fl.profile.pim_channel_busy_us)
+                {
+                    *acc += b;
+                }
+                stats.fused_group_members =
+                    fl.profile.fused_groups.iter().map(|g| g.members).collect();
+                events.record(
+                    fl.finish_us,
+                    "complete",
+                    vec![
+                        ("node", Json::Num(nid as f64)),
+                        ("batch", Json::Num(fl.batch_id as f64)),
+                        ("size", Json::Num(fl.requests.len() as f64)),
+                        ("exec_us", Json::Num(fl.exec_us)),
+                    ],
+                );
+                if node.state == NodeState::Draining && node.is_idle() {
+                    node.state = NodeState::Standby;
+                    events.record(
+                        fl.finish_us,
+                        "drained",
+                        vec![("node", Json::Num(nid as f64))],
+                    );
+                }
+            }
+            Ev::Fault => {
+                let e = cfg.node_faults.events[fault_idx].clone();
                 fault_idx += 1;
-                continue;
-            }
-        }
-
-        // Admit any arrival that happens first (ties go to the arrival so a
-        // request landing exactly at the deadline still joins the batch).
-        if let Some(&t) = arrivals.get(next) {
-            if t <= dispatch_at {
-                now_us = now_us.max(t);
-                let id = next as u64;
-                queue.push(QueuedRequest { id, arrival_us: t });
-                events.arrival(t, id);
-                counters.arrived += 1;
-                next += 1;
-                continue;
-            }
-        }
-
-        // Dispatch one batch under the current mask.
-        now_us = dispatch_at;
-        debug_assert!(queue.ready(now_us, draining));
-        let batch = queue.take_batch();
-        let size = batch.len();
-        let key = repair.key(size, current_mask);
-        let mut batch_err = None;
-        let (profile, hit) = cache.get_or_insert_with(key, || {
-            counters.search_invocations += search_opts.is_some() as u64;
-            match compile_batch(
-                &base,
-                size,
-                &engine_cfg.with_mask(current_mask),
-                &search_opts,
-                &cost_cache,
-            ) {
-                Ok(profile) => profile,
-                Err(e) => {
-                    batch_err = Some(e);
-                    BatchProfile::empty()
+                node_fault_events += 1;
+                let nid = e.channel;
+                events.record(
+                    e.at_us,
+                    if e.up { "node_up" } else { "node_down" },
+                    vec![("node", Json::Num(nid as f64))],
+                );
+                if nid >= n_nodes {
+                    continue;
                 }
-            }
-        });
-        if let Some(e) = batch_err {
-            return Err(e);
-        }
-        let mut profile = profile.clone();
-        repair.compiled_sizes.insert(size);
-
-        let batch_id = counters.batches;
-        counters.batches += 1;
-        counters.cache_hits += hit as u64;
-        counters.cache_misses += (!hit) as u64;
-        let ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
-        events.dispatch(now_us, batch_id, &ids, hit);
-
-        // Fly the batch, replaying fault transitions that land inside its
-        // execution window. A failure of a channel this batch is using
-        // aborts it; the batch re-dispatches immediately on the degraded
-        // plan, paying the wasted time. Requests are never dropped.
-        let mut start_us = now_us;
-        let mut exec_us = profile.latency_us;
-        let mut finish_us = start_us + exec_us;
-        energy_uj += profile.energy_uj;
-        host_pim_traffic_bytes += profile.host_pim_traffic_bytes;
-        overlap_hidden_us += profile.overlap_hidden_us();
-        while let Some(e) = cfg.faults.events.get(fault_idx) {
-            if e.at_us >= finish_us {
-                break;
-            }
-            let old_mask = current_mask;
-            current_mask = if e.up {
-                current_mask.with(e.channel)
-            } else {
-                current_mask.without(e.channel)
-            };
-            counters.fault_events += 1;
-            events.fault(e.at_us, e.channel, e.up);
-            fault_idx += 1;
-            if e.up || current_mask == old_mask {
-                continue; // recoveries never interrupt a running batch
-            }
-            repair.repair_all(&mut cache, &mut counters, old_mask, current_mask)?;
-            if !profile.uses_channel(e.channel) {
-                continue; // the failed channel was idle for this batch
-            }
-            // Abort and retry on the degraded plan.
-            let wasted = e.at_us - start_us;
-            counters.retries += 1;
-            events.retry(e.at_us, batch_id, e.channel, wasted);
-            let key = repair.key(size, current_mask);
-            let mut retry_err = None;
-            let (next_profile, _) = cache.get_or_insert_with(key, || {
-                counters.search_invocations += search_opts.is_some() as u64;
-                match compile_batch(
-                    &base,
-                    size,
-                    &engine_cfg.with_mask(current_mask),
-                    &search_opts,
-                    &cost_cache,
-                ) {
-                    Ok(profile) => profile,
-                    Err(e) => {
-                        retry_err = Some(e);
-                        BatchProfile::empty()
+                if e.up {
+                    if nodes[nid].state == NodeState::Down {
+                        nodes[nid].state = NodeState::Active;
+                    }
+                    // A recovery may unpark stranded requests.
+                    let stranded: Vec<QueuedRequest> = std::mem::take(&mut parked);
+                    for req in stranded {
+                        reroute_admitted!(req, &mut nodes, now_us);
+                    }
+                } else if nodes[nid].state != NodeState::Down {
+                    let mut strays: Vec<QueuedRequest> = Vec::new();
+                    if let Some(fl) = nodes[nid].inflight.take() {
+                        nodes[nid].retries += 1;
+                        events.record(
+                            e.at_us,
+                            "abort",
+                            vec![
+                                ("node", Json::Num(nid as f64)),
+                                ("batch", Json::Num(fl.batch_id as f64)),
+                                ("wasted_us", Json::Num(e.at_us - fl.start_us)),
+                            ],
+                        );
+                        strays.extend(fl.requests);
+                    }
+                    for q in &mut nodes[nid].queues {
+                        while !q.is_empty() {
+                            strays.extend(q.take_batch());
+                        }
+                    }
+                    nodes[nid].state = NodeState::Down;
+                    for req in strays {
+                        reroute_admitted!(req, &mut nodes, now_us);
                     }
                 }
-            });
-            if let Some(e) = retry_err {
-                return Err(e);
             }
-            profile = next_profile.clone();
-            start_us = e.at_us;
-            exec_us = profile.latency_us;
-            finish_us = start_us + exec_us;
-            energy_uj += profile.energy_uj;
-            host_pim_traffic_bytes += profile.host_pim_traffic_bytes;
-            overlap_hidden_us += profile.overlap_hidden_us();
-        }
-        fused_group_members = profile.fused_groups.iter().map(|g| g.members).collect();
-
-        for (acc, b) in pim_busy_us.iter_mut().zip(&profile.pim_channel_busy_us) {
-            *acc += b;
-        }
-        device_free_us = finish_us;
-        makespan_us = makespan_us.max(finish_us);
-        let phase = phase_of(finish_us, fault_window);
-        for req in &batch {
-            let latency = finish_us - req.arrival_us;
-            hist.record(latency);
-            phase_hists[phase].record(latency);
-            counters.completed += 1;
-            completed_gpu_only += profile.gpu_only() as u64;
-        }
-        events.complete(finish_us, batch_id, size, exec_us);
-        match batch_size_counts.binary_search_by_key(&size, |&(s, _)| s) {
-            Ok(i) => batch_size_counts[i].1 += 1,
-            Err(i) => batch_size_counts.insert(i, (size, 1)),
+            Ev::ChannelFault(nid) => {
+                let node = &mut nodes[nid];
+                let e = node.channel_faults[node.next_fault].clone();
+                node.next_fault += 1;
+                node.stats.fault_events += 1;
+                events.record(
+                    e.at_us,
+                    "fault",
+                    vec![
+                        ("node", Json::Num(nid as f64)),
+                        ("channel", Json::Num(e.channel as f64)),
+                        ("up", Json::Bool(e.up)),
+                    ],
+                );
+                let old_mask = node.mask;
+                node.mask = if e.up {
+                    old_mask.with(e.channel)
+                } else {
+                    old_mask.without(e.channel)
+                };
+                if e.up || node.mask == old_mask {
+                    continue; // recoveries never interrupt a running batch
+                }
+                node.repair_all(&graphs, &model_names, old_mask)?;
+                // An in-flight batch using the failed channel aborts and
+                // re-dispatches at once on the degraded plan, paying the
+                // wasted time. Requests are never dropped.
+                let Some((mi, size, batch_id, start_us)) = node
+                    .inflight
+                    .as_ref()
+                    .filter(|fl| fl.profile.uses_channel(e.channel))
+                    .map(|fl| (fl.model_idx, fl.requests.len(), fl.batch_id, fl.start_us))
+                else {
+                    continue;
+                };
+                node.retries += 1;
+                events.record(
+                    e.at_us,
+                    "retry",
+                    vec![
+                        ("node", Json::Num(nid as f64)),
+                        ("batch", Json::Num(batch_id as f64)),
+                        ("channel", Json::Num(e.channel as f64)),
+                        ("wasted_us", Json::Num(e.at_us - start_us)),
+                    ],
+                );
+                let (profile, _) = node.profile(&graphs[mi], &model_names[mi], size)?;
+                node.charge(&profile);
+                let fl = node.inflight.as_mut().expect("retried batch is in flight");
+                fl.start_us = e.at_us;
+                fl.exec_us = profile.latency_us;
+                fl.finish_us = e.at_us + profile.latency_us;
+                fl.profile = profile;
+            }
+            Ev::Tick => {
+                let at = next_tick_us;
+                next_tick_us += cfg.autoscale.interval_us;
+                let active = nodes
+                    .iter()
+                    .filter(|n| n.state == NodeState::Active)
+                    .count();
+                let standby = nodes
+                    .iter()
+                    .filter(|n| n.state == NodeState::Standby)
+                    .count();
+                let queued: usize = nodes.iter().map(|n| n.queue_depth()).sum();
+                let busy: f64 = nodes.iter().map(|n| n.window_busy_us).sum();
+                let utilization =
+                    (busy / (cfg.autoscale.interval_us * active.max(1) as f64)).min(1.0);
+                for node in &mut nodes {
+                    node.window_busy_us = 0.0;
+                }
+                let sig = ScaleSignal {
+                    queued_total: queued,
+                    active_nodes: active,
+                    standby_nodes: standby,
+                    utilization,
+                };
+                match decide(&cfg.autoscale, &sig) {
+                    ScaleDecision::Up => {
+                        if let Some(id) = activate_standby(&mut nodes) {
+                            scale_ups += 1;
+                            events.record(at, "scale_up", vec![("node", Json::Num(id as f64))]);
+                        }
+                    }
+                    ScaleDecision::Down => {
+                        if let Some(id) = nodes.iter().rposition(|n| n.state == NodeState::Active) {
+                            scale_downs += 1;
+                            events.record(at, "scale_down", vec![("node", Json::Num(id as f64))]);
+                            if nodes[id].is_idle() {
+                                nodes[id].state = NodeState::Standby;
+                            } else {
+                                nodes[id].state = NodeState::Draining;
+                            }
+                        }
+                    }
+                    ScaleDecision::Hold => {}
+                }
+            }
+            Ev::Arrival => {
+                let a = &arrivals[next_arr];
+                next_arr += 1;
+                let tenant = a.tenant;
+                let t_us = a.t_us;
+                let id = metas.len() as u64;
+                metas.push(RequestMeta {
+                    tenant,
+                    model_idx: tenant_model[tenant],
+                    arrival_us: t_us,
+                });
+                tc[tenant].arrived += 1;
+                if !buckets[tenant].try_take(t_us) {
+                    tc[tenant].rej_rate += 1;
+                    events.record(
+                        t_us,
+                        "reject",
+                        vec![
+                            ("request", Json::Num(id as f64)),
+                            ("tenant", Json::Num(tenant as f64)),
+                            ("reason", Json::Str("rate_limit".into())),
+                        ],
+                    );
+                    continue;
+                }
+                let mut cands = eligible_loads(&nodes, est_us, now_us);
+                if cands.is_empty() {
+                    if let Some(act) = activate_standby(&mut nodes) {
+                        scale_ups += 1;
+                        events.record(t_us, "activate", vec![("node", Json::Num(act as f64))]);
+                        cands = eligible_loads(&nodes, est_us, now_us);
+                    }
+                }
+                if cands.is_empty() {
+                    tc[tenant].rej_unavail += 1;
+                    events.record(
+                        t_us,
+                        "reject",
+                        vec![
+                            ("request", Json::Num(id as f64)),
+                            ("tenant", Json::Num(tenant as f64)),
+                            ("reason", Json::Str("unavailable".into())),
+                        ],
+                    );
+                    continue;
+                }
+                let nid = route(cfg.router, &mut rr_cursor, &cands);
+                if cfg.admission.shed_queue_depth > 0
+                    && nodes[nid].queue_depth() >= cfg.admission.shed_queue_depth
+                {
+                    tc[tenant].rej_shed += 1;
+                    events.record(
+                        t_us,
+                        "reject",
+                        vec![
+                            ("request", Json::Num(id as f64)),
+                            ("tenant", Json::Num(tenant as f64)),
+                            ("reason", Json::Str("shed".into())),
+                        ],
+                    );
+                    continue;
+                }
+                tc[tenant].admitted += 1;
+                nodes[nid].queues[tenant_model[tenant]].push(QueuedRequest {
+                    id,
+                    arrival_us: t_us,
+                });
+                events.record(
+                    t_us,
+                    "route",
+                    vec![
+                        ("request", Json::Num(id as f64)),
+                        ("tenant", Json::Num(tenant as f64)),
+                        ("node", Json::Num(nid as f64)),
+                    ],
+                );
+            }
+            Ev::Dispatch(nid, mi) => {
+                let node = &mut nodes[nid];
+                let batch = node.queues[mi].take_batch();
+                let size = batch.len();
+                let (profile, hit) = node.profile(&graphs[mi], &model_names[mi], size)?;
+                node.compiled.insert((mi, size));
+                let batch_id = batch_seq;
+                batch_seq += 1;
+                node.batches += 1;
+                node.stats.cache_hits += hit as u64;
+                let sizes = &mut node.stats.batch_sizes;
+                match sizes.binary_search_by_key(&size, |&(s, _)| s) {
+                    Ok(i) => sizes[i].1 += 1,
+                    Err(i) => sizes.insert(i, (size, 1)),
+                }
+                node.charge(&profile);
+                let exec_us = profile.latency_us;
+                events.record(
+                    now_us,
+                    "dispatch",
+                    vec![
+                        ("node", Json::Num(nid as f64)),
+                        ("batch", Json::Num(batch_id as f64)),
+                        ("model", Json::Str(model_names[mi].clone())),
+                        ("size", Json::Num(size as f64)),
+                        ("cache", Json::Str(if hit { "hit" } else { "miss" }.into())),
+                    ],
+                );
+                node.inflight = Some(InFlight {
+                    batch_id,
+                    model_idx: mi,
+                    start_us: now_us,
+                    finish_us: now_us + exec_us,
+                    exec_us,
+                    requests: batch,
+                    profile,
+                });
+            }
         }
     }
 
-    let pim_channel_utilization = pim_busy_us
+    let dropped = parked.len() as u64;
+    let arrived: u64 = tc.iter().map(|t| t.arrived).sum();
+    let admitted: u64 = tc.iter().map(|t| t.admitted).sum();
+    let completed: u64 = tc.iter().map(|t| t.completed).sum();
+    let rejected: u64 = tc
         .iter()
-        .map(|&b| {
-            if makespan_us > 0.0 {
-                (b / makespan_us).min(1.0)
-            } else {
-                0.0
-            }
+        .map(|t| t.rej_rate + t.rej_shed + t.rej_unavail)
+        .sum();
+    let tenants = cfg
+        .tenants
+        .iter()
+        .enumerate()
+        .map(|(ti, t)| TenantReport {
+            name: t.name.clone(),
+            model: model_names[tenant_model[ti]].clone(),
+            arrived: tc[ti].arrived,
+            admitted: tc[ti].admitted,
+            completed: tc[ti].completed,
+            rejected_rate_limited: tc[ti].rej_rate,
+            rejected_shed: tc[ti].rej_shed,
+            rejected_unavailable: tc[ti].rej_unavail,
+            p50_us: tenant_hists[ti].quantile(0.50),
+            p95_us: tenant_hists[ti].quantile(0.95),
+            p99_us: tenant_hists[ti].quantile(0.99),
+            mean_us: tenant_hists[ti].mean(),
+            max_us: tenant_hists[ti].max(),
         })
         .collect();
-    let repair_quality_delta = if repair.repair_delta_count > 0 {
-        repair.repair_delta_sum / repair.repair_delta_count as f64
-    } else {
-        0.0
-    };
-    drop(repair);
-    let report = ServeReport {
-        model: model_name,
-        policy: policy_name,
-        counters,
+    let node_reports = nodes
+        .iter()
+        .enumerate()
+        .map(|(id, n)| NodeReport {
+            node: id,
+            class: n.class_name.clone(),
+            policy: n.policy_name.clone(),
+            batches: n.batches,
+            completed: n.completed,
+            retries: n.retries,
+            busy_us: n.busy_us,
+            utilization: if makespan_us > 0.0 {
+                (n.busy_us / makespan_us).min(1.0)
+            } else {
+                0.0
+            },
+            energy_uj: n.energy_uj,
+            cache_hit_rate: n.cache.hit_rate(),
+            cost_cache: n.cost_cache.counters(),
+            final_state: n.state.name().to_string(),
+        })
+        .collect();
+    let total_busy: f64 = nodes.iter().map(|n| n.busy_us).sum();
+    let report = FleetReport {
+        router: cfg.router.name().to_string(),
+        duration_s: cfg.duration_s,
+        seed: cfg.seed,
+        arrived,
+        admitted,
+        completed,
+        rejected,
+        dropped,
         makespan_us,
         throughput_rps: if makespan_us > 0.0 {
-            counters.completed as f64 / (makespan_us * 1e-6)
+            completed as f64 / (makespan_us * 1e-6)
         } else {
             0.0
         },
-        p50_us: hist.quantile(0.50),
-        p95_us: hist.quantile(0.95),
-        p99_us: hist.quantile(0.99),
-        mean_us: hist.mean(),
-        max_us: hist.max(),
-        cache_hit_rate: cache.hit_rate(),
-        batch_sizes: batch_size_counts,
-        pim_channel_utilization,
-        energy_uj,
-        host_pim_traffic_bytes,
-        fused_groups: fused_group_members.len(),
-        fused_group_members,
-        overlap_hidden_us,
-        p50_before_us: phase_hists[0].quantile(0.50),
-        p99_before_us: phase_hists[0].quantile(0.99),
-        p50_during_us: phase_hists[1].quantile(0.50),
-        p99_during_us: phase_hists[1].quantile(0.99),
-        p50_after_us: phase_hists[2].quantile(0.50),
-        p99_after_us: phase_hists[2].quantile(0.99),
-        gpu_fallback_fraction: if counters.completed > 0 {
-            completed_gpu_only as f64 / counters.completed as f64
+        fleet_utilization: if makespan_us > 0.0 {
+            (total_busy / (makespan_us * n_nodes as f64)).min(1.0)
         } else {
             0.0
         },
-        repair_quality_delta,
-        cost_cache: cost_cache.counters(),
+        rejection_rate: if arrived > 0 {
+            rejected as f64 / arrived as f64
+        } else {
+            0.0
+        },
+        p50_us: fleet_hist.quantile(0.50),
+        p99_us: fleet_hist.quantile(0.99),
+        mean_us: fleet_hist.mean(),
+        max_us: fleet_hist.max(),
+        node_fault_events,
+        rerouted,
+        scale_ups,
+        scale_downs,
+        tenants,
+        nodes: node_reports,
     };
-    Ok(ServeRun { report, events })
+    let stats = nodes.into_iter().map(|n| n.stats).collect();
+    Ok((FleetOutcome { report, events }, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{AdmissionConfig, AutoscaleConfig, TenantSpec};
+    use crate::traffic::TrafficSpec;
 
-    fn toy_cfg() -> ServeConfig {
-        ServeConfig {
-            arrival: ArrivalSpec::Fixed { rps: 2000.0 },
-            duration_s: 0.05,
-            ..ServeConfig::new("toy", Policy::Pimflow)
+    fn two_tenant_cfg() -> FleetConfig {
+        FleetConfig {
+            seed: 7,
+            ..FleetConfig::new(
+                2,
+                vec![
+                    TenantSpec::new("alpha", "toy", TrafficSpec::Poisson { rps: 2_000.0 }),
+                    TenantSpec::new("beta", "toy", TrafficSpec::Poisson { rps: 1_000.0 }),
+                ],
+            )
         }
     }
 
-    /// A scenario that reliably interrupts the toy run: most channels die
-    /// early in the window, all recover before it ends.
-    fn stormy_cfg() -> ServeConfig {
-        ServeConfig {
-            faults: FaultScenario::from_seed(0xFA17, 16, 1.0, 0.05),
-            ..toy_cfg()
-        }
+    #[test]
+    fn fleet_serves_every_admitted_request() {
+        let out = run_fleet(&two_tenant_cfg()).unwrap();
+        let r = &out.report;
+        assert!(r.arrived > 50, "arrived {}", r.arrived);
+        assert_eq!(r.admitted, r.arrived, "no admission limits configured");
+        assert_eq!(r.completed, r.admitted);
+        assert_eq!(r.rejected, 0);
+        assert_eq!(r.dropped, 0);
+        assert!(r.p99_us >= r.p50_us);
+        let node_completed: u64 = r.nodes.iter().map(|n| n.completed).sum();
+        assert_eq!(node_completed, r.completed);
+        let tenant_completed: u64 = r.tenants.iter().map(|t| t.completed).sum();
+        assert_eq!(tenant_completed, r.completed);
+        assert!(r.nodes.iter().all(|n| n.final_state == "active"));
     }
 
     #[test]
-    fn serves_every_request_exactly_once() {
-        let run = run(&toy_cfg()).unwrap();
-        let c = run.report.counters;
-        assert_eq!(c.arrived, 100);
-        assert_eq!(c.completed, 100);
-        assert!(c.batches > 0 && c.batches <= c.arrived);
-        let by_size: u64 = run
-            .report
-            .batch_sizes
-            .iter()
-            .map(|&(s, n)| s as u64 * n)
-            .sum();
-        assert_eq!(by_size, 100, "batch sizes must partition the requests");
-    }
-
-    #[test]
-    fn search_runs_once_per_batch_size() {
-        let run = run(&toy_cfg()).unwrap();
-        let c = run.report.counters;
-        let distinct = run.report.batch_sizes.len() as u64;
-        assert_eq!(
-            c.search_invocations, distinct,
-            "search must run exactly once per (model, policy, batch size)"
-        );
-        assert_eq!(c.cache_misses, distinct);
-        assert_eq!(c.cache_hits + c.cache_misses, c.batches);
-    }
-
-    #[test]
-    fn baseline_policy_never_searches() {
-        let cfg = ServeConfig {
-            policy: Policy::Baseline,
-            ..toy_cfg()
-        };
-        let run = run(&cfg).unwrap();
-        assert_eq!(run.report.counters.search_invocations, 0);
-        assert!(
-            run.report.pim_channel_utilization.is_empty(),
-            "no PIM channels on baseline"
-        );
-    }
-
-    #[test]
-    fn latency_includes_queueing_delay() {
-        // One request, huge timeout window never reached because the run
-        // drains; latency is exec-only. Then a slow second request forces
-        // queueing behind the first batch.
-        let cfg = ServeConfig {
-            arrival: ArrivalSpec::Trace {
-                times_us: vec![0.0, 1.0],
-            },
-            duration_s: 1.0,
-            max_batch: 1,
-            ..ServeConfig::new("toy", Policy::Baseline)
-        };
-        let run = run(&cfg).unwrap();
-        assert_eq!(run.report.counters.batches, 2);
-        // The second request waits for the first batch: max > mean.
-        assert!(run.report.max_us > run.report.mean_us);
-    }
-
-    #[test]
-    fn small_plan_cache_evicts_and_recompiles() {
-        // Arrival spacing that alternates batch sizes 2, 1, 2, 1: a
-        // capacity-1 cache thrashes (every dispatch misses) while a roomy
-        // cache compiles each size once — and the simulated timeline is
-        // identical either way, because compilation is host work.
-        let base = ServeConfig {
-            arrival: ArrivalSpec::Trace {
-                times_us: vec![0.0, 1.0, 50_000.0, 100_000.0, 100_001.0, 150_000.0],
-            },
-            duration_s: 1.0,
-            max_batch: 2,
-            ..ServeConfig::new("toy", Policy::Pimflow)
-        };
-        let roomy = run(&ServeConfig {
-            cache_capacity: 16,
-            ..base.clone()
+    fn same_seed_replays_byte_identically() {
+        let a = run_fleet(&two_tenant_cfg()).unwrap();
+        let b = run_fleet(&two_tenant_cfg()).unwrap();
+        assert_eq!(a.report, b.report);
+        assert_eq!(a.events.to_jsonl(), b.events.to_jsonl());
+        let c = run_fleet(&FleetConfig {
+            seed: 8,
+            ..two_tenant_cfg()
         })
         .unwrap();
-        let tiny = run(&ServeConfig {
-            cache_capacity: 1,
-            ..base
+        assert_ne!(a.events.to_jsonl(), c.events.to_jsonl());
+    }
+
+    #[test]
+    fn rate_limit_rejects_and_accounts() {
+        let mut cfg = two_tenant_cfg();
+        cfg.tenants[0].rate_limit_rps = 500.0; // offered 2000
+        cfg.tenants[0].burst = 2;
+        let r = run_fleet(&cfg).unwrap().report;
+        let t0 = &r.tenants[0];
+        assert!(t0.rejected_rate_limited > 0);
+        assert_eq!(
+            t0.arrived,
+            t0.completed + t0.rejected_rate_limited + t0.rejected_shed + t0.rejected_unavailable
+        );
+        // The unlimited tenant is untouched.
+        assert_eq!(r.tenants[1].rejected_rate_limited, 0);
+        assert_eq!(r.tenants[1].arrived, r.tenants[1].completed);
+        assert!(r.rejection_rate > 0.0);
+    }
+
+    #[test]
+    fn shedding_bounds_queue_depth() {
+        let mut cfg = two_tenant_cfg();
+        cfg.tenants[0].traffic = TrafficSpec::Poisson { rps: 20_000.0 };
+        cfg.admission = AdmissionConfig {
+            shed_queue_depth: 4,
+        };
+        let r = run_fleet(&cfg).unwrap().report;
+        let shed: u64 = r.tenants.iter().map(|t| t.rejected_shed).sum();
+        assert!(shed > 0, "overload must shed");
+        assert_eq!(r.arrived, r.completed + r.rejected);
+        assert_eq!(r.dropped, 0);
+    }
+
+    #[test]
+    fn node_failures_reroute_without_drops() {
+        let mut cfg = two_tenant_cfg();
+        // Node 1 dies a third of the way in and recovers late.
+        let mut faults = FaultScenario::none();
+        faults.push(cfg.duration_s * 1e6 * 0.3, 1, false);
+        faults.push(cfg.duration_s * 1e6 * 0.8, 1, true);
+        cfg.node_faults = faults;
+        let r = run_fleet(&cfg).unwrap().report;
+        assert_eq!(r.node_fault_events, 2);
+        assert_eq!(r.completed, r.admitted, "zero drops under node faults");
+        assert_eq!(r.dropped, 0);
+        assert!(
+            r.nodes[0].completed > r.nodes[1].completed,
+            "survivor carries the load"
+        );
+    }
+
+    #[test]
+    fn autoscaler_activates_standby_under_backlog() {
+        let mut cfg = two_tenant_cfg();
+        cfg.classes[0].count = 4;
+        cfg.initial_standby = 3;
+        cfg.tenants[0].traffic = TrafficSpec::Poisson { rps: 30_000.0 };
+        cfg.autoscale = AutoscaleConfig {
+            enabled: true,
+            interval_us: 2_000.0,
+            up_queue_per_active: 4.0,
+            down_utilization: 0.05,
+            min_active: 1,
+        };
+        let r = run_fleet(&cfg).unwrap().report;
+        assert!(r.scale_ups > 0, "backlog must trigger scale-ups");
+        assert_eq!(r.completed, r.admitted);
+        assert!(
+            r.nodes.iter().filter(|n| n.batches > 0).count() > 1,
+            "activated nodes must take work"
+        );
+    }
+
+    #[test]
+    fn heterogeneous_fleet_uses_both_classes() {
+        let mut cfg = two_tenant_cfg();
+        cfg.classes = vec![
+            crate::config::NodeClass::new("big", pimflow::policy::Policy::Pimflow, 1),
+            crate::config::NodeClass {
+                pim_channels: Some(4),
+                ..crate::config::NodeClass::new("edge", pimflow::policy::Policy::Pimflow, 1)
+            },
+        ];
+        cfg.router = RouterPolicy::SloAware;
+        let r = run_fleet(&cfg).unwrap().report;
+        assert_eq!(r.nodes[0].class, "big");
+        assert_eq!(r.nodes[1].class, "edge");
+        assert_eq!(r.completed, r.admitted);
+        assert!(r.nodes.iter().all(|n| n.batches > 0));
+    }
+
+    #[test]
+    fn precompiled_fleet_matches_lazy_timeline() {
+        let lazy = run_fleet(&two_tenant_cfg()).unwrap();
+        let warm = run_fleet(&FleetConfig {
+            precompile: true,
+            ..two_tenant_cfg()
         })
         .unwrap();
-        assert_eq!(roomy.report.batch_sizes, vec![(1, 2), (2, 2)]);
-        assert_eq!(roomy.report.counters.cache_misses, 2);
-        assert_eq!(tiny.report.counters.cache_misses, 4, "capacity 1 thrashes");
-        assert!(
-            tiny.report.counters.search_invocations > roomy.report.counters.search_invocations,
-            "evictions force recompiles"
-        );
-        assert_eq!(roomy.report.makespan_us, tiny.report.makespan_us);
-        assert_eq!(roomy.report.p50_us, tiny.report.p50_us);
-        assert_eq!(
-            roomy.report.counters.completed,
-            tiny.report.counters.completed
-        );
+        assert_eq!(lazy.report.p50_us, warm.report.p50_us);
+        assert_eq!(lazy.report.p99_us, warm.report.p99_us);
+        assert_eq!(lazy.report.makespan_us, warm.report.makespan_us);
+        assert_eq!(lazy.report.completed, warm.report.completed);
+        // Warm caches hit on every dispatch.
+        assert!(warm.report.nodes.iter().all(|n| n.cache_hit_rate == 1.0));
+    }
+
+    #[test]
+    fn report_serializes_and_round_trips() {
+        let r = run_fleet(&two_tenant_cfg()).unwrap().report;
+        let json = pimflow_json::to_string(&r);
+        let back: FleetReport = pimflow_json::from_str(&json).unwrap();
+        assert_eq!(r, back);
     }
 
     #[test]
     fn unknown_model_is_rejected() {
-        let cfg = ServeConfig::new("gpt-5", Policy::Pimflow);
-        assert!(matches!(run(&cfg), Err(ServeError::UnknownModel(_))));
-    }
-
-    #[test]
-    fn pim_channels_are_utilized_under_pimflow() {
-        let run = run(&toy_cfg()).unwrap();
-        let util = &run.report.pim_channel_utilization;
-        assert_eq!(util.len(), 16);
-        assert!(
-            util.iter().any(|&u| u > 0.0),
-            "PIMFlow serving must touch PIM channels"
+        let cfg = FleetConfig::new(
+            1,
+            vec![TenantSpec::new(
+                "t",
+                "gpt-5",
+                TrafficSpec::Fixed { rps: 10.0 },
+            )],
         );
-        assert!(util.iter().all(|&u| (0.0..=1.0).contains(&u)));
-    }
-
-    #[test]
-    fn precompiled_run_matches_lazy_run() {
-        let lazy = run(&toy_cfg()).unwrap();
-        let cfg = ServeConfig {
-            precompile: true,
-            ..toy_cfg()
-        };
-        let warm = run(&cfg).unwrap();
-        // The simulated timeline is identical — compilation happens on the
-        // host, not in simulated time.
-        assert_eq!(lazy.report.p50_us, warm.report.p50_us);
-        assert_eq!(lazy.report.p95_us, warm.report.p95_us);
-        assert_eq!(lazy.report.p99_us, warm.report.p99_us);
-        assert_eq!(lazy.report.mean_us, warm.report.mean_us);
-        assert_eq!(lazy.report.max_us, warm.report.max_us);
-        assert_eq!(lazy.report.makespan_us, warm.report.makespan_us);
-        assert_eq!(lazy.report.energy_uj, warm.report.energy_uj);
-        assert_eq!(lazy.report.batch_sizes, warm.report.batch_sizes);
-        // Traces differ only in the per-dispatch cache outcome field.
-        assert_eq!(
-            lazy.events
-                .to_jsonl()
-                .replace("\"cache\":\"miss\"", "\"cache\":\"hit\""),
-            warm.events.to_jsonl(),
-            "event traces must agree on everything but cache outcomes"
-        );
-        // Parallel precompilation itself is deterministic.
-        let warm2 = run(&cfg).unwrap();
-        assert_eq!(warm.report, warm2.report);
-        assert_eq!(warm.events.to_jsonl(), warm2.events.to_jsonl());
-        // Only the cache accounting differs: every dispatch hits.
-        assert_eq!(warm.report.counters.cache_misses, 0);
-        assert_eq!(
-            warm.report.counters.cache_hits,
-            warm.report.counters.batches
-        );
-        assert_eq!(warm.report.cache_hit_rate, 1.0);
-        assert_eq!(
-            warm.report.counters.search_invocations, cfg.max_batch as u64,
-            "one search per precompiled batch size"
-        );
-        // The run-wide cost cache was exercised and its counters are
-        // deterministic even though precompilation shares one live cache
-        // across parallel workers.
-        assert!(warm.report.cost_cache.entries > 0);
-        assert!(warm.report.cost_cache.hits > 0);
-        assert_eq!(warm.report.cost_cache, warm2.report.cost_cache);
-    }
-
-    #[test]
-    fn precompile_shares_cost_entries_across_batch_sizes() {
-        // Batching scales PIM workload rows linearly and the MD-DP ratio
-        // grid scales them fractionally, so batch 2 at ratio r/2 folds to
-        // the same WorkloadKey as batch 1 at ratio r: one shared cache must
-        // end up strictly smaller than two independent ones.
-        let base = models::by_name("toy").unwrap();
-        let engine_cfg: EngineConfig = Policy::Pimflow.engine_config();
-        let opts = Policy::Pimflow.search_options();
-
-        let solo1 = CostCache::new();
-        compile_batch(&base, 1, &engine_cfg, &opts, &solo1).unwrap();
-        let solo2 = CostCache::new();
-        compile_batch(&base, 2, &engine_cfg, &opts, &solo2).unwrap();
-        let independent = solo1.counters().entries + solo2.counters().entries;
-
-        let shared = CostCache::new();
-        compile_batch(&base, 1, &engine_cfg, &opts, &shared).unwrap();
-        let after_first = shared.counters();
-        compile_batch(&base, 2, &engine_cfg, &opts, &shared).unwrap();
-        let after_both = shared.counters();
-
-        assert_eq!(
-            after_first,
-            solo1.counters(),
-            "first compile sees a cold cache"
-        );
-        assert!(
-            after_both.entries < independent,
-            "batch sizes must share cost entries: shared {} vs independent {}",
-            after_both.entries,
-            independent
-        );
-        assert!(
-            after_both.hits > after_first.hits,
-            "the second batch size must hit entries profiled by the first"
-        );
-    }
-
-    #[test]
-    fn report_serializes() {
-        let run = run(&toy_cfg()).unwrap();
-        let json = pimflow_json::to_string(&run.report);
-        let back: ServeReport = pimflow_json::from_str(&json).unwrap();
-        assert_eq!(run.report, back);
-    }
-
-    #[test]
-    fn faultless_runs_report_empty_fault_metrics() {
-        let run = run(&toy_cfg()).unwrap();
-        let r = &run.report;
-        assert_eq!(r.counters.fault_events, 0);
-        assert_eq!(r.counters.retries, 0);
-        assert_eq!(r.counters.repairs, 0);
-        assert_eq!(
-            r.p50_before_us, r.p50_us,
-            "no faults: everything is `before`"
-        );
-        assert_eq!(r.p50_during_us, 0.0);
-        assert_eq!(r.p50_after_us, 0.0);
-        assert_eq!(r.repair_quality_delta, 0.0);
-        assert_eq!(r.gpu_fallback_fraction, 0.0, "PIMFlow batches use PIM");
-    }
-
-    #[test]
-    fn mid_stream_failures_drop_no_requests() {
-        let run = run(&stormy_cfg()).unwrap();
-        let c = run.report.counters;
-        assert_eq!(c.arrived, c.completed, "faults must not drop requests");
-        assert!(c.fault_events > 0, "the storm must actually land");
-        assert!(c.repairs > 0, "down transitions must repair cached plans");
-        assert!(
-            run.report.p50_during_us > 0.0,
-            "some requests must complete inside the fault window"
-        );
-    }
-
-    #[test]
-    fn fault_runs_are_deterministic() {
-        let a = run(&stormy_cfg()).unwrap();
-        let b = run(&stormy_cfg()).unwrap();
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.events.to_jsonl(), b.events.to_jsonl());
-    }
-
-    #[test]
-    fn retried_batches_pay_the_wasted_time() {
-        // A run where a retry happened must not be faster than the healthy
-        // run: degraded plans are never better and aborts waste time.
-        let healthy = run(&toy_cfg()).unwrap();
-        let stormy = run(&stormy_cfg()).unwrap();
-        if stormy.report.counters.retries > 0 {
-            assert!(stormy.report.makespan_us >= healthy.report.makespan_us - 1e-6);
-        }
-        let jsonl = stormy.events.to_jsonl();
-        assert!(jsonl.contains("\"event\":\"fault\""));
-    }
-
-    #[test]
-    fn measure_replan_records_a_quality_delta() {
-        let cfg = ServeConfig {
-            measure_replan: true,
-            ..stormy_cfg()
-        };
-        let run = run(&cfg).unwrap();
-        assert!(run.report.counters.repairs > 0);
-        // Repair can only lose quality relative to the full search (both
-        // are cost-model predictions, so the gap is one-sided).
-        assert!(
-            run.report.repair_quality_delta >= -1e-9,
-            "delta {}",
-            run.report.repair_quality_delta
-        );
+        assert!(matches!(
+            run_fleet(&cfg),
+            Err(FleetError::Serve(ServeError::UnknownModel(_)))
+        ));
     }
 }
