@@ -69,6 +69,25 @@ grep -q '"slo_router_beats_round_robin": true' "$tmpdir/BENCH_fleet.json"
 grep -q '"zero_drops_under_node_faults": true' "$tmpdir/BENCH_fleet.json"
 rm -rf "$tmpdir"
 
+# The README fleet example (edge nodes, SLO router, autoscaler, node
+# faults, precompile) must write byte-identical events and reports at
+# pool widths 1 and 4: precompile fans each class's plans out to its
+# nodes in task order, whatever the width.
+echo "==> pimflow fleet (byte-identical at --jobs 1 and 4)"
+cargo build -q --offline --release -p pimflow-fleet
+tmpdir="$(mktemp -d)"
+for jobs in 1 4; do
+  target/release/pimflow fleet --model mobilenetv2 --nodes 3 \
+    --edge-nodes 2 --edge-channels 6 --tenants 4 --rps 8000 \
+    --traffic diurnal --router slo --duration 0.5 --seed 42 \
+    --autoscale --standby 1 --faults 0.5 --precompile --jobs "$jobs" \
+    --events-out "$tmpdir/events-$jobs.jsonl" \
+    --report-out "$tmpdir/report-$jobs.json" > /dev/null
+done
+cmp "$tmpdir/events-1.jsonl" "$tmpdir/events-4.jsonl"
+cmp "$tmpdir/report-1.json" "$tmpdir/report-4.json"
+rm -rf "$tmpdir"
+
 # The backend smoke sweep pins the ISA refactor's core contract: Newton
 # timing through the typed-ISA interpreter is bit-identical to the legacy
 # command-trace path (plans byte-identical across pool widths, compiled

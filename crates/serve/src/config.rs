@@ -186,8 +186,9 @@ pub struct FleetConfig {
     /// Node-granular fault scenario: `channel` indexes the *node*, a down
     /// transition hard-fails the whole node, an up transition restores it.
     pub node_faults: FaultScenario,
-    /// Compile every (node, model, batch size) plan on the worker pool
-    /// before the simulation starts (width from `PIMFLOW_JOBS`). Host
+    /// Compile every (node class, model, batch size) plan once on the
+    /// worker pool before the simulation starts (width from
+    /// `PIMFLOW_JOBS`) and warm every node of the class with it. Host
     /// work: the simulated timeline is unchanged.
     pub precompile: bool,
 }

@@ -46,6 +46,16 @@
 //! search itself), which is width-deterministic, so the whole
 //! [`FleetReport`] and event trace are byte-identical at any
 //! `PIMFLOW_JOBS` width. Events are recorded in simulated-time order.
+//!
+//! The node class is the unit of compilation. Every node of a class shares
+//! the class's [`CostCache`], so a PIM timing profiled on one node is
+//! reused by every lazy compile and repair on its siblings; cached values
+//! are pure, so sharing changes only the class's counters, never a plan.
+//! Precompile searches each `(class, model, batch size)` once and inserts
+//! the one profile into every node of the class, in task order, so each
+//! node's LRU plan cache and search count are those of a node that had
+//! compiled its own copy. Plan caches, and the lazy misses they take,
+//! stay per node.
 
 use crate::admission::TokenBucket;
 use crate::autoscale::{decide, ScaleDecision, ScaleSignal};
@@ -68,6 +78,7 @@ use pimflow_json::{json_struct, Json};
 use pimflow_pool::WorkerPool;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why a fleet run could not start or finish.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,7 +140,7 @@ struct InFlight {
     exec_us: f64,
     requests: Vec<QueuedRequest>,
     /// The profile of the current attempt.
-    profile: BatchProfile,
+    profile: Arc<BatchProfile>,
 }
 
 /// Per-node settings no public configuration carries: the single-node
@@ -185,7 +196,8 @@ struct Node {
     state: NodeState,
     /// One dynamic-batching queue per co-resident model.
     queues: Vec<BatchQueue>,
-    cache: PlanCache<BatchProfile>,
+    cache: PlanCache<Arc<BatchProfile>>,
+    /// The node class's cost cache (a shared handle).
     cost_cache: CostCache,
     inflight: Option<InFlight>,
     busy_us: f64,
@@ -264,7 +276,7 @@ impl Node {
         graph: &Graph,
         model: &str,
         size: usize,
-    ) -> Result<(BatchProfile, bool), ServeError> {
+    ) -> Result<(Arc<BatchProfile>, bool), ServeError> {
         let key = self.plan_key(model, size, self.mask);
         let (mask, engine_cfg, search_opts, cost_cache) = (
             self.mask,
@@ -274,7 +286,7 @@ impl Node {
         );
         let mut failure = None;
         let (profile, hit) = self.cache.get_or_insert_with(key, || {
-            compile_batch(
+            let profile = compile_batch(
                 graph,
                 size,
                 &engine_cfg.with_mask(mask),
@@ -284,9 +296,10 @@ impl Node {
             .unwrap_or_else(|e| {
                 failure = Some(e);
                 BatchProfile::empty()
-            })
+            });
+            Arc::new(profile)
         });
-        let profile = profile.clone();
+        let profile = Arc::clone(profile);
         if let Some(e) = failure {
             return Err(e);
         }
@@ -347,7 +360,7 @@ impl Node {
                     self.stats.repair_delta_count += 1;
                 }
             }
-            self.cache.insert(key, repaired);
+            self.cache.insert(key, Arc::new(repaired));
         }
         Ok(())
     }
@@ -433,7 +446,8 @@ pub struct NodeReport {
     pub energy_uj: f64,
     /// Plan-cache hit rate over this node's lookups.
     pub cache_hit_rate: f64,
-    /// This node's cost-cache counters.
+    /// Counters of the cost cache this node shares with every node of its
+    /// class: they include its siblings' lookups.
     pub cost_cache: CacheCounters,
     /// Lifecycle state at the end of the run.
     pub final_state: String,
@@ -652,8 +666,9 @@ pub(crate) fn simulate(
         .map(|m| models::by_name(m).expect("normalized names resolve"))
         .collect();
 
-    // Build the nodes, class by class; the last `initial_standby` ids
-    // start parked.
+    // Build the nodes, class by class, each holding its class's cost
+    // cache; the last `initial_standby` ids start parked.
+    let class_caches: Vec<CostCache> = cfg.classes.iter().map(|_| CostCache::new()).collect();
     let mut nodes: Vec<Node> = Vec::new();
     for (ci, class) in cfg.classes.iter().enumerate() {
         for _ in 0..class.count {
@@ -669,7 +684,7 @@ pub(crate) fn simulate(
                     .map(|_| BatchQueue::new(cfg.max_batch, cfg.batch_timeout_us))
                     .collect(),
                 cache: PlanCache::new(cfg.plan_cache_cap),
-                cost_cache: CostCache::new(),
+                cost_cache: class_caches[ci].clone(),
                 inflight: None,
                 busy_us: 0.0,
                 window_busy_us: 0.0,
@@ -696,18 +711,64 @@ pub(crate) fn simulate(
         nodes[n_nodes - 1 - k].state = NodeState::Standby;
     }
 
+    // Warm every plan cache: one worker-pool task per (class, model, batch
+    // size) compiles on the class's cost cache, and its profile goes into
+    // every node of the class, in task order — deterministic at any pool
+    // width. Host work; the simulated timeline is unchanged.
+    let mut batch1: Vec<Vec<Option<Arc<BatchProfile>>>> =
+        vec![vec![None; model_names.len()]; cfg.classes.len()];
+    if cfg.precompile {
+        let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
+        for ci in 0..cfg.classes.len() {
+            for mi in 0..model_names.len() {
+                for size in 1..=cfg.max_batch {
+                    tasks.push((ci, mi, size));
+                }
+            }
+        }
+        let pool = WorkerPool::from_env();
+        let compiled = pool.map(&tasks, |_, &(ci, mi, size)| {
+            let class = &cfg.classes[ci];
+            compile_batch(
+                &graphs[mi],
+                size,
+                &class.engine_config(),
+                &class.policy.search_options(),
+                &class_caches[ci],
+            )
+        });
+        for (&(ci, mi, size), result) in tasks.iter().zip(compiled) {
+            let profile = Arc::new(result?);
+            for node in nodes.iter_mut().filter(|n| n.class_idx == ci) {
+                node.stats.search_invocations += node.search_opts.is_some() as u64;
+                node.compiled.insert((mi, size));
+                let key = node.plan_key(&model_names[mi], size, node.mask);
+                node.cache.insert(key, Arc::clone(&profile));
+            }
+            if size == 1 {
+                batch1[ci][mi] = Some(profile);
+            }
+        }
+    }
+
     // Per-(class, model) service-time estimates for the SLO-aware router:
-    // the batch-1 plan's predicted latency, compiled against scratch cost
-    // caches so node counters stay untouched. Host work, compiled only for
-    // the router that reads it.
+    // the batch-1 plan's predicted latency, read from the precompiled
+    // profile or else compiled once per class on the class's cost cache.
+    // Host work, done only for the router that reads it.
     let est_us = if cfg.router == RouterPolicy::SloAware {
         let mut est_us = vec![vec![0.0f64; model_names.len()]; cfg.classes.len()];
         for (ci, class) in cfg.classes.iter().enumerate() {
-            let ecfg = class.engine_config();
-            let opts = class.policy.search_options();
-            let scratch = CostCache::new();
             for (mi, g) in graphs.iter().enumerate() {
-                let p = compile_batch(g, 1, &ecfg, &opts, &scratch)?;
+                let p = match batch1[ci][mi].take() {
+                    Some(p) => p,
+                    None => Arc::new(compile_batch(
+                        g,
+                        1,
+                        &class.engine_config(),
+                        &class.policy.search_options(),
+                        &class_caches[ci],
+                    )?),
+                };
                 est_us[ci][mi] = p
                     .plan
                     .as_ref()
@@ -720,39 +781,6 @@ pub(crate) fn simulate(
         None
     };
     let est_us = est_us.as_deref();
-
-    // Warm every node's plan cache in parallel: one worker-pool task per
-    // (node, model, batch size), inserted in task order — deterministic at
-    // any pool width. Host work; the simulated timeline is unchanged.
-    if cfg.precompile {
-        let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-        for nid in 0..n_nodes {
-            for mi in 0..model_names.len() {
-                for size in 1..=cfg.max_batch {
-                    tasks.push((nid, mi, size));
-                }
-            }
-        }
-        let pool = WorkerPool::from_env();
-        let compiled = pool.map(&tasks, |_, &(nid, mi, size)| {
-            let node = &nodes[nid];
-            compile_batch(
-                &graphs[mi],
-                size,
-                &node.engine_cfg,
-                &node.search_opts,
-                &node.cost_cache,
-            )
-        });
-        for (&(nid, mi, size), result) in tasks.iter().zip(compiled) {
-            let profile = result?;
-            let node = &mut nodes[nid];
-            node.stats.search_invocations += node.search_opts.is_some() as u64;
-            node.compiled.insert((mi, size));
-            let key = node.plan_key(&model_names[mi], size, node.mask);
-            node.cache.insert(key, profile);
-        }
-    }
 
     // Merge the per-tenant arrival streams into one global timeline; ties
     // break by tenant index, and the stable sort keeps each tenant's own
@@ -1495,6 +1523,37 @@ mod tests {
         assert_eq!(lazy.report.completed, warm.report.completed);
         // Warm caches hit on every dispatch.
         assert!(warm.report.nodes.iter().all(|n| n.cache_hit_rate == 1.0));
+    }
+
+    #[test]
+    fn precompiled_slo_fleet_matches_lazy_timeline() {
+        // The SLO router's estimates come from the precompiled batch-1
+        // profiles in one run and from cold compiles in the other. The
+        // load queues requests, so the estimates steer routing.
+        let hetero = |precompile| FleetConfig {
+            classes: vec![
+                crate::config::NodeClass::new("big", pimflow::policy::Policy::Pimflow, 2),
+                crate::config::NodeClass {
+                    pim_channels: Some(4),
+                    ..crate::config::NodeClass::new("edge", pimflow::policy::Policy::Pimflow, 2)
+                },
+            ],
+            router: RouterPolicy::SloAware,
+            precompile,
+            tenants: vec![
+                TenantSpec::new("alpha", "toy", TrafficSpec::Poisson { rps: 20_000.0 }),
+                TenantSpec::new("beta", "toy", TrafficSpec::Poisson { rps: 10_000.0 }),
+            ],
+            duration_s: 0.02,
+            ..two_tenant_cfg()
+        };
+        let lazy = run_fleet(&hetero(false)).unwrap();
+        let warm = run_fleet(&hetero(true)).unwrap();
+        assert!(lazy.report.completed > 50);
+        assert_eq!(lazy.report.p50_us, warm.report.p50_us);
+        assert_eq!(lazy.report.p99_us, warm.report.p99_us);
+        assert_eq!(lazy.report.makespan_us, warm.report.makespan_us);
+        assert_eq!(lazy.report.completed, warm.report.completed);
     }
 
     #[test]

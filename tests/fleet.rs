@@ -142,3 +142,74 @@ fn distinct_seeds_produce_distinct_timelines() {
     let (_, events_b) = run_at_width(&other, 1);
     assert_ne!(events_a, events_b, "the seed must matter");
 }
+
+/// A fault-free toy fleet of the given node classes behind the SLO-aware
+/// router.
+fn toy_fleet(classes: Vec<NodeClass>, precompile: bool) -> FleetConfig {
+    FleetConfig {
+        classes,
+        router: RouterPolicy::SloAware,
+        duration_s: 0.02,
+        seed: 5,
+        precompile,
+        ..FleetConfig::new(
+            1,
+            vec![
+                TenantSpec::new("a", "toy", TrafficSpec::Poisson { rps: 6_000.0 }),
+                TenantSpec::new("b", "toy", TrafficSpec::Poisson { rps: 3_000.0 }),
+            ],
+        )
+    }
+}
+
+/// A class of `count` stock PIMFlow nodes named `node`.
+fn node(count: usize) -> NodeClass {
+    NodeClass::new("node", pimflow::policy::Policy::Pimflow, count)
+}
+
+/// `report` with every node's cost-cache counters cleared.
+fn without_cost_cache(mut report: FleetReport) -> FleetReport {
+    for n in &mut report.nodes {
+        n.cost_cache = Default::default();
+    }
+    report
+}
+
+#[test]
+fn precompile_compiles_each_class_plan_once() {
+    let solo = run_fleet(&toy_fleet(vec![node(1)], true)).expect("fleet runs");
+    let trio = run_fleet(&toy_fleet(vec![node(3)], true)).expect("fleet runs");
+    let counters = solo.report.nodes[0].cost_cache;
+    assert!(counters.entries > 0, "precompile must profile PIM work");
+    // The three nodes share one cost cache. Its counters equal a lone
+    // node's only if each (model, batch size) was searched once.
+    for n in &trio.report.nodes {
+        assert_eq!(n.cost_cache, counters, "node {}", n.node);
+        assert_eq!(n.cache_hit_rate, 1.0, "node {} runs warm", n.node);
+    }
+}
+
+#[test]
+fn a_class_shared_cost_cache_moves_only_its_counters() {
+    for precompile in [true, false] {
+        let shared = run_fleet(&toy_fleet(vec![node(3)], precompile)).expect("fleet runs");
+        let split = run_fleet(&toy_fleet(vec![node(1); 3], precompile)).expect("fleet runs");
+        assert_eq!(
+            shared.events.to_jsonl(),
+            split.events.to_jsonl(),
+            "precompile {precompile}: event trace"
+        );
+        let shared_misses = shared.report.nodes[0].cost_cache.misses;
+        let split_misses: u64 = split.report.nodes.iter().map(|n| n.cost_cache.misses).sum();
+        assert!(
+            shared_misses < split_misses,
+            "precompile {precompile}: the class profiles each timing once \
+             ({shared_misses} vs {split_misses} misses)"
+        );
+        assert_eq!(
+            without_cost_cache(shared.report),
+            without_cost_cache(split.report),
+            "precompile {precompile}: report"
+        );
+    }
+}
