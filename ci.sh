@@ -151,6 +151,18 @@ PIMFLOW_JOBS=2 cargo test -q --offline -p pimflow overlap
 echo "==> cargo test -p pimflow-kernels (PIMFLOW_EXACT_KERNELS=1)"
 PIMFLOW_EXACT_KERNELS=1 PIMFLOW_JOBS=2 cargo test -q --offline -p pimflow-kernels
 
+# The benchmark (perfbench/) is a package of its own outside the
+# workspace, so nothing above builds it. Test it, then run each workload
+# for a second and require a correct result, so a workspace API change
+# cannot break the benchmark unseen.
+echo "==> perfbench (tests, then every workload for 1 s)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+cargo build -q --offline --release --manifest-path perfbench/Cargo.toml
+for workload in compile infer serve fleet; do
+  perfbench/target/release/pimflow-perfbench --workload "$workload" \
+    --seed 1 --seconds 1 2> /dev/null | tail -n 1 | grep -q '"correct": true'
+done
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

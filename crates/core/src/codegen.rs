@@ -22,7 +22,7 @@ use pimflow_kernels::lowered_dims;
 use pimflow_pimsim::{
     assign, lift_command, lift_traces, pim_energy_nj, schedule, ChannelEngine, ChannelStats,
     CommandBlock, NewtonInterpreter, PimCommand, PimConfig, PimEnergyParams, RunOptions,
-    ScheduleGranularity,
+    ScheduleGranularity, UnitRuns,
 };
 
 /// A PIM-offloadable workload in lowered (matrix) form.
@@ -244,7 +244,7 @@ pub fn execute_group_overlapped_us(
 /// and the row offset its overlap link applies.
 struct StreamedMember {
     units: Vec<CommandBlock>,
-    per_channel: Vec<Vec<usize>>,
+    runs: Vec<UnitRuns>,
     role: FusedRole,
     row_offset: u32,
 }
@@ -272,9 +272,11 @@ impl StreamedMember {
 /// A channel's command stream is fixed by its sequence of units per
 /// member, and a healthy channel engine is a pure function of the config
 /// and the stream, so channels with equal unit sequences share one
-/// simulation. [`ChannelStats`] is all-integer, so folding the per-channel
-/// results in channel order reproduces interpreting the compiled program
-/// exactly.
+/// simulation. The assignment's runs are maximal (no two consecutive runs
+/// repeat equal units), so equal sequences are equal run lists and are
+/// compared without expanding them. [`ChannelStats`] is all-integer, so
+/// folding the per-channel results in channel order reproduces
+/// interpreting the compiled program exactly.
 fn stream_members(
     members: &[(PimWorkload, FusedRole)],
     cfg: &PimConfig,
@@ -286,8 +288,7 @@ fn stream_members(
         .iter()
         .map(|(w, role)| {
             let blocks = generate_blocks(w, cfg);
-            let (units, per_channel) =
-                assign(&blocks, channels, granularity, cfg, &RunOptions::new());
+            let (units, runs) = assign(&blocks, channels, granularity, cfg, &RunOptions::new());
             let row_offset = row_base;
             // Each member's rows start past its predecessors' (the
             // `offset_rows` step of the overlap-linked compilation).
@@ -296,7 +297,7 @@ fn stream_members(
             }
             StreamedMember {
                 units,
-                per_channel,
+                runs,
                 role: *role,
                 row_offset,
             }
@@ -304,19 +305,25 @@ fn stream_members(
         .collect();
     let same_stream = |a: usize, b: usize| {
         streamed.iter().all(|m| {
-            let (ua, ub) = (&m.per_channel[a], &m.per_channel[b]);
-            ua.len() == ub.len() && ua.iter().zip(ub).all(|(&x, &y)| m.units[x] == m.units[y])
+            let (ra, rb) = (&m.runs[a], &m.runs[b]);
+            ra.len() == rb.len()
+                && ra
+                    .iter()
+                    .zip(rb)
+                    .all(|(&(x, n), &(y, k))| n == k && m.units[x] == m.units[y])
         })
     };
     let simulate = |ch: usize| {
         let mut engine = ChannelEngine::new(*cfg);
         for m in &streamed {
-            for &i in &m.per_channel[ch] {
-                // Internal iteration: the nested block expansion folds
-                // into straight loops instead of a chain of `next` calls.
-                m.units[i]
-                    .expand()
-                    .for_each(|cmd| engine.execute(&m.lower(cmd)));
+            for &(unit, repeat) in &m.runs[ch] {
+                for _ in 0..repeat {
+                    // Internal iteration: the nested block expansion folds
+                    // into straight loops instead of a chain of `next` calls.
+                    m.units[unit]
+                        .expand()
+                        .for_each(|cmd| engine.execute(&m.lower(cmd)));
+                }
             }
         }
         engine.finish()

@@ -23,7 +23,7 @@ use crate::passes::split_util::{
     rows_from_parts,
 };
 use crate::placement::{fused_tag, FusedNodeRole, Placement, PIM_PREFIX};
-use pimflow_ir::{infer_shapes, ConcatAttrs, Graph, NodeId, Op, ValueId};
+use pimflow_ir::{infer_shapes_from, ConcatAttrs, Graph, NodeId, Op, ValueId};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -292,6 +292,7 @@ pub fn fuse_group_interior(
     gid: usize,
     gpu_percent: u32,
 ) -> Result<(), PassError> {
+    let first_part = graph.next_node_id();
     if !(1..=99).contains(&gpu_percent) {
         return Err(PassError::NotApplicable(format!(
             "interior ratio {gpu_percent}% is not a proper split"
@@ -444,7 +445,9 @@ pub fn fuse_group_interior(
     for &id in &group.nodes {
         graph.remove_node(id);
     }
-    infer_shapes(graph)?;
+    // The concat has the replaced output's shape, so only the appended
+    // branches need inferring.
+    infer_shapes_from(graph, first_part)?;
     // The PIM branch fuses exactly like a full-offload group: same roles,
     // same near-bank hand-offs, just over fewer rows.
     let pim_heavy: Vec<NodeId> = pim_nodes

@@ -18,7 +18,7 @@
 use crate::passes::split_util::emit_conv_part;
 use crate::placement::Placement;
 use pimflow_ir::{
-    infer_shapes, ConcatAttrs, DenseAttrs, Graph, NodeId, Op, ParamView, SliceAttrs, ValueId,
+    infer_shapes_from, ConcatAttrs, DenseAttrs, Graph, NodeId, Op, ParamView, SliceAttrs, ValueId,
 };
 
 /// Errors returned by transformation passes.
@@ -57,7 +57,8 @@ fn producer_of(graph: &Graph, v: ValueId) -> NodeId {
 /// the GPU (0 = full PIM offload, 100 = full GPU; matching the Table 2
 /// ratio convention "split ratio to GPU, 0: total offload").
 ///
-/// Re-runs shape inference before returning.
+/// Infers the shapes of the nodes it appends. Every other value keeps its
+/// shape: the concat that replaces the node's output has the same shape.
 ///
 /// # Errors
 ///
@@ -84,10 +85,10 @@ pub fn split_node(
     if gpu_percent == 0 {
         let name = graph.node(id).name.clone();
         graph.node_mut(id).name = Placement::Pim.tag(&name);
-        infer_shapes(graph)?;
         return Ok(SplitOutcome::AllPim(id));
     }
 
+    let first_part = graph.next_node_id();
     let node = graph.node(id).clone();
     let out_shape = graph
         .value(node.output)
@@ -229,7 +230,7 @@ pub fn split_node(
     for r in removed {
         graph.remove_node(r);
     }
-    infer_shapes(graph)?;
+    infer_shapes_from(graph, first_part)?;
     Ok(SplitOutcome::Split {
         gpu: gpu_node,
         pim: pim_node,

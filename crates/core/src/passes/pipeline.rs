@@ -17,7 +17,7 @@ use crate::passes::split_util::{
 use crate::placement::Placement;
 use pimflow_ir::{
     analysis::{classify, LayerClass},
-    infer_shapes, ConcatAttrs, Graph, NodeId, Op, ValueId,
+    infer_shapes_from, ConcatAttrs, Graph, NodeId, Op, ValueId,
 };
 use std::ops::Range;
 
@@ -181,14 +181,15 @@ pub fn find_chains(graph: &Graph) -> Vec<Chain> {
 ///
 /// Every chain node is split into up to `stages` H-parts; 1x1 convs are
 /// placed on PIM, depthwise convs and element-wise nodes on the GPU. The
-/// final parts are concatenated and the original chain removed. Re-runs
-/// shape inference.
+/// final parts are concatenated and the original chain removed. Infers the
+/// shapes of the appended parts; the join has the chain output's shape.
 ///
 /// # Errors
 ///
 /// Returns [`PassError::NotApplicable`] if the chain is degenerate (final
 /// height too small to split).
 pub fn pipeline_chain(graph: &mut Graph, chain: &Chain, stages: usize) -> Result<(), PassError> {
+    let first_part = graph.next_node_id();
     if stages < 2 {
         return Err(PassError::NotApplicable(
             "need at least 2 pipeline stages".into(),
@@ -345,7 +346,7 @@ pub fn pipeline_chain(graph: &mut Graph, chain: &Chain, stages: usize) -> Result
     for &id in &chain.nodes {
         graph.remove_node(id);
     }
-    infer_shapes(graph)?;
+    infer_shapes_from(graph, first_part)?;
     Ok(())
 }
 

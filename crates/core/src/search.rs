@@ -1758,7 +1758,9 @@ fn run_search(
 }
 
 /// Applies `plan` to a fresh copy of `graph`, returning the transformed
-/// graph ready for the execution engine.
+/// graph ready for the execution engine. The passes infer only the nodes
+/// they append; one full [`infer_shapes`](pimflow_ir::infer_shapes) at the
+/// end validates the result and re-derives every shape.
 ///
 /// # Errors
 ///
@@ -1766,6 +1768,13 @@ fn run_search(
 /// that do not exist in `graph` or a decision cannot be applied (plans are
 /// only valid for the graph they were computed on).
 pub fn apply_plan(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
+    let mut out = apply_decisions(graph, plan)?;
+    pimflow_ir::infer_shapes(&mut out)?;
+    Ok(out)
+}
+
+/// [`apply_plan`] without its closing full shape inference.
+fn apply_decisions(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
     use crate::passes::PassError;
     let mut out = graph.clone();
     let mut fused_gid = 0usize;
@@ -1900,6 +1909,75 @@ mod tests {
             "diff {}",
             a[0].max_abs_diff(&b[0])
         );
+    }
+
+    /// The passes infer only the nodes they append, so on every zoo model
+    /// the graph they leave is exactly what a fresh full inference derives,
+    /// and `apply_plan`'s closing inference changes nothing.
+    #[test]
+    fn pass_shape_inference_matches_a_fresh_full_inference() {
+        const ZOO: [&str; 15] = [
+            "toy",
+            "squeezenet-1.1",
+            "mobilenet-v2",
+            "mnasnet-1.0",
+            "efficientnet-v1-b0",
+            "efficientnet-v1-b2",
+            "efficientnet-v1-b4",
+            "efficientnet-v1-b6",
+            "resnet-18",
+            "resnet-34",
+            "resnet-50",
+            "vgg-16",
+            "unet-small",
+            "bert-3",
+            "bert-64",
+        ];
+        // Decisions seen: offload, MD-DP split, fused, interior fused,
+        // pipeline — one pass each.
+        let mut seen = [false; 5];
+        let unfused = SearchOptions {
+            allow_fusion: false,
+            ..Default::default()
+        };
+        for (name, opts) in ZOO
+            .iter()
+            .flat_map(|name| [(name, SearchOptions::default()), (name, unfused)])
+        {
+            let g = models::by_name(name).expect("zoo model");
+            let plan = search(&g, &pimflow_cfg(), &opts).unwrap();
+            for (_, d) in &plan.decisions {
+                match d {
+                    Decision::Split { gpu_percent: 0, .. } => seen[0] = true,
+                    Decision::Split { .. } => seen[1] = true,
+                    Decision::Fused { gpu_percent: 0, .. } => seen[2] = true,
+                    Decision::Fused { .. } => seen[3] = true,
+                    Decision::Pipeline { .. } => seen[4] = true,
+                    Decision::Gpu => {}
+                }
+            }
+            let passes = apply_decisions(&g, &plan).unwrap();
+            let mut fresh = passes.clone();
+            for id in fresh.node_ids().collect::<Vec<_>>() {
+                let out = fresh.node(id).output;
+                fresh.value_mut(out).desc = None;
+            }
+            pimflow_ir::infer_shapes(&mut fresh).unwrap();
+            for id in passes.node_ids() {
+                let out = passes.node(id).output;
+                assert_eq!(
+                    passes.value(out).desc,
+                    fresh.value(out).desc,
+                    "{name}: `{}`",
+                    passes.node(id).name
+                );
+            }
+            let json = pimflow_json::to_string(&fresh);
+            assert_eq!(pimflow_json::to_string(&passes), json, "{name}");
+            let applied = apply_plan(&g, &plan).unwrap();
+            assert_eq!(pimflow_json::to_string(&applied), json, "{name}");
+        }
+        assert_eq!(seen, [true; 5], "decision kinds covered");
     }
 
     #[test]

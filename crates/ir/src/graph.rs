@@ -9,7 +9,7 @@
 use crate::ops::Op;
 use crate::tensor::{DataType, Shape, TensorDesc};
 use pimflow_json::{json_struct, FromJson, Json, JsonError, ToJson};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -101,7 +101,8 @@ pub struct Node {
 /// Errors returned by graph construction and validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
-    /// The graph contains a cycle (node named by the field is on it).
+    /// The graph contains a cycle. The field names the lowest-id node that
+    /// cannot be ordered: one on a cycle or downstream of one.
     Cycle(String),
     /// A node received the wrong number of inputs.
     Arity {
@@ -314,6 +315,13 @@ impl Graph {
             .filter_map(|(i, n)| n.as_ref().map(|_| NodeId(i)))
     }
 
+    /// The id the next added node will get. A pass records it before
+    /// appending nodes and hands it to
+    /// [`infer_shapes_from`](crate::shape_infer::infer_shapes_from).
+    pub fn next_node_id(&self) -> NodeId {
+        NodeId(self.nodes.len())
+    }
+
     /// Number of live nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.iter().filter(|n| n.is_some()).count()
@@ -372,50 +380,49 @@ impl Graph {
         self.consumers(self.node(id).output)
     }
 
-    /// Kahn topological order over live nodes.
+    /// Kahn topological order over live nodes, in O(nodes + edges).
+    ///
+    /// The order is deterministic: nodes without live predecessors in
+    /// ascending id, then each sorted node's newly unlocked successors in
+    /// ascending id, first in first out.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::Cycle`] if the graph is cyclic.
     pub fn topo_order(&self) -> Result<Vec<NodeId>, GraphError> {
-        let mut indegree: HashMap<NodeId, usize> = HashMap::new();
+        // Successor lists built once, in ascending id: a node is appended
+        // to each distinct live producer of its inputs, and any earlier
+        // append of the same node to that list is still its last entry.
+        let mut indegree = vec![0usize; self.nodes.len()];
+        let mut successors: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
         for id in self.node_ids() {
-            indegree.insert(id, self.predecessors(id).len());
-        }
-        let mut queue: VecDeque<NodeId> = indegree
-            .iter()
-            .filter(|&(_, &d)| d == 0)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut sorted: Vec<NodeId> = Vec::with_capacity(indegree.len());
-        // Deterministic order: smallest id first among ready nodes.
-        let mut ready: Vec<NodeId> = queue.drain(..).collect();
-        ready.sort();
-        let mut ready: VecDeque<NodeId> = ready.into();
-        while let Some(id) = ready.pop_front() {
-            sorted.push(id);
-            let mut unlocked = Vec::new();
-            for succ in self.successors(id) {
-                let d = indegree.get_mut(&succ).expect("successor tracked");
-                *d -= 1;
-                if *d == 0 {
-                    unlocked.push(succ);
+            for &v in &self.node(id).inputs {
+                if let Some(p) = self.producer(v) {
+                    if successors[p.0].last() != Some(&id) {
+                        successors[p.0].push(id);
+                        indegree[id.0] += 1;
+                    }
                 }
             }
-            unlocked.sort();
-            for u in unlocked {
-                ready.push_back(u);
+        }
+        let mut ready: VecDeque<NodeId> =
+            self.node_ids().filter(|id| indegree[id.0] == 0).collect();
+        let mut sorted: Vec<NodeId> = Vec::with_capacity(self.nodes.len());
+        while let Some(id) = ready.pop_front() {
+            sorted.push(id);
+            for &succ in &successors[id.0] {
+                indegree[succ.0] -= 1;
+                if indegree[succ.0] == 0 {
+                    ready.push_back(succ);
+                }
             }
         }
-        if sorted.len() != indegree.len() {
-            let stuck = indegree
-                .iter()
-                .find(|&(id, _)| !sorted.contains(id))
-                .map(|(&id, _)| self.node(id).name.clone())
-                .unwrap_or_default();
-            return Err(GraphError::Cycle(stuck));
+        // Every node left unsorted still waits on a predecessor; name the
+        // lowest id so a cyclic graph always reports the same node.
+        match self.node_ids().find(|id| indegree[id.0] > 0) {
+            Some(stuck) => Err(GraphError::Cycle(self.node(stuck).name.clone())),
+            None => Ok(sorted),
         }
-        Ok(sorted)
     }
 
     /// Structural validation: arities, acyclicity, live references.
@@ -564,7 +571,8 @@ impl fmt::Display for Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{ConcatAttrs, Conv2dAttrs};
+    use crate::ops::{ActivationKind, ConcatAttrs, Conv2dAttrs};
+    use std::collections::HashMap;
 
     fn diamond() -> Graph {
         let mut g = Graph::new("diamond");
@@ -597,6 +605,47 @@ mod tests {
             }
         }
         assert_eq!(order.len(), 4);
+    }
+
+    #[test]
+    fn topo_order_is_first_in_first_out() {
+        // `b` unlocks after `c` and `d` are already ready, so it sorts
+        // after them although its id is lower.
+        let mut g = Graph::new("fifo");
+        let x = g.add_input("x", Shape::nhwc(1, 2, 2, 2), DataType::F16);
+        let relu = || Op::Activation(ActivationKind::Relu);
+        let a = g.add_node("a", relu(), vec![x]);
+        for (name, input) in [("b", a), ("c", x), ("d", x)] {
+            let out = g.add_node(name, relu(), vec![input]);
+            g.mark_output(out);
+        }
+        let names: Vec<&str> = g
+            .topo_order()
+            .unwrap()
+            .into_iter()
+            .map(|id| g.node(id).name.as_str())
+            .collect();
+        assert_eq!(names, ["a", "c", "d", "b"]);
+    }
+
+    #[test]
+    fn cycle_error_names_the_lowest_unsorted_node() {
+        // head -> a -> b -> c -> tail, then `a` rewired to read `c`: the
+        // 3-cycle a -> b -> c -> a, with `tail` stuck downstream of it.
+        let mut g = Graph::new("cyclic");
+        let x = g.add_input("x", Shape::nhwc(1, 2, 2, 2), DataType::F16);
+        let relu = || Op::Activation(ActivationKind::Relu);
+        let head = g.add_node("head", relu(), vec![x]);
+        let a = g.add_node("a", relu(), vec![head]);
+        let b = g.add_node("b", relu(), vec![a]);
+        let c = g.add_node("c", relu(), vec![b]);
+        let tail = g.add_node("tail", relu(), vec![c]);
+        g.mark_output(tail);
+        g.replace_uses(head, c);
+        for _ in 0..8 {
+            assert_eq!(g.topo_order(), Err(GraphError::Cycle("a".into())));
+            assert_eq!(g.validate(), Err(GraphError::Cycle("a".into())));
+        }
     }
 
     #[test]

@@ -42,5 +42,5 @@ pub use ops::{
     ActivationKind, ConcatAttrs, Conv2dAttrs, DenseAttrs, Hw, Op, PadAttrs, PoolAttrs, PoolKind,
     SliceAttrs,
 };
-pub use shape_infer::infer_shapes;
+pub use shape_infer::{infer_shapes, infer_shapes_from};
 pub use tensor::{DataType, Shape, TensorDesc};

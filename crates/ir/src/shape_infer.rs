@@ -261,6 +261,29 @@ fn infer_node(graph: &Graph, id: NodeId) -> Result<TensorDesc, GraphError> {
 pub fn infer_shapes(graph: &mut Graph) -> Result<(), GraphError> {
     graph.validate()?;
     let order = graph.topo_order()?;
+    infer_in_order(graph, order)
+}
+
+/// Infers the shapes of the live nodes with ids from `first` on, in id
+/// order, from the shapes already on their inputs. Passes call it on the
+/// nodes they append, where id order is topological: a node is appended
+/// only after its inputs exist. It neither validates nor sorts the graph,
+/// and it leaves every other value's shape as it is, so the pass must keep
+/// the shapes of the values it rewires unchanged.
+///
+/// # Errors
+///
+/// Returns [`GraphError::Shape`] if an appended operator receives inputs
+/// of the wrong rank/extent or an input value has no shape.
+pub fn infer_shapes_from(graph: &mut Graph, first: NodeId) -> Result<(), GraphError> {
+    let appended: Vec<NodeId> = (first.index()..graph.next_node_id().index())
+        .map(NodeId)
+        .filter(|&id| graph.try_node(id).is_some())
+        .collect();
+    infer_in_order(graph, appended)
+}
+
+fn infer_in_order(graph: &mut Graph, order: Vec<NodeId>) -> Result<(), GraphError> {
     for id in order {
         let desc = infer_node(graph, id)?;
         let out = graph.node(id).output;

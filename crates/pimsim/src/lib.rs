@@ -67,7 +67,7 @@ pub use interp::{lift_command, lift_traces, NewtonInterpreter};
 pub use memsys::MemorySystem;
 pub use scheduler::{
     assign, estimate_block_cycles, schedule, schedule_refined, split_for_channels,
-    ScheduleGranularity,
+    ScheduleGranularity, UnitRuns,
 };
 pub use timing::{run_channels, ChannelEngine, ChannelStats, RunOptions};
 pub use trace::{

@@ -121,6 +121,12 @@ fn split_reduction(block: &CommandBlock, factor: u32) -> Vec<CommandBlock> {
     parts
 }
 
+/// Whether [`split_for_channels`] splits `len` blocks for `channels` live
+/// channels (otherwise it returns them unchanged).
+fn splits(len: usize, channels: usize, granularity: ScheduleGranularity) -> bool {
+    len > 0 && channels > 1 && len < channels * 2 && granularity != ScheduleGranularity::GAct
+}
+
 /// Splits blocks as allowed by `granularity` until there are enough units to
 /// occupy `channels` channels (or the split axes are exhausted).
 pub fn split_for_channels(
@@ -128,13 +134,10 @@ pub fn split_for_channels(
     channels: usize,
     granularity: ScheduleGranularity,
 ) -> Vec<CommandBlock> {
-    if blocks.is_empty() || channels <= 1 {
+    if !splits(blocks.len(), channels, granularity) {
         return blocks.to_vec();
     }
     let target = channels * 2; // enough units for LPT to balance
-    if blocks.len() >= target || granularity == ScheduleGranularity::GAct {
-        return blocks.to_vec();
-    }
     let per_block = (target as u32).div_ceil(blocks.len() as u32);
     let mut units = Vec::new();
     for b in blocks {
@@ -152,15 +155,27 @@ pub fn split_for_channels(
     units
 }
 
+/// One channel's share of an assignment: `(unit, repeat)` runs in program
+/// order, each `repeat` back-to-back copies of `units[unit]`.
+pub type UnitRuns = Vec<(usize, usize)>;
+
 /// Distributes blocks across `channels` channels without expanding them:
 /// returns the schedulable units (the blocks, split as `granularity`
-/// allows) and, per physical channel, the indices of the units it runs in
-/// program order. [`schedule`] is this assignment expanded into command
-/// traces; pricing paths that simulate the units directly share the same
-/// assignment, so there is exactly one load balancer.
+/// allows) and, per physical channel, the run-length list of units it
+/// runs in program order. [`schedule`] is this assignment expanded into
+/// command traces; pricing paths that simulate the units directly share
+/// the same assignment, so there is exactly one load balancer.
 ///
 /// Assignment is longest-processing-time greedy on the per-block cycle
 /// estimate, which keeps channel loads balanced without simulating twice.
+/// The common case has a closed form: on a healthy plan, blocks that are
+/// not split and are `n` copies of one block plus at most one trailing
+/// block no heavier than the body (what the code generator emits) deal
+/// round robin — channel `c` runs `n / C + [c < n % C]` body copies and
+/// the tail lands on channel `n % C`. That is exactly the greedy's output
+/// on such input, computed in O(n + C) with only the distinct blocks as
+/// units. Every other input runs the greedy and coalesces each channel's
+/// consecutive equal units into runs.
 ///
 /// With a [`FaultPlan`] attached to `opts`, dead channels receive no
 /// units, derated channels are LPT-weighted by their remaining bandwidth
@@ -170,13 +185,82 @@ pub fn split_for_channels(
 /// per-channel callback, if any, is ignored here — it belongs to
 /// [`run_channels`](crate::timing::run_channels).
 ///
-/// The returned index lists always have `channels` entries so entry `i`
+/// The returned run lists always have `channels` entries so entry `i`
 /// always corresponds to physical channel `i`.
 ///
 /// # Panics
 ///
 /// Panics if `channels == 0` or the plan leaves no channel alive.
 pub fn assign(
+    blocks: &[CommandBlock],
+    channels: usize,
+    granularity: ScheduleGranularity,
+    cfg: &PimConfig,
+    opts: &RunOptions<'_>,
+) -> (Vec<CommandBlock>, Vec<UnitRuns>) {
+    assert!(channels > 0, "need at least one PIM channel");
+    if opts.faults.is_none_or(FaultPlan::is_healthy) && !splits(blocks.len(), channels, granularity)
+    {
+        if let Some(assignment) = round_robin(blocks, channels, cfg) {
+            return assignment;
+        }
+    }
+    let (units, per_channel) = lpt(blocks, channels, granularity, cfg, opts);
+    let runs = per_channel
+        .iter()
+        .map(|idxs| {
+            let mut runs: UnitRuns = Vec::new();
+            for &i in idxs {
+                match runs.last_mut() {
+                    Some((unit, repeat)) if units[*unit] == units[i] => *repeat += 1,
+                    _ => runs.push((i, 1)),
+                }
+            }
+            runs
+        })
+        .collect();
+    (units, runs)
+}
+
+/// The closed-form LPT assignment of [`assign`], or `None` if `blocks` are
+/// not a body of equal blocks plus at most one no-heavier tail.
+fn round_robin(
+    blocks: &[CommandBlock],
+    channels: usize,
+    cfg: &PimConfig,
+) -> Option<(Vec<CommandBlock>, Vec<UnitRuns>)> {
+    let Some(&body) = blocks.first() else {
+        return Some((Vec::new(), vec![Vec::new(); channels]));
+    };
+    let n = blocks.iter().take_while(|&&b| b == body).count();
+    let tail = match blocks[n..] {
+        [] => None,
+        [tail] => Some(tail),
+        _ => return None,
+    };
+    let estimate = estimate_block_cycles(&body, cfg);
+    // A zero estimate never raises a load, so the greedy would stack every
+    // block on channel 0 instead of dealing them out.
+    if estimate == 0 || tail.is_some_and(|t| estimate_block_cycles(&t, cfg) > estimate) {
+        return None;
+    }
+    let mut runs: Vec<UnitRuns> = (0..channels)
+        .map(|c| match n / channels + usize::from(c < n % channels) {
+            0 => Vec::new(),
+            repeat => vec![(0, repeat)],
+        })
+        .collect();
+    let mut units = vec![body];
+    if let Some(tail) = tail {
+        units.push(tail);
+        runs[n % channels].push((1, 1));
+    }
+    Some((units, runs))
+}
+
+/// The LPT greedy behind [`assign`]: the units and, per physical channel,
+/// the indices of the units it runs in program order.
+fn lpt(
     blocks: &[CommandBlock],
     channels: usize,
     granularity: ScheduleGranularity,
@@ -243,7 +327,14 @@ pub fn schedule(
     let (units, per_channel) = assign(blocks, channels, granularity, cfg, opts);
     per_channel
         .iter()
-        .map(|idxs| idxs.iter().flat_map(|&i| units[i].expand()).collect())
+        .map(|runs| {
+            runs.iter()
+                .flat_map(|&(unit, repeat)| {
+                    let block = units[unit];
+                    (0..repeat).flat_map(move |_| block.expand())
+                })
+                .collect()
+        })
         .collect()
 }
 
@@ -267,7 +358,7 @@ pub fn schedule_refined(
     max_rounds: usize,
 ) -> Vec<Vec<PimCommand>> {
     // Start from the LPT assignment (indices into `units` per channel).
-    let (units, mut assignment) = assign(blocks, channels, granularity, cfg, &RunOptions::new());
+    let (units, mut assignment) = lpt(blocks, channels, granularity, cfg, &RunOptions::new());
     let expand_channel = |idxs: &[usize]| -> Vec<PimCommand> {
         let mut sorted: Vec<usize> = idxs.to_vec();
         sorted.sort_unstable();
@@ -635,5 +726,114 @@ mod tests {
         let stats = run_channels(&cfg, &traces, RunOptions::new());
         let expected: u64 = blocks.iter().map(|b| b.total_comps()).sum();
         assert!(stats.comps >= expected);
+    }
+    /// The greedy's assignment as each channel's block sequence.
+    fn greedy_blocks(
+        blocks: &[CommandBlock],
+        channels: usize,
+        granularity: ScheduleGranularity,
+        cfg: &PimConfig,
+        opts: &RunOptions<'_>,
+    ) -> Vec<Vec<CommandBlock>> {
+        let (units, per_channel) = lpt(blocks, channels, granularity, cfg, opts);
+        per_channel
+            .iter()
+            .map(|idxs| idxs.iter().map(|&i| units[i]).collect())
+            .collect()
+    }
+
+    /// [`assign`]'s runs expanded into each channel's block sequence,
+    /// checking on the way that the runs are maximal and non-empty.
+    fn expanded_runs(units: &[CommandBlock], runs: &[UnitRuns]) -> Vec<Vec<CommandBlock>> {
+        runs.iter()
+            .map(|runs| {
+                for pair in runs.windows(2) {
+                    assert_ne!(units[pair[0].0], units[pair[1].0], "runs not maximal");
+                }
+                runs.iter()
+                    .flat_map(|&(unit, repeat)| {
+                        assert!(repeat > 0, "empty run");
+                        std::iter::repeat_n(units[unit], repeat)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_length_assignment_expands_to_the_greedy() {
+        use crate::fault::FaultPlan;
+        use pimflow_rng::Rng;
+        let cfg = PimConfig::default();
+        let mut rng = Rng::seed_from_u64(0x5CED);
+        // Cases seen per tail class: none, lighter, equal, heavier.
+        let mut tails = [0usize; 4];
+        let mut closed_form = 0usize;
+        for case in 0..1500 {
+            let body = CommandBlock {
+                buffer_rows: rng.range_u32(2, 9) as u8,
+                gwrite_bytes: rng.range_u32(2, 4096),
+                gwrites_per_row: rng.range_u32(1, 10) as u16,
+                gacts: rng.range_u32(1, 64),
+                comps_per_gact: rng.range_u32(1, 33),
+                readres_bytes: rng.range_u32(2, 1024),
+                oc_splits: rng.range_u32(1, 17) as u16,
+                row_base: 0,
+            };
+            let n = rng.range_usize(1, 201);
+            let mut blocks = vec![body; n];
+            let tail = match case % 4 {
+                0 => None,
+                // Fewer rows: no heavier than the body.
+                1 => Some(CommandBlock {
+                    buffer_rows: rng.range_u32(1, body.buffer_rows as u32) as u8,
+                    ..body
+                }),
+                // Another row base: a different block, the same estimate.
+                2 => Some(CommandBlock {
+                    row_base: 1 + rng.range_u32(0, 64),
+                    ..body
+                }),
+                _ => Some(CommandBlock {
+                    gacts: body.gacts + rng.range_u32(1, 8),
+                    ..body
+                }),
+            };
+            if let Some(t) = tail {
+                let (e, et) = (
+                    estimate_block_cycles(&body, &cfg),
+                    estimate_block_cycles(&t, &cfg),
+                );
+                tails[1 + usize::from(et >= e) + usize::from(et > e)] += 1;
+                blocks.push(t);
+            } else {
+                tails[0] += 1;
+            }
+            let channels = rng.range_usize(1, 33);
+            let granularity = *rng.pick(&[
+                ScheduleGranularity::GAct,
+                ScheduleGranularity::ReadRes,
+                ScheduleGranularity::Comp,
+            ]);
+            let faults = FaultPlan::from_seed(rng.next_u64(), channels, rng.next_f64());
+            for opts in [RunOptions::new(), RunOptions::new().faults(&faults)] {
+                let (units, runs) = assign(&blocks, channels, granularity, &cfg, &opts);
+                let case = format!("case {case}: {n} + {tail:?} on {channels} ch, {granularity}");
+                assert_eq!(runs.len(), channels, "{case}");
+                assert_eq!(
+                    expanded_runs(&units, &runs),
+                    greedy_blocks(&blocks, channels, granularity, &cfg, &opts),
+                    "{case}"
+                );
+                if opts.faults.is_some_and(|f| !f.is_healthy()) {
+                    // Faults take the greedy path: one unit per block.
+                    assert!(units.len() >= blocks.len(), "{case}");
+                } else if units.len() < blocks.len() {
+                    closed_form += 1;
+                }
+            }
+        }
+        assert!(tails.iter().all(|&k| k > 50), "tail classes: {tails:?}");
+        assert!(closed_form > 500, "closed form taken {closed_form} times");
     }
 }

@@ -108,6 +108,29 @@ fn zoo_workloads() -> Vec<PimWorkload> {
     workloads
 }
 
+/// Checks that streaming `w`'s schedule prices it exactly as interpreting
+/// its compiled program does.
+fn check_workload(
+    w: &PimWorkload,
+    cfg_name: &str,
+    cfg: &PimConfig,
+    granularity: ScheduleGranularity,
+    channels: usize,
+    role: FusedRole,
+) {
+    let program = generate_fused_program(w, cfg, channels, granularity, role);
+    let (merged, per_channel) = interpret(&program, cfg);
+    let (exec, streamed) = execute_workload_fused_per_channel(w, cfg, channels, granularity, role);
+    let case = format!("{w:?} under {cfg_name}, {granularity}, {channels} ch, {role:?}");
+    assert_eq!(exec.stats, merged, "merged stats: {case}");
+    assert_eq!(streamed, per_channel, "per-channel stats: {case}");
+    assert_eq!(
+        exec.time_us.to_bits(),
+        (cfg.cycles_to_ns(merged.cycles) * 1e-3).to_bits(),
+        "time: {case}"
+    );
+}
+
 /// Checks every zoo candidate at every row fraction, granularity, channel
 /// count and role under `cfg`.
 fn check_layers(cfg_name: &str, cfg: &PimConfig) {
@@ -119,25 +142,7 @@ fn check_layers(cfg_name: &str, cfg: &PimConfig) {
             for granularity in GRANULARITIES {
                 for channels in CHANNELS {
                     for role in ROLES {
-                        let program = generate_fused_program(&w, cfg, channels, granularity, role);
-                        let (merged, per_channel) = interpret(&program, cfg);
-                        let (exec, streamed) = execute_workload_fused_per_channel(
-                            &w,
-                            cfg,
-                            channels,
-                            granularity,
-                            role,
-                        );
-                        let case = format!(
-                            "{w:?} under {cfg_name}, {granularity}, {channels} ch, {role:?}"
-                        );
-                        assert_eq!(exec.stats, merged, "merged stats: {case}");
-                        assert_eq!(streamed, per_channel, "per-channel stats: {case}");
-                        assert_eq!(
-                            exec.time_us.to_bits(),
-                            (cfg.cycles_to_ns(merged.cycles) * 1e-3).to_bits(),
-                            "time: {case}"
-                        );
+                        check_workload(&w, cfg_name, cfg, granularity, channels, role);
                     }
                 }
             }
@@ -158,6 +163,35 @@ fn streamed_layer_pricing_equals_interpreting_the_program_on_newton_plus() {
 #[test]
 fn streamed_layer_pricing_equals_interpreting_the_program_on_hbm_pim() {
     check_layers("hbm_pim_like", &PimConfig::hbm_pim_like());
+}
+
+/// Block counts around the channel count, where the scheduler's
+/// round-robin deal is most uneven or exactly even: fewer full blocks than
+/// channels, whole multiples of the channel count, and each with and
+/// without a trailing partial block.
+#[test]
+fn streamed_pricing_holds_for_block_counts_around_the_channel_count() {
+    for (cfg_name, cfg) in configs() {
+        let rows_per_block = cfg.num_global_buffers;
+        for channels in [5usize, 16] {
+            for blocks in [1, 2, channels - 1, channels, 2 * channels, 3 * channels] {
+                for tail_rows in 0..rows_per_block.min(2) {
+                    let w = PimWorkload {
+                        rows: blocks * rows_per_block + tail_rows,
+                        k_elems: 576,
+                        out_channels: 96,
+                        strided: false,
+                        segments: 1,
+                    };
+                    for granularity in GRANULARITIES {
+                        for role in ROLES {
+                            check_workload(&w, cfg_name, &cfg, granularity, channels, role);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Fusion groups of 2 and 3 consecutive PIM candidates of every model.
