@@ -151,6 +151,12 @@ PIMFLOW_JOBS=2 cargo test -q --offline -p pimflow overlap
 echo "==> cargo test -p pimflow-kernels (PIMFLOW_EXACT_KERNELS=1)"
 PIMFLOW_EXACT_KERNELS=1 PIMFLOW_JOBS=2 cargo test -q --offline -p pimflow-kernels
 
+# The executor pins (output bits and counters on five zoo models) must
+# also hold when the environment, not an explicit option, selects the
+# exact path.
+echo "==> cargo test --test exec_parallel (PIMFLOW_EXACT_KERNELS=1)"
+PIMFLOW_EXACT_KERNELS=1 PIMFLOW_JOBS=2 cargo test -q --offline --test exec_parallel
+
 # The benchmark (perfbench/) is a package of its own outside the
 # workspace, so nothing above builds it. Test it, then run each workload
 # for a second and require a correct result, so a workspace API change

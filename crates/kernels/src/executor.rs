@@ -32,11 +32,22 @@
 //! and lets element-wise nodes *steal* a dying input's buffer outright. All
 //! allocation and free decisions are made on the main thread in wave order,
 //! so every counter in [`ExecStats`] is independent of the worker width.
+//!
+//! # Staging parameters
+//!
+//! Each wave's nodes are *staged* before they run: output shape checked,
+//! parameters fetched. A conv or dense node's weight matrix is staged in
+//! the form its [`GemmPath`] reads. The fast path generates it straight
+//! into the micro-kernel's packed panels
+//! ([`crate::params::param_cols_packed`]), so no row-major matrix is built
+//! and nothing is repacked. The exact path generates the row-major matrix
+//! its scalar loop reads. Weight keys shared by several nodes (MD-DP and
+//! pipeline twins) are generated once per run and memoized in that form.
 
 use crate::im2col::KernelError;
-use crate::microkernel::{pack_b, GemmPath, PackedB};
+use crate::microkernel::{GemmPath, PackedB};
 use crate::ops;
-use crate::params::{param_cols, param_vec, ParamRole};
+use crate::params::{param_cols, param_cols_packed, param_vec, ParamRole};
 use crate::schedule::{Arena, ExecPlan};
 use crate::tensor::Tensor;
 use pimflow_ir::{Graph, GraphError, Node, Op, Shape, ValueId};
@@ -44,6 +55,7 @@ use pimflow_pool::{chunk_ranges, WorkerPool};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Minimum multiply-accumulate count for a node to be worth sharding or
@@ -165,13 +177,19 @@ pub struct ExecOutput {
     pub stats: ExecStats,
 }
 
-/// Memoizes parameter vectors for *twin* weight keys — keys shared by more
-/// than one node (pipelined batch halves, MD-DP splits), where regenerating
-/// per node would redo identical RNG work. Unique keys stay transient so a
-/// big model's parameters are never all resident at once.
+/// Cache key of one generated parameter tensor: weight key, role and the
+/// column window realized.
+type ParamKey = (u64, ParamRole, usize, usize);
+
+/// Memoizes parameters for *twin* weight keys — keys shared by more than
+/// one node (pipelined batch halves, MD-DP splits), where regenerating per
+/// node would redo identical RNG work. Unique keys stay transient so a big
+/// model's parameters are never all resident at once. Conv and dense
+/// weights are memoized in the form their GEMM path reads.
 struct ParamCache {
     twins: HashSet<u64>,
-    entries: HashMap<(u64, ParamRole, usize, usize), Arc<Vec<f32>>>,
+    vectors: HashMap<ParamKey, Arc<Vec<f32>>>,
+    packed: HashMap<ParamKey, Arc<PackedB>>,
     hits: usize,
     misses: usize,
 }
@@ -190,7 +208,8 @@ impl ParamCache {
                 .into_iter()
                 .filter_map(|(k, n)| (n > 1).then_some(k))
                 .collect(),
-            entries: HashMap::new(),
+            vectors: HashMap::new(),
+            packed: HashMap::new(),
             hits: 0,
             misses: 0,
         }
@@ -198,7 +217,7 @@ impl ParamCache {
 
     /// Returns the parameter vector for `(key, role)` over the column
     /// window `window` (full width for unsliced nodes), generating it with
-    /// `gen` on a miss. Only twin keys are memoized.
+    /// `gen` on a miss.
     fn fetch(
         &mut self,
         key: u64,
@@ -206,20 +225,47 @@ impl ParamCache {
         window: (usize, usize),
         gen: impl FnOnce() -> Vec<f32>,
     ) -> Arc<Vec<f32>> {
-        if !self.twins.contains(&key) {
-            self.misses += 1;
-            return Arc::new(gen());
-        }
+        let twin = self.twins.contains(&key);
+        let counts = (&mut self.hits, &mut self.misses);
         let ck = (key, role, window.0, window.1);
-        if let Some(v) = self.entries.get(&ck) {
-            self.hits += 1;
-            return v.clone();
-        }
-        self.misses += 1;
-        let v = Arc::new(gen());
-        self.entries.insert(ck, v.clone());
-        v
+        memo(twin, &mut self.vectors, counts, ck, gen)
     }
+
+    /// [`ParamCache::fetch`] for a weight matrix generated packed.
+    fn fetch_packed(
+        &mut self,
+        key: u64,
+        window: (usize, usize),
+        gen: impl FnOnce() -> PackedB,
+    ) -> Arc<PackedB> {
+        let twin = self.twins.contains(&key);
+        let counts = (&mut self.hits, &mut self.misses);
+        let ck = (key, ParamRole::Weight, window.0, window.1);
+        memo(twin, &mut self.packed, counts, ck, gen)
+    }
+}
+
+/// One cache lookup: a twin key is served from, or stored in, `entries`;
+/// a unique key is generated transiently. Counts the hit or miss.
+fn memo<T>(
+    twin: bool,
+    entries: &mut HashMap<ParamKey, Arc<T>>,
+    (hits, misses): (&mut usize, &mut usize),
+    ck: ParamKey,
+    gen: impl FnOnce() -> T,
+) -> Arc<T> {
+    if !twin {
+        *misses += 1;
+        return Arc::new(gen());
+    }
+    if let Some(v) = entries.get(&ck) {
+        *hits += 1;
+        return v.clone();
+    }
+    *misses += 1;
+    let v = Arc::new(gen());
+    entries.insert(ck, v.clone());
+    v
 }
 
 /// A node staged for execution: output shape validated, parameters fetched.
@@ -230,24 +276,30 @@ struct Staged<'g> {
     macs: usize,
 }
 
+/// A conv or dense weight matrix, in the form its [`GemmPath`] reads. Both
+/// are built once at staging and shared by every row block and sharded
+/// worker.
+enum Weights {
+    /// Panels for the micro-kernel ([`GemmPath::Fast`]), generated straight
+    /// into packed form.
+    Packed(Arc<PackedB>),
+    /// The row-major `[fan_in, out]` matrix for the scalar loop
+    /// ([`GemmPath::Exact`]).
+    RowMajor(Arc<Vec<f32>>),
+}
+
 enum Kind {
     Conv {
-        w: Arc<Vec<f32>>,
+        w: Weights,
         b: Arc<Vec<f32>>,
-        /// Weight matrix packed for the micro-kernel, built once at staging
-        /// and shared by every row block and sharded worker. `None` on the
-        /// exact path.
-        packed: Option<Arc<PackedB>>,
     },
     Depthwise {
         w: Arc<Vec<f32>>,
         b: Arc<Vec<f32>>,
     },
     Dense {
-        w: Arc<Vec<f32>>,
+        w: Weights,
         b: Arc<Vec<f32>>,
-        /// See [`Kind::Conv::packed`].
-        packed: Option<Arc<PackedB>>,
     },
     Bn {
         scale: Arc<Vec<f32>>,
@@ -267,49 +319,43 @@ impl Staged<'_> {
 /// Weight/bias for a CONV (groups = 1) or FC node, honouring an optional
 /// [`ParamView`]: a node split along its output axis sees exactly columns
 /// `begin..end` of the original `[fan_in, orig_out]` matrix, generated
-/// directly via [`param_cols`] without materializing the full matrix.
+/// directly without materializing the full matrix — packed on the fast
+/// path ([`param_cols_packed`]), row-major on the exact one
+/// ([`param_cols`]).
 ///
 /// [`ParamView`]: pimflow_ir::ParamView
-fn sliced_params(
+fn gemm_params(
     cache: &mut ParamCache,
     key: u64,
     fan_in: usize,
     out: usize,
     view: Option<&pimflow_ir::ParamView>,
-) -> (Arc<Vec<f32>>, Arc<Vec<f32>>) {
-    match view {
-        None => (
-            cache.fetch(key, ParamRole::Weight, (0, out), || {
-                param_vec(key, ParamRole::Weight, fan_in * out, fan_in)
-            }),
-            cache.fetch(key, ParamRole::Bias, (0, out), || {
-                param_vec(key, ParamRole::Bias, out, fan_in)
-            }),
-        ),
+    gemm: GemmPath,
+) -> (Weights, Arc<Vec<f32>>) {
+    let (row_len, begin, end) = match view {
+        None => (out, 0, out),
         Some(v) => {
             assert_eq!(
                 v.len(),
                 out,
                 "param view width must match node output width"
             );
-            (
-                cache.fetch(key, ParamRole::Weight, (v.begin, v.end), || {
-                    param_cols(
-                        key,
-                        ParamRole::Weight,
-                        fan_in,
-                        v.orig_out,
-                        v.begin,
-                        v.end,
-                        fan_in,
-                    )
-                }),
-                cache.fetch(key, ParamRole::Bias, (v.begin, v.end), || {
-                    param_cols(key, ParamRole::Bias, 1, v.orig_out, v.begin, v.end, fan_in)
-                }),
-            )
+            (v.orig_out, v.begin, v.end)
         }
-    }
+    };
+    let window = (begin, end);
+    let w = match gemm {
+        GemmPath::Fast => Weights::Packed(cache.fetch_packed(key, window, || {
+            param_cols_packed(key, ParamRole::Weight, fan_in, row_len, begin, end, fan_in)
+        })),
+        GemmPath::Exact => Weights::RowMajor(cache.fetch(key, ParamRole::Weight, window, || {
+            param_cols(key, ParamRole::Weight, fan_in, row_len, begin, end, fan_in)
+        })),
+    };
+    let b = cache.fetch(key, ParamRole::Bias, window, || {
+        param_cols(key, ParamRole::Bias, 1, row_len, begin, end, fan_in)
+    });
+    (w, b)
 }
 
 /// Validates a node against its input shapes, computes its output shape,
@@ -346,12 +392,10 @@ fn stage<'g>(
                 (out_shape, Kind::Depthwise { w, b }, macs)
             } else {
                 let fan_in = a.kernel.h * a.kernel.w * ic;
-                let (w, b) =
-                    sliced_params(cache, key, fan_in, a.out_channels, node.param_view.as_ref());
-                let packed =
-                    (gemm == GemmPath::Fast).then(|| Arc::new(pack_b(&w, fan_in, a.out_channels)));
+                let view = node.param_view.as_ref();
+                let (w, b) = gemm_params(cache, key, fan_in, a.out_channels, view, gemm);
                 let macs = out_shape.numel() * fan_in;
-                (out_shape, Kind::Conv { w, b, packed }, macs)
+                (out_shape, Kind::Conv { w, b }, macs)
             }
         }
         Op::Dense(a) => {
@@ -362,12 +406,11 @@ fn stage<'g>(
                 .into());
             }
             let in_f = xs.c();
-            let (w, b) = sliced_params(cache, key, in_f, a.out_features, node.param_view.as_ref());
-            let packed =
-                (gemm == GemmPath::Fast).then(|| Arc::new(pack_b(&w, in_f, a.out_features)));
+            let view = node.param_view.as_ref();
+            let (w, b) = gemm_params(cache, key, in_f, a.out_features, view, gemm);
             let out_shape = Shape::rf(xs.n(), a.out_features);
             let macs = out_shape.numel() * in_f;
-            (out_shape, Kind::Dense { w, b, packed }, macs)
+            (out_shape, Kind::Dense { w, b }, macs)
         }
         Op::BatchNorm => {
             let c = xs.c();
@@ -548,30 +591,11 @@ impl Runner {
         let node = s.node;
         let in0 = node.inputs[0];
         match (&node.op, &s.kind) {
-            (Op::Conv2d(a), Kind::Conv { w, b, packed }) => {
+            (Op::Conv2d(a), Kind::Conv { w, b }) => {
                 let mut out = self.alloc(&s.out_shape);
                 let rows = s.out_shape.numel() / a.out_channels;
                 let x = self.env[in0.index()].as_ref().expect("live input");
-                match packed {
-                    Some(p) => ops::conv2d_rows_packed(
-                        x,
-                        p,
-                        b,
-                        a,
-                        0..rows,
-                        &mut self.scratch,
-                        out.data_mut(),
-                    )?,
-                    None => ops::conv2d_rows_into(
-                        x,
-                        w,
-                        b,
-                        a,
-                        0..rows,
-                        &mut self.scratch,
-                        out.data_mut(),
-                    )?,
-                }
+                conv_rows(x, w, b, a, 0..rows, &mut self.scratch, out.data_mut())?;
                 self.insert(node.output, out);
             }
             (Op::Conv2d(a), Kind::Depthwise { w, b }) => {
@@ -581,20 +605,10 @@ impl Runner {
                 ops::conv2d_direct_channels_into(x, w, b, a, 0..c, out.data_mut());
                 self.insert(node.output, out);
             }
-            (Op::Dense(a), Kind::Dense { w, b, packed }) => {
+            (Op::Dense(a), Kind::Dense { w, b }) => {
                 let mut out = self.alloc(&s.out_shape);
                 let x = self.env[in0.index()].as_ref().expect("live input");
-                match packed {
-                    Some(p) => ops::dense_rows_packed(x, p, b, 0..s.out_shape.n(), out.data_mut()),
-                    None => ops::dense_rows_into(
-                        x,
-                        w,
-                        b,
-                        a.out_features,
-                        0..s.out_shape.n(),
-                        out.data_mut(),
-                    ),
-                }
+                dense_rows(x, w, b, a, 0..s.out_shape.n(), out.data_mut());
                 self.insert(node.output, out);
             }
             (Op::BatchNorm, Kind::Bn { scale, shift }) => {
@@ -708,33 +722,22 @@ impl Runner {
             .as_ref()
             .expect("live input");
         match (&node.op, &s.kind) {
-            (Op::Conv2d(a), Kind::Conv { w, b, packed }) => {
-                let (w, b) = (w.as_slice(), b.as_slice());
-                let packed = packed.as_deref();
+            (Op::Conv2d(a), Kind::Conv { w, b }) => {
                 let oc = a.out_channels;
                 let rows = s.out_shape.numel() / oc;
                 let items = split_rows(out.data_mut(), rows, oc, pool.jobs());
-                let (results, _) = pool.map_consume_with(
-                    items,
-                    Vec::new,
-                    |scratch, _i, (r, slice)| match packed {
-                        Some(p) => ops::conv2d_rows_packed(x, p, b, a, r, scratch, slice),
-                        None => ops::conv2d_rows_into(x, w, b, a, r, scratch, slice),
-                    },
-                );
+                let (results, _) =
+                    pool.map_consume_with(items, Vec::new, |scratch, _i, (r, slice)| {
+                        conv_rows(x, w, b, a, r, scratch, slice)
+                    });
                 for r in results {
                     r?;
                 }
             }
-            (Op::Dense(a), Kind::Dense { w, b, packed }) => {
-                let (w, b) = (w.as_slice(), b.as_slice());
-                let packed = packed.as_deref();
-                let of = a.out_features;
-                let items = split_rows(out.data_mut(), s.out_shape.n(), of, pool.jobs());
-                pool.map_consume(items, |_i, (r, slice)| match packed {
-                    Some(p) => ops::dense_rows_packed(x, p, b, r, slice),
-                    None => ops::dense_rows_into(x, w, b, of, r, slice),
-                });
+            (Op::Dense(a), Kind::Dense { w, b }) => {
+                let items =
+                    split_rows(out.data_mut(), s.out_shape.n(), a.out_features, pool.jobs());
+                pool.map_consume(items, |_i, (r, slice)| dense_rows(x, w, b, a, r, slice));
             }
             (Op::Conv2d(a), Kind::Depthwise { w, b }) => {
                 let (w, b) = (w.as_slice(), b.as_slice());
@@ -777,42 +780,17 @@ impl Runner {
             let (results, _) = pool.map_consume_with(items, Vec::new, |scratch, _i, (s, out)| {
                 let x = env[s.node.inputs[0].index()].as_ref().expect("live input");
                 match (&s.node.op, &s.kind) {
-                    (Op::Conv2d(a), Kind::Conv { w, b, packed }) => {
+                    (Op::Conv2d(a), Kind::Conv { w, b }) => {
                         let rows = s.out_shape.numel() / a.out_channels;
-                        match packed {
-                            Some(p) => ops::conv2d_rows_packed(
-                                x,
-                                p,
-                                b,
-                                a,
-                                0..rows,
-                                scratch,
-                                out.data_mut(),
-                            ),
-                            None => {
-                                ops::conv2d_rows_into(x, w, b, a, 0..rows, scratch, out.data_mut())
-                            }
-                        }
+                        conv_rows(x, w, b, a, 0..rows, scratch, out.data_mut())
                     }
                     (Op::Conv2d(a), Kind::Depthwise { w, b }) => {
                         let c = s.out_shape.c();
                         ops::conv2d_direct_channels_into(x, w, b, a, 0..c, out.data_mut());
                         Ok(())
                     }
-                    (Op::Dense(a), Kind::Dense { w, b, packed }) => {
-                        match packed {
-                            Some(p) => {
-                                ops::dense_rows_packed(x, p, b, 0..s.out_shape.n(), out.data_mut())
-                            }
-                            None => ops::dense_rows_into(
-                                x,
-                                w,
-                                b,
-                                a.out_features,
-                                0..s.out_shape.n(),
-                                out.data_mut(),
-                            ),
-                        }
+                    (Op::Dense(a), Kind::Dense { w, b }) => {
+                        dense_rows(x, w, b, a, 0..s.out_shape.n(), out.data_mut());
                         Ok(())
                     }
                     _ => unreachable!("only heavy kernels run node-parallel"),
@@ -827,6 +805,38 @@ impl Runner {
             self.insert(s.node.output, out);
         }
         Ok(())
+    }
+}
+
+/// Lowered rows `rows` of a regular convolution on the path `w` is
+/// staged for.
+fn conv_rows(
+    x: &Tensor,
+    w: &Weights,
+    b: &[f32],
+    a: &pimflow_ir::Conv2dAttrs,
+    rows: Range<usize>,
+    scratch: &mut Vec<f32>,
+    out: &mut [f32],
+) -> Result<(), KernelError> {
+    match w {
+        Weights::Packed(p) => ops::conv2d_rows_packed(x, p, b, a, rows, scratch, out),
+        Weights::RowMajor(w) => ops::conv2d_rows_into(x, w, b, a, rows, scratch, out),
+    }
+}
+
+/// Output rows `rows` of a dense layer on the path `w` is staged for.
+fn dense_rows(
+    x: &Tensor,
+    w: &Weights,
+    b: &[f32],
+    a: &pimflow_ir::DenseAttrs,
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    match w {
+        Weights::Packed(p) => ops::dense_rows_packed(x, p, b, rows, out),
+        Weights::RowMajor(w) => ops::dense_rows_into(x, w, b, a.out_features, rows, out),
     }
 }
 

@@ -41,7 +41,7 @@ pub use executor::{
 };
 pub use im2col::{gemm, im2col, im2col_rows, lowered_dims, KernelError, LoweredConv};
 pub use microkernel::{pack_b, Epilogue, GemmPath, PackedB};
-pub use params::{param_cols, param_vec, ParamRole};
+pub use params::{param_cols, param_cols_packed, param_vec, ParamRole};
 pub use schedule::{Arena, ExecPlan};
 pub use tensor::Tensor;
 pub use tolerance::{ulp_distance, Tolerance, ToleranceError, ToleranceReport};

@@ -9,6 +9,12 @@
 //! `jc -> pc -> ic -> jr -> ir` blocking, scaled down to the shapes a CNN
 //! reference executor sees).
 //!
+//! A packed `B` comes from [`pack_b`] (an existing row-major matrix) or
+//! from [`PackedB::from_rows`], which takes the matrix one row at a time.
+//! The executor uses the latter: its parameter generator writes each
+//! weight row straight into the panels, so the fast path never builds the
+//! row-major matrix at all.
+//!
 //! # Numerical contract
 //!
 //! Per output element the products are accumulated in ascending `k` order,
@@ -105,10 +111,12 @@ pub enum Epilogue<'a> {
 /// whole panel: panel `j` holds columns `j*NR ..` as `k` rows of `NR`
 /// contiguous lanes — the exact order the micro-kernel's inner loop reads.
 ///
-/// Packing costs one pass over `B` and is reused across every row block of
-/// a call (and, in the executor, across all im2col panels *and* all
-/// workers of a sharded convolution — the pack happens once per node at
-/// staging time).
+/// A pack is built once and reused across every row block of a call. The
+/// executor never packs a finished matrix: its parameter generator writes
+/// each weight row straight into the panels through
+/// [`PackedB::from_rows`] (see [`crate::params::param_cols_packed`]), and
+/// the one pack is shared by all im2col panels *and* all workers of a
+/// sharded convolution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedB {
     k: usize,
@@ -117,6 +125,24 @@ pub struct PackedB {
 }
 
 impl PackedB {
+    /// Packs a `[k, n]` matrix produced one row at a time: `fill(kk, row)`
+    /// writes row `kk` (all `n` columns) into `row`, and is called for
+    /// `kk = 0, 1, .., k - 1` in that order, so a sequential generator can
+    /// stream straight into the panels without a row-major copy.
+    pub fn from_rows(k: usize, n: usize, mut fill: impl FnMut(usize, &mut [f32])) -> PackedB {
+        let panels_n = n.div_ceil(NR).max(1);
+        let mut panels = vec![0.0f32; panels_n * k * NR];
+        let mut row = vec![0.0f32; n];
+        for kk in 0..k {
+            fill(kk, &mut row);
+            for (j, lanes) in row.chunks(NR).enumerate() {
+                let at = (j * k + kk) * NR;
+                panels[at..at + lanes.len()].copy_from_slice(lanes);
+            }
+        }
+        PackedB { k, n, panels }
+    }
+
     /// Inner (reduction) dimension of the packed matrix.
     pub fn k(&self) -> usize {
         self.k
@@ -141,18 +167,9 @@ impl PackedB {
 pub fn pack_b(b: &[f32], k: usize, n: usize) -> PackedB {
     let _probe = probe::span(ProbePoint::PackB);
     assert_eq!(b.len(), k * n, "pack_b operand length");
-    let panels_n = n.div_ceil(NR).max(1);
-    let mut panels = vec![0.0f32; panels_n * k * NR];
-    for j in 0..panels_n {
-        let col0 = j * NR;
-        let width = NR.min(n - col0.min(n));
-        let panel = &mut panels[j * k * NR..(j + 1) * k * NR];
-        for kk in 0..k {
-            let src = &b[kk * n + col0..kk * n + col0 + width];
-            panel[kk * NR..kk * NR + width].copy_from_slice(src);
-        }
-    }
-    PackedB { k, n, panels }
+    PackedB::from_rows(k, n, |kk, row| {
+        row.copy_from_slice(&b[kk * n..(kk + 1) * n]);
+    })
 }
 
 /// Register-blocked GEMM over a packed `B`:

@@ -2,6 +2,11 @@
 //!
 //! These are deliberately straightforward loop nests: they are the
 //! correctness oracle for the transformation passes, not a fast runtime.
+//! They still avoid work their arithmetic does not need: data-movement
+//! operators (`slice`, `concat`, `pad`, `upsample`) copy contiguous blocks
+//! rather than single elements, and depthwise convolution and pooling run
+//! their channel loop innermost, where it vectorizes, without changing any
+//! element's order of operations.
 //!
 //! Each operator comes in up to three flavours:
 //!
@@ -300,16 +305,16 @@ pub fn conv2d_rows_into(
 /// Fast-path counterpart of [`conv2d_rows_into`]: streams the same
 /// [`CONV_ROW_BLOCK`]-row im2col blocks through the register-blocked
 /// micro-kernel against a pre-packed weight matrix
-/// ([`microkernel::pack_b`] of the `[k_elems, oc]` filter), with the bias
-/// fused into the store epilogue.
+/// (the `[k_elems, oc]` filter as a [`PackedB`]), with the bias fused into
+/// the store epilogue.
 ///
 /// The pack is taken by reference so the executor builds it **once per
-/// node** at staging time and shares it across every row block and every
-/// sharded worker. Per output element the products accumulate in ascending
-/// `k` order and the bias joins last — independent of the row range, so
-/// sharding stays bit-identical; relative to the bias-seeded oracle the
-/// one reassociated addition is bounded by
-/// [`crate::tolerance::Tolerance::kernel_default`].
+/// node** at staging time (generating the weights straight into it) and
+/// shares it across every row block and every sharded worker. Per output
+/// element the products accumulate in ascending `k` order and the bias
+/// joins last — independent of the row range, so sharding stays
+/// bit-identical; relative to the bias-seeded oracle the one reassociated
+/// addition is bounded by [`crate::tolerance::Tolerance::kernel_default`].
 ///
 /// # Errors
 ///
@@ -348,9 +353,15 @@ pub fn conv2d_rows_packed(
 /// Computes channels `channels` of a depthwise convolution into `out`, laid
 /// out `[n * oh * ow, channels.len()]` (channel-local). For the full
 /// channel range this *is* the NHWC output layout; for a sub-range the
-/// caller scatters the chunk into the final tensor. Each output element is
-/// accumulated independently (`ky`, `kx` ascending), so channel sharding is
-/// bit-identical to the full nest.
+/// caller scatters the chunk into the final tensor.
+///
+/// The channel loop is innermost: each output pixel's channel slice is
+/// seeded with the bias, then every in-bounds tap `(ky, kx)`, in ascending
+/// order, adds `x[.., c] * w[.., c]` across the slice in one
+/// vectorizable pass. Each output element is still accumulated
+/// independently in the oracle's order (bias, then `ky`, `kx` ascending),
+/// so the result is bit-identical to [`conv2d_direct`] and to any channel
+/// sharding.
 ///
 /// # Panics
 ///
@@ -382,28 +393,35 @@ pub fn conv2d_direct_channels_into(
         n * oh * ow * width,
         "depthwise output slice length"
     );
+    if width == 0 {
+        return;
+    }
     let xd = x.data();
+    let bias = &bias[channels.clone()];
+    let mut pixels = out.chunks_exact_mut(width);
     for b in 0..n {
         for oy in 0..oh {
             for ox in 0..ow {
-                let out_base = ((b * oh + oy) * ow + ox) * width;
-                for (local, co) in channels.clone().enumerate() {
-                    let mut acc = bias[co];
-                    for ky in 0..kh {
-                        let iy = (oy * sh + ky) as isize - ph as isize;
-                        if iy < 0 || iy as usize >= ih {
+                let acc = pixels.next().expect("one slice per output pixel");
+                acc.copy_from_slice(bias);
+                for ky in 0..kh {
+                    let iy = (oy * sh + ky) as isize - ph as isize;
+                    if iy < 0 || iy as usize >= ih {
+                        continue;
+                    }
+                    for kx in 0..kw {
+                        let ix = (ox * sw + kx) as isize - pw as isize;
+                        if ix < 0 || ix as usize >= iw {
                             continue;
                         }
-                        for kx in 0..kw {
-                            let ix = (ox * sw + kx) as isize - pw as isize;
-                            if ix < 0 || ix as usize >= iw {
-                                continue;
-                            }
-                            let in_base = ((b * ih + iy as usize) * iw + ix as usize) * ic;
-                            acc += xd[in_base + co] * weights[(ky * kw + kx) * ic + co];
+                        let at = ((b * ih + iy as usize) * iw + ix as usize) * ic + channels.start;
+                        let tap = (ky * kw + kx) * ic + channels.start;
+                        let xs = &xd[at..at + width];
+                        let ws = &weights[tap..tap + width];
+                        for ((o, &xv), &wv) in acc.iter_mut().zip(xs).zip(ws) {
+                            *o += xv * wv;
                         }
                     }
-                    out[out_base + local] = acc;
                 }
             }
         }
@@ -786,52 +804,70 @@ pub fn pool(x: &Tensor, attrs: &PoolAttrs) -> Result<Tensor, KernelError> {
 }
 
 /// Fills a pre-allocated pooling output (shape already validated).
+///
+/// Same loop order as [`conv2d_direct_channels_into`]: each output pixel's
+/// channel vector starts at the identity of the reduction, and every
+/// in-bounds window tap, in ascending `(ky, kx)` order, folds in the input
+/// pixel's channel vector. Per element that is the order of a
+/// per-channel nest, so every channel's result is independent of the
+/// others.
 pub(crate) fn pool_into(x: &Tensor, attrs: &PoolAttrs, out: &mut Tensor) {
     let (n, ih, iw, c) = (x.shape().n(), x.shape().h(), x.shape().w(), x.shape().c());
     let (kh, kw) = (attrs.kernel.h, attrs.kernel.w);
     let (sh, sw) = (attrs.stride.h, attrs.stride.w);
     let (ph, pw) = (attrs.padding.h, attrs.padding.w);
     let (oh, ow) = (out.shape().h(), out.shape().w());
+    if c == 0 {
+        return;
+    }
     let xd = x.data();
-    let od = out.data_mut();
+    let mut pixels = out.data_mut().chunks_exact_mut(c);
     for b in 0..n {
         for oy in 0..oh {
             for ox in 0..ow {
-                for ci in 0..c {
-                    let mut acc = match attrs.kind {
-                        PoolKind::Max => f32::NEG_INFINITY,
-                        PoolKind::Avg => 0.0,
-                    };
-                    let mut count = 0;
-                    for ky in 0..kh {
-                        let iy = (oy * sh + ky) as isize - ph as isize;
-                        if iy < 0 || iy as usize >= ih {
+                let acc = pixels.next().expect("one slice per output pixel");
+                acc.fill(match attrs.kind {
+                    PoolKind::Max => f32::NEG_INFINITY,
+                    PoolKind::Avg => 0.0,
+                });
+                let mut count = 0;
+                for ky in 0..kh {
+                    let iy = (oy * sh + ky) as isize - ph as isize;
+                    if iy < 0 || iy as usize >= ih {
+                        continue;
+                    }
+                    for kx in 0..kw {
+                        let ix = (ox * sw + kx) as isize - pw as isize;
+                        if ix < 0 || ix as usize >= iw {
                             continue;
                         }
-                        for kx in 0..kw {
-                            let ix = (ox * sw + kx) as isize - pw as isize;
-                            if ix < 0 || ix as usize >= iw {
-                                continue;
+                        let at = ((b * ih + iy as usize) * iw + ix as usize) * c;
+                        let xs = &xd[at..at + c];
+                        match attrs.kind {
+                            PoolKind::Max => {
+                                for (o, &v) in acc.iter_mut().zip(xs) {
+                                    *o = o.max(v);
+                                }
                             }
-                            let v = xd[((b * ih + iy as usize) * iw + ix as usize) * c + ci];
-                            match attrs.kind {
-                                PoolKind::Max => acc = acc.max(v),
-                                PoolKind::Avg => acc += v,
+                            PoolKind::Avg => {
+                                for (o, &v) in acc.iter_mut().zip(xs) {
+                                    *o += v;
+                                }
                             }
-                            count += 1;
                         }
+                        count += 1;
                     }
-                    od[((b * oh + oy) * ow + ox) * c + ci] = match attrs.kind {
-                        PoolKind::Max => acc,
-                        // Count-includes-padding=false semantics.
-                        PoolKind::Avg => {
-                            if count > 0 {
-                                acc / count as f32
-                            } else {
-                                0.0
-                            }
+                }
+                // Count-includes-padding=false semantics; an empty window
+                // averages to zero.
+                if attrs.kind == PoolKind::Avg {
+                    if count > 0 {
+                        for o in acc.iter_mut() {
+                            *o /= count as f32;
                         }
-                    };
+                    } else {
+                        acc.fill(0.0);
+                    }
                 }
             }
         }
@@ -873,19 +909,27 @@ pub fn pad(x: &Tensor, attrs: &PadAttrs) -> Tensor {
     out
 }
 
-/// Fills a pre-allocated, **zero-filled** pad output (borders stay zero).
+/// Fills a pre-allocated, **zero-filled** pad output (borders stay zero):
+/// each input row of `w * c` floats is one contiguous copy.
 pub(crate) fn pad_into(x: &Tensor, attrs: &PadAttrs, out: &mut Tensor) {
-    let (n, h, w, c) = (x.shape().n(), x.shape().h(), x.shape().w(), x.shape().c());
-    for b in 0..n {
-        for y in 0..h {
-            for xx in 0..w {
-                for ci in 0..c {
-                    let v = x.get(&[b, y, xx, ci]);
-                    out.set(&[b, y + attrs.top, xx + attrs.left, ci], v);
-                }
-            }
-        }
+    let (h, w, c) = (x.shape().h(), x.shape().w(), x.shape().c());
+    let (oh, ow) = (out.shape().h(), out.shape().w());
+    let run = w * c;
+    if run == 0 {
+        return;
     }
+    let od = out.data_mut();
+    for (row, src) in x.data().chunks_exact(run).enumerate() {
+        let (b, y) = (row / h, row % h);
+        let at = ((b * oh + y + attrs.top) * ow + attrs.left) * c;
+        od[at..at + run].copy_from_slice(src);
+    }
+}
+
+/// Product of the dimensions after `axis`: the contiguous run one index
+/// along `axis` spans in a row-major tensor.
+fn inner_extent(shape: &Shape, axis: usize) -> usize {
+    (axis + 1..shape.rank()).map(|ax| shape.dim(ax)).product()
 }
 
 /// Slices along a single axis.
@@ -905,21 +949,20 @@ pub fn slice(x: &Tensor, attrs: &SliceAttrs) -> Tensor {
     out
 }
 
-/// Fills a pre-allocated slice output.
+/// Fills a pre-allocated slice output: one contiguous copy per index of
+/// the dimensions before the axis, each `len * inner` floats long, where
+/// `inner` is the product of the dimensions after it.
 pub(crate) fn slice_into(x: &Tensor, attrs: &SliceAttrs, out: &mut Tensor) {
-    let out_shape = out.shape().clone();
-    let mut idx = vec![0usize; out_shape.rank()];
-    let total = out_shape.numel();
-    for lin in 0..total {
-        // Decode lin into out-coordinates.
-        let mut rem = lin;
-        for ax in (0..out_shape.rank()).rev() {
-            idx[ax] = rem % out_shape.dim(ax);
-            rem /= out_shape.dim(ax);
-        }
-        let mut src = idx.clone();
-        src[attrs.axis] += attrs.begin;
-        out.data_mut()[lin] = x.get(&src);
+    let inner = inner_extent(x.shape(), attrs.axis);
+    let src_run = x.shape().dim(attrs.axis) * inner;
+    let run = attrs.len() * inner;
+    if run == 0 {
+        return;
+    }
+    let from = attrs.begin * inner;
+    let blocks = out.data_mut().chunks_exact_mut(run);
+    for (dst, src) in blocks.zip(x.data().chunks_exact(src_run)) {
+        dst.copy_from_slice(&src[from..from + run]);
     }
 }
 
@@ -968,26 +1011,25 @@ pub fn concat(inputs: &[&Tensor], axis: usize) -> Result<Tensor, KernelError> {
     Ok(out)
 }
 
-/// Fills a pre-allocated concat output (shape already validated).
+/// Fills a pre-allocated concat output (shape already validated): each
+/// input contributes one contiguous copy per index of the dimensions before
+/// the axis, placed at its offset inside the output's block.
 pub(crate) fn concat_into(inputs: &[&Tensor], axis: usize, out: &mut Tensor) {
-    let rank = out.shape().rank();
-    let mut axis_offset = 0;
+    let inner = inner_extent(out.shape(), axis);
+    let out_run = out.shape().dim(axis) * inner;
+    if out_run == 0 {
+        return;
+    }
+    let mut offset = 0;
     for t in inputs {
-        let s = t.shape();
-        let n = s.numel();
-        let mut idx = vec![0usize; rank];
-        for lin in 0..n {
-            let mut rem = lin;
-            for ax in (0..rank).rev() {
-                idx[ax] = rem % s.dim(ax);
-                rem /= s.dim(ax);
+        let run = t.shape().dim(axis) * inner;
+        if run > 0 {
+            let blocks = out.data_mut().chunks_exact_mut(out_run);
+            for (dst, src) in blocks.zip(t.data().chunks_exact(run)) {
+                dst[offset..offset + run].copy_from_slice(src);
             }
-            let mut dst = idx.clone();
-            dst[axis] += axis_offset;
-            let v = t.data()[lin];
-            out.set(&dst, v);
         }
-        axis_offset += s.dim(axis);
+        offset += run;
     }
 }
 
@@ -1004,17 +1046,26 @@ pub fn upsample(x: &Tensor, factor: usize) -> Tensor {
     out
 }
 
-/// Fills a pre-allocated upsample output.
+/// Fills a pre-allocated upsample output: each input pixel's channel
+/// vector is copied `factor` times along the first output row of its
+/// block, and that row is then copied to the block's other `factor - 1`
+/// rows.
 pub(crate) fn upsample_into(x: &Tensor, factor: usize, out: &mut Tensor) {
-    let (n, h, w, c) = (x.shape().n(), x.shape().h(), x.shape().w(), x.shape().c());
-    for b in 0..n {
-        for oy in 0..h * factor {
-            for ox in 0..w * factor {
-                for ci in 0..c {
-                    let v = x.get(&[b, oy / factor, ox / factor, ci]);
-                    out.set(&[b, oy, ox, ci], v);
-                }
-            }
+    let (w, c) = (x.shape().w(), x.shape().c());
+    let out_row = w * factor * c;
+    if out_row == 0 {
+        return;
+    }
+    let od = out.data_mut();
+    for (row, src) in x.data().chunks_exact(w * c).enumerate() {
+        let first = row * factor * out_row;
+        let dst = od[first..first + out_row].chunks_exact_mut(c);
+        for (px, lanes) in dst.enumerate() {
+            let ix = px / factor;
+            lanes.copy_from_slice(&src[ix * c..(ix + 1) * c]);
+        }
+        for r in 1..factor {
+            od.copy_within(first..first + out_row, first + r * out_row);
         }
     }
 }

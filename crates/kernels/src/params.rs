@@ -5,7 +5,17 @@
 //! Transformation passes clone the key when they split a node, so the two
 //! halves see identical filters — the property that makes "transformed graph
 //! ≡ original graph" testable numerically.
+//!
+//! Every generator here draws from one stream per `(key, role)` through
+//! [`Rng::fill_range_f32`] over the one range its role maps to, so the
+//! three forms — a flat vector ([`param_vec`]), a column window of a
+//! row-major matrix ([`param_cols`]) and the same window packed for the
+//! GEMM micro-kernel ([`param_cols_packed`]) — agree bit for bit. The
+//! packed form writes each generated row straight into the panels: the
+//! executor's fast path never materializes a row-major weight matrix.
 
+use crate::microkernel::PackedB;
+use crate::probe::{self, ProbePoint};
 use pimflow_rng::Rng;
 
 /// Distinguishes the different parameter tensors of one node.
@@ -39,25 +49,60 @@ fn role_rng(key: u64, role: ParamRole) -> Rng {
     Rng::seed_from_u64(seed)
 }
 
-fn draw(rng: &mut Rng, role: ParamRole, scale: f32) -> f32 {
+/// The uniform range `[lo, hi)` a role's values are drawn from.
+///
+/// Batch-norm scale stays in `[0.5, 1.5]`, away from zero, so activations
+/// never collapse. Everything else is drawn from `[-s, s]` with
+/// `s = 1/sqrt(fan_in + 1)`, which keeps activations numerically tame
+/// through deep stacks (a crude Xavier/Glorot initialization — the
+/// executor only needs well-conditioned numbers, not trained accuracy).
+fn role_range(role: ParamRole, fan_in: usize) -> (f32, f32) {
     match role {
-        // Batch-norm scale must stay away from zero to avoid collapsing
-        // activations; draw from [0.5, 1.5].
-        ParamRole::BnScale => rng.range_f32(0.5, 1.5),
-        _ => rng.range_f32(-scale, scale),
+        ParamRole::BnScale => (0.5, 1.5),
+        _ => {
+            let scale = 1.0 / ((fan_in as f32) + 1.0).sqrt();
+            (-scale, scale)
+        }
     }
 }
 
-/// Generates `len` deterministic parameter values for `(key, role)`.
-///
-/// Values are drawn uniformly from `[-s, s]` where `s = 1/sqrt(fan_in + 1)`,
-/// keeping activations numerically tame through deep stacks (a crude
-/// Xavier/Glorot initialization — the executor only needs well-conditioned
-/// numbers, not trained accuracy).
+/// Generates `len` deterministic parameter values for `(key, role)`, drawn
+/// uniformly from the role's range (see the module docs).
 pub fn param_vec(key: u64, role: ParamRole, len: usize, fan_in: usize) -> Vec<f32> {
+    let _probe = probe::span(ProbePoint::ParamGen);
+    let (lo, hi) = role_range(role, fan_in);
+    let mut out = vec![0.0f32; len];
+    role_rng(key, role).fill_range_f32(&mut out, lo, hi);
+    out
+}
+
+/// The row generator behind [`param_cols`] and [`param_cols_packed`]: each
+/// call fills the next row's columns `begin..end` of the row-major
+/// `[rows, row_len]` matrix for `(key, role)` and skips the stream past the
+/// columns outside the window.
+///
+/// # Panics
+///
+/// Panics unless `begin <= end <= row_len`.
+fn window_rows(
+    key: u64,
+    role: ParamRole,
+    row_len: usize,
+    begin: usize,
+    end: usize,
+    fan_in: usize,
+) -> impl FnMut(&mut [f32]) {
+    assert!(
+        begin <= end && end <= row_len,
+        "invalid column window {begin}..{end} of {row_len}"
+    );
     let mut rng = role_rng(key, role);
-    let scale = 1.0 / ((fan_in as f32) + 1.0).sqrt();
-    (0..len).map(|_| draw(&mut rng, role, scale)).collect()
+    let (lo, hi) = role_range(role, fan_in);
+    move |row| {
+        rng.skip(begin);
+        rng.fill_range_f32(row, lo, hi);
+        rng.skip(row_len - end);
+    }
 }
 
 /// Generates columns `begin..end` of each of the `rows` rows of the
@@ -85,26 +130,43 @@ pub fn param_cols(
     end: usize,
     fan_in: usize,
 ) -> Vec<f32> {
-    assert!(
-        begin <= end && end <= row_len,
-        "invalid column window {begin}..{end} of {row_len}"
-    );
-    let mut rng = role_rng(key, role);
-    let scale = 1.0 / ((fan_in as f32) + 1.0).sqrt();
-    let mut out = Vec::with_capacity(rows * (end - begin));
-    for _ in 0..rows {
-        rng.skip(begin);
-        for _ in begin..end {
-            out.push(draw(&mut rng, role, scale));
-        }
-        rng.skip(row_len - end);
+    let _probe = probe::span(ProbePoint::ParamGen);
+    let mut fill = window_rows(key, role, row_len, begin, end, fan_in);
+    let mut out = vec![0.0f32; rows * (end - begin)];
+    if begin < end {
+        out.chunks_exact_mut(end - begin).for_each(&mut fill);
     }
     out
+}
+
+/// [`param_cols`] generated straight into the GEMM micro-kernel's packed
+/// panels: equal to [`pack_b`]`(&param_cols(..), rows, end - begin)`
+/// without the row-major matrix in between. The executor's fast path
+/// stages every conv and dense weight matrix this way.
+///
+/// [`pack_b`]: crate::microkernel::pack_b
+///
+/// # Panics
+///
+/// Panics unless `begin <= end <= row_len`.
+pub fn param_cols_packed(
+    key: u64,
+    role: ParamRole,
+    rows: usize,
+    row_len: usize,
+    begin: usize,
+    end: usize,
+    fan_in: usize,
+) -> PackedB {
+    let _probe = probe::span(ProbePoint::ParamGen);
+    let mut fill = window_rows(key, role, row_len, begin, end, fan_in);
+    PackedB::from_rows(rows, end - begin, |_, row| fill(row))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microkernel::pack_b;
 
     #[test]
     fn deterministic_for_same_key() {
@@ -156,6 +218,35 @@ mod tests {
                 assert_eq!(cols, sliced, "role {role:?} window {begin}..{end}");
             }
         }
+    }
+
+    #[test]
+    fn packed_generation_equals_packing_the_generated_matrix() {
+        // Windows: empty, full, at either edge, interior; the widths cover
+        // n % NR != 0, one short panel, and exactly one panel.
+        let (rows, row_len, fan_in) = (11, 21, 9);
+        for role in [
+            ParamRole::Weight,
+            ParamRole::Bias,
+            ParamRole::BnScale,
+            ParamRole::BnShift,
+        ] {
+            for (begin, end) in [(0, 0), (7, 7), (0, 21), (0, 8), (13, 21), (20, 21), (3, 16)] {
+                let cols = param_cols(42, role, rows, row_len, begin, end, fan_in);
+                let want = pack_b(&cols, rows, end - begin);
+                let got = param_cols_packed(42, role, rows, row_len, begin, end, fan_in);
+                assert_eq!(got, want, "role {role:?} window {begin}..{end}");
+            }
+        }
+        // Zero rows pack to an empty matrix.
+        let got = param_cols_packed(5, ParamRole::Weight, 0, 8, 0, 8, 1);
+        assert_eq!(got, pack_b(&[], 0, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid column window")]
+    fn param_cols_packed_rejects_an_out_of_range_window() {
+        param_cols_packed(1, ParamRole::Weight, 2, 8, 3, 9, 8);
     }
 
     #[test]

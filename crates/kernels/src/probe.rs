@@ -40,10 +40,13 @@ pub enum ProbePoint {
     DenseRowsFast,
     /// Exact dense kernel ([`crate::ops::dense_rows_into`]).
     DenseRowsExact,
+    /// Parameter generation ([`crate::params`]), including the packing of
+    /// fast-path weights, which happens while they are generated.
+    ParamGen,
 }
 
 /// Number of probe points (counter table size).
-const POINTS: usize = 9;
+const POINTS: usize = 10;
 
 impl ProbePoint {
     /// Stable display name, used in stdout tables and JSON artifacts.
@@ -58,6 +61,7 @@ impl ProbePoint {
             ProbePoint::DepthwiseDirect => "depthwise_direct",
             ProbePoint::DenseRowsFast => "dense_rows_fast",
             ProbePoint::DenseRowsExact => "dense_rows_exact",
+            ProbePoint::ParamGen => "param_gen",
         }
     }
 
@@ -73,6 +77,7 @@ impl ProbePoint {
             ProbePoint::DepthwiseDirect,
             ProbePoint::DenseRowsFast,
             ProbePoint::DenseRowsExact,
+            ProbePoint::ParamGen,
         ]
     }
 }

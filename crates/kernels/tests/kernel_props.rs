@@ -1,12 +1,15 @@
 //! Property tests for the reference kernels: the convolution-lowering
-//! identity, data-movement roundtrips, and executor determinism. Cases are
+//! identity, data-movement roundtrips and oracles, channel independence of
+//! the channel-vectorized kernels, and executor determinism. Cases are
 //! drawn from a seeded `pimflow-rng` generator (the workspace builds
 //! offline, so `proptest` is not available).
 
-use pimflow_ir::{Conv2dAttrs, Hw, PadAttrs, Shape, SliceAttrs};
+use pimflow_ir::{Conv2dAttrs, Hw, PadAttrs, PoolAttrs, PoolKind, Shape, SliceAttrs};
 use pimflow_kernels::im2col::gemm_with;
 use pimflow_kernels::microkernel::{gemm_packed, KC, MC, MR, NR};
-use pimflow_kernels::ops::{concat, conv2d, conv2d_direct, pad, slice};
+use pimflow_kernels::ops::{
+    concat, conv2d, conv2d_direct, conv2d_direct_channels_into, pad, pool, slice, upsample,
+};
 use pimflow_kernels::{gemm, im2col, pack_b, Epilogue, GemmPath, Tensor, Tolerance};
 use pimflow_rng::Rng;
 
@@ -351,6 +354,279 @@ fn depthwise_is_channelwise() {
         let y = conv2d(&x, &weights, &bias, &attrs).unwrap();
         for (i, (&out, &v)) in y.data().iter().zip(&vals).enumerate() {
             assert!((out - v * (i + 1) as f32).abs() < 1e-6);
+        }
+    }
+}
+
+/// Row-major coordinates of flat index `lin` in `shape`.
+fn unravel(mut lin: usize, shape: &Shape) -> Vec<usize> {
+    let mut idx = vec![0; shape.rank()];
+    for ax in (0..shape.rank()).rev() {
+        idx[ax] = lin % shape.dim(ax);
+        lin /= shape.dim(ax);
+    }
+    idx
+}
+
+/// A tensor of `shape` whose every element is `f(its coordinates)`,
+/// written one element at a time through `Tensor::set`.
+fn from_coords(shape: Shape, mut f: impl FnMut(&[usize]) -> f32) -> Tensor {
+    let mut out = Tensor::zeros(shape.clone());
+    for lin in 0..shape.numel() {
+        let idx = unravel(lin, &shape);
+        out.set(&idx, f(&idx));
+    }
+    out
+}
+
+/// A random shape of rank 2 or 4 with extents 1..=5 (odd ones included).
+fn random_shape(rng: &mut Rng, rank: usize) -> Shape {
+    Shape::new((0..rank).map(|_| rng.range_usize(1, 6)).collect())
+}
+
+fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got), bits(want), "{what}: values");
+}
+
+/// The block-copy `slice`, `concat`, `pad` and `upsample` agree bit for
+/// bit with per-element `get`/`set` oracles: ranks 2 and 4, every axis,
+/// one to four concat inputs, odd extents, every combination of pad sides
+/// and upsample factors 1–3.
+#[test]
+fn data_movement_ops_match_per_element_oracles() {
+    let mut rng = Rng::seed_from_u64(0x6e57_0005);
+    for case in 0..4 * CASES {
+        for rank in [2, 4] {
+            let shape = random_shape(&mut rng, rank);
+            let x = random_tensor(&mut rng, shape.clone());
+            for axis in 0..rank {
+                // slice
+                let extent = shape.dim(axis);
+                let begin = rng.range_usize(0, extent);
+                let end = rng.range_usize(begin + 1, extent + 1);
+                let attrs = SliceAttrs { axis, begin, end };
+                let want = from_coords(shape.with_dim(axis, end - begin), |idx| {
+                    let mut src = idx.to_vec();
+                    src[axis] += begin;
+                    x.get(&src)
+                });
+                assert_bits_eq(
+                    &slice(&x, &attrs),
+                    &want,
+                    &format!("slice {attrs:?} of {shape}"),
+                );
+
+                // concat: parts differ only along the axis.
+                let parts: Vec<Tensor> = (0..rng.range_usize(1, 5))
+                    .map(|_| {
+                        let part = shape.with_dim(axis, rng.range_usize(1, 4));
+                        random_tensor(&mut rng, part)
+                    })
+                    .collect();
+                let total = parts.iter().map(|t| t.shape().dim(axis)).sum();
+                let want = from_coords(shape.with_dim(axis, total), |idx| {
+                    let mut src = idx.to_vec();
+                    for t in &parts {
+                        if src[axis] < t.shape().dim(axis) {
+                            return t.get(&src);
+                        }
+                        src[axis] -= t.shape().dim(axis);
+                    }
+                    unreachable!("index past the last part")
+                });
+                let refs: Vec<&Tensor> = parts.iter().collect();
+                let got = concat(&refs, axis).unwrap();
+                assert_bits_eq(
+                    &got,
+                    &want,
+                    &format!("concat of {} along {axis}", refs.len()),
+                );
+            }
+        }
+
+        let shape = random_shape(&mut rng, 4);
+        let x = random_tensor(&mut rng, shape.clone());
+        let (n, h, w, c) = (shape.n(), shape.h(), shape.w(), shape.c());
+
+        // pad: the case index walks every subset of the four sides.
+        let side = |bit: usize, rng: &mut Rng| {
+            if case & (1 << bit) != 0 {
+                rng.range_usize(1, 4)
+            } else {
+                0
+            }
+        };
+        let attrs = PadAttrs {
+            top: side(0, &mut rng),
+            bottom: side(1, &mut rng),
+            left: side(2, &mut rng),
+            right: side(3, &mut rng),
+        };
+        let padded = Shape::nhwc(n, h + attrs.extra_h(), w + attrs.extra_w(), c);
+        let want = from_coords(padded, |idx| {
+            let (y, xx) = (idx[1], idx[2]);
+            let inside = (attrs.top..attrs.top + h).contains(&y)
+                && (attrs.left..attrs.left + w).contains(&xx);
+            if inside {
+                x.get(&[idx[0], y - attrs.top, xx - attrs.left, idx[3]])
+            } else {
+                0.0
+            }
+        });
+        assert_bits_eq(
+            &pad(&x, &attrs),
+            &want,
+            &format!("pad {attrs:?} of {shape}"),
+        );
+
+        // upsample
+        let factor = 1 + case % 3;
+        let want = from_coords(Shape::nhwc(n, h * factor, w * factor, c), |idx| {
+            x.get(&[idx[0], idx[1] / factor, idx[2] / factor, idx[3]])
+        });
+        assert_bits_eq(
+            &upsample(&x, factor),
+            &want,
+            &format!("upsample x{factor} of {shape}"),
+        );
+    }
+}
+
+/// Random cut points splitting `0..c` into consecutive ranges.
+fn channel_split(rng: &mut Rng, c: usize) -> Vec<std::ops::Range<usize>> {
+    let mut ranges = Vec::new();
+    let mut start = 0;
+    while start < c {
+        let end = rng.range_usize(start + 1, c + 1);
+        ranges.push(start..end);
+        start = end;
+    }
+    ranges
+}
+
+/// The channel-vectorized depthwise convolution computes any channel range
+/// exactly as the full nest and the direct oracle do: kernels 3 and 5,
+/// strides 1 and 2, with and without padding.
+#[test]
+fn depthwise_is_bit_identical_over_any_channel_split() {
+    let mut rng = Rng::seed_from_u64(0x6e57_0006);
+    for case in 0..CASES {
+        let k = [3, 5][case % 2];
+        let s = 1 + (case / 2) % 2;
+        let p = (case / 4) % 3;
+        let c = rng.range_usize(1, 20);
+        let (h, w) = (rng.range_usize(k, k + 6), rng.range_usize(k, k + 6));
+        let shape = Shape::nhwc(rng.range_usize(1, 3), h, w, c);
+        let x = random_tensor(&mut rng, shape);
+        let attrs = Conv2dAttrs {
+            out_channels: c,
+            kernel: Hw::square(k),
+            stride: Hw::square(s),
+            padding: Hw::square(p),
+            groups: c,
+        };
+        let weights: Vec<f32> = (0..k * k * c).map(|_| rng.range_f32(-1.0, 1.0)).collect();
+        let bias: Vec<f32> = (0..c).map(|_| rng.range_f32(-1.0, 1.0)).collect();
+        let direct = conv2d_direct(&x, &weights, &bias, &attrs).unwrap();
+        let pixels = direct.shape().numel() / c;
+        let mut split = vec![0.0f32; direct.shape().numel()];
+        for r in channel_split(&mut rng, c) {
+            let mut chunk = vec![0.0f32; pixels * r.len()];
+            conv2d_direct_channels_into(&x, &weights, &bias, &attrs, r.clone(), &mut chunk);
+            for (px, lanes) in chunk.chunks_exact(r.len()).enumerate() {
+                split[px * c + r.start..px * c + r.end].copy_from_slice(lanes);
+            }
+        }
+        let split = Tensor::from_vec(direct.shape().clone(), split);
+        assert_bits_eq(&split, &direct, &format!("depthwise k{k} s{s} p{p} c{c}"));
+        assert_bits_eq(
+            &conv2d(&x, &weights, &bias, &attrs).unwrap(),
+            &direct,
+            "full range",
+        );
+    }
+}
+
+/// Per-channel pooling oracle: one channel at a time, window taps in
+/// ascending `(ky, kx)` order, average over the in-bounds taps only.
+fn pool_oracle(x: &Tensor, attrs: &PoolAttrs) -> Tensor {
+    let out_shape = pool(x, attrs).unwrap().shape().clone();
+    let (ih, iw) = (x.shape().h(), x.shape().w());
+    from_coords(out_shape, |idx| {
+        let (b, oy, ox, ci) = (idx[0], idx[1], idx[2], idx[3]);
+        let mut acc = match attrs.kind {
+            PoolKind::Max => f32::NEG_INFINITY,
+            PoolKind::Avg => 0.0,
+        };
+        let mut count = 0;
+        for ky in 0..attrs.kernel.h {
+            for kx in 0..attrs.kernel.w {
+                let iy = (oy * attrs.stride.h + ky) as isize - attrs.padding.h as isize;
+                let ix = (ox * attrs.stride.w + kx) as isize - attrs.padding.w as isize;
+                if iy < 0 || ix < 0 || iy as usize >= ih || ix as usize >= iw {
+                    continue;
+                }
+                let v = x.get(&[b, iy as usize, ix as usize, ci]);
+                match attrs.kind {
+                    PoolKind::Max => acc = acc.max(v),
+                    PoolKind::Avg => acc += v,
+                }
+                count += 1;
+            }
+        }
+        match attrs.kind {
+            PoolKind::Max => acc,
+            PoolKind::Avg if count > 0 => acc / count as f32,
+            PoolKind::Avg => 0.0,
+        }
+    })
+}
+
+/// Channel-vectorized pooling equals the per-channel oracle, and pooling
+/// any channel range on its own gives that range's channels of the full
+/// result: max and average, kernels 3 and 5, strides 1 and 2, padding.
+#[test]
+fn pooling_is_bit_identical_over_any_channel_split() {
+    let mut rng = Rng::seed_from_u64(0x6e57_0007);
+    for case in 0..2 * CASES {
+        let kind = [PoolKind::Max, PoolKind::Avg][case % 2];
+        let k = [3, 5][(case / 2) % 2];
+        let attrs = PoolAttrs {
+            kind,
+            kernel: Hw::square(k),
+            stride: Hw::square(1 + (case / 4) % 2),
+            padding: Hw::square((case / 8) % 3),
+        };
+        let c = rng.range_usize(1, 20);
+        let (h, w) = (rng.range_usize(k, k + 6), rng.range_usize(k, k + 6));
+        let shape = Shape::nhwc(rng.range_usize(1, 3), h, w, c);
+        let x = random_tensor(&mut rng, shape);
+        let full = pool(&x, &attrs).unwrap();
+        assert_bits_eq(&full, &pool_oracle(&x, &attrs), &format!("{attrs:?} c{c}"));
+        for r in channel_split(&mut rng, c) {
+            let part = slice(
+                &x,
+                &SliceAttrs {
+                    axis: 3,
+                    begin: r.start,
+                    end: r.end,
+                },
+            );
+            let want = slice(
+                &full,
+                &SliceAttrs {
+                    axis: 3,
+                    begin: r.start,
+                    end: r.end,
+                },
+            );
+            assert_bits_eq(
+                &pool(&part, &attrs).unwrap(),
+                &want,
+                &format!("{attrs:?} {r:?}"),
+            );
         }
     }
 }

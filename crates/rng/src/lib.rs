@@ -163,6 +163,21 @@ impl Rng {
         lo + self.next_f32() * (hi - lo)
     }
 
+    /// Fills `out` with uniform `f32`s in `[lo, hi)`: exactly the values
+    /// `out.len()` successive [`range_f32`](Rng::range_f32) calls return,
+    /// with the range checked once and its width computed once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo >= hi`.
+    pub fn fill_range_f32(&mut self, out: &mut [f32], lo: f32, hi: f32) {
+        assert!(lo < hi, "empty range {lo}..{hi}");
+        let width = hi - lo;
+        for v in out {
+            *v = lo + self.next_f32() * width;
+        }
+    }
+
     /// A uniform `f64` in `[lo, hi)`.
     ///
     /// # Panics
@@ -240,6 +255,35 @@ mod tests {
             let f = r.range_f32(-2.5, 2.5);
             assert!((-2.5..2.5).contains(&f));
         }
+    }
+
+    #[test]
+    fn fill_range_matches_repeated_range_draws() {
+        for (len, lo, hi) in [
+            (0, -1.0, 1.0),
+            (1, 0.5, 1.5),
+            (37, -0.03, 0.03),
+            (1000, -2.5, 7.0),
+        ] {
+            let mut a = Rng::seed_from_u64(len as u64 + 9);
+            let mut b = a.clone();
+            let mut filled = vec![0.0f32; len];
+            a.fill_range_f32(&mut filled, lo, hi);
+            let drawn: Vec<f32> = (0..len).map(|_| b.range_f32(lo, hi)).collect();
+            assert_eq!(
+                filled.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                drawn.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "len {len} range {lo}..{hi}"
+            );
+            // Both leave the stream at the same position.
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn fill_range_rejects_an_empty_range() {
+        Rng::seed_from_u64(1).fill_range_f32(&mut [0.0; 4], 1.0, 1.0);
     }
 
     #[test]
