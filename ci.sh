@@ -157,6 +157,12 @@ PIMFLOW_EXACT_KERNELS=1 PIMFLOW_JOBS=2 cargo test -q --offline -p pimflow-kernel
 echo "==> cargo test --test exec_parallel (PIMFLOW_EXACT_KERNELS=1)"
 PIMFLOW_EXACT_KERNELS=1 PIMFLOW_JOBS=2 cargo test -q --offline --test exec_parallel
 
+# The compile-and-run pins (plan bytes and engine timelines on five zoo
+# models under three search variants) re-run at a 2-wide pool: the
+# search fans out over the pool, and its plans must not move.
+echo "==> cargo test --test engine_pin (PIMFLOW_JOBS=2)"
+PIMFLOW_JOBS=2 cargo test -q --offline --test engine_pin
+
 # The benchmark (perfbench/) is a package of its own outside the
 # workspace, so nothing above builds it. Test it, then run each workload
 # for a second and require a correct result, so a workspace API change

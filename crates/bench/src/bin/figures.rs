@@ -6,8 +6,6 @@
 //!          autotune|portability|contention]
 //! figures csv <dir>      # machine-readable fig9/fig12 matrix
 //! figures serve [dir]    # serving RPS sweep -> <dir>/BENCH_serve.json
-//! figures parallel [dir] # search timing, 1 worker vs PIMFLOW_JOBS
-//!                        #   -> <dir>/BENCH_parallel.json
 //! figures resilience [dir] # channel-fault degradation sweep
 //!                          #   -> <dir>/BENCH_resilience.json
 //! figures costcache [dir]  # cold-vs-warm cost-cache search timing
@@ -345,31 +343,6 @@ fn csv(dir: &str) {
         suite.cells.len(),
         suite.geomean_e2e_speedup(Policy::Pimflow)
     );
-}
-
-/// Times sequential-vs-parallel search and writes `BENCH_parallel.json`
-/// under `dir`.
-fn parallel_sweep(dir: &str) {
-    use pimflow_bench::parallel_sweep::write_bench_artifact;
-    println!("== Algorithm 1 search: sequential vs worker-pool wall time ==");
-    let (report, path) = write_bench_artifact(std::path::Path::new(dir)).expect("parallel sweep");
-    println!(
-        "  jobs {} (host threads {})",
-        report.jobs, report.host_threads
-    );
-    for m in &report.models {
-        println!(
-            "  {:<22} {:>4} nodes  1 worker {:>8.1}ms  {} workers {:>8.1}ms  {:4.2}x  identical {}",
-            m.model,
-            m.nodes,
-            m.sequential_ms,
-            report.jobs,
-            m.parallel_ms,
-            m.speedup,
-            m.plans_identical
-        );
-    }
-    println!("wrote {}", path.display());
 }
 
 /// Runs the serving RPS sweep and writes `BENCH_serve.json` under `dir`.
@@ -740,11 +713,6 @@ fn main() {
     if which == "serve" {
         let dir = positional.get(1).cloned().unwrap_or_else(|| ".".into());
         serve_sweep(&dir);
-        return;
-    }
-    if which == "parallel" {
-        let dir = positional.get(1).cloned().unwrap_or_else(|| ".".into());
-        parallel_sweep(&dir);
         return;
     }
     if which == "resilience" {

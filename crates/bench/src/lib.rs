@@ -16,7 +16,6 @@ pub mod fleet_sweep;
 pub mod fusion_sweep;
 pub mod harness;
 pub mod kernel_sweep;
-pub mod parallel_sweep;
 pub mod resilience_sweep;
 pub mod serve_sweep;
 pub mod stats;

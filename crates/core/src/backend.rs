@@ -2,7 +2,7 @@
 //!
 //! The original PIMFlow extends TVM through the Bring-Your-Own-Codegen
 //! (BYOC) interface (§5): GPU-resident nodes compile to cuDNN/cuBLAS/CUTLASS
-//! calls while `pim::`-marked nodes route to the DRAM-PIM code generator.
+//! calls while PIM-placed nodes route to the DRAM-PIM code generator.
 //! This module reproduces that boundary as a Rust trait: a [`Backend`]
 //! decides which nodes it supports and compiles each into a
 //! [`CompiledKernel`] carrying the executable artifact (a typed
@@ -13,6 +13,7 @@
 //! format for inspection and replay.
 
 use crate::codegen::{generate_program, PimWorkload};
+use crate::placement::Placement;
 use pimflow_gpusim::{kernel_for_node, kernel_time_with_launch_us, GpuConfig, KernelProfile};
 use pimflow_ir::{Graph, NodeId, Op};
 use pimflow_isa::{
@@ -281,8 +282,7 @@ pub fn compile_graph(
         if matches!(node.op, Op::Identity | Op::Flatten) {
             continue; // views vanish at code generation
         }
-        let prefer_pim =
-            crate::placement::Placement::of_name(&node.name) == crate::placement::Placement::Pim;
+        let prefer_pim = node.placement.device() == Placement::Pim;
         let kernel = if prefer_pim && pim.supports(graph, id) {
             pim.compile(graph, id)?
         } else {
@@ -387,7 +387,8 @@ mod tests {
         .unwrap();
         let pim_kernels: Vec<_> = kernels.iter().filter(|k| k.backend == "dram-pim").collect();
         assert_eq!(pim_kernels.len(), 1);
-        assert_eq!(pim_kernels[0].node, "pim::conv_3");
+        assert_eq!(pim_kernels[0].node, "conv_3");
+        assert_eq!(g.node(id).placement.device(), Placement::Pim);
         assert!(kernels.iter().any(|k| k.backend == "gpu"));
     }
 }

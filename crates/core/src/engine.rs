@@ -17,7 +17,7 @@ use crate::codegen::{
 use crate::costcache::CacheCounters;
 use crate::error::Result;
 use crate::memopt::{data_move_bytes, is_data_move};
-use crate::placement::{parse_fused, FusedNodeRole, Placement};
+use crate::placement::{isa_role, FusedNodeRole, FusionTag, Placement};
 use pimflow_gpusim::{kernel_for_node, GpuConfig, KernelProfile};
 use pimflow_ir::{ActivationKind, Graph, NodeId, Op, ValueId};
 use pimflow_isa::{CrossbarConfig, FusedRole};
@@ -154,9 +154,6 @@ pub struct EngineConfig {
     pub granularity: ScheduleGranularity,
     /// Whether the memory layout optimizer (§4.3.2) is active.
     pub memopt: bool,
-    /// Inter-channel memory-network bandwidth, GB/s (§4.1 "memory
-    /// networks" between GPU and PIM channels).
-    pub link_gbps: f64,
     /// Fixed latency per cross-boundary transfer, microseconds.
     pub transfer_latency_us: f64,
     /// PIM hardware models the search may place layers on.
@@ -174,9 +171,6 @@ impl EngineConfig {
             pim_channel_mask: ChannelMask::all(),
             granularity: ScheduleGranularity::Comp,
             memopt: true,
-            // The §4.1 memory network connects all 32 channels; a tensor
-            // striped over the PIM channels drains over many links at once.
-            link_gbps: 256.0,
             transfer_latency_us: 0.3,
             pim_backends: PimBackendSet::NewtonOnly,
         }
@@ -222,10 +216,15 @@ impl EngineConfig {
     }
 }
 
+/// Inter-channel memory-network bandwidth, GB/s (§4.1 "memory networks"
+/// between GPU and PIM channels). The network connects all 32 channels, so
+/// a tensor striped over the PIM channels drains over many links at once.
+pub const LINK_GBPS: f64 = 256.0;
+
 /// Where a node ran and for how long.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeTiming {
-    /// Node name (with any `pim::` placement tag).
+    /// Node name.
     pub name: String,
     /// Device the node executed on.
     pub device: Placement,
@@ -298,7 +297,7 @@ pub struct ExecutionReport {
 /// Per-fusion-group execution statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedGroupStat {
-    /// Group id (the `<gid>` of the `pim::fuse.<gid>.<role>::` tags).
+    /// Group id (the `gid` of the members' [`FusionTag`]s).
     pub gid: usize,
     /// Total member nodes in the group (heavy layers and riders).
     pub members: usize,
@@ -361,8 +360,8 @@ fn is_heavy_compute(op: &Op) -> bool {
 
 /// Simulates `graph` under `cfg` and returns the timeline report.
 ///
-/// Node placement follows the `pim::` name prefix set by the transformation
-/// passes; untagged nodes run on the GPU. Nodes tagged for PIM when no PIM
+/// Node placement follows the [`Node::placement`](pimflow_ir::Node::placement)
+/// field set by the transformation passes. Nodes placed on PIM when no PIM
 /// channel is configured *and available* (`cfg.effective_pim_channels() ==
 /// 0`) fall back to the GPU; with a partial [`ChannelMask`] the offloaded
 /// work is scheduled over the surviving channels only.
@@ -435,7 +434,7 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
     let mut group_chain: BTreeMap<usize, Vec<(PimWorkload, FusedRole)>> = BTreeMap::new();
     for &id in &order {
         let node = graph.node(id);
-        let Some((gid, role, _)) = parse_fused(&node.name) else {
+        let Some(FusionTag { gid, role }) = node.placement.fusion() else {
             continue;
         };
         *group_members.entry(gid).or_default() += 1;
@@ -443,7 +442,7 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
             group_chain
                 .entry(gid)
                 .or_default()
-                .push((PimWorkload::from_node(graph, id), role.isa_role()));
+                .push((PimWorkload::from_node(graph, id), isa_role(role)));
         }
     }
     let mut overlap_scale: HashMap<usize, f64> = HashMap::new();
@@ -483,7 +482,7 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
         });
     }
 
-    let link_bw_bytes_per_us = cfg.link_gbps * 1e3; // GB/s -> bytes/us
+    let link_bw_bytes_per_us = LINK_GBPS * 1e3; // GB/s -> bytes/us
 
     for id in order {
         let node = graph.node(id);
@@ -493,8 +492,8 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
             .as_ref()
             .map(|d| d.size_bytes() as u64)
             .unwrap_or(0);
-        let mut device = Placement::of_name(&node.name);
-        let fused_role = parse_fused(&node.name).map(|(_, role, _)| role);
+        let mut device = node.placement.device();
+        let fusion = node.placement.fusion();
         // AiM-style in-PIM activation (extension ablation): a single-input
         // element-wise op whose operand lives in the PIM channels is applied
         // by the PIM logic while results drain — no GPU kernel, no transfer.
@@ -514,7 +513,7 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
         // *every* operand is already PIM-resident — which holds exactly
         // when the skip forked inside the group (the head's staging or a
         // member's output), the condition the fusion walker enforces.
-        let fused_rider = fused_role == Some(FusedNodeRole::Rider)
+        let fused_rider = fusion.map(|t| t.role) == Some(FusedNodeRole::Rider)
             && effective_channels > 0
             && op_is_fusable(&node.op)
             && !node.inputs.is_empty()
@@ -606,7 +605,7 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
             // Fused heavy members lower under their group role: the
             // memo key carries the role because the rewritten program
             // prices differently from the standalone one.
-            let role = fused_role.map(FusedNodeRole::isa_role).unwrap_or_default();
+            let role = fusion.map(|t| isa_role(t.role)).unwrap_or_default();
             let (dur, stats, busy_us) = match pim_memo.get(&(workload, role)) {
                 Some(cached) => {
                     memo_hits += 1;
@@ -644,8 +643,8 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
             // earlier than their standalone times sum to — each member's
             // wall-clock share shrinks proportionally. Busy counters stay
             // unscaled: the MAC work is still done, only idle gaps hide.
-            let dur = match parse_fused(&node.name) {
-                Some((gid, _, _)) => dur * overlap_scale.get(&gid).copied().unwrap_or(1.0),
+            let dur = match fusion {
+                Some(t) => dur * overlap_scale.get(&t.gid).copied().unwrap_or(1.0),
                 None => dur,
             };
             let start = ready.max(pim_free);
@@ -789,7 +788,8 @@ mod tests {
         split_node(&mut g, id, 0).unwrap();
         let r = execute(&g, &EngineConfig::pimflow()).unwrap();
         assert!(r.pim_busy_us > 0.0);
-        let t = r.timing("pim::conv_3").unwrap();
+        assert_eq!(g.node(id).placement.device(), Placement::Pim);
+        let t = r.timing("conv_3").unwrap();
         assert_eq!(t.device, Placement::Pim);
     }
 
@@ -809,7 +809,8 @@ mod tests {
         split_node(&mut g, id, 50).unwrap();
         let r = execute(&g, &EngineConfig::pimflow()).unwrap();
         let a = r.timing("mddp_a_conv_3").unwrap().clone();
-        let b = r.timing("pim::mddp_b_conv_3").unwrap().clone();
+        let b = r.timing("mddp_b_conv_3").unwrap().clone();
+        assert_eq!((a.device, b.device), (Placement::Gpu, Placement::Pim));
         // The two halves must overlap in time (that is the whole point).
         assert!(
             a.start_us < b.finish_us && b.start_us < a.finish_us,
@@ -940,8 +941,9 @@ mod transfer_tests {
         let id = g.find_node("conv_3").unwrap();
         split_node(&mut g, id, 0).unwrap();
         let r = execute(&g, &EngineConfig::pimflow()).unwrap();
+        assert_eq!(g.node(id).placement.device(), Placement::Pim);
         let conv_out = g
-            .value(g.node(g.find_node("pim::conv_3").unwrap()).output)
+            .value(g.node(g.find_node("conv_3").unwrap()).output)
             .desc
             .as_ref()
             .unwrap()

@@ -9,12 +9,11 @@
 //! [`pimflow_isa::FusedRole`]), and the riders between them are applied
 //! near the banks during the hand-off.
 //!
-//! The pass itself is a pure placement transformation: it renames the
-//! group members with [`crate::placement::fused_tag`] tags
-//! (`pim::fuse.<gid>.<role>::<base>`) and changes no dataflow, so a fused
-//! graph is numerically identical to the original by construction. The
-//! engine and the cost model read the tags to price the fused lowering;
-//! Algorithm 1 decides where fusing pays (see
+//! The pass itself is a pure placement transformation: it sets each
+//! member's [`NodePlacement::Fused`] annotation (group id and role) and
+//! changes no dataflow, so a fused graph is numerically identical to the
+//! original by construction. The engine reads the annotation to price the
+//! fused lowering; Algorithm 1 decides where fusing pays (see
 //! [`Decision::Fused`](crate::search::Decision::Fused)).
 
 use crate::passes::mddp::PassError;
@@ -22,7 +21,7 @@ use crate::passes::split_util::{
     conv_input_span, emit_conv_on_span, emit_elementwise_part, is_linear_rider, is_residual_rider,
     rows_from_parts,
 };
-use crate::placement::{fused_tag, FusedNodeRole, Placement, PIM_PREFIX};
+use crate::placement::{FusedNodeRole, FusionTag, NodePlacement, Placement};
 use pimflow_ir::{infer_shapes_from, ConcatAttrs, Graph, NodeId, Op, ValueId};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -161,12 +160,12 @@ fn residual_run(graph: &Graph, start: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
 /// Marks `group`'s members as fusion group `gid`: the first heavy layer
 /// becomes the head, the last the tail, interior heavy layers middles,
 /// and the element-wise nodes between them riders. The transformation is
-/// rename-only — dataflow, shapes, and numerics are untouched.
+/// annotation-only — names, dataflow, shapes, and numerics are untouched.
 ///
 /// # Errors
 ///
 /// Returns [`PassError::NotApplicable`] when the group has fewer than two
-/// heavy layers, a member is already placed (tagged `pim::`), a listed
+/// heavy layers, a member is already placed on PIM, a listed
 /// rider is not element-wise, or a heavy member is not in the node list.
 pub fn fuse_group(graph: &mut Graph, group: &FusionGroup, gid: usize) -> Result<(), PassError> {
     if group.heavy.len() < 2 {
@@ -184,7 +183,7 @@ pub fn fuse_group(graph: &mut Graph, group: &FusionGroup, gid: usize) -> Result<
     }
     for &id in &group.nodes {
         let node = graph.node(id);
-        if node.name.starts_with(PIM_PREFIX) {
+        if node.placement != NodePlacement::Gpu {
             return Err(PassError::NotApplicable(format!(
                 "node `{}` is already placed",
                 node.name
@@ -209,8 +208,7 @@ pub fn fuse_group(graph: &mut Graph, group: &FusionGroup, gid: usize) -> Result<
         } else {
             FusedNodeRole::Middle
         };
-        let tagged = fused_tag(gid, role, &graph.node(id).name);
-        graph.node_mut(id).name = tagged;
+        graph.node_mut(id).placement = NodePlacement::Fused(FusionTag { gid, role });
     }
     Ok(())
 }
@@ -309,7 +307,7 @@ pub fn fuse_group_interior(
         ));
     };
     for &id in &group.nodes {
-        if graph.node(id).name.starts_with(PIM_PREFIX) {
+        if graph.node(id).placement != NodePlacement::Gpu {
             return Err(PassError::NotApplicable(format!(
                 "node `{}` is already placed",
                 graph.node(id).name
@@ -468,9 +466,15 @@ pub fn fuse_group_interior(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::{parse_fused, Placement};
     use pimflow_ir::{models, GraphBuilder, Shape};
     use pimflow_kernels::{input_tensors, run_graph};
+
+    /// `(group id, role, name)` of a fused node.
+    fn membership(g: &Graph, id: NodeId) -> (usize, FusedNodeRole, &str) {
+        let node = g.node(id);
+        let tag = node.placement.fusion().expect("fused node");
+        (tag.gid, tag.role, node.name.as_str())
+    }
 
     #[test]
     fn toy_has_one_group_over_the_leading_convs() {
@@ -523,23 +527,10 @@ mod tests {
         assert_eq!(names, ["conv_1", "conv_2", "add_3"]);
         // The trailing rejoin fuses as a rider behind the tail.
         fuse_group(&mut g, group, 7).unwrap();
-        let roles: Vec<_> = group
-            .nodes
-            .iter()
-            .map(|&id| parse_fused(&g.node(id).name).unwrap())
-            .collect();
-        assert_eq!(
-            roles[0],
-            (7, crate::placement::FusedNodeRole::Head, "conv_1")
-        );
-        assert_eq!(
-            roles[1],
-            (7, crate::placement::FusedNodeRole::Tail, "conv_2")
-        );
-        assert_eq!(
-            roles[2],
-            (7, crate::placement::FusedNodeRole::Rider, "add_3")
-        );
+        let roles: Vec<_> = group.nodes.iter().map(|&id| membership(&g, id)).collect();
+        assert_eq!(roles[0], (7, FusedNodeRole::Head, "conv_1"));
+        assert_eq!(roles[1], (7, FusedNodeRole::Tail, "conv_2"));
+        assert_eq!(roles[2], (7, FusedNodeRole::Rider, "add_3"));
     }
 
     #[test]
@@ -651,14 +642,20 @@ mod tests {
         assert!(interior_split_height(&split, &group).is_some());
         fuse_group_interior(&mut split, &group, 0, 40).unwrap();
         // The PIM branch carries fused tags; the GPU branch stays plain.
-        let fused_n = split
+        let fused_n: Vec<&str> = split
             .node_ids()
-            .filter(|&id| parse_fused(&split.node(id).name).is_some())
-            .count();
-        assert_eq!(fused_n, 3, "head, tail, and add rider on the PIM rows");
+            .filter(|&id| split.node(id).placement.fusion().is_some())
+            .map(|id| split.node(id).name.as_str())
+            .collect();
+        assert_eq!(
+            fused_n,
+            ["ig0p_conv_1", "ig0p_conv_2", "ig0p_add_3"],
+            "head, tail, and add rider on the PIM rows"
+        );
         assert!(split
             .node_ids()
-            .any(|id| split.node(id).name.contains("ig0g_")));
+            .filter(|&id| split.node(id).name.starts_with("ig0g_"))
+            .all(|id| split.node(id).placement == NodePlacement::Gpu));
         let inputs = input_tensors(&original, 23);
         let a = run_graph(&original, &inputs).unwrap();
         let b2 = run_graph(&split, &inputs).unwrap();
@@ -748,33 +745,24 @@ mod tests {
     }
 
     #[test]
-    fn fuse_group_is_rename_only_and_preserves_numerics() {
+    fn fuse_group_is_annotation_only_and_preserves_numerics() {
         let original = models::toy();
         let mut fused = original.clone();
         let group = find_fusion_groups(&fused).into_iter().next().unwrap();
         fuse_group(&mut fused, &group, 0).unwrap();
-        // Placement tags landed with the right roles.
+        // Placement annotations landed with the right roles; names stay.
         let roles: Vec<_> = group
             .nodes
             .iter()
-            .map(|&id| parse_fused(&fused.node(id).name).unwrap())
+            .map(|&id| membership(&fused, id))
             .collect();
-        assert_eq!(
-            roles[0],
-            (0, crate::placement::FusedNodeRole::Head, "conv_1")
-        );
-        assert_eq!(
-            roles[1],
-            (0, crate::placement::FusedNodeRole::Rider, "relu_2")
-        );
-        assert_eq!(
-            roles[2],
-            (0, crate::placement::FusedNodeRole::Tail, "conv_3")
-        );
+        assert_eq!(roles[0], (0, FusedNodeRole::Head, "conv_1"));
+        assert_eq!(roles[1], (0, FusedNodeRole::Rider, "relu_2"));
+        assert_eq!(roles[2], (0, FusedNodeRole::Tail, "conv_3"));
         for &id in &group.nodes {
-            assert_eq!(Placement::of_name(&fused.node(id).name), Placement::Pim);
+            assert_eq!(fused.node(id).placement.device(), Placement::Pim);
         }
-        // Rename-only: outputs are bit-identical.
+        // Annotation-only: outputs are bit-identical.
         let inputs = input_tensors(&original, 11);
         let a = run_graph(&original, &inputs).unwrap();
         let b = run_graph(&fused, &inputs).unwrap();

@@ -16,7 +16,7 @@
 //! [`ParamView`]: pimflow_ir::graph::ParamView
 
 use crate::passes::split_util::emit_conv_part;
-use crate::placement::Placement;
+use crate::placement::{NodePlacement, Placement};
 use pimflow_ir::{
     infer_shapes_from, ConcatAttrs, DenseAttrs, Graph, NodeId, Op, ParamView, SliceAttrs, ValueId,
 };
@@ -34,7 +34,7 @@ pub type PassError = crate::error::Error;
 pub enum SplitOutcome {
     /// Ratio 100: the node stays on the GPU untouched.
     AllGpu,
-    /// Ratio 0: the node was re-tagged to run fully on PIM.
+    /// Ratio 0: the node was placed to run fully on PIM.
     AllPim(NodeId),
     /// The node was split; the concat output replaces the original value.
     Split {
@@ -83,8 +83,7 @@ pub fn split_node(
         return Ok(SplitOutcome::AllGpu);
     }
     if gpu_percent == 0 {
-        let name = graph.node(id).name.clone();
-        graph.node_mut(id).name = Placement::Pim.tag(&name);
+        graph.node_mut(id).placement = NodePlacement::Pim;
         return Ok(SplitOutcome::AllPim(id));
     }
 
@@ -137,12 +136,14 @@ pub fn split_node(
                         vec![input],
                     );
                     let part = graph.add_node_with_key(
-                        placement.tag(&format!("{tag}{}", node.name)),
+                        format!("{tag}{}", node.name),
                         node.op.clone(),
                         vec![sliced],
                         node.weight_key,
                     );
-                    graph.node_mut(producer_of(graph, part)).param_view = node.param_view;
+                    let pid = producer_of(graph, part);
+                    graph.node_mut(pid).param_view = node.param_view;
+                    graph.node_mut(pid).placement = placement.into();
                     parts.push(part);
                 }
                 (parts[0], parts[1], 0)
@@ -169,7 +170,7 @@ pub fn split_node(
                           placement: Placement,
                           tag: &str| {
                     let part = graph.add_node_with_key(
-                        placement.tag(&format!("{tag}{}", node.name)),
+                        format!("{tag}{}", node.name),
                         Op::Dense(DenseAttrs {
                             out_features: range.len(),
                         }),
@@ -182,6 +183,7 @@ pub fn split_node(
                         begin: base.begin + range.start,
                         end: base.begin + range.end,
                     });
+                    graph.node_mut(pid).placement = placement.into();
                     part
                 };
                 let a = mk(graph, 0..gpu_of, Placement::Gpu, "mddp_a_");
@@ -350,7 +352,8 @@ mod tests {
         let SplitOutcome::AllPim(nid) = outcome else {
             panic!()
         };
-        assert_eq!(Placement::of_name(&t.node(nid).name), Placement::Pim);
+        assert_eq!(t.node(nid).name, "conv_3");
+        assert_eq!(t.node(nid).placement, NodePlacement::Pim);
         // Graph unchanged numerically.
         assert_equivalent(&models::toy(), &t, 0.0);
     }
@@ -392,7 +395,9 @@ mod tests {
         let SplitOutcome::Split { gpu, pim, .. } = split_node(&mut t, id, 50).unwrap() else {
             panic!()
         };
-        assert_eq!(Placement::of_name(&t.node(gpu).name), Placement::Gpu);
-        assert_eq!(Placement::of_name(&t.node(pim).name), Placement::Pim);
+        assert_eq!(t.node(gpu).name, "mddp_a_conv_3");
+        assert_eq!(t.node(gpu).placement, NodePlacement::Gpu);
+        assert_eq!(t.node(pim).name, "mddp_b_conv_3");
+        assert_eq!(t.node(pim).placement, NodePlacement::Pim);
     }
 }

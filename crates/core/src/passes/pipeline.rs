@@ -501,12 +501,17 @@ mod tests {
             .find(|c| c.pattern == PatternKind::PwDwPw)
             .unwrap();
         pipeline_chain(&mut t, &chain, 2).unwrap();
-        let pim_nodes = t
+        let pim_nodes: Vec<&str> = t
             .node_ids()
-            .filter(|&id| Placement::of_name(&t.node(id).name) == Placement::Pim)
-            .count();
+            .filter(|&id| t.node(id).placement.device() == Placement::Pim)
+            .map(|id| t.node(id).name.as_str())
+            .collect();
         // Two 1x1 convs x two parts on PIM.
-        assert_eq!(pim_nodes, 4);
+        assert_eq!(pim_nodes.len(), 4, "{pim_nodes:?}");
+        assert!(
+            pim_nodes.iter().all(|n| n.starts_with("pl")),
+            "{pim_nodes:?}"
+        );
     }
 
     #[test]

@@ -110,16 +110,16 @@ pub fn emit_conv_on_span(
     let mut part_attrs = attrs;
     part_attrs.padding = pimflow_ir::Hw::new(0, 0);
     let out = graph.add_node_with_key(
-        placement.tag(&format!("{}{}", tag, node.name)),
+        format!("{}{}", tag, node.name),
         Op::Conv2d(part_attrs),
         vec![x],
         node.weight_key,
     );
     // H-splits keep the full output-channel set; propagate any existing
     // output-axis view unchanged.
-    graph
-        .node_mut(graph.producer(out).expect("just added"))
-        .param_view = node.param_view;
+    let part = graph.node_mut(graph.producer(out).expect("just added"));
+    part.param_view = node.param_view;
+    part.placement = placement.into();
     out
 }
 

@@ -1,165 +1,29 @@
-//! Device placement markers.
+//! Device placement of graph nodes.
 //!
 //! The original artifact "marks PIM-offloaded nodes by prefixing the node
 //! names and passing them as Relay IR attribute to trigger the DRAM
-//! back-end" (§4.3.1). We adopt the same convention: nodes whose name starts
-//! with `pim::` execute on the PIM-enabled channels, everything else on the
-//! GPU.
+//! back-end" (§4.3.1). We deviate from that convention: placement is a
+//! typed field on every node, [`pimflow_ir::Node::placement`], which the
+//! transformation passes write and the engine and back-ends read. Two
+//! reasons: a name protocol makes every reader re-parse strings, and it
+//! collides with the model's own names — a node that happened to be
+//! called `pim::x` would run on PIM without any plan. Node names are
+//! labels only; [`NodePlacement`] also makes a fused GPU node
+//! unrepresentable.
+//!
+//! The types live in `pimflow-ir` so the graph can carry them; this
+//! module re-exports them and adds the mapping onto the typed ISA.
 
+pub use pimflow_ir::{FusedNodeRole, FusionTag, NodePlacement, Placement};
 use pimflow_isa::FusedRole;
-use pimflow_json::json_unit_enum;
 
-/// Name prefix marking PIM-offloaded nodes.
-pub const PIM_PREFIX: &str = "pim::";
-
-/// Name prefix marking members of a fusion group. It nests inside
-/// [`PIM_PREFIX`], so every fused node is PIM-placed by construction; the
-/// full tag is `pim::fuse.<gid>.<role>::<base>` with role codes `h`
-/// (head), `m` (middle), `t` (tail), `r` (element-wise rider).
-pub const FUSE_PREFIX: &str = "pim::fuse.";
-
-/// Role of a node inside a fusion group, encoded in its placement tag.
-///
-/// Heavy members map onto the typed ISA's [`FusedRole`]s; riders are the
-/// element-wise nodes between them, applied near the banks during the
-/// `BANKFEED` hand-off (no program of their own).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FusedNodeRole {
-    /// First heavy member (Drain → BankFeed).
-    Head,
-    /// Interior heavy member (both crossings elided).
-    Middle,
-    /// Last heavy member (BufWrite → BankFeed).
-    Tail,
-    /// Element-wise rider between heavy members.
-    Rider,
-}
-
-impl FusedNodeRole {
-    fn code(self) -> char {
-        match self {
-            FusedNodeRole::Head => 'h',
-            FusedNodeRole::Middle => 'm',
-            FusedNodeRole::Tail => 't',
-            FusedNodeRole::Rider => 'r',
-        }
-    }
-
-    fn from_code(c: char) -> Option<Self> {
-        match c {
-            'h' => Some(FusedNodeRole::Head),
-            'm' => Some(FusedNodeRole::Middle),
-            't' => Some(FusedNodeRole::Tail),
-            'r' => Some(FusedNodeRole::Rider),
-            _ => None,
-        }
-    }
-
-    /// The typed-ISA lowering role of this tag. Riders have no program, so
-    /// they map to the identity lowering.
-    pub fn isa_role(self) -> FusedRole {
-        match self {
-            FusedNodeRole::Head => FusedRole::Head,
-            FusedNodeRole::Middle => FusedRole::Middle,
-            FusedNodeRole::Tail => FusedRole::Tail,
-            FusedNodeRole::Rider => FusedRole::Standalone,
-        }
-    }
-}
-
-/// The name tagging `base` as a member of fusion group `gid` with `role`.
-pub fn fused_tag(gid: usize, role: FusedNodeRole, base: &str) -> String {
-    format!("{FUSE_PREFIX}{gid}.{}::{base}", role.code())
-}
-
-/// Parses a fusion-group tag: `(group id, role, base name)`. Returns
-/// `None` for untagged names (including plain `pim::` placements).
-pub fn parse_fused(name: &str) -> Option<(usize, FusedNodeRole, &str)> {
-    let rest = name.strip_prefix(FUSE_PREFIX)?;
-    let (gid_str, rest) = rest.split_once('.')?;
-    let gid: usize = gid_str.parse().ok()?;
-    let (role_str, base) = rest.split_once("::")?;
-    let mut chars = role_str.chars();
-    let role = FusedNodeRole::from_code(chars.next()?)?;
-    if chars.next().is_some() {
-        return None;
-    }
-    Some((gid, role, base))
-}
-
-/// Which device a node executes on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Placement {
-    /// Runs on the GPU streaming multiprocessors.
-    Gpu,
-    /// Runs on the PIM-enabled memory channels.
-    Pim,
-}
-
-json_unit_enum!(Placement { Gpu, Pim });
-
-impl Placement {
-    /// Placement encoded in a node name.
-    pub fn of_name(name: &str) -> Placement {
-        if name.starts_with(PIM_PREFIX) {
-            Placement::Pim
-        } else {
-            Placement::Gpu
-        }
-    }
-
-    /// Prefixes `base` so the node lands on this device.
-    pub fn tag(self, base: &str) -> String {
-        match self {
-            Placement::Gpu => base.to_string(),
-            Placement::Pim => format!("{PIM_PREFIX}{base}"),
-        }
-    }
-}
-
-impl std::fmt::Display for Placement {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Placement::Gpu => f.write_str("GPU"),
-            Placement::Pim => f.write_str("PIM"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fused_tag_roundtrip() {
-        for (role, code) in [
-            (FusedNodeRole::Head, 'h'),
-            (FusedNodeRole::Middle, 'm'),
-            (FusedNodeRole::Tail, 't'),
-            (FusedNodeRole::Rider, 'r'),
-        ] {
-            let tag = fused_tag(3, role, "conv_7");
-            assert_eq!(tag, format!("pim::fuse.3.{code}::conv_7"));
-            assert_eq!(parse_fused(&tag), Some((3, role, "conv_7")));
-            // Fused tags nest inside the PIM prefix.
-            assert_eq!(Placement::of_name(&tag), Placement::Pim);
-        }
-        assert_eq!(parse_fused("pim::conv_7"), None);
-        assert_eq!(parse_fused("conv_7"), None);
-        assert_eq!(parse_fused("pim::fuse.x.h::conv_7"), None);
-        assert_eq!(parse_fused("pim::fuse.1.z::conv_7"), None);
-    }
-
-    #[test]
-    fn roundtrip() {
-        assert_eq!(
-            Placement::of_name(&Placement::Pim.tag("conv_3")),
-            Placement::Pim
-        );
-        assert_eq!(
-            Placement::of_name(&Placement::Gpu.tag("conv_3")),
-            Placement::Gpu
-        );
-        assert_eq!(Placement::of_name("conv_3"), Placement::Gpu);
+/// The typed-ISA lowering role of a fusion-group member. Riders have no
+/// program of their own, so they map to the identity lowering.
+pub fn isa_role(role: FusedNodeRole) -> FusedRole {
+    match role {
+        FusedNodeRole::Head => FusedRole::Head,
+        FusedNodeRole::Middle => FusedRole::Middle,
+        FusedNodeRole::Tail => FusedRole::Tail,
+        FusedNodeRole::Rider => FusedRole::Standalone,
     }
 }

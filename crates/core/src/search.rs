@@ -51,7 +51,7 @@ use crate::codegen::{execute_group_overlapped_us, PimWorkload};
 use crate::costcache::{
     crossbar_cost_us, pim_cost_us, CostCache, CostTable, MemoShard, WorkloadKey,
 };
-use crate::engine::{ChannelMask, EngineConfig};
+use crate::engine::{ChannelMask, EngineConfig, LINK_GBPS};
 use crate::error::Result;
 use crate::passes::fusion::{find_fusion_groups, interior_split_height, FusionGroup};
 use crate::passes::pipeline::{find_chains, Chain};
@@ -856,7 +856,7 @@ impl<'g> Profiler<'g> {
             .map(|d| d.size_bytes() as f64)
             .unwrap_or(0.0)
             * frac;
-        self.cfg.transfer_latency_us + bytes / (self.cfg.link_gbps * 1e3)
+        self.cfg.transfer_latency_us + bytes / (LINK_GBPS * 1e3)
     }
 
     /// Standalone GPU cost of the epilogue slice that *stops being fused*

@@ -3,11 +3,12 @@
 //! transformed graphs.
 
 use crate::graph::{Graph, NodeId};
+use crate::placement::Placement;
 use std::fmt::Write as _;
 
 impl Graph {
     /// Serializes the graph (structure, shapes, weight keys, parameter
-    /// views) to JSON. The inverse of [`Graph::from_json`].
+    /// views, placements) to JSON. The inverse of [`Graph::from_json`].
     ///
     /// # Errors
     ///
@@ -26,9 +27,8 @@ impl Graph {
         pimflow_json::from_str(json)
     }
 
-    /// Renders the graph in Graphviz DOT format. PIM-offloaded nodes
-    /// (`pim::` name prefix) are drawn as filled boxes so device placement
-    /// is visible at a glance.
+    /// Renders the graph in Graphviz DOT format. PIM-placed nodes are
+    /// drawn as filled boxes so device placement is visible at a glance.
     pub fn to_dot(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "digraph \"{}\" {{", self.name);
@@ -46,7 +46,7 @@ impl Graph {
         let dot_id = |id: NodeId| format!("n{}", id.index());
         for id in self.node_ids() {
             let node = self.node(id);
-            let style = if node.name.starts_with("pim::") {
+            let style = if node.placement.device() == Placement::Pim {
                 ", style=filled, fillcolor=lightblue"
             } else {
                 ""
@@ -124,7 +124,10 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::ParamView;
     use crate::models;
+    use crate::ops::{ConcatAttrs, DenseAttrs, Op};
+    use crate::placement::{FusedNodeRole, FusionTag, NodePlacement};
     use crate::shape_infer::infer_shapes;
 
     #[test]
@@ -148,21 +151,79 @@ mod tests {
         }
     }
 
+    /// Toy transformed by hand the way the passes do it: `conv_1 ->
+    /// relu_2 -> conv_3` fused as group 0, and `fc_11` split over its
+    /// output features into a GPU part and a PIM part joined by a concat.
+    fn fused_and_split_toy() -> Graph {
+        let mut g = models::toy();
+        for (name, role) in [
+            ("conv_1", FusedNodeRole::Head),
+            ("relu_2", FusedNodeRole::Rider),
+            ("conv_3", FusedNodeRole::Tail),
+        ] {
+            let id = g.find_node(name).unwrap();
+            g.node_mut(id).placement = NodePlacement::Fused(FusionTag { gid: 0, role });
+        }
+        let fc = g.find_node("fc_11").unwrap();
+        let fc_node = g.node(fc).clone();
+        let parts = [
+            (0..4, NodePlacement::Gpu, "mddp_a_"),
+            (4..10, NodePlacement::Pim, "mddp_b_"),
+        ]
+        .map(|(cols, device, tag)| {
+            let out = g.add_node_with_key(
+                format!("{tag}fc_11"),
+                Op::Dense(DenseAttrs {
+                    out_features: cols.len(),
+                }),
+                fc_node.inputs.clone(),
+                fc_node.weight_key,
+            );
+            let part = g.node_mut(g.producer(out).unwrap());
+            part.param_view = Some(ParamView {
+                orig_out: 10,
+                begin: cols.start,
+                end: cols.end,
+            });
+            part.placement = device;
+            out
+        });
+        let concat = g.add_node(
+            "mddp_fc_11_concat",
+            Op::Concat(ConcatAttrs { axis: 1 }),
+            parts.to_vec(),
+        );
+        g.replace_uses(fc_node.output, concat);
+        g.remove_node(fc);
+        infer_shapes(&mut g).unwrap();
+        g
+    }
+
     #[test]
     fn json_roundtrip_preserves_semantics() {
-        let g = models::toy();
-        let back = Graph::from_json(&g.to_json().unwrap()).unwrap();
-        // Weight keys survive, so downstream execution is bit-identical;
-        // structurally the serialization must be a fixed point.
-        assert_eq!(pimflow_json::to_string(&g), pimflow_json::to_string(&back));
+        for (g, pim_nodes) in [(models::toy(), 0), (fused_and_split_toy(), 4)] {
+            let back = Graph::from_json(&g.to_json().unwrap()).unwrap();
+            // Weight keys, views and placements survive, so downstream
+            // execution is bit-identical; structurally the serialization
+            // must be a fixed point.
+            assert_eq!(pimflow_json::to_string(&g), pimflow_json::to_string(&back));
+            for id in g.node_ids() {
+                assert_eq!(g.node(id).placement, back.node(id).placement);
+            }
+            let on_pim = back
+                .node_ids()
+                .filter(|&id| back.node(id).placement.device() == Placement::Pim)
+                .count();
+            assert_eq!(on_pim, pim_nodes, "{}", g.name);
+        }
     }
 
     #[test]
     fn dot_contains_all_nodes_and_marks_pim() {
         let mut g = models::toy();
         let id = g.find_node("conv_3").unwrap();
-        let name = g.node(id).name.clone();
-        g.node_mut(id).name = format!("pim::{name}");
+        assert!(!g.to_dot().contains("lightblue"), "GPU nodes stay plain");
+        g.node_mut(id).placement = NodePlacement::Pim;
         let dot = g.to_dot();
         assert!(dot.starts_with("digraph"));
         for id in g.node_ids() {
@@ -172,7 +233,11 @@ mod tests {
                 g.node(id).name
             );
         }
-        assert!(dot.contains("lightblue"), "PIM nodes must be highlighted");
+        assert_eq!(
+            dot.matches("lightblue").count(),
+            1,
+            "PIM nodes must be highlighted"
+        );
         assert_eq!(dot.matches(" -> ").count(), 11); // edges = node inputs
     }
 

@@ -7,6 +7,7 @@
 //! passes (§4.2.1) need.
 
 use crate::ops::Op;
+use crate::placement::NodePlacement;
 use crate::tensor::{DataType, Shape, TensorDesc};
 use pimflow_json::{json_struct, FromJson, Json, JsonError, ToJson};
 use std::collections::VecDeque;
@@ -96,6 +97,9 @@ pub struct Node {
     /// Output-axis window into the original parameters, set by passes that
     /// split a node along its output dimension (see [`ParamView`]).
     pub param_view: Option<ParamView>,
+    /// Device placement and fusion-group membership, written by the
+    /// transformation passes. New nodes start on the GPU.
+    pub placement: NodePlacement,
 }
 
 /// Errors returned by graph construction and validation.
@@ -227,6 +231,7 @@ impl Graph {
             output: out_id,
             weight_key,
             param_view: None,
+            placement: NodePlacement::Gpu,
         }));
         self.next_weight_key = self.next_weight_key.max(weight_key + 1);
         out_id
@@ -539,7 +544,8 @@ json_struct!(Node {
     inputs,
     output,
     weight_key,
-    param_view
+    param_view,
+    placement
 });
 json_struct!(Graph {
     name,

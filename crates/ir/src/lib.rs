@@ -32,6 +32,7 @@ pub mod graph;
 pub mod intern;
 pub mod models;
 pub mod ops;
+pub mod placement;
 pub mod shape_infer;
 pub mod tensor;
 
@@ -42,5 +43,6 @@ pub use ops::{
     ActivationKind, ConcatAttrs, Conv2dAttrs, DenseAttrs, Hw, Op, PadAttrs, PoolAttrs, PoolKind,
     SliceAttrs,
 };
+pub use placement::{FusedNodeRole, FusionTag, NodePlacement, Placement};
 pub use shape_infer::{infer_shapes, infer_shapes_from};
 pub use tensor::{DataType, Shape, TensorDesc};
