@@ -142,9 +142,14 @@ PIMFLOW_JOBS=2 cargo test -q --offline --test fusion
 # The overlap/interior/residual unit contracts (halo-exact interior
 # splits, overlap-aware epoch timing, near-bank re-addressing, fused
 # group stats) re-run at a 2-wide pool from the core crate's own tests.
-echo "==> cargo test -p pimflow fusion (PIMFLOW_JOBS=2)"
-PIMFLOW_JOBS=2 cargo test -q --offline -p pimflow fusion
-PIMFLOW_JOBS=2 cargo test -q --offline -p pimflow overlap
+# A name filter that selects no test still exits 0, so each filtered run
+# must also report at least one passed test.
+for filter in fusion overlap; do
+  echo "==> cargo test -p pimflow $filter (PIMFLOW_JOBS=2)"
+  out="$(PIMFLOW_JOBS=2 cargo test -q --offline -p pimflow "$filter" 2>&1)"
+  printf '%s\n' "$out"
+  printf '%s\n' "$out" | grep -Eq 'test result: ok\. [1-9][0-9]* passed'
+done
 
 # Re-run the kernel suite with the scalar oracle forced on: the exact
 # path must stay byte-identical at any worker-pool width.

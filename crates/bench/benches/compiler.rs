@@ -3,7 +3,7 @@
 
 use pimflow::engine::{execute, EngineConfig};
 use pimflow::passes::{find_chains, pipeline_chain, split_node, PatternKind};
-use pimflow::search::{apply_plan, search, SearchOptions};
+use pimflow::search::{apply_plan, Search};
 use pimflow_bench::harness::Group;
 use pimflow_ir::models;
 
@@ -39,7 +39,7 @@ fn bench_search() {
     let cfg = EngineConfig::pimflow();
     for name in ["toy", "mobilenet-v2", "resnet-50"] {
         let model = models::by_name(name).expect("known model");
-        g.bench(name, || search(&model, &cfg, &SearchOptions::default()));
+        g.bench(name, || Search::new(&model, &cfg).run());
     }
     g.finish();
 }
@@ -50,7 +50,7 @@ fn bench_engine() {
     let cfg = EngineConfig::pimflow();
     for name in ["mobilenet-v2", "resnet-50", "vgg-16"] {
         let model = models::by_name(name).expect("known model");
-        let plan = search(&model, &cfg, &SearchOptions::default()).expect("zoo models search");
+        let plan = Search::new(&model, &cfg).run().expect("zoo models search");
         let transformed = apply_plan(&model, &plan).expect("plans apply to their graph");
         g.bench(name, || execute(&transformed, &cfg));
     }

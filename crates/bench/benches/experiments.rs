@@ -7,7 +7,7 @@
 
 use pimflow::engine::{execute, EngineConfig};
 use pimflow::policy::{evaluate, Policy};
-use pimflow::search::{apply_plan, search, SearchOptions};
+use pimflow::search::{apply_plan, Search};
 use pimflow_bench::experiments as exp;
 use pimflow_bench::harness::Group;
 use pimflow_ir::models;
@@ -39,7 +39,7 @@ fn bench_heavy_slices() {
         let mut cfg = EngineConfig::pimflow();
         cfg.pim_channels = 12;
         cfg.gpu_channels = 20;
-        let plan = search(&mbv2, &cfg, &SearchOptions::default()).expect("zoo models search");
+        let plan = Search::new(&mbv2, &cfg).run().expect("zoo models search");
         let transformed = apply_plan(&mbv2, &plan).expect("plans apply to their graph");
         execute(&transformed, &cfg)
     });

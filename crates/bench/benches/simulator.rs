@@ -5,7 +5,9 @@
 use pimflow::codegen::{execute_workload, generate_blocks, PimWorkload};
 use pimflow_bench::harness::Group;
 use pimflow_ir::{Conv2dAttrs, Shape};
-use pimflow_pimsim::{run_channels, schedule, PimConfig, RunOptions, ScheduleGranularity};
+use pimflow_isa::FusedRole::Standalone;
+use pimflow_pimsim::ScheduleGranularity::{self, Comp};
+use pimflow_pimsim::{run_channels, schedule, PimConfig, RunOptions};
 
 fn representative_workloads() -> Vec<(&'static str, PimWorkload)> {
     vec![
@@ -26,9 +28,7 @@ fn bench_trace_execution() {
     let mut g = Group::new("pimsim_trace_execution");
     let cfg = PimConfig::default();
     for (name, w) in representative_workloads() {
-        g.bench(name, || {
-            execute_workload(&w, &cfg, 16, ScheduleGranularity::Comp)
-        });
+        g.bench(name, || execute_workload(&w, &cfg, 16, Comp, Standalone).0);
     }
     g.finish();
 }
@@ -58,9 +58,7 @@ fn bench_command_set_variants() {
         ("newton_plus", PimConfig::newton_plus()),
         ("newton_plus_plus", PimConfig::newton_plus_plus()),
     ] {
-        g.bench(name, || {
-            execute_workload(&w, &cfg, 16, ScheduleGranularity::Comp)
-        });
+        g.bench(name, || execute_workload(&w, &cfg, 16, Comp, Standalone).0);
     }
     g.finish();
 }

@@ -18,7 +18,7 @@
 //! `figures backends` writes the result as `BENCH_backends.json`.
 
 use pimflow::backend::{Backend, DramPimBackend, KernelArtifact};
-use pimflow::codegen::{execute_workload_fused_per_channel, PimWorkload};
+use pimflow::codegen::{execute_workload, PimWorkload};
 use pimflow::costcache::CostCache;
 use pimflow::engine::{EngineConfig, PimBackendSet};
 use pimflow::search::{Decision, Search, SearchOptions};
@@ -124,7 +124,7 @@ fn kernels_roundtrip(g: &pimflow_ir::Graph) -> bool {
         let direct = NewtonInterpreter::new(&be.pim)
             .run(program, RunOptions::new().on_channel(&mut collect));
         let replayed = NewtonInterpreter::new(&be.pim).run(&back, RunOptions::new());
-        let (priced, priced_channels) = execute_workload_fused_per_channel(
+        let (priced, priced_channels) = execute_workload(
             &PimWorkload::from_node(g, id),
             &be.pim,
             be.channels,

@@ -7,12 +7,20 @@
 use pimflow::codegen::{execute_workload, generate_blocks, PimWorkload};
 use pimflow::engine::{execute, EngineConfig};
 use pimflow::policy::{evaluate, Policy, PolicyEvaluation};
-use pimflow::search::{apply_plan, search, SearchOptions};
+use pimflow::search::{apply_plan, Search, SearchOptions};
 use pimflow_gpusim::{kernel_time_with_launch_us, GpuConfig, KernelProfile};
 use pimflow_ir::analysis::{classify, node_cost, LayerClass};
 use pimflow_ir::{models, Conv2dAttrs, Graph, Shape};
+use pimflow_isa::FusedRole;
 use pimflow_pimsim::{run_channels, schedule, PimConfig, RunOptions, ScheduleGranularity};
 use pimflow_pool::WorkerPool;
+
+/// PIM time of the unfused lowering of `w` on 16 channels, microseconds.
+fn unfused_pim_us(w: &PimWorkload, cfg: &PimConfig) -> f64 {
+    execute_workload(w, cfg, 16, ScheduleGranularity::Comp, FusedRole::Standalone)
+        .0
+        .time_us
+}
 
 /// Fig. 1: per-class runtime breakdown (left) and arithmetic intensity
 /// (right) for one model.
@@ -147,7 +155,7 @@ pub fn fig8() -> Vec<(usize, f64)> {
             let gpu_us =
                 kernel_time_with_launch_us(&KernelProfile::matvec(4096, 4096, batch), &gpu, 24);
             let w = PimWorkload::from_dense(batch, 4096, 4096);
-            let pim_us = execute_workload(&w, &pim, 16, ScheduleGranularity::Comp).time_us;
+            let pim_us = unfused_pim_us(&w, &pim);
             (batch, gpu_us / pim_us)
         })
         .collect()
@@ -174,8 +182,9 @@ pub fn fig9() -> Vec<PolicyEvaluation> {
 /// chose to split, with their ratio and time normalized to full GPU.
 pub fn fig10(model: &str) -> Vec<(String, u32, f64)> {
     let g = models::by_name(model).expect("known model");
-    let plan =
-        search(&g, &EngineConfig::pimflow(), &SearchOptions::default()).expect("zoo models search");
+    let plan = Search::new(&g, &EngineConfig::pimflow())
+        .run()
+        .expect("zoo models search");
     plan.profiles
         .iter()
         .filter(|p| p.best_ratio != 100)
@@ -187,18 +196,33 @@ pub fn fig10(model: &str) -> Vec<(String, u32, f64)> {
 /// pipelined time to the same nodes executed in MD-DP mode (values < 1 mean
 /// pipelining wins; the paper finds only Type 1 wins consistently).
 pub fn fig11() -> Vec<(String, &'static str, f64)> {
+    use pimflow::codegen::gpu_node_time_us;
     use pimflow::passes::{find_chains, PatternKind};
-    use pimflow::search::{estimate_chain_pipelined_us, estimate_node_best_us};
+    use pimflow::search::estimate_chain_pipelined_us;
     let mut out = Vec::new();
     let cfg = EngineConfig::pimflow();
+    let singles_only = SearchOptions {
+        allow_pipeline: false,
+        allow_fusion: false,
+        ..Default::default()
+    };
     for g in models::evaluated_cnns() {
+        // A node's MD-DP time is its best profiled sample when it is a PIM
+        // candidate, its standalone GPU time otherwise.
+        let plan = Search::new(&g, &cfg)
+            .options(singles_only)
+            .run()
+            .expect("zoo models search");
+        let mddp_us = |id| {
+            let name = &g.node(id).name;
+            plan.profiles.iter().find(|p| &p.name == name).map_or_else(
+                || gpu_node_time_us(&g, id, &cfg.gpu, cfg.gpu_channels),
+                |p| p.best_us,
+            )
+        };
         for chain in find_chains(&g) {
             let pipelined = estimate_chain_pipelined_us(&g, &cfg, &chain, 2);
-            let mddp: f64 = chain
-                .nodes
-                .iter()
-                .map(|&id| estimate_node_best_us(&g, &cfg, id, &SearchOptions::default()))
-                .sum();
+            let mddp: f64 = chain.nodes.iter().map(|&id| mddp_us(id)).sum();
             if mddp <= 0.0 {
                 continue;
             }
@@ -226,7 +250,7 @@ pub fn fig13(model: &str) -> Vec<(usize, f64)> {
             let mut cfg = EngineConfig::pimflow();
             cfg.pim_channels = pim_ch;
             cfg.gpu_channels = 32 - pim_ch;
-            let plan = search(&g, &cfg, &SearchOptions::default()).expect("zoo models search");
+            let plan = Search::new(&g, &cfg).run().expect("zoo models search");
             let transformed = apply_plan(&g, &plan).expect("plans apply to their graph");
             let t = execute(&transformed, &cfg)
                 .expect("zoo models execute")
@@ -266,7 +290,7 @@ pub fn fig14(model: &str) -> Vec<(&'static str, f64)> {
             })
             .map(|id| {
                 let w = PimWorkload::from_node(&g, id);
-                execute_workload(&w, cfg, 16, ScheduleGranularity::Comp).time_us
+                unfused_pim_us(&w, cfg)
             })
             .sum()
     };
@@ -357,7 +381,7 @@ pub fn ablation_pim_activation() -> Vec<(String, f64, f64)> {
             .expect("zoo models execute")
             .total_us;
         let solve = |cfg: &EngineConfig| -> f64 {
-            let plan = search(g, cfg, &SearchOptions::default()).expect("zoo models search");
+            let plan = Search::new(g, cfg).run().expect("zoo models search");
             let transformed = apply_plan(g, &plan).expect("plans apply to their graph");
             execute(&transformed, cfg)
                 .expect("zoo models execute")
@@ -378,24 +402,20 @@ pub fn ablation_pim_activation() -> Vec<(String, f64, f64)> {
 pub fn footnote1(model: &str) -> (f64, f64, f64) {
     let g = models::by_name(model).expect("known model");
     let cfg = EngineConfig::pimflow();
-    let coarse = search(
-        &g,
-        &cfg,
-        &SearchOptions {
+    let coarse = Search::new(&g, &cfg)
+        .options(SearchOptions {
             ratio_step: 10,
             ..Default::default()
-        },
-    )
-    .expect("zoo models search");
-    let fine = search(
-        &g,
-        &cfg,
-        &SearchOptions {
+        })
+        .run()
+        .expect("zoo models search");
+    let fine = Search::new(&g, &cfg)
+        .options(SearchOptions {
             ratio_step: 2,
             ..Default::default()
-        },
-    )
-    .expect("zoo models search");
+        })
+        .run()
+        .expect("zoo models search");
     (
         coarse.predicted_us,
         fine.predicted_us,
@@ -433,7 +453,7 @@ pub fn crossover_map() -> Vec<(usize, usize, usize, usize, f64, f64)> {
                         groups: 1,
                     };
                     let w = PimWorkload::from_conv(&Shape::nhwc(1, spatial, spatial, ic), &attrs);
-                    let pim_us = execute_workload(&w, &pim, 16, ScheduleGranularity::Comp).time_us;
+                    let pim_us = unfused_pim_us(&w, &pim);
                     rows.push((kernel, spatial, ic, oc, gpu_us, pim_us));
                 }
             }
@@ -458,7 +478,7 @@ pub fn portability_hbm_pim() -> Vec<(String, f64, f64)> {
                 pim,
                 ..EngineConfig::pimflow()
             };
-            let plan = search(g, &cfg, &SearchOptions::default()).expect("zoo models search");
+            let plan = Search::new(g, &cfg).run().expect("zoo models search");
             let transformed = apply_plan(g, &plan).expect("plans apply to their graph");
             execute(&transformed, &cfg)
                 .expect("zoo models execute")
@@ -477,7 +497,7 @@ pub fn autotune_gains() -> Vec<(String, f64, f64, f64)> {
     let zoo = models::evaluated_cnns();
     WorkerPool::from_env().map(&zoo, |_, g| {
         let cfg = EngineConfig::pimflow();
-        let plan = search(g, &cfg, &SearchOptions::default()).expect("zoo models search");
+        let plan = Search::new(g, &cfg).run().expect("zoo models search");
         let result = autotune(g, &cfg, &plan, 2, 10).expect("DP plans tune");
         (
             g.name.clone(),
@@ -493,15 +513,13 @@ pub fn autotune_gains() -> Vec<(String, f64, f64, f64)> {
 pub fn table2() -> Vec<(u32, f64)> {
     let zoo = models::evaluated_cnns();
     let plans = WorkerPool::from_env().map(&zoo, |_, g| {
-        search(
-            g,
-            &EngineConfig::pimflow(),
-            &SearchOptions {
+        Search::new(g, &EngineConfig::pimflow())
+            .options(SearchOptions {
                 allow_pipeline: false,
                 ..Default::default()
-            },
-        )
-        .expect("zoo models search")
+            })
+            .run()
+            .expect("zoo models search")
     });
     let mut counts = vec![0usize; 11];
     let mut total = 0usize;

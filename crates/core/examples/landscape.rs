@@ -10,12 +10,18 @@
 use pimflow::codegen::*;
 use pimflow_gpusim::GpuConfig;
 use pimflow_ir::{Conv2dAttrs, Hw, Shape};
+use pimflow_isa::FusedRole;
 use pimflow_pimsim::{PimConfig, ScheduleGranularity};
 
 fn main() {
     let gpu = GpuConfig::rtx2060_like();
     let npp = PimConfig::newton_plus_plus();
     let np = PimConfig::newton_plus();
+    let pim_us = |w: &PimWorkload, cfg: &PimConfig| {
+        execute_workload(w, cfg, 16, ScheduleGranularity::Comp, FusedRole::Standalone)
+            .0
+            .time_us
+    };
     let cases: Vec<(&str, Shape, Conv2dAttrs)> = vec![
         (
             "mbv2 pw 112x112x32->16",
@@ -99,8 +105,8 @@ fn main() {
             .unwrap();
         let tg = gpu_node_time_us(&g, id, &gpu, 16);
         let w = PimWorkload::from_conv(&shape, &attrs);
-        let tpp = execute_workload(&w, &npp, 16, ScheduleGranularity::Comp).time_us;
-        let tp = execute_workload(&w, &np, 16, ScheduleGranularity::Comp).time_us;
+        let tpp = pim_us(&w, &npp);
+        let tp = pim_us(&w, &np);
         println!(
             "{:<28} {:>9.1} {:>9.1} {:>9.1} {:>7.2}",
             name,
@@ -117,7 +123,7 @@ fn main() {
         ("mbv2 fc", 1280, 1000),
     ] {
         let w = PimWorkload::from_dense(1, k, of);
-        let tpp = execute_workload(&w, &npp, 16, ScheduleGranularity::Comp).time_us;
+        let tpp = pim_us(&w, &npp);
         let p = pimflow_gpusim::KernelProfile::matvec(of, k, 1);
         let tg = pimflow_gpusim::kernel_time_with_launch_us(&p, &gpu, 32);
         println!(

@@ -139,14 +139,14 @@ pub fn autotune(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{search, SearchOptions};
+    use crate::search::Search;
     use pimflow_ir::models;
 
     #[test]
     fn autotune_never_regresses() {
         let g = models::toy();
         let cfg = EngineConfig::pimflow();
-        let plan = search(&g, &cfg, &SearchOptions::default()).unwrap();
+        let plan = Search::new(&g, &cfg).run().unwrap();
         let result = autotune(&g, &cfg, &plan, 3, 10).unwrap();
         assert!(result.tuned_us <= result.initial_us + 1e-9);
         assert!(result.evaluations >= 1);
@@ -161,7 +161,7 @@ mod tests {
     fn autotune_can_improve_a_deliberately_bad_plan() {
         let g = models::toy();
         let cfg = EngineConfig::pimflow();
-        let mut plan = search(&g, &cfg, &SearchOptions::default()).unwrap();
+        let mut plan = Search::new(&g, &cfg).run().unwrap();
         // Sabotage: force a lopsided split on the first split decision, or
         // inject one if the search chose endpoints only.
         let mut sabotaged = false;
@@ -197,7 +197,7 @@ mod tests {
     fn autotune_is_deterministic() {
         let g = models::toy();
         let cfg = EngineConfig::pimflow();
-        let plan = search(&g, &cfg, &SearchOptions::default()).unwrap();
+        let plan = Search::new(&g, &cfg).run().unwrap();
         let a = autotune(&g, &cfg, &plan, 2, 10).unwrap();
         let b = autotune(&g, &cfg, &plan, 2, 10).unwrap();
         assert_eq!(a.tuned_us, b.tuned_us);

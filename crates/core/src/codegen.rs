@@ -25,8 +25,9 @@ use pimflow_pimsim::{
     ScheduleGranularity, UnitRuns,
 };
 
-/// A PIM-offloadable workload in lowered (matrix) form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A PIM-offloadable workload in lowered (matrix) form. The default is
+/// the empty workload (no rows).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct PimWorkload {
     /// Input-matrix rows to process.
     pub rows: usize,
@@ -357,59 +358,17 @@ pub struct PimExecution {
     pub energy_uj: f64,
 }
 
-/// Compiles and executes a workload on `channels` PIM channels, returning
-/// timing and energy.
+/// Compiles and executes a workload lowered for fusion-group role `role`
+/// (see [`generate_fused_program`]; `Standalone` is the unfused lowering)
+/// on `channels` PIM channels, returning timing and energy plus each
+/// channel's own statistics (index = channel), for per-channel utilization
+/// accounting. The statistics equal interpreting the generated program
+/// bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if `channels == 0`.
 pub fn execute_workload(
-    w: &PimWorkload,
-    cfg: &PimConfig,
-    channels: usize,
-    granularity: ScheduleGranularity,
-) -> PimExecution {
-    execute_workload_per_channel(w, cfg, channels, granularity).0
-}
-
-/// Compiles and executes a workload lowered for fusion-group role `role`
-/// (see [`generate_fused_program`]). `Standalone` is [`execute_workload`].
-///
-/// # Panics
-///
-/// Panics if `channels == 0`.
-pub fn execute_workload_fused(
-    w: &PimWorkload,
-    cfg: &PimConfig,
-    channels: usize,
-    granularity: ScheduleGranularity,
-    role: FusedRole,
-) -> PimExecution {
-    execute_workload_fused_per_channel(w, cfg, channels, granularity, role).0
-}
-
-/// Like [`execute_workload`] but also returns each channel's own statistics
-/// (index = channel), for per-channel utilization accounting.
-///
-/// # Panics
-///
-/// Panics if `channels == 0`.
-pub fn execute_workload_per_channel(
-    w: &PimWorkload,
-    cfg: &PimConfig,
-    channels: usize,
-    granularity: ScheduleGranularity,
-) -> (PimExecution, Vec<ChannelStats>) {
-    execute_workload_fused_per_channel(w, cfg, channels, granularity, FusedRole::Standalone)
-}
-
-/// Role-aware variant of [`execute_workload_per_channel`]. The statistics
-/// equal interpreting [`generate_fused_program`]'s output bit for bit.
-///
-/// # Panics
-///
-/// Panics if `channels == 0`.
-pub fn execute_workload_fused_per_channel(
     w: &PimWorkload,
     cfg: &PimConfig,
     channels: usize,
@@ -426,12 +385,6 @@ pub fn execute_workload_fused_per_channel(
     (exec, per_channel)
 }
 
-/// Convenience: PIM execution time of graph node `id` in microseconds.
-pub fn pim_node_time_us(graph: &Graph, id: NodeId, cfg: &PimConfig, channels: usize) -> f64 {
-    let w = PimWorkload::from_node(graph, id);
-    execute_workload(&w, cfg, channels, ScheduleGranularity::Comp).time_us
-}
-
 /// Convenience: GPU execution time of graph node `id` (standalone launch) in
 /// microseconds with `channels` memory channels.
 pub fn gpu_node_time_us(graph: &Graph, id: NodeId, cfg: &GpuConfig, channels: usize) -> f64 {
@@ -443,6 +396,18 @@ pub fn gpu_node_time_us(graph: &Graph, id: NodeId, cfg: &GpuConfig, channels: us
 mod tests {
     use super::*;
     use pimflow_ir::Hw;
+
+    /// The unfused lowering's execution at command granularity.
+    fn exec(w: &PimWorkload, cfg: &PimConfig, channels: usize) -> PimExecution {
+        execute_workload(
+            w,
+            cfg,
+            channels,
+            ScheduleGranularity::Comp,
+            FusedRole::Standalone,
+        )
+        .0
+    }
 
     fn pointwise(rows_side: usize, ic: usize, oc: usize) -> PimWorkload {
         PimWorkload::from_conv(
@@ -483,7 +448,7 @@ mod tests {
         // ~10-20x on PIM. VGG-16's fc6: 25088 -> 4096, batch 1, 16 PIM
         // channels vs a 32-channel GPU.
         let w = PimWorkload::from_dense(1, 25088, 4096);
-        let pim = execute_workload(&w, &PimConfig::default(), 16, ScheduleGranularity::Comp);
+        let pim = exec(&w, &PimConfig::default(), 16);
         let gpu_cfg = GpuConfig::rtx2060_like();
         let p = pimflow_gpusim::KernelProfile::matvec(4096, 25088, 1);
         let gpu_us = pimflow_gpusim::kernel_time_with_launch_us(&p, &gpu_cfg, 32);
@@ -499,13 +464,8 @@ mod tests {
     fn newton_pp_beats_newton_p() {
         // The PIM-command optimizations must help (Fig. 14: ~22% combined).
         let w = pointwise(28, 96, 576);
-        let npp = execute_workload(
-            &w,
-            &PimConfig::newton_plus_plus(),
-            16,
-            ScheduleGranularity::Comp,
-        );
-        let np = execute_workload(&w, &PimConfig::newton_plus(), 16, ScheduleGranularity::Comp);
+        let npp = exec(&w, &PimConfig::newton_plus_plus(), 16);
+        let np = exec(&w, &PimConfig::newton_plus(), 16);
         assert!(
             npp.time_us < np.time_us,
             "Newton++ {:.1}us vs Newton+ {:.1}us",
@@ -536,8 +496,8 @@ mod tests {
     fn pim_time_scales_down_with_channels() {
         let w = pointwise(28, 96, 576);
         let cfg = PimConfig::default();
-        let t4 = execute_workload(&w, &cfg, 4, ScheduleGranularity::Comp).time_us;
-        let t16 = execute_workload(&w, &cfg, 16, ScheduleGranularity::Comp).time_us;
+        let t4 = exec(&w, &cfg, 4).time_us;
+        let t16 = exec(&w, &cfg, 16).time_us;
         assert!(t16 < t4 / 2.0, "4ch {t4:.1}us vs 16ch {t16:.1}us");
     }
 
@@ -554,7 +514,7 @@ mod tests {
         };
         let shape = Shape::nhwc(1, 28, 28, 512);
         let w = PimWorkload::from_conv(&shape, &attrs);
-        let pim = execute_workload(&w, &PimConfig::default(), 16, ScheduleGranularity::Comp);
+        let pim = exec(&w, &PimConfig::default(), 16);
 
         let mut b = pimflow_ir::GraphBuilder::new("t");
         let x = b.input(shape);
@@ -578,7 +538,7 @@ mod tests {
         // (the MD-DP split opportunity, §3 obs. 2).
         let shape = Shape::nhwc(1, 14, 14, 256);
         let w = PimWorkload::from_conv(&shape, &Conv2dAttrs::pointwise(1024));
-        let pim = execute_workload(&w, &PimConfig::default(), 16, ScheduleGranularity::Comp);
+        let pim = exec(&w, &PimConfig::default(), 16);
 
         let mut b = pimflow_ir::GraphBuilder::new("t");
         let x = b.input(shape);

@@ -42,7 +42,7 @@
 //! whose analytic queries are orders of magnitude cheaper than a PIM
 //! command-trace simulation).
 
-use crate::codegen::{execute_workload_fused, PimWorkload};
+use crate::codegen::{execute_workload, PimWorkload};
 use crate::engine::EngineConfig;
 use pimflow_ir::Interner;
 use pimflow_isa::{crossbar, BackendKind, CrossbarConfig, FusedRole};
@@ -93,11 +93,13 @@ pub struct WorkloadKey {
     /// head shape, so the ratio is part of the identity — the same
     /// conservative-discriminant rationale as `mask_bits`.
     pub interior: u32,
-    /// FNV-1a fingerprint over a fused group's full member list (workload
-    /// bits and roles), 0 for per-member queries. Group-level chain costs
-    /// depend on every member, not just the head the key's `workload`
-    /// names; the fingerprint keeps two groups sharing a head structurally
-    /// apart (mirrors [`PimConfig::fingerprint`]'s hashing discipline).
+    /// Fingerprint of a fused group's heavy members, 0 for per-member
+    /// queries: the search hashes each member's `(position, workload)`
+    /// with std's `DefaultHasher` (whose fixed keys make it deterministic
+    /// across runs), maps 0 to 1, and XORs in a salt when overlap pricing
+    /// is off. Group-level chain costs depend on every member, not just
+    /// the head the key's `workload` names; the fingerprint keeps two
+    /// groups sharing a head structurally apart.
     pub group_fp: u64,
 }
 
@@ -136,6 +138,13 @@ impl WorkloadKey {
         }
     }
 
+    /// The same key re-rolled for another workload: the search builds one
+    /// key per backend through the constructors above and re-rolls it per
+    /// lookup, so the config fingerprints are hashed once.
+    pub fn with_workload(self, workload: PimWorkload) -> Self {
+        WorkloadKey { workload, ..self }
+    }
+
     /// The same key re-rolled for fusion-group role `role`.
     pub fn with_role(self, role: FusedRole) -> Self {
         WorkloadKey {
@@ -172,13 +181,14 @@ pub fn pim_cost_us(key: &WorkloadKey, pim: &PimConfig) -> f64 {
         "workload key priced under a different PimConfig"
     );
     debug_assert_eq!(key.group_fp, 0, "per-member pricer fed a group-level key");
-    execute_workload_fused(
+    execute_workload(
         &key.workload,
         pim,
         key.channels as usize,
         key.granularity,
         key.fused,
     )
+    .0
     .time_us
 }
 
@@ -207,7 +217,7 @@ pub fn crossbar_cost_us(key: &WorkloadKey, xbar: &CrossbarConfig) -> f64 {
         k_elems: key.workload.k_elems,
         out_channels: key.workload.out_channels,
     };
-    crossbar::estimate_shape_us_fused(&shape, key.channels as usize, xbar, key.fused)
+    crossbar::estimate_shape_us(&shape, key.channels as usize, xbar, key.fused)
 }
 
 /// Hit/miss/entry counters of a cost cache, as surfaced in
@@ -497,7 +507,9 @@ mod tests {
             &cfg.pim,
             k.channels as usize,
             k.granularity,
+            FusedRole::Standalone,
         )
+        .0
         .time_us;
         assert_eq!(a.to_bits(), direct.to_bits());
     }

@@ -11,18 +11,16 @@
 //! a GPU convolution or GEMM are epilogue-fused (no launch, no extra DRAM
 //! round-trip), matching the cuDNN/CUTLASS mappings the artifact relies on.
 
-use crate::codegen::{
-    execute_group_overlapped_us, execute_workload_fused_per_channel, PimWorkload,
-};
+use crate::codegen::{execute_group_overlapped_us, execute_workload, PimWorkload};
 use crate::costcache::CacheCounters;
 use crate::error::Result;
 use crate::memopt::{data_move_bytes, is_data_move};
 use crate::placement::{isa_role, FusedNodeRole, FusionTag, Placement};
-use pimflow_gpusim::{kernel_for_node, GpuConfig, KernelProfile};
-use pimflow_ir::{ActivationKind, Graph, NodeId, Op, ValueId};
+use pimflow_gpusim::{kernel_for_node, GpuConfig};
+use pimflow_ir::{ActivationKind, Graph, Op, ValueId};
 use pimflow_isa::{CrossbarConfig, FusedRole};
 use pimflow_json::json_struct;
-use pimflow_pimsim::{ChannelStats, FaultPlan, PimConfig, PimEnergyParams, ScheduleGranularity};
+use pimflow_pimsim::{ChannelStats, PimConfig, PimEnergyParams, ScheduleGranularity};
 use std::collections::{BTreeMap, HashMap};
 
 /// Availability mask over the PIM channels: bit `c` set means channel `c`
@@ -32,6 +30,8 @@ use std::collections::{BTreeMap, HashMap};
 /// The mask is the compiler-level view of the fault model: hard-failed
 /// channels are cleared (the search and the engine route no work there),
 /// while stalled or derated channels stay set — they are slow, not gone.
+/// `ChannelMask::from_bits(plan.availability_mask(total))` is the mask a
+/// simulator-level [`pimflow_pimsim::FaultPlan`] implies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChannelMask(u64);
 
@@ -50,18 +50,6 @@ impl ChannelMask {
     /// A mask from raw bits (bit `c` = channel `c` up).
     pub fn from_bits(bits: u64) -> Self {
         ChannelMask(bits)
-    }
-
-    /// The mask a [`FaultPlan`] implies for `total` channels: dead channels
-    /// cleared, everything else (including stalled/derated channels) set.
-    pub fn from_fault_plan(plan: &FaultPlan, total: usize) -> Self {
-        let mut mask = ChannelMask::all();
-        for c in 0..total.min(64) {
-            if plan.is_dead(c) {
-                mask = mask.without(c);
-            }
-        }
-        mask
     }
 
     /// Raw bit representation.
@@ -453,15 +441,9 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
             let sum_us: f64 = chain
                 .iter()
                 .map(|(w, r)| {
-                    execute_workload_fused_per_channel(
-                        w,
-                        &cfg.pim,
-                        effective_channels,
-                        cfg.granularity,
-                        *r,
-                    )
-                    .0
-                    .time_us
+                    execute_workload(w, &cfg.pim, effective_channels, cfg.granularity, *r)
+                        .0
+                        .time_us
                 })
                 .sum();
             let chain_us =
@@ -615,7 +597,7 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
                     memo_misses += 1;
                     // Only the channels the mask reports up take part; the
                     // workload is scheduled across the survivors.
-                    let (exec, per_channel) = execute_workload_fused_per_channel(
+                    let (exec, per_channel) = execute_workload(
                         &workload,
                         &cfg.pim,
                         effective_channels,
@@ -750,11 +732,6 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
         fused_groups,
         timings,
     })
-}
-
-/// GPU-only kernel profile helper re-export for harnesses.
-pub fn gpu_profile(graph: &Graph, id: NodeId) -> KernelProfile {
-    kernel_for_node(graph, id)
 }
 
 #[cfg(test)]
@@ -1048,18 +1025,13 @@ mod aim_tests {
     fn in_pim_activation_never_hurts_end_to_end() {
         for name in ["toy", "mobilenet-v2"] {
             let g = models::by_name(name).unwrap();
-            let plan =
-                crate::search::search(&g, &aim_cfg(), &crate::search::SearchOptions::default())
-                    .unwrap();
+            let plan = crate::search::Search::new(&g, &aim_cfg()).run().unwrap();
             let transformed = crate::search::apply_plan(&g, &plan).unwrap();
             let aim = execute(&transformed, &aim_cfg()).unwrap();
 
-            let plan_n = crate::search::search(
-                &g,
-                &EngineConfig::pimflow(),
-                &crate::search::SearchOptions::default(),
-            )
-            .unwrap();
+            let plan_n = crate::search::Search::new(&g, &EngineConfig::pimflow())
+                .run()
+                .unwrap();
             let transformed_n = crate::search::apply_plan(&g, &plan_n).unwrap();
             let newton = execute(&transformed_n, &EngineConfig::pimflow()).unwrap();
             assert!(

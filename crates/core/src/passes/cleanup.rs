@@ -287,9 +287,9 @@ mod tests {
     #[test]
     fn cleanup_after_full_flow_preserves_semantics() {
         use crate::engine::EngineConfig;
-        use crate::search::{apply_plan, search, SearchOptions};
+        use crate::search::{apply_plan, Search};
         let g = models::toy();
-        let plan = search(&g, &EngineConfig::pimflow(), &SearchOptions::default()).unwrap();
+        let plan = Search::new(&g, &EngineConfig::pimflow()).run().unwrap();
         let mut t = apply_plan(&g, &plan).unwrap();
         let before = t.clone();
         cleanup(&mut t).unwrap();

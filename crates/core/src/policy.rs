@@ -11,7 +11,7 @@
 //! * **PIMFlow** — full optimizations and execution-model support.
 
 use crate::engine::{execute, EngineConfig, ExecutionReport};
-use crate::search::{apply_plan, search, ExecutionPlan, SearchOptions};
+use crate::search::{apply_plan, ExecutionPlan, Search, SearchOptions};
 use pimflow_ir::Graph;
 use pimflow_json::{json_struct, json_unit_enum};
 
@@ -164,7 +164,7 @@ pub fn evaluate(graph: &Graph, policy: Policy) -> crate::Result<PolicyEvaluation
             })
         }
         Some(opts) => {
-            let plan = search(graph, &cfg, &opts)?;
+            let plan = Search::new(graph, &cfg).options(opts).run()?;
             let transformed = apply_plan(graph, &plan)?;
             let report = execute(&transformed, &cfg)?;
             let conv_layer_us = plan.conv_layer_us;

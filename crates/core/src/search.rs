@@ -14,19 +14,21 @@
 //! simulator, GPU costs from the analytical GPU model — and record them in a
 //! serializable profile log, mirroring the artifact's metadata log file.
 //!
-//! The two measurement loops — per-node MD-DP profiling and per-chain
-//! pipeline costing — are embarrassingly parallel and run on a
-//! [`pimflow_pool::WorkerPool`] (the [`Search`] builder's
-//! [`pool`](Search::pool) knob; [`search`] sizes the pool from
-//! `PIMFLOW_JOBS`). Every per-item cost is a pure function of the
-//! graph and config, and results are merged in input order, so a pool of
-//! any width returns a plan byte-identical to the sequential search.
+//! [`Search`] is the one entry point. Its measurement loops — per-node
+//! MD-DP profiling, per-chain pipeline costing and per-group fusion
+//! costing — are embarrassingly parallel and run on a
+//! [`pimflow_pool::WorkerPool`] (the builder's [`pool`](Search::pool)
+//! knob; unset, the pool is sized from `PIMFLOW_JOBS`). Every per-item
+//! cost is a pure function of the graph and config, and results are
+//! merged in input order, so a pool of any width returns a plan
+//! byte-identical to the sequential search.
 //!
 //! ## Cost caching
 //!
-//! PIM cost queries flow through a two-tier cache: each worker resolves
-//! lookups against its private, unsynchronized [`MemoShard`] backed by an
-//! immutable snapshot of a shared [`CostCache`] table, and shards merge
+//! PIM cost queries flow through one memoized lookup over a two-tier
+//! cache: each worker resolves [`WorkloadKey`]s against its private,
+//! unsynchronized [`MemoShard`] backed by an immutable snapshot of a
+//! shared [`CostCache`] table, and shards merge
 //! back at the end of each phase — the same deterministic points where the
 //! per-search memo shards have always merged. By default every search uses
 //! a private scratch cache (exactly the historical behaviour); pass a
@@ -45,7 +47,9 @@
 //! computed, [`ExecutionPlan::repair`] re-prices the existing decisions
 //! under the new mask — migrating work back to the GPU where the shrunken
 //! PIM capacity no longer pays — without rerunning the full Algorithm-1
-//! grid search.
+//! grid search. Repair prices through the search's own helpers (the same
+//! profiler, topo walk and rider-cost attribution), so a kept decision
+//! costs exactly what the search would charge for it under that mask.
 
 use crate::codegen::{execute_group_overlapped_us, PimWorkload};
 use crate::costcache::{
@@ -58,6 +62,7 @@ use crate::passes::pipeline::{find_chains, Chain};
 use crate::placement::Placement;
 use pimflow_gpusim::{kernel_time_with_launch_us, KernelProfile};
 use pimflow_ir::{analysis, Graph, NodeId, Op};
+use pimflow_isa::crossbar::{estimate_chain_us_overlapped, MatmulShape};
 use pimflow_isa::{BackendKind, CrossbarConfig, FusedRole};
 use pimflow_json::{json_struct, FromJson, Json, JsonError, ToJson};
 use pimflow_pool::WorkerPool;
@@ -350,13 +355,21 @@ impl ExecutionPlan {
     /// shrunken PIM capacity no longer pays, without rerunning the full
     /// Algorithm-1 grid search.
     ///
-    /// Kept decisions keep their ratios/stages — only the keep-or-drop
-    /// choice is revisited — so a repair is one sequential cost-model walk
-    /// (deterministic regardless of `PIMFLOW_JOBS`). When the mask leaves
-    /// the effective channel count unchanged the plan is returned as-is.
-    /// The repaired plan's `predicted_us` is never below the original's,
-    /// and never assigns work to a masked-out channel; `profiles` are
-    /// carried over unchanged (they describe the healthy hardware).
+    /// Kept decisions keep their ratios, stages and backends — only the
+    /// keep-or-drop choice is revisited — so a repair is one sequential
+    /// walk over the search's own pricing helpers (deterministic
+    /// regardless of `PIMFLOW_JOBS`). When the mask leaves the effective
+    /// channel count unchanged the plan is returned as-is. The repaired
+    /// plan's `predicted_us` is never below the original's, and never
+    /// assigns work to a masked-out channel; `profiles` are carried over
+    /// unchanged (they describe the healthy hardware).
+    ///
+    /// With `cache`, workloads already priced under the repair mask (by an
+    /// earlier search or repair) are reused, and this repair's fresh
+    /// simulations are merged back: the serving runtime repairs every
+    /// cached plan through one cache, so plans for different batch sizes
+    /// share the re-pricing work. `None` uses a private scratch memo; the
+    /// repaired plan is byte-identical either way.
     ///
     /// Compare against `Search::new(graph, cfg).mask(mask).run()` to
     /// measure how much plan quality the shortcut gives up.
@@ -365,28 +378,8 @@ impl ExecutionPlan {
     ///
     /// Returns [`crate::Error::Graph`] when `graph` has no topological
     /// order, or [`crate::Error::NotApplicable`] when the plan references
-    /// nodes or chains `graph` does not have.
+    /// nodes, chains or fusion groups `graph` does not have.
     pub fn repair(
-        &self,
-        graph: &Graph,
-        cfg: &EngineConfig,
-        mask: ChannelMask,
-    ) -> Result<ExecutionPlan> {
-        self.repair_with_cache(graph, cfg, mask, None)
-    }
-
-    /// [`repair`](ExecutionPlan::repair) backed by a shared [`CostCache`]:
-    /// workloads already priced under the repair mask (by an earlier search
-    /// or repair) are reused, and this repair's fresh simulations are
-    /// merged back. The serving runtime repairs every cached plan through
-    /// one cache, so plans for different batch sizes share the re-pricing
-    /// work. Passing `None` uses a private scratch memo; the repaired plan
-    /// is byte-identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`repair`](ExecutionPlan::repair).
-    pub fn repair_with_cache(
         &self,
         graph: &Graph,
         cfg: &EngineConfig,
@@ -397,13 +390,10 @@ impl ExecutionPlan {
         if masked.effective_pim_channels() == cfg.effective_pim_channels() {
             return Ok(self.clone());
         }
-        let order = graph.topo_order()?;
-        let conv_like = fusion_map(graph, &order);
+        let walk = TopoWalk::new(graph)?;
         let pim_available = masked.effective_pim_channels() > 0;
-        let mut profiler = match cache {
-            Some(c) => Profiler::with_base(graph, &masked, c.snapshot()),
-            None => Profiler::new(graph, &masked),
-        };
+        let base = cache.map(CostCache::snapshot).unwrap_or_default();
+        let mut profiler = Profiler::new(graph, &masked, base);
         let decided: HashMap<&str, &Decision> = self
             .decisions
             .iter()
@@ -421,225 +411,110 @@ impl ExecutionPlan {
         let mut predicted_us = 0.0f64;
         let mut conv_layer_us = 0.0f64;
         let mut i = 0usize;
-        while i < order.len() {
-            let id = order[i];
+        while i < walk.order.len() {
+            let id = walk.order[i];
             let name = graph.node(id).name.clone();
-            let fused = *conv_like.get(&id).unwrap_or(&false);
-            let candidate = graph.is_pim_candidate(id);
-            let solo = solo_gpu_cost(&mut profiler, id, fused);
-            match decided.get(name.as_str()) {
-                Some(Decision::Pipeline { node_names, stages }) => {
-                    // The search only records contiguous chains, anchored
-                    // at their first node in topo order.
-                    let members: Vec<NodeId> = order
-                        .iter()
-                        .skip(i)
-                        .take(node_names.len())
-                        .copied()
-                        .collect();
-                    let matches = members.len() == node_names.len()
-                        && members
-                            .iter()
-                            .zip(node_names)
-                            .all(|(&nid, n)| &graph.node(nid).name == n);
-                    if !matches {
-                        return Err(crate::Error::NotApplicable(format!(
-                            "plan references unknown chain at `{name}`"
-                        )));
+            let solo = walk.solo(&mut profiler, id);
+            let decision = decided.get(name.as_str()).copied();
+            // Re-price on the ratio, stages and backend the plan chose:
+            // repair migrates work, it does not re-run the search. The
+            // search records regions contiguous in topo order and anchored
+            // at their first node, so a region must sit exactly there.
+            let unknown = |what: &str| {
+                crate::Error::NotApplicable(format!("plan references unknown {what} at `{name}`"))
+            };
+            let at_i = |nodes: &[NodeId], names: &[String]| {
+                named(graph, nodes, names) && walk.region_start(nodes) == Some(i)
+            };
+            let (nodes, region_us, kept) = match decision {
+                Some(Decision::Gpu) | None => {
+                    predicted_us += solo;
+                    if is_candidate_conv(graph, id) {
+                        conv_layer_us += solo;
                     }
-                    let chain = find_chains(graph)
-                        .into_iter()
-                        .find(|c| c.nodes == members)
-                        .ok_or_else(|| {
-                            crate::Error::NotApplicable(format!(
-                                "plan references unknown chain at `{name}`"
-                            ))
-                        })?;
-                    let gpu_cost: f64 = chain
-                        .nodes
-                        .iter()
-                        .map(|&nid| {
-                            let f = *conv_like.get(&nid).unwrap_or(&false);
-                            solo_gpu_cost(&mut profiler, nid, f)
-                        })
-                        .sum();
-                    let chain_cost = if pim_available {
-                        profiler.pipeline_cost(&chain, (*stages).max(2))
-                    } else {
-                        f64::INFINITY
-                    };
-                    if chain_cost < gpu_cost {
-                        let rider_cost: f64 = chain
-                            .nodes
-                            .iter()
-                            .filter(|nid| {
-                                !(matches!(graph.node(**nid).op, Op::Conv2d(_))
-                                    && graph.is_pim_candidate(**nid))
-                            })
-                            .map(|&nid| {
-                                let f = *conv_like.get(&nid).unwrap_or(&false);
-                                solo_gpu_cost(&mut profiler, nid, f)
-                            })
-                            .sum();
-                        predicted_us += chain_cost;
-                        conv_layer_us += (chain_cost - rider_cost).max(0.0);
-                        decisions.push((
-                            name,
-                            Decision::Pipeline {
-                                node_names: node_names.clone(),
-                                stages: *stages,
-                            },
-                        ));
-                    } else {
-                        // Dissolve the chain: every member falls back to
-                        // its GPU-resident cost.
-                        predicted_us += gpu_cost;
-                        for &nid in &chain.nodes {
-                            if graph.is_pim_candidate(nid) {
-                                let f = *conv_like.get(&nid).unwrap_or(&false);
-                                let c = solo_gpu_cost(&mut profiler, nid, f);
-                                if matches!(graph.node(nid).op, Op::Conv2d(_)) {
-                                    conv_layer_us += c;
-                                }
-                                decisions.push((graph.node(nid).name.clone(), Decision::Gpu));
-                            }
-                        }
+                    if decision.is_some() {
+                        decisions.push((name, Decision::Gpu));
                     }
-                    i += chain.nodes.len();
-                    continue;
-                }
-                Some(Decision::Fused {
-                    node_names,
-                    backend,
-                    gpu_percent,
-                }) => {
-                    // Fused groups are contiguous and anchored at their
-                    // first node, like chains.
-                    let members: Vec<NodeId> = order
-                        .iter()
-                        .skip(i)
-                        .take(node_names.len())
-                        .copied()
-                        .collect();
-                    let matches = members.len() == node_names.len()
-                        && members
-                            .iter()
-                            .zip(node_names)
-                            .all(|(&nid, n)| &graph.node(nid).name == n);
-                    if !matches {
-                        return Err(crate::Error::NotApplicable(format!(
-                            "plan references unknown fusion group at `{name}`"
-                        )));
-                    }
-                    let group = find_fusion_groups(graph)
-                        .into_iter()
-                        .find(|g| g.nodes == members)
-                        .ok_or_else(|| {
-                            crate::Error::NotApplicable(format!(
-                                "plan references unknown fusion group at `{name}`"
-                            ))
-                        })?;
-                    let gpu_cost: f64 = group
-                        .nodes
-                        .iter()
-                        .map(|&nid| {
-                            let f = *conv_like.get(&nid).unwrap_or(&false);
-                            solo_gpu_cost(&mut profiler, nid, f)
-                        })
-                        .sum();
-                    let fused_cost = if pim_available {
-                        // Re-price on the backend and interior ratio the
-                        // plan chose, as with splits: repair migrates
-                        // work, it does not re-run the search.
-                        profiler
-                            .fused_group_cost_at(&group, *gpu_percent, Some(*backend))
-                            .0
-                    } else {
-                        f64::INFINITY
-                    };
-                    if fused_cost < gpu_cost {
-                        let rider_cost: f64 = group
-                            .nodes
-                            .iter()
-                            .filter(|nid| {
-                                !(matches!(graph.node(**nid).op, Op::Conv2d(_))
-                                    && graph.is_pim_candidate(**nid))
-                            })
-                            .map(|&nid| {
-                                let f = *conv_like.get(&nid).unwrap_or(&false);
-                                solo_gpu_cost(&mut profiler, nid, f)
-                            })
-                            .sum();
-                        predicted_us += fused_cost;
-                        conv_layer_us += (fused_cost - rider_cost).max(0.0);
-                        decisions.push((
-                            name,
-                            Decision::Fused {
-                                node_names: node_names.clone(),
-                                backend: *backend,
-                                gpu_percent: *gpu_percent,
-                            },
-                        ));
-                    } else {
-                        // Dissolve the group: every member falls back to
-                        // its GPU-resident cost.
-                        predicted_us += gpu_cost;
-                        for &nid in &group.nodes {
-                            if graph.is_pim_candidate(nid) {
-                                let f = *conv_like.get(&nid).unwrap_or(&false);
-                                let c = solo_gpu_cost(&mut profiler, nid, f);
-                                if matches!(graph.node(nid).op, Op::Conv2d(_)) {
-                                    conv_layer_us += c;
-                                }
-                                decisions.push((graph.node(nid).name.clone(), Decision::Gpu));
-                            }
-                        }
-                    }
-                    i += group.nodes.len();
+                    i += 1;
                     continue;
                 }
                 Some(Decision::Split {
                     gpu_percent,
                     backend,
                 }) => {
-                    let split_cost = if pim_available && candidate {
-                        // Re-price on the backend the plan chose: repair
-                        // migrates work, it does not re-run the backend
-                        // search.
-                        profiler
-                            .mddp_cost_pinned(id, *gpu_percent, Some(*backend))
-                            .0
+                    let split_us = if pim_available && graph.is_pim_candidate(id) {
+                        profiler.mddp_cost(id, *gpu_percent, Some(*backend)).0
                     } else {
                         f64::INFINITY
                     };
-                    let (cost, decision) = if split_cost < solo {
-                        (
-                            split_cost,
-                            Decision::Split {
-                                gpu_percent: *gpu_percent,
-                                backend: *backend,
-                            },
-                        )
+                    let (cost, repaired) = if split_us < solo {
+                        let split = Decision::Split {
+                            gpu_percent: *gpu_percent,
+                            backend: *backend,
+                        };
+                        (split_us, split)
                     } else {
                         (solo, Decision::Gpu)
                     };
                     predicted_us += cost;
-                    if matches!(graph.node(id).op, Op::Conv2d(_)) && candidate {
+                    if is_candidate_conv(graph, id) {
                         conv_layer_us += cost;
                     }
-                    decisions.push((name, decision));
+                    decisions.push((name, repaired));
+                    i += 1;
+                    continue;
                 }
-                Some(Decision::Gpu) | None => {
-                    predicted_us += solo;
-                    if matches!(graph.node(id).op, Op::Conv2d(_)) && candidate {
-                        conv_layer_us += solo;
-                    }
-                    if decided.contains_key(name.as_str()) {
-                        decisions.push((name, Decision::Gpu));
+                Some(kept @ Decision::Pipeline { node_names, stages }) => {
+                    let chain = find_chains(graph)
+                        .into_iter()
+                        .find(|c| at_i(&c.nodes, node_names))
+                        .ok_or_else(|| unknown("chain"))?;
+                    let cost =
+                        pim_available.then(|| profiler.pipeline_cost(&chain, (*stages).max(2)));
+                    (chain.nodes, cost, kept)
+                }
+                Some(
+                    kept @ Decision::Fused {
+                        node_names,
+                        backend,
+                        gpu_percent,
+                    },
+                ) => {
+                    let group = find_fusion_groups(graph)
+                        .into_iter()
+                        .find(|g| at_i(&g.nodes, node_names))
+                        .ok_or_else(|| unknown("fusion group"))?;
+                    let cost = pim_available.then(|| {
+                        profiler
+                            .fused_group_cost(&group, *gpu_percent, Some(*backend))
+                            .0
+                    });
+                    (group.nodes, cost, kept)
+                }
+            };
+            // Keep the region while it still beats its members'
+            // GPU-resident cost; otherwise dissolve it, every member
+            // falling back to the GPU.
+            let region_us = region_us.unwrap_or(f64::INFINITY);
+            let gpu_us: f64 = nodes.iter().map(|&nid| walk.solo(&mut profiler, nid)).sum();
+            if region_us < gpu_us {
+                let riders = rider_cost(graph, &nodes, |nid| walk.solo(&mut profiler, nid));
+                predicted_us += region_us;
+                conv_layer_us += (region_us - riders).max(0.0);
+                decisions.push((name, kept.clone()));
+            } else {
+                predicted_us += gpu_us;
+                for &nid in &nodes {
+                    if graph.is_pim_candidate(nid) {
+                        let c = walk.solo(&mut profiler, nid);
+                        if is_candidate_conv(graph, nid) {
+                            conv_layer_us += c;
+                        }
+                        decisions.push((graph.node(nid).name.clone(), Decision::Gpu));
                     }
                 }
             }
-            i += 1;
+            i += nodes.len();
         }
 
         if let Some(c) = cache {
@@ -667,18 +542,13 @@ impl ExecutionPlan {
 struct Profiler<'g> {
     graph: &'g Graph,
     cfg: EngineConfig,
-    /// Channels actually available under the config's mask (min 1 so the
-    /// cost model stays total; callers gate offload on the real count).
-    pim_channels_eff: usize,
-    /// Key components shared by every lookup this profiler makes,
-    /// precomputed so the hot path builds keys without re-hashing the
-    /// config.
-    mask_bits: u64,
-    pim_fingerprint: u64,
-    /// Crossbar model (copied out of the config's backend set so lookups
-    /// need no re-match), with its fingerprint; `None` under `NewtonOnly`.
-    xbar: Option<CrossbarConfig>,
-    xbar_fingerprint: u64,
+    /// Template of every Newton key this profiler looks up, built once by
+    /// [`WorkloadKey::new`], so the hot path re-rolls keys without
+    /// re-hashing the config.
+    newton: WorkloadKey,
+    /// Crossbar model (copied out of the config's backend set) with its
+    /// [`WorkloadKey::crossbar`] template; `None` under `NewtonOnly`.
+    xbar: Option<(CrossbarConfig, WorkloadKey)>,
     /// Whether the backend set admits Newton placements.
     newton_allowed: bool,
     /// Whether fused chains may be priced overlap-linked (see
@@ -697,21 +567,18 @@ struct Profiler<'g> {
 const OVERLAP_OFF_SALT: u64 = 0x4F56_4C50_4F46_465F; // "OVLPOFF_"
 
 impl<'g> Profiler<'g> {
-    fn new(graph: &'g Graph, cfg: &EngineConfig) -> Self {
-        Profiler::with_base(graph, cfg, Arc::default())
-    }
-
-    /// A profiler backed by a snapshot of the shared cost table (taken at
-    /// the start of the current search phase).
-    fn with_base(graph: &'g Graph, cfg: &EngineConfig, base: Arc<CostTable>) -> Self {
-        let xbar = cfg.pim_backends.crossbar().copied();
+    /// A profiler backed by `base`, a snapshot of the shared cost table
+    /// taken at the start of the current search phase (empty for a
+    /// private scratch memo).
+    fn new(graph: &'g Graph, cfg: &EngineConfig, base: Arc<CostTable>) -> Self {
+        let placeholder = PimWorkload::default();
         Profiler {
             graph,
-            pim_channels_eff: cfg.effective_pim_channels().max(1),
-            mask_bits: cfg.pim_channel_mask.bits(),
-            pim_fingerprint: cfg.pim.fingerprint(),
-            xbar,
-            xbar_fingerprint: xbar.map(|x| x.fingerprint()).unwrap_or(0),
+            newton: WorkloadKey::new(placeholder, cfg),
+            xbar: cfg
+                .pim_backends
+                .crossbar()
+                .map(|x| (*x, WorkloadKey::crossbar(placeholder, cfg, x))),
             newton_allowed: cfg.pim_backends.allows_newton(),
             overlap_epochs: true,
             cfg: cfg.clone(),
@@ -731,103 +598,84 @@ impl<'g> Profiler<'g> {
         self.shard
     }
 
-    /// PIM time of `frac` of node `id`'s rows, microseconds, over the
-    /// channels the mask reports available.
-    fn pim_time(&mut self, id: NodeId, frac: f64) -> f64 {
-        self.pim_time_role(id, frac, FusedRole::Standalone)
+    /// Channels the PIM estimates run over: those the mask reports
+    /// available, min 1 so the cost model stays total (callers gate
+    /// offload on the real count).
+    fn channels(&self) -> usize {
+        self.newton.channels as usize
     }
 
-    /// [`Profiler::pim_time`] under a fusion-group role: the lowered
-    /// program's elided bus crossings are priced as `BANKFEED`s.
-    fn pim_time_role(&mut self, id: NodeId, frac: f64, role: FusedRole) -> f64 {
-        let mut w = PimWorkload::from_node(self.graph, id);
-        w.rows = ((w.rows as f64 * frac).round() as usize).max(1);
-        let key = WorkloadKey {
-            workload: w,
-            backend: BackendKind::Newton,
-            channels: self.pim_channels_eff as u32,
-            mask_bits: self.mask_bits,
-            granularity: self.cfg.granularity,
-            pim_fingerprint: self.pim_fingerprint,
-            fused: role,
-            interior: 0,
-            group_fp: 0,
-        };
+    /// The crossbar model and its key template. Only callable when the
+    /// backend set carries a crossbar config.
+    fn crossbar(&self) -> (CrossbarConfig, WorkloadKey) {
+        self.xbar.expect("crossbar time without a crossbar model")
+    }
+
+    /// The key of `w` on `backend`: that backend's template re-rolled
+    /// with the workload.
+    fn key(&self, backend: BackendKind, w: PimWorkload) -> WorkloadKey {
+        match backend {
+            BackendKind::Newton => self.newton,
+            BackendKind::Crossbar => self.crossbar().1,
+        }
+        .with_workload(w)
+    }
+
+    /// The one memoized lookup: `key`'s cost from the private shard, else
+    /// the base snapshot, else `price` it and record it in the shard.
+    /// Every lookup counts, hit or miss.
+    fn memo(&mut self, key: WorkloadKey, price: impl FnOnce(&mut Self) -> f64) -> f64 {
         self.shard.count_lookup();
-        if let Some(t) = self.shard.get(&key) {
+        if let Some(t) = self.shard.get(&key).or_else(|| self.base.get(&key)) {
             return t;
         }
-        if let Some(t) = self.base.get(&key) {
-            return t;
-        }
-        let t = pim_cost_us(&key, &self.cfg.pim);
+        let t = price(self);
         self.shard.insert(key, t);
         t
     }
 
-    /// Crossbar time of `frac` of node `id`'s rows, microseconds, through
-    /// the same two-tier memo as [`Profiler::pim_time`]. Only callable when
-    /// the backend set carries a crossbar config.
-    fn crossbar_time(&mut self, id: NodeId, frac: f64) -> f64 {
-        self.crossbar_time_role(id, frac, FusedRole::Standalone)
+    /// PIM time of workload `w` on `backend` lowered for fusion-group role
+    /// `role`, microseconds (fused roles price the elided bus crossings as
+    /// `BANKFEED`s).
+    fn time(&mut self, backend: BackendKind, w: PimWorkload, role: FusedRole) -> f64 {
+        let key = self.key(backend, w).with_role(role);
+        self.memo(key, |p| match backend {
+            BackendKind::Newton => pim_cost_us(&key, &p.cfg.pim),
+            BackendKind::Crossbar => crossbar_cost_us(&key, &p.crossbar().0),
+        })
     }
 
-    /// [`Profiler::crossbar_time`] under a fusion-group role.
-    fn crossbar_time_role(&mut self, id: NodeId, frac: f64, role: FusedRole) -> f64 {
-        let xbar = self.xbar.expect("crossbar time without a crossbar model");
+    /// `frac` of node `id`'s rows as a workload (at least one row).
+    fn rows(&self, id: NodeId, frac: f64) -> PimWorkload {
         let mut w = PimWorkload::from_node(self.graph, id);
         w.rows = ((w.rows as f64 * frac).round() as usize).max(1);
-        let key = WorkloadKey {
-            workload: w,
-            backend: BackendKind::Crossbar,
-            channels: self.pim_channels_eff as u32,
-            mask_bits: self.mask_bits,
-            granularity: self.cfg.granularity,
-            pim_fingerprint: self.xbar_fingerprint,
-            fused: role,
-            interior: 0,
-            group_fp: 0,
-        };
-        self.shard.count_lookup();
-        if let Some(t) = self.shard.get(&key) {
-            return t;
-        }
-        if let Some(t) = self.base.get(&key) {
-            return t;
-        }
-        let t = crossbar_cost_us(&key, &xbar);
-        self.shard.insert(key, t);
-        t
+        w
     }
 
-    /// PIM-side time of `frac` of node `id`: the pinned backend's time, or
-    /// — unpinned — the cheapest over the configured backend set with the
-    /// model that achieved it. Under `NewtonOnly` the unpinned path is
-    /// exactly one Newton lookup: the historical cost (and cache-counter)
-    /// behaviour, bit for bit.
-    fn pim_time_pick(
+    /// The backend pick: the pinned backend's `time`, or — unpinned — the
+    /// cheapest over the configured backend set with the model that
+    /// achieved it (Newton priced first, ties stay on Newton). Under
+    /// `NewtonOnly` the unpinned path is exactly one Newton lookup.
+    fn pick(
         &mut self,
-        id: NodeId,
-        frac: f64,
         pin: Option<BackendKind>,
+        mut time: impl FnMut(&mut Self, BackendKind) -> f64,
     ) -> (f64, BackendKind) {
-        match pin {
-            Some(BackendKind::Newton) => (self.pim_time(id, frac), BackendKind::Newton),
-            Some(BackendKind::Crossbar) => (self.crossbar_time(id, frac), BackendKind::Crossbar),
-            None => match (self.newton_allowed, self.xbar.is_some()) {
-                (true, false) => (self.pim_time(id, frac), BackendKind::Newton),
-                (false, _) => (self.crossbar_time(id, frac), BackendKind::Crossbar),
-                (true, true) => {
-                    let n = self.pim_time(id, frac);
-                    let x = self.crossbar_time(id, frac);
-                    if x < n {
-                        (x, BackendKind::Crossbar)
-                    } else {
-                        (n, BackendKind::Newton)
-                    }
-                }
-            },
-        }
+        let backend = match pin {
+            Some(b) => b,
+            None if !self.newton_allowed => BackendKind::Crossbar,
+            None if self.xbar.is_none() => BackendKind::Newton,
+            None => {
+                let n = time(self, BackendKind::Newton);
+                let x = time(self, BackendKind::Crossbar);
+                return if x < n {
+                    (x, BackendKind::Crossbar)
+                } else {
+                    (n, BackendKind::Newton)
+                };
+            }
+        };
+        (time(self, backend), backend)
     }
 
     /// GPU time of `frac` of node `id`'s rows (standalone launch),
@@ -889,17 +737,12 @@ impl<'g> Profiler<'g> {
     }
 
     /// MD-DP cost of node `id` at `gpu_percent`, including the epilogue
-    /// de-fusion penalty on the PIM slice, over the configured backend set.
-    fn mddp_cost(&mut self, id: NodeId, gpu_percent: u32) -> f64 {
-        self.mddp_cost_pinned(id, gpu_percent, None).0
-    }
-
-    /// [`Profiler::mddp_cost`] with the choice of PIM backend exposed —
-    /// and, when `pin` is set, forced (the repair path re-prices a plan's
-    /// recorded backend instead of re-searching). At `gpu_percent == 100`
-    /// no PIM model is consulted and the reported backend is the Newton
-    /// placeholder.
-    fn mddp_cost_pinned(
+    /// de-fusion penalty on the PIM slice, with the PIM backend that
+    /// achieves it — forced when `pin` is set (the repair path re-prices a
+    /// plan's recorded backend instead of re-searching). At
+    /// `gpu_percent == 100` no PIM model is consulted and the reported
+    /// backend is the Newton placeholder.
+    fn mddp_cost(
         &mut self,
         id: NodeId,
         gpu_percent: u32,
@@ -908,7 +751,8 @@ impl<'g> Profiler<'g> {
         match gpu_percent {
             100 => (self.gpu_time(id, 1.0), BackendKind::Newton),
             0 => {
-                let (pim, backend) = self.pim_time_pick(id, 1.0, pin);
+                let w = self.rows(id, 1.0);
+                let (pim, backend) = self.pick(pin, |p, b| p.time(b, w, FusedRole::Standalone));
                 (
                     pim + self.transfer_out(id, 1.0) + self.defusion_penalty(id, 1.0),
                     backend,
@@ -917,7 +761,8 @@ impl<'g> Profiler<'g> {
             r => {
                 let f = r as f64 / 100.0;
                 let gpu = self.gpu_time(id, f);
-                let (pim_raw, backend) = self.pim_time_pick(id, 1.0 - f, pin);
+                let w = self.rows(id, 1.0 - f);
+                let (pim_raw, backend) = self.pick(pin, |p, b| p.time(b, w, FusedRole::Standalone));
                 let pim = pim_raw + self.transfer_out(id, 1.0 - f);
                 // The de-fused epilogue is a GPU kernel: it serializes on
                 // the GPU stream after the GPU part (and after the PIM
@@ -931,6 +776,8 @@ impl<'g> Profiler<'g> {
     /// Wavefront estimate of a pipelined chain: `stages` parts, conv cells
     /// on their device, element-wise nodes following a PIM conv charged as
     /// standalone GPU kernels, following a GPU conv fused for free.
+    /// Pipeline stages stream their inputs through the global buffers, so
+    /// PIM cells are priced on the Newton model.
     fn pipeline_cost(&mut self, chain: &Chain, stages: usize) -> f64 {
         let mut gpu_free = 0.0f64;
         let mut pim_free = 0.0f64;
@@ -948,7 +795,11 @@ impl<'g> Profiler<'g> {
                     };
                     let frac = 1.0 / stages as f64;
                     let dur = match device {
-                        Placement::Pim => self.pim_time(nid, frac) + self.transfer_out(nid, frac),
+                        Placement::Pim => {
+                            let w = self.rows(nid, frac);
+                            self.time(BackendKind::Newton, w, FusedRole::Standalone)
+                                + self.transfer_out(nid, frac)
+                        }
                         Placement::Gpu => self.gpu_time(nid, frac),
                     };
                     (device, dur)
@@ -1007,8 +858,6 @@ impl<'g> Profiler<'g> {
             .iter()
             .enumerate()
             .map(|(k, &id)| {
-                let mut w = PimWorkload::from_node(self.graph, id);
-                w.rows = ((w.rows as f64 * frac).round() as usize).max(1);
                 let role = if k == 0 {
                     FusedRole::Head
                 } else if k == last {
@@ -1016,7 +865,7 @@ impl<'g> Profiler<'g> {
                 } else {
                     FusedRole::Middle
                 };
-                (w, role)
+                (self.rows(id, frac), role)
             })
             .collect()
     }
@@ -1041,46 +890,20 @@ impl<'g> Profiler<'g> {
         if !self.overlap_epochs {
             group_fp ^= OVERLAP_OFF_SALT;
         }
-        let key = WorkloadKey {
-            workload: PimWorkload::from_node(self.graph, group.heavy[0]),
-            backend,
-            channels: self.pim_channels_eff as u32,
-            mask_bits: self.mask_bits,
-            granularity: self.cfg.granularity,
-            pim_fingerprint: match backend {
-                BackendKind::Newton => self.pim_fingerprint,
-                BackendKind::Crossbar => self.xbar_fingerprint,
-            },
-            fused: FusedRole::Head,
-            interior,
-            group_fp,
-        };
-        self.shard.count_lookup();
-        if let Some(t) = self.shard.get(&key) {
-            return t;
-        }
-        if let Some(t) = self.base.get(&key) {
-            return t;
-        }
-        let last = group.heavy.len() - 1;
-        let mut back_to_back = 0.0f64;
-        for (k, &id) in group.heavy.iter().enumerate() {
-            let role = if k == 0 {
-                FusedRole::Head
-            } else if k == last {
-                FusedRole::Tail
-            } else {
-                FusedRole::Middle
-            };
-            back_to_back += match backend {
-                BackendKind::Newton => self.pim_time_role(id, frac, role),
-                BackendKind::Crossbar => self.crossbar_time_role(id, frac, role),
-            };
-        }
-        let t = if !self.overlap_epochs {
-            back_to_back
-        } else {
-            let members = self.fused_members(group, frac);
+        let head = PimWorkload::from_node(self.graph, group.heavy[0]);
+        let key = self
+            .key(backend, head)
+            .with_role(FusedRole::Head)
+            .with_group(interior, group_fp);
+        self.memo(key, |p| {
+            let members = p.fused_members(group, frac);
+            let mut back_to_back = 0.0f64;
+            for &(w, role) in &members {
+                back_to_back += p.time(backend, w, role);
+            }
+            if !p.overlap_epochs {
+                return back_to_back;
+            }
             let overlapped = match backend {
                 // Overlap is not structurally never-worse on Newton — a
                 // continuous run can cross refresh windows that per-epoch
@@ -1089,70 +912,27 @@ impl<'g> Profiler<'g> {
                 // strict superset of the unlinked one.
                 BackendKind::Newton => execute_group_overlapped_us(
                     &members,
-                    &self.cfg.pim,
-                    self.pim_channels_eff,
-                    self.cfg.granularity,
+                    &p.cfg.pim,
+                    p.channels(),
+                    p.cfg.granularity,
                 ),
                 BackendKind::Crossbar => {
-                    let xbar = self.xbar.expect("crossbar chain without a crossbar model");
-                    let shapes: Vec<(pimflow_isa::crossbar::MatmulShape, FusedRole)> = members
+                    let shapes: Vec<(MatmulShape, FusedRole)> = members
                         .iter()
                         .map(|(w, r)| {
-                            (
-                                pimflow_isa::crossbar::MatmulShape {
-                                    rows: w.rows,
-                                    k_elems: w.k_elems,
-                                    out_channels: w.out_channels,
-                                },
-                                *r,
-                            )
+                            let shape = MatmulShape {
+                                rows: w.rows,
+                                k_elems: w.k_elems,
+                                out_channels: w.out_channels,
+                            };
+                            (shape, *r)
                         })
                         .collect();
-                    pimflow_isa::crossbar::estimate_chain_us_overlapped(
-                        &shapes,
-                        self.pim_channels_eff,
-                        &xbar,
-                    )
+                    estimate_chain_us_overlapped(&shapes, p.channels(), &p.crossbar().0)
                 }
             };
             back_to_back.min(overlapped)
-        };
-        self.shard.insert(key, t);
-        t
-    }
-
-    /// PIM-side time of `frac` of a fused group's chain: the pinned
-    /// backend's time, or — unpinned — the cheapest over the configured
-    /// backend set with the model that achieved it.
-    fn fused_chain_pick(
-        &mut self,
-        group: &FusionGroup,
-        frac: f64,
-        interior: u32,
-        pin: Option<BackendKind>,
-    ) -> (f64, BackendKind) {
-        match pin {
-            Some(b) => (self.fused_chain_time(group, b, frac, interior), b),
-            None => match (self.newton_allowed, self.xbar.is_some()) {
-                (true, false) => (
-                    self.fused_chain_time(group, BackendKind::Newton, frac, interior),
-                    BackendKind::Newton,
-                ),
-                (false, _) => (
-                    self.fused_chain_time(group, BackendKind::Crossbar, frac, interior),
-                    BackendKind::Crossbar,
-                ),
-                (true, true) => {
-                    let n = self.fused_chain_time(group, BackendKind::Newton, frac, interior);
-                    let x = self.fused_chain_time(group, BackendKind::Crossbar, frac, interior);
-                    if x < n {
-                        (x, BackendKind::Crossbar)
-                    } else {
-                        (n, BackendKind::Newton)
-                    }
-                }
-            },
-        }
+        })
     }
 
     /// Cost of running `group` as one fused region at interior ratio
@@ -1166,31 +946,32 @@ impl<'g> Profiler<'g> {
     /// PIM chain over the rest, and the region completes when both
     /// branches do. When `pin` is set the recorded backend is re-priced
     /// instead of re-searched (the repair path).
-    fn fused_group_cost_at(
+    fn fused_group_cost(
         &mut self,
         group: &FusionGroup,
         gpu_percent: u32,
         pin: Option<BackendKind>,
     ) -> (f64, BackendKind) {
         let last = *group.nodes.last().expect("fusion group has members");
+        let f = gpu_percent as f64 / 100.0;
+        let (chain, backend) = self.pick(pin, |p, b| {
+            p.fused_chain_time(group, b, 1.0 - f, gpu_percent)
+        });
         if gpu_percent == 0 {
-            let (time, backend) = self.fused_chain_pick(group, 1.0, 0, pin);
             (
-                time + self.transfer_out(last, 1.0) + self.defusion_penalty(last, 1.0),
+                chain + self.transfer_out(last, 1.0) + self.defusion_penalty(last, 1.0),
                 backend,
             )
         } else {
-            let f = gpu_percent as f64 / 100.0;
             // The GPU copy serializes its members on the GPU stream; the
             // riders fuse into their producers' epilogues for free.
             let gpu: f64 = group.heavy.iter().map(|&id| self.gpu_time(id, f)).sum();
-            let (chain, backend) = self.fused_chain_pick(group, 1.0 - f, gpu_percent, pin);
             let pim = chain + self.transfer_out(last, 1.0 - f);
             (gpu.max(pim) + self.defusion_penalty(last, 1.0 - f), backend)
         }
     }
 
-    /// [`Profiler::fused_group_cost_at`] minimized over `ratios` (which
+    /// [`Profiler::fused_group_cost`] minimized over `ratios` (which
     /// must include `0`): the best interior split, its cost, backend, and
     /// ratio. Strict `<` keeps ties on the earliest ratio, so widening
     /// the grid can reorder nothing — determinism across pool widths.
@@ -1201,7 +982,7 @@ impl<'g> Profiler<'g> {
     ) -> (f64, BackendKind, u32) {
         let mut best: Option<(f64, BackendKind, u32)> = None;
         for &r in ratios {
-            let (t, b) = self.fused_group_cost_at(group, r, None);
+            let (t, b) = self.fused_group_cost(group, r, None);
             if best.is_none_or(|(bt, _, _)| t < bt) {
                 best = Some((t, b, r));
             }
@@ -1218,8 +999,7 @@ pub fn estimate_chain_pipelined_us(
     chain: &Chain,
     stages: usize,
 ) -> f64 {
-    let mut p = Profiler::new(graph, cfg);
-    p.pipeline_cost(chain, stages.max(2))
+    Profiler::new(graph, cfg, Arc::default()).pipeline_cost(chain, stages.max(2))
 }
 
 /// MD-DP sample grid of `opts`, in ascending order. Both endpoints are
@@ -1237,44 +1017,62 @@ fn ratio_grid(opts: &SearchOptions) -> Vec<u32> {
     grid
 }
 
-/// Estimated best MD-DP time of node `id` (minimum over the ratio grid of
-/// `opts`, always including full offload and full GPU), for harness-level
-/// comparisons.
-pub fn estimate_node_best_us(
-    graph: &Graph,
-    cfg: &EngineConfig,
-    id: NodeId,
-    opts: &SearchOptions,
-) -> f64 {
-    let mut p = Profiler::new(graph, cfg);
-    if graph.is_pim_candidate(id) && cfg.effective_pim_channels() > 0 {
-        ratio_grid(opts)
-            .into_iter()
-            .map(|r| p.mddp_cost(id, r))
-            .fold(f64::INFINITY, f64::min)
-    } else {
-        p.gpu_time(id, 1.0)
-    }
+/// The topological order the search's DP and [`ExecutionPlan::repair`]
+/// both walk, with each node's position in it and whether the node fuses
+/// into its producer in the all-GPU timeline (mirrors the engine:
+/// element-wise ops fuse into any GPU compute kernel; only data-movement
+/// views and graph inputs break fusion).
+struct TopoWalk {
+    order: Vec<NodeId>,
+    index_of: HashMap<NodeId, usize>,
+    fused: HashMap<NodeId, bool>,
 }
 
-/// Public cost-model access for harnesses: estimated time of `group` run
-/// as one fused region, minimized over the interior MD-DP ratios `opts`
-/// admits (always including full offload), with the winning
-/// `(time, backend, gpu_percent)`. Mirrors the search's group phase.
-pub fn estimate_group_fused_us(
-    graph: &Graph,
-    cfg: &EngineConfig,
-    group: &FusionGroup,
-    opts: &SearchOptions,
-) -> (f64, BackendKind, u32) {
-    let mut p = Profiler::new(graph, cfg).overlap(opts.overlap_epochs);
-    let step = (opts.ratio_step.max(25) as usize).min(100);
-    let ratios: Vec<u32> = if opts.offload_only || interior_split_height(graph, group).is_none() {
-        vec![0]
-    } else {
-        (0..100u32).step_by(step).collect()
-    };
-    p.fused_group_cost_searched(group, &ratios)
+impl TopoWalk {
+    /// The walk over `graph`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::Error::Graph`] when `graph` has no topological
+    /// order.
+    fn new(graph: &Graph) -> Result<Self> {
+        let order = graph.topo_order()?;
+        let index_of = order.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+        let fused = order
+            .iter()
+            .map(|&id| {
+                let node = graph.node(id);
+                let after_kernel = node
+                    .inputs
+                    .first()
+                    .and_then(|v| graph.producer(*v))
+                    .is_some_and(|p| !crate::memopt::is_data_move(graph, p));
+                (id, crate::engine::op_is_fusable(&node.op) && after_kernel)
+            })
+            .collect();
+        Ok(TopoWalk {
+            order,
+            index_of,
+            fused,
+        })
+    }
+
+    /// [`solo_gpu_cost`] of node `id` at its place in the walk.
+    fn solo(&self, p: &mut Profiler<'_>, id: NodeId) -> f64 {
+        solo_gpu_cost(p, id, self.fused[&id])
+    }
+
+    /// Position of a region's first node when its members occupy
+    /// consecutive positions of the walk — the only regions the DP (which
+    /// consumes whole index ranges) and repair take.
+    fn region_start(&self, nodes: &[NodeId]) -> Option<usize> {
+        let start = self.index_of[nodes.first()?];
+        let contiguous = nodes
+            .iter()
+            .enumerate()
+            .all(|(k, nid)| self.index_of[nid] == start + k);
+        contiguous.then_some(start)
+    }
 }
 
 /// Baseline (GPU-resident) cost of a node inside the model timeline:
@@ -1295,6 +1093,41 @@ fn solo_gpu_cost(p: &mut Profiler<'_>, id: NodeId, fused_after_conv: bool) -> f6
     p.gpu_time(id, 1.0)
 }
 
+/// Whether `nodes` carry exactly `names`, in order.
+fn named(graph: &Graph, nodes: &[NodeId], names: &[String]) -> bool {
+    nodes.len() == names.len()
+        && nodes
+            .iter()
+            .zip(names)
+            .all(|(&nid, n)| &graph.node(nid).name == n)
+}
+
+/// The names of `nodes`, in order.
+fn names(graph: &Graph, nodes: &[NodeId]) -> Vec<String> {
+    nodes
+        .iter()
+        .map(|&nid| graph.node(nid).name.clone())
+        .collect()
+}
+
+/// Whether node `id` counts toward the Fig. 9 conv-layer metric: a CONV
+/// layer that is a PIM candidate.
+fn is_candidate_conv(graph: &Graph, id: NodeId) -> bool {
+    matches!(graph.node(id).op, Op::Conv2d(_)) && graph.is_pim_candidate(id)
+}
+
+/// What a region's riders — every member but its candidate convs (DW
+/// convs, element-wise) — would cost anyway, at `cost_of` each. Only the
+/// rest of a region's cost is attributed to the conv-layer metric.
+fn rider_cost(graph: &Graph, nodes: &[NodeId], cost_of: impl FnMut(NodeId) -> f64) -> f64 {
+    nodes
+        .iter()
+        .copied()
+        .filter(|&nid| !is_candidate_conv(graph, nid))
+        .map(cost_of)
+        .sum()
+}
+
 /// Per-node outcome of the profiling phase (lines 1-7 of Algorithm 1),
 /// computed independently per node so the phase parallelizes.
 struct NodeOutcome {
@@ -1304,10 +1137,17 @@ struct NodeOutcome {
     profile: Option<LayerProfile>,
 }
 
-/// Builder for the execution mode and task size search (Algorithm 1).
-///
-/// Replaces the historical `search` / `search_with_pool` free-function
-/// pair with one entry point:
+/// A multi-node step the DP can take — a pipelined chain or a fused
+/// group, contiguous in the walk — with its priced cost and the decision
+/// that records it.
+struct Region {
+    nodes: Vec<NodeId>,
+    cost: f64,
+    decision: Decision,
+}
+
+/// Builder for the execution mode and task size search (Algorithm 1),
+/// the one entry point to it:
 ///
 /// ```
 /// use pimflow::engine::EngineConfig;
@@ -1328,7 +1168,8 @@ struct NodeOutcome {
 ///
 /// Unset knobs keep their defaults: [`SearchOptions::default`] for the
 /// mode space, a [`WorkerPool`] sized from `PIMFLOW_JOBS` for the
-/// measurement loops, and the channel mask already carried by the config.
+/// measurement loops, a private scratch [`CostCache`], and the channel
+/// mask already carried by the config.
 #[derive(Debug)]
 pub struct Search<'g> {
     graph: &'g Graph,
@@ -1396,62 +1237,20 @@ impl<'g> Search<'g> {
     /// invalid (e.g. cyclic) and no topological order exists.
     pub fn run(self) -> Result<ExecutionPlan> {
         let pool = self.pool.unwrap_or_else(WorkerPool::from_env);
-        let scratch;
-        let cache = match &self.cache {
-            Some(c) => c,
-            None => {
-                scratch = CostCache::new();
-                &scratch
-            }
-        };
-        run_search(self.graph, &self.cfg, &self.opts, &pool, cache)
+        let cache = self.cache.unwrap_or_default();
+        run_search(self.graph, &self.cfg, &self.opts, &pool, &cache)
     }
-}
-
-/// Runs the execution mode and task size search over `graph`, sizing the
-/// worker pool from `PIMFLOW_JOBS`. Shorthand for
-/// `Search::new(graph, cfg).options(*opts).run()` — use the [`Search`]
-/// builder to pin the pool width or override the channel mask.
-///
-/// Costs are measured with the hardware models in `cfg`; `opts` restricts
-/// the mode space per offloading mechanism.
-///
-/// # Errors
-///
-/// Returns [`crate::Error::Graph`] when `graph` has no topological order.
-pub fn search(graph: &Graph, cfg: &EngineConfig, opts: &SearchOptions) -> Result<ExecutionPlan> {
-    Search::new(graph, cfg).options(*opts).run()
-}
-
-/// Whether each node fuses into its producer in the all-GPU timeline
-/// (mirrors the engine: element-wise ops fuse into any GPU compute kernel;
-/// only data-movement views and graph inputs break fusion). Shared by the
-/// full search and by [`ExecutionPlan::repair`].
-fn fusion_map(graph: &Graph, order: &[NodeId]) -> HashMap<NodeId, bool> {
-    let mut conv_like: HashMap<NodeId, bool> = HashMap::new();
-    for &id in order {
-        let node = graph.node(id);
-        let after_kernel = node
-            .inputs
-            .first()
-            .and_then(|v| graph.producer(*v))
-            .map(|p| !crate::memopt::is_data_move(graph, p))
-            .unwrap_or(false);
-        let fusable = crate::engine::op_is_fusable(&node.op) && after_kernel;
-        conv_like.insert(id, fusable);
-    }
-    conv_like
 }
 
 /// The search body behind the [`Search`] builder.
 ///
-/// The per-node MD-DP profiling and the per-chain pipeline costing fan out
-/// over `pool`; each worker profiles with its own memo shard
-/// (shard-per-worker, so workers never contend on one map) and results are
-/// merged in topological/chain order. Both phases read an immutable
-/// snapshot of `cache` and merge their shards back when the phase ends —
-/// the chain phase's snapshot therefore already contains every workload the
-/// node phase priced. The returned plan is bit-identical for any pool
+/// The per-node MD-DP profiling, the per-chain pipeline costing and the
+/// per-group fusion costing fan out over `pool`; each worker profiles with
+/// its own memo shard (shard-per-worker, so workers never contend on one
+/// map) and results are merged in input order. Every phase reads an
+/// immutable snapshot of `cache` and merges its shards back when it ends —
+/// a later phase's snapshot therefore already contains every workload the
+/// earlier ones priced. The returned plan is bit-identical for any pool
 /// width, including [`WorkerPool::sequential`], and for any cache state.
 fn run_search(
     graph: &Graph,
@@ -1460,22 +1259,19 @@ fn run_search(
     pool: &WorkerPool,
     cache: &CostCache,
 ) -> Result<ExecutionPlan> {
-    let order = graph.topo_order()?;
+    let walk = TopoWalk::new(graph)?;
+    let order = &walk.order;
     let n = order.len();
-    let index_of: HashMap<NodeId, usize> =
-        order.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-    let conv_like = fusion_map(graph, &order);
     let pim_available = cfg.effective_pim_channels() > 0;
 
     // Single-node costs: lines 1-7 of Algorithm 1, one independent task per
     // node.
     let base = cache.snapshot();
     let (outcomes, shards) = pool.map_with(
-        &order,
-        || Profiler::with_base(graph, cfg, base.clone()),
+        order,
+        || Profiler::new(graph, cfg, base.clone()),
         |profiler, _, &id| {
-            let fused = *conv_like.get(&id).unwrap_or(&false);
-            let gpu_only = solo_gpu_cost(profiler, id, fused);
+            let gpu_only = walk.solo(profiler, id);
             if !(graph.is_pim_candidate(id) && pim_available) {
                 return NodeOutcome {
                     cost: gpu_only,
@@ -1513,7 +1309,7 @@ fn run_search(
             let mut samples = Vec::with_capacity(ratios.len());
             let mut best = (100u32, gpu_only, BackendKind::Newton);
             for r in ratios {
-                let (t, backend) = profiler.mddp_cost_pinned(id, r, None);
+                let (t, backend) = profiler.mddp_cost(id, r, None);
                 samples.push((r, t));
                 if t < best.1 {
                     best = (r, t, backend);
@@ -1550,61 +1346,38 @@ fn run_search(
     let profiles: Vec<LayerProfile> = outcomes.iter().filter_map(|o| o.profile.clone()).collect();
     let single_cost: Vec<f64> = outcomes.iter().map(|o| o.cost).collect();
 
-    // Pipeline candidates: lines 8-15, one independent task per chain. A
-    // chain is usable when its nodes are contiguous in the topo order (the
-    // DP walks that order). Workers start from a fresh snapshot that
+    // Pipeline candidates: lines 8-15, one independent task per chain
+    // contiguous in the walk. Workers start from a fresh snapshot that
     // already contains the node phase's merged shards, so shared PIM
-    // workloads are not re-simulated.
-    // Pipeline stages stream their inputs through the global buffers, so
-    // chains are priced (and would execute) on the Newton model only; a
-    // crossbar-only backend set has no pipelining to offer.
+    // workloads are not re-simulated. Chains are priced (and would
+    // execute) on the Newton model only, so a crossbar-only backend set
+    // has no pipelining to offer.
     let mut chain_list: Vec<(usize, Chain)> = Vec::new();
     if opts.allow_pipeline && pim_available && cfg.pim_backends.allows_newton() {
-        for chain in find_chains(graph) {
-            let start = index_of[&chain.nodes[0]];
-            let contiguous = chain
-                .nodes
-                .iter()
-                .enumerate()
-                .all(|(k, nid)| index_of[nid] == start + k);
-            if contiguous {
-                chain_list.push((start, chain));
-            }
-        }
+        chain_list = find_chains(graph)
+            .into_iter()
+            .filter_map(|c| Some((walk.region_start(&c.nodes)?, c)))
+            .collect();
     }
+    let stages = opts.pipeline_stages.max(2);
     let base = cache.snapshot();
     let (chain_costs, chain_shards) = pool.map_with(
         &chain_list,
-        || Profiler::with_base(graph, cfg, base.clone()),
-        |profiler, _, (_, chain)| profiler.pipeline_cost(chain, opts.pipeline_stages.max(2)),
+        || Profiler::new(graph, cfg, base.clone()),
+        |profiler, _, (_, chain)| profiler.pipeline_cost(chain, stages),
     );
-    // The chain phase used to discard its shards; merging them means a
-    // later cached search (or the serving precompile sweep) reuses the
-    // pipeline workloads too.
     cache.merge(chain_shards.into_iter().map(Profiler::into_shard));
-    let mut chain_options: HashMap<usize, Vec<(Chain, f64)>> = HashMap::new();
-    for ((start, chain), cost) in chain_list.into_iter().zip(chain_costs) {
-        chain_options.entry(start).or_default().push((chain, cost));
-    }
 
     // Fusion-group candidates: runs of PIM-eligible heavy layers whose
-    // inter-layer activations can stay near the banks. Like chains, a
-    // group is usable only when its nodes are contiguous in the topo order
-    // (the DP consumes whole index ranges). One independent pricing task
-    // per group; workers snapshot the table the earlier phases filled.
+    // inter-layer activations can stay near the banks, contiguous in the
+    // walk like chains. One independent pricing task per group; workers
+    // snapshot the table the earlier phases filled.
     let mut group_list: Vec<(usize, FusionGroup)> = Vec::new();
     if opts.allow_fusion && pim_available {
-        for group in find_fusion_groups(graph) {
-            let start = index_of[&group.nodes[0]];
-            let contiguous = group
-                .nodes
-                .iter()
-                .enumerate()
-                .all(|(k, nid)| index_of[nid] == start + k);
-            if contiguous {
-                group_list.push((start, group));
-            }
-        }
+        group_list = find_fusion_groups(graph)
+            .into_iter()
+            .filter_map(|g| Some((walk.region_start(&g.nodes)?, g)))
+            .collect();
     }
     let base = cache.snapshot();
     // Interior MD-DP grid for splittable groups: coarser than the
@@ -1615,7 +1388,7 @@ fn run_search(
     let interior_step = (opts.ratio_step.max(25) as usize).min(100);
     let (group_costs, group_shards) = pool.map_with(
         &group_list,
-        || Profiler::with_base(graph, cfg, base.clone()).overlap(opts.overlap_epochs),
+        || Profiler::new(graph, cfg, base.clone()).overlap(opts.overlap_epochs),
         |profiler, _, (_, group)| {
             let ratios: Vec<u32> =
                 if opts.offload_only || interior_split_height(graph, group).is_none() {
@@ -1627,51 +1400,50 @@ fn run_search(
         },
     );
     cache.merge(group_shards.into_iter().map(Profiler::into_shard));
-    let mut fused_options: HashMap<usize, Vec<(FusionGroup, f64, BackendKind, u32)>> =
-        HashMap::new();
+
+    // Every region option per start position: chains first, then groups,
+    // so DP ties keep preferring chains.
+    let mut regions: HashMap<usize, Vec<Region>> = HashMap::new();
+    for ((start, chain), cost) in chain_list.into_iter().zip(chain_costs) {
+        let decision = Decision::Pipeline {
+            node_names: names(graph, &chain.nodes),
+            stages,
+        };
+        regions.entry(start).or_default().push(Region {
+            nodes: chain.nodes,
+            cost,
+            decision,
+        });
+    }
     for ((start, group), (cost, backend, ratio)) in group_list.into_iter().zip(group_costs) {
-        fused_options
-            .entry(start)
-            .or_default()
-            .push((group, cost, backend, ratio));
+        let decision = Decision::Fused {
+            node_names: names(graph, &group.nodes),
+            backend,
+            gpu_percent: ratio,
+        };
+        regions.entry(start).or_default().push(Region {
+            nodes: group.nodes,
+            cost,
+            decision,
+        });
     }
 
     // DP combine: lines 23-28 (suffix form over the topo order). The
-    // candidate set at each index is single-node decisions, pipeline
-    // chains, and fused groups; disabling fusion removes options without
+    // candidate set at each index is the single-node decision plus every
+    // region starting there; disabling fusion removes options without
     // adding any, so the fused search's minimum can never be worse.
-    #[derive(Clone, Copy)]
-    enum DpChoice {
-        Chain(usize),
-        Fused(usize),
-    }
     let mut t = vec![0.0f64; n + 1];
-    let mut choice: Vec<Option<DpChoice>> = vec![None; n];
+    let mut choice: Vec<Option<usize>> = vec![None; n];
     for i in (0..n).rev() {
         let mut best = single_cost[i] + t[i + 1];
-        let mut best_choice = None;
-        if let Some(chains) = chain_options.get(&i) {
-            for (k, (chain, cost)) in chains.iter().enumerate() {
-                let len = chain.nodes.len();
-                let total = cost + t[i + len];
-                if total < best {
-                    best = total;
-                    best_choice = Some(DpChoice::Chain(k));
-                }
-            }
-        }
-        if let Some(groups) = fused_options.get(&i) {
-            for (k, (group, cost, _, _)) in groups.iter().enumerate() {
-                let len = group.nodes.len();
-                let total = cost + t[i + len];
-                if total < best {
-                    best = total;
-                    best_choice = Some(DpChoice::Fused(k));
-                }
+        for (k, region) in regions.get(&i).into_iter().flatten().enumerate() {
+            let total = region.cost + t[i + region.nodes.len()];
+            if total < best {
+                best = total;
+                choice[i] = Some(k);
             }
         }
         t[i] = best;
-        choice[i] = best_choice;
     }
 
     // Reconstruct decisions and attribute conv-layer time (Fig. 9 top).
@@ -1681,60 +1453,17 @@ fn run_search(
     while i < n {
         let id = order[i];
         let name = graph.node(id).name.clone();
-        if let Some(DpChoice::Chain(k)) = choice[i] {
-            let (chain, cost) = &chain_options[&i][k];
-            // Attribute only the candidate-conv share of the chain to the
-            // Fig. 9 conv metric: subtract what the chain's non-candidate
-            // members (DW convs, element-wise) would have cost anyway.
-            let rider_cost: f64 = chain
-                .nodes
-                .iter()
-                .filter(|nid| {
-                    !(matches!(graph.node(**nid).op, Op::Conv2d(_))
-                        && graph.is_pim_candidate(**nid))
-                })
-                .map(|nid| single_cost[index_of[nid]])
-                .sum();
-            conv_layer_us += (cost - rider_cost).max(0.0);
-            decisions.push((
-                name,
-                Decision::Pipeline {
-                    node_names: chain
-                        .nodes
-                        .iter()
-                        .map(|&nid| graph.node(nid).name.clone())
-                        .collect(),
-                    stages: opts.pipeline_stages.max(2),
-                },
-            ));
-            i += chain.nodes.len();
-        } else if let Some(DpChoice::Fused(k)) = choice[i] {
-            let (group, cost, backend, ratio) = &fused_options[&i][k];
-            let rider_cost: f64 = group
-                .nodes
-                .iter()
-                .filter(|nid| {
-                    !(matches!(graph.node(**nid).op, Op::Conv2d(_))
-                        && graph.is_pim_candidate(**nid))
-                })
-                .map(|nid| single_cost[index_of[nid]])
-                .sum();
-            conv_layer_us += (cost - rider_cost).max(0.0);
-            decisions.push((
-                name,
-                Decision::Fused {
-                    node_names: group
-                        .nodes
-                        .iter()
-                        .map(|&nid| graph.node(nid).name.clone())
-                        .collect(),
-                    backend: *backend,
-                    gpu_percent: *ratio,
-                },
-            ));
-            i += group.nodes.len();
+        if let Some(k) = choice[i] {
+            let region = regions
+                .get_mut(&i)
+                .expect("chosen region exists")
+                .swap_remove(k);
+            let riders = rider_cost(graph, &region.nodes, |nid| single_cost[walk.index_of[&nid]]);
+            conv_layer_us += (region.cost - riders).max(0.0);
+            decisions.push((name, region.decision));
+            i += region.nodes.len();
         } else {
-            if matches!(graph.node(id).op, Op::Conv2d(_)) && graph.is_pim_candidate(id) {
+            if is_candidate_conv(graph, id) {
                 conv_layer_us += single_cost[i];
             }
             // Every profiled candidate gets an explicit decision — GPU
@@ -1823,13 +1552,7 @@ fn apply_decisions(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
             Decision::Pipeline { node_names, stages } => {
                 let chain = find_chains(&out)
                     .into_iter()
-                    .find(|c| {
-                        c.nodes.len() == node_names.len()
-                            && c.nodes
-                                .iter()
-                                .zip(node_names)
-                                .all(|(&nid, n)| &out.node(nid).name == n)
-                    })
+                    .find(|c| named(&out, &c.nodes, node_names))
                     .ok_or_else(|| {
                         PassError::NotApplicable(format!(
                             "plan references unknown chain at `{name}`"
@@ -1856,7 +1579,7 @@ mod tests {
     #[test]
     fn search_produces_offload_decisions_for_toy() {
         let g = models::toy();
-        let plan = search(&g, &pimflow_cfg(), &SearchOptions::default()).unwrap();
+        let plan = Search::new(&g, &pimflow_cfg()).run().unwrap();
         assert!(
             !plan.decisions.is_empty(),
             "toy model should offload something"
@@ -1868,7 +1591,7 @@ mod tests {
     #[test]
     fn profiles_have_eleven_samples_at_default_step() {
         let g = models::toy();
-        let plan = search(&g, &pimflow_cfg(), &SearchOptions::default()).unwrap();
+        let plan = Search::new(&g, &pimflow_cfg()).run().unwrap();
         for p in &plan.profiles {
             assert_eq!(p.samples.len(), 11, "{}", p.name);
         }
@@ -1882,7 +1605,7 @@ mod tests {
             allow_pipeline: false,
             ..Default::default()
         };
-        let plan = search(&g, &pimflow_cfg(), &opts).unwrap();
+        let plan = Search::new(&g, &pimflow_cfg()).options(opts).run().unwrap();
         for (_, d) in &plan.decisions {
             match d {
                 Decision::Split { gpu_percent, .. } => assert_eq!(*gpu_percent, 0),
@@ -1898,7 +1621,7 @@ mod tests {
     #[test]
     fn plan_applies_and_preserves_semantics() {
         let g = models::toy();
-        let plan = search(&g, &pimflow_cfg(), &SearchOptions::default()).unwrap();
+        let plan = Search::new(&g, &pimflow_cfg()).run().unwrap();
         let transformed = apply_plan(&g, &plan).unwrap();
         transformed.validate().unwrap();
         let inputs = input_tensors(&g, 5);
@@ -1945,7 +1668,7 @@ mod tests {
             .flat_map(|name| [(name, SearchOptions::default()), (name, unfused)])
         {
             let g = models::by_name(name).expect("zoo model");
-            let plan = search(&g, &pimflow_cfg(), &opts).unwrap();
+            let plan = Search::new(&g, &pimflow_cfg()).options(opts).run().unwrap();
             for (_, d) in &plan.decisions {
                 match d {
                     Decision::Split { gpu_percent: 0, .. } => seen[0] = true,
@@ -1983,7 +1706,7 @@ mod tests {
     #[test]
     fn plan_execution_beats_gpu_baseline_on_toy() {
         let g = models::toy();
-        let plan = search(&g, &pimflow_cfg(), &SearchOptions::default()).unwrap();
+        let plan = Search::new(&g, &pimflow_cfg()).run().unwrap();
         let transformed = apply_plan(&g, &plan).unwrap();
         let base = execute(&g, &EngineConfig::baseline_gpu()).unwrap();
         let opt = execute(&transformed, &pimflow_cfg()).unwrap();
@@ -1998,17 +1721,17 @@ mod tests {
     #[test]
     fn search_is_deterministic() {
         let g = models::toy();
-        let a = search(&g, &pimflow_cfg(), &SearchOptions::default()).unwrap();
-        let b = search(&g, &pimflow_cfg(), &SearchOptions::default()).unwrap();
+        let a = Search::new(&g, &pimflow_cfg()).run().unwrap();
+        let b = Search::new(&g, &pimflow_cfg()).run().unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn dp_never_worse_than_all_gpu() {
         let g = models::toy();
-        let plan = search(&g, &pimflow_cfg(), &SearchOptions::default()).unwrap();
+        let plan = Search::new(&g, &pimflow_cfg()).run().unwrap();
         let all_gpu: f64 = {
-            let mut p = Profiler::new(&g, &pimflow_cfg());
+            let mut p = Profiler::new(&g, &pimflow_cfg(), Arc::default());
             let order = g.topo_order().unwrap();
             let mut conv_seen = false;
             order
@@ -2026,7 +1749,7 @@ mod tests {
     #[test]
     fn ratio_distribution_sums_to_one() {
         let g = models::toy();
-        let plan = search(&g, &pimflow_cfg(), &SearchOptions::default()).unwrap();
+        let plan = Search::new(&g, &pimflow_cfg()).run().unwrap();
         let dist = plan.ratio_distribution();
         let total: f64 = dist.iter().map(|(_, s)| s).sum();
         if plan
@@ -2061,7 +1784,7 @@ mod tests {
             allow_pipeline: false,
             ..Default::default()
         };
-        let plan = search(&g, &pimflow_cfg(), &opts).unwrap();
+        let plan = Search::new(&g, &pimflow_cfg()).options(opts).run().unwrap();
         for p in &plan.profiles {
             let ratios: Vec<u32> = p.samples.iter().map(|&(r, _)| r).collect();
             assert!(ratios.contains(&0), "{}: {ratios:?}", p.name);
@@ -2070,20 +1793,30 @@ mod tests {
     }
 
     #[test]
-    fn estimate_node_best_us_respects_ratio_step() {
+    fn finer_ratio_step_is_never_worse_per_candidate() {
         let g = models::toy();
         let cfg = pimflow_cfg();
-        let fine = SearchOptions::default(); // step 10
-        let coarse = SearchOptions {
-            ratio_step: 50,
-            ..Default::default()
-        };
-        for id in g.node_ids().filter(|&id| g.is_pim_candidate(id)) {
-            let f = estimate_node_best_us(&g, &cfg, id, &fine);
-            let c = estimate_node_best_us(&g, &cfg, id, &coarse);
+        let fine = Search::new(&g, &cfg).run().unwrap(); // step 10
+        let coarse = Search::new(&g, &cfg)
+            .options(SearchOptions {
+                ratio_step: 50,
+                ..Default::default()
+            })
+            .run()
+            .unwrap();
+        assert!(!fine.profiles.is_empty());
+        assert_eq!(fine.profiles.len(), coarse.profiles.len());
+        for (f, c) in fine.profiles.iter().zip(&coarse.profiles) {
+            assert_eq!(f.name, c.name);
             // The fine grid is a superset of the coarse grid, so its
             // minimum can only be lower.
-            assert!(f <= c + 1e-9, "node {id:?}: fine {f} > coarse {c}");
+            assert!(
+                f.best_us <= c.best_us + 1e-9,
+                "{}: fine {} > coarse {}",
+                f.name,
+                f.best_us,
+                c.best_us
+            );
         }
     }
 
@@ -2102,7 +1835,7 @@ mod tests {
             allow_pipeline: false,
             ..Default::default()
         };
-        let plan = search(&g, &cfg, &opts).unwrap();
+        let plan = Search::new(&g, &cfg).options(opts).run().unwrap();
         assert!(!plan.profiles.is_empty());
         assert_eq!(
             plan.decisions.len(),
@@ -2169,7 +1902,7 @@ mod tests {
     #[test]
     fn cached_search_matches_cold_and_reuses_entries() {
         let g = models::toy();
-        let cold = search(&g, &pimflow_cfg(), &SearchOptions::default()).unwrap();
+        let cold = Search::new(&g, &pimflow_cfg()).run().unwrap();
         let cache = crate::costcache::CostCache::new();
         let warm1 = Search::new(&g, &pimflow_cfg()).cache(&cache).run().unwrap();
         let after_first = cache.counters();
@@ -2192,13 +1925,11 @@ mod tests {
     fn cached_repair_matches_uncached_repair() {
         let g = models::toy();
         let cfg = pimflow_cfg();
-        let plan = search(&g, &cfg, &SearchOptions::default()).unwrap();
+        let plan = Search::new(&g, &cfg).run().unwrap();
         let mask = ChannelMask::from_bits(0b11);
-        let plain = plan.repair(&g, &cfg, mask).unwrap();
+        let plain = plan.repair(&g, &cfg, mask, None).unwrap();
         let cache = crate::costcache::CostCache::new();
-        let cached = plan
-            .repair_with_cache(&g, &cfg, mask, Some(&cache))
-            .unwrap();
+        let cached = plan.repair(&g, &cfg, mask, Some(&cache)).unwrap();
         assert_eq!(
             pimflow_json::to_string(&plain),
             pimflow_json::to_string(&cached)
@@ -2206,9 +1937,7 @@ mod tests {
         let first = cache.counters();
         assert!(first.entries > 0, "repair must feed the cache");
         // A second repair under the same mask is answered from the table.
-        let again = plan
-            .repair_with_cache(&g, &cfg, mask, Some(&cache))
-            .unwrap();
+        let again = plan.repair(&g, &cfg, mask, Some(&cache)).unwrap();
         assert_eq!(
             pimflow_json::to_string(&plain),
             pimflow_json::to_string(&again)
@@ -2237,8 +1966,8 @@ mod tests {
     fn repair_with_full_mask_is_identity() {
         let g = models::toy();
         let cfg = pimflow_cfg();
-        let plan = search(&g, &cfg, &SearchOptions::default()).unwrap();
-        let repaired = plan.repair(&g, &cfg, ChannelMask::all()).unwrap();
+        let plan = Search::new(&g, &cfg).run().unwrap();
+        let repaired = plan.repair(&g, &cfg, ChannelMask::all(), None).unwrap();
         assert_eq!(
             pimflow_json::to_string(&plan),
             pimflow_json::to_string(&repaired)
@@ -2249,10 +1978,10 @@ mod tests {
     fn repair_never_beats_the_original_prediction() {
         let g = models::toy();
         let cfg = pimflow_cfg();
-        let plan = search(&g, &cfg, &SearchOptions::default()).unwrap();
+        let plan = Search::new(&g, &cfg).run().unwrap();
         // Kill all but one channel.
         let mask = ChannelMask::from_bits(0b1);
-        let repaired = plan.repair(&g, &cfg, mask).unwrap();
+        let repaired = plan.repair(&g, &cfg, mask, None).unwrap();
         assert!(
             repaired.predicted_us >= plan.predicted_us - 1e-9,
             "repaired {} < original {}",
@@ -2265,8 +1994,10 @@ mod tests {
     fn repair_under_empty_mask_falls_back_to_gpu_everywhere() {
         let g = models::toy();
         let cfg = pimflow_cfg();
-        let plan = search(&g, &cfg, &SearchOptions::default()).unwrap();
-        let repaired = plan.repair(&g, &cfg, ChannelMask::from_bits(0)).unwrap();
+        let plan = Search::new(&g, &cfg).run().unwrap();
+        let repaired = plan
+            .repair(&g, &cfg, ChannelMask::from_bits(0), None)
+            .unwrap();
         assert!(repaired
             .decisions
             .iter()
@@ -2281,16 +2012,16 @@ mod tests {
     fn repair_rejects_plans_for_other_graphs() {
         let g = models::toy();
         let cfg = pimflow_cfg();
-        let mut plan = search(&g, &cfg, &SearchOptions::default()).unwrap();
+        let mut plan = Search::new(&g, &cfg).run().unwrap();
         plan.decisions.push(("no-such-node".into(), Decision::Gpu));
-        let err = plan.repair(&g, &cfg, ChannelMask::from_bits(0b1));
+        let err = plan.repair(&g, &cfg, ChannelMask::from_bits(0b1), None);
         assert!(matches!(err, Err(crate::Error::NotApplicable(_))));
     }
 
     #[test]
     fn plan_serializes_roundtrip() {
         let g = models::toy();
-        let plan = search(&g, &pimflow_cfg(), &SearchOptions::default()).unwrap();
+        let plan = Search::new(&g, &pimflow_cfg()).run().unwrap();
         let json = pimflow_json::to_string(&plan);
         let back: ExecutionPlan = pimflow_json::from_str(&json).unwrap();
         assert_eq!(plan.model, back.model);

@@ -44,7 +44,7 @@
 
 use pimflow::engine::{execute, EngineConfig};
 use pimflow::policy::{evaluate, Policy};
-use pimflow::search::{apply_plan, search, ExecutionPlan, SearchOptions};
+use pimflow::search::{apply_plan, ExecutionPlan, Search, SearchOptions};
 use pimflow_fleet::{run_fleet, FleetConfig, NodeClass, RouterPolicy, TenantSpec, TrafficSpec};
 use pimflow_ir::models;
 use pimflow_serve::{parse_trace, ArrivalSpec, EventLog, FaultScenario, ServeConfig};
@@ -167,7 +167,10 @@ fn profile(args: &Args) -> Result<(), String> {
                 allow_pipeline: false,
                 ..Default::default()
             };
-            let plan = search(&g, &cfg, &opts).map_err(|e| e.to_string())?;
+            let plan = Search::new(&g, &cfg)
+                .options(opts)
+                .run()
+                .map_err(|e| e.to_string())?;
             let path = args
                 .out_dir
                 .join("layerwise")
@@ -212,7 +215,10 @@ fn solve(args: &Args) -> Result<(), String> {
         .policy
         .search_options()
         .ok_or("the baseline policy has nothing to solve")?;
-    let plan = search(&g, &cfg, &opts).map_err(|e| e.to_string())?;
+    let plan = Search::new(&g, &cfg)
+        .options(opts)
+        .run()
+        .map_err(|e| e.to_string())?;
     let path = args.out_dir.join("plans").join(format!("{}.json", g.name));
     write_json(&path, &plan)?;
     println!(

@@ -234,17 +234,13 @@ impl Interpreter for CrossbarInterpreter {
 }
 
 /// Lower-then-interpret shorthand: microseconds `shape` takes on
-/// `channels` crossbar channels. This is the pure cost function the
-/// compiler's cost cache stores per [`BackendKind::Crossbar`] key.
-pub fn estimate_shape_us(shape: &MatmulShape, channels: usize, cfg: &CrossbarConfig) -> f64 {
-    estimate_shape_us_fused(shape, channels, cfg, FusedRole::Standalone)
-}
-
-/// Role-aware variant of [`estimate_shape_us`]: the bus crossings a fused
-/// placement elides are rewritten to [`PimInst::BankFeed`]s before
-/// interpreting, so a fusion-group member's cost reflects activations
-/// staying near the banks. `Standalone` is exactly [`estimate_shape_us`].
-pub fn estimate_shape_us_fused(
+/// `channels` crossbar channels, lowered for fusion-group role `role`.
+/// The bus crossings a fused placement elides are rewritten to
+/// [`PimInst::BankFeed`]s before interpreting, so a fusion-group member's
+/// cost reflects activations staying near the banks; `Standalone` keeps
+/// the plain lowering. This is the pure cost function the compiler's cost
+/// cache stores per [`BackendKind::Crossbar`] key.
+pub fn estimate_shape_us(
     shape: &MatmulShape,
     channels: usize,
     cfg: &CrossbarConfig,
@@ -262,7 +258,7 @@ pub fn estimate_shape_us_fused(
 /// the chain time is the max over channels — max-of-sums, against the
 /// back-to-back composition's sum-of-maxes. The overlapped estimate is
 /// therefore structurally never above the sum of the per-member
-/// [`estimate_shape_us_fused`] costs: cross-channel imbalance hides under
+/// [`estimate_shape_us`] costs: cross-channel imbalance hides under
 /// other members' work instead of being paid once per member.
 pub fn estimate_chain_us_overlapped(
     members: &[(MatmulShape, FusedRole)],
@@ -326,8 +322,8 @@ mod tests {
             out_channels: 64,
         };
         let c = cfg();
-        let t1 = estimate_shape_us(&one, 4, &c);
-        let t2 = estimate_shape_us(&two, 4, &c);
+        let t1 = estimate_shape_us(&one, 4, &c, FusedRole::Standalone);
+        let t2 = estimate_shape_us(&two, 4, &c, FusedRole::Standalone);
         let activation = c.row_select_ns * 1e-3;
         assert!(
             (t2 - (2.0 * (t1 - activation) + activation)).abs() < 1e-9,
@@ -351,8 +347,8 @@ mod tests {
             k_elems: 32,
             out_channels: 16,
         };
-        let fc_us = estimate_shape_us(&fc, 16, &c);
-        let pw_us = estimate_shape_us(&pw, 16, &c);
+        let fc_us = estimate_shape_us(&fc, 16, &c, FusedRole::Standalone);
+        let pw_us = estimate_shape_us(&pw, 16, &c, FusedRole::Standalone);
         assert!(fc_us < 10.0, "FC should be a few us, got {fc_us}");
         assert!(
             pw_us > 100.0 * fc_us,
@@ -367,7 +363,10 @@ mod tests {
             k_elems: 128,
             out_channels: 128,
         };
-        assert_eq!(estimate_shape_us(&z, 16, &cfg()), 0.0);
+        assert_eq!(
+            estimate_shape_us(&z, 16, &cfg(), FusedRole::Standalone),
+            0.0
+        );
     }
 
     #[test]
@@ -406,7 +405,7 @@ mod tests {
         for channels in [1, 4, 16] {
             let sum: f64 = members
                 .iter()
-                .map(|(s, r)| estimate_shape_us_fused(s, channels, &c, *r))
+                .map(|(s, r)| estimate_shape_us(s, channels, &c, *r))
                 .sum();
             let overlapped = estimate_chain_us_overlapped(&members, channels, &c);
             assert!(

@@ -21,7 +21,7 @@ pub struct Counters {
     pub cache_hits: u64,
     /// Plan-cache misses (compilations).
     pub cache_misses: u64,
-    /// Times `pimflow::search::search` actually ran.
+    /// Times a search (`pimflow::search::Search::run`) actually ran.
     pub search_invocations: u64,
     /// Channel availability transitions replayed from the fault scenario.
     pub fault_events: u64,

@@ -150,7 +150,7 @@ pub fn repair_batch(
         Some(plan) => {
             let source_cfg = engine_cfg.with_mask(old_mask);
             let repaired = plan
-                .repair_with_cache(&batched, &source_cfg, new_mask, Some(cost_cache))
+                .repair(&batched, &source_cfg, new_mask, Some(cost_cache))
                 .map_err(compile_err)?;
             let transformed = apply_plan(&batched, &repaired).map_err(compile_err)?;
             let report = execute(&transformed, &masked_cfg).map_err(compile_err)?;

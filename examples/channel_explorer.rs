@@ -10,7 +10,7 @@
 //! paper derives its 16-16 division from this experiment.
 
 use pimflow::engine::{execute, EngineConfig};
-use pimflow::search::{apply_plan, search, SearchOptions};
+use pimflow::search::{apply_plan, Search};
 use pimflow_ir::models;
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
             let t = execute(&model, &cfg).expect("zoo models execute").total_us;
             (t, 0)
         } else {
-            let plan = search(&model, &cfg, &SearchOptions::default()).expect("zoo models search");
+            let plan = Search::new(&model, &cfg).run().expect("zoo models search");
             let transformed = apply_plan(&model, &plan).expect("plans apply to their graph");
             let t = execute(&transformed, &cfg)
                 .expect("zoo models execute")

@@ -6,10 +6,11 @@
 //! cargo run --release --example pipeline_patterns [model]
 //! ```
 
+use pimflow::codegen::gpu_node_time_us;
 use pimflow::engine::{execute, EngineConfig};
 use pimflow::passes::{find_chains, pipeline_chain, PatternKind};
 use pimflow::placement::Placement;
-use pimflow::search::{estimate_chain_pipelined_us, estimate_node_best_us, SearchOptions};
+use pimflow::search::{estimate_chain_pipelined_us, Search, SearchOptions};
 use pimflow_ir::models;
 use pimflow_kernels::{input_tensors, run_graph};
 
@@ -20,8 +21,16 @@ fn main() {
     let model = models::by_name(&name).expect("unknown model");
     let cfg = EngineConfig::pimflow();
 
-    // 1. Enumerate the pipelining candidates.
+    // 1. Enumerate the pipelining candidates, and profile every layer once.
     let chains = find_chains(&model);
+    let plan = Search::new(&model, &cfg)
+        .options(SearchOptions {
+            allow_pipeline: false,
+            allow_fusion: false,
+            ..SearchOptions::default()
+        })
+        .run()
+        .expect("zoo models search");
     println!(
         "{}: {} pipelining candidate subgraphs",
         model.name,
@@ -32,14 +41,22 @@ fn main() {
         if matching.is_empty() {
             continue;
         }
-        // Compare pipelined vs MD-DP for each chain (Fig. 11).
+        // Compare pipelined vs MD-DP for each chain (Fig. 11): a node's
+        // MD-DP time is its best profiled sample when it is a PIM
+        // candidate, its standalone GPU time otherwise.
         let mut wins = 0;
         for c in &matching {
             let pipelined = estimate_chain_pipelined_us(&model, &cfg, c, 2);
             let mddp: f64 = c
                 .nodes
                 .iter()
-                .map(|&id| estimate_node_best_us(&model, &cfg, id, &SearchOptions::default()))
+                .map(|&id| {
+                    let name = &model.node(id).name;
+                    plan.profiles.iter().find(|p| &p.name == name).map_or_else(
+                        || gpu_node_time_us(&model, id, &cfg.gpu, cfg.gpu_channels),
+                        |p| p.best_us,
+                    )
+                })
                 .sum();
             if pipelined < mddp {
                 wins += 1;

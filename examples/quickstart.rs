@@ -13,7 +13,7 @@
 //! 5. simulate both the GPU baseline and the PIMFlow execution.
 
 use pimflow::engine::{execute, EngineConfig};
-use pimflow::search::{apply_plan, search, SearchOptions};
+use pimflow::search::{apply_plan, Search};
 use pimflow_ir::models;
 use pimflow_kernels::{input_tensors, run_graph};
 
@@ -24,7 +24,7 @@ fn main() -> pimflow::Result<()> {
 
     // 2. Search for the optimal execution mode per layer.
     let cfg = EngineConfig::pimflow();
-    let plan = search(&model, &cfg, &SearchOptions::default())?;
+    let plan = Search::new(&model, &cfg).run()?;
     println!("search decisions:");
     for (node, decision) in &plan.decisions {
         println!("  {node}: {decision:?}");

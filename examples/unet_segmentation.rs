@@ -9,7 +9,7 @@
 //! ```
 
 use pimflow::engine::{execute, EngineConfig};
-use pimflow::search::{apply_plan, search, Decision, SearchOptions};
+use pimflow::search::{apply_plan, Decision, Search};
 use pimflow_ir::analysis::{classify, LayerClass};
 use pimflow_ir::models;
 
@@ -31,7 +31,7 @@ fn main() {
     );
 
     let cfg = EngineConfig::pimflow();
-    let plan = search(&model, &cfg, &SearchOptions::default()).expect("zoo models search");
+    let plan = Search::new(&model, &cfg).run().expect("zoo models search");
     let offloads = plan
         .decisions
         .iter()

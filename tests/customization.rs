@@ -4,14 +4,14 @@
 //! set — a branchy SqueezeNet and a U-Net-style encoder/decoder.
 
 use pimflow::engine::{execute, EngineConfig};
-use pimflow::search::{apply_plan, search, SearchOptions};
+use pimflow::search::{apply_plan, Search};
 use pimflow_ir::models;
 use pimflow_kernels::{input_tensors, run_graph};
 
 fn full_flow_helps(name: &str) {
     let g = models::by_name(name).unwrap();
     let cfg = EngineConfig::pimflow();
-    let plan = search(&g, &cfg, &SearchOptions::default()).unwrap();
+    let plan = Search::new(&g, &cfg).run().unwrap();
     assert!(!plan.decisions.is_empty(), "{name}: nothing offloaded");
     let transformed = apply_plan(&g, &plan).unwrap();
     transformed.validate().unwrap();
@@ -38,7 +38,7 @@ fn unet_flow_works_and_never_hurts() {
     // hardware itself, enabling PIMFlow never loses to GPU-only execution.
     let g = models::by_name("unet-small").unwrap();
     let cfg = EngineConfig::pimflow();
-    let plan = search(&g, &cfg, &SearchOptions::default()).unwrap();
+    let plan = Search::new(&g, &cfg).run().unwrap();
     let transformed = apply_plan(&g, &plan).unwrap();
     transformed.validate().unwrap();
     let optimized = execute(&transformed, &cfg).unwrap();
@@ -55,7 +55,7 @@ fn unet_flow_works_and_never_hurts() {
 fn tiny_unet_transformation_is_numerically_exact() {
     let g = models::unet(8, 2, 1);
     let cfg = EngineConfig::pimflow();
-    let plan = search(&g, &cfg, &SearchOptions::default()).unwrap();
+    let plan = Search::new(&g, &cfg).run().unwrap();
     let transformed = apply_plan(&g, &plan).unwrap();
     let inputs = input_tensors(&g, 77);
     let a = run_graph(&g, &inputs).unwrap();

@@ -5,7 +5,7 @@
 
 use pimflow::engine::EngineConfig;
 use pimflow::evaluation::verify_equivalence;
-use pimflow::search::{apply_plan, search, SearchOptions};
+use pimflow::search::{apply_plan, Search, SearchOptions};
 use pimflow_ir::{models, ActivationKind, Graph, GraphBuilder, Shape};
 
 /// Worker widths every equivalence case is verified at: the executor
@@ -15,7 +15,10 @@ const JOBS_WIDTHS: [usize; 2] = [1, 4];
 
 fn assert_plan_preserves_semantics(g: &Graph, opts: &SearchOptions, tol: f32) {
     let cfg = EngineConfig::pimflow();
-    let plan = search(g, &cfg, opts).expect("search succeeds on valid graphs");
+    let plan = Search::new(g, &cfg)
+        .options(*opts)
+        .run()
+        .expect("search succeeds on valid graphs");
     let transformed = apply_plan(g, &plan).expect("plan applies to its own graph");
     transformed
         .validate()

@@ -9,7 +9,7 @@
 //! graphs, and across a seeded family of random graphs.
 
 use pimflow::engine::EngineConfig;
-use pimflow::search::{apply_plan, search, Decision, ExecutionPlan, SearchOptions};
+use pimflow::search::{apply_plan, Decision, ExecutionPlan, Search, SearchOptions};
 use pimflow::BackendKind;
 use pimflow_ir::{infer_shapes, models, ActivationKind, Graph, GraphBuilder, Shape};
 use pimflow_kernels::{
@@ -111,7 +111,10 @@ fn transformed_graphs_are_width_invariant() {
             ..Default::default()
         },
     ] {
-        let plan = search(&g, &cfg, &opts).expect("search succeeds");
+        let plan = Search::new(&g, &cfg)
+            .options(opts)
+            .run()
+            .expect("search succeeds");
         let transformed = apply_plan(&g, &plan).expect("plan applies");
         assert_width_and_mode_invariant(&transformed, 17);
     }

@@ -5,7 +5,7 @@
 //! the process must survive them.
 
 use pimflow::engine::{execute, ChannelMask, EngineConfig};
-use pimflow::search::{apply_plan, search, Decision, ExecutionPlan, SearchOptions};
+use pimflow::search::{apply_plan, Decision, ExecutionPlan, Search};
 use pimflow::Error;
 use pimflow_ir::models;
 
@@ -36,7 +36,7 @@ fn foreign_plans_are_rejected_not_panicked_on() {
         "expected NotApplicable, got {err}"
     );
     let err = foreign_plan()
-        .repair(&g, &cfg, ChannelMask::all().without(0))
+        .repair(&g, &cfg, ChannelMask::all().without(0), None)
         .unwrap_err();
     assert!(
         matches!(err, Error::NotApplicable(_)),
@@ -75,7 +75,7 @@ fn valid_inputs_still_flow_through_the_result_api() {
     fn flow() -> pimflow::Result<f64> {
         let g = models::toy();
         let cfg = EngineConfig::pimflow();
-        let plan = search(&g, &cfg, &SearchOptions::default())?;
+        let plan = Search::new(&g, &cfg).run()?;
         let transformed = apply_plan(&g, &plan)?;
         Ok(execute(&transformed, &cfg)?.total_us)
     }

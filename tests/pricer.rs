@@ -9,7 +9,7 @@
 //! equals interpreting `generate_group_program_overlapped`'s output.
 
 use pimflow::codegen::{
-    execute_group_overlapped_us, execute_workload_fused_per_channel, generate_fused_program,
+    execute_group_overlapped_us, execute_workload, generate_fused_program,
     generate_group_program_overlapped, PimWorkload,
 };
 use pimflow_ir::models;
@@ -120,7 +120,7 @@ fn check_workload(
 ) {
     let program = generate_fused_program(w, cfg, channels, granularity, role);
     let (merged, per_channel) = interpret(&program, cfg);
-    let (exec, streamed) = execute_workload_fused_per_channel(w, cfg, channels, granularity, role);
+    let (exec, streamed) = execute_workload(w, cfg, channels, granularity, role);
     let case = format!("{w:?} under {cfg_name}, {granularity}, {channels} ch, {role:?}");
     assert_eq!(exec.stats, merged, "merged stats: {case}");
     assert_eq!(streamed, per_channel, "per-channel stats: {case}");
@@ -269,13 +269,8 @@ fn empty_groups_and_workloads_price_to_zero() {
         strided: false,
         segments: 1,
     };
-    let (exec, per_channel) = execute_workload_fused_per_channel(
-        &empty,
-        &cfg,
-        4,
-        ScheduleGranularity::Comp,
-        FusedRole::Head,
-    );
+    let (exec, per_channel) =
+        execute_workload(&empty, &cfg, 4, ScheduleGranularity::Comp, FusedRole::Head);
     assert_eq!(exec.stats, ChannelStats::default());
     assert_eq!(per_channel, vec![ChannelStats::default(); 4]);
 }

@@ -52,7 +52,7 @@ fn repair_is_deterministic_at_every_pool_width() {
         .expect("zoo models search");
     let mut rng = Rng::seed_from_u64(fault_seed());
     let mask = seeded_mask(&mut rng, cfg.pim_channels, cfg.pim_channels / 2);
-    let repaired = plan.repair(&g, &cfg, mask).expect("repair succeeds");
+    let repaired = plan.repair(&g, &cfg, mask, None).expect("repair succeeds");
     let expected = pimflow_json::to_string(&repaired);
     // Repair is sequential by contract, but the *input* plan comes from
     // the pooled search: the whole pipeline must be width-invariant.
@@ -62,7 +62,7 @@ fn repair_is_deterministic_at_every_pool_width() {
             .pool(jobs)
             .run()
             .expect("zoo models search");
-        let r = p.repair(&g, &cfg, mask).expect("repair succeeds");
+        let r = p.repair(&g, &cfg, mask, None).expect("repair succeeds");
         assert_eq!(
             pimflow_json::to_string(&r),
             expected,
@@ -102,7 +102,7 @@ fn repair_with_the_full_mask_is_a_no_op() {
         .run()
         .expect("zoo models search");
     let repaired = plan
-        .repair(&g, &cfg, ChannelMask::all())
+        .repair(&g, &cfg, ChannelMask::all(), None)
         .expect("repair succeeds");
     assert_eq!(
         pimflow_json::to_string(&plan),
@@ -112,7 +112,9 @@ fn repair_with_the_full_mask_is_a_no_op() {
     // Masking only channels beyond the configured pool is equally healthy.
     let beyond = ChannelMask::all().without(63);
     assert!(cfg.pim_channels <= 63, "test assumes a <64-channel pool");
-    let repaired = plan.repair(&g, &cfg, beyond).expect("repair succeeds");
+    let repaired = plan
+        .repair(&g, &cfg, beyond, None)
+        .expect("repair succeeds");
     assert_eq!(
         pimflow_json::to_string(&plan),
         pimflow_json::to_string(&repaired)
@@ -136,7 +138,7 @@ fn repaired_plans_respect_the_mask_and_are_never_optimistic() {
         for _ in 0..4 {
             let downs = 1 + rng.below(cfg.pim_channels as u64 - 1) as usize;
             let mask = seeded_mask(&mut rng, cfg.pim_channels, downs);
-            let repaired = plan.repair(&g, &cfg, mask).expect("repair succeeds");
+            let repaired = plan.repair(&g, &cfg, mask, None).expect("repair succeeds");
             assert!(
                 repaired.predicted_us >= plan.predicted_us - 1e-9,
                 "{model}: repair under {downs} downed channels predicted \
