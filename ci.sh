@@ -121,27 +121,28 @@ rm -rf "$tmpdir"
 # overlap-linked epoch pricing never loses to back-to-back (min
 # composition), the fused plan must strictly cut host<->PIM traffic on
 # at least one smoke model (toy's conv chain), and the residual-aware
-# walker must keep flipping resnet-50 towers.
+# walker must keep finding resnet-50's Add-closed towers as fusion
+# candidates (whether the search then picks them is priced per model).
 echo "==> figures fusion --smoke"
 tmpdir="$(mktemp -d)"
 cargo run -q --offline -p pimflow-bench --bin figures -- fusion "$tmpdir" --smoke
 grep -q '"fused_never_worse": true' "$tmpdir/BENCH_fusion.json"
 grep -q '"overlap_never_worse": true' "$tmpdir/BENCH_fusion.json"
-! grep -q '"resnet_groups_fused": 0,' "$tmpdir/BENCH_fusion.json"
+! grep -q '"resnet_residual_candidates": 0,' "$tmpdir/BENCH_fusion.json"
 ! grep -q '"models_with_traffic_reduction": 0,' "$tmpdir/BENCH_fusion.json"
 ! grep -q '"total_traffic_reduction_bytes": 0,' "$tmpdir/BENCH_fusion.json"
 rm -rf "$tmpdir"
 
 # The fusion contracts (numerical equivalence on residual fan-out/rejoin
-# graphs, width-invariant plans, the superset invariant with overlap and
-# interior ratios live, legacy plan JSON) re-run at a 2-wide pool to
-# exercise the fusion-role-tagged cost cache under sharded profiling.
+# graphs, width-invariant plans, the superset invariant with overlap
+# live, legacy plan JSON) re-run at a 2-wide pool to exercise the
+# fusion-role-tagged cost cache under sharded profiling.
 echo "==> cargo test --test fusion (PIMFLOW_JOBS=2)"
 PIMFLOW_JOBS=2 cargo test -q --offline --test fusion
 
-# The overlap/interior/residual unit contracts (halo-exact interior
-# splits, overlap-aware epoch timing, near-bank re-addressing, fused
-# group stats) re-run at a 2-wide pool from the core crate's own tests.
+# The overlap/residual unit contracts (residual-aware group walking,
+# overlap-aware epoch timing, near-bank re-addressing, fused group
+# stats) re-run at a 2-wide pool from the core crate's own tests.
 # A name filter that selects no test still exits 0, so each filtered run
 # must also report at least one passed test.
 for filter in fusion overlap; do

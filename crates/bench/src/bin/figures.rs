@@ -486,14 +486,13 @@ fn fusion_sweep(dir: &str, smoke: bool) {
     );
     for m in &report.models {
         println!(
-            "  {:<22} {:>4} nodes  groups {:>2} ({:>2} layers, {} interior)  unfused {:>9.1}us  \
+            "  {:<22} {:>4} nodes  groups {:>2} ({:>2} layers)  unfused {:>9.1}us  \
              fused {:>9.1}us (b2b {:>9.1}us, hid {:>6.1}us)  \
              traffic {:>10} -> {:>10} B (-{:>4.1}%)  never-worse {}",
             m.model,
             m.nodes,
             m.fused_groups,
             m.fused_layers,
-            m.interior_ratio_groups,
             m.unfused_predicted_us,
             m.fused_predicted_us,
             m.no_overlap_predicted_us,
@@ -506,7 +505,10 @@ fn fusion_sweep(dir: &str, smoke: bool) {
     }
     println!("  fused_never_worse: {}", report.fused_never_worse);
     println!("  overlap_never_worse: {}", report.overlap_never_worse);
-    println!("  resnet_groups_fused: {}", report.resnet_groups_fused);
+    println!(
+        "  resnet_residual_candidates: {}",
+        report.resnet_residual_candidates
+    );
     println!(
         "  models_with_traffic_reduction: {} of {} ({} B total)",
         report.models_with_traffic_reduction,

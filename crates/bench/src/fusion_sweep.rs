@@ -21,8 +21,9 @@
 use crate::stats::{self, Comparison};
 use pimflow::costcache::CostCache;
 use pimflow::engine::{execute, EngineConfig};
+use pimflow::passes::find_fusion_groups;
 use pimflow::search::{apply_plan, Decision, ExecutionPlan, Search, SearchOptions};
-use pimflow_ir::models;
+use pimflow_ir::{models, Graph, Op};
 use pimflow_json::json_struct;
 use pimflow_pool::WorkerPool;
 
@@ -37,10 +38,6 @@ pub struct ModelFusionRow {
     pub fused_groups: usize,
     /// Graph nodes covered by those groups (heavy layers and riders).
     pub fused_layers: usize,
-    /// Committed groups carrying an interior GPU/PIM ratio
-    /// (`gpu_percent > 0`): the GPU runs its row slice while the fused
-    /// PIM region streams the rest.
-    pub interior_ratio_groups: usize,
     /// Predicted end-to-end time of the fusion-disabled search, µs.
     pub unfused_predicted_us: f64,
     /// Predicted end-to-end time of the joint search, µs.
@@ -82,7 +79,6 @@ json_struct!(ModelFusionRow {
     nodes,
     fused_groups,
     fused_layers,
-    interior_ratio_groups,
     unfused_predicted_us,
     fused_predicted_us,
     no_overlap_predicted_us,
@@ -115,10 +111,11 @@ pub struct FusionReport {
     /// the same joint search with overlap pricing disabled — the second
     /// property CI asserts (exact, no epsilon).
     pub overlap_never_worse: bool,
-    /// Fused groups committed on the resnet-family models: the residual
-    /// towers the skip-aware walker unlocked (0 before residual-aware
-    /// groups existed).
-    pub resnet_groups_fused: usize,
+    /// Fusion candidates carrying a residual `Add` rider that
+    /// [`find_fusion_groups`] returns on the resnet-family models: the
+    /// towers the skip-aware walker unlocks (0 before residual-aware
+    /// groups existed), whether or not the search commits to them.
+    pub resnet_residual_candidates: usize,
     /// Models where the fused plan moved strictly fewer bytes across the
     /// channel bus than the unfused plan.
     pub models_with_traffic_reduction: usize,
@@ -145,7 +142,7 @@ json_struct!(FusionReport {
     models,
     fused_never_worse,
     overlap_never_worse,
-    resnet_groups_fused,
+    resnet_residual_candidates,
     models_with_traffic_reduction,
     total_traffic_reduction_bytes,
     wall_clock_model,
@@ -168,6 +165,19 @@ fn executed_stats(g: &pimflow_ir::Graph, plan: &ExecutionPlan, cfg: &EngineConfi
             .sum::<f64>()
             .max(0.0),
     )
+}
+
+/// Fusion candidates of `g` that carry a residual `Add` rider.
+fn residual_candidates(g: &Graph) -> usize {
+    find_fusion_groups(g)
+        .iter()
+        .filter(|group| {
+            group
+                .nodes
+                .iter()
+                .any(|&id| matches!(g.node(id).op, Op::Add))
+        })
+        .count()
 }
 
 /// Times `Search::run` wall-clock on `g` under `opts`, one fresh cache
@@ -247,17 +257,11 @@ pub fn sweep(
             // Back-to-back-only pricing shares the same cache safely: its
             // fused chain entries key under a salted group fingerprint.
             let no_overlap_plan = search(no_overlap_opts, jobs);
-            let (mut groups, mut layers, mut interior) = (0, 0, 0);
+            let (mut groups, mut layers) = (0, 0);
             for (_, d) in &fused_plan.decisions {
-                if let Decision::Fused {
-                    node_names,
-                    gpu_percent,
-                    ..
-                } = d
-                {
+                if let Decision::Fused { node_names, .. } = d {
                     groups += 1;
                     layers += node_names.len();
-                    interior += (*gpu_percent > 0) as usize;
                 }
             }
             let (unfused_traffic, _) = executed_stats(&g, &unfused_plan, &cfg);
@@ -268,7 +272,6 @@ pub fn sweep(
                 nodes: g.node_ids().count(),
                 fused_groups: groups,
                 fused_layers: layers,
-                interior_ratio_groups: interior,
                 unfused_predicted_us: unfused_plan.predicted_us,
                 fused_predicted_us: fused_plan.predicted_us,
                 no_overlap_predicted_us: no_overlap_plan.predicted_us,
@@ -301,10 +304,11 @@ pub fn sweep(
         probed_widths: widths.to_vec(),
         fused_never_worse: rows.iter().all(|r| r.fused_never_worse),
         overlap_never_worse: rows.iter().all(|r| r.overlap_never_worse),
-        resnet_groups_fused: rows
+        resnet_residual_candidates: model_names
             .iter()
-            .filter(|r| r.model.starts_with("resnet"))
-            .map(|r| r.fused_groups)
+            .map(|name| models::by_name(name).expect("known model"))
+            .filter(|g| g.name.starts_with("resnet"))
+            .map(|g| residual_candidates(&g))
             .sum(),
         models_with_traffic_reduction: rows
             .iter()
@@ -342,16 +346,18 @@ pub const DEFAULT_MODELS: [&str; 8] = [
 ///
 /// Returns a rendered error when the write fails, the superset invariant
 /// breaks anywhere (a fused plan predicted worse than its unfused
-/// sibling), a fused plan was not bit-identical across pool widths, or no
-/// model reduced its host↔PIM traffic.
+/// sibling), a fused plan was not bit-identical across pool widths, no
+/// model reduced its host↔PIM traffic, or a swept resnet-family model
+/// has no residual fusion candidate.
 pub fn write_bench_artifact(
     dir: &std::path::Path,
     smoke: bool,
 ) -> Result<(FusionReport, std::path::PathBuf), String> {
     let jobs = WorkerPool::from_env().jobs();
     let report = if smoke {
-        // resnet-50 rides along in smoke so CI pins the residual-tower
-        // flip (resnet_groups_fused > 0), not just the linear chains.
+        // resnet-50 rides along in smoke so CI pins the residual-aware
+        // walker (resnet_residual_candidates > 0), not just the linear
+        // chains.
         sweep(
             &["toy", "mobilenet-v2", "resnet-50"],
             &[1, 2],
@@ -384,8 +390,8 @@ pub fn write_bench_artifact(
         return Err("no model reduced host↔PIM traffic under the fused search".into());
     }
     let has_resnet = report.models.iter().any(|m| m.model.starts_with("resnet"));
-    if has_resnet && report.resnet_groups_fused == 0 {
-        return Err("no resnet tower fused — the residual-aware walker regressed".into());
+    if has_resnet && report.resnet_residual_candidates == 0 {
+        return Err("no resnet residual candidate — the residual-aware walker regressed".into());
     }
     std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let path = dir.join("BENCH_fusion.json");

@@ -87,12 +87,6 @@ pub struct WorkloadKey {
     /// shape prices differently per role — the discriminant keeps the four
     /// pure functions structurally apart in one shared table.
     pub fused: FusedRole,
-    /// Interior MD-DP GPU ratio of a fused-group query, in percent (0 for
-    /// every per-member and unfused query). Group-level entries priced at
-    /// different interior splits are different pure functions of the same
-    /// head shape, so the ratio is part of the identity — the same
-    /// conservative-discriminant rationale as `mask_bits`.
-    pub interior: u32,
     /// Fingerprint of a fused group's heavy members, 0 for per-member
     /// queries: the search hashes each member's `(position, workload)`
     /// with std's `DefaultHasher` (whose fixed keys make it deterministic
@@ -114,7 +108,6 @@ impl WorkloadKey {
             granularity: cfg.granularity,
             pim_fingerprint: cfg.pim.fingerprint(),
             fused: FusedRole::Standalone,
-            interior: 0,
             group_fp: 0,
         }
     }
@@ -133,7 +126,6 @@ impl WorkloadKey {
             granularity: cfg.granularity,
             pim_fingerprint: xbar.fingerprint(),
             fused: FusedRole::Standalone,
-            interior: 0,
             group_fp: 0,
         }
     }
@@ -154,14 +146,10 @@ impl WorkloadKey {
     }
 
     /// The same key re-rolled as a group-level entry: the head's shape
-    /// plus the group fingerprint and interior split that complete the
-    /// chain cost's identity.
-    pub fn with_group(self, interior: u32, group_fp: u64) -> Self {
-        WorkloadKey {
-            interior,
-            group_fp,
-            ..self
-        }
+    /// plus the group fingerprint that completes the chain cost's
+    /// identity.
+    pub fn with_group(self, group_fp: u64) -> Self {
+        WorkloadKey { group_fp, ..self }
     }
 }
 
@@ -461,15 +449,13 @@ mod tests {
         assert_eq!(xk.backend, BackendKind::Crossbar);
         assert_ne!(a, xk);
         // Group-level entries (chain cost keyed on the head, fingerprinted
-        // over the members, at an interior ratio) never collide with the
-        // head's own per-member entry, nor across groups or ratios.
-        let g1 = a.with_group(0, 0xdead_beef);
-        let g2 = a.with_group(0, 0xfeed_face);
-        let g1r = a.with_group(25, 0xdead_beef);
+        // over the members) never collide with the head's own per-member
+        // entry, nor across groups.
+        let g1 = a.with_group(0xdead_beef);
+        let g2 = a.with_group(0xfeed_face);
         assert_ne!(a, g1);
         assert_ne!(g1, g2);
-        assert_ne!(g1, g1r);
-        assert_eq!(a.with_group(0, 0), a);
+        assert_eq!(a.with_group(0), a);
     }
 
     #[test]

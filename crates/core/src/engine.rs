@@ -507,9 +507,10 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
         // or a zero-`Pad` of a value resident only in the PIM channels
         // selects a row range or appends zero rows — bank addressing, not
         // data movement, so nothing crosses the bus and the result stays
-        // near the banks. This is what keeps an interior-split group's
-        // residual-fork slices and halo pads from breaking the near-bank
-        // hand-off chain between fused members.
+        // near the banks. The MD-DP and pipelining passes emit such
+        // slices and halo pads when a part they cut is read from a value
+        // only the PIM channels hold (EfficientNet, MobileNet-v2 and
+        // MnasNet plans take this path).
         let near_bank_move = (matches!(&node.op, Op::Slice(a) if a.axis == 1)
             || matches!(node.op, Op::Pad(_)))
             && !node.inputs.is_empty()

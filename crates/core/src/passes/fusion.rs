@@ -17,14 +17,10 @@
 //! [`Decision::Fused`](crate::search::Decision::Fused)).
 
 use crate::passes::mddp::PassError;
-use crate::passes::split_util::{
-    conv_input_span, emit_conv_on_span, emit_elementwise_part, is_linear_rider, is_residual_rider,
-    rows_from_parts,
-};
-use crate::placement::{FusedNodeRole, FusionTag, NodePlacement, Placement};
-use pimflow_ir::{infer_shapes_from, ConcatAttrs, Graph, NodeId, Op, ValueId};
-use std::collections::{HashMap, HashSet};
-use std::ops::Range;
+use crate::passes::split_util::{is_linear_rider, is_residual_rider};
+use crate::placement::{FusedNodeRole, FusionTag, NodePlacement};
+use pimflow_ir::{Graph, NodeId, ValueId};
+use std::collections::HashSet;
 
 /// A fusion candidate: a linear run of PIM-eligible heavy layers and the
 /// element-wise riders between them.
@@ -213,260 +209,11 @@ pub fn fuse_group(graph: &mut Graph, group: &FusionGroup, gid: usize) -> Result<
     Ok(())
 }
 
-/// Uniform tensor height of `group` when it admits an interior MD-DP
-/// split, `None` otherwise. Eligible groups are those an H-split slices
-/// losslessly through every member at once: every heavy member is a
-/// stride-1 ungrouped conv — pointwise members split exactly on the row
-/// boundary, wider kernels (the 3x3s inside resnet bottleneck towers)
-/// over-compute a halo of boundary rows per branch, priced into nothing
-/// because the uniform-height check below forces "same" H padding (out
-/// H = in H under stride 1 pins `2*pad_h = kernel_h - 1`), so
-/// [`conv_input_span`] gives each member an exact input span — every
-/// rider preserves H row-locally (`Mul` is excluded: its `[N,1,1,C]`
-/// broadcast operand does not slice), and every value touching the
-/// group (member outputs and external skip inputs alike) has that same
-/// height, at least 2 rows tall.
-pub fn interior_split_height(graph: &Graph, group: &FusionGroup) -> Option<usize> {
-    // `h()` panics on non-NHWC shapes (Dense groups carry 2-D tensors).
-    let nhwc_h = |v: ValueId| -> Option<usize> {
-        let shape = &graph.value(v).desc.as_ref()?.shape;
-        (shape.rank() == 4).then(|| shape.h())
-    };
-    let input = *graph.node(*group.nodes.first()?).inputs.first()?;
-    let h = nhwc_h(input)?;
-    if h < 2 {
-        return None;
-    }
-    let heavy: HashSet<NodeId> = group.heavy.iter().copied().collect();
-    for &id in &group.nodes {
-        let node = graph.node(id);
-        if heavy.contains(&id) {
-            match &node.op {
-                Op::Conv2d(a) if a.stride.h == 1 && a.stride.w == 1 && a.groups == 1 => {}
-                _ => return None,
-            }
-        } else if matches!(node.op, Op::Mul) {
-            return None;
-        }
-        if nhwc_h(node.output)? != h {
-            return None;
-        }
-        for &v in &node.inputs {
-            if nhwc_h(v)? != h {
-                return None;
-            }
-        }
-    }
-    Some(h)
-}
-
-/// Applies `group` at an interior MD-DP ratio: the *whole fused region*
-/// is H-split once, `gpu_percent`% of the rows running as a plain GPU
-/// copy of every member and the rest as a fused PIM region tagged group
-/// `gid` (same [`fuse_group`] roles), with one concat joining the two
-/// branch tails.
-///
-/// Each branch's row requirements are computed by a backward pass over
-/// the members: a wide-kernel conv widens its input's needed range by
-/// [`conv_input_span`] (the halo), an element-wise rider passes its own
-/// range through, and a value consumed twice (a residual fork) needs the
-/// union. Every branch node is then emitted over exactly its needed
-/// rows — boundary halo rows are over-computed independently by both
-/// branches from the sliced external inputs, so numerics are preserved
-/// exactly; a consumer that needs fewer rows than its producer made
-/// (the narrow side of a fork, a pointwise conv after a halo) slices
-/// the difference off in place. External inputs (the group input,
-/// residual skips) are sliced per branch; intermediate activations of
-/// the PIM branch still never cross the bus.
-///
-/// # Errors
-///
-/// Returns [`PassError::NotApplicable`] when the group is not
-/// interior-splittable, `gpu_percent` is not in `1..=99`, a member is
-/// already placed, or the group is degenerate.
-pub fn fuse_group_interior(
-    graph: &mut Graph,
-    group: &FusionGroup,
-    gid: usize,
-    gpu_percent: u32,
-) -> Result<(), PassError> {
-    let first_part = graph.next_node_id();
-    if !(1..=99).contains(&gpu_percent) {
-        return Err(PassError::NotApplicable(format!(
-            "interior ratio {gpu_percent}% is not a proper split"
-        )));
-    }
-    if group.heavy.len() < 2 {
-        return Err(PassError::NotApplicable(
-            "fusion group needs at least two heavy layers".into(),
-        ));
-    }
-    let Some(h) = interior_split_height(graph, group) else {
-        return Err(PassError::NotApplicable(
-            "fusion group does not admit an interior split".into(),
-        ));
-    };
-    for &id in &group.nodes {
-        if graph.node(id).placement != NodePlacement::Gpu {
-            return Err(PassError::NotApplicable(format!(
-                "node `{}` is already placed",
-                graph.node(id).name
-            )));
-        }
-    }
-    let heavy: HashSet<NodeId> = group.heavy.iter().copied().collect();
-    // Same rounding as the per-node MD-DP pass, clamped to a proper split.
-    let gpu_rows = (((h as u64 * gpu_percent as u64) + 50) / 100).clamp(1, h as u64 - 1) as usize;
-    let ranges = [0..gpu_rows, gpu_rows..h];
-    let last = *group.nodes.last().expect("group non-empty");
-    let last_out = graph.node(last).output;
-
-    let mut branch_tails = Vec::with_capacity(2);
-    let mut pim_nodes: Vec<NodeId> = Vec::new();
-    for (bi, range) in ranges.iter().enumerate() {
-        let tag = if bi == 0 {
-            format!("ig{gid}g_")
-        } else {
-            format!("ig{gid}p_")
-        };
-        // Backward pass: rows of each value this branch must produce (or
-        // slice from an external input) — the union over its in-branch
-        // consumers, halo-widened through wide-kernel members. Walking
-        // the members in reverse topo order sees every consumer before
-        // its producer, so the union is complete when it is read.
-        let mut need: HashMap<ValueId, Range<usize>> = HashMap::new();
-        need.insert(last_out, range.clone());
-        let widen = |need: &mut HashMap<ValueId, Range<usize>>, v: ValueId, r: Range<usize>| {
-            need.entry(v)
-                .and_modify(|cur| {
-                    cur.start = cur.start.min(r.start);
-                    cur.end = cur.end.max(r.end);
-                })
-                .or_insert(r);
-        };
-        for &id in group.nodes.iter().rev() {
-            let node = graph.node(id);
-            let out_need = need
-                .get(&node.output)
-                .cloned()
-                .expect("walker invariant: member outputs are consumed in-group");
-            if heavy.contains(&id) {
-                let attrs = match &node.op {
-                    Op::Conv2d(a) => *a,
-                    other => unreachable!("heavy member must be a conv ({other})"),
-                };
-                let span = conv_input_span(&attrs, h, &out_need);
-                widen(&mut need, node.inputs[0], span.rows);
-            } else {
-                for &v in &node.inputs.clone() {
-                    widen(&mut need, v, out_need.clone());
-                }
-            }
-        }
-        // Original value -> (branch copy, rows it holds). External
-        // operand slices are cached per (value, rows) so a skip input
-        // consumed twice at the same span is sliced once.
-        let mut map: HashMap<ValueId, (ValueId, Range<usize>)> = HashMap::new();
-        let mut ext: HashMap<(ValueId, usize, usize), ValueId> = HashMap::new();
-        let take = |graph: &mut Graph,
-                    map: &HashMap<ValueId, (ValueId, Range<usize>)>,
-                    ext: &mut HashMap<(ValueId, usize, usize), ValueId>,
-                    v: ValueId,
-                    rows: &Range<usize>,
-                    tag: &str| match map.get(&v) {
-            Some((branch_v, have)) => {
-                rows_from_parts(graph, &[(*branch_v, have.clone())], rows, tag)
-            }
-            None => *ext
-                .entry((v, rows.start, rows.end))
-                .or_insert_with(|| rows_from_parts(graph, &[(v, 0..h)], rows, tag)),
-        };
-        let mut tail = None;
-        for &id in &group.nodes {
-            let node = graph.node(id).clone();
-            let out_need = need[&node.output].clone();
-            let out = if heavy.contains(&id) {
-                let attrs = match &node.op {
-                    Op::Conv2d(a) => *a,
-                    other => unreachable!("heavy member must be a conv ({other})"),
-                };
-                let span = conv_input_span(&attrs, h, &out_need);
-                let x = take(
-                    graph,
-                    &map,
-                    &mut ext,
-                    node.inputs[0],
-                    &span.rows,
-                    &format!("{tag}{}_in", node.name),
-                );
-                emit_conv_on_span(
-                    graph,
-                    id,
-                    x,
-                    span.pad_top,
-                    span.pad_bottom,
-                    Placement::Gpu,
-                    &tag,
-                )
-            } else {
-                let ins: Vec<ValueId> = node
-                    .inputs
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &v)| {
-                        take(
-                            graph,
-                            &map,
-                            &mut ext,
-                            v,
-                            &out_need,
-                            &format!("{tag}{}_in{j}", node.name),
-                        )
-                    })
-                    .collect();
-                emit_elementwise_part(graph, id, ins, &tag)
-            };
-            map.insert(node.output, (out, out_need));
-            if bi == 1 {
-                pim_nodes.push(graph.producer(out).expect("just added"));
-            }
-            tail = Some(out);
-        }
-        branch_tails.push(tail.expect("group non-empty"));
-    }
-    let joined = graph.add_node(
-        format!("ig{gid}_concat"),
-        Op::Concat(ConcatAttrs { axis: 1 }),
-        branch_tails,
-    );
-    graph.replace_uses(last_out, joined);
-    for &id in &group.nodes {
-        graph.remove_node(id);
-    }
-    // The concat has the replaced output's shape, so only the appended
-    // branches need inferring.
-    infer_shapes_from(graph, first_part)?;
-    // The PIM branch fuses exactly like a full-offload group: same roles,
-    // same near-bank hand-offs, just over fewer rows.
-    let pim_heavy: Vec<NodeId> = pim_nodes
-        .iter()
-        .copied()
-        .filter(|&id| is_fusion_heavy(graph, id))
-        .collect();
-    fuse_group(
-        graph,
-        &FusionGroup {
-            nodes: pim_nodes,
-            heavy: pim_heavy,
-        },
-        gid,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pimflow_ir::{models, GraphBuilder, Shape};
+    use crate::placement::Placement;
+    use pimflow_ir::{models, GraphBuilder, Op, Shape};
     use pimflow_kernels::{input_tensors, run_graph};
 
     /// `(group id, role, name)` of a fused node.
@@ -594,136 +341,6 @@ mod tests {
         let w = b.add(d, y);
         let g = b.finish(w);
         assert!(find_fusion_groups(&g).is_empty());
-    }
-
-    #[test]
-    fn interior_split_height_gates_on_stride_and_uniform_height() {
-        // Toy's group is headed by a stride-1 "same"-padded 3x3 conv:
-        // eligible — the 3x3's halo rows are over-computed per branch.
-        let g = models::toy();
-        let group = find_fusion_groups(&g).into_iter().next().unwrap();
-        assert!(interior_split_height(&g, &group).is_some());
-
-        // An all-pointwise chain is eligible at the tensor height.
-        let mut b = GraphBuilder::new("pw");
-        let x = b.input(Shape::nhwc(1, 8, 8, 16));
-        let y = b.conv1x1(x, 32);
-        let y = b.relu(y);
-        let y = b.conv1x1(y, 16);
-        let g = b.finish(y);
-        let group = find_fusion_groups(&g).into_iter().next().unwrap();
-        assert_eq!(interior_split_height(&g, &group), Some(8));
-
-        // A strided member changes the height mid-group: row coordinates
-        // are no longer uniform, so the group is not splittable.
-        let mut b = GraphBuilder::new("strided");
-        let x = b.input(Shape::nhwc(1, 8, 8, 16));
-        let y = b.conv(x, 32, 3, 2, 1);
-        let y = b.relu(y);
-        let y = b.conv1x1(y, 16);
-        let g = b.finish(y);
-        let group = find_fusion_groups(&g).into_iter().next().unwrap();
-        assert_eq!(interior_split_height(&g, &group), None);
-    }
-
-    #[test]
-    fn fuse_group_interior_preserves_numerics() {
-        // Pointwise residual group split 40/60 across GPU and PIM rows:
-        // both branches run every member over disjoint rows, so the
-        // concat is bit-identical to the unsplit graph.
-        let mut b = GraphBuilder::new("res");
-        let x = b.input(Shape::nhwc(1, 8, 8, 16));
-        let y = b.conv1x1(x, 16);
-        let z = b.conv1x1(y, 16);
-        let w = b.add(z, y);
-        let original = b.finish(w);
-        let mut split = original.clone();
-        let group = find_fusion_groups(&split).into_iter().next().unwrap();
-        assert!(interior_split_height(&split, &group).is_some());
-        fuse_group_interior(&mut split, &group, 0, 40).unwrap();
-        // The PIM branch carries fused tags; the GPU branch stays plain.
-        let fused_n: Vec<&str> = split
-            .node_ids()
-            .filter(|&id| split.node(id).placement.fusion().is_some())
-            .map(|id| split.node(id).name.as_str())
-            .collect();
-        assert_eq!(
-            fused_n,
-            ["ig0p_conv_1", "ig0p_conv_2", "ig0p_add_3"],
-            "head, tail, and add rider on the PIM rows"
-        );
-        assert!(split
-            .node_ids()
-            .filter(|&id| split.node(id).name.starts_with("ig0g_"))
-            .all(|id| split.node(id).placement == NodePlacement::Gpu));
-        let inputs = input_tensors(&original, 23);
-        let a = run_graph(&original, &inputs).unwrap();
-        let b2 = run_graph(&split, &inputs).unwrap();
-        assert_eq!(a[0].max_abs_diff(&b2[0]), 0.0);
-    }
-
-    #[test]
-    fn fuse_group_interior_handles_halo_members_exactly() {
-        // A resnet-style bottleneck: 1x1 -> 3x3("same") -> 1x1 with the
-        // skip rejoining at the add. The 3x3 needs one halo row past the
-        // branch boundary; both branches over-compute it from the sliced
-        // external input, and the narrow side of the fork slices the
-        // difference off, so the concat is bit-identical to the unsplit
-        // graph at every ratio.
-        let mut b = GraphBuilder::new("bottleneck");
-        let x = b.input(Shape::nhwc(1, 8, 8, 16));
-        let y = b.conv1x1(x, 8);
-        let y = b.relu(y);
-        let y = b.conv(y, 8, 3, 1, 1);
-        let y = b.relu(y);
-        let y = b.conv1x1(y, 16);
-        let w = b.add(y, x);
-        let original = b.finish(w);
-        let group = find_fusion_groups(&original).into_iter().next().unwrap();
-        assert_eq!(group.heavy.len(), 3);
-        assert_eq!(interior_split_height(&original, &group), Some(8));
-        let inputs = input_tensors(&original, 31);
-        let a = run_graph(&original, &inputs).unwrap();
-        for ratio in [25, 50, 75] {
-            let mut split = original.clone();
-            let group = find_fusion_groups(&split).into_iter().next().unwrap();
-            fuse_group_interior(&mut split, &group, 0, ratio).unwrap();
-            let b2 = run_graph(&split, &inputs).unwrap();
-            assert_eq!(
-                a[0].max_abs_diff(&b2[0]),
-                0.0,
-                "interior split at {ratio}% must be exact"
-            );
-        }
-    }
-
-    #[test]
-    fn fuse_group_interior_rejects_bad_ratios_and_groups() {
-        // A strided head breaks row-coordinate uniformity: not
-        // interior-splittable.
-        let mut b = GraphBuilder::new("strided");
-        let x = b.input(Shape::nhwc(1, 8, 8, 16));
-        let y = b.conv(x, 32, 3, 2, 1);
-        let y = b.relu(y);
-        let y = b.conv1x1(y, 16);
-        let g0 = b.finish(y);
-        let group = find_fusion_groups(&g0).into_iter().next().unwrap();
-        let mut g = g0.clone();
-        assert!(matches!(
-            fuse_group_interior(&mut g, &group, 0, 50),
-            Err(PassError::NotApplicable(_))
-        ));
-        // Degenerate ratios are rejected outright.
-        let mut g = g0.clone();
-        assert!(matches!(
-            fuse_group_interior(&mut g, &group, 0, 0),
-            Err(PassError::NotApplicable(_))
-        ));
-        let mut g = g0;
-        assert!(matches!(
-            fuse_group_interior(&mut g, &group, 0, 100),
-            Err(PassError::NotApplicable(_))
-        ));
     }
 
     #[test]

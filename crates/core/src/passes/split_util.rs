@@ -15,8 +15,8 @@ use std::ops::Range;
 /// True for nodes that ride along inside a linear PIM region as
 /// single-input element-wise work (`BatchNorm`, any activation except
 /// `Softmax`, whose normalization needs full-tensor reductions). This is
-/// the one rider classification in the codebase: the pipelining pass, the
-/// fusion-group pass, and the interior-split transform all consume it.
+/// the one rider classification in the codebase: the pipelining pass and
+/// the fusion-group pass both consume it.
 pub(crate) fn is_linear_rider(op: &Op) -> bool {
     matches!(op, Op::BatchNorm)
         || matches!(

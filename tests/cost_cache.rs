@@ -151,13 +151,11 @@ fn counters_are_exact_on_a_graph_with_duplicate_shapes() {
     // 10..90) — 10 lookups. rows = 10*10 = 100 scales to round(100*f) =
     // {10, 20, ..., 100}: 10 distinct keys. The second conv repeats the
     // same 10 keys (10 hits). The back-to-back convs also form one fusion
-    // group — all-pointwise, so it is priced at the interior ratios
-    // {0, 25, 50, 75} (step = max(ratio_step, 25)). Each ratio adds one
-    // group-level chain entry (head workload + group fingerprint +
-    // interior discriminant) plus Head and Tail role entries at rows
-    // {100, 75, 50, 25} — 12 lookups, all distinct from the Standalone
-    // node-phase keys, so all miss. Totals: 32 lookups = 22 misses + 10
-    // hits, 22 entries — at every pool width.
+    // group, priced once as a full offload: one group-level chain entry
+    // (head workload + group fingerprint) plus the Head and Tail role
+    // entries at rows 100 — 3 lookups, all distinct from the Standalone
+    // node-phase keys, so all miss. Totals: 23 lookups = 13 misses + 10
+    // hits, 13 entries — at every pool width.
     let mut b = GraphBuilder::new("twin-convs");
     let x = b.input(Shape::nhwc(1, 10, 10, 16));
     let y1 = b.conv1x1(x, 16);
@@ -177,8 +175,8 @@ fn counters_are_exact_on_a_graph_with_duplicate_shapes() {
             .run()
             .expect("search");
         let c = cache.counters();
-        assert_eq!(c.entries, 22, "entries at {jobs} workers");
-        assert_eq!(c.misses, 22, "misses at {jobs} workers");
+        assert_eq!(c.entries, 13, "entries at {jobs} workers");
+        assert_eq!(c.misses, 13, "misses at {jobs} workers");
         assert_eq!(c.hits, 10, "hits at {jobs} workers");
     }
 }

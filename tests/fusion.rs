@@ -12,7 +12,9 @@
 //!   exact: no epsilon, enforced over a seeded family of random graphs.
 //! - **Wire format** — legacy plan JSON (predating fusion) parses and
 //!   re-serializes byte-identically, and Newton-only fused plans emit no
-//!   backend tag, so old readers and old artifacts both keep working.
+//!   backend tag, so old readers and old artifacts both keep working. A
+//!   fused decision carrying the removed interior GPU/PIM row split is
+//!   rejected, never reinterpreted.
 
 use pimflow::costcache::CostCache;
 use pimflow::engine::{execute, EngineConfig, PimBackendSet};
@@ -191,8 +193,7 @@ fn fused_predicted_time_is_never_worse_on_random_graphs() {
 /// A random-but-valid residual CNN: towers of stride-1 "same"-padded convs
 /// with element-wise riders, each closed by an `Add` rejoining an identity
 /// (or 1x1-projected) skip. This is the fan-out/rejoin shape the
-/// residual-aware group walker extends across and the halo-aware interior
-/// split must reproduce exactly at every GPU/PIM row ratio.
+/// residual-aware group walker extends across.
 fn random_residual_graph(seed: u64) -> Graph {
     let mut rng = Rng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(format!("fusion-residual-{seed}"));
@@ -265,9 +266,9 @@ fn residual_fusion_is_width_invariant_and_equivalent() {
 
 #[test]
 fn residual_random_graphs_keep_the_strict_superset_invariant() {
-    // Overlap-aware epoch pricing and interior MD-DP ratios are both live
-    // under the default options, so this pins the full candidate space:
-    // still a strict superset of the unfused search, still no epsilon.
+    // Overlap-aware epoch pricing is live under the default options, so
+    // this pins the full candidate space: still a strict superset of the
+    // unfused search, still no epsilon.
     let cfg = EngineConfig::pimflow();
     let mut fused_somewhere = false;
     for case in 0..10u64 {
@@ -365,7 +366,6 @@ fn fused_decision_json_tags_backend_only_when_not_newton() {
     let newton = Decision::Fused {
         node_names: vec!["a".into(), "b".into()],
         backend: BackendKind::Newton,
-        gpu_percent: 0,
     };
     let text = pimflow_json::to_string(&newton);
     assert!(
@@ -379,22 +379,20 @@ fn fused_decision_json_tags_backend_only_when_not_newton() {
     let crossbar = Decision::Fused {
         node_names: vec!["a".into(), "b".into()],
         backend: BackendKind::Crossbar,
-        gpu_percent: 0,
     };
-    let interior = Decision::Fused {
-        node_names: vec!["a".into(), "b".into()],
-        backend: BackendKind::Newton,
-        gpu_percent: 25,
-    };
-    assert!(
-        pimflow_json::to_string(&interior).contains("\"gpu_percent\":25"),
-        "interior fused decisions must carry their ratio"
-    );
-    for d in [newton, crossbar, interior] {
+    for d in [newton, crossbar] {
         let round = Decision::from_json(&Json::parse(&pimflow_json::to_string(&d)).unwrap())
             .expect("fused decision round-trips");
         assert_eq!(round, d);
     }
+    // A fused decision with an interior GPU/PIM row split is a removed
+    // lowering: it decodes to an error naming it, never to a full offload.
+    let interior = Json::parse(r#"{"Fused":{"node_names":["a","b"],"gpu_percent":25}}"#).unwrap();
+    let err = Decision::from_json(&interior).expect_err("interior split must not decode");
+    assert!(
+        err.to_string().contains("interior split"),
+        "the error names the removed interior split: {err}"
+    );
 }
 
 #[test]

@@ -61,14 +61,12 @@ fn plan(name: &str, decision: Decision) -> ExecutionPlan {
         Decision::Fused {
             node_names,
             backend,
-            gpu_percent,
         } => Decision::Fused {
             node_names: node_names
                 .into_iter()
                 .map(|n| if n == "conv_3" { name.to_string() } else { n })
                 .collect(),
             backend,
-            gpu_percent,
         },
         other => other,
     };
@@ -97,10 +95,9 @@ fn marker_like_names_run_on_the_gpu_without_a_plan() {
 #[test]
 fn plans_offloading_or_fusing_a_marker_named_node_apply() {
     let cfg = EngineConfig::pimflow();
-    let fused = |gpu_percent| Decision::Fused {
+    let fused = Decision::Fused {
         node_names: vec!["conv_1".into(), "relu_2".into(), "conv_3".into()],
         backend: BackendKind::Newton,
-        gpu_percent,
     };
     let decisions = [
         Decision::Split {
@@ -111,8 +108,7 @@ fn plans_offloading_or_fusing_a_marker_named_node_apply() {
             gpu_percent: 50,
             backend: BackendKind::Newton,
         },
-        fused(0),
-        fused(40),
+        fused,
     ];
     for decision in decisions {
         let original = apply_plan(&models::toy(), &plan("conv_3", decision.clone()))
@@ -127,5 +123,16 @@ fn plans_offloading_or_fusing_a_marker_named_node_apply() {
                 assert_eq!(got, want, "{decision:?} on `{name}`");
             }
         }
+    }
+    // A plan that fuses the group at a GPU/PIM row split of the whole
+    // group (a removed lowering) is rejected when it is read, whatever
+    // the node is called: it never runs as a plain full offload.
+    for name in ["conv_3"].into_iter().chain(MARKER_NAMES) {
+        let json = format!(
+            r#"{{"model":"toy","decisions":[["{name}",{{"Fused":{{"node_names":["conv_1","relu_2","{name}"],"gpu_percent":40}}}}]],"profiles":[],"predicted_us":1,"conv_layer_us":0}}"#
+        );
+        let err = pimflow_json::from_str::<ExecutionPlan>(&json)
+            .expect_err("a fused decision with a row split must not decode");
+        assert!(err.to_string().contains("gpu_percent"), "`{name}`: {err}");
     }
 }
