@@ -11,9 +11,10 @@
 //! Two paths share one block schedule. The `generate_*program` functions
 //! compile it into the typed ISA program — the artifact backends carry,
 //! print and validate. The `execute_*` pricers stream the same schedule
-//! straight into the channel timing engine and simulate each distinct
-//! channel stream once; their statistics are bit-identical to interpreting
-//! the compiled program (`tests/pricer.rs` holds that contract).
+//! straight into the channel timing engine, simulating each shared
+//! channel-stream prefix once and fast-forwarding steady-state command
+//! periods; their statistics are bit-identical to interpreting the
+//! compiled program (`tests/pricer.rs` holds that contract).
 
 use pimflow_gpusim::GpuConfig;
 use pimflow_ir::{Conv2dAttrs, Graph, NodeId, Op, Shape};
@@ -91,7 +92,18 @@ impl PimWorkload {
     }
 }
 
-/// Generates the command blocks for a workload under `cfg`.
+/// Generates the command blocks for a workload under `cfg`: the
+/// [`generate_block_runs`] expanded into one block per row group.
+pub fn generate_blocks(w: &PimWorkload, cfg: &PimConfig) -> Vec<CommandBlock> {
+    generate_block_runs(w, cfg)
+        .into_iter()
+        .flat_map(|(b, n)| std::iter::repeat_n(b, n))
+        .collect()
+}
+
+/// Generates the command blocks for a workload under `cfg`, in run-length
+/// form: one run of identical full blocks, then the trimmed last group if
+/// the rows do not divide evenly.
 ///
 /// Each block processes up to `cfg.num_global_buffers` input rows: GWRITE
 /// fills one buffer per row, a G_ACT stream walks the filter tile once, and
@@ -99,7 +111,7 @@ impl PimWorkload {
 /// before moving on (G_ACT reuse). Rows whose reduction exceeds the buffer
 /// capacity are k-tiled; the result latches accumulate across tiles so only
 /// one READRES per row group is needed.
-pub fn generate_blocks(w: &PimWorkload, cfg: &PimConfig) -> Vec<CommandBlock> {
+pub fn generate_block_runs(w: &PimWorkload, cfg: &PimConfig) -> Vec<(CommandBlock, usize)> {
     if w.rows == 0 || w.k_elems == 0 || w.out_channels == 0 {
         return Vec::new();
     }
@@ -137,16 +149,20 @@ pub fn generate_blocks(w: &PimWorkload, cfg: &PimConfig) -> Vec<CommandBlock> {
         row_base: 0,
     };
 
-    let groups = w.rows.div_ceil(buffer_rows as usize);
-    let mut blocks = vec![block; groups];
-    // Trim the last group to the remaining rows.
-    let rem = w.rows % buffer_rows as usize;
-    if rem != 0 {
-        if let Some(last) = blocks.last_mut() {
-            last.buffer_rows = rem as u8;
-        }
+    // Full groups, then the last group trimmed to the remaining rows.
+    let (full, rem) = (w.rows / buffer_rows as usize, w.rows % buffer_rows as usize);
+    let mut runs = Vec::with_capacity(2);
+    if full > 0 {
+        runs.push((block, full));
     }
-    blocks
+    if rem != 0 {
+        let tail = CommandBlock {
+            buffer_rows: rem as u8,
+            ..block
+        };
+        runs.push((tail, 1));
+    }
+    runs
 }
 
 /// Compiles a workload into a typed ISA program: generate the command
@@ -264,20 +280,30 @@ impl StreamedMember {
     }
 }
 
+/// Where a channel's stream stands: at copy `done` of its `step`-th run.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    channel: usize,
+    step: usize,
+    done: usize,
+}
+
 /// The Newton pricer: simulates `members` — lowered under their roles and
 /// overlap-linked as [`generate_group_program_overlapped`] compiles them;
 /// a single `Standalone` member is [`generate_program`] — straight from
 /// the block schedule. Returns the merged statistics and each channel's
 /// own statistics, in channel order.
 ///
-/// A channel's command stream is fixed by its sequence of units per
+/// A channel's command stream is its sequence of unit runs, member after
 /// member, and a healthy channel engine is a pure function of the config
-/// and the stream, so channels with equal unit sequences share one
-/// simulation. The assignment's runs are maximal (no two consecutive runs
-/// repeat equal units), so equal sequences are equal run lists and are
-/// compared without expanding them. [`ChannelStats`] is all-integer, so
-/// folding the per-channel results in channel order reproduces
-/// interpreting the compiled program exactly.
+/// and the stream. Channel streams share prefixes — round robin deals each
+/// channel `body^(q+1)`, `body^q` or `body^q·tail` — so the walk simulates
+/// every shared prefix once: channels move together while their next
+/// unit agrees, take as many copies as all of them still have
+/// ([`ChannelEngine::run_blocks`], which fast-forwards steady-state
+/// periods), and the engine is cloned where their streams branch.
+/// [`ChannelStats`] is all-integer, so folding the per-channel results in
+/// channel order reproduces interpreting the compiled program exactly.
 fn stream_members(
     members: &[(PimWorkload, FusedRole)],
     cfg: &PimConfig,
@@ -288,7 +314,7 @@ fn stream_members(
     let streamed: Vec<StreamedMember> = members
         .iter()
         .map(|(w, role)| {
-            let blocks = generate_blocks(w, cfg);
+            let blocks = generate_block_runs(w, cfg);
             let (units, runs) = assign(&blocks, channels, granularity, cfg, &RunOptions::new());
             let row_offset = row_base;
             // Each member's rows start past its predecessors' (the
@@ -304,42 +330,65 @@ fn stream_members(
             }
         })
         .collect();
-    let same_stream = |a: usize, b: usize| {
-        streamed.iter().all(|m| {
-            let (ra, rb) = (&m.runs[a], &m.runs[b]);
-            ra.len() == rb.len()
-                && ra
-                    .iter()
-                    .zip(rb)
-                    .all(|(&(x, n), &(y, k))| n == k && m.units[x] == m.units[y])
+    // Each channel's stream as `(member, unit, repeat)` steps.
+    let streams: Vec<Vec<(usize, usize, usize)>> = (0..channels)
+        .map(|ch| {
+            streamed
+                .iter()
+                .enumerate()
+                .flat_map(|(m, member)| member.runs[ch].iter().map(move |&(u, n)| (m, u, n)))
+                .collect()
         })
+        .collect();
+    let next = |c: &Cursor| {
+        let (m, u, _) = streams[c.channel][c.step];
+        (m, streamed[m].units[u])
     };
-    let simulate = |ch: usize| {
-        let mut engine = ChannelEngine::new(*cfg);
-        for m in &streamed {
-            for &(unit, repeat) in &m.runs[ch] {
-                for _ in 0..repeat {
-                    // Internal iteration: the nested block expansion folds
-                    // into straight loops instead of a chain of `next` calls.
-                    m.units[unit]
-                        .expand()
-                        .for_each(|cmd| engine.execute(&m.lower(cmd)));
+    let mut per_channel = vec![ChannelStats::default(); channels];
+    let start: Vec<Cursor> = (0..channels)
+        .map(|channel| Cursor {
+            channel,
+            step: 0,
+            done: 0,
+        })
+        .collect();
+    let mut pending = vec![(ChannelEngine::new(*cfg), start)];
+    while let Some((mut engine, mut group)) = pending.pop() {
+        loop {
+            // Channels whose streams end here finish with this engine.
+            let (ended, live): (Vec<Cursor>, Vec<Cursor>) = group
+                .into_iter()
+                .partition(|c| c.step == streams[c.channel].len());
+            if let Some(first) = ended.first() {
+                per_channel[first.channel] = engine.clone().finish();
+                for c in &ended[1..] {
+                    per_channel[c.channel] = per_channel[first.channel];
+                }
+            }
+            let Some(lead) = live.first() else { break };
+            // Channels whose next unit differs branch off with a clone.
+            let key = next(lead);
+            let (same, other): (Vec<Cursor>, Vec<Cursor>) =
+                live.into_iter().partition(|c| next(c) == key);
+            if !other.is_empty() {
+                pending.push((engine.clone(), other));
+            }
+            let copies = same
+                .iter()
+                .map(|c| streams[c.channel][c.step].2 - c.done)
+                .min()
+                .expect("a live channel");
+            let member = &streamed[key.0];
+            engine.run_blocks(&key.1, copies as u64, |cmd| member.lower(cmd));
+            group = same;
+            for c in &mut group {
+                c.done += copies;
+                if c.done == streams[c.channel][c.step].2 {
+                    c.step += 1;
+                    c.done = 0;
                 }
             }
         }
-        engine.finish()
-    };
-    let mut per_channel: Vec<ChannelStats> = Vec::with_capacity(channels);
-    let mut simulated: Vec<usize> = Vec::new();
-    for ch in 0..channels {
-        let stats = match simulated.iter().find(|&&rep| same_stream(rep, ch)) {
-            Some(&rep) => per_channel[rep],
-            None => {
-                simulated.push(ch);
-                simulate(ch)
-            }
-        };
-        per_channel.push(stats);
     }
     let merged = per_channel
         .iter()
