@@ -1,12 +1,14 @@
 //! The Newton pricing contract: the compiler prices PIM layers by
-//! streaming their block schedule through the channel timing engine, one
-//! simulation per distinct channel stream, and never through a compiled
-//! program. The ISA program stays the artifact, so the two must agree bit
-//! for bit: for every zoo PIM candidate, under every fusion role,
-//! granularity, channel count, MD-DP row fraction and PIM config, the
-//! pricer's merged and per-channel statistics equal interpreting
-//! `generate_fused_program`'s output, and overlap-linked group pricing
-//! equals interpreting `generate_group_program_overlapped`'s output.
+//! streaming their block schedule through the channel timing engine —
+//! each shared channel-stream prefix simulated once, steady-state command
+//! periods fast-forwarded — and never through a compiled program. The ISA
+//! program stays the artifact, so the two must agree bit for bit: for
+//! every zoo PIM candidate and for seeded random shapes, under every
+//! fusion role, granularity, channel count, MD-DP row fraction and PIM
+//! config, the pricer's merged and per-channel statistics equal
+//! interpreting `generate_fused_program`'s output command by command, and
+//! overlap-linked group pricing equals interpreting
+//! `generate_group_program_overlapped`'s output.
 
 use pimflow::codegen::{
     execute_group_overlapped_us, execute_workload, generate_fused_program,
@@ -15,6 +17,7 @@ use pimflow::codegen::{
 use pimflow_ir::models;
 use pimflow_isa::FusedRole;
 use pimflow_pimsim::{ChannelStats, NewtonInterpreter, PimConfig, RunOptions, ScheduleGranularity};
+use pimflow_rng::Rng;
 
 /// Every model of the zoo (`models::by_name`), whose PIM candidates the
 /// contract covers.
@@ -54,14 +57,20 @@ const CHANNELS: [usize; 3] = [1, 5, 16];
 /// MD-DP row fractions: the whole layer down to a 3% PIM share.
 const FRACTIONS: [f64; 4] = [1.0, 0.5, 0.1, 0.03];
 
-/// The Newton configurations: Newton++ (`PimConfig::default()`), Newton+
-/// (one buffer, no latency hiding, no strided GWRITE) and the HBM-PIM-like
-/// substrate (its short refresh interval stresses refresh chunking).
-fn configs() -> [(&'static str, PimConfig); 3] {
+/// The PIM configurations: Newton++ (`PimConfig::default()`), Newton+
+/// (one buffer, no latency hiding, no strided GWRITE), the AiM-like and
+/// HBM-PIM-like substrates (the latter's short refresh interval stresses
+/// refresh chunking), and Newton++ with refresh disabled (no refresh
+/// deadline bounds a fast-forward).
+fn configs() -> [(&'static str, PimConfig); 5] {
+    let mut no_refresh = PimConfig::newton_plus_plus();
+    no_refresh.timing.t_refi = 0;
     [
         ("newton_plus_plus", PimConfig::newton_plus_plus()),
         ("newton_plus", PimConfig::newton_plus()),
+        ("aim_like", PimConfig::aim_like()),
         ("hbm_pim_like", PimConfig::hbm_pim_like()),
+        ("no_refresh", no_refresh),
     ]
 }
 
@@ -194,6 +203,33 @@ fn streamed_pricing_holds_for_block_counts_around_the_channel_count() {
     }
 }
 
+/// Seeded random shapes beyond the zoo's, a sixth of them with 50 000
+/// rows or more so the streams cross many refresh windows.
+#[test]
+fn streamed_pricing_holds_for_random_workload_shapes() {
+    let mut rng = Rng::seed_from_u64(0x5EED_F0F0);
+    let configs = configs();
+    for case in 0..240 {
+        let (cfg_name, cfg) = *rng.pick(&configs);
+        let long = case % 6 == 0;
+        let w = PimWorkload {
+            rows: if long {
+                rng.range_usize(50_000, 120_001)
+            } else {
+                rng.range_usize(1, 3_000)
+            },
+            k_elems: rng.range_usize(1, if long { 600 } else { 5_000 }),
+            out_channels: rng.range_usize(1, if long { 300 } else { 2_500 }),
+            strided: rng.range_u32(0, 2) == 1,
+            segments: rng.range_usize(1, 10),
+        };
+        let granularity = *rng.pick(&GRANULARITIES);
+        let channels = rng.range_usize(1, 25);
+        let role = *rng.pick(&ROLES);
+        check_workload(&w, cfg_name, &cfg, granularity, channels, role);
+    }
+}
+
 /// Fusion groups of 2 and 3 consecutive PIM candidates of every model.
 fn groups() -> Vec<Vec<(PimWorkload, FusedRole)>> {
     let mut out: Vec<Vec<(PimWorkload, FusedRole)>> = Vec::new();
@@ -250,6 +286,39 @@ fn streamed_group_pricing_equals_interpreting_the_overlapped_program() {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+/// One long overlap-linked chain: six consecutive mobilenet-v2
+/// candidates, so every channel carries six members' streams back to back.
+#[test]
+fn streamed_pricing_holds_for_a_six_member_group() {
+    let ws = candidates("mobilenet-v2");
+    let members: Vec<(PimWorkload, FusedRole)> = ws[3..9]
+        .iter()
+        .enumerate()
+        .map(|(k, &w)| {
+            let role = match k {
+                0 => FusedRole::Head,
+                5 => FusedRole::Tail,
+                _ => FusedRole::Middle,
+            };
+            (w, role)
+        })
+        .collect();
+    for (cfg_name, cfg) in configs() {
+        for granularity in GRANULARITIES {
+            for channels in [3usize, 16, 24] {
+                let program =
+                    generate_group_program_overlapped(&members, &cfg, channels, granularity);
+                let (merged, _) = interpret(&program, &cfg);
+                assert_eq!(
+                    execute_group_overlapped_us(&members, &cfg, channels, granularity).to_bits(),
+                    (cfg.cycles_to_ns(merged.cycles) * 1e-3).to_bits(),
+                    "six members under {cfg_name}, {granularity}, {channels} ch"
+                );
             }
         }
     }
