@@ -239,11 +239,13 @@ impl CacheCounters {
 }
 
 /// One worker's unsynchronized memo shard: the keys it had to price itself
-/// during a search phase, plus its total lookup count. Produced by the
-/// search profiler, consumed by [`CostCache::merge`].
+/// during a search phase, each with the lookups its pricing made in turn
+/// (a fused chain prices its members), plus the shard's total lookup
+/// count. Produced by the search profiler, consumed by
+/// [`CostCache::merge`].
 #[derive(Debug, Default)]
 pub struct MemoShard {
-    entries: HashMap<WorkloadKey, f64>,
+    entries: HashMap<WorkloadKey, (f64, u64)>,
     lookups: u64,
 }
 
@@ -260,12 +262,13 @@ impl MemoShard {
 
     /// The cost this shard computed for `key`, if any.
     pub(crate) fn get(&self, key: &WorkloadKey) -> Option<f64> {
-        self.entries.get(key).copied()
+        self.entries.get(key).map(|&(cost, _)| cost)
     }
 
-    /// Stores a freshly computed cost.
-    pub(crate) fn insert(&mut self, key: WorkloadKey, cost: f64) {
-        self.entries.insert(key, cost);
+    /// Stores a freshly computed cost whose pricing made `nested` lookups
+    /// of its own (already counted in [`lookups`](Self::lookups)).
+    pub(crate) fn insert(&mut self, key: WorkloadKey, cost: f64, nested: u64) {
+        self.entries.insert(key, (cost, nested));
     }
 
     /// Number of keys this shard computed itself.
@@ -366,13 +369,18 @@ impl CostCache {
     /// Folds worker shards into the shared table and updates the counters.
     ///
     /// `misses` grows by the number of keys newly inserted, `hits` by the
-    /// shards' total lookups minus that — so after any set of searches
-    /// completes the counters are independent of pool width and scheduling
-    /// (duplicate computations by racing workers count as hits, because the
-    /// table gained nothing from them).
+    /// shards' counted lookups minus that. The lookups a key's pricing made
+    /// in turn count only if the key is newly inserted: a worker that
+    /// re-prices a fused group another worker already priced repeats the
+    /// group's member lookups, and one worker would not have. So after any
+    /// set of searches completes the counters are independent of pool
+    /// width and scheduling (a duplicate computation by a racing worker
+    /// counts as one hit, because the table gained nothing from it).
+    /// Pricing nests one level deep (a chain prices its members, a member
+    /// prices nothing), so every lookup belongs to at most one entry.
     pub fn merge(&self, shards: impl IntoIterator<Item = MemoShard>) {
         let shards: Vec<MemoShard> = shards.into_iter().collect();
-        let lookups: u64 = shards.iter().map(|s| s.lookups).sum();
+        let mut lookups: u64 = shards.iter().map(|s| s.lookups).sum();
         if lookups == 0 && shards.iter().all(|s| s.is_empty()) {
             return;
         }
@@ -381,9 +389,11 @@ impl CostCache {
         if shards.iter().any(|s| !s.is_empty()) {
             let mut table = (*state.snapshot).clone();
             for shard in shards {
-                for (key, cost) in shard.entries {
+                for (key, (cost, nested)) in shard.entries {
                     if table.insert_if_missing(key, cost) {
                         added += 1;
+                    } else {
+                        lookups -= nested;
                     }
                 }
             }
@@ -524,7 +534,7 @@ mod tests {
         let mut shard = MemoShard::new();
         for rows in [10, 20] {
             shard.count_lookup();
-            shard.insert(key(rows, &cfg), rows as f64);
+            shard.insert(key(rows, &cfg), rows as f64, 0);
         }
         shard.count_lookup(); // a third lookup answered by the shard itself
         cache.merge([shard]);
@@ -560,10 +570,10 @@ mod tests {
         let cache = CostCache::new();
         let mut a = MemoShard::new();
         a.count_lookup();
-        a.insert(key(50, &cfg), 1.25);
+        a.insert(key(50, &cfg), 1.25, 0);
         let mut b = MemoShard::new();
         b.count_lookup();
-        b.insert(key(50, &cfg), 1.25);
+        b.insert(key(50, &cfg), 1.25, 0);
         cache.merge([a, b]);
         assert_eq!(
             cache.counters(),
@@ -576,13 +586,48 @@ mod tests {
     }
 
     #[test]
+    fn a_racing_group_counts_its_member_lookups_once() {
+        // Two tasks look up the same group key `g`, whose pricing looks up
+        // members `m1` and `m2`. One worker prices the group once and hits
+        // its own shard the second time; two workers both price it. The
+        // counters must not tell the two apart.
+        let cfg = EngineConfig::pimflow();
+        let g = key(1, &cfg).with_group(0x9);
+        let price_group = |shard: &mut MemoShard| {
+            shard.count_lookup();
+            for rows in [2, 3] {
+                shard.count_lookup();
+                shard.insert(key(rows, &cfg), rows as f64, 0);
+            }
+            shard.insert(g, 5.0, 2);
+        };
+        let one = CostCache::new();
+        let mut shard = MemoShard::new();
+        price_group(&mut shard);
+        shard.count_lookup(); // the second task hits the shard
+        one.merge([shard]);
+        let two = CostCache::new();
+        let (mut a, mut b) = (MemoShard::new(), MemoShard::new());
+        price_group(&mut a);
+        price_group(&mut b);
+        two.merge([a, b]);
+        let want = CacheCounters {
+            hits: 1,
+            misses: 3,
+            entries: 3,
+        };
+        assert_eq!(one.counters(), want);
+        assert_eq!(two.counters(), want);
+    }
+
+    #[test]
     fn snapshots_are_immutable() {
         let cfg = EngineConfig::pimflow();
         let cache = CostCache::new();
         let before = cache.snapshot();
         let mut shard = MemoShard::new();
         shard.count_lookup();
-        shard.insert(key(7, &cfg), 3.5);
+        shard.insert(key(7, &cfg), 3.5, 0);
         cache.merge([shard]);
         assert!(before.is_empty(), "old snapshot must not see the merge");
         let after = cache.snapshot();
@@ -598,7 +643,7 @@ mod tests {
         let alias = cache.clone();
         let mut shard = MemoShard::new();
         shard.count_lookup();
-        shard.insert(key(11, &cfg), 9.0);
+        shard.insert(key(11, &cfg), 9.0, 0);
         alias.merge([shard]);
         assert_eq!(cache.counters().entries, 1);
         assert_eq!(cache.snapshot().get(&key(11, &cfg)), Some(9.0));

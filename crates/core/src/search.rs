@@ -615,15 +615,18 @@ impl<'g> Profiler<'g> {
     }
 
     /// The one memoized lookup: `key`'s cost from the private shard, else
-    /// the base snapshot, else `price` it and record it in the shard.
-    /// Every lookup counts, hit or miss.
+    /// the base snapshot, else `price` it and record it in the shard with
+    /// the lookups the pricing made in turn. Every lookup counts, hit or
+    /// miss.
     fn memo(&mut self, key: WorkloadKey, price: impl FnOnce(&mut Self) -> f64) -> f64 {
         self.shard.count_lookup();
         if let Some(t) = self.shard.get(&key).or_else(|| self.base.get(&key)) {
             return t;
         }
+        let before = self.shard.lookups();
         let t = price(self);
-        self.shard.insert(key, t);
+        let nested = self.shard.lookups() - before;
+        self.shard.insert(key, t, nested);
         t
     }
 

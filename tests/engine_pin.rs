@@ -12,10 +12,10 @@
 //! the plan `repair` makes under two channel masks through that same
 //! cache, so a refactor of how the search or the repair prices a
 //! candidate cannot move a cost or a cache lookup unseen either. The
-//! counters come from one worker because the hit count is not
-//! width-invariant: a worker that misses a fused group's chain key prices
-//! the members itself, so a group repeated across workers (bert-16's
-//! layers) adds member lookups per worker. Plans and entries do not move.
+//! counters are width-invariant: searches on pools of 1, 2, 4 and 8
+//! workers must report the one-worker counters, although a fused group
+//! repeated across workers (bert-16's layers) is priced by each worker
+//! that misses it.
 
 use pimflow::costcache::{CacheCounters, CostCache};
 use pimflow::engine::{execute, ChannelMask, EngineConfig, ExecutionReport, PimBackendSet};
@@ -164,6 +164,20 @@ fn compiled_timelines_are_pinned() {
                 .expect("zoo models search");
             assert_eq!(sequential, plan, "{case}: the pool width moved the plan");
             let search_cache = counts(cache.counters());
+            for jobs in [1, 2, 4, 8] {
+                let pooled = CostCache::new();
+                Search::new(&g, &cfg)
+                    .options(opts)
+                    .pool(jobs)
+                    .cache(&pooled)
+                    .run()
+                    .expect("zoo models search");
+                assert_eq!(
+                    counts(pooled.counters()),
+                    search_cache,
+                    "{case}: {jobs} workers moved the cache counters"
+                );
+            }
             let mut repaired = Fnv::new();
             for mask in repair_masks() {
                 let r = plan
