@@ -21,6 +21,12 @@ PIMFLOW_JOBS=1 cargo test -q --workspace --offline
 echo "==> cargo test (PIMFLOW_JOBS=4)"
 PIMFLOW_JOBS=4 cargo test -q --workspace --offline
 
+# The Newton pricing contract again in the release profile, which the
+# benchmark and the figures run: the pricer's fast-forward shifts u64
+# timestamps, and only debug builds trap on overflow.
+echo "==> cargo test --release --test pricer"
+cargo test -q --release --offline --test pricer
+
 # A third pass re-runs the fault-resilience contracts under a non-trivial
 # fault seed: the determinism, no-drop, and mask-respecting properties
 # must hold for scenarios other than the default 0xFA17.
@@ -28,12 +34,13 @@ echo "==> cargo test --test resilience (PIMFLOW_FAULTS=20260806)"
 PIMFLOW_FAULTS=20260806 PIMFLOW_JOBS=4 cargo test -q --offline --test resilience
 
 # The executor smoke sweep must show parallel execution byte-identical to
-# sequential and no slower than it (floor waived on single-thread hosts,
-# recorded via host_threads in the artifact).
+# sequential and no slower than it. The floor verdict is Met, Missed or
+# Unmeasured (a single-thread host cannot observe a parallel speedup);
+# only Missed fails.
 echo "==> figures exec --smoke"
 tmpdir="$(mktemp -d)"
 PIMFLOW_JOBS=4 cargo run -q --offline -p pimflow-bench --bin figures -- exec "$tmpdir" --smoke
-grep -q '"meets_speedup_floor": true' "$tmpdir/BENCH_exec.json"
+grep -Eq '"speedup_floor_verdict": "(Met|Unmeasured)"' "$tmpdir/BENCH_exec.json"
 rm -rf "$tmpdir"
 
 # The cost-cache smoke sweep must show warm searches no slower than cold

@@ -11,7 +11,7 @@
 //! `BENCH_exec.json`.
 
 use pimflow_ir::models;
-use pimflow_json::json_struct;
+use pimflow_json::{json_struct, json_unit_enum};
 use pimflow_kernels::{input_tensors, run_graph_with, ExecOptions, ExecOutput, MemoryMode};
 use pimflow_pool::WorkerPool;
 use std::time::Instant;
@@ -66,6 +66,24 @@ json_struct!(ModelExecTiming {
     sharded_nodes,
 });
 
+/// The outcome of a wall-clock floor: met, missed, or not observable on
+/// the measuring host (never reported as met).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FloorVerdict {
+    /// The measurement reached the floor.
+    Met,
+    /// The measurement fell short of the floor.
+    Missed,
+    /// The host cannot observe the quantity the floor bounds.
+    Unmeasured,
+}
+
+json_unit_enum!(FloorVerdict {
+    Met,
+    Missed,
+    Unmeasured
+});
+
 /// The full artifact written to `BENCH_exec.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecSweepReport {
@@ -77,10 +95,10 @@ pub struct ExecSweepReport {
     pub floor_model: String,
     /// Speedup the floor model must reach at `jobs` workers.
     pub speedup_floor: f64,
-    /// True when the floor model met `speedup_floor`, or the host has a
-    /// single hardware thread (parallel speedup is unobservable there; the
-    /// recorded `host_threads` documents the waiver).
-    pub meets_speedup_floor: bool,
+    /// Whether the floor model reached `speedup_floor`; `Unmeasured` on a
+    /// host with a single hardware thread, where parallel speedup cannot
+    /// be observed.
+    pub speedup_floor_verdict: FloorVerdict,
     /// True when the floor model's arena cut peak bytes at least 2x below
     /// the retain-everything baseline.
     pub meets_memory_floor: bool,
@@ -93,7 +111,7 @@ json_struct!(ExecSweepReport {
     host_threads,
     floor_model,
     speedup_floor,
-    meets_speedup_floor,
+    speedup_floor_verdict,
     meets_memory_floor,
     models,
 });
@@ -181,7 +199,13 @@ pub fn sweep(
         host_threads,
         floor_model: floor.model.clone(),
         speedup_floor,
-        meets_speedup_floor: host_threads == 1 || floor.speedup >= speedup_floor,
+        speedup_floor_verdict: if host_threads == 1 {
+            FloorVerdict::Unmeasured
+        } else if floor.speedup >= speedup_floor {
+            FloorVerdict::Met
+        } else {
+            FloorVerdict::Missed
+        },
         meets_memory_floor: floor.peak_reduction >= 2.0,
         models: rows,
     }
@@ -246,10 +270,15 @@ mod tests {
     #[test]
     fn single_thread_hosts_waive_the_speedup_floor() {
         let report = sweep(&["toy"], 4, 1, f64::INFINITY);
-        if report.host_threads == 1 {
-            assert!(report.meets_speedup_floor, "waiver must apply");
+        let want = if report.host_threads == 1 {
+            FloorVerdict::Unmeasured
         } else {
-            assert!(!report.meets_speedup_floor, "infinite floor is unmeetable");
+            FloorVerdict::Missed
+        };
+        assert_eq!(report.speedup_floor_verdict, want, "infinite floor");
+        let zero = sweep(&["toy"], 4, 1, 0.0);
+        if zero.host_threads > 1 {
+            assert_eq!(zero.speedup_floor_verdict, FloorVerdict::Met, "zero floor");
         }
     }
 }
