@@ -10,10 +10,10 @@
 //! reference executor sees).
 //!
 //! A packed `B` comes from [`pack_b`] (an existing row-major matrix) or
-//! from [`PackedB::from_rows`], which takes the matrix one row at a time.
-//! The executor uses the latter: its parameter generator writes each
-//! weight row straight into the panels, so the fast path never builds the
-//! row-major matrix at all.
+//! from the parameter generator, which writes bounded slabs of weight rows
+//! into the panels as it draws them
+//! ([`crate::params::param_cols_packed`]), so the fast path never builds
+//! the row-major matrix at all.
 //!
 //! # Numerical contract
 //!
@@ -34,12 +34,23 @@
 //! its row contents and column, never on which row range a caller asked
 //! for, so intra-op row sharding stays **byte-identical at any
 //! `PIMFLOW_JOBS` width** (the same contract the scalar path had).
+//!
+//! # Instruction sets
+//!
+//! Each tile body is compiled twice: for the baseline target (SSE2 on
+//! x86-64) and, on x86-64, for AVX2, where one `NR`-lane accumulator row
+//! is one ymm register. [`gemm_packed`] picks the AVX2 instance when the
+//! host has it ([`Simd::detect`]); both are bit-identical, because AVX2
+//! is enabled without FMA: every product still joins its sum as one
+//! rounded multiply and one rounded add, in ascending `k`. A fused
+//! multiply-add rounds once and would break that. The dispatch call is
+//! the only `unsafe` here.
 
 use crate::probe::{self, ProbePoint};
 
 /// Rows per register tile. Four accumulator rows of [`NR`] f32 lanes fit in
-/// xmm registers alongside a packed-B vector on a baseline x86-64 target
-/// (and in NEON registers on aarch64).
+/// registers alongside a packed-B vector: eight xmm registers on baseline
+/// x86-64, four ymm registers on the AVX2 instance, NEON on aarch64.
 pub const MR: usize = 4;
 
 /// Columns per register tile — the unrolled f32 lanes of the accumulator.
@@ -94,6 +105,45 @@ impl GemmPath {
     }
 }
 
+/// The instruction set a [`gemm_packed_on`] call compiles its tiles for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Simd {
+    /// The baseline target's instructions (SSE2 on x86-64); runs anywhere.
+    Portable,
+    /// AVX2 without FMA, on x86-64 hosts that have it.
+    Avx2,
+}
+
+impl Simd {
+    /// The best instruction set this host runs.
+    pub fn detect() -> Simd {
+        if Simd::Avx2.supported() {
+            Simd::Avx2
+        } else {
+            Simd::Portable
+        }
+    }
+
+    /// Whether this host runs `self`.
+    pub fn supported(self) -> bool {
+        match self {
+            Simd::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Simd::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Simd::Avx2 => false,
+        }
+    }
+
+    /// Stable name for artifacts: `"portable"` or `"avx2"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Simd::Portable => "portable",
+            Simd::Avx2 => "avx2",
+        }
+    }
+}
+
 /// What the micro-kernel does to a finished accumulator tile before the
 /// store. Fused into the tile loop so conv/dense epilogues cost no extra
 /// pass over the output.
@@ -113,10 +163,9 @@ pub enum Epilogue<'a> {
 ///
 /// A pack is built once and reused across every row block of a call. The
 /// executor never packs a finished matrix: its parameter generator writes
-/// each weight row straight into the panels through
-/// [`PackedB::from_rows`] (see [`crate::params::param_cols_packed`]), and
-/// the one pack is shared by all im2col panels *and* all workers of a
-/// sharded convolution.
+/// slabs of weight rows straight into the panels (see
+/// [`crate::params::param_cols_packed`]), and the one pack is shared by
+/// all im2col panels *and* all workers of a sharded convolution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedB {
     k: usize,
@@ -125,22 +174,51 @@ pub struct PackedB {
 }
 
 impl PackedB {
-    /// Packs a `[k, n]` matrix produced one row at a time: `fill(kk, row)`
-    /// writes row `kk` (all `n` columns) into `row`, and is called for
-    /// `kk = 0, 1, .., k - 1` in that order, so a sequential generator can
-    /// stream straight into the panels without a row-major copy.
-    pub fn from_rows(k: usize, n: usize, mut fill: impl FnMut(usize, &mut [f32])) -> PackedB {
+    /// A `[k, n]` pack of zeros, to be filled by [`PackedB::write_rows`].
+    pub(crate) fn zeroed(k: usize, n: usize) -> PackedB {
         let panels_n = n.div_ceil(NR).max(1);
-        let mut panels = vec![0.0f32; panels_n * k * NR];
-        let mut row = vec![0.0f32; n];
-        for kk in 0..k {
-            fill(kk, &mut row);
-            for (j, lanes) in row.chunks(NR).enumerate() {
-                let at = (j * k + kk) * NR;
-                panels[at..at + lanes.len()].copy_from_slice(lanes);
+        PackedB {
+            k,
+            n,
+            panels: vec![0.0f32; panels_n * k * NR],
+        }
+    }
+
+    /// Writes the row-major rows `block` (a whole number of `n`-column
+    /// rows) as rows `first..` of the matrix. Each panel receives the
+    /// block's rows as one contiguous `rows x NR` run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not a whole number of rows or runs past row
+    /// `k`.
+    pub(crate) fn write_rows(&mut self, first: usize, block: &[f32]) {
+        let (k, n) = (self.k, self.n);
+        if n == 0 {
+            return;
+        }
+        assert_eq!(block.len() % n, 0, "row block of {} values", block.len());
+        let rows = block.len() / n;
+        assert!(first + rows <= k, "rows {first}..{} of {k}", first + rows);
+        if rows == 0 {
+            return;
+        }
+        for (j, panel) in self.panels.chunks_exact_mut(k * NR).enumerate() {
+            let col0 = j * NR;
+            let nw = NR.min(n - col0);
+            let dst = &mut panel[first * NR..(first + rows) * NR];
+            let pairs = dst.chunks_exact_mut(NR).zip(block.chunks_exact(n));
+            if nw == NR {
+                // A constant-length copy: two vector moves, not a memcpy call.
+                for (lanes, row) in pairs {
+                    lanes.copy_from_slice(&row[col0..col0 + NR]);
+                }
+            } else {
+                for (lanes, row) in pairs {
+                    lanes[..nw].copy_from_slice(&row[col0..col0 + nw]);
+                }
             }
         }
-        PackedB { k, n, panels }
     }
 
     /// Inner (reduction) dimension of the packed matrix.
@@ -167,9 +245,9 @@ impl PackedB {
 pub fn pack_b(b: &[f32], k: usize, n: usize) -> PackedB {
     let _probe = probe::span(ProbePoint::PackB);
     assert_eq!(b.len(), k * n, "pack_b operand length");
-    PackedB::from_rows(k, n, |kk, row| {
-        row.copy_from_slice(&b[kk * n..(kk + 1) * n]);
-    })
+    let mut packed = PackedB::zeroed(k, n);
+    packed.write_rows(0, b);
+    packed
 }
 
 /// Register-blocked GEMM over a packed `B`:
@@ -179,12 +257,26 @@ pub fn pack_b(b: &[f32], k: usize, n: usize) -> PackedB {
 /// im2col scratch or a dense input). `out` is overwritten, not accumulated
 /// into; the epilogue is fused into the final store.
 ///
+/// The tiles run on the best instruction set the host has
+/// ([`Simd::detect`]); every choice gives the same bits.
+///
 /// # Panics
 ///
 /// Panics if operand lengths are inconsistent, `b.n() == 0`, or an epilogue
 /// bias length differs from `b.n()`.
 pub fn gemm_packed(a: &[f32], b: &PackedB, out: &mut [f32], epilogue: Epilogue<'_>) {
+    gemm_packed_on(Simd::detect(), a, b, out, epilogue);
+}
+
+/// [`gemm_packed`] on a chosen instruction set — the hook the bit-identity
+/// checks use to run both instances on one host.
+///
+/// # Panics
+///
+/// As [`gemm_packed`], and if the host does not run `simd`.
+pub fn gemm_packed_on(simd: Simd, a: &[f32], b: &PackedB, out: &mut [f32], epilogue: Epilogue<'_>) {
     let _probe = probe::span(ProbePoint::GemmMicrokernel);
+    assert!(simd.supported(), "this host does not run {}", simd.name());
     let (k, n) = (b.k, b.n);
     assert!(n > 0, "gemm_packed needs at least one output column");
     let m = out.len() / n;
@@ -214,23 +306,43 @@ pub fn gemm_packed(a: &[f32], b: &PackedB, out: &mut [f32], epilogue: Epilogue<'
                     let row0 = ic + ir;
                     let rw = MR.min(mw - ir);
                     if rw == MR && nw == NR {
-                        tile_full(a, k, kb, kw, row0, panel, out, n, col0, first, ep);
-                    } else {
-                        tile(TileArgs {
-                            a,
-                            k,
-                            kb,
-                            kw,
-                            row0,
-                            rw,
-                            panel,
-                            out,
-                            n,
-                            col0,
-                            nw,
-                            first,
-                            epilogue: ep,
-                        });
+                        match simd {
+                            Simd::Portable => {
+                                tile_full(a, k, kb, kw, row0, panel, out, n, col0, first, ep)
+                            }
+                            #[cfg(target_arch = "x86_64")]
+                            // SAFETY: `simd.supported()` was asserted above,
+                            // so this host runs AVX2.
+                            Simd::Avx2 => unsafe {
+                                tile_full_avx2(a, k, kb, kw, row0, panel, out, n, col0, first, ep)
+                            },
+                            #[cfg(not(target_arch = "x86_64"))]
+                            Simd::Avx2 => unreachable!("AVX2 is never supported off x86-64"),
+                        }
+                        continue;
+                    }
+                    let args = TileArgs {
+                        a,
+                        k,
+                        kb,
+                        kw,
+                        row0,
+                        rw,
+                        panel,
+                        out: &mut *out,
+                        n,
+                        col0,
+                        nw,
+                        first,
+                        epilogue: ep,
+                    };
+                    match simd {
+                        Simd::Portable => tile(args),
+                        #[cfg(target_arch = "x86_64")]
+                        // SAFETY: as for the full tile.
+                        Simd::Avx2 => unsafe { tile_avx2(args) },
+                        #[cfg(not(target_arch = "x86_64"))]
+                        Simd::Avx2 => unreachable!("AVX2 is never supported off x86-64"),
                     }
                 }
             }
@@ -265,19 +377,64 @@ struct TileArgs<'a, 'e> {
     epilogue: Epilogue<'e>,
 }
 
-/// The full `MR x NR` register tile — the hot kernel. Every loop has a
-/// constant trip count and every operand is a pre-sliced zip (no index
-/// arithmetic or bounds checks inside the k loop), so the accumulator
-/// stays in vector registers for the whole panel. Same accumulation order
-/// as [`tile`]; only the remainder handling is gone.
+/// The full `MR x NR` register tile — the hot kernel, on the baseline
+/// target.
 ///
 /// `inline(never)` is load-bearing: inlined into `gemm_packed` next to the
 /// generic [`tile`], the merged body overwhelms the register allocator and
 /// the accumulator spills to the stack every k step (~6x slower). As an
 /// outlined function the accumulator stays in vector registers.
+///
+/// Its operands are separate arguments, not a [`TileArgs`]: a `&mut`
+/// inside a struct passed by reference loses its no-alias guarantee, and
+/// without it the portable instance ran about 6x slower.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn tile_full(
+    a: &[f32],
+    k: usize,
+    kb: usize,
+    kw: usize,
+    row0: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+    col0: usize,
+    first: bool,
+    epilogue: Epilogue<'_>,
+) {
+    tile_full_body(a, k, kb, kw, row0, panel, out, n, col0, first, epilogue)
+}
+
+/// [`tile_full`] compiled for AVX2 (and not FMA; see the module docs).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn tile_full_avx2(
+    a: &[f32],
+    k: usize,
+    kb: usize,
+    kw: usize,
+    row0: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+    col0: usize,
+    first: bool,
+    epilogue: Epilogue<'_>,
+) {
+    tile_full_body(a, k, kb, kw, row0, panel, out, n, col0, first, epilogue)
+}
+
+/// The body of [`tile_full`] and [`tile_full_avx2`]. Every loop has a
+/// constant trip count and every operand is a pre-sliced zip (no index
+/// arithmetic or bounds checks inside the k loop), so the accumulator
+/// stays in vector registers for the whole panel. Same accumulation order
+/// as [`tile`]; only the remainder handling is gone.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile_full_body(
     a: &[f32],
     k: usize,
     kb: usize,
@@ -344,13 +501,28 @@ fn tile_full(
     }
 }
 
-/// One `rw x nw` accumulator tile: load the partial sums unless this is the
-/// first k panel, accumulate `kw` steps in ascending k order across all
-/// [`NR`] lanes (padding lanes compute zeros and are never stored), apply
-/// the epilogue, store `nw` columns. Remainder tiles only — full tiles take
-/// [`tile_full`]. Outlined for the same register-pressure reason.
+/// One `rw x nw` accumulator tile on the baseline target. Remainder tiles
+/// only — full tiles take [`tile_full`]. Outlined for the same
+/// register-pressure reason.
 #[inline(never)]
 fn tile(args: TileArgs<'_, '_>) {
+    tile_body(args)
+}
+
+/// [`tile`] compiled for AVX2 (and not FMA; see the module docs).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn tile_avx2(args: TileArgs<'_, '_>) {
+    tile_body(args)
+}
+
+/// The body of [`tile`] and [`tile_avx2`]: load the partial sums unless
+/// this is the first k panel, accumulate `kw` steps in ascending k order
+/// across all [`NR`] lanes (padding lanes compute zeros and are never
+/// stored), apply the epilogue, store `nw` columns.
+#[inline(always)]
+fn tile_body(args: TileArgs<'_, '_>) {
     let TileArgs {
         a,
         k,
@@ -434,24 +606,82 @@ mod tests {
         (a, b)
     }
 
+    /// The instruction sets this host runs, saying when only the portable
+    /// one did.
+    fn simds(test: &str) -> Vec<Simd> {
+        if !Simd::Avx2.supported() {
+            eprintln!("{test}: AVX2 not detected, only the portable path ran");
+        }
+        [Simd::Portable, Simd::Avx2]
+            .into_iter()
+            .filter(|s| s.supported())
+            .collect()
+    }
+
+    /// Shapes hitting every remainder: M % MR, N % NR, K < KC, K > KC,
+    /// and degenerate single-row/single-column cases.
+    const REMAINDER_SHAPES: [(usize, usize, usize); 6] = [
+        (1, 1, 1),
+        (MR, 3, NR),
+        (MR + 1, 7, NR + 3),
+        (MC + 5, KC + 13, 2 * NR + 1),
+        (3, KC, 5),
+        (17, 2 * KC + 9, 19),
+    ];
+
     #[test]
     fn packed_gemm_without_epilogue_is_bit_identical_to_naive() {
-        // Shapes hitting every remainder: M % MR, N % NR, K < KC, K > KC,
-        // and degenerate single-row/single-column cases.
-        for (m, k, n) in [
-            (1, 1, 1),
-            (MR, 3, NR),
-            (MR + 1, 7, NR + 3),
-            (MC + 5, KC + 13, 2 * NR + 1),
-            (3, KC, 5),
-            (17, 2 * KC + 9, 19),
-        ] {
-            let (a, b) = operands(m, k, n);
+        for simd in simds("packed_gemm_without_epilogue_is_bit_identical_to_naive") {
+            for (m, k, n) in REMAINDER_SHAPES {
+                let (a, b) = operands(m, k, n);
+                let packed = pack_b(&b, k, n);
+                let mut out = vec![0.0f32; m * n];
+                gemm_packed_on(simd, &a, &packed, &mut out, Epilogue::None);
+                let want = naive(&a, &b, m, k, n);
+                assert_eq!(out, want, "{} m={m} k={k} n={n}", simd.name());
+            }
+        }
+    }
+
+    #[test]
+    fn every_instruction_set_gives_the_same_bits() {
+        // The remainder shapes plus seeded random shapes spanning several
+        // KC panels, under all three epilogues, on every instruction set
+        // the host runs, against the portable tiles.
+        let simds = simds("every_instruction_set_gives_the_same_bits");
+        let mut rng = pimflow_rng::Rng::seed_from_u64(0x51AD);
+        let mut shapes = REMAINDER_SHAPES.to_vec();
+        for _ in 0..12 {
+            shapes.push((
+                rng.range_usize(1, 2 * MC + 3),
+                rng.range_usize(1, 4 * KC),
+                rng.range_usize(1, 5 * NR),
+            ));
+        }
+        for (m, k, n) in shapes {
+            let a: Vec<f32> = (0..m * k).map(|_| rng.range_f32(-1.0, 1.0)).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| rng.range_f32(-1.0, 1.0)).collect();
+            let bias: Vec<f32> = (0..n).map(|_| rng.range_f32(-0.5, 0.5)).collect();
             let packed = pack_b(&b, k, n);
-            let mut out = vec![0.0f32; m * n];
-            gemm_packed(&a, &packed, &mut out, Epilogue::None);
-            let want = naive(&a, &b, m, k, n);
-            assert_eq!(out, want, "m={m} k={k} n={n}");
+            for epilogue in [
+                Epilogue::None,
+                Epilogue::Bias(&bias),
+                Epilogue::BiasRelu(&bias),
+            ] {
+                let run = |simd| {
+                    let mut out = vec![0.0f32; m * n];
+                    gemm_packed_on(simd, &a, &packed, &mut out, epilogue);
+                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                let want = run(Simd::Portable);
+                for &simd in &simds {
+                    assert!(
+                        run(simd) == want,
+                        "{} m={m} k={k} n={n} {epilogue:?}",
+                        simd.name()
+                    );
+                }
+            }
         }
     }
 

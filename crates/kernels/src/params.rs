@@ -6,17 +6,72 @@
 //! halves see identical filters — the property that makes "transformed graph
 //! ≡ original graph" testable numerically.
 //!
-//! Every generator here draws from one stream per `(key, role)` through
-//! [`Rng::fill_range_f32`] over the one range its role maps to, so the
-//! three forms — a flat vector ([`param_vec`]), a column window of a
-//! row-major matrix ([`param_cols`]) and the same window packed for the
-//! GEMM micro-kernel ([`param_cols_packed`]) — agree bit for bit. The
-//! packed form writes each generated row straight into the panels: the
-//! executor's fast path never materializes a row-major weight matrix.
+//! Every generator here draws from one stream per `(key, role)` over the
+//! one range its role maps to, so the three forms — a flat vector
+//! ([`param_vec`]), a column window of a row-major matrix ([`param_cols`])
+//! and the same window packed for the GEMM micro-kernel
+//! ([`param_cols_packed`]) — agree bit for bit. The first two draw with
+//! the sequential [`Rng::fill_range_f32`], the reference.
+//!
+//! The packed form is the executor's fast path and generates every conv
+//! and dense weight matrix, so it is built for speed without leaving the
+//! stream:
+//!
+//! * **lanes** — above `LANE_MIN_STREAM` positions, on a host with AVX2,
+//!   the rows split into eight contiguous groups, one per [`Lanes`] lane,
+//!   each started by an exact jump to its first row; the up to seven rows
+//!   left over continue sequentially from where the last lane stopped;
+//! * **slabs** — rows are generated into a bounded slab buffer (about
+//!   `SLAB_FLOATS` floats, and at least `MIN_SLAB_ROWS` rows per lane),
+//!   and each slab is written into the panels as one contiguous
+//!   `rows x NR` run per panel and lane, instead of scattering every row
+//!   across all panels. No row-major copy of the whole matrix ever
+//!   exists.
 
 use crate::microkernel::PackedB;
 use crate::probe::{self, ProbePoint};
-use pimflow_rng::Rng;
+use pimflow_rng::{Lanes, Rng, LANES};
+use std::cell::RefCell;
+
+/// Streams (rows × row length, skipped columns included) at least this
+/// long go through the lanes. Starting eight lanes costs 3–5 µs of jumps;
+/// a lane value costs about 0.8 ns against 2.4 ns sequentially, so the
+/// lanes break even near 3000 values.
+const LANE_MIN_STREAM: usize = 4096;
+
+/// Target floats per slab of generated rows (256 KiB, so a slab stays in
+/// L2 while it is packed).
+const SLAB_FLOATS: usize = 64 * 1024;
+
+/// Rows per lane in a slab, at least: each slab writes one `rows x NR`
+/// run per panel and lane, and runs shorter than about 512 bytes leave
+/// the stores waiting on scattered cache misses.
+const MIN_SLAB_ROWS: usize = 16;
+
+thread_local! {
+    /// This thread's slab buffer, kept across calls: a fresh buffer of a
+    /// few hundred KiB per matrix costs more in page faults than the
+    /// packing it serves. It holds `SLAB_FLOATS` floats, or
+    /// `LANES * MIN_SLAB_ROWS` rows of the widest matrix generated if that
+    /// is more (2 MiB for vgg-16's classifier).
+    static SLAB: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on the first `len` floats of this thread's slab buffer.
+fn with_slab<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    SLAB.with_borrow_mut(|buf| {
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        f(&mut buf[..len])
+    })
+}
+
+/// Rows per slab for `width`-value rows, shared by `lanes` lanes (1 on the
+/// sequential path), capped at `rows`.
+fn slab_rows(width: usize, lanes: usize, rows: usize) -> usize {
+    (SLAB_FLOATS / (lanes * width)).max(MIN_SLAB_ROWS).min(rows)
+}
 
 /// Distinguishes the different parameter tensors of one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,32 +131,24 @@ pub fn param_vec(key: u64, role: ParamRole, len: usize, fan_in: usize) -> Vec<f3
     out
 }
 
-/// The row generator behind [`param_cols`] and [`param_cols_packed`]: each
-/// call fills the next row's columns `begin..end` of the row-major
-/// `[rows, row_len]` matrix for `(key, role)` and skips the stream past the
-/// columns outside the window.
+/// Checks a column window `begin..end` of `row_len`-column rows.
 ///
 /// # Panics
 ///
 /// Panics unless `begin <= end <= row_len`.
-fn window_rows(
-    key: u64,
-    role: ParamRole,
-    row_len: usize,
-    begin: usize,
-    end: usize,
-    fan_in: usize,
-) -> impl FnMut(&mut [f32]) {
+fn check_window(row_len: usize, begin: usize, end: usize) {
     assert!(
         begin <= end && end <= row_len,
         "invalid column window {begin}..{end} of {row_len}"
     );
-    let mut rng = role_rng(key, role);
-    let (lo, hi) = role_range(role, fan_in);
-    move |row| {
-        rng.skip(begin);
+}
+
+/// Draws whole `width`-value rows into `out` from `rng`, skipping `gap`
+/// positions after each — the sequential walk of a column window.
+fn fill_window_rows(rng: &mut Rng, out: &mut [f32], width: usize, gap: usize, lo: f32, hi: f32) {
+    for row in out.chunks_exact_mut(width) {
         rng.fill_range_f32(row, lo, hi);
-        rng.skip(row_len - end);
+        rng.skip(gap);
     }
 }
 
@@ -131,10 +178,14 @@ pub fn param_cols(
     fan_in: usize,
 ) -> Vec<f32> {
     let _probe = probe::span(ProbePoint::ParamGen);
-    let mut fill = window_rows(key, role, row_len, begin, end, fan_in);
-    let mut out = vec![0.0f32; rows * (end - begin)];
-    if begin < end {
-        out.chunks_exact_mut(end - begin).for_each(&mut fill);
+    check_window(row_len, begin, end);
+    let width = end - begin;
+    let mut out = vec![0.0f32; rows * width];
+    if width > 0 {
+        let (lo, hi) = role_range(role, fan_in);
+        let mut rng = role_rng(key, role);
+        rng.skip(begin);
+        fill_window_rows(&mut rng, &mut out, width, row_len - width, lo, hi);
     }
     out
 }
@@ -142,7 +193,8 @@ pub fn param_cols(
 /// [`param_cols`] generated straight into the GEMM micro-kernel's packed
 /// panels: equal to [`pack_b`]`(&param_cols(..), rows, end - begin)`
 /// without the row-major matrix in between. The executor's fast path
-/// stages every conv and dense weight matrix this way.
+/// stages every conv and dense weight matrix this way, through the lanes
+/// and slabs of the module docs.
 ///
 /// [`pack_b`]: crate::microkernel::pack_b
 ///
@@ -159,8 +211,70 @@ pub fn param_cols_packed(
     fan_in: usize,
 ) -> PackedB {
     let _probe = probe::span(ProbePoint::ParamGen);
-    let mut fill = window_rows(key, role, row_len, begin, end, fan_in);
-    PackedB::from_rows(rows, end - begin, |_, row| fill(row))
+    check_window(row_len, begin, end);
+    let width = end - begin;
+    let mut packed = PackedB::zeroed(rows, width);
+    if width == 0 || rows == 0 {
+        return packed;
+    }
+    let (lo, hi) = role_range(role, fan_in);
+    let gap = row_len - width;
+    let mut rng = role_rng(key, role);
+    rng.skip(begin);
+    // Lane `i` owns rows `i * per..(i + 1) * per` and starts at its first
+    // row's window.
+    let per = rows / LANES;
+    let lanes = if per > 0 && rows * row_len >= LANE_MIN_STREAM {
+        rng.lanes(per * row_len)
+    } else {
+        None
+    };
+    let mut done = 0;
+    if let Some(mut lanes) = lanes {
+        let slab = slab_rows(width, LANES, per);
+        with_slab(LANES * slab * width, |buf| {
+            pack_lane_rows(&mut lanes, &mut packed, buf, per, width, gap, (lo, hi));
+        });
+        rng = lanes.lane(LANES - 1);
+        done = LANES * per;
+    }
+    if done < rows {
+        let slab = slab_rows(width, 1, rows - done);
+        with_slab(slab * width, |buf| {
+            while done < rows {
+                let block = &mut buf[..slab.min(rows - done) * width];
+                fill_window_rows(&mut rng, block, width, gap, lo, hi);
+                packed.write_rows(done, block);
+                done += block.len() / width;
+            }
+        });
+    }
+    packed
+}
+
+/// Fills rows `0..LANES * per` of `packed` from `lanes`, lane `i` owning
+/// rows `i * per..(i + 1) * per`, through `buf`: one slab of
+/// `buf.len() / (LANES * width)` rows per lane at a time.
+fn pack_lane_rows(
+    lanes: &mut Lanes,
+    packed: &mut PackedB,
+    buf: &mut [f32],
+    per: usize,
+    width: usize,
+    gap: usize,
+    (lo, hi): (f32, f32),
+) {
+    let slab = buf.len() / (LANES * width);
+    let mut done = 0;
+    while done < per {
+        let rows = slab.min(per - done);
+        let block = &mut buf[..LANES * rows * width];
+        lanes.fill_rows_range_f32(block, width, gap, lo, hi);
+        for (lane, part) in block.chunks_exact(rows * width).enumerate() {
+            packed.write_rows(lane * per + done, part);
+        }
+        done += rows;
+    }
 }
 
 #[cfg(test)]
@@ -241,6 +355,42 @@ mod tests {
         // Zero rows pack to an empty matrix.
         let got = param_cols_packed(5, ParamRole::Weight, 0, 8, 0, 8, 1);
         assert_eq!(got, pack_b(&[], 0, 8));
+
+        // Long streams, (rows, row_len, begin, end): LANE_MIN_STREAM - 1,
+        // exactly and + 1 positions; row counts one off a multiple of the
+        // lane count; lane shares one off a multiple of the 8-value tile;
+        // and windows with n % NR != 0 that span several slabs, through
+        // the lanes and through the sequential tail.
+        if Rng::seed_from_u64(0).lanes(1).is_none() {
+            eprintln!("AVX2 not detected: only the portable (sequential) path ran");
+        }
+        let edge = LANE_MIN_STREAM;
+        let slab_rows = SLAB_FLOATS / (LANES * 21);
+        for (rows, row_len, begin, end) in [
+            (edge / 16, 16, 0, 16),
+            (edge / 16, 16, 3, 14),
+            ((edge - 1) / 5, 5, 1, 4),
+            ((edge + 1) / 17, 17, 0, 17),
+            (LANES * 40 - 1, 13, 0, 13),
+            (LANES * 40 + 1, 13, 2, 11),
+            (LANES * 40 + 7, 9, 0, 9),
+            (LANES * 3, 24, 0, 17),
+            (LANES * 3 * slab_rows + 5, 30, 4, 25),
+            (3 * SLAB_FLOATS / 21 + 2, 21, 0, 21),
+            (LANES * 40 + 3, 4200, 100, 4197),
+        ] {
+            assert!(rows * row_len > 0);
+            let want = pack_b(
+                &param_cols(9, ParamRole::Weight, rows, row_len, begin, end, 64),
+                rows,
+                end - begin,
+            );
+            let got = param_cols_packed(9, ParamRole::Weight, rows, row_len, begin, end, 64);
+            assert!(
+                got == want,
+                "rows {rows} row_len {row_len} window {begin}..{end}"
+            );
+        }
     }
 
     #[test]
