@@ -560,8 +560,11 @@ fn exec_sweep(dir: &str, smoke: bool) {
         );
     }
     println!(
-        "  speedup_floor_verdict: {:?}",
-        report.speedup_floor_verdict
+        "  speedup_floor_verdict: {:?} (floor {}x, Welch p {:.3e}, {} samples per side)",
+        report.speedup_floor_verdict,
+        report.speedup_floor,
+        report.speedup_floor_p_value,
+        report.samples
     );
     println!("  meets_memory_floor: {}", report.meets_memory_floor);
     println!("wrote {}", path.display());
@@ -646,6 +649,10 @@ fn kernel_sweep(dir: &str, smoke: bool) {
     println!(
         "  host threads {}  jobs {}  samples/config {}  alpha {}",
         report.host_threads, report.jobs, report.samples_per_config, report.alpha
+    );
+    println!(
+        "  simd_isa {}  simd_paths_bit_identical {}",
+        report.simd_isa, report.simd_paths_bit_identical
     );
     println!(
         "  {:<26} {:>6} {:>5} {:>5} {:>14} {:>14} {:>8} {:>10} {:>7}",

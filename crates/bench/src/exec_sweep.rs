@@ -9,7 +9,15 @@
 //! counterfactual, so one run yields both the liveness plan's peak and the
 //! baseline it improves on. `figures exec` writes the result as
 //! `BENCH_exec.json`.
+//!
+//! Each side is timed over [`SAMPLES`] alternating runs, and the floor
+//! verdict is a Welch test ([`crate::stats`]) of the sequential times
+//! against the parallel times scaled by the floor: `Met` when the
+//! parallel time is significantly below `sequential / floor`, `Missed`
+//! when it is significantly above, `Unmeasured` when the difference is
+//! not significant or the host has one hardware thread.
 
+use crate::stats::{self, ALPHA};
 use pimflow_ir::models;
 use pimflow_json::{json_struct, json_unit_enum};
 use pimflow_kernels::{input_tensors, run_graph_with, ExecOptions, ExecOutput, MemoryMode};
@@ -25,9 +33,9 @@ pub struct ModelExecTiming {
     pub nodes: usize,
     /// Dependency waves the scheduler partitioned the graph into.
     pub waves: usize,
-    /// Wall time at one worker, milliseconds (best of the iterations).
+    /// Wall time at one worker, milliseconds (mean of the samples).
     pub sequential_ms: f64,
-    /// Wall time at the pool width, milliseconds (best of the iterations).
+    /// Wall time at the pool width, milliseconds (mean of the samples).
     pub parallel_ms: f64,
     /// `sequential_ms / parallel_ms`.
     pub speedup: f64,
@@ -95,10 +103,17 @@ pub struct ExecSweepReport {
     pub floor_model: String,
     /// Speedup the floor model must reach at `jobs` workers.
     pub speedup_floor: f64,
-    /// Whether the floor model reached `speedup_floor`; `Unmeasured` on a
-    /// host with a single hardware thread, where parallel speedup cannot
-    /// be observed.
+    /// Timed runs per side and model.
+    pub samples: usize,
+    /// Whether the floor model's parallel time is significantly below
+    /// (`Met`) or above (`Missed`) its sequential time over
+    /// `speedup_floor`; `Unmeasured` when neither is significant at
+    /// [`ALPHA`], or on a host with a single hardware thread, where
+    /// parallel speedup cannot be observed.
     pub speedup_floor_verdict: FloorVerdict,
+    /// Two-tailed Welch p-value behind the verdict (`1.0` when the host
+    /// has a single hardware thread).
+    pub speedup_floor_p_value: f64,
     /// True when the floor model's arena cut peak bytes at least 2x below
     /// the retain-everything baseline.
     pub meets_memory_floor: bool,
@@ -111,7 +126,9 @@ json_struct!(ExecSweepReport {
     host_threads,
     floor_model,
     speedup_floor,
+    samples,
     speedup_floor_verdict,
+    speedup_floor_p_value,
     meets_memory_floor,
     models,
 });
@@ -122,32 +139,63 @@ pub const DEFAULT_MODELS: [&str; 3] = ["toy", "mobilenet-v2", "resnet-50"];
 /// Speedup the largest model must reach at 4 workers on a multi-core host.
 pub const SPEEDUP_FLOOR: f64 = 1.5;
 
-fn best_of(iters: usize, mut run: impl FnMut() -> ExecOutput) -> (f64, ExecOutput) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..iters.max(1) {
+/// Timed runs per side and model: enough for the Welch test to tell a
+/// 10% difference from run-to-run noise on a 2-vCPU host.
+pub const SAMPLES: usize = 8;
+
+/// Times `samples` alternating runs of `seq` and `par`, sequential first;
+/// returns both sides' wall milliseconds and their last outputs.
+fn alternate(
+    samples: usize,
+    mut seq: impl FnMut() -> ExecOutput,
+    mut par: impl FnMut() -> ExecOutput,
+) -> ([Vec<f64>; 2], [ExecOutput; 2]) {
+    let time = |run: &mut dyn FnMut() -> ExecOutput, ms: &mut Vec<f64>| {
         let t = Instant::now();
-        let o = run();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-        out = Some(o);
+        let out = run();
+        ms.push(t.elapsed().as_secs_f64() * 1e3);
+        out
+    };
+    let (mut seq_ms, mut par_ms) = (Vec::new(), Vec::new());
+    let mut last = None;
+    for _ in 0..samples {
+        last = Some([time(&mut seq, &mut seq_ms), time(&mut par, &mut par_ms)]);
     }
-    (best, out.expect("at least one iteration"))
+    ([seq_ms, par_ms], last.expect("at least one sample"))
 }
 
-/// Times each named model at one worker vs `jobs` workers (`iters`
-/// repetitions each, best kept) and derives the floor verdicts from the
-/// last — largest — model. `speedup_floor` is the bar that model must
-/// clear; pass [`SPEEDUP_FLOOR`] for the committed artifact.
+/// The floor verdict and its p-value: a Welch test of `seq_ms` against
+/// `par_ms` scaled by `floor` (the t statistic is scale-free, so this is
+/// the test of `par` against `seq / floor`).
+fn floor_verdict(seq_ms: &[f64], par_ms: &[f64], floor: f64) -> (FloorVerdict, f64) {
+    let scaled: Vec<f64> = par_ms.iter().map(|p| p * floor).collect();
+    let test = stats::welch_t_test(seq_ms, &scaled);
+    let verdict = if test.p >= ALPHA {
+        FloorVerdict::Unmeasured
+    } else if stats::mean(&scaled) < stats::mean(seq_ms) {
+        FloorVerdict::Met
+    } else {
+        FloorVerdict::Missed
+    };
+    (verdict, test.p)
+}
+
+/// Times each named model at one worker vs `jobs` workers (`samples`
+/// alternating runs each) and derives the floor verdicts from the last —
+/// largest — model. `speedup_floor` is the bar that model must clear;
+/// pass [`SPEEDUP_FLOOR`] for the committed artifact.
 ///
 /// # Panics
 ///
-/// Panics on an unknown model name.
+/// Panics on an unknown model name, or if `samples < 2`.
 pub fn sweep(
     model_names: &[&str],
     jobs: usize,
-    iters: usize,
+    samples: usize,
     speedup_floor: f64,
 ) -> ExecSweepReport {
+    assert!(samples >= 2, "the Welch test needs two samples per side");
+    let mut floor_samples = [Vec::new(), Vec::new()];
     let rows: Vec<ModelExecTiming> = model_names
         .iter()
         .map(|name| {
@@ -165,8 +213,9 @@ pub fn sweep(
                 )
                 .expect("zoo models execute")
             };
-            let (sequential_ms, seq) = best_of(iters, || run_at(1));
-            let (parallel_ms, par) = best_of(iters, || run_at(jobs));
+            let ([seq_ms, par_ms], [seq, par]) = alternate(samples, || run_at(1), || run_at(jobs));
+            let (sequential_ms, parallel_ms) = (stats::mean(&seq_ms), stats::mean(&par_ms));
+            floor_samples = [seq_ms, par_ms];
             let outputs_identical = seq
                 .outputs
                 .iter()
@@ -194,18 +243,20 @@ pub fn sweep(
 
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let floor = rows.last().expect("at least one model");
+    let (speedup_floor_verdict, speedup_floor_p_value) = if host_threads == 1 {
+        (FloorVerdict::Unmeasured, 1.0)
+    } else {
+        let [seq_ms, par_ms] = &floor_samples;
+        floor_verdict(seq_ms, par_ms, speedup_floor)
+    };
     ExecSweepReport {
         jobs,
         host_threads,
         floor_model: floor.model.clone(),
         speedup_floor,
-        speedup_floor_verdict: if host_threads == 1 {
-            FloorVerdict::Unmeasured
-        } else if floor.speedup >= speedup_floor {
-            FloorVerdict::Met
-        } else {
-            FloorVerdict::Missed
-        },
+        samples,
+        speedup_floor_verdict,
+        speedup_floor_p_value,
         meets_memory_floor: floor.peak_reduction >= 2.0,
         models: rows,
     }
@@ -213,9 +264,10 @@ pub fn sweep(
 
 /// Runs the sweep at the `PIMFLOW_JOBS` pool width and writes
 /// `BENCH_exec.json` under `dir`. `smoke` restricts the sweep to the small
-/// models with one timing iteration (CI-sized) and only asks the floor
-/// model to not regress (floor 1.0); the committed artifact uses the full
-/// set and [`SPEEDUP_FLOOR`]. Returns the report and the path written.
+/// models (CI-sized) and only asks the floor model to not regress (floor
+/// 1.0); the committed artifact uses the full set and [`SPEEDUP_FLOOR`].
+/// Both take [`SAMPLES`] runs per side. Returns the report and the path
+/// written.
 ///
 /// # Errors
 ///
@@ -227,9 +279,9 @@ pub fn write_bench_artifact(
 ) -> Result<(ExecSweepReport, std::path::PathBuf), String> {
     let jobs = WorkerPool::from_env().jobs();
     let report = if smoke {
-        sweep(&["toy", "mobilenet-v2"], jobs, 1, 1.0)
+        sweep(&["toy", "mobilenet-v2"], jobs, SAMPLES, 1.0)
     } else {
-        sweep(&DEFAULT_MODELS, jobs, 2, SPEEDUP_FLOOR)
+        sweep(&DEFAULT_MODELS, jobs, SAMPLES, SPEEDUP_FLOOR)
     };
     if let Some(bad) = report.models.iter().find(|m| !m.outputs_identical) {
         return Err(format!(
@@ -250,7 +302,7 @@ mod tests {
 
     #[test]
     fn sweep_reports_identical_outputs_and_memory_wins() {
-        let report = sweep(&["toy"], 2, 1, 1.0);
+        let report = sweep(&["toy"], 2, 2, 1.0);
         assert_eq!(report.jobs, 2);
         assert_eq!(report.floor_model, "toy");
         let m = &report.models[0];
@@ -269,16 +321,28 @@ mod tests {
 
     #[test]
     fn single_thread_hosts_waive_the_speedup_floor() {
-        let report = sweep(&["toy"], 4, 1, f64::INFINITY);
+        let report = sweep(&["toy"], 4, SAMPLES, 1e6);
         let want = if report.host_threads == 1 {
             FloorVerdict::Unmeasured
         } else {
             FloorVerdict::Missed
         };
-        assert_eq!(report.speedup_floor_verdict, want, "infinite floor");
-        let zero = sweep(&["toy"], 4, 1, 0.0);
+        assert_eq!(report.speedup_floor_verdict, want, "unreachable floor");
+        let zero = sweep(&["toy"], 4, SAMPLES, 0.0);
         if zero.host_threads > 1 {
             assert_eq!(zero.speedup_floor_verdict, FloorVerdict::Met, "zero floor");
         }
+    }
+
+    #[test]
+    fn the_floor_verdict_needs_a_significant_difference() {
+        let seq = [10.0, 10.4, 9.8, 10.2, 10.1, 9.9, 10.3, 10.0];
+        let fast = [5.0, 5.2, 4.9, 5.1, 5.0, 4.8, 5.3, 5.0];
+        let even = [10.1, 9.9, 10.3, 10.0, 10.2, 9.8, 10.0, 10.4];
+        assert_eq!(floor_verdict(&seq, &fast, 1.5).0, FloorVerdict::Met);
+        assert_eq!(floor_verdict(&seq, &fast, 2.5).0, FloorVerdict::Missed);
+        let (verdict, p) = floor_verdict(&seq, &even, 1.0);
+        assert_eq!(verdict, FloorVerdict::Unmeasured, "p = {p}");
+        assert!(p >= ALPHA);
     }
 }

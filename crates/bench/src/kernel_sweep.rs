@@ -16,7 +16,12 @@
 //!   recorded (with `host_threads` context), never hidden;
 //! * per-function probe counters (counts + µs/call) from the
 //!   feature-gated [`pimflow_kernels::probe`] layer, captured from one
-//!   instrumented run per path after the timed samples.
+//!   instrumented run per path after the timed samples;
+//! * a bit-identity check of the instruction-set paths: the shape's GEMM
+//!   on the portable tiles and on the host's best ones ([`Simd::detect`]),
+//!   and a `k x n` weight stream drawn sequentially and through the AVX2
+//!   [`Lanes`](pimflow_rng::Lanes) (`simd_paths_bit_identical`, the second CI invariant key;
+//!   `simd_isa` names the instruction set that ran).
 //!
 //! `figures kernels [dir] [--smoke]` writes the result as
 //! `BENCH_kernels.json`.
@@ -26,9 +31,10 @@ use crate::stats::{self, Comparison};
 use pimflow_ir::Shape;
 use pimflow_json::json_struct;
 use pimflow_kernels::im2col::gemm_with;
-use pimflow_kernels::{probe, GemmPath, Tensor, Tolerance};
+use pimflow_kernels::microkernel::{gemm_packed_on, Simd};
+use pimflow_kernels::{pack_b, probe, Epilogue, GemmPath, Tensor, Tolerance};
 use pimflow_pool::WorkerPool;
-use pimflow_rng::Rng;
+use pimflow_rng::{Rng, LANES};
 
 /// One swept GEMM configuration (a lowered conv or dense layer).
 #[derive(Debug, Clone, Copy)]
@@ -170,6 +176,12 @@ pub struct KernelSweepReport {
     /// True when **every** configuration passed its tolerance check — the
     /// invariant CI greps for.
     pub tolerance_check_passed: bool,
+    /// The instruction set the hot loops ran on: `"avx2"` or `"portable"`.
+    pub simd_isa: String,
+    /// True when every configuration's GEMM and weight stream gave the
+    /// same bits on the portable path and on `simd_isa` (trivially so on a
+    /// portable-only host) — the second invariant CI greps for.
+    pub simd_paths_bit_identical: bool,
     /// Configurations where the micro-kernel was ACCEPTed.
     pub accepted: usize,
     /// Configurations REJECTed (insignificant or regressed).
@@ -188,6 +200,8 @@ json_struct!(KernelSweepReport {
     alpha,
     smoke,
     tolerance_check_passed,
+    simd_isa,
+    simd_paths_bit_identical,
     accepted,
     rejected,
     probes,
@@ -207,15 +221,57 @@ fn operands(shape: &SweepShape, rng: &mut Rng) -> (Tensor, Tensor) {
     )
 }
 
+/// Whether `shape`'s GEMM (plain and with the fused bias + ReLU
+/// epilogue) and a `k x n` weight stream give the same bits on the
+/// portable path and on `simd` / the lanes.
+fn simd_paths_agree(shape: &SweepShape, a: &Tensor, b: &Tensor, simd: Simd) -> bool {
+    let (m, k, n) = (shape.m, shape.k, shape.n);
+    let packed = pack_b(b.data(), k, n);
+    let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.01 - 0.05).collect();
+    let gemm = |simd: Simd, epilogue: Epilogue<'_>| {
+        let mut out = vec![0.0f32; m * n];
+        gemm_packed_on(simd, a.data(), &packed, &mut out, epilogue);
+        out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    let gemm_same = [Epilogue::None, Epilogue::BiasRelu(&bias)]
+        .into_iter()
+        .all(|ep| gemm(Simd::Portable, ep) == gemm(simd, ep));
+
+    // The weight stream: k rows of n values, lane `i` owning rows
+    // `i * per..(i + 1) * per` and the rows left over drawn after the
+    // last lane, as the executor's parameter generator splits them.
+    let start = Rng::seed_from_u64((m * 31 + k) as u64 * 131 + n as u64);
+    let mut seq = start.clone();
+    let mut want = vec![0.0f32; k * n];
+    seq.fill_range_f32(&mut want, -1.0, 1.0);
+    let per = k / LANES;
+    let stream_same = match start.lanes(per * n) {
+        None => true,
+        Some(mut lanes) => {
+            let split = LANES * per * n;
+            let mut got = vec![0.0f32; k * n];
+            lanes.fill_rows_range_f32(&mut got[..split], n, 0, -1.0, 1.0);
+            let mut tail = lanes.lane(LANES - 1);
+            tail.fill_range_f32(&mut got[split..], -1.0, 1.0);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            bits(&got) == bits(&want) && tail == seq
+        }
+    };
+    gemm_same && stream_same
+}
+
 /// Runs the old-vs-new comparison over `shapes` with `samples` timing
 /// samples per kernel and a per-sample target window of `target_ms`.
 fn sweep(shapes: &[SweepShape], samples: usize, target_ms: u64, smoke: bool) -> KernelSweepReport {
     let mut rng = Rng::seed_from_u64(0x6e57_3a7e);
     let tol = Tolerance::kernel_default();
+    let simd = Simd::detect();
+    let mut simd_paths_bit_identical = true;
     let mut rows = Vec::with_capacity(shapes.len());
 
     for shape in shapes {
         let (a, b) = operands(shape, &mut rng);
+        simd_paths_bit_identical &= simd_paths_agree(shape, &a, &b, simd);
 
         // Correctness first: the fast path must sit inside the documented
         // tolerance of the scalar oracle before its timings mean anything.
@@ -281,6 +337,8 @@ fn sweep(shapes: &[SweepShape], samples: usize, target_ms: u64, smoke: bool) -> 
         alpha: stats::ALPHA,
         smoke,
         tolerance_check_passed: rows.iter().all(|r| r.tolerance_check_passed),
+        simd_isa: simd.name().to_string(),
+        simd_paths_bit_identical,
         accepted,
         rejected: rows.len() - accepted,
         probes,
@@ -296,9 +354,10 @@ fn sweep(shapes: &[SweepShape], samples: usize, target_ms: u64, smoke: bool) -> 
 ///
 /// # Errors
 ///
-/// Returns a rendered error when the write fails or any configuration's
-/// fast path violated the kernel tolerance (timing verdicts may REJECT
-/// freely — a tolerance violation is a correctness bug).
+/// Returns a rendered error when the write fails, any configuration's
+/// fast path violated the kernel tolerance, or the instruction-set paths
+/// disagreed (timing verdicts may REJECT freely — the other two are
+/// correctness bugs).
 pub fn write_bench_artifact(
     dir: &std::path::Path,
     smoke: bool,
@@ -313,6 +372,12 @@ pub fn write_bench_artifact(
             .collect();
         sweep(&shapes, 7, 30, false)
     };
+    if !report.simd_paths_bit_identical {
+        return Err(format!(
+            "the portable and {} paths disagreed on a swept configuration",
+            report.simd_isa
+        ));
+    }
     if let Some(bad) = report.configs.iter().find(|r| !r.tolerance_check_passed) {
         return Err(format!(
             "micro-kernel violated the kernel tolerance on {} ({} ulps, |diff| {})",
@@ -334,6 +399,8 @@ mod tests {
     fn smoke_sweep_passes_tolerance_and_roundtrips() {
         let report = sweep(&TOY_SHAPES[..2], 5, 1, true);
         assert!(report.tolerance_check_passed);
+        assert!(report.simd_paths_bit_identical);
+        assert_eq!(report.simd_isa, Simd::detect().name());
         assert_eq!(report.configs.len(), 2);
         assert_eq!(report.accepted + report.rejected, 2);
         for row in &report.configs {
