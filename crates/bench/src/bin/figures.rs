@@ -10,8 +10,6 @@
 //!                          #   -> <dir>/BENCH_resilience.json
 //! figures costcache [dir]  # cold-vs-warm cost-cache search timing
 //!                          #   -> <dir>/BENCH_costcache.json
-//! figures backends [dir]   # Newton vs crossbar vs mixed per-layer
-//!                          #   placement -> <dir>/BENCH_backends.json
 //! figures exec [dir]       # sequential-vs-parallel graph execution
 //!                          #   -> <dir>/BENCH_exec.json
 //! figures fleet [dir]      # multi-tenant fleet: routers, node faults,
@@ -408,12 +406,15 @@ fn cost_cache_sweep(dir: &str, smoke: bool) {
     );
     for m in &report.models {
         println!(
-            "  {:<22} {:>4} nodes  cold {:>8.1}ms  warm {:>8.1}ms  {:5.1}x  hit rate {:5.1}%  {} entries",
+            "  {:<22} {:>4} nodes  cold {:>8.1}ms  warm {:>8.1}ms  {:5.1}x ({:?}, Welch p {:.3e})  \
+             hit rate {:5.1}%  {} entries",
             m.model,
             m.nodes,
             m.cold_ms,
             m.warm_ms,
             m.speedup,
+            m.floor_verdict,
+            m.floor_p_value,
             m.warm_hit_rate * 100.0,
             m.entries
         );
@@ -428,47 +429,9 @@ fn cost_cache_sweep(dir: &str, smoke: bool) {
             p.batch, p.independent_entries, p.shared_entries_after
         );
     }
-    println!("  meets_speedup_floor: {}", report.meets_speedup_floor);
-    println!("wrote {}", path.display());
-}
-
-/// Runs the backend placement sweep and writes `BENCH_backends.json`
-/// under `dir`.
-fn backend_sweep(dir: &str, smoke: bool) {
-    use pimflow_bench::backend_sweep::write_bench_artifact;
-    println!("== PIM backend placement: Newton-only vs crossbar-only vs mixed ==");
-    let (report, path) =
-        write_bench_artifact(std::path::Path::new(dir), smoke).expect("backend sweep");
     println!(
-        "  jobs {} (host threads {}), identity probed at widths {:?}",
-        report.jobs, report.host_threads, report.probed_widths
-    );
-    for m in &report.models {
-        println!(
-            "  {:<22} {:>4} nodes  newton {:>9.1}us  crossbar {:>9.1}us  mixed {:>9.1}us               splits n/x {:>2}/{:<2}  pipes {:>2}  identical {}",
-            m.model,
-            m.nodes,
-            m.newton_us,
-            m.crossbar_us,
-            m.mixed_us,
-            m.mixed_newton_splits,
-            m.mixed_crossbar_splits,
-            m.mixed_pipelines,
-            m.newton_bit_identical
-        );
-    }
-    println!(
-        "  newton_interpreter_bit_identical: {}",
-        report.newton_interpreter_bit_identical
-    );
-    println!(
-        "  mixed_no_worse_anywhere: {}",
-        report.mixed_no_worse_anywhere
-    );
-    println!(
-        "  models_using_crossbar: {} of {}",
-        report.models_using_crossbar,
-        report.models.len()
+        "  speedup_floor_verdict: {:?} ({} samples per side)",
+        report.speedup_floor_verdict, report.samples
     );
     println!("wrote {}", path.display());
 }
@@ -477,7 +440,7 @@ fn backend_sweep(dir: &str, smoke: bool) {
 /// under `dir`.
 fn fusion_sweep(dir: &str, smoke: bool) {
     use pimflow_bench::fusion_sweep::write_bench_artifact;
-    println!("== Fusion-group search: unfused vs joint fusion x split x backend ==");
+    println!("== Fusion-group search: unfused vs joint fusion x split ==");
     let (report, path) =
         write_bench_artifact(std::path::Path::new(dir), smoke).expect("fusion sweep");
     println!(
@@ -735,11 +698,6 @@ fn main() {
     if which == "costcache" {
         let dir = positional.get(1).cloned().unwrap_or_else(|| ".".into());
         cost_cache_sweep(&dir, smoke);
-        return;
-    }
-    if which == "backends" {
-        let dir = positional.get(1).cloned().unwrap_or_else(|| ".".into());
-        backend_sweep(&dir, smoke);
         return;
     }
     if which == "exec" {

@@ -1,9 +1,13 @@
 //! Cold-vs-warm timing of the Algorithm 1 search under the cost cache.
 //!
-//! Each model is searched twice against one [`CostCache`]: the first (cold)
-//! run pays every DRAM-PIM schedule simulation, the second (warm) run
-//! answers every cost query from the shared table. The two plans must
-//! serialize to the same bytes — the cache's byte-identity contract. A
+//! Each model is searched in [`SAMPLES`] alternating pairs: a cold search
+//! against a fresh [`CostCache`] pays every DRAM-PIM schedule simulation,
+//! and a warm re-search against that cache answers every cost query from
+//! the shared table. The two plans must serialize to the same bytes — the
+//! cache's byte-identity contract. The floor "warm is no slower than
+//! cold" is judged per model by a Welch test ([`crate::stats`]): `Met`
+//! when warm is significantly faster, `Missed` when significantly slower,
+//! `Unmeasured` when the difference is not significant. A
 //! batch sweep then measures cross-batch sharing: batching scales workload
 //! rows linearly while the MD-DP ratio grid scales them fractionally, so
 //! different batch sizes fold onto common [`WorkloadKey`]s and one shared
@@ -12,6 +16,7 @@
 //!
 //! [`WorkloadKey`]: pimflow::costcache::WorkloadKey
 
+use crate::stats::{self, FloorVerdict};
 use pimflow::batch::with_batch;
 use pimflow::costcache::CostCache;
 use pimflow::engine::EngineConfig;
@@ -19,7 +24,7 @@ use pimflow::search::{Search, SearchOptions};
 use pimflow_ir::models;
 use pimflow_json::json_struct;
 use pimflow_pool::WorkerPool;
-use std::time::Instant;
+use std::cell::RefCell;
 
 /// One model's cold-vs-warm search timing.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,12 +33,20 @@ pub struct ModelCacheTiming {
     pub model: String,
     /// Nodes in the model graph.
     pub nodes: usize,
-    /// Wall time of the cold (empty-cache) search, milliseconds.
+    /// Wall time of the cold (empty-cache) search, milliseconds (mean of
+    /// the samples).
     pub cold_ms: f64,
-    /// Wall time of the warm (fully-cached) re-search, milliseconds.
+    /// Wall time of the warm (fully-cached) re-search, milliseconds (mean
+    /// of the samples).
     pub warm_ms: f64,
     /// `cold_ms / warm_ms`.
     pub speedup: f64,
+    /// Whether warm searches are significantly faster (`Met`) or slower
+    /// (`Missed`) than cold ones at [`ALPHA`](stats::ALPHA); `Unmeasured`
+    /// otherwise.
+    pub floor_verdict: FloorVerdict,
+    /// Two-tailed Welch p-value behind `floor_verdict`.
+    pub floor_p_value: f64,
     /// Whether cold and warm plans serialized to identical bytes (must be
     /// true — the cache may not change what the search decides).
     pub plans_identical: bool,
@@ -53,6 +66,8 @@ json_struct!(ModelCacheTiming {
     cold_ms,
     warm_ms,
     speedup,
+    floor_verdict,
+    floor_p_value,
     plans_identical,
     warm_hits,
     warm_misses,
@@ -84,6 +99,8 @@ pub struct CostCacheReport {
     pub jobs: usize,
     /// Hardware threads of the measuring host.
     pub host_threads: usize,
+    /// Timed cold and warm searches per model.
+    pub samples: usize,
     /// One entry per model, in input order.
     pub models: Vec<ModelCacheTiming>,
     /// Model of the batch sweep.
@@ -94,20 +111,22 @@ pub struct CostCacheReport {
     pub shared_total_entries: u64,
     /// Sum of the per-batch fresh-cache sizes.
     pub independent_total_entries: u64,
-    /// True when every model's warm run was at least as fast as its cold
-    /// run (speedup >= 1.0) — the property CI asserts.
-    pub meets_speedup_floor: bool,
+    /// Every model's `floor_verdict` combined ([`FloorVerdict::all`]):
+    /// `Missed` when warm searches were significantly slower than cold
+    /// ones on any model — the outcome CI fails on.
+    pub speedup_floor_verdict: FloorVerdict,
 }
 
 json_struct!(CostCacheReport {
     jobs,
     host_threads,
+    samples,
     models,
     batch_model,
     batch_points,
     shared_total_entries,
     independent_total_entries,
-    meets_speedup_floor,
+    speedup_floor_verdict,
 });
 
 /// Models of the full timing sweep: `resnet-50` is the repeated-block
@@ -118,51 +137,73 @@ pub const DEFAULT_MODELS: [&str; 3] = ["resnet-50", "efficientnet-v1-b0", "mobil
 /// Batch sizes of the cross-batch sharing sweep.
 pub const DEFAULT_BATCH_SIZES: [usize; 3] = [1, 2, 4];
 
-/// Times a cold and a warm search of each named model on a `jobs`-wide
-/// pool, then runs the cross-batch sharing sweep on `batch_model`.
+/// Timed cold and warm searches per model. A search takes milliseconds,
+/// so sixteen pairs cost little and let the Welch test separate a warm
+/// speedup from run-to-run noise even on the smallest model.
+pub const SAMPLES: usize = 16;
+
+/// Times `samples` alternating cold and warm searches of each named model
+/// on a `jobs`-wide pool, then runs the cross-batch sharing sweep on
+/// `batch_model`.
 ///
 /// # Panics
 ///
-/// Panics on an unknown model name.
+/// Panics on an unknown model name, or if `samples < 2`.
 pub fn sweep(
     model_names: &[&str],
     batch_model: &str,
     batch_sizes: &[usize],
     jobs: usize,
+    samples: usize,
 ) -> CostCacheReport {
+    assert!(samples >= 2, "the Welch test needs two samples per side");
     let cfg = EngineConfig::pimflow();
     let opts = SearchOptions::default();
     let model_rows: Vec<ModelCacheTiming> = model_names
         .iter()
         .map(|name| {
             let g = models::by_name(name).expect("known model");
-            let cache = CostCache::new();
-            let t0 = Instant::now();
-            let cold_plan = Search::new(&g, &cfg)
-                .options(opts)
-                .pool(jobs)
-                .cache(&cache)
-                .run()
-                .expect("zoo models search");
-            let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let before_warm = cache.counters();
-            let t1 = Instant::now();
-            let warm_plan = Search::new(&g, &cfg)
-                .options(opts)
-                .pool(jobs)
-                .cache(&cache)
-                .run()
-                .expect("zoo models search");
-            let warm_ms = t1.elapsed().as_secs_f64() * 1e3;
-            let after_warm = cache.counters();
-            let warm_hits = after_warm.hits - before_warm.hits;
-            let warm_misses = after_warm.misses - before_warm.misses;
+            // One search through `cache`: its plan, the hits and misses it
+            // added, and the entries after it.
+            let search = |cache: &CostCache| {
+                let before = cache.counters();
+                let plan = Search::new(&g, &cfg)
+                    .options(opts)
+                    .pool(jobs)
+                    .cache(cache)
+                    .run()
+                    .expect("zoo models search");
+                let after = cache.counters();
+                let lookups = (after.hits - before.hits, after.misses - before.misses);
+                (plan, lookups, after.entries)
+            };
+            // Each cold search fills a fresh cache; the warm search that
+            // follows it re-searches through that cache.
+            let cache = RefCell::new(CostCache::new());
+            let (
+                [cold_samples, warm_samples],
+                [(cold_plan, ..), (warm_plan, (warm_hits, warm_misses), entries)],
+            ) = stats::alternate(
+                samples,
+                || {
+                    let fresh = CostCache::new();
+                    let out = search(&fresh);
+                    cache.replace(fresh);
+                    out
+                },
+                || search(&cache.borrow()),
+            );
+            let (cold_ms, warm_ms) = (stats::mean(&cold_samples), stats::mean(&warm_samples));
+            let (floor_verdict, floor_p_value) =
+                FloorVerdict::judge(&cold_samples, &warm_samples, 1.0);
             ModelCacheTiming {
                 model: g.name.clone(),
                 nodes: g.node_ids().count(),
                 cold_ms,
                 warm_ms,
                 speedup: cold_ms / warm_ms,
+                floor_verdict,
+                floor_p_value,
                 plans_identical: pimflow_json::to_string(&cold_plan)
                     == pimflow_json::to_string(&warm_plan),
                 warm_hits,
@@ -172,7 +213,7 @@ pub fn sweep(
                 } else {
                     0.0
                 },
-                entries: after_warm.entries,
+                entries,
             }
         })
         .collect();
@@ -204,16 +245,16 @@ pub fn sweep(
         });
     }
 
-    let meets_speedup_floor = model_rows.iter().all(|m| m.speedup >= 1.0);
     CostCacheReport {
         jobs,
         host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        samples,
+        speedup_floor_verdict: FloorVerdict::all(model_rows.iter().map(|m| m.floor_verdict)),
         models: model_rows,
         batch_model: base.name.clone(),
         batch_points,
         shared_total_entries: shared.counters().entries,
         independent_total_entries: independent_total,
-        meets_speedup_floor,
     }
 }
 
@@ -232,9 +273,15 @@ pub fn write_bench_artifact(
 ) -> Result<(CostCacheReport, std::path::PathBuf), String> {
     let jobs = WorkerPool::from_env().jobs();
     let report = if smoke {
-        sweep(&["toy", "mobilenet-v2"], "toy", &[1, 2], jobs)
+        sweep(&["toy", "mobilenet-v2"], "toy", &[1, 2], jobs, SAMPLES)
     } else {
-        sweep(&DEFAULT_MODELS, "mobilenet-v2", &DEFAULT_BATCH_SIZES, jobs)
+        sweep(
+            &DEFAULT_MODELS,
+            "mobilenet-v2",
+            &DEFAULT_BATCH_SIZES,
+            jobs,
+            SAMPLES,
+        )
     };
     if let Some(bad) = report.models.iter().find(|m| !m.plans_identical) {
         return Err(format!("warm search diverged from cold on {}", bad.model));
@@ -252,8 +299,9 @@ mod tests {
 
     #[test]
     fn sweep_reports_full_warm_hit_rate_and_sharing() {
-        let report = sweep(&["toy"], "toy", &[1, 2], 2);
+        let report = sweep(&["toy"], "toy", &[1, 2], 2, 2);
         assert_eq!(report.jobs, 2);
+        assert_eq!(report.samples, 2);
         assert_eq!(report.models.len(), 1);
         let m = &report.models[0];
         assert!(m.plans_identical, "warm plan diverged on {}", m.model);

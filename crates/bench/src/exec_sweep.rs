@@ -17,12 +17,11 @@
 //! when it is significantly above, `Unmeasured` when the difference is
 //! not significant or the host has one hardware thread.
 
-use crate::stats::{self, ALPHA};
+use crate::stats::{self, FloorVerdict};
 use pimflow_ir::models;
-use pimflow_json::{json_struct, json_unit_enum};
-use pimflow_kernels::{input_tensors, run_graph_with, ExecOptions, ExecOutput, MemoryMode};
+use pimflow_json::json_struct;
+use pimflow_kernels::{input_tensors, run_graph_with, ExecOptions, MemoryMode};
 use pimflow_pool::WorkerPool;
-use std::time::Instant;
 
 /// One model's sequential-vs-parallel execution timing.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,24 +73,6 @@ json_struct!(ModelExecTiming {
     sharded_nodes,
 });
 
-/// The outcome of a wall-clock floor: met, missed, or not observable on
-/// the measuring host (never reported as met).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FloorVerdict {
-    /// The measurement reached the floor.
-    Met,
-    /// The measurement fell short of the floor.
-    Missed,
-    /// The host cannot observe the quantity the floor bounds.
-    Unmeasured,
-}
-
-json_unit_enum!(FloorVerdict {
-    Met,
-    Missed,
-    Unmeasured
-});
-
 /// The full artifact written to `BENCH_exec.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecSweepReport {
@@ -108,8 +89,8 @@ pub struct ExecSweepReport {
     /// Whether the floor model's parallel time is significantly below
     /// (`Met`) or above (`Missed`) its sequential time over
     /// `speedup_floor`; `Unmeasured` when neither is significant at
-    /// [`ALPHA`], or on a host with a single hardware thread, where
-    /// parallel speedup cannot be observed.
+    /// [`ALPHA`](stats::ALPHA), or on a host with a single hardware
+    /// thread, where parallel speedup cannot be observed.
     pub speedup_floor_verdict: FloorVerdict,
     /// Two-tailed Welch p-value behind the verdict (`1.0` when the host
     /// has a single hardware thread).
@@ -142,43 +123,6 @@ pub const SPEEDUP_FLOOR: f64 = 1.5;
 /// Timed runs per side and model: enough for the Welch test to tell a
 /// 10% difference from run-to-run noise on a 2-vCPU host.
 pub const SAMPLES: usize = 8;
-
-/// Times `samples` alternating runs of `seq` and `par`, sequential first;
-/// returns both sides' wall milliseconds and their last outputs.
-fn alternate(
-    samples: usize,
-    mut seq: impl FnMut() -> ExecOutput,
-    mut par: impl FnMut() -> ExecOutput,
-) -> ([Vec<f64>; 2], [ExecOutput; 2]) {
-    let time = |run: &mut dyn FnMut() -> ExecOutput, ms: &mut Vec<f64>| {
-        let t = Instant::now();
-        let out = run();
-        ms.push(t.elapsed().as_secs_f64() * 1e3);
-        out
-    };
-    let (mut seq_ms, mut par_ms) = (Vec::new(), Vec::new());
-    let mut last = None;
-    for _ in 0..samples {
-        last = Some([time(&mut seq, &mut seq_ms), time(&mut par, &mut par_ms)]);
-    }
-    ([seq_ms, par_ms], last.expect("at least one sample"))
-}
-
-/// The floor verdict and its p-value: a Welch test of `seq_ms` against
-/// `par_ms` scaled by `floor` (the t statistic is scale-free, so this is
-/// the test of `par` against `seq / floor`).
-fn floor_verdict(seq_ms: &[f64], par_ms: &[f64], floor: f64) -> (FloorVerdict, f64) {
-    let scaled: Vec<f64> = par_ms.iter().map(|p| p * floor).collect();
-    let test = stats::welch_t_test(seq_ms, &scaled);
-    let verdict = if test.p >= ALPHA {
-        FloorVerdict::Unmeasured
-    } else if stats::mean(&scaled) < stats::mean(seq_ms) {
-        FloorVerdict::Met
-    } else {
-        FloorVerdict::Missed
-    };
-    (verdict, test.p)
-}
 
 /// Times each named model at one worker vs `jobs` workers (`samples`
 /// alternating runs each) and derives the floor verdicts from the last —
@@ -213,7 +157,8 @@ pub fn sweep(
                 )
                 .expect("zoo models execute")
             };
-            let ([seq_ms, par_ms], [seq, par]) = alternate(samples, || run_at(1), || run_at(jobs));
+            let ([seq_ms, par_ms], [seq, par]) =
+                stats::alternate(samples, || run_at(1), || run_at(jobs));
             let (sequential_ms, parallel_ms) = (stats::mean(&seq_ms), stats::mean(&par_ms));
             floor_samples = [seq_ms, par_ms];
             let outputs_identical = seq
@@ -247,7 +192,7 @@ pub fn sweep(
         (FloorVerdict::Unmeasured, 1.0)
     } else {
         let [seq_ms, par_ms] = &floor_samples;
-        floor_verdict(seq_ms, par_ms, speedup_floor)
+        FloorVerdict::judge(seq_ms, par_ms, speedup_floor)
     };
     ExecSweepReport {
         jobs,
@@ -332,17 +277,5 @@ mod tests {
         if zero.host_threads > 1 {
             assert_eq!(zero.speedup_floor_verdict, FloorVerdict::Met, "zero floor");
         }
-    }
-
-    #[test]
-    fn the_floor_verdict_needs_a_significant_difference() {
-        let seq = [10.0, 10.4, 9.8, 10.2, 10.1, 9.9, 10.3, 10.0];
-        let fast = [5.0, 5.2, 4.9, 5.1, 5.0, 4.8, 5.3, 5.0];
-        let even = [10.1, 9.9, 10.3, 10.0, 10.2, 9.8, 10.0, 10.4];
-        assert_eq!(floor_verdict(&seq, &fast, 1.5).0, FloorVerdict::Met);
-        assert_eq!(floor_verdict(&seq, &fast, 2.5).0, FloorVerdict::Missed);
-        let (verdict, p) = floor_verdict(&seq, &even, 1.0);
-        assert_eq!(verdict, FloorVerdict::Unmeasured, "p = {p}");
-        assert!(p >= ALPHA);
     }
 }

@@ -1,5 +1,5 @@
 //! Fusion-group search: unfused Algorithm 1 vs the joint fusion × split ×
-//! pipelining × backend search.
+//! pipelining search.
 //!
 //! Each model is searched twice over the same cost cache: once with
 //! fusion disabled ([`SearchOptions::allow_fusion`] off — the historical
@@ -11,10 +11,9 @@
 //! and the host↔PIM traffic (PIM→host drains + host→PIM GWRITE payload
 //! fetches) of the fused plan is compared against the unfused one.
 //!
-//! Plan determinism is probed the same way the backend sweep does it:
-//! fused plans re-searched at several worker-pool widths must serialize
-//! to identical bytes. Wall-clock claims about the joint search's
-//! compile-time overhead go through the Welch-t-test harness
+//! Plan determinism is probed by re-searching: fused plans re-searched
+//! at several worker-pool widths must serialize to identical bytes.
+//! Wall-clock claims about the joint search's compile-time overhead go through the Welch-t-test harness
 //! ([`crate::stats::compare_lower_is_better`]) rather than single-run
 //! arithmetic. `figures fusion` writes the result as `BENCH_fusion.json`.
 

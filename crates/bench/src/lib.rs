@@ -8,7 +8,6 @@
 
 #![warn(missing_docs)]
 
-pub mod backend_sweep;
 pub mod cost_cache_sweep;
 pub mod exec_sweep;
 pub mod experiments;

@@ -16,7 +16,8 @@
 //! identity used: for the Student-t distribution with `df` degrees of
 //! freedom, `P(|T| > |t|) = I_x(df/2, 1/2)` with `x = df / (df + t²)`.
 
-use pimflow_json::json_struct;
+use pimflow_json::{json_struct, json_unit_enum};
+use std::time::Instant;
 
 /// Significance level of the ACCEPT/REJECT rule.
 pub const ALPHA: f64 = 0.05;
@@ -191,6 +192,93 @@ pub fn compare_lower_is_better(baseline: &[f64], candidate: &[f64]) -> Compariso
     }
 }
 
+/// The outcome of a wall-clock floor: met, missed, or not observable on
+/// the measuring host (never reported as met).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FloorVerdict {
+    /// The measurement reached the floor.
+    Met,
+    /// The measurement fell short of the floor.
+    Missed,
+    /// The host cannot observe the quantity the floor bounds.
+    Unmeasured,
+}
+
+json_unit_enum!(FloorVerdict {
+    Met,
+    Missed,
+    Unmeasured
+});
+
+impl FloorVerdict {
+    /// Judges the floor "`candidate_ms` is at least `floor` times faster
+    /// than `baseline_ms`" by a Welch test of the baseline against the
+    /// candidate scaled by `floor` (the t statistic is scale-free, so this
+    /// is the test of the candidate against `baseline / floor`): `Met`
+    /// when the scaled candidate is significantly faster at [`ALPHA`],
+    /// `Missed` when it is significantly slower, `Unmeasured` otherwise.
+    /// Returns the verdict and the two-tailed p-value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either sample has fewer than two observations.
+    pub fn judge(baseline_ms: &[f64], candidate_ms: &[f64], floor: f64) -> (FloorVerdict, f64) {
+        let scaled: Vec<f64> = candidate_ms.iter().map(|c| c * floor).collect();
+        let test = welch_t_test(baseline_ms, &scaled);
+        let verdict = if test.p >= ALPHA {
+            FloorVerdict::Unmeasured
+        } else if mean(&scaled) < mean(baseline_ms) {
+            FloorVerdict::Met
+        } else {
+            FloorVerdict::Missed
+        };
+        (verdict, test.p)
+    }
+
+    /// The verdict of several floors that must all hold: `Missed` when any
+    /// is missed, `Met` when every one (and at least one) is met,
+    /// `Unmeasured` otherwise.
+    pub fn all(verdicts: impl IntoIterator<Item = FloorVerdict>) -> FloorVerdict {
+        let verdicts: Vec<FloorVerdict> = verdicts.into_iter().collect();
+        if verdicts.contains(&FloorVerdict::Missed) {
+            FloorVerdict::Missed
+        } else if !verdicts.is_empty() && verdicts.iter().all(|&v| v == FloorVerdict::Met) {
+            FloorVerdict::Met
+        } else {
+            FloorVerdict::Unmeasured
+        }
+    }
+}
+
+/// Times `samples` alternating runs of `baseline` and `candidate`,
+/// baseline first, so drift on the host spreads over both sides; returns
+/// both sides' wall milliseconds and their last outputs.
+///
+/// # Panics
+///
+/// Panics if `samples == 0`.
+pub fn alternate<T>(
+    samples: usize,
+    mut baseline: impl FnMut() -> T,
+    mut candidate: impl FnMut() -> T,
+) -> ([Vec<f64>; 2], [T; 2]) {
+    fn time<T>(run: &mut dyn FnMut() -> T, ms: &mut Vec<f64>) -> T {
+        let t = Instant::now();
+        let out = run();
+        ms.push(t.elapsed().as_secs_f64() * 1e3);
+        out
+    }
+    let (mut base_ms, mut cand_ms) = (Vec::new(), Vec::new());
+    let mut last = None;
+    for _ in 0..samples {
+        last = Some([
+            time(&mut baseline, &mut base_ms),
+            time(&mut candidate, &mut cand_ms),
+        ]);
+    }
+    ([base_ms, cand_ms], last.expect("at least one sample"))
+}
+
 /// Natural log of the gamma function (Lanczos approximation, the classic
 /// six-coefficient form; |error| < 2e-10 over the positive reals).
 fn ln_gamma(x: f64) -> f64 {
@@ -337,6 +425,46 @@ mod tests {
         // above; unequal variances pull it toward the noisier group.
         assert!(r.df >= 4.0 - 1e-9 && r.df <= 10.0 + 1e-9, "df = {}", r.df);
         assert!(r.df < 6.0, "df should hug the high-variance group");
+    }
+
+    #[test]
+    fn the_floor_verdict_needs_a_significant_difference() {
+        let seq = [10.0, 10.4, 9.8, 10.2, 10.1, 9.9, 10.3, 10.0];
+        let fast = [5.0, 5.2, 4.9, 5.1, 5.0, 4.8, 5.3, 5.0];
+        let even = [10.1, 9.9, 10.3, 10.0, 10.2, 9.8, 10.0, 10.4];
+        assert_eq!(FloorVerdict::judge(&seq, &fast, 1.5).0, FloorVerdict::Met);
+        assert_eq!(
+            FloorVerdict::judge(&seq, &fast, 2.5).0,
+            FloorVerdict::Missed
+        );
+        let (verdict, p) = FloorVerdict::judge(&seq, &even, 1.0);
+        assert_eq!(verdict, FloorVerdict::Unmeasured, "p = {p}");
+        assert!(p >= ALPHA);
+    }
+
+    #[test]
+    fn floors_that_must_all_hold_combine_pessimistically() {
+        use FloorVerdict::{Met, Missed, Unmeasured};
+        assert_eq!(FloorVerdict::all([Met, Met]), Met);
+        assert_eq!(FloorVerdict::all([Met, Unmeasured]), Unmeasured);
+        assert_eq!(FloorVerdict::all([Unmeasured, Met]), Unmeasured);
+        assert_eq!(FloorVerdict::all([Met, Missed, Unmeasured]), Missed);
+        assert_eq!(FloorVerdict::all([Unmeasured, Missed]), Missed);
+        assert_eq!(FloorVerdict::all([]), Unmeasured, "no floor, no claim");
+    }
+
+    #[test]
+    fn alternate_interleaves_the_two_sides() {
+        let mut order = Vec::new();
+        let log = std::cell::RefCell::new(&mut order);
+        let ([a, b], last) = alternate(
+            3,
+            || log.borrow_mut().push('a'),
+            || log.borrow_mut().push('b'),
+        );
+        assert_eq!((a.len(), b.len()), (3, 3));
+        assert_eq!(last, [(), ()]);
+        assert_eq!(order, ['a', 'b', 'a', 'b', 'a', 'b']);
     }
 
     #[test]

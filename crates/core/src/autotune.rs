@@ -47,11 +47,7 @@ fn measure(graph: &Graph, cfg: &EngineConfig, plan: &ExecutionPlan) -> Option<f6
 /// flipped to the offload endpoints.
 fn neighbours(plan: &ExecutionPlan, index: usize, step: u32) -> Vec<ExecutionPlan> {
     let (_, decision) = &plan.decisions[index];
-    let Decision::Split {
-        gpu_percent,
-        backend,
-    } = decision
-    else {
+    let Decision::Split { gpu_percent } = decision else {
         return Vec::new();
     };
     let mut ratios = Vec::new();
@@ -70,10 +66,7 @@ fn neighbours(plan: &ExecutionPlan, index: usize, step: u32) -> Vec<ExecutionPla
                 // counts in `ratio_distribution`.
                 p.decisions[index].1 = Decision::Gpu;
             } else {
-                p.decisions[index].1 = Decision::Split {
-                    gpu_percent: r,
-                    backend: *backend,
-                };
+                p.decisions[index].1 = Decision::Split { gpu_percent: r };
             }
             p
         })
@@ -177,10 +170,7 @@ mod tests {
             if let Some((_, d)) = plan.decisions.iter_mut().find(|(n, d)| {
                 matches!(d, Decision::Split { gpu_percent: 0, .. }) && n.contains("conv")
             }) {
-                *d = Decision::Split {
-                    gpu_percent: 90,
-                    backend: pimflow_isa::BackendKind::Newton,
-                };
+                *d = Decision::Split { gpu_percent: 90 };
                 sabotaged = true;
             }
         }

@@ -7,19 +7,16 @@
 //! decides which nodes it supports and compiles each into a
 //! [`CompiledKernel`] carrying the executable artifact (a typed
 //! `pimflow-isa` program or a GPU kernel profile) and its simulated cost.
-//! PIM artifacts are backend-tagged ISA programs, so one compiled form
-//! serves both the Newton interpretation (cycle-level DRAM-PIM) and the
-//! crossbar compute-in-array model — and round-trips through the ISA text
-//! format for inspection and replay.
+//! PIM artifacts are ISA programs that the Newton interpreter (cycle-level
+//! DRAM-PIM) prices and that round-trip through the ISA text format for
+//! inspection and replay. The trait stays the seam for a further backend,
+//! which needs an engine execution path before the search may price it.
 
 use crate::codegen::{generate_program, PimWorkload};
 use crate::placement::Placement;
 use pimflow_gpusim::{kernel_for_node, kernel_time_with_launch_us, GpuConfig, KernelProfile};
 use pimflow_ir::{Graph, NodeId, Op};
-use pimflow_isa::{
-    crossbar::{lower_shape, CrossbarInterpreter, MatmulShape},
-    BackendKind, CrossbarConfig, Interpreter, IsaProgram,
-};
+use pimflow_isa::IsaProgram;
 use pimflow_pimsim::{ChannelStats, NewtonInterpreter, PimConfig, RunOptions, ScheduleGranularity};
 use std::error::Error;
 use std::fmt;
@@ -54,14 +51,9 @@ pub enum KernelArtifact {
     /// A GPU kernel call (cuDNN/cuBLAS/CUTLASS analogue): the workload
     /// profile the launch will execute.
     GpuKernel(KernelProfile),
-    /// A typed PIM ISA program plus the backend whose interpreter prices
-    /// (and would execute) it.
-    PimProgram {
-        /// Which hardware model the program was lowered for.
-        backend: BackendKind,
-        /// The per-channel instruction streams.
-        program: IsaProgram,
-    },
+    /// A typed PIM ISA program: the per-channel instruction streams the
+    /// Newton interpreter prices and the engine executes.
+    PimProgram(IsaProgram),
 }
 
 /// A compiled node: artifact plus simulated cost.
@@ -147,70 +139,8 @@ impl Backend for DramPimBackend {
             node: graph.node(id).name.clone(),
             backend: self.name(),
             time_us: self.pim.cycles_to_ns(stats.cycles) * 1e-3,
-            artifact: KernelArtifact::PimProgram {
-                backend: BackendKind::Newton,
-                program,
-            },
+            artifact: KernelArtifact::PimProgram(program),
             pim_stats: Some(stats),
-        })
-    }
-}
-
-/// The crossbar compute-in-array back-end (PIMCOMP-style): the same node
-/// set as [`DramPimBackend`], lowered weight-stationary — no per-tile
-/// input streaming, analog tile waves instead of COMP bursts. Channel
-/// statistics do not apply to the analog model, so `pim_stats` is `None`.
-#[derive(Debug, Clone)]
-pub struct CrossbarBackend {
-    /// Crossbar array configuration.
-    pub xbar: CrossbarConfig,
-    /// Number of crossbar-equipped channels.
-    pub channels: usize,
-}
-
-impl CrossbarBackend {
-    /// The PIMCOMP-like evaluation configuration on 16 channels.
-    pub fn pimcomp_like() -> Self {
-        CrossbarBackend {
-            xbar: CrossbarConfig::pimcomp_like(),
-            channels: 16,
-        }
-    }
-}
-
-impl Backend for CrossbarBackend {
-    fn name(&self) -> &'static str {
-        "crossbar"
-    }
-
-    fn supports(&self, graph: &Graph, id: NodeId) -> bool {
-        self.channels > 0 && graph.is_pim_candidate(id)
-    }
-
-    fn compile(&self, graph: &Graph, id: NodeId) -> Result<CompiledKernel, BackendError> {
-        if !self.supports(graph, id) {
-            return Err(BackendError::Unsupported {
-                backend: self.name().into(),
-                node: graph.node(id).name.clone(),
-            });
-        }
-        let w = PimWorkload::from_node(graph, id);
-        let shape = MatmulShape {
-            rows: w.rows,
-            k_elems: w.k_elems,
-            out_channels: w.out_channels,
-        };
-        let program = lower_shape(&shape, self.channels, &self.xbar);
-        let interp = CrossbarInterpreter::new(self.xbar);
-        Ok(CompiledKernel {
-            node: graph.node(id).name.clone(),
-            backend: self.name(),
-            time_us: interp.interpret_us(&program),
-            artifact: KernelArtifact::PimProgram {
-                backend: BackendKind::Crossbar,
-                program,
-            },
-            pim_stats: None,
         })
     }
 }
@@ -321,10 +251,9 @@ mod tests {
         let be = DramPimBackend::newton_plus_plus();
         let conv = g.find_node("conv_3").unwrap();
         let kernel = be.compile(&g, conv).unwrap();
-        let KernelArtifact::PimProgram { backend, program } = &kernel.artifact else {
+        let KernelArtifact::PimProgram(program) = &kernel.artifact else {
             panic!("PIM backend must emit an ISA program");
         };
-        assert_eq!(*backend, BackendKind::Newton);
         assert_eq!(program.num_channels(), 16);
         // Interpreting the program reproduces the compiled cost exactly.
         let stats = NewtonInterpreter::new(&be.pim).run(program, RunOptions::new());
@@ -336,29 +265,6 @@ mod tests {
         assert_eq!(&back, program);
         let replayed = NewtonInterpreter::new(&be.pim).run(&back, RunOptions::new());
         assert_eq!(replayed, stats);
-    }
-
-    #[test]
-    fn crossbar_compiles_the_same_nodes_with_a_different_cost() {
-        let g = models::toy();
-        let newton = DramPimBackend::newton_plus_plus();
-        let xbar = CrossbarBackend::pimcomp_like();
-        let conv = g.find_node("conv_3").unwrap();
-        let dw = g.find_node("dwconv_5").unwrap();
-        assert_eq!(newton.supports(&g, conv), xbar.supports(&g, conv));
-        assert_eq!(newton.supports(&g, dw), xbar.supports(&g, dw));
-        let kernel = xbar.compile(&g, conv).unwrap();
-        let KernelArtifact::PimProgram { backend, program } = &kernel.artifact else {
-            panic!("crossbar backend must emit an ISA program");
-        };
-        assert_eq!(*backend, BackendKind::Crossbar);
-        assert!(kernel.time_us > 0.0);
-        assert!(kernel.pim_stats.is_none());
-        // The artifact round-trips through the same text format.
-        let back = pimflow_isa::parse_program(&pimflow_isa::program_to_text(program)).unwrap();
-        assert_eq!(&back, program);
-        let newton_us = newton.compile(&g, conv).unwrap().time_us;
-        assert_ne!(kernel.time_us, newton_us, "cost structures must differ");
     }
 
     #[test]

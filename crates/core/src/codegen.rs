@@ -9,8 +9,8 @@
 //! DRAM-PIM simulator.
 //!
 //! Two paths share one block schedule. The `generate_*program` functions
-//! compile it into the typed ISA program — the artifact backends carry,
-//! print and validate. The `execute_*` pricers stream the same schedule
+//! compile it into the typed ISA program — the artifact the PIM backend
+//! carries, prints and validates. The `execute_*` pricers stream the same schedule
 //! straight into the channel timing engine, simulating each shared
 //! channel-stream prefix once and fast-forwarding steady-state command
 //! periods; their statistics are bit-identical to interpreting the
@@ -167,9 +167,9 @@ pub fn generate_block_runs(w: &PimWorkload, cfg: &PimConfig) -> Vec<(CommandBloc
 
 /// Compiles a workload into a typed ISA program: generate the command
 /// blocks, schedule them over `channels` channels, and lift the scheduled
-/// traces into `pimflow-isa` form. This is the artifact backends carry —
-/// interpreting it under [`NewtonInterpreter`] reproduces the legacy
-/// trace timing bit-exactly (lift and lower are exact inverses).
+/// traces into `pimflow-isa` form. This is the artifact the PIM backend
+/// carries — interpreting it under [`NewtonInterpreter`] reproduces the
+/// legacy trace timing bit-exactly (lift and lower are exact inverses).
 ///
 /// # Panics
 ///
@@ -209,11 +209,10 @@ pub fn generate_fused_program(
 ///
 /// Interpreting the result runs each channel's member streams back to
 /// back through one carried engine state, so a consumer's staging tail
-/// hides under the producer's MAC/drain tail on busier channels. Unlike
-/// the crossbar's linear cost model this is *not* structurally never
-/// worse than the member sum (a continuous run can cross refresh windows
-/// the per-member reset avoids), which is why the compiler prices fused
-/// groups as the min of both compositions.
+/// hides under the producer's MAC/drain tail on busier channels. This is
+/// *not* structurally never worse than the member sum (a continuous run
+/// can cross refresh windows the per-member reset avoids), which is why
+/// the compiler prices fused groups as the min of both compositions.
 ///
 /// # Panics
 ///

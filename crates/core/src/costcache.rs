@@ -45,7 +45,7 @@
 use crate::codegen::{execute_workload, PimWorkload};
 use crate::engine::EngineConfig;
 use pimflow_ir::Interner;
-use pimflow_isa::{crossbar, BackendKind, CrossbarConfig, FusedRole};
+use pimflow_isa::FusedRole;
 use pimflow_json::json_struct;
 use pimflow_pimsim::{PimConfig, ScheduleGranularity};
 use std::collections::HashMap;
@@ -66,10 +66,6 @@ use std::sync::{Arc, Mutex};
 pub struct WorkloadKey {
     /// Folded workload shape (rows already scaled by ratio and batch).
     pub workload: PimWorkload,
-    /// Which PIM hardware model prices this key. Newton and crossbar costs
-    /// for the same shape are different pure functions, so the discriminant
-    /// keeps their entries structurally apart in one shared table.
-    pub backend: BackendKind,
     /// Effective PIM channel count the estimate runs over (min 1, mirroring
     /// the search profiler's total cost model).
     pub channels: u32,
@@ -78,9 +74,7 @@ pub struct WorkloadKey {
     pub mask_bits: u64,
     /// Command scheduling granularity of the estimate.
     pub granularity: ScheduleGranularity,
-    /// Fingerprint of the priced hardware model:
-    /// [`PimConfig::fingerprint`] for Newton keys,
-    /// [`CrossbarConfig::fingerprint`] for crossbar keys.
+    /// [`PimConfig::fingerprint`] of the priced hardware model.
     pub pim_fingerprint: u64,
     /// Fusion-group role of the lowering ([`FusedRole::Standalone`] for
     /// every unfused query). Fused roles elide bus crossings, so the same
@@ -98,11 +92,10 @@ pub struct WorkloadKey {
 }
 
 impl WorkloadKey {
-    /// Builds the Newton key for pricing `workload` under `cfg`.
+    /// Builds the key for pricing `workload` under `cfg`.
     pub fn new(workload: PimWorkload, cfg: &EngineConfig) -> Self {
         WorkloadKey {
             workload,
-            backend: BackendKind::Newton,
             channels: cfg.effective_pim_channels().max(1) as u32,
             mask_bits: cfg.pim_channel_mask.bits(),
             granularity: cfg.granularity,
@@ -112,27 +105,9 @@ impl WorkloadKey {
         }
     }
 
-    /// Builds the crossbar key for pricing `workload` under `cfg` on the
-    /// `xbar` array model. Channel count and mask bits are shared with the
-    /// Newton key (the same physical channels host either engine); the
-    /// fingerprint pins the crossbar geometry and timing instead of the
-    /// DRAM timing.
-    pub fn crossbar(workload: PimWorkload, cfg: &EngineConfig, xbar: &CrossbarConfig) -> Self {
-        WorkloadKey {
-            workload,
-            backend: BackendKind::Crossbar,
-            channels: cfg.effective_pim_channels().max(1) as u32,
-            mask_bits: cfg.pim_channel_mask.bits(),
-            granularity: cfg.granularity,
-            pim_fingerprint: xbar.fingerprint(),
-            fused: FusedRole::Standalone,
-            group_fp: 0,
-        }
-    }
-
     /// The same key re-rolled for another workload: the search builds one
-    /// key per backend through the constructors above and re-rolls it per
-    /// lookup, so the config fingerprints are hashed once.
+    /// key through [`WorkloadKey::new`] and re-rolls it per lookup, so the
+    /// config fingerprints are hashed once.
     pub fn with_workload(self, workload: PimWorkload) -> Self {
         WorkloadKey { workload, ..self }
     }
@@ -159,11 +134,6 @@ impl WorkloadKey {
 /// from (checked in debug builds via the fingerprint).
 pub fn pim_cost_us(key: &WorkloadKey, pim: &PimConfig) -> f64 {
     debug_assert_eq!(
-        key.backend,
-        BackendKind::Newton,
-        "Newton pricer, crossbar key"
-    );
-    debug_assert_eq!(
         key.pim_fingerprint,
         pim.fingerprint(),
         "workload key priced under a different PimConfig"
@@ -178,34 +148,6 @@ pub fn pim_cost_us(key: &WorkloadKey, pim: &PimConfig) -> f64 {
     )
     .0
     .time_us
-}
-
-/// The crossbar schedule estimate as a pure function of its
-/// [`WorkloadKey`]: microseconds to run the keyed workload weight-stationary
-/// over the keyed channel count. The crossbar lowering is insensitive to
-/// `strided`/`segments` — weights are pre-programmed into the arrays, so
-/// there is no GWRITE stream for layout to shape — which only widens the
-/// key reuse; the key still carries them for structural parity with Newton.
-/// `xbar` must be the config the key was built from (checked in debug
-/// builds via the fingerprint).
-pub fn crossbar_cost_us(key: &WorkloadKey, xbar: &CrossbarConfig) -> f64 {
-    debug_assert_eq!(
-        key.backend,
-        BackendKind::Crossbar,
-        "crossbar pricer, Newton key"
-    );
-    debug_assert_eq!(
-        key.pim_fingerprint,
-        xbar.fingerprint(),
-        "workload key priced under a different CrossbarConfig"
-    );
-    debug_assert_eq!(key.group_fp, 0, "per-member pricer fed a group-level key");
-    let shape = crossbar::MatmulShape {
-        rows: key.workload.rows,
-        k_elems: key.workload.k_elems,
-        out_channels: key.workload.out_channels,
-    };
-    crossbar::estimate_shape_us(&shape, key.channels as usize, xbar, key.fused)
 }
 
 /// Hit/miss/entry counters of a cost cache, as surfaced in
@@ -453,11 +395,6 @@ mod tests {
         assert_ne!(a, key(100, &hbm));
         // And the workload itself matters.
         assert_ne!(a, key(101, &cfg));
-        // A crossbar key for the same shape never collides with Newton.
-        let xbar = CrossbarConfig::pimcomp_like();
-        let xk = WorkloadKey::crossbar(workload(100), &cfg, &xbar);
-        assert_eq!(xk.backend, BackendKind::Crossbar);
-        assert_ne!(a, xk);
         // Group-level entries (chain cost keyed on the head, fingerprinted
         // over the members) never collide with the head's own per-member
         // entry, nor across groups.
@@ -466,28 +403,6 @@ mod tests {
         assert_ne!(a, g1);
         assert_ne!(g1, g2);
         assert_eq!(a.with_group(0), a);
-    }
-
-    #[test]
-    fn crossbar_cost_is_pure_and_layout_insensitive() {
-        let cfg = EngineConfig::pimflow();
-        let xbar = CrossbarConfig::pimcomp_like();
-        let k = WorkloadKey::crossbar(workload(196), &cfg, &xbar);
-        let a = crossbar_cost_us(&k, &xbar);
-        let b = crossbar_cost_us(&k, &xbar);
-        assert!(a > 0.0);
-        assert_eq!(a.to_bits(), b.to_bits(), "bitwise reproducible");
-        // Weight-stationary arrays see no input-layout difference.
-        let strided = WorkloadKey::crossbar(
-            PimWorkload {
-                strided: true,
-                segments: 4,
-                ..workload(196)
-            },
-            &cfg,
-            &xbar,
-        );
-        assert_eq!(a.to_bits(), crossbar_cost_us(&strided, &xbar).to_bits());
     }
 
     #[test]

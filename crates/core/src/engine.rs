@@ -18,7 +18,7 @@ use crate::memopt::{data_move_bytes, is_data_move};
 use crate::placement::{isa_role, FusedNodeRole, FusionTag, Placement};
 use pimflow_gpusim::{kernel_for_node, GpuConfig};
 use pimflow_ir::{ActivationKind, Graph, Op, ValueId};
-use pimflow_isa::{CrossbarConfig, FusedRole};
+use pimflow_isa::FusedRole;
 use pimflow_json::json_struct;
 use pimflow_pimsim::{ChannelStats, PimConfig, PimEnergyParams, ScheduleGranularity};
 use std::collections::{BTreeMap, HashMap};
@@ -86,44 +86,6 @@ impl ChannelMask {
     }
 }
 
-/// Which PIM hardware models the Algorithm-1 search may place layers on.
-///
-/// Every PIM channel hosts the Newton DRAM-PIM engine; the crossbar
-/// variants additionally model a PIMCOMP-style compute-in-array substrate
-/// on the same channels. Under [`Mixed`](PimBackendSet::Mixed) the search
-/// prices each candidate layer on both models and records the cheaper one
-/// in the plan's [`Decision::Split`](crate::search::Decision::Split)
-/// backend field. The execution engine itself replays Newton timing only —
-/// `predicted_us` is the comparison metric for crossbar placements (the
-/// `bench::backend_sweep` artifact is built on it), matching how the
-/// search has always priced pipeline chains.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum PimBackendSet {
-    /// Newton DRAM-PIM only — the historical behaviour, and the default.
-    #[default]
-    NewtonOnly,
-    /// Crossbar compute-in-array only (forces every PIM placement onto the
-    /// crossbar cost model).
-    CrossbarOnly(CrossbarConfig),
-    /// Both models available; the search picks per layer.
-    Mixed(CrossbarConfig),
-}
-
-impl PimBackendSet {
-    /// The crossbar configuration, when one is in the set.
-    pub fn crossbar(&self) -> Option<&CrossbarConfig> {
-        match self {
-            PimBackendSet::NewtonOnly => None,
-            PimBackendSet::CrossbarOnly(x) | PimBackendSet::Mixed(x) => Some(x),
-        }
-    }
-
-    /// Whether Newton placements are allowed.
-    pub fn allows_newton(&self) -> bool {
-        !matches!(self, PimBackendSet::CrossbarOnly(_))
-    }
-}
-
 /// Full system configuration for one execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
@@ -144,8 +106,6 @@ pub struct EngineConfig {
     pub memopt: bool,
     /// Fixed latency per cross-boundary transfer, microseconds.
     pub transfer_latency_us: f64,
-    /// PIM hardware models the search may place layers on.
-    pub pim_backends: PimBackendSet,
 }
 
 impl EngineConfig {
@@ -160,7 +120,6 @@ impl EngineConfig {
             granularity: ScheduleGranularity::Comp,
             memopt: true,
             transfer_latency_us: 0.3,
-            pim_backends: PimBackendSet::NewtonOnly,
         }
     }
 

@@ -64,4 +64,3 @@ pub mod report;
 pub mod search;
 
 pub use error::{Error, Result};
-pub use pimflow_isa::{BackendKind, CrossbarConfig};

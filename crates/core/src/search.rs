@@ -52,9 +52,7 @@
 //! costs exactly what the search would charge for it under that mask.
 
 use crate::codegen::{execute_group_overlapped_us, PimWorkload};
-use crate::costcache::{
-    crossbar_cost_us, pim_cost_us, CostCache, CostTable, MemoShard, WorkloadKey,
-};
+use crate::costcache::{pim_cost_us, CostCache, CostTable, MemoShard, WorkloadKey};
 use crate::engine::{ChannelMask, EngineConfig, LINK_GBPS};
 use crate::error::Result;
 use crate::passes::fusion::{find_fusion_groups, FusionGroup};
@@ -62,8 +60,7 @@ use crate::passes::pipeline::{find_chains, Chain};
 use crate::placement::Placement;
 use pimflow_gpusim::{kernel_time_with_launch_us, KernelProfile};
 use pimflow_ir::{analysis, Graph, NodeId, Op};
-use pimflow_isa::crossbar::{estimate_chain_us_overlapped, MatmulShape};
-use pimflow_isa::{BackendKind, CrossbarConfig, FusedRole};
+use pimflow_isa::FusedRole;
 use pimflow_json::{json_struct, FromJson, Json, JsonError, ToJson};
 use pimflow_pool::WorkerPool;
 use std::collections::{BTreeMap, HashMap};
@@ -121,11 +118,6 @@ pub enum Decision {
     Split {
         /// Percent of work on the GPU.
         gpu_percent: u32,
-        /// PIM hardware model the offloaded slice is priced (and would
-        /// execute) on. Always [`BackendKind::Newton`] unless the search
-        /// ran with a crossbar in its
-        /// [`PimBackendSet`](crate::engine::PimBackendSet).
-        backend: BackendKind,
     },
     /// Pipeline the chain starting here over `node_names` with this many
     /// stages.
@@ -145,8 +137,6 @@ pub enum Decision {
         /// Names of the group nodes — heavy layers and the element-wise
         /// riders between them — in order.
         node_names: Vec<String>,
-        /// PIM hardware model the group is priced (and would execute) on.
-        backend: BackendKind,
     },
 }
 
@@ -188,18 +178,10 @@ impl ToJson for Decision {
     fn to_json(&self) -> Json {
         match self {
             Decision::Gpu => Json::Str("Gpu".into()),
-            Decision::Split {
-                gpu_percent,
-                backend,
-            } => {
-                // Legacy plans carry no backend field; emitting it only for
-                // non-Newton splits keeps Newton-only plan JSON byte-stable.
-                let mut fields = vec![("gpu_percent", gpu_percent.to_json())];
-                if *backend != BackendKind::Newton {
-                    fields.push(("backend", Json::Str(backend.name().into())));
-                }
-                Json::obj(vec![("Split", Json::obj(fields))])
-            }
+            Decision::Split { gpu_percent } => Json::obj(vec![(
+                "Split",
+                Json::obj(vec![("gpu_percent", gpu_percent.to_json())]),
+            )]),
             Decision::Pipeline { node_names, stages } => Json::obj(vec![(
                 "Pipeline",
                 Json::obj(vec![
@@ -207,19 +189,10 @@ impl ToJson for Decision {
                     ("stages", stages.to_json()),
                 ]),
             )]),
-            Decision::Fused {
-                node_names,
-                backend,
-            } => {
-                // Same backward-compatible shape as `Split`: the backend
-                // field appears only for non-Newton groups, so older plan
-                // JSON stays byte-stable against older readers.
-                let mut fields = vec![("node_names", node_names.to_json())];
-                if *backend != BackendKind::Newton {
-                    fields.push(("backend", Json::Str(backend.name().into())));
-                }
-                Json::obj(vec![("Fused", Json::obj(fields))])
-            }
+            Decision::Fused { node_names } => Json::obj(vec![(
+                "Fused",
+                Json::obj(vec![("node_names", node_names.to_json())]),
+            )]),
         }
     }
 }
@@ -232,18 +205,9 @@ impl FromJson for Decision {
                 let (tag, payload) = &fields[0];
                 match tag.as_str() {
                     "Split" => {
-                        let backend = match payload.field("backend") {
-                            Ok(j) => {
-                                let name = String::from_json(j)?;
-                                BackendKind::from_name(&name).ok_or_else(|| {
-                                    JsonError::msg(format!("unknown PIM backend `{name}`"))
-                                })?
-                            }
-                            Err(_) => BackendKind::Newton,
-                        };
+                        reject_backend_tag(payload)?;
                         Ok(Decision::Split {
                             gpu_percent: u32::from_json(payload.field("gpu_percent")?)?,
-                            backend,
                         })
                     }
                     "Pipeline" => Ok(Decision::Pipeline {
@@ -251,15 +215,7 @@ impl FromJson for Decision {
                         stages: usize::from_json(payload.field("stages")?)?,
                     }),
                     "Fused" => {
-                        let backend = match payload.field("backend") {
-                            Ok(j) => {
-                                let name = String::from_json(j)?;
-                                BackendKind::from_name(&name).ok_or_else(|| {
-                                    JsonError::msg(format!("unknown PIM backend `{name}`"))
-                                })?
-                            }
-                            Err(_) => BackendKind::Newton,
-                        };
+                        reject_backend_tag(payload)?;
                         // Older plans recorded a GPU/PIM row split of the
                         // whole group here. Running one as a full offload
                         // would execute a different plan than was priced.
@@ -271,7 +227,6 @@ impl FromJson for Decision {
                         }
                         Ok(Decision::Fused {
                             node_names: Vec::from_json(payload.field("node_names")?)?,
-                            backend,
                         })
                     }
                     other => Err(JsonError::msg(format!(
@@ -283,6 +238,20 @@ impl FromJson for Decision {
                 "expected Decision as string or single-field object, got {other}"
             ))),
         }
+    }
+}
+
+/// Older plans could place a `Split` or `Fused` decision on a crossbar
+/// compute-in-array model, which the engine never executed; Newton
+/// decisions never carried the field. Decoding such a plan as Newton would
+/// run a different plan than was priced, so a `backend` field is an error.
+fn reject_backend_tag(payload: &Json) -> Result<(), JsonError> {
+    match payload.field("backend") {
+        Ok(_) => Err(JsonError::msg(
+            "decision carries `backend`: the crossbar PIM backend was removed \
+             and every PIM decision runs on Newton; re-run the search",
+        )),
+        Err(_) => Ok(()),
     }
 }
 
@@ -352,7 +321,7 @@ impl ExecutionPlan {
     /// shrunken PIM capacity no longer pays, without rerunning the full
     /// Algorithm-1 grid search.
     ///
-    /// Kept decisions keep their ratios, stages and backends — only the
+    /// Kept decisions keep their ratios and stages — only the
     /// keep-or-drop choice is revisited — so a repair is one sequential
     /// walk over the search's own pricing helpers (deterministic
     /// regardless of `PIMFLOW_JOBS`). When the mask leaves the effective
@@ -413,7 +382,7 @@ impl ExecutionPlan {
             let name = graph.node(id).name.clone();
             let solo = walk.solo(&mut profiler, id);
             let decision = decided.get(name.as_str()).copied();
-            // Re-price on the ratio, stages and backend the plan chose:
+            // Re-price on the ratio and stages the plan chose:
             // repair migrates work, it does not re-run the search. The
             // search records regions contiguous in topo order and anchored
             // at their first node, so a region must sit exactly there.
@@ -435,21 +404,14 @@ impl ExecutionPlan {
                     i += 1;
                     continue;
                 }
-                Some(Decision::Split {
-                    gpu_percent,
-                    backend,
-                }) => {
+                Some(split @ Decision::Split { gpu_percent }) => {
                     let split_us = if pim_available && graph.is_pim_candidate(id) {
-                        profiler.mddp_cost(id, *gpu_percent, Some(*backend)).0
+                        profiler.mddp_cost(id, *gpu_percent)
                     } else {
                         f64::INFINITY
                     };
                     let (cost, repaired) = if split_us < solo {
-                        let split = Decision::Split {
-                            gpu_percent: *gpu_percent,
-                            backend: *backend,
-                        };
-                        (split_us, split)
+                        (split_us, split.clone())
                     } else {
                         (solo, Decision::Gpu)
                     };
@@ -470,18 +432,12 @@ impl ExecutionPlan {
                         pim_available.then(|| profiler.pipeline_cost(&chain, (*stages).max(2)));
                     (chain.nodes, cost, kept)
                 }
-                Some(
-                    kept @ Decision::Fused {
-                        node_names,
-                        backend,
-                    },
-                ) => {
+                Some(kept @ Decision::Fused { node_names }) => {
                     let group = find_fusion_groups(graph)
                         .into_iter()
                         .find(|g| at_i(&g.nodes, node_names))
                         .ok_or_else(|| unknown("fusion group"))?;
-                    let cost =
-                        pim_available.then(|| profiler.fused_group_cost(&group, Some(*backend)).0);
+                    let cost = pim_available.then(|| profiler.fused_group_cost(&group));
                     (group.nodes, cost, kept)
                 }
             };
@@ -535,15 +491,10 @@ impl ExecutionPlan {
 struct Profiler<'g> {
     graph: &'g Graph,
     cfg: EngineConfig,
-    /// Template of every Newton key this profiler looks up, built once by
+    /// Template of every key this profiler looks up, built once by
     /// [`WorkloadKey::new`], so the hot path re-rolls keys without
     /// re-hashing the config.
-    newton: WorkloadKey,
-    /// Crossbar model (copied out of the config's backend set) with its
-    /// [`WorkloadKey::crossbar`] template; `None` under `NewtonOnly`.
-    xbar: Option<(CrossbarConfig, WorkloadKey)>,
-    /// Whether the backend set admits Newton placements.
-    newton_allowed: bool,
+    template: WorkloadKey,
     /// Whether fused chains may be priced overlap-linked (see
     /// [`SearchOptions::overlap_epochs`]). Defaults on; the group-search
     /// phase threads the option through.
@@ -564,15 +515,9 @@ impl<'g> Profiler<'g> {
     /// taken at the start of the current search phase (empty for a
     /// private scratch memo).
     fn new(graph: &'g Graph, cfg: &EngineConfig, base: Arc<CostTable>) -> Self {
-        let placeholder = PimWorkload::default();
         Profiler {
             graph,
-            newton: WorkloadKey::new(placeholder, cfg),
-            xbar: cfg
-                .pim_backends
-                .crossbar()
-                .map(|x| (*x, WorkloadKey::crossbar(placeholder, cfg, x))),
-            newton_allowed: cfg.pim_backends.allows_newton(),
+            template: WorkloadKey::new(PimWorkload::default(), cfg),
             overlap_epochs: true,
             cfg: cfg.clone(),
             base,
@@ -595,23 +540,12 @@ impl<'g> Profiler<'g> {
     /// available, min 1 so the cost model stays total (callers gate
     /// offload on the real count).
     fn channels(&self) -> usize {
-        self.newton.channels as usize
+        self.template.channels as usize
     }
 
-    /// The crossbar model and its key template. Only callable when the
-    /// backend set carries a crossbar config.
-    fn crossbar(&self) -> (CrossbarConfig, WorkloadKey) {
-        self.xbar.expect("crossbar time without a crossbar model")
-    }
-
-    /// The key of `w` on `backend`: that backend's template re-rolled
-    /// with the workload.
-    fn key(&self, backend: BackendKind, w: PimWorkload) -> WorkloadKey {
-        match backend {
-            BackendKind::Newton => self.newton,
-            BackendKind::Crossbar => self.crossbar().1,
-        }
-        .with_workload(w)
+    /// The key of `w`: the template re-rolled with the workload.
+    fn key(&self, w: PimWorkload) -> WorkloadKey {
+        self.template.with_workload(w)
     }
 
     /// The one memoized lookup: `key`'s cost from the private shard, else
@@ -630,15 +564,12 @@ impl<'g> Profiler<'g> {
         t
     }
 
-    /// PIM time of workload `w` on `backend` lowered for fusion-group role
-    /// `role`, microseconds (fused roles price the elided bus crossings as
+    /// PIM time of workload `w` lowered for fusion-group role `role`,
+    /// microseconds (fused roles price the elided bus crossings as
     /// `BANKFEED`s).
-    fn time(&mut self, backend: BackendKind, w: PimWorkload, role: FusedRole) -> f64 {
-        let key = self.key(backend, w).with_role(role);
-        self.memo(key, |p| match backend {
-            BackendKind::Newton => pim_cost_us(&key, &p.cfg.pim),
-            BackendKind::Crossbar => crossbar_cost_us(&key, &p.crossbar().0),
-        })
+    fn time(&mut self, w: PimWorkload, role: FusedRole) -> f64 {
+        let key = self.key(w).with_role(role);
+        self.memo(key, |p| pim_cost_us(&key, &p.cfg.pim))
     }
 
     /// `frac` of node `id`'s rows as a workload (at least one row).
@@ -646,32 +577,6 @@ impl<'g> Profiler<'g> {
         let mut w = PimWorkload::from_node(self.graph, id);
         w.rows = ((w.rows as f64 * frac).round() as usize).max(1);
         w
-    }
-
-    /// The backend pick: the pinned backend's `time`, or — unpinned — the
-    /// cheapest over the configured backend set with the model that
-    /// achieved it (Newton priced first, ties stay on Newton). Under
-    /// `NewtonOnly` the unpinned path is exactly one Newton lookup.
-    fn pick(
-        &mut self,
-        pin: Option<BackendKind>,
-        mut time: impl FnMut(&mut Self, BackendKind) -> f64,
-    ) -> (f64, BackendKind) {
-        let backend = match pin {
-            Some(b) => b,
-            None if !self.newton_allowed => BackendKind::Crossbar,
-            None if self.xbar.is_none() => BackendKind::Newton,
-            None => {
-                let n = time(self, BackendKind::Newton);
-                let x = time(self, BackendKind::Crossbar);
-                return if x < n {
-                    (x, BackendKind::Crossbar)
-                } else {
-                    (n, BackendKind::Newton)
-                };
-            }
-        };
-        (time(self, backend), backend)
     }
 
     /// GPU time of `frac` of node `id`'s rows (standalone launch),
@@ -733,38 +638,27 @@ impl<'g> Profiler<'g> {
     }
 
     /// MD-DP cost of node `id` at `gpu_percent`, including the epilogue
-    /// de-fusion penalty on the PIM slice, with the PIM backend that
-    /// achieves it — forced when `pin` is set (the repair path re-prices a
-    /// plan's recorded backend instead of re-searching). At
-    /// `gpu_percent == 100` no PIM model is consulted and the reported
-    /// backend is the Newton placeholder.
-    fn mddp_cost(
-        &mut self,
-        id: NodeId,
-        gpu_percent: u32,
-        pin: Option<BackendKind>,
-    ) -> (f64, BackendKind) {
+    /// de-fusion penalty on the PIM slice. At `gpu_percent == 100` no PIM
+    /// model is consulted.
+    fn mddp_cost(&mut self, id: NodeId, gpu_percent: u32) -> f64 {
         match gpu_percent {
-            100 => (self.gpu_time(id, 1.0), BackendKind::Newton),
+            100 => self.gpu_time(id, 1.0),
             0 => {
                 let w = self.rows(id, 1.0);
-                let (pim, backend) = self.pick(pin, |p, b| p.time(b, w, FusedRole::Standalone));
-                (
-                    pim + self.transfer_out(id, 1.0) + self.defusion_penalty(id, 1.0),
-                    backend,
-                )
+                self.time(w, FusedRole::Standalone)
+                    + self.transfer_out(id, 1.0)
+                    + self.defusion_penalty(id, 1.0)
             }
             r => {
                 let f = r as f64 / 100.0;
                 let gpu = self.gpu_time(id, f);
                 let w = self.rows(id, 1.0 - f);
-                let (pim_raw, backend) = self.pick(pin, |p, b| p.time(b, w, FusedRole::Standalone));
-                let pim = pim_raw + self.transfer_out(id, 1.0 - f);
+                let pim = self.time(w, FusedRole::Standalone) + self.transfer_out(id, 1.0 - f);
                 // The de-fused epilogue is a GPU kernel: it serializes on
                 // the GPU stream after the GPU part (and after the PIM
                 // results arrive), so it adds to the critical path rather
                 // than overlapping it.
-                (gpu.max(pim) + self.defusion_penalty(id, 1.0 - f), backend)
+                gpu.max(pim) + self.defusion_penalty(id, 1.0 - f)
             }
         }
     }
@@ -772,8 +666,6 @@ impl<'g> Profiler<'g> {
     /// Wavefront estimate of a pipelined chain: `stages` parts, conv cells
     /// on their device, element-wise nodes following a PIM conv charged as
     /// standalone GPU kernels, following a GPU conv fused for free.
-    /// Pipeline stages stream their inputs through the global buffers, so
-    /// PIM cells are priced on the Newton model.
     fn pipeline_cost(&mut self, chain: &Chain, stages: usize) -> f64 {
         let mut gpu_free = 0.0f64;
         let mut pim_free = 0.0f64;
@@ -793,8 +685,7 @@ impl<'g> Profiler<'g> {
                     let dur = match device {
                         Placement::Pim => {
                             let w = self.rows(nid, frac);
-                            self.time(BackendKind::Newton, w, FusedRole::Standalone)
-                                + self.transfer_out(nid, frac)
+                            self.time(w, FusedRole::Standalone) + self.transfer_out(nid, frac)
                         }
                         Placement::Gpu => self.gpu_time(nid, frac),
                     };
@@ -866,8 +757,7 @@ impl<'g> Profiler<'g> {
             .collect()
     }
 
-    /// PIM time of a fused group's heavy chain on one backend:
-    /// the cheaper of running the members back-to-back (one epoch each,
+    /// PIM time of a fused group's heavy chain: the cheaper of running the members back-to-back (one epoch each,
     /// the sum of their fused-role times) and overlap-linked in a single
     /// epoch (relaxed `OBARRIER` separators, carried engine state, member
     /// imbalance hides under the neighbours' tails). Element-wise riders
@@ -875,73 +765,45 @@ impl<'g> Profiler<'g> {
     /// nothing. The result is memoized group-level: the key is the head's
     /// workload re-rolled with the group fingerprint, so it can never
     /// answer a per-member lookup.
-    fn fused_chain_time(&mut self, group: &FusionGroup, backend: BackendKind) -> f64 {
+    fn fused_chain_time(&mut self, group: &FusionGroup) -> f64 {
         let mut group_fp = self.group_fingerprint(group);
         if !self.overlap_epochs {
             group_fp ^= OVERLAP_OFF_SALT;
         }
         let head = PimWorkload::from_node(self.graph, group.heavy[0]);
         let key = self
-            .key(backend, head)
+            .key(head)
             .with_role(FusedRole::Head)
             .with_group(group_fp);
         self.memo(key, |p| {
             let members = p.fused_members(group);
             let mut back_to_back = 0.0f64;
             for &(w, role) in &members {
-                back_to_back += p.time(backend, w, role);
+                back_to_back += p.time(w, role);
             }
             if !p.overlap_epochs {
                 return back_to_back;
             }
-            let overlapped = match backend {
-                // Overlap is not structurally never-worse on Newton — a
-                // continuous run can cross refresh windows that per-epoch
-                // engine resets would dodge — so both compositions are
-                // priced and the min taken, keeping the candidate space a
-                // strict superset of the unlinked one.
-                BackendKind::Newton => execute_group_overlapped_us(
-                    &members,
-                    &p.cfg.pim,
-                    p.channels(),
-                    p.cfg.granularity,
-                ),
-                BackendKind::Crossbar => {
-                    let shapes: Vec<(MatmulShape, FusedRole)> = members
-                        .iter()
-                        .map(|(w, r)| {
-                            let shape = MatmulShape {
-                                rows: w.rows,
-                                k_elems: w.k_elems,
-                                out_channels: w.out_channels,
-                            };
-                            (shape, *r)
-                        })
-                        .collect();
-                    estimate_chain_us_overlapped(&shapes, p.channels(), &p.crossbar().0)
-                }
-            };
+            // Overlap is not structurally never-worse — a continuous run
+            // can cross refresh windows that per-epoch engine resets would
+            // dodge — so both compositions are priced and the min taken,
+            // keeping the candidate space a strict superset of the
+            // unlinked one.
+            let overlapped =
+                execute_group_overlapped_us(&members, &p.cfg.pim, p.channels(), p.cfg.granularity);
             back_to_back.min(overlapped)
         })
     }
 
-    /// Cost of running `group` as one fused region, with the backend that
-    /// achieves it: chain time plus the last member's result-return
-    /// transfer and epilogue de-fusion penalty — the last *node*, not the
-    /// last heavy layer, because a trailing residual rider's output is
-    /// what actually leaves the region. When `pin` is set the recorded
-    /// backend is re-priced instead of re-searched (the repair path).
-    fn fused_group_cost(
-        &mut self,
-        group: &FusionGroup,
-        pin: Option<BackendKind>,
-    ) -> (f64, BackendKind) {
+    /// Cost of running `group` as one fused region: chain time plus the
+    /// last member's result-return transfer and epilogue de-fusion
+    /// penalty — the last *node*, not the last heavy layer, because a
+    /// trailing residual rider's output is what actually leaves the region.
+    fn fused_group_cost(&mut self, group: &FusionGroup) -> f64 {
         let last = *group.nodes.last().expect("fusion group has members");
-        let (chain, backend) = self.pick(pin, |p, b| p.fused_chain_time(group, b));
-        (
-            chain + self.transfer_out(last, 1.0) + self.defusion_penalty(last, 1.0),
-            backend,
-        )
+        self.fused_chain_time(group)
+            + self.transfer_out(last, 1.0)
+            + self.defusion_penalty(last, 1.0)
     }
 }
 
@@ -1261,12 +1123,12 @@ fn run_search(
                 ratio_grid(opts)
             };
             let mut samples = Vec::with_capacity(ratios.len());
-            let mut best = (100u32, gpu_only, BackendKind::Newton);
+            let mut best = (100u32, gpu_only);
             for r in ratios {
-                let (t, backend) = profiler.mddp_cost(id, r, None);
+                let t = profiler.mddp_cost(id, r);
                 samples.push((r, t));
                 if t < best.1 {
-                    best = (r, t, backend);
+                    best = (r, t);
                 }
             }
             let profile = LayerProfile {
@@ -1281,7 +1143,6 @@ fn run_search(
             } else {
                 Decision::Split {
                     gpu_percent: best.0,
-                    backend: best.2,
                 }
             };
             NodeOutcome {
@@ -1303,11 +1164,9 @@ fn run_search(
     // Pipeline candidates: lines 8-15, one independent task per chain
     // contiguous in the walk. Workers start from a fresh snapshot that
     // already contains the node phase's merged shards, so shared PIM
-    // workloads are not re-simulated. Chains are priced (and would
-    // execute) on the Newton model only, so a crossbar-only backend set
-    // has no pipelining to offer.
+    // workloads are not re-simulated.
     let mut chain_list: Vec<(usize, Chain)> = Vec::new();
-    if opts.allow_pipeline && pim_available && cfg.pim_backends.allows_newton() {
+    if opts.allow_pipeline && pim_available {
         chain_list = find_chains(graph)
             .into_iter()
             .filter_map(|c| Some((walk.region_start(&c.nodes)?, c)))
@@ -1337,7 +1196,7 @@ fn run_search(
     let (group_costs, group_shards) = pool.map_with(
         &group_list,
         || Profiler::new(graph, cfg, base.clone()).overlap(opts.overlap_epochs),
-        |profiler, _, (_, group)| profiler.fused_group_cost(group, None),
+        |profiler, _, (_, group)| profiler.fused_group_cost(group),
     );
     cache.merge(group_shards.into_iter().map(Profiler::into_shard));
 
@@ -1355,10 +1214,9 @@ fn run_search(
             decision,
         });
     }
-    for ((start, group), (cost, backend)) in group_list.into_iter().zip(group_costs) {
+    for ((start, group), cost) in group_list.into_iter().zip(group_costs) {
         let decision = Decision::Fused {
             node_names: names(graph, &group.nodes),
-            backend,
         };
         regions.entry(start).or_default().push(Region {
             nodes: group.nodes,
@@ -1785,13 +1643,7 @@ mod tests {
         let plan = ExecutionPlan {
             model: "synthetic".into(),
             decisions: vec![
-                (
-                    "a".into(),
-                    Decision::Split {
-                        gpu_percent: 33,
-                        backend: BackendKind::Newton,
-                    },
-                ),
+                ("a".into(), Decision::Split { gpu_percent: 33 }),
                 ("b".into(), Decision::Gpu),
             ],
             profiles: Vec::new(),

@@ -5,19 +5,15 @@ use std::fmt;
 
 /// One typed PIM instruction.
 ///
-/// The vocabulary is the greatest common divisor of the DRAM-PIM devices
-/// the workspace models: stage an input tile near the banks, select a
-/// weight row, burst multiply-accumulates against a staged buffer, drain
-/// accumulated results, and synchronize channels between ops. Every
-/// backend interprets the same five data-path ops; only their costs (and
-/// which ones are free) differ.
+/// The vocabulary is that of a Newton-style DRAM-PIM channel: stage an
+/// input tile near the banks, select a weight row, burst
+/// multiply-accumulates against a staged buffer, drain accumulated
+/// results, and synchronize channels between ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PimInst {
     /// Stage `bytes` of input into near-bank buffer `buffer`.
     ///
-    /// Newton lowers this to a GWRITE over the channel bus; a crossbar
-    /// backend loads the DAC input registers instead (weights stay
-    /// stationary in the array).
+    /// Newton lowers this to a GWRITE over the channel bus.
     BufWrite {
         /// Destination buffer index.
         buffer: u8,
@@ -70,7 +66,7 @@ pub enum PimInst {
     /// flows straight from the producer's tail into the consumer's
     /// staging, so a consumer's `RowActivate`/`BankFeed` epoch overlaps
     /// the producer's MAC/drain tail on other channels — the fused-epoch
-    /// overlap the group pricing exploits. Backends treat it as free
+    /// overlap the group pricing exploits. The interpreter treats it as free
     /// (barriers are structure, not work); only [`PimInst::Barrier`]
     /// splits epochs.
     OverlapBarrier,
@@ -186,11 +182,9 @@ impl Error for ProgramError {}
 
 /// A typed PIM program: one instruction stream per memory channel.
 ///
-/// A program is the unit a backend compiles and an [`Interpreter`] times.
-/// Within a channel, instructions execute in order; across channels, only
-/// [`PimInst::Barrier`]s order execution.
-///
-/// [`Interpreter`]: crate::backend::Interpreter
+/// A program is the unit the compiler emits and the Newton interpreter of
+/// `pimflow-pimsim` times. Within a channel, instructions execute in order;
+/// across channels, only [`PimInst::Barrier`]s order execution.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IsaProgram {
     channels: Vec<Vec<PimInst>>,

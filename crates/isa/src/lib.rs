@@ -1,19 +1,16 @@
 //! # pimflow-isa
 //!
 //! A small typed PIM instruction set sitting between the compiler and the
-//! hardware models. Plans lower to [`IsaProgram`]s — per-channel streams of
+//! hardware model. Plans lower to [`IsaProgram`]s — per-channel streams of
 //! [`PimInst`]s for buffer writes, row activations, MAC bursts, result
-//! drains, and inter-op barriers — and each hardware model is an
-//! [`Interpreter`] that assigns the program a simulated execution time.
-//! PIMSIM-NN frames exactly this boundary as the right cut for simulating
-//! heterogeneous PIM devices: new hardware means a new interpreter, not a
+//! drains, and inter-op barriers — and the Newton-style DRAM-PIM
+//! interpreter in `pimflow-pimsim` assigns a program its simulated
+//! execution time. PIMSIM-NN frames exactly this boundary as the right cut
+//! for simulating PIM devices: new hardware means a new interpreter, not a
 //! new compiler path.
 //!
-//! The crate is hardware-neutral on purpose. The Newton-style DRAM-PIM
-//! interpreter lives in `pimflow-pimsim` (it needs the cycle-level channel
-//! engine); the crossbar compute-in-array model ([`crossbar`]) is simple
-//! enough to live here. Both are named by [`BackendKind`], the discriminant
-//! the compiler's cost cache and per-layer backend search key on.
+//! The crate is hardware-neutral on purpose: the interpreter needs the
+//! cycle-level channel engine, so it lives with that engine.
 //!
 //! Programs have an exact text round-trip ([`text`], mirroring the command
 //! trace format of `pimflow-pimsim`) and a machine-checkable protocol
@@ -22,14 +19,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod backend;
-pub mod crossbar;
 pub mod inst;
 pub mod text;
 pub mod validate;
 
-pub use backend::{BackendKind, Interpreter};
-pub use crossbar::{CrossbarConfig, CrossbarInterpreter, MatmulShape};
 pub use inst::{FusedRole, IsaProgram, PimInst, ProgramError};
 pub use text::{inst_to_line, parse_program, program_to_text, ParseProgramError, PROGRAM_HEADER};
 pub use validate::{validate_program, IsaViolation, MachineSpec};

@@ -10,7 +10,7 @@ use std::error::Error;
 use std::fmt;
 
 /// The buffer resources a program is validated against, abstracted from
-/// any one backend's config.
+/// the concrete channel config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineSpec {
     /// Number of addressable staging buffers per channel.

@@ -321,26 +321,15 @@ pub fn gemm_packed_on(simd: Simd, a: &[f32], b: &PackedB, out: &mut [f32], epilo
                         }
                         continue;
                     }
-                    let args = TileArgs {
-                        a,
-                        k,
-                        kb,
-                        kw,
-                        row0,
-                        rw,
-                        panel,
-                        out: &mut *out,
-                        n,
-                        col0,
-                        nw,
-                        first,
-                        epilogue: ep,
-                    };
                     match simd {
-                        Simd::Portable => tile(args),
+                        Simd::Portable => {
+                            tile(a, k, kb, kw, row0, rw, panel, out, n, col0, nw, first, ep)
+                        }
                         #[cfg(target_arch = "x86_64")]
                         // SAFETY: as for the full tile.
-                        Simd::Avx2 => unsafe { tile_avx2(args) },
+                        Simd::Avx2 => unsafe {
+                            tile_avx2(a, k, kb, kw, row0, rw, panel, out, n, col0, nw, first, ep)
+                        },
                         #[cfg(not(target_arch = "x86_64"))]
                         Simd::Avx2 => unreachable!("AVX2 is never supported off x86-64"),
                     }
@@ -348,33 +337,6 @@ pub fn gemm_packed_on(simd: Simd, a: &[f32], b: &PackedB, out: &mut [f32], epilo
             }
         }
     }
-}
-
-/// Operands of one register tile, bundled to keep the call site readable.
-struct TileArgs<'a, 'e> {
-    a: &'a [f32],
-    /// Row stride of `a` (the full reduction extent).
-    k: usize,
-    /// First k index of this panel.
-    kb: usize,
-    /// k steps in this panel.
-    kw: usize,
-    /// First output row of the tile.
-    row0: usize,
-    /// Rows in the tile (`<= MR`).
-    rw: usize,
-    /// Packed-B panel slice for this k range (`kw * NR` floats).
-    panel: &'a [f32],
-    out: &'a mut [f32],
-    /// Row stride of `out` (total columns).
-    n: usize,
-    /// First output column of the tile.
-    col0: usize,
-    /// Columns in the tile (`<= NR`).
-    nw: usize,
-    /// First k panel: accumulators start at zero instead of reloading.
-    first: bool,
-    epilogue: Epilogue<'e>,
 }
 
 /// The full `MR x NR` register tile — the hot kernel, on the baseline
@@ -385,9 +347,9 @@ struct TileArgs<'a, 'e> {
 /// the accumulator spills to the stack every k step (~6x slower). As an
 /// outlined function the accumulator stays in vector registers.
 ///
-/// Its operands are separate arguments, not a [`TileArgs`]: a `&mut`
-/// inside a struct passed by reference loses its no-alias guarantee, and
-/// without it the portable instance ran about 6x slower.
+/// Its operands, like [`tile`]'s, are separate arguments, not a struct:
+/// a `&mut` inside a struct loses its no-alias guarantee, and without it
+/// the portable instance ran about 6x slower.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn tile_full(
@@ -501,20 +463,55 @@ fn tile_full_body(
     }
 }
 
-/// One `rw x nw` accumulator tile on the baseline target. Remainder tiles
-/// only — full tiles take [`tile_full`]. Outlined for the same
-/// register-pressure reason.
+/// One `rw x nw` accumulator tile (`rw <= MR`, `nw <= NR`) on the
+/// baseline target. Remainder tiles only — full tiles take
+/// [`tile_full`]. Outlined for the same register-pressure reason, and
+/// with separate arguments for the same no-alias reason.
 #[inline(never)]
-fn tile(args: TileArgs<'_, '_>) {
-    tile_body(args)
+#[allow(clippy::too_many_arguments)]
+fn tile(
+    a: &[f32],
+    k: usize,
+    kb: usize,
+    kw: usize,
+    row0: usize,
+    rw: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+    col0: usize,
+    nw: usize,
+    first: bool,
+    epilogue: Epilogue<'_>,
+) {
+    tile_body(
+        a, k, kb, kw, row0, rw, panel, out, n, col0, nw, first, epilogue,
+    )
 }
 
 /// [`tile`] compiled for AVX2 (and not FMA; see the module docs).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline(never)]
-fn tile_avx2(args: TileArgs<'_, '_>) {
-    tile_body(args)
+#[allow(clippy::too_many_arguments)]
+fn tile_avx2(
+    a: &[f32],
+    k: usize,
+    kb: usize,
+    kw: usize,
+    row0: usize,
+    rw: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+    col0: usize,
+    nw: usize,
+    first: bool,
+    epilogue: Epilogue<'_>,
+) {
+    tile_body(
+        a, k, kb, kw, row0, rw, panel, out, n, col0, nw, first, epilogue,
+    )
 }
 
 /// The body of [`tile`] and [`tile_avx2`]: load the partial sums unless
@@ -522,22 +519,22 @@ fn tile_avx2(args: TileArgs<'_, '_>) {
 /// across all [`NR`] lanes (padding lanes compute zeros and are never
 /// stored), apply the epilogue, store `nw` columns.
 #[inline(always)]
-fn tile_body(args: TileArgs<'_, '_>) {
-    let TileArgs {
-        a,
-        k,
-        kb,
-        kw,
-        row0,
-        rw,
-        panel,
-        out,
-        n,
-        col0,
-        nw,
-        first,
-        epilogue,
-    } = args;
+#[allow(clippy::too_many_arguments)]
+fn tile_body(
+    a: &[f32],
+    k: usize,
+    kb: usize,
+    kw: usize,
+    row0: usize,
+    rw: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+    col0: usize,
+    nw: usize,
+    first: bool,
+    epilogue: Epilogue<'_>,
+) {
     let mut acc = [[0.0f32; NR]; MR];
     if !first {
         for (i, row) in acc.iter_mut().enumerate().take(rw) {

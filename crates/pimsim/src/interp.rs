@@ -1,6 +1,6 @@
 //! The Newton interpretation of the typed PIM ISA.
 //!
-//! `pimflow-isa` programs are backend-neutral; this module gives them their
+//! `pimflow-isa` programs are hardware-neutral; this module gives them their
 //! Newton meaning. The five data-path instructions map 1:1 onto the
 //! simulator's command vocabulary —
 //!
@@ -24,7 +24,7 @@
 use crate::command::PimCommand;
 use crate::config::PimConfig;
 use crate::timing::{run_channels, ChannelEngine, ChannelStats, RunOptions};
-use pimflow_isa::{BackendKind, Interpreter, IsaProgram, PimInst};
+use pimflow_isa::{IsaProgram, PimInst};
 
 /// Lifts scheduled per-channel command traces into an ISA program (the
 /// exact inverse of [`NewtonInterpreter::lower`]).
@@ -157,14 +157,12 @@ impl<'a> NewtonInterpreter<'a> {
         }
         total
     }
-}
 
-impl Interpreter for NewtonInterpreter<'_> {
-    fn backend(&self) -> BackendKind {
-        BackendKind::Newton
-    }
-
-    fn interpret_us(&self, program: &IsaProgram) -> f64 {
+    /// Simulated wall-clock microseconds to execute `program`. The
+    /// interpreter is pure: the same program yields the same time on every
+    /// call and every platform, which is what lets interpreted costs live
+    /// in the cross-search cost cache.
+    pub fn interpret_us(&self, program: &IsaProgram) -> f64 {
         let stats = self.run(program, RunOptions::new());
         self.cfg.cycles_to_ns(stats.cycles) * 1e-3
     }
@@ -312,10 +310,9 @@ mod tests {
     }
 
     #[test]
-    fn interpreter_reports_newton_and_us() {
+    fn interpreter_reports_us() {
         let cfg = PimConfig::default();
         let interp = NewtonInterpreter::new(&cfg);
-        assert_eq!(interp.backend(), BackendKind::Newton);
         let traces = sample_traces();
         let program = lift_traces(&traces);
         let us = interp.interpret_us(&program);

@@ -3,7 +3,7 @@
 //! For a fixed graph and configuration, `search` → `apply_plan` →
 //! `execute` under [`EngineConfig::pimflow`] must produce the same plan
 //! bytes and the same simulated timeline. This test pins both on five
-//! zoo models under four search variants, so a refactor of how the
+//! zoo models under three search variants, so a refactor of how the
 //! passes record placement, or of how the engine reads it, cannot move a
 //! number unseen. Node names are left out of the timeline hash: they are
 //! labels, not data.
@@ -18,11 +18,10 @@
 //! that misses it.
 
 use pimflow::costcache::{CacheCounters, CostCache};
-use pimflow::engine::{execute, ChannelMask, EngineConfig, ExecutionReport, PimBackendSet};
+use pimflow::engine::{execute, ChannelMask, EngineConfig, ExecutionReport};
 use pimflow::policy::Policy;
 use pimflow::search::{apply_plan, Search, SearchOptions};
 use pimflow_ir::{infer_shapes, models, Graph};
-use pimflow_isa::CrossbarConfig;
 
 /// 64-bit FNV-1a over a byte stream.
 struct Fnv(u64);
@@ -73,14 +72,6 @@ fn variants() -> Vec<(&'static str, EngineConfig, SearchOptions)> {
                 allow_fusion: false,
                 ..SearchOptions::default()
             },
-        ),
-        (
-            "mixed",
-            EngineConfig {
-                pim_backends: PimBackendSet::Mixed(CrossbarConfig::pimcomp_like()),
-                ..EngineConfig::pimflow()
-            },
-            SearchOptions::default(),
         ),
         (
             "pl",
@@ -247,7 +238,7 @@ fn compiled_timelines_are_pinned() {
 /// node field, which had to leave every value unchanged; the `pl` rows and
 /// the cache and repair columns were recorded before repair and the search
 /// came to share one pricing path, which had to leave them unchanged too.
-/// The `default` and `mixed` rows of toy, mobilenet-v2, resnet-50 and
+/// The `default` rows of toy, mobilenet-v2, resnet-50 and
 /// vgg-16 were re-recorded when fused groups lost their interior GPU/PIM
 /// row split: toy and mobilenet-v2 only price fewer group keys, and
 /// resnet-50 and vgg-16 run faster without the split groups.
@@ -277,19 +268,6 @@ const PINS: &[Pin] = &[
         search_cache: (12, 31, 31),
         repaired: 0x6d85a96ead0de734,
         repair_cache: (12, 37, 37),
-    },
-    Pin {
-        case: "toy/mixed",
-        plan: 0x83438b9cb658025e,
-        total_us: 0x402b92366b14c5c8,
-        energy_uj: 0x40890edf4a5f24ed,
-        transfer_bytes: 196608,
-        host_to_pim_bytes: 71808,
-        fused_groups: &[(0, 3, 4562913321205716480)],
-        timeline: 0x3bff8f3e3f26f389,
-        search_cache: (21, 68, 68),
-        repaired: 0x132bba3b17e75006,
-        repair_cache: (21, 78, 78),
     },
     Pin {
         case: "toy/pl",
@@ -331,19 +309,6 @@ const PINS: &[Pin] = &[
         repair_cache: (238, 241, 241),
     },
     Pin {
-        case: "mobilenet-v2/mixed",
-        plan: 0xd8974ff6e151446b,
-        total_us: 0x4077c5eaac59d3cd,
-        energy_uj: 0x40d69e3d1209f5e7,
-        transfer_bytes: 6850368,
-        host_to_pim_bytes: 4908160,
-        fused_groups: &[],
-        timeline: 0x750850be42d971ef,
-        search_cache: (367, 414, 414),
-        repaired: 0xe0208d0776af443b,
-        repair_cache: (397, 454, 454),
-    },
-    Pin {
         case: "mobilenet-v2/pl",
         plan: 0x8c0544c71133f6d3,
         total_us: 0x4078274d02e4a933,
@@ -383,19 +348,6 @@ const PINS: &[Pin] = &[
         repair_cache: (397, 247, 247),
     },
     Pin {
-        case: "resnet-50/mixed",
-        plan: 0x6cd75ae7c89a2ab1,
-        total_us: 0x4094c49d0a143f18,
-        energy_uj: 0x40f6fd2913a0a246,
-        transfer_bytes: 14672896,
-        host_to_pim_bytes: 14060316,
-        fused_groups: &[(0, 13, 4628254922299327792)],
-        timeline: 0x77440ef67eb6a479,
-        search_cache: (710, 450, 450),
-        repaired: 0x6ede7c729f70b4be,
-        repair_cache: (764, 506, 506),
-    },
-    Pin {
         case: "resnet-50/pl",
         plan: 0xded4a83543b29839,
         total_us: 0x409647d3bf5e17ff,
@@ -433,19 +385,6 @@ const PINS: &[Pin] = &[
         search_cache: (69, 91, 91),
         repaired: 0xb33caec4492008f0,
         repair_cache: (77, 113, 113),
-    },
-    Pin {
-        case: "vgg-16/mixed",
-        plan: 0xa2f4b7dbf2a82921,
-        total_us: 0x409e2b790e525137,
-        energy_uj: 0x4108e445d258afc2,
-        transfer_bytes: 6279168,
-        host_to_pim_bytes: 6193920,
-        fused_groups: &[(0, 5, 0)],
-        timeline: 0xef8aa7f1986c35be,
-        search_cache: (138, 226, 226),
-        repaired: 0x170649f59efa9b9a,
-        repair_cache: (146, 250, 250),
     },
     Pin {
         case: "vgg-16/pl",
@@ -498,32 +437,6 @@ const PINS: &[Pin] = &[
         search_cache: (450, 40, 40),
         repaired: 0x510294e566bff90f,
         repair_cache: (540, 48, 48),
-    },
-    Pin {
-        case: "bert-16/mixed",
-        plan: 0x72a6a609723e7901,
-        total_us: 0x407f1330dc0382c6,
-        energy_uj: 0x40dd588b3a126932,
-        transfer_bytes: 1449984,
-        host_to_pim_bytes: 614400,
-        fused_groups: &[
-            (0, 4, 4562913321205727232),
-            (1, 4, 4562913321205727232),
-            (2, 4, 4562913321205727232),
-            (3, 4, 4562913321205727232),
-            (4, 4, 4562913321205727232),
-            (5, 4, 4562913321205727232),
-            (6, 4, 4562913321205727232),
-            (7, 4, 4562913321205727232),
-            (8, 4, 4562913321205727232),
-            (9, 4, 4562913321205727232),
-            (10, 4, 4562913321205727232),
-            (11, 5, 0),
-        ],
-        timeline: 0x67fd25a68b99af0b,
-        search_cache: (922, 92, 92),
-        repaired: 0x145cdb884bbdce05,
-        repair_cache: (988, 108, 108),
     },
     Pin {
         case: "bert-16/pl",

@@ -10,7 +10,6 @@
 
 use pimflow::engine::EngineConfig;
 use pimflow::search::{apply_plan, Decision, ExecutionPlan, Search, SearchOptions};
-use pimflow::BackendKind;
 use pimflow_ir::{infer_shapes, models, ActivationKind, Graph, GraphBuilder, Shape};
 use pimflow_kernels::{
     input_tensors, run_graph_with, ExecOptions, ExecOutput, GemmPath, MemoryMode, Tolerance,
@@ -274,7 +273,6 @@ fn split_everything(g: &Graph) -> ExecutionPlan {
         .map(|(i, id)| {
             let decision = Decision::Split {
                 gpu_percent: [30, 50, 70, 0][i % 4],
-                backend: BackendKind::Newton,
             };
             (g.node(id).name.clone(), decision)
         })

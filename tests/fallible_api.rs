@@ -13,13 +13,7 @@ use pimflow_ir::models;
 fn foreign_plan() -> ExecutionPlan {
     ExecutionPlan {
         model: "not-this-model".into(),
-        decisions: vec![(
-            "no_such_node".into(),
-            Decision::Split {
-                gpu_percent: 0,
-                backend: Default::default(),
-            },
-        )],
+        decisions: vec![("no_such_node".into(), Decision::Split { gpu_percent: 0 })],
         profiles: Vec::new(),
         predicted_us: 1.0,
         conv_layer_us: 1.0,
@@ -53,13 +47,7 @@ fn out_of_range_split_ratios_are_rejected() {
         .map(|id| g.node(id).name.clone())
         .expect("toy has a PIM candidate");
     let plan = ExecutionPlan {
-        decisions: vec![(
-            conv,
-            Decision::Split {
-                gpu_percent: 250,
-                backend: Default::default(),
-            },
-        )],
+        decisions: vec![(conv, Decision::Split { gpu_percent: 250 })],
         ..foreign_plan()
     };
     let err = apply_plan(&g, &plan).unwrap_err();

@@ -11,17 +11,16 @@
 //!   the joint search's predicted time is never worse. The property is
 //!   exact: no epsilon, enforced over a seeded family of random graphs.
 //! - **Wire format** — legacy plan JSON (predating fusion) parses and
-//!   re-serializes byte-identically, and Newton-only fused plans emit no
-//!   backend tag, so old readers and old artifacts both keep working. A
-//!   fused decision carrying the removed interior GPU/PIM row split is
-//!   rejected, never reinterpreted.
+//!   re-serializes byte-identically, and fused plans emit no backend tag,
+//!   so old readers and old artifacts both keep working. A decision
+//!   carrying a removed placement — a fused group's interior GPU/PIM row
+//!   split, or a crossbar backend tag — is rejected, never reinterpreted.
 
 use pimflow::costcache::CostCache;
-use pimflow::engine::{execute, EngineConfig, PimBackendSet};
+use pimflow::engine::EngineConfig;
 use pimflow::evaluation::verify_equivalence;
 use pimflow::search::{apply_plan, Decision, ExecutionPlan, Search, SearchOptions};
 use pimflow_ir::{models, ActivationKind, Graph, GraphBuilder, Shape};
-use pimflow_isa::{BackendKind, CrossbarConfig};
 use pimflow_json::{FromJson, Json};
 use pimflow_rng::Rng;
 
@@ -306,34 +305,6 @@ fn zoo_models_keep_the_superset_invariant() {
     }
 }
 
-#[test]
-fn mixed_backend_fusion_is_deterministic_and_executes() {
-    let cfg = EngineConfig {
-        pim_backends: PimBackendSet::Mixed(CrossbarConfig::pimcomp_like()),
-        ..EngineConfig::pimflow()
-    };
-    for g in [models::toy(), models::bert_like(4)] {
-        let plans: Vec<String> = WIDTHS
-            .iter()
-            .map(|&w| pimflow_json::to_string(&search_at(&g, &cfg, fused_opts(), w)))
-            .collect();
-        assert!(
-            plans.windows(2).all(|p| p[0] == p[1]),
-            "{}: mixed-backend fused plan varies with pool width",
-            g.name
-        );
-        let plan = search_at(&g, &cfg, fused_opts(), 1);
-        let transformed = apply_plan(&g, &plan).expect("mixed-backend plan applies");
-        let report = execute(&transformed, &cfg).expect("mixed-backend plan executes");
-        assert!(report.total_us > 0.0, "{}", g.name);
-        assert!(
-            plan.predicted_us <= search_at(&g, &cfg, unfused_opts(), 1).predicted_us,
-            "{}: superset invariant must hold under Mixed backends too",
-            g.name
-        );
-    }
-}
-
 /// A plan serialized before fusion existed: no `Fused` decisions, no
 /// `backend` fields. The exact bytes are pinned — parsing and
 /// re-serializing must reproduce them, so fusion-aware builds keep
@@ -344,15 +315,7 @@ const LEGACY_PLAN_JSON: &str = r#"{"model":"legacy","decisions":[["conv_0",{"Spl
 fn legacy_plan_json_is_byte_stable() {
     let parsed = Json::parse(LEGACY_PLAN_JSON).expect("pinned JSON parses");
     let plan = ExecutionPlan::from_json(&parsed).expect("legacy plan decodes");
-    // A missing backend tag decodes as Newton — the only backend that
-    // existed when such plans were written.
-    assert_eq!(
-        plan.decision("conv_0"),
-        Decision::Split {
-            gpu_percent: 30,
-            backend: BackendKind::Newton
-        }
-    );
+    assert_eq!(plan.decision("conv_0"), Decision::Split { gpu_percent: 30 });
     assert_eq!(fused_group_count(&plan), 0);
     assert_eq!(
         pimflow_json::to_string(&plan),
@@ -362,28 +325,36 @@ fn legacy_plan_json_is_byte_stable() {
 }
 
 #[test]
-fn fused_decision_json_tags_backend_only_when_not_newton() {
-    let newton = Decision::Fused {
+fn fused_decision_json_rejects_backend_tags_and_interior_splits() {
+    let fused = Decision::Fused {
         node_names: vec!["a".into(), "b".into()],
-        backend: BackendKind::Newton,
     };
-    let text = pimflow_json::to_string(&newton);
+    let text = pimflow_json::to_string(&fused);
     assert!(
         !text.contains("backend"),
-        "Newton fused decisions must stay tag-free for old readers: {text}"
+        "fused decisions stay tag-free for old readers: {text}"
     );
     assert!(
         !text.contains("gpu_percent"),
         "full-offload fused decisions must stay ratio-free for old readers: {text}"
     );
-    let crossbar = Decision::Fused {
-        node_names: vec!["a".into(), "b".into()],
-        backend: BackendKind::Crossbar,
-    };
-    for d in [newton, crossbar] {
-        let round = Decision::from_json(&Json::parse(&pimflow_json::to_string(&d)).unwrap())
-            .expect("fused decision round-trips");
-        assert_eq!(round, d);
+    let round = Decision::from_json(&Json::parse(&text).unwrap()).expect("fused decision decodes");
+    assert_eq!(round, fused);
+    // A split or fused decision placed on a PIM backend is a removed
+    // placement: only crossbar decisions ever carried the tag, and the
+    // engine never ran them. It decodes to an error naming the removed
+    // backend, never to a Newton placement.
+    for tagged in [
+        r#"{"Split":{"gpu_percent":40,"backend":"crossbar"}}"#,
+        r#"{"Fused":{"node_names":["a","b"],"backend":"crossbar"}}"#,
+        r#"{"Fused":{"node_names":["a","b"],"backend":"newton"}}"#,
+    ] {
+        let err = Decision::from_json(&Json::parse(tagged).unwrap())
+            .expect_err("backend-tagged decisions must not decode");
+        assert!(
+            err.to_string().contains("crossbar PIM backend was removed"),
+            "the error names the removed crossbar backend: {err}"
+        );
     }
     // A fused decision with an interior GPU/PIM row split is a removed
     // lowering: it decodes to an error naming it, never to a full offload.

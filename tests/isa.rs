@@ -5,23 +5,26 @@
 //! 1. **Golden encoding** — the textual mnemonic of every instruction is
 //!    pinned byte for byte, so serialized programs stay replayable across
 //!    releases.
-//! 2. **Interpreter identity** — for seeded random workloads, lowering to
-//!    the ISA, encoding to text, decoding, and interpreting on the Newton
-//!    engine reports exactly the statistics of running the scheduled
-//!    command traces directly. The ISA is a lens over the simulator, not a
-//!    second cost model.
-//! 3. **Backend search** — the mixed Newton/crossbar search is
-//!    deterministic across pool widths, actually uses the crossbar where
-//!    deep reductions favour it, and never loses to a single-backend plan.
+//! 2. **Interpreter identity** — for seeded random workloads and for the
+//!    compiled kernels of zoo PIM candidates, encoding to text, decoding,
+//!    and interpreting on the Newton engine reports exactly the merged
+//!    and per-channel statistics of running the scheduled command traces
+//!    directly, or of the streamed pricer the search uses. The ISA is a
+//!    lens over the simulator, not a second cost model.
+//! 3. **Plan stability** — Newton plans are pool-width invariant, and
+//!    legacy split JSON decodes unchanged.
 
-use pimflow::engine::{EngineConfig, PimBackendSet};
+use pimflow::backend::{Backend, DramPimBackend, KernelArtifact};
+use pimflow::codegen::{execute_workload, PimWorkload};
+use pimflow::engine::EngineConfig;
 use pimflow::search::{Decision, Search, SearchOptions};
-use pimflow::{BackendKind, CrossbarConfig};
 use pimflow_ir::models;
-use pimflow_isa::{inst_to_line, parse_program, program_to_text, PimInst, PROGRAM_HEADER};
+use pimflow_isa::{
+    inst_to_line, parse_program, program_to_text, FusedRole, IsaProgram, PimInst, PROGRAM_HEADER,
+};
 use pimflow_pimsim::{
-    lift_traces, run_channels, schedule, CommandBlock, NewtonInterpreter, PimConfig, RunOptions,
-    ScheduleGranularity,
+    lift_traces, run_channels, schedule, ChannelStats, CommandBlock, NewtonInterpreter, PimConfig,
+    RunOptions, ScheduleGranularity,
 };
 use pimflow_rng::Rng;
 
@@ -88,14 +91,26 @@ fn random_blocks(rng: &mut Rng) -> Vec<CommandBlock> {
         .collect()
 }
 
-/// Lower → encode → decode → interpret equals direct legacy timing, for
-/// seeded random workloads over every scheduling granularity and several
-/// channel counts.
+/// A program to round-trip and the merged and per-channel statistics its
+/// interpretation must reproduce.
+struct Case {
+    label: String,
+    program: IsaProgram,
+    merged: ChannelStats,
+    per_channel: Vec<ChannelStats>,
+}
+
+/// Encode → decode → interpret equals the direct timing: for seeded random
+/// workloads over every scheduling granularity and several channel counts,
+/// lowered to the ISA and checked against running the scheduled traces;
+/// and for every PIM candidate of toy and mobilenet-v2, compiled by the
+/// Newton++ backend and checked against the backend's reported statistics
+/// and the streamed pricer the search uses.
 #[test]
 fn interpreted_isa_matches_direct_timing_on_random_workloads() {
     let cfg = PimConfig::default();
     let mut rng = Rng::seed_from_u64(0x1517_c0de);
-    for trial in 0..24 {
+    let random = (0..24).map(|trial| {
         let blocks = random_blocks(&mut rng);
         let channels = [1, 2, 4, 16][trial % 4];
         let granularity = [
@@ -104,14 +119,71 @@ fn interpreted_isa_matches_direct_timing_on_random_workloads() {
             ScheduleGranularity::Comp,
         ][trial % 3];
         let traces = schedule(&blocks, channels, granularity, &cfg, &RunOptions::new());
-        let direct = run_channels(&cfg, &traces, RunOptions::new());
-        let program = lift_traces(&traces);
-        let decoded = parse_program(&program_to_text(&program)).expect("emitted program parses");
-        assert_eq!(decoded, program, "text round-trip must be exact");
-        let interpreted = NewtonInterpreter::new(&cfg).run(&decoded, RunOptions::new());
+        let mut per_channel = Vec::new();
+        let mut collect = |_: usize, s: &ChannelStats| per_channel.push(*s);
+        let merged = run_channels(&cfg, &traces, RunOptions::new().on_channel(&mut collect));
+        Case {
+            label: format!("trial {trial}"),
+            program: lift_traces(&traces),
+            merged,
+            per_channel,
+        }
+    });
+    let be = DramPimBackend::newton_plus_plus();
+    assert_eq!(
+        be.pim, cfg,
+        "the zoo cases compile for the configuration they interpret on"
+    );
+    let zoo = ["toy", "mobilenet-v2"].into_iter().flat_map(|name| {
+        let g = models::by_name(name).expect("zoo model");
+        g.node_ids()
+            .filter(|&id| g.is_pim_candidate(id))
+            .map(|id| {
+                let label = format!("{name}/{}", g.node(id).name);
+                let kernel = be.compile(&g, id).expect("zoo candidate compiles");
+                let KernelArtifact::PimProgram(program) = kernel.artifact else {
+                    panic!("{label}: the PIM backend emits an ISA program");
+                };
+                let (priced, per_channel) = execute_workload(
+                    &PimWorkload::from_node(&g, id),
+                    &be.pim,
+                    be.channels,
+                    be.granularity,
+                    FusedRole::Standalone,
+                );
+                assert_eq!(
+                    kernel.pim_stats,
+                    Some(priced.stats),
+                    "{label}: compiled stats"
+                );
+                Case {
+                    label,
+                    program,
+                    merged: priced.stats,
+                    per_channel,
+                }
+            })
+            .collect::<Vec<_>>()
+    });
+    for case in random.chain(zoo) {
+        let label = &case.label;
+        let decoded =
+            parse_program(&program_to_text(&case.program)).expect("emitted program parses");
         assert_eq!(
-            interpreted, direct,
-            "trial {trial}: ISA interpretation diverged from direct run"
+            decoded, case.program,
+            "{label}: text round-trip must be exact"
+        );
+        let mut per_channel = Vec::new();
+        let mut collect = |_: usize, s: &ChannelStats| per_channel.push(*s);
+        let interpreted =
+            NewtonInterpreter::new(&cfg).run(&decoded, RunOptions::new().on_channel(&mut collect));
+        assert_eq!(
+            interpreted, case.merged,
+            "{label}: ISA interpretation diverged from the direct run"
+        );
+        assert_eq!(
+            per_channel, case.per_channel,
+            "{label}: per-channel statistics diverged from the direct run"
         );
     }
 }
@@ -138,89 +210,11 @@ fn newton_plans_are_width_invariant() {
     assert_eq!(plans[0], plans[1]);
 }
 
-/// The mixed-backend search is deterministic across pool widths, routes
-/// vgg-16's deep FC reductions to the crossbar, and never loses to the
-/// Newton-only plan. Split decisions survive the plan JSON round-trip with
-/// their backend tag; Newton-only plans keep the legacy JSON shape.
-#[test]
-fn mixed_backend_search_is_deterministic_and_no_worse() {
-    let g = models::by_name("vgg-16").expect("zoo model");
-    let opts = SearchOptions::default();
-    let newton_cfg = EngineConfig::pimflow();
-    let mixed_cfg = EngineConfig {
-        pim_backends: PimBackendSet::Mixed(CrossbarConfig::pimcomp_like()),
-        ..EngineConfig::pimflow()
-    };
-    let run = |cfg: &EngineConfig, w: usize| {
-        Search::new(&g, cfg)
-            .options(opts)
-            .pool(w)
-            .run()
-            .expect("vgg search")
-    };
-    let mixed_1 = run(&mixed_cfg, 1);
-    let mixed_2 = run(&mixed_cfg, 2);
-    assert_eq!(
-        pimflow_json::to_string(&mixed_1),
-        pimflow_json::to_string(&mixed_2),
-        "mixed search must be pool-width invariant"
-    );
-    let newton = run(&newton_cfg, 2);
-    assert!(
-        mixed_1.predicted_us <= newton.predicted_us,
-        "mixed ({}) searches a superset of Newton-only ({})",
-        mixed_1.predicted_us,
-        newton.predicted_us
-    );
-    // The FC tail prices cheapest as a whole fused region on the crossbar
-    // (per-layer crossbar splits were the best the search could do before
-    // groups could carry a backend), so crossbar routing now shows up as
-    // fused-region backends.
-    let crossbar_regions = mixed_1
-        .decisions
-        .iter()
-        .filter(|(_, d)| {
-            matches!(
-                d,
-                Decision::Split {
-                    backend: BackendKind::Crossbar,
-                    ..
-                } | Decision::Fused {
-                    backend: BackendKind::Crossbar,
-                    ..
-                }
-            )
-        })
-        .count();
-    assert!(
-        crossbar_regions > 0,
-        "vgg-16's FC layers must land on the crossbar"
-    );
-    // Round-trip: backend tags survive; legacy Newton splits stay tagless.
-    let json = pimflow_json::to_string(&mixed_1);
-    let back: pimflow::search::ExecutionPlan = pimflow_json::from_str(&json).unwrap();
-    assert_eq!(back, mixed_1);
-    assert!(
-        json.contains("\"backend\": \"crossbar\"") || json.contains("\"backend\":\"crossbar\"")
-    );
-    let newton_json = pimflow_json::to_string(&newton);
-    assert!(
-        !newton_json.contains("backend"),
-        "Newton-only plan JSON must stay byte-stable with pre-ISA plans"
-    );
-}
-
-/// A hand-written legacy plan document (no backend field) decodes to
-/// Newton splits.
+/// A hand-written legacy plan document (no backend field) decodes to a
+/// split, which runs on Newton like every PIM decision.
 #[test]
 fn legacy_split_json_defaults_to_newton() {
     let json = r#"{"Split": {"gpu_percent": 40}}"#;
     let d: Decision = pimflow_json::from_str(json).unwrap();
-    assert_eq!(
-        d,
-        Decision::Split {
-            gpu_percent: 40,
-            backend: BackendKind::Newton,
-        }
-    );
+    assert_eq!(d, Decision::Split { gpu_percent: 40 });
 }

@@ -11,7 +11,6 @@ use pimflow::engine::{execute, EngineConfig, ExecutionReport};
 use pimflow::placement::Placement;
 use pimflow::search::{apply_plan, Decision, ExecutionPlan};
 use pimflow_ir::{models, Graph};
-use pimflow_isa::BackendKind;
 
 /// Names that spelled a placement under the artifact's name-prefix
 /// convention: a plain PIM offload and a fusion-group head.
@@ -58,15 +57,11 @@ fn renamed_toy(name: &str) -> [Graph; 2] {
 /// A one-decision plan for toy, naming `conv_3` as `name`.
 fn plan(name: &str, decision: Decision) -> ExecutionPlan {
     let decision = match decision {
-        Decision::Fused {
-            node_names,
-            backend,
-        } => Decision::Fused {
+        Decision::Fused { node_names } => Decision::Fused {
             node_names: node_names
                 .into_iter()
                 .map(|n| if n == "conv_3" { name.to_string() } else { n })
                 .collect(),
-            backend,
         },
         other => other,
     };
@@ -97,17 +92,10 @@ fn plans_offloading_or_fusing_a_marker_named_node_apply() {
     let cfg = EngineConfig::pimflow();
     let fused = Decision::Fused {
         node_names: vec!["conv_1".into(), "relu_2".into(), "conv_3".into()],
-        backend: BackendKind::Newton,
     };
     let decisions = [
-        Decision::Split {
-            gpu_percent: 0,
-            backend: BackendKind::Newton,
-        },
-        Decision::Split {
-            gpu_percent: 50,
-            backend: BackendKind::Newton,
-        },
+        Decision::Split { gpu_percent: 0 },
+        Decision::Split { gpu_percent: 50 },
         fused,
     ];
     for decision in decisions {
