@@ -27,6 +27,12 @@ PIMFLOW_JOBS=4 cargo test -q --workspace --offline
 echo "==> cargo test --release --test pricer"
 cargo test -q --release --offline --test pricer
 
+# The engine pins in the release profile: release builds wrap u32 row and
+# u64 timestamp arithmetic silently, and the pins are the end-to-end check
+# on plan bytes.
+echo "==> cargo test --release --test engine_pin"
+cargo test -q --release --offline --test engine_pin
+
 # A third pass re-runs the fault-resilience contracts under a non-trivial
 # fault seed: the determinism, no-drop, and mask-respecting properties
 # must hold for scenarios other than the default 0xFA17.

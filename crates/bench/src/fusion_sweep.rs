@@ -123,7 +123,8 @@ pub struct FusionReport {
     /// Model the search wall-clock comparison timed.
     pub wall_clock_model: String,
     /// Welch comparison of search wall-clock: baseline = fusion-disabled
-    /// search, candidate = joint search, fresh cost cache per sample.
+    /// search, candidate = joint search, timed in alternation with a
+    /// fresh cost cache per sample.
     /// ACCEPT would mean the joint search is *faster* — not the claim;
     /// see `search_overhead_significant`.
     pub search_wall_clock: Comparison,
@@ -179,29 +180,29 @@ fn residual_candidates(g: &Graph) -> usize {
         .count()
 }
 
-/// Times `Search::run` wall-clock on `g` under `opts`, one fresh cache
-/// per sample so no run warms the next.
+/// Times `Search::run` wall-clock on `g` under `baseline` and `candidate`
+/// options, `samples` runs each in alternation ([`stats::alternate`]) so
+/// host drift spreads over both sides, with one fresh cache per run so no
+/// run warms the next. Returns both sides' microseconds.
 fn search_samples(
     g: &pimflow_ir::Graph,
     cfg: &EngineConfig,
-    opts: SearchOptions,
+    [baseline, candidate]: [SearchOptions; 2],
     jobs: usize,
     samples: usize,
-) -> Vec<f64> {
-    (0..samples)
-        .map(|_| {
-            let cache = CostCache::new();
-            let start = std::time::Instant::now();
-            let plan = Search::new(g, cfg)
-                .options(opts)
-                .pool(jobs)
-                .cache(&cache)
-                .run()
-                .expect("zoo models search");
-            std::hint::black_box(plan);
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect()
+) -> [Vec<f64>; 2] {
+    let search = |opts: SearchOptions| {
+        let cache = CostCache::new();
+        let plan = Search::new(g, cfg)
+            .options(opts)
+            .pool(jobs)
+            .cache(&cache)
+            .run()
+            .expect("zoo models search");
+        std::hint::black_box(plan);
+    };
+    let (ms, _) = stats::alternate(samples, || search(baseline), || search(candidate));
+    ms.map(|side| side.iter().map(|ms| ms * 1e3).collect())
 }
 
 /// Searches every named model with fusion off and on, executes both
@@ -292,8 +293,13 @@ pub fn sweep(
         })
         .collect();
     let wc = models::by_name(wall_clock_model).expect("known model");
-    let baseline = search_samples(&wc, &cfg, unfused_opts, jobs, wall_clock_samples);
-    let candidate = search_samples(&wc, &cfg, fused_opts, jobs, wall_clock_samples);
+    let [baseline, candidate] = search_samples(
+        &wc,
+        &cfg,
+        [unfused_opts, fused_opts],
+        jobs,
+        wall_clock_samples,
+    );
     let search_wall_clock = stats::compare_lower_is_better(&baseline, &candidate);
     let search_overhead_significant = search_wall_clock.p_value < stats::ALPHA
         && search_wall_clock.candidate_mean > search_wall_clock.baseline_mean;

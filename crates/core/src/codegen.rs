@@ -11,19 +11,20 @@
 //! Two paths share one block schedule. The `generate_*program` functions
 //! compile it into the typed ISA program — the artifact the PIM backend
 //! carries, prints and validates. The `execute_*` pricers stream the same schedule
-//! straight into the channel timing engine, simulating each shared
-//! channel-stream prefix once and fast-forwarding steady-state command
-//! periods; their statistics are bit-identical to interpreting the
-//! compiled program (`tests/pricer.rs` holds that contract).
+//! straight into the channel timing engine, with filter rows renamed to a
+//! canonical form, simulating each distinct channel-stream prefix once
+//! and fast-forwarding steady-state command periods; their statistics are
+//! bit-identical to interpreting the compiled program (`tests/pricer.rs`
+//! holds that contract).
 
 use pimflow_gpusim::GpuConfig;
 use pimflow_ir::{Conv2dAttrs, Graph, NodeId, Op, Shape};
-use pimflow_isa::{FusedRole, IsaProgram, PimInst};
+use pimflow_isa::{FusedRole, IsaProgram};
 use pimflow_kernels::lowered_dims;
 use pimflow_pimsim::{
-    assign, lift_command, lift_traces, pim_energy_nj, schedule, ChannelEngine, ChannelStats,
-    CommandBlock, NewtonInterpreter, PimCommand, PimConfig, PimEnergyParams, RunOptions,
-    ScheduleGranularity, UnitRuns,
+    assign, lift_command, lift_traces, pim_energy_nj, schedule, Assignment, ChannelEngine,
+    ChannelStats, CommandBlock, NewtonInterpreter, PimConfig, PimEnergyParams, RunOptions,
+    ScheduleGranularity,
 };
 
 /// A PIM-offloadable workload in lowered (matrix) form. The default is
@@ -252,141 +253,230 @@ pub fn execute_group_overlapped_us(
     channels: usize,
     granularity: ScheduleGranularity,
 ) -> f64 {
-    let (stats, _) = stream_members(members, cfg, channels, granularity);
+    let (stats, _) = execute_group_overlapped(members, cfg, channels, granularity);
     cfg.cycles_to_ns(stats.cycles) * 1e-3
 }
 
-/// One member's share of a streamed group: its LPT assignment, its role,
-/// and the row offset its overlap link applies.
-struct StreamedMember {
-    units: Vec<CommandBlock>,
-    runs: Vec<UnitRuns>,
-    role: FusedRole,
-    row_offset: u32,
+/// One member's share of a streamed group: its LPT assignment, and for
+/// each unit the first unit of its shape (equal to it but for
+/// `row_base`).
+struct Assigned {
+    assignment: Assignment,
+    shape: Vec<usize>,
 }
 
-impl StreamedMember {
-    /// The member's command for unit command `cmd`: the role's bus
-    /// elisions applied through the ISA rewrite, then the row offset.
-    fn lower(&self, cmd: PimCommand) -> PimCommand {
-        let inst = match self.role.rewrite(lift_command(cmd)) {
-            PimInst::RowActivate { row } => PimInst::RowActivate {
-                row: row.saturating_add(self.row_offset),
-            },
-            other => other,
+impl Assigned {
+    fn new(assignment: Assignment) -> Self {
+        let units = &assignment.units;
+        let rowless = |u: usize| CommandBlock {
+            row_base: 0,
+            ..units[u]
         };
-        NewtonInterpreter::lower_inst(&inst).expect("block commands lower to commands")
+        let mut shapes: Vec<usize> = Vec::new();
+        let shape = (0..units.len())
+            .map(
+                |u| match shapes.iter().find(|&&s| rowless(s) == rowless(u)) {
+                    Some(&s) => s,
+                    None => {
+                        shapes.push(u);
+                        u
+                    }
+                },
+            )
+            .collect();
+        Assigned { assignment, shape }
     }
 }
 
-/// Where a channel's stream stands: at copy `done` of its `step`-th run.
+/// One step of a channel's stream in row-canonical form: `repeat`
+/// back-to-back copies of member `member`'s unit `shape`, its filter rows
+/// renamed to start at `row_base`. Steps order by member, shape, rows and
+/// then length, so runs of one unit sort shortest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Step {
+    member: usize,
+    shape: usize,
+    row_base: u32,
+    repeat: usize,
+}
+
+impl Step {
+    /// What the step runs, regardless of how many copies.
+    fn unit(&self) -> (usize, usize, u32) {
+        (self.member, self.shape, self.row_base)
+    }
+}
+
+/// Channels `order[lo..hi]` of the walk in [`execute_group_overlapped`], which
+/// share their stream up to copy `done` of step `step`.
 #[derive(Debug, Clone, Copy)]
-struct Cursor {
-    channel: usize,
+struct Group {
+    lo: usize,
+    hi: usize,
     step: usize,
     done: usize,
 }
 
-/// The Newton pricer: simulates `members` — lowered under their roles and
-/// overlap-linked as [`generate_group_program_overlapped`] compiles them;
-/// a single `Standalone` member is [`generate_program`] — straight from
-/// the block schedule. Returns the merged statistics and each channel's
-/// own statistics, in channel order.
+/// The Newton pricer behind [`execute_workload`] and
+/// [`execute_group_overlapped_us`]: simulates `members` — lowered under
+/// their roles and overlap-linked as [`generate_group_program_overlapped`]
+/// compiles them; a single `Standalone` member is [`generate_program`] —
+/// straight from the block schedule. Returns the merged statistics and
+/// each channel's own statistics, in channel order, equal to interpreting
+/// the compiled program bit for bit.
 ///
 /// A channel's command stream is its sequence of unit runs, member after
 /// member, and a healthy channel engine is a pure function of the config
-/// and the stream. Channel streams share prefixes — round robin deals each
-/// channel `body^(q+1)`, `body^q` or `body^q·tail` — so the walk simulates
-/// every shared prefix once: channels move together while their next
-/// unit agrees, take as many copies as all of them still have
+/// and the stream. It reads filter rows only by equality with the open
+/// row and by offsets within a period, and the units of a schedule have
+/// equal or disjoint row ranges (column stripes partition a block's rows;
+/// reduction parts and a layer's blocks share them; each member's rows
+/// lie past its predecessors'). So each channel's stream is put in
+/// row-canonical form, every `(member, row_base)` renamed to the next
+/// free rows in first-use order, which keeps each G_ACT's hit or miss
+/// and hence every statistic. Column stripes dealt one to a channel then
+/// read alike, and only a few distinct streams remain.
+///
+/// The walk sorts the channels by canonical stream, so channels sharing
+/// a prefix are adjacent, and simulates each distinct prefix once: a
+/// group of channels moves together while its next unit agrees, takes
+/// as many copies as all of its channels still have
 /// ([`ChannelEngine::run_blocks`], which fast-forwards steady-state
-/// periods), and the engine is cloned where their streams branch.
+/// periods), and clones the engine only where the streams branch.
 /// [`ChannelStats`] is all-integer, so folding the per-channel results in
 /// channel order reproduces interpreting the compiled program exactly.
-fn stream_members(
+///
+/// # Panics
+///
+/// Panics if `channels == 0`.
+pub fn execute_group_overlapped(
     members: &[(PimWorkload, FusedRole)],
     cfg: &PimConfig,
     channels: usize,
     granularity: ScheduleGranularity,
 ) -> (ChannelStats, Vec<ChannelStats>) {
-    let mut row_base = 0u32;
-    let streamed: Vec<StreamedMember> = members
+    let assigned: Vec<Assigned> = members
         .iter()
-        .map(|(w, role)| {
+        .map(|(w, _)| {
             let blocks = generate_block_runs(w, cfg);
-            let (units, runs) = assign(&blocks, channels, granularity, cfg, &RunOptions::new());
-            let row_offset = row_base;
-            // Each member's rows start past its predecessors' (the
-            // `offset_rows` step of the overlap-linked compilation).
-            if let Some(max) = units.iter().filter_map(CommandBlock::max_row).max() {
-                row_base = max.saturating_add(row_offset).saturating_add(1);
-            }
-            StreamedMember {
-                units,
-                runs,
-                role: *role,
-                row_offset,
-            }
+            let assignment = assign(&blocks, channels, granularity, cfg, &RunOptions::new());
+            Assigned::new(assignment)
         })
         .collect();
-    // Each channel's stream as `(member, unit, repeat)` steps.
-    let streams: Vec<Vec<(usize, usize, usize)>> = (0..channels)
-        .map(|ch| {
-            streamed
-                .iter()
-                .enumerate()
-                .flat_map(|(m, member)| member.runs[ch].iter().map(move |&(u, n)| (m, u, n)))
-                .collect()
-        })
-        .collect();
-    let next = |c: &Cursor| {
-        let (m, u, _) = streams[c.channel][c.step];
-        (m, streamed[m].units[u])
-    };
+    // Every channel's canonical stream, channel after channel.
+    let runs =
+        (0..channels).flat_map(|ch| assigned.iter().map(move |a| a.assignment.runs(ch).len()));
+    let mut steps: Vec<Step> = Vec::with_capacity(runs.sum());
+    let mut ends: Vec<usize> = Vec::with_capacity(channels);
+    // `(member, row_base, gacts, canonical row_base)` on the current channel.
+    let mut renamed: Vec<(usize, u32, u32, u32)> = Vec::new();
+    for ch in 0..channels {
+        renamed.clear();
+        let mut free = 0u32;
+        for (member, a) in assigned.iter().enumerate() {
+            for &(u, repeat) in a.assignment.runs(ch) {
+                let unit = a.assignment.units[u];
+                let row_base = match renamed
+                    .iter()
+                    .find(|r| (r.0, r.1) == (member, unit.row_base))
+                {
+                    Some(&(_, _, gacts, base)) => {
+                        debug_assert_eq!(
+                            gacts, unit.gacts,
+                            "units sharing a row base share its rows"
+                        );
+                        base
+                    }
+                    None => {
+                        let base = free;
+                        free += unit.gacts;
+                        renamed.push((member, unit.row_base, unit.gacts, base));
+                        base
+                    }
+                };
+                steps.push(Step {
+                    member,
+                    shape: a.shape[u],
+                    row_base,
+                    repeat,
+                });
+            }
+        }
+        ends.push(steps.len());
+    }
+    let stream = |ch: usize| &steps[if ch == 0 { 0 } else { ends[ch - 1] }..ends[ch]];
+    let mut order: Vec<usize> = (0..channels).collect();
+    order.sort_unstable_by(|&a, &b| stream(a).cmp(stream(b)));
+    let step_of = |i: usize, step: usize| stream(order[i])[step];
+
     let mut per_channel = vec![ChannelStats::default(); channels];
-    let start: Vec<Cursor> = (0..channels)
-        .map(|channel| Cursor {
-            channel,
-            step: 0,
-            done: 0,
-        })
-        .collect();
+    let start = Group {
+        lo: 0,
+        hi: channels,
+        step: 0,
+        done: 0,
+    };
     let mut pending = vec![(ChannelEngine::new(*cfg), start)];
-    while let Some((mut engine, mut group)) = pending.pop() {
+    while let Some((mut engine, mut g)) = pending.pop() {
         loop {
-            // Channels whose streams end here finish with this engine.
-            let (ended, live): (Vec<Cursor>, Vec<Cursor>) = group
-                .into_iter()
-                .partition(|c| c.step == streams[c.channel].len());
-            if let Some(first) = ended.first() {
-                per_channel[first.channel] = engine.clone().finish();
-                for c in &ended[1..] {
-                    per_channel[c.channel] = per_channel[first.channel];
+            // Streams ending here sort first and finish with this engine.
+            let ended = (g.lo..g.hi)
+                .take_while(|&i| stream(order[i]).len() == g.step)
+                .count();
+            if ended == g.hi - g.lo {
+                let stats = engine.finish();
+                for &ch in &order[g.lo..g.hi] {
+                    per_channel[ch] = stats;
                 }
+                break;
             }
-            let Some(lead) = live.first() else { break };
-            // Channels whose next unit differs branch off with a clone.
-            let key = next(lead);
-            let (same, other): (Vec<Cursor>, Vec<Cursor>) =
-                live.into_iter().partition(|c| next(c) == key);
-            if !other.is_empty() {
-                pending.push((engine.clone(), other));
-            }
-            let copies = same
-                .iter()
-                .map(|c| streams[c.channel][c.step].2 - c.done)
-                .min()
-                .expect("a live channel");
-            let member = &streamed[key.0];
-            engine.run_blocks(&key.1, copies as u64, |cmd| member.lower(cmd));
-            group = same;
-            for c in &mut group {
-                c.done += copies;
-                if c.done == streams[c.channel][c.step].2 {
-                    c.step += 1;
-                    c.done = 0;
+            if ended > 0 {
+                let stats = engine.clone().finish();
+                for &ch in &order[g.lo..g.lo + ended] {
+                    per_channel[ch] = stats;
                 }
+                g.lo += ended;
             }
+            // Channels whose next unit differs sort after the lead's and
+            // branch off with a clone.
+            let lead = step_of(g.lo, g.step);
+            let same = g.lo
+                + (g.lo..g.hi)
+                    .take_while(|&i| step_of(i, g.step).unit() == lead.unit())
+                    .count();
+            if same < g.hi {
+                pending.push((engine.clone(), Group { lo: same, ..g }));
+            }
+            // Runs of the lead's unit sort by length: the lead's is the
+            // shortest, and the channels whose run goes on branch off.
+            let role = members[lead.member].1;
+            let block = CommandBlock {
+                row_base: lead.row_base,
+                ..assigned[lead.member].assignment.units[lead.shape]
+            };
+            engine.run_blocks(&block, (lead.repeat - g.done) as u64, |cmd| {
+                let inst = role.rewrite(lift_command(cmd));
+                NewtonInterpreter::lower_inst(&inst).expect("block commands lower to commands")
+            });
+            let through = g.lo
+                + (g.lo..same)
+                    .take_while(|&i| step_of(i, g.step).repeat == lead.repeat)
+                    .count();
+            if through < same {
+                let going_on = Group {
+                    lo: through,
+                    hi: same,
+                    done: lead.repeat,
+                    ..g
+                };
+                pending.push((engine.clone(), going_on));
+            }
+            g = Group {
+                lo: g.lo,
+                hi: through,
+                step: g.step + 1,
+                done: 0,
+            };
         }
     }
     let merged = per_channel
@@ -423,7 +513,7 @@ pub fn execute_workload(
     granularity: ScheduleGranularity,
     role: FusedRole,
 ) -> (PimExecution, Vec<ChannelStats>) {
-    let (stats, per_channel) = stream_members(&[(*w, role)], cfg, channels, granularity);
+    let (stats, per_channel) = execute_group_overlapped(&[(*w, role)], cfg, channels, granularity);
     let energy_uj = pim_energy_nj(&stats, cfg, &PimEnergyParams::default(), channels) * 1e-3;
     let exec = PimExecution {
         time_us: cfg.cycles_to_ns(stats.cycles) * 1e-3,

@@ -66,8 +66,8 @@ pub use fault::{ChannelFault, FaultKind, FaultPlan};
 pub use interp::{lift_command, lift_traces, NewtonInterpreter};
 pub use memsys::MemorySystem;
 pub use scheduler::{
-    assign, estimate_block_cycles, schedule, schedule_refined, split_for_channels, BlockRuns,
-    ScheduleGranularity, UnitRuns,
+    assign, estimate_block_cycles, schedule, schedule_refined, split_for_channels, Assignment,
+    BlockRuns, ScheduleGranularity,
 };
 pub use timing::{run_channels, ChannelEngine, ChannelStats, RunOptions};
 pub use trace::{

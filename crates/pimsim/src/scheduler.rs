@@ -22,6 +22,7 @@ use crate::config::PimConfig;
 use crate::fault::FaultPlan;
 use crate::timing::RunOptions;
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// How finely blocks may be split across channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,6 +115,35 @@ fn splits(len: usize, channels: usize, granularity: ScheduleGranularity) -> bool
     len > 0 && channels > 1 && len < channels * 2 && granularity != ScheduleGranularity::GAct
 }
 
+/// The parts each of `len` blocks splits into for `channels` live
+/// channels, or `None` if [`split_for_channels`] keeps them whole.
+fn parts_per_block(len: usize, channels: usize, granularity: ScheduleGranularity) -> Option<u32> {
+    // Enough units for LPT to balance.
+    splits(len, channels, granularity).then(|| (channels as u32 * 2).div_ceil(len as u32))
+}
+
+/// Appends `block`'s parts to `units`: `per_block` output-column stripes,
+/// and at `Comp` granularity reduction parts of each stripe when the
+/// stripes alone fall short. Stripes partition the block's filter rows and
+/// reduction parts share their stripe's, so any two parts of one block
+/// have equal or disjoint row ranges.
+fn split_block(
+    block: &CommandBlock,
+    per_block: u32,
+    granularity: ScheduleGranularity,
+    units: &mut Vec<CommandBlock>,
+) {
+    let col_parts = split_output_columns(block, per_block);
+    let cols = col_parts.clone().count();
+    if granularity == ScheduleGranularity::Comp && cols < per_block as usize {
+        // Output columns alone were not enough; split the reduction too.
+        let remaining = per_block.div_ceil(cols as u32);
+        units.extend(col_parts.flat_map(|p| split_reduction(&p, remaining)));
+    } else {
+        units.extend(col_parts);
+    }
+}
+
 /// Splits blocks as allowed by `granularity` until there are enough units to
 /// occupy `channels` channels (or the split axes are exhausted).
 pub fn split_for_channels(
@@ -121,33 +151,65 @@ pub fn split_for_channels(
     channels: usize,
     granularity: ScheduleGranularity,
 ) -> Vec<CommandBlock> {
-    if !splits(blocks.len(), channels, granularity) {
+    let Some(per_block) = parts_per_block(blocks.len(), channels, granularity) else {
         return blocks.to_vec();
-    }
-    let target = channels * 2; // enough units for LPT to balance
-    let per_block = (target as u32).div_ceil(blocks.len() as u32);
+    };
     let mut units = Vec::new();
     for b in blocks {
-        let col_parts = split_output_columns(b, per_block);
-        let cols = col_parts.clone().count();
-        if granularity == ScheduleGranularity::Comp && cols < per_block as usize {
-            // Output columns alone were not enough; split the reduction too.
-            let remaining = per_block.div_ceil(cols as u32);
-            units.extend(col_parts.flat_map(|p| split_reduction(&p, remaining)));
-        } else {
-            units.extend(col_parts);
-        }
+        split_block(b, per_block, granularity, &mut units);
     }
     units
 }
 
-/// One channel's share of an assignment: `(unit, repeat)` runs in program
-/// order, each `repeat` back-to-back copies of `units[unit]`.
-pub type UnitRuns = Vec<(usize, usize)>;
-
 /// Blocks in run-length form: `(block, count)` runs in program order,
 /// each `count` back-to-back copies of `block`.
 pub type BlockRuns = [(CommandBlock, usize)];
+
+/// The result of [`assign`]: the schedulable units and, per physical
+/// channel, the `(unit, repeat)` runs it executes in program order, each
+/// `repeat` back-to-back copies of `units[unit]`. Runs are maximal and
+/// non-empty; a dead or idle channel has none.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Assignment {
+    /// The blocks, split as the granularity allows.
+    pub units: Vec<CommandBlock>,
+    /// Every channel's runs, channel after channel.
+    runs: Vec<(usize, usize)>,
+    /// Where each channel's runs end in `runs`.
+    ends: Vec<usize>,
+}
+
+impl Assignment {
+    /// Physical channels, dead ones included.
+    pub fn channels(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Channel `channel`'s runs in program order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel >= self.channels()`.
+    pub fn runs(&self, channel: usize) -> &[(usize, usize)] {
+        let start = channel.checked_sub(1).map_or(0, |c| self.ends[c]);
+        &self.runs[start..self.ends[channel]]
+    }
+
+    /// Closes the current channel's runs: later pushes go to the next.
+    fn end_channel(&mut self) {
+        self.ends.push(self.runs.len());
+    }
+
+    /// Appends a copy of unit `unit` to the current channel, extending
+    /// its last run if that run is of an equal unit.
+    fn push(&mut self, unit: usize) {
+        let start = self.ends.last().copied().unwrap_or(0);
+        match self.runs[start..].last_mut() {
+            Some((last, repeat)) if self.units[*last] == self.units[unit] => *repeat += 1,
+            _ => self.runs.push((unit, 1)),
+        }
+    }
+}
 
 /// Distributes blocks across `channels` channels without expanding them:
 /// takes the blocks as [`BlockRuns`] and returns the schedulable units
@@ -165,8 +227,11 @@ pub type BlockRuns = [(CommandBlock, usize)];
 /// emits) deal round robin — channel `c` runs `n / C + [c < n % C]` body
 /// copies and the tail lands on channel `n % C`. That is exactly the
 /// greedy's output on such input, computed in O(C) from the runs alone.
-/// Every other input expands its runs, runs the greedy and coalesces each
-/// channel's consecutive equal units into runs.
+/// Every other input goes through the greedy proper, which splits and
+/// estimates each run's block once, deals units heaviest first (ties in
+/// program order) to the least-loaded channel (ties to the lowest
+/// channel) through a min-heap, and coalesces each channel's consecutive
+/// equal units into runs.
 ///
 /// With a [`FaultPlan`] attached to `opts`, dead channels receive no
 /// units, derated channels are LPT-weighted by their remaining bandwidth
@@ -176,8 +241,8 @@ pub type BlockRuns = [(CommandBlock, usize)];
 /// per-channel callback, if any, is ignored here — it belongs to
 /// [`run_channels`](crate::timing::run_channels).
 ///
-/// The returned run lists always have `channels` entries so entry `i`
-/// always corresponds to physical channel `i`.
+/// The assignment always has `channels` channels, so channel `i` is
+/// always physical channel `i`.
 ///
 /// # Panics
 ///
@@ -188,7 +253,7 @@ pub fn assign(
     granularity: ScheduleGranularity,
     cfg: &PimConfig,
     opts: &RunOptions<'_>,
-) -> (Vec<CommandBlock>, Vec<UnitRuns>) {
+) -> Assignment {
     assert!(channels > 0, "need at least one PIM channel");
     let len = blocks.iter().map(|&(_, n)| n).sum();
     if opts.faults.is_none_or(FaultPlan::is_healthy) && !splits(len, channels, granularity) {
@@ -196,52 +261,70 @@ pub fn assign(
             return assignment;
         }
     }
-    let blocks: Vec<CommandBlock> = blocks
-        .iter()
-        .flat_map(|&(b, n)| std::iter::repeat_n(b, n))
-        .collect();
-    let (units, channel_of) = lpt(&blocks, channels, granularity, cfg, opts);
-    let mut runs: Vec<UnitRuns> = vec![Vec::new(); channels];
-    for (i, &ch) in channel_of.iter().enumerate() {
-        match runs[ch].last_mut() {
-            Some((unit, repeat)) if units[*unit] == units[i] => *repeat += 1,
-            _ => runs[ch].push((i, 1)),
-        }
+    let (units, channel_of) = lpt(blocks, channels, granularity, cfg, opts);
+    // Each channel's units in program order: a counting sort by channel,
+    // after which `ends[c]` is where channel `c`'s units end.
+    let mut ends = vec![0; channels + 1];
+    for &c in &channel_of {
+        ends[c + 1] += 1;
     }
-    (units, runs)
+    for c in 0..channels {
+        ends[c + 1] += ends[c];
+    }
+    let mut by_channel = vec![0; units.len()];
+    for (unit, &c) in channel_of.iter().enumerate() {
+        by_channel[ends[c]] = unit;
+        ends[c] += 1;
+    }
+    let mut assignment = Assignment {
+        units,
+        runs: Vec::with_capacity(by_channel.len()),
+        ends: Vec::with_capacity(channels),
+    };
+    let mut start = 0;
+    for &end in &ends[..channels] {
+        for &unit in &by_channel[start..end] {
+            assignment.push(unit);
+        }
+        assignment.end_channel();
+        start = end;
+    }
+    assignment
 }
 
 /// The closed-form LPT assignment of [`assign`], or `None` if `blocks` are
 /// not one body run plus at most one no-heavier tail.
-fn round_robin(
-    blocks: &BlockRuns,
-    channels: usize,
-    cfg: &PimConfig,
-) -> Option<(Vec<CommandBlock>, Vec<UnitRuns>)> {
+fn round_robin(blocks: &BlockRuns, channels: usize, cfg: &PimConfig) -> Option<Assignment> {
     let (body, n, tail) = match *blocks {
-        [] => return Some((Vec::new(), vec![Vec::new(); channels])),
-        [(body, n)] => (body, n, None),
-        [(body, n), (tail, 1)] if tail != body => (body, n, Some(tail)),
+        [] => (None, 0, None),
+        [(body, n)] => (Some(body), n, None),
+        [(body, n), (tail, 1)] if tail != body => (Some(body), n, Some(tail)),
         _ => return None,
     };
-    let estimate = estimate_block_cycles(&body, cfg);
-    // A zero estimate never raises a load, so the greedy would stack every
-    // block on channel 0 instead of dealing them out.
-    if estimate == 0 || tail.is_some_and(|t| estimate_block_cycles(&t, cfg) > estimate) {
-        return None;
+    if let Some(body) = body {
+        let estimate = estimate_block_cycles(&body, cfg);
+        // A zero estimate never raises a load, so the greedy would stack
+        // every block on channel 0 instead of dealing them out.
+        if estimate == 0 || tail.is_some_and(|t| estimate_block_cycles(&t, cfg) > estimate) {
+            return None;
+        }
     }
-    let mut runs: Vec<UnitRuns> = (0..channels)
-        .map(|c| match n / channels + usize::from(c < n % channels) {
-            0 => Vec::new(),
-            repeat => vec![(0, repeat)],
-        })
-        .collect();
-    let mut units = vec![body];
-    if let Some(tail) = tail {
-        units.push(tail);
-        runs[n % channels].push((1, 1));
+    let mut assignment = Assignment {
+        units: body.into_iter().chain(tail).collect(),
+        runs: Vec::with_capacity(channels + 1),
+        ends: Vec::with_capacity(channels),
+    };
+    for c in 0..channels {
+        match n / channels + usize::from(c < n % channels) {
+            0 => {}
+            repeat => assignment.runs.push((0, repeat)),
+        }
+        if tail.is_some() && c == n % channels {
+            assignment.runs.push((1, 1));
+        }
+        assignment.end_channel();
     }
-    Some((units, runs))
+    Some(assignment)
 }
 
 /// `blocks` in run-length form, consecutive equal blocks coalesced.
@@ -256,10 +339,19 @@ fn block_runs(blocks: &[CommandBlock]) -> Vec<(CommandBlock, usize)> {
     runs
 }
 
-/// The LPT greedy behind [`assign`]: the units and the physical channel
-/// each unit runs on (a channel runs its units in program order).
+/// The LPT greedy behind [`assign`]: the units — the expanded blocks,
+/// split by [`split_for_channels`] for the live channels — and the
+/// physical channel each unit runs on (a channel runs its units in
+/// program order).
+///
+/// Every copy of a run splits into the same parts with the same
+/// estimates, so each run's block is split and estimated once and its
+/// parts replicated. Units deal in decreasing estimate, ties in program
+/// order (a stable sort), each to the live channel with the least
+/// weighted load, ties to the lowest channel: a `(load, slot)` min-heap
+/// picks exactly the channel a first-minimum scan would.
 fn lpt(
-    blocks: &[CommandBlock],
+    blocks: &BlockRuns,
     channels: usize,
     granularity: ScheduleGranularity,
     cfg: &PimConfig,
@@ -276,38 +368,49 @@ fn lpt(
     };
     let alive = plan.alive_channels(channels);
     assert!(!alive.is_empty(), "need at least one live PIM channel");
-    let units = split_for_channels(blocks, alive.len(), granularity);
-    let estimates: Vec<u64> = units
-        .iter()
-        .map(|u| estimate_block_cycles(u, cfg))
-        .collect();
-    let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_by_key(|&i| Reverse(estimates[i]));
+    let len = blocks.iter().map(|&(_, n)| n).sum();
+    let per_block = parts_per_block(len, alive.len(), granularity);
+    let capacity = len * per_block.unwrap_or(1) as usize;
+    let mut units = Vec::with_capacity(capacity);
+    // `(estimate, unit)`, in dealing order once sorted.
+    let mut order: Vec<(Reverse<u64>, usize)> = Vec::with_capacity(capacity);
+    for &(block, n) in blocks {
+        let first = units.len();
+        match per_block {
+            Some(per_block) => split_block(&block, per_block, granularity, &mut units),
+            None => units.push(block),
+        }
+        let parts = units.len() - first;
+        let estimates = units[first..].iter().map(|u| estimate_block_cycles(u, cfg));
+        order.extend(estimates.zip(first..).map(|(e, unit)| (Reverse(e), unit)));
+        for copy in 1..n {
+            units.extend_from_within(first..first + parts);
+            for k in first..first + parts {
+                order.push((order[k].0, k + copy * parts));
+            }
+        }
+    }
+    order.sort_unstable();
 
     // LPT over the live channels only, with per-channel weighting: a block
     // on a derated channel costs proportionally more, and a pending stall
     // counts as load the channel must drain before it can help.
-    let mut loads: Vec<u64> = alive
+    let mut loads: BinaryHeap<Reverse<(u64, usize)>> = alive
         .iter()
-        .map(|&ch| plan.stall(ch).map_or(0, |(_, duration)| duration))
+        .enumerate()
+        .map(|(slot, &ch)| Reverse((plan.stall(ch).map_or(0, |(_, duration)| duration), slot)))
         .collect();
     let mut channel_of = vec![0; units.len()];
-    for i in order {
-        let slot = (0..alive.len()).min_by_key(|&s| loads[s]).expect("alive");
-        loads[slot] += estimates[i] * 100 / plan.derate_percent(alive[slot]) as u64;
-        channel_of[i] = alive[slot];
+    for (Reverse(estimate), unit) in order {
+        let mut least = loads.peek_mut().expect("alive");
+        let Reverse((load, slot)) = *least;
+        *least = Reverse((
+            load + estimate * 100 / plan.derate_percent(alive[slot]) as u64,
+            slot,
+        ));
+        channel_of[unit] = alive[slot];
     }
     (units, channel_of)
-}
-
-/// Each physical channel's unit indices in program order, from the
-/// channel each unit runs on.
-fn per_channel(channel_of: &[usize], channels: usize) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::new(); channels];
-    for (i, &ch) in channel_of.iter().enumerate() {
-        out[ch].push(i);
-    }
-    out
 }
 
 /// Distributes blocks across `channels` channels and expands each channel's
@@ -328,13 +431,14 @@ pub fn schedule(
     cfg: &PimConfig,
     opts: &RunOptions<'_>,
 ) -> Vec<Vec<PimCommand>> {
-    let (units, per_channel) = assign(&block_runs(blocks), channels, granularity, cfg, opts);
-    per_channel
-        .iter()
-        .map(|runs| {
-            runs.iter()
+    let assignment = assign(&block_runs(blocks), channels, granularity, cfg, opts);
+    (0..assignment.channels())
+        .map(|channel| {
+            assignment
+                .runs(channel)
+                .iter()
                 .flat_map(|&(unit, repeat)| {
-                    let block = units[unit];
+                    let block = assignment.units[unit];
                     (0..repeat).flat_map(move |_| block.expand())
                 })
                 .collect()
@@ -362,8 +466,17 @@ pub fn schedule_refined(
     max_rounds: usize,
 ) -> Vec<Vec<PimCommand>> {
     // Start from the LPT assignment (indices into `units` per channel).
-    let (units, channel_of) = lpt(blocks, channels, granularity, cfg, &RunOptions::new());
-    let mut assignment = per_channel(&channel_of, channels);
+    let (units, channel_of) = lpt(
+        &block_runs(blocks),
+        channels,
+        granularity,
+        cfg,
+        &RunOptions::new(),
+    );
+    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); channels];
+    for (unit, &channel) in channel_of.iter().enumerate() {
+        assignment[channel].push(unit);
+    }
     let expand_channel = |idxs: &[usize]| -> Vec<PimCommand> {
         let mut sorted: Vec<usize> = idxs.to_vec();
         sorted.sort_unstable();
@@ -732,7 +845,53 @@ mod tests {
         let expected: u64 = blocks.iter().map(|b| b.total_comps()).sum();
         assert!(stats.comps >= expected);
     }
-    /// The greedy's assignment as each channel's block sequence.
+    /// The greedy as it ran before it took run-length input, kept as the
+    /// reference for [`assign`]: expand the runs, split the blocks for the
+    /// live channels, estimate every unit, stable-sort them heaviest
+    /// first, give each the first least-loaded live channel by a linear
+    /// scan, and coalesce each channel's consecutive equal units into runs.
+    fn reference_assign(
+        blocks: &BlockRuns,
+        channels: usize,
+        granularity: ScheduleGranularity,
+        cfg: &PimConfig,
+        opts: &RunOptions<'_>,
+    ) -> (Vec<CommandBlock>, Vec<Vec<(usize, usize)>>) {
+        let blocks: Vec<CommandBlock> = blocks
+            .iter()
+            .flat_map(|&(b, n)| std::iter::repeat_n(b, n))
+            .collect();
+        let healthy = FaultPlan::healthy();
+        let plan = opts.faults.unwrap_or(&healthy);
+        let alive = plan.alive_channels(channels);
+        let units = split_for_channels(&blocks, alive.len(), granularity);
+        let estimates: Vec<u64> = units
+            .iter()
+            .map(|u| estimate_block_cycles(u, cfg))
+            .collect();
+        let mut order: Vec<usize> = (0..units.len()).collect();
+        order.sort_by_key(|&i| Reverse(estimates[i]));
+        let mut loads: Vec<u64> = alive
+            .iter()
+            .map(|&ch| plan.stall(ch).map_or(0, |(_, duration)| duration))
+            .collect();
+        let mut channel_of = vec![0; units.len()];
+        for i in order {
+            let slot = (0..alive.len()).min_by_key(|&s| loads[s]).unwrap();
+            loads[slot] += estimates[i] * 100 / plan.derate_percent(alive[slot]) as u64;
+            channel_of[i] = alive[slot];
+        }
+        let mut runs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); channels];
+        for (i, &ch) in channel_of.iter().enumerate() {
+            match runs[ch].last_mut() {
+                Some((unit, repeat)) if units[*unit] == units[i] => *repeat += 1,
+                _ => runs[ch].push((i, 1)),
+            }
+        }
+        (units, runs)
+    }
+
+    /// The reference greedy's assignment as each channel's block sequence.
     fn greedy_blocks(
         blocks: &[CommandBlock],
         channels: usize,
@@ -740,16 +899,21 @@ mod tests {
         cfg: &PimConfig,
         opts: &RunOptions<'_>,
     ) -> Vec<Vec<CommandBlock>> {
-        let (units, channel_of) = lpt(blocks, channels, granularity, cfg, opts);
-        per_channel(&channel_of, channels)
-            .iter()
-            .map(|idxs| idxs.iter().map(|&i| units[i]).collect())
-            .collect()
+        let (units, runs) = reference_assign(&block_runs(blocks), channels, granularity, cfg, opts);
+        expanded_runs(&units, &runs)
     }
 
-    /// [`assign`]'s runs expanded into each channel's block sequence,
+    /// Each channel's runs of `a`, in channel order.
+    fn channel_runs(a: &Assignment) -> Vec<Vec<(usize, usize)>> {
+        (0..a.channels()).map(|c| a.runs(c).to_vec()).collect()
+    }
+
+    /// Per-channel runs expanded into each channel's block sequence,
     /// checking on the way that the runs are maximal and non-empty.
-    fn expanded_runs(units: &[CommandBlock], runs: &[UnitRuns]) -> Vec<Vec<CommandBlock>> {
+    fn expanded_runs(
+        units: &[CommandBlock],
+        runs: &[Vec<(usize, usize)>],
+    ) -> Vec<Vec<CommandBlock>> {
         runs.iter()
             .map(|runs| {
                 for pair in runs.windows(2) {
@@ -822,12 +986,12 @@ mod tests {
             ]);
             let faults = FaultPlan::from_seed(rng.next_u64(), channels, rng.next_f64());
             for opts in [RunOptions::new(), RunOptions::new().faults(&faults)] {
-                let (units, runs) =
-                    assign(&block_runs(&blocks), channels, granularity, &cfg, &opts);
+                let assignment = assign(&block_runs(&blocks), channels, granularity, &cfg, &opts);
+                let (units, runs) = (&assignment.units, channel_runs(&assignment));
                 let case = format!("case {case}: {n} + {tail:?} on {channels} ch, {granularity}");
                 assert_eq!(runs.len(), channels, "{case}");
                 assert_eq!(
-                    expanded_runs(&units, &runs),
+                    expanded_runs(units, &runs),
                     greedy_blocks(&blocks, channels, granularity, &cfg, &opts),
                     "{case}"
                 );
@@ -841,5 +1005,283 @@ mod tests {
         }
         assert!(tails.iter().all(|&k| k > 50), "tail classes: {tails:?}");
         assert!(closed_form > 500, "closed form taken {closed_form} times");
+    }
+
+    /// A random block as the code generator emits one: filter rows from 0.
+    fn random_block(rng: &mut pimflow_rng::Rng) -> CommandBlock {
+        CommandBlock {
+            buffer_rows: rng.range_u32(2, 9) as u8,
+            gwrite_bytes: rng.range_u32(2, 4096),
+            gwrites_per_row: rng.range_u32(1, 10) as u16,
+            gacts: rng.range_u32(1, 64),
+            comps_per_gact: rng.range_u32(1, 33),
+            readres_bytes: rng.range_u32(2, 1024),
+            oc_splits: rng.range_u32(1, 17) as u16,
+            row_base: 0,
+        }
+    }
+
+    /// A fault plan over `channels` channels with at least one live
+    /// channel: the seeded generator's, or each channel drawn healthy,
+    /// dead, derated or stalled.
+    fn random_faults(rng: &mut pimflow_rng::Rng, channels: usize) -> FaultPlan {
+        use crate::fault::{ChannelFault, FaultKind};
+        if rng.range_u32(0, 2) == 0 {
+            return FaultPlan::from_seed(rng.next_u64(), channels, rng.next_f64());
+        }
+        let spared = rng.range_usize(0, channels);
+        let mut plan = FaultPlan::healthy();
+        for channel in (0..channels).filter(|&c| c != spared) {
+            let kind = match rng.range_u32(0, 4) {
+                0 => continue,
+                1 => FaultKind::Dead,
+                2 => FaultKind::Derate {
+                    percent: rng.range_u32(1, 101) as u8,
+                },
+                _ => FaultKind::Stall {
+                    start_cycle: rng.range_u32(0, 20_000) as u64,
+                    duration_cycles: rng.range_u32(1, 50_000) as u64,
+                },
+            };
+            plan.push(ChannelFault { channel, kind });
+        }
+        plan
+    }
+
+    #[test]
+    fn split_path_assignment_equals_the_reference_greedy() {
+        use crate::fault::FaultKind;
+        use pimflow_rng::Rng;
+        let cfg = PimConfig::default();
+        let mut rng = Rng::seed_from_u64(0x1B7_5EED);
+        let (mut split, mut whole) = (0usize, 0usize);
+        // Plans seen with a dead, a derated and a stalled channel.
+        let mut kinds = [0usize; 3];
+        for case in 0..3000 {
+            let channels = rng.range_usize(1, 25);
+            let granularity = *rng.pick(&[
+                ScheduleGranularity::GAct,
+                ScheduleGranularity::ReadRes,
+                ScheduleGranularity::Comp,
+            ]);
+            // Mostly the split path's 1 <= blocks < 2 x channels, as a body
+            // run plus an optional lighter tail; else up to four arbitrary
+            // runs of any length.
+            let mut blocks = Vec::new();
+            if case % 4 != 0 {
+                let body = random_block(&mut rng);
+                let n = rng.range_usize(1, 2 * channels + 1);
+                blocks.push((body, n));
+                if rng.range_u32(0, 2) == 0 {
+                    let rows = rng.range_u32(1, body.buffer_rows as u32) as u8;
+                    blocks.push((
+                        CommandBlock {
+                            buffer_rows: rows,
+                            ..body
+                        },
+                        1,
+                    ));
+                }
+            } else {
+                for _ in 0..rng.range_usize(1, 5) {
+                    let n = rng.range_usize(1, 3 * channels + 1);
+                    blocks.push((random_block(&mut rng), n));
+                }
+            }
+            let faults = random_faults(&mut rng, channels);
+            for (k, kind) in kinds.iter_mut().enumerate() {
+                *kind += usize::from(faults.faults().iter().any(|f| {
+                    matches!(
+                        (k, f.kind),
+                        (0, FaultKind::Dead)
+                            | (1, FaultKind::Derate { .. })
+                            | (2, FaultKind::Stall { .. })
+                    )
+                }));
+            }
+            for opts in [RunOptions::new(), RunOptions::new().faults(&faults)] {
+                let got = assign(&blocks, channels, granularity, &cfg, &opts);
+                let want = reference_assign(&blocks, channels, granularity, &cfg, &opts);
+                let len: usize = blocks.iter().map(|&(_, n)| n).sum();
+                let case =
+                    format!("case {case}: {blocks:?} on {channels} ch, {granularity}, {opts:?}");
+                if opts.faults.is_none_or(FaultPlan::is_healthy)
+                    && !splits(len, channels, granularity)
+                    && round_robin(&blocks, channels, &cfg).is_some()
+                {
+                    // The closed form coalesces units; it deals the same.
+                    assert_eq!(
+                        expanded_runs(&got.units, &channel_runs(&got)),
+                        expanded_runs(&want.0, &want.1),
+                        "{case}"
+                    );
+                    continue;
+                }
+                if got.units.len() > len {
+                    split += 1;
+                } else {
+                    whole += 1;
+                }
+                assert_eq!((got.units.clone(), channel_runs(&got)), want, "{case}");
+            }
+        }
+        assert!(split > 1000 && whole > 1000, "split {split}, whole {whole}");
+        assert!(kinds.iter().all(|&k| k > 300), "fault kinds: {kinds:?}");
+    }
+
+    /// Whether two units' filter-row ranges are equal or disjoint.
+    fn equal_or_disjoint(a: &CommandBlock, b: &CommandBlock) -> bool {
+        let (a0, a1) = (a.row_base, a.row_base + a.gacts);
+        let (b0, b1) = (b.row_base, b.row_base + b.gacts);
+        (a0, a1) == (b0, b1) || a1 <= b0 || b1 <= a0
+    }
+
+    /// The precondition of renaming filter rows: whatever the code
+    /// generator's blocks (rows from 0, a tail with fewer input rows), the
+    /// units [`split_for_channels`] and [`assign`] emit have pairwise equal
+    /// or disjoint row ranges.
+    #[test]
+    fn emitted_units_have_equal_or_disjoint_row_ranges() {
+        use pimflow_rng::Rng;
+        let cfg = PimConfig::default();
+        let mut rng = Rng::seed_from_u64(0xD15_0147);
+        let mut split = 0usize;
+        for case in 0..1500 {
+            let body = random_block(&mut rng);
+            let n = rng.range_usize(1, 40);
+            let mut blocks = vec![(body, n)];
+            if case % 2 == 0 {
+                let rows = rng.range_u32(1, body.buffer_rows as u32) as u8;
+                let tail = CommandBlock {
+                    buffer_rows: rows,
+                    ..body
+                };
+                blocks.push((tail, 1));
+            }
+            let channels = rng.range_usize(1, 33);
+            let granularity = *rng.pick(&[
+                ScheduleGranularity::GAct,
+                ScheduleGranularity::ReadRes,
+                ScheduleGranularity::Comp,
+            ]);
+            let expanded: Vec<CommandBlock> = blocks
+                .iter()
+                .flat_map(|&(b, n)| std::iter::repeat_n(b, n))
+                .collect();
+            let faults = random_faults(&mut rng, channels);
+            let emitted = [
+                split_for_channels(&expanded, channels, granularity),
+                assign(&blocks, channels, granularity, &cfg, &RunOptions::new()).units,
+                assign(
+                    &blocks,
+                    channels,
+                    granularity,
+                    &cfg,
+                    &RunOptions::new().faults(&faults),
+                )
+                .units,
+            ];
+            for units in &emitted {
+                split += usize::from(units.len() > expanded.len());
+                for (i, a) in units.iter().enumerate() {
+                    for b in &units[i + 1..] {
+                        assert!(
+                            equal_or_disjoint(a, b),
+                            "case {case}: {a:?} and {b:?} overlap ({channels} ch, {granularity})"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(split > 1000, "split {split} times");
+    }
+
+    /// A healthy channel engine reads filter rows only by equality with
+    /// the open row (and, fast-forwarding, relative to a period's rows), so
+    /// renaming every unit's row range injectively — equal ranges to equal
+    /// ones, disjoint to disjoint — leaves a unit stream's statistics
+    /// unchanged, whether it runs command by command or through
+    /// [`ChannelEngine::run_blocks`].
+    #[test]
+    fn renaming_row_ranges_keeps_engine_stats() {
+        use crate::timing::ChannelEngine;
+        use pimflow_rng::Rng;
+        let mut rng = Rng::seed_from_u64(0x2E_4A3E);
+        let configs = [
+            PimConfig::newton_plus_plus(),
+            PimConfig::newton_plus(),
+            PimConfig::hbm_pim_like(),
+        ];
+        for case in 0..300 {
+            let cfg = *rng.pick(&configs);
+            // A few ranges of filter rows, each of one length; some units
+            // share a range, and some ranges sit back to back.
+            let ranges = rng.range_usize(1, 6);
+            let lengths: Vec<u32> = (0..ranges).map(|_| rng.range_u32(1, 12)).collect();
+            let place = |rng: &mut Rng| -> Vec<u32> {
+                let mut order: Vec<usize> = (0..ranges).collect();
+                for i in (1..ranges).rev() {
+                    order.swap(i, rng.range_usize(0, i + 1));
+                }
+                let mut bases = vec![0; ranges];
+                let mut next = rng.range_u32(0, 3);
+                for r in order {
+                    bases[r] = next;
+                    next += lengths[r] + rng.range_u32(0, 3);
+                }
+                bases
+            };
+            let (from, to) = (place(&mut rng), place(&mut rng));
+            let steps: Vec<(CommandBlock, usize)> = (0..rng.range_usize(1, 8))
+                .map(|_| {
+                    let r = rng.range_usize(0, ranges);
+                    let block = CommandBlock {
+                        buffer_rows: rng.range_u32(1, cfg.num_global_buffers as u32 + 1) as u8,
+                        gacts: lengths[r],
+                        row_base: from[r],
+                        ..random_block(&mut rng)
+                    };
+                    (block, rng.range_usize(1, 300))
+                })
+                .collect();
+            let renamed: Vec<(CommandBlock, usize)> = steps
+                .iter()
+                .map(|&(b, n)| {
+                    let r = from.iter().position(|&base| base == b.row_base).unwrap();
+                    (
+                        CommandBlock {
+                            row_base: to[r],
+                            ..b
+                        },
+                        n,
+                    )
+                })
+                .collect();
+            let by_command = |steps: &[(CommandBlock, usize)]| {
+                let trace: Vec<PimCommand> = steps
+                    .iter()
+                    .flat_map(|&(b, n)| (0..n).flat_map(move |_| b.expand()))
+                    .collect();
+                ChannelEngine::new(cfg).run(&trace)
+            };
+            let by_blocks = |steps: &[(CommandBlock, usize)]| {
+                let mut engine = ChannelEngine::new(cfg);
+                for (b, n) in steps {
+                    engine.run_blocks(b, *n as u64, |c| c);
+                }
+                engine.finish()
+            };
+            let want = by_command(&steps);
+            assert_eq!(
+                by_command(&renamed),
+                want,
+                "case {case}: {steps:?} -> {to:?}"
+            );
+            assert_eq!(
+                by_blocks(&renamed),
+                want,
+                "case {case}: {steps:?} -> {to:?}"
+            );
+        }
     }
 }

@@ -11,8 +11,8 @@
 //! `generate_group_program_overlapped`'s output.
 
 use pimflow::codegen::{
-    execute_group_overlapped_us, execute_workload, generate_fused_program,
-    generate_group_program_overlapped, PimWorkload,
+    execute_group_overlapped, execute_group_overlapped_us, execute_workload, generate_block_runs,
+    generate_fused_program, generate_group_program_overlapped, PimWorkload,
 };
 use pimflow_ir::models;
 use pimflow_isa::FusedRole;
@@ -342,4 +342,111 @@ fn empty_groups_and_workloads_price_to_zero() {
         execute_workload(&empty, &cfg, 4, ScheduleGranularity::Comp, FusedRole::Head);
     assert_eq!(exec.stats, ChannelStats::default());
     assert_eq!(per_channel, vec![ChannelStats::default(); 4]);
+}
+
+/// Shapes for the split path: a mid-size pointwise layer, a wide one, a
+/// deep reduction, a tiny filter (one G_ACT, so `Comp` must split the
+/// reduction) and a strided 3x3 convolution.
+const SPLIT_SHAPES: [(usize, usize, bool, usize); 5] = [
+    (576, 96, false, 1),
+    (64, 1024, false, 1),
+    (4800, 40, false, 1),
+    (27, 16, false, 1),
+    (1152, 128, true, 9),
+];
+
+/// `blocks` row groups of `shape` under `cfg`, the last one `tail_rows`
+/// short of full when `tail_rows > 0`.
+fn split_workload(
+    (k_elems, out_channels, strided, segments): (usize, usize, bool, usize),
+    cfg: &PimConfig,
+    blocks: usize,
+    tail_rows: usize,
+) -> PimWorkload {
+    PimWorkload {
+        rows: blocks * cfg.num_global_buffers - tail_rows,
+        k_elems,
+        out_channels,
+        strided,
+        segments,
+    }
+}
+
+/// Whether the scheduler splits `w`'s blocks for `channels` channels:
+/// at least one block, and fewer than two per channel.
+fn takes_the_split_path(w: &PimWorkload, cfg: &PimConfig, channels: usize) -> bool {
+    let blocks: usize = generate_block_runs(w, cfg).iter().map(|&(_, n)| n).sum();
+    (1..2 * channels).contains(&blocks)
+}
+
+const SPLIT_GRANULARITIES: [ScheduleGranularity; 2] =
+    [ScheduleGranularity::Comp, ScheduleGranularity::ReadRes];
+
+/// Layers with fewer blocks than twice the channel count, which the
+/// scheduler splits into column stripes and reduction parts dealt by the
+/// LPT greedy: every block count from one up, with and without a short
+/// last row group, under every role and both splitting granularities.
+#[test]
+fn streamed_pricing_holds_on_the_split_path() {
+    for (cfg_name, cfg) in configs() {
+        for channels in [5usize, 8, 16] {
+            for shape in SPLIT_SHAPES {
+                for blocks in 1..2 * channels {
+                    for tail_rows in [0, cfg.num_global_buffers / 2] {
+                        let w = split_workload(shape, &cfg, blocks, tail_rows);
+                        assert!(takes_the_split_path(&w, &cfg, channels), "{w:?}");
+                        for granularity in SPLIT_GRANULARITIES {
+                            for role in ROLES {
+                                check_workload(&w, cfg_name, &cfg, granularity, channels, role);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Overlap-linked groups whose every member takes the split path: merged
+/// and per-channel statistics equal interpreting the group's program.
+#[test]
+fn streamed_group_pricing_holds_when_every_member_splits() {
+    let mut rng = Rng::seed_from_u64(0x5B1_17ED);
+    for (cfg_name, cfg) in configs() {
+        for channels in [5usize, 8, 16] {
+            for case in 0..12 {
+                let len = 2 + case % 3;
+                let members: Vec<(PimWorkload, FusedRole)> = (0..len)
+                    .map(|k| {
+                        let shape = *rng.pick(&SPLIT_SHAPES);
+                        let blocks = rng.range_usize(1, 2 * channels);
+                        let tail_rows = rng.range_usize(0, cfg.num_global_buffers);
+                        let role = match k {
+                            0 => FusedRole::Head,
+                            k if k == len - 1 => FusedRole::Tail,
+                            _ => FusedRole::Middle,
+                        };
+                        (split_workload(shape, &cfg, blocks, tail_rows), role)
+                    })
+                    .collect();
+                for (w, _) in &members {
+                    assert!(takes_the_split_path(w, &cfg, channels), "{w:?}");
+                }
+                for granularity in SPLIT_GRANULARITIES {
+                    let program =
+                        generate_group_program_overlapped(&members, &cfg, channels, granularity);
+                    let (merged, per_channel) = interpret(&program, &cfg);
+                    let (streamed, streamed_per_channel) =
+                        execute_group_overlapped(&members, &cfg, channels, granularity);
+                    let case =
+                        format!("{members:?} under {cfg_name}, {granularity}, {channels} ch");
+                    assert_eq!(streamed, merged, "merged stats: {case}");
+                    assert_eq!(
+                        streamed_per_channel, per_channel,
+                        "per-channel stats: {case}"
+                    );
+                }
+            }
+        }
+    }
 }
