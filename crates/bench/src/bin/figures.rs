@@ -450,7 +450,7 @@ fn fusion_sweep(dir: &str, smoke: bool) {
     for m in &report.models {
         println!(
             "  {:<22} {:>4} nodes  groups {:>2} ({:>2} layers)  unfused {:>9.1}us  \
-             fused {:>9.1}us (b2b {:>9.1}us, hid {:>6.1}us)  \
+             fused {:>9.1}us (hid {:>6.1}us)  \
              traffic {:>10} -> {:>10} B (-{:>4.1}%)  never-worse {}",
             m.model,
             m.nodes,
@@ -458,16 +458,14 @@ fn fusion_sweep(dir: &str, smoke: bool) {
             m.fused_layers,
             m.unfused_predicted_us,
             m.fused_predicted_us,
-            m.no_overlap_predicted_us,
             m.overlap_hidden_us,
             m.unfused_traffic_bytes,
             m.fused_traffic_bytes,
             m.traffic_reduction_pct,
-            m.fused_never_worse && m.overlap_never_worse
+            m.fused_never_worse
         );
     }
     println!("  fused_never_worse: {}", report.fused_never_worse);
-    println!("  overlap_never_worse: {}", report.overlap_never_worse);
     println!(
         "  resnet_residual_candidates: {}",
         report.resnet_residual_candidates

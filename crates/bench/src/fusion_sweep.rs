@@ -41,17 +41,9 @@ pub struct ModelFusionRow {
     pub unfused_predicted_us: f64,
     /// Predicted end-to-end time of the joint search, µs.
     pub fused_predicted_us: f64,
-    /// Predicted end-to-end time of the joint search with overlap-linked
-    /// epoch pricing disabled ([`SearchOptions::overlap_epochs`] off):
-    /// fused chains priced back-to-back only, µs.
-    pub no_overlap_predicted_us: f64,
     /// PIM-pipeline time hidden by overlapped fusion epochs in the
     /// executed fused plan, µs (sum over its groups).
     pub overlap_hidden_us: f64,
-    /// `fused_predicted_us <= no_overlap_predicted_us`, exactly — the
-    /// overlapped chain time is `min(back_to_back, overlapped)`, so
-    /// enabling overlap can only widen the candidate space.
-    pub overlap_never_worse: bool,
     /// `unfused - fused` predicted time, µs (≥ 0 when the superset
     /// invariant holds).
     pub predicted_delta_us: f64,
@@ -80,9 +72,7 @@ json_struct!(ModelFusionRow {
     fused_layers,
     unfused_predicted_us,
     fused_predicted_us,
-    no_overlap_predicted_us,
     overlap_hidden_us,
-    overlap_never_worse,
     predicted_delta_us,
     unfused_traffic_bytes,
     fused_traffic_bytes,
@@ -106,10 +96,6 @@ pub struct FusionReport {
     /// The superset invariant held on every model — the property CI
     /// asserts.
     pub fused_never_worse: bool,
-    /// On every model, the overlap-enabled search predicted no worse than
-    /// the same joint search with overlap pricing disabled — the second
-    /// property CI asserts (exact, no epsilon).
-    pub overlap_never_worse: bool,
     /// Fusion candidates carrying a residual `Add` rider that
     /// [`find_fusion_groups`] returns on the resnet-family models: the
     /// towers the skip-aware walker unlocks (0 before residual-aware
@@ -141,7 +127,6 @@ json_struct!(FusionReport {
     probed_widths,
     models,
     fused_never_worse,
-    overlap_never_worse,
     resnet_residual_candidates,
     models_with_traffic_reduction,
     total_traffic_reduction_bytes,
@@ -226,10 +211,6 @@ pub fn sweep(
         allow_fusion: false,
         ..Default::default()
     };
-    let no_overlap_opts = SearchOptions {
-        overlap_epochs: false,
-        ..Default::default()
-    };
     let rows: Vec<ModelFusionRow> = model_names
         .iter()
         .map(|name| {
@@ -254,9 +235,6 @@ pub fn sweep(
             let width_identical = fused_plans.windows(2).all(|p| p[0] == p[1]);
             let unfused_plan = search(unfused_opts, jobs);
             let fused_plan = search(fused_opts, jobs);
-            // Back-to-back-only pricing shares the same cache safely: its
-            // fused chain entries key under a salted group fingerprint.
-            let no_overlap_plan = search(no_overlap_opts, jobs);
             let (mut groups, mut layers) = (0, 0);
             for (_, d) in &fused_plan.decisions {
                 if let Decision::Fused { node_names, .. } = d {
@@ -274,9 +252,7 @@ pub fn sweep(
                 fused_layers: layers,
                 unfused_predicted_us: unfused_plan.predicted_us,
                 fused_predicted_us: fused_plan.predicted_us,
-                no_overlap_predicted_us: no_overlap_plan.predicted_us,
                 overlap_hidden_us,
-                overlap_never_worse: fused_plan.predicted_us <= no_overlap_plan.predicted_us,
                 predicted_delta_us: unfused_plan.predicted_us - fused_plan.predicted_us,
                 unfused_traffic_bytes: unfused_traffic,
                 fused_traffic_bytes: fused_traffic,
@@ -308,7 +284,6 @@ pub fn sweep(
         host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         probed_widths: widths.to_vec(),
         fused_never_worse: rows.iter().all(|r| r.fused_never_worse),
-        overlap_never_worse: rows.iter().all(|r| r.overlap_never_worse),
         resnet_residual_candidates: model_names
             .iter()
             .map(|name| models::by_name(name).expect("known model"))
@@ -379,12 +354,6 @@ pub fn write_bench_artifact(
             bad.model, bad.fused_predicted_us, bad.unfused_predicted_us
         ));
     }
-    if let Some(bad) = report.models.iter().find(|m| !m.overlap_never_worse) {
-        return Err(format!(
-            "overlap-enabled search predicted worse than back-to-back on {} ({} vs {} µs)",
-            bad.model, bad.fused_predicted_us, bad.no_overlap_predicted_us
-        ));
-    }
     if let Some(bad) = report.models.iter().find(|m| !m.plans_bit_identical) {
         return Err(format!(
             "fused plan diverged across pool widths on {}",
@@ -415,11 +384,6 @@ mod tests {
         assert_eq!(report.models.len(), 1);
         let m = &report.models[0];
         assert!(m.fused_never_worse, "superset invariant broke on toy");
-        assert!(
-            m.overlap_never_worse,
-            "overlap pricing must stay min-composed: {} vs {} µs back-to-back",
-            m.fused_predicted_us, m.no_overlap_predicted_us
-        );
         assert!(m.plans_bit_identical, "fused plan diverged across widths");
         assert!(m.unfused_predicted_us > 0.0 && m.fused_predicted_us > 0.0);
         // The toy model's leading conv→relu→conv run fuses, keeping the

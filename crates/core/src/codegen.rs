@@ -238,23 +238,68 @@ pub fn generate_group_program_overlapped(
     linked.unwrap_or_else(|| IsaProgram::new(channels.max(1)))
 }
 
-/// Prices a fusion group as one overlap-linked program (see
-/// [`generate_group_program_overlapped`]), returning the chain's
-/// wall-clock microseconds on the Newton model. The schedule is streamed
-/// into the timing engine rather than compiled; the cycles equal those of
-/// interpreting the compiled program bit for bit.
+/// How a fusion group's heavy chain is priced, as [`price_fused_chain`]
+/// composes it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FusedChainTime {
+    /// The members run back to back, one epoch each: the sum of their
+    /// standalone (fused-role) times, µs.
+    pub back_to_back_us: f64,
+    /// The committed chain time: `min(back_to_back_us, overlapped)`, where
+    /// `overlapped` runs the members overlap-linked in one epoch, µs.
+    pub chain_us: f64,
+    /// Member time the committed composition hides:
+    /// `back_to_back_us - chain_us`, zero when back to back wins, µs.
+    pub hidden_us: f64,
+    /// Factor that maps each member's standalone time to its share of the
+    /// chain: `chain_us / back_to_back_us` when overlap pays, else 1.
+    pub scale: f64,
+}
+
+/// Prices a fusion group's heavy chain: the cheaper of running `members`
+/// back to back (the sum of `member_us` over them, taken in member order)
+/// and overlap-linked in one epoch ([`generate_group_program_overlapped`],
+/// streamed rather than compiled), where a consumer's staging tail hides
+/// under the producer's MAC/drain tail. This is the one place the
+/// composition is decided: the search's group pricing and the engine's
+/// overlap credit both read it. `member_us` supplies each member's
+/// standalone time, so each caller keeps its own memo.
+///
+/// Overlap is not structurally never worse (a continuous run can cross
+/// refresh windows that per-epoch engine resets avoid), hence the `min`,
+/// which keeps the fused candidate space a superset of the back-to-back
+/// one. A chain of fewer than two members has nothing to overlap.
 ///
 /// # Panics
 ///
-/// Panics if `channels == 0`.
-pub fn execute_group_overlapped_us(
+/// Panics if `channels == 0` and `members` has two or more entries.
+pub fn price_fused_chain(
     members: &[(PimWorkload, FusedRole)],
     cfg: &PimConfig,
     channels: usize,
     granularity: ScheduleGranularity,
-) -> f64 {
-    let (stats, _) = execute_group_overlapped(members, cfg, channels, granularity);
-    cfg.cycles_to_ns(stats.cycles) * 1e-3
+    mut member_us: impl FnMut(PimWorkload, FusedRole) -> f64,
+) -> FusedChainTime {
+    let mut back_to_back_us = 0.0f64;
+    for &(w, role) in members {
+        back_to_back_us += member_us(w, role);
+    }
+    let chain_us = if members.len() < 2 {
+        back_to_back_us
+    } else {
+        let (stats, _) = execute_group_overlapped(members, cfg, channels, granularity);
+        back_to_back_us.min(cfg.cycles_to_ns(stats.cycles) * 1e-3)
+    };
+    FusedChainTime {
+        back_to_back_us,
+        chain_us,
+        hidden_us: back_to_back_us - chain_us,
+        scale: if chain_us < back_to_back_us {
+            chain_us / back_to_back_us
+        } else {
+            1.0
+        },
+    }
 }
 
 /// One member's share of a streamed group: its LPT assignment, and for
@@ -318,7 +363,7 @@ struct Group {
 }
 
 /// The Newton pricer behind [`execute_workload`] and
-/// [`execute_group_overlapped_us`]: simulates `members` — lowered under
+/// [`price_fused_chain`]: simulates `members` — lowered under
 /// their roles and overlap-linked as [`generate_group_program_overlapped`]
 /// compiles them; a single `Standalone` member is [`generate_program`] —
 /// straight from the block schedule. Returns the merged statistics and
@@ -717,13 +762,94 @@ mod tests {
         );
         let head_max = head.max_row().unwrap();
         assert!(p.max_row().unwrap() > head_max);
-        let t = execute_group_overlapped_us(&members, &cfg, 4, ScheduleGranularity::Comp);
-        assert!(t > 0.0);
-        assert_eq!(
-            t.to_bits(),
-            execute_group_overlapped_us(&members, &cfg, 4, ScheduleGranularity::Comp).to_bits(),
-            "bitwise reproducible"
-        );
+        let run = || execute_group_overlapped(&members, &cfg, 4, ScheduleGranularity::Comp);
+        let t = run();
+        assert!(t.0.cycles > 0);
+        assert_eq!(t, run(), "bitwise reproducible");
+    }
+
+    /// Over every fusion candidate of four zoo models, the committed chain
+    /// time is exactly `min(back_to_back, overlapped)` and never above
+    /// back-to-back, the member times are summed in member order, and the
+    /// credit the engine applies follows from the two.
+    #[test]
+    fn fused_chain_pricing_takes_the_overlap_min_on_zoo_groups() {
+        use crate::engine::EngineConfig;
+        use crate::passes::find_fusion_groups;
+        use pimflow_ir::{infer_shapes, models};
+        let cfg = EngineConfig::pimflow();
+        let (pim, channels, granularity) = (cfg.pim, cfg.effective_pim_channels(), cfg.granularity);
+        let mut resnet = models::resnet50();
+        for v in resnet.inputs().to_vec() {
+            if let Some(desc) = resnet.value_mut(v).desc.as_mut() {
+                desc.shape = desc.shape.with_dim(1, 112).with_dim(2, 112);
+            }
+        }
+        infer_shapes(&mut resnet).unwrap();
+        let graphs = [
+            models::toy(),
+            models::mobilenet_v2(),
+            resnet,
+            models::bert_like(3),
+        ];
+        let (mut groups, mut overlap_paid) = (0, 0);
+        for g in &graphs {
+            for group in find_fusion_groups(g) {
+                let last = group.heavy.len() - 1;
+                let members: Vec<(PimWorkload, FusedRole)> = group
+                    .heavy
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &id)| {
+                        let role = match k {
+                            0 => FusedRole::Head,
+                            k if k == last => FusedRole::Tail,
+                            _ => FusedRole::Middle,
+                        };
+                        (PimWorkload::from_node(g, id), role)
+                    })
+                    .collect();
+                let times: Vec<f64> = members
+                    .iter()
+                    .map(|(w, role)| {
+                        execute_workload(w, &pim, channels, granularity, *role)
+                            .0
+                            .time_us
+                    })
+                    .collect();
+                let back_to_back = times.iter().fold(0.0, |sum, t| sum + t);
+                let (stats, _) = execute_group_overlapped(&members, &pim, channels, granularity);
+                let overlapped = pim.cycles_to_ns(stats.cycles) * 1e-3;
+                let mut member_times = members.iter().zip(&times);
+                let priced = price_fused_chain(&members, &pim, channels, granularity, |w, role| {
+                    let (&(want_w, want_role), &t) = member_times.next().unwrap();
+                    assert_eq!((w, role), (want_w, want_role), "members in chain order");
+                    t
+                });
+                assert!(member_times.next().is_none(), "every member priced once");
+                let at = format!("{}: {members:?}", g.name);
+                assert_eq!(
+                    priced.back_to_back_us.to_bits(),
+                    back_to_back.to_bits(),
+                    "{at}"
+                );
+                assert_eq!(
+                    priced.chain_us.to_bits(),
+                    back_to_back.min(overlapped).to_bits(),
+                    "{at}"
+                );
+                assert!(priced.chain_us <= priced.back_to_back_us, "{at}");
+                assert_eq!(priced.hidden_us, priced.back_to_back_us - priced.chain_us);
+                if priced.hidden_us > 0.0 {
+                    overlap_paid += 1;
+                    assert_eq!(priced.scale, priced.chain_us / priced.back_to_back_us);
+                } else {
+                    assert_eq!(priced.scale, 1.0);
+                }
+                groups += 1;
+            }
+        }
+        assert!(groups > 0 && overlap_paid > 0, "{overlap_paid} of {groups}");
     }
 
     #[test]

@@ -84,10 +84,9 @@ pub struct WorkloadKey {
     /// Fingerprint of a fused group's heavy members, 0 for per-member
     /// queries: the search hashes each member's `(position, workload)`
     /// with std's `DefaultHasher` (whose fixed keys make it deterministic
-    /// across runs), maps 0 to 1, and XORs in a salt when overlap pricing
-    /// is off. Group-level chain costs depend on every member, not just
-    /// the head the key's `workload` names; the fingerprint keeps two
-    /// groups sharing a head structurally apart.
+    /// across runs) and maps 0 to 1. Group-level chain costs depend on
+    /// every member, not just the head the key's `workload` names; the
+    /// fingerprint keeps two groups sharing a head structurally apart.
     pub group_fp: u64,
 }
 

@@ -11,7 +11,7 @@
 //! a GPU convolution or GEMM are epilogue-fused (no launch, no extra DRAM
 //! round-trip), matching the cuDNN/CUTLASS mappings the artifact relies on.
 
-use crate::codegen::{execute_group_overlapped_us, execute_workload, PimWorkload};
+use crate::codegen::{execute_workload, price_fused_chain, PimWorkload};
 use crate::costcache::CacheCounters;
 use crate::error::Result;
 use crate::memopt::{data_move_bytes, is_data_move};
@@ -229,7 +229,9 @@ pub struct ExecutionReport {
     pub pim_channel_busy_us: Vec<f64>,
     /// Hit/miss/entry counters of the engine's per-execution PIM workload
     /// memo: repeated blocks (identical [`PimWorkload`]s) are simulated once
-    /// and every further occurrence is a hit. This memo is local to one
+    /// and every further occurrence is a hit; the fusion-group pre-scan
+    /// reads each group's heavy members through it before they run, so
+    /// `entries == misses` always. This memo is local to one
     /// `execute` call — unlike the search-side [`crate::costcache::CostCache`]
     /// it also carries per-channel stats, so it is not shared across runs.
     pub cost_cache: CacheCounters,
@@ -249,9 +251,9 @@ pub struct FusedGroupStat {
     /// Total member nodes in the group (heavy layers and riders).
     pub members: usize,
     /// Member time hidden by overlapping the members in one epoch:
-    /// `max(0, sum of standalone member times - overlapped chain time)`.
-    /// Zero when the group runs back-to-back (overlap did not pay) or no
-    /// PIM channels are up.
+    /// [`crate::codegen::FusedChainTime::hidden_us`] of the group's heavy
+    /// chain. Zero when the group runs back-to-back (overlap did not pay)
+    /// or no PIM channels are up.
     pub overlap_hidden_us: f64,
 }
 
@@ -368,15 +370,39 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
         HashMap::new();
     let mut memo_hits = 0u64;
     let mut memo_misses = 0u64;
+    // A PIM workload's time, merged stats and per-survivor busy time,
+    // simulated once per `(workload, role)`; every lookup counts, so the
+    // memo holds exactly one entry per miss. Only the channels the mask
+    // reports up take part: the workload is scheduled across the
+    // survivors.
+    let mut pim_lookup = |workload: PimWorkload, role: FusedRole| {
+        if let Some(cached) = pim_memo.get(&(workload, role)) {
+            memo_hits += 1;
+            return cached.clone();
+        }
+        memo_misses += 1;
+        let (exec, per_channel) = execute_workload(
+            &workload,
+            &cfg.pim,
+            effective_channels,
+            cfg.granularity,
+            role,
+        );
+        let busy_us: Vec<f64> = per_channel
+            .iter()
+            .map(|s| cfg.pim.cycles_to_ns(s.comp_busy_cycles) * 1e-3)
+            .collect();
+        let entry = (exec.time_us, exec.stats, busy_us);
+        pim_memo.insert((workload, role), entry.clone());
+        entry
+    };
     // Device that produced each value (for fusion decisions).
     let mut produced_on_gpu_conv: HashMap<ValueId, bool> = HashMap::new();
 
     // Pre-scan the fusion groups: collect each group's heavy-member chain
-    // and price it both back-to-back (sum of standalone member times) and
-    // overlap-linked in one epoch (carried engine state, imbalance hides
-    // under the neighbours' tails). The better composition wins — the
-    // per-member durations below are scaled by `chain/sum` when overlap
-    // pays, and never inflated when it does not.
+    // and price it with the search's composition ([`price_fused_chain`]),
+    // member times read through the memo. The per-member durations below
+    // are scaled by the chain's `scale` credit.
     let mut group_members: BTreeMap<usize, usize> = BTreeMap::new();
     let mut group_chain: BTreeMap<usize, Vec<(PimWorkload, FusedRole)>> = BTreeMap::new();
     for &id in &order {
@@ -396,30 +422,18 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
     let mut fused_groups = Vec::with_capacity(group_members.len());
     for (&gid, &members) in &group_members {
         let chain = group_chain.get(&gid).map(Vec::as_slice).unwrap_or(&[]);
-        let (scale, hidden_us) = if chain.len() >= 2 {
-            let sum_us: f64 = chain
-                .iter()
-                .map(|(w, r)| {
-                    execute_workload(w, &cfg.pim, effective_channels, cfg.granularity, *r)
-                        .0
-                        .time_us
-                })
-                .sum();
-            let chain_us =
-                execute_group_overlapped_us(chain, &cfg.pim, effective_channels, cfg.granularity);
-            if sum_us > 0.0 && chain_us < sum_us {
-                (chain_us / sum_us, sum_us - chain_us)
-            } else {
-                (1.0, 0.0)
-            }
-        } else {
-            (1.0, 0.0)
-        };
-        overlap_scale.insert(gid, scale);
+        let priced = price_fused_chain(
+            chain,
+            &cfg.pim,
+            effective_channels,
+            cfg.granularity,
+            |w, r| pim_lookup(w, r).0,
+        );
+        overlap_scale.insert(gid, priced.scale);
         fused_groups.push(FusedGroupStat {
             gid,
             members,
-            overlap_hidden_us: hidden_us,
+            overlap_hidden_us: priced.hidden_us,
         });
     }
 
@@ -548,31 +562,7 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
             // memo key carries the role because the rewritten program
             // prices differently from the standalone one.
             let role = fusion.map(|t| isa_role(t.role)).unwrap_or_default();
-            let (dur, stats, busy_us) = match pim_memo.get(&(workload, role)) {
-                Some(cached) => {
-                    memo_hits += 1;
-                    cached.clone()
-                }
-                None => {
-                    memo_misses += 1;
-                    // Only the channels the mask reports up take part; the
-                    // workload is scheduled across the survivors.
-                    let (exec, per_channel) = execute_workload(
-                        &workload,
-                        &cfg.pim,
-                        effective_channels,
-                        cfg.granularity,
-                        role,
-                    );
-                    let busy_us: Vec<f64> = per_channel
-                        .iter()
-                        .map(|s| cfg.pim.cycles_to_ns(s.comp_busy_cycles) * 1e-3)
-                        .collect();
-                    let entry = (exec.time_us, exec.stats, busy_us);
-                    pim_memo.insert((workload, role), entry.clone());
-                    entry
-                }
-            };
+            let (dur, stats, busy_us) = pim_lookup(workload, role);
             // Scatter the survivors' busy time back to physical channel
             // indices; masked-out channels stay at zero.
             for (slot, b) in busy_us.iter().enumerate() {
@@ -834,6 +824,10 @@ mod tests {
         assert_eq!(r.fused_groups[0].gid, 0);
         assert_eq!(r.fused_groups[0].members, 3);
         assert!(r.fused_groups[0].overlap_hidden_us >= 0.0);
+        // The pre-scan simulates both heavy members (head and tail roles)
+        // once; the main loop then finds them in the memo.
+        let c = r.cost_cache;
+        assert_eq!((c.hits, c.misses, c.entries), (2, 2, 2));
         // Without PIM channels the stat degrades to zero hidden time.
         let base = execute(&g, &EngineConfig::baseline_gpu()).unwrap();
         assert_eq!(base.fused_groups.len(), 1);

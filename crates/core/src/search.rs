@@ -51,7 +51,7 @@
 //! profiler, topo walk and rider-cost attribution), so a kept decision
 //! costs exactly what the search would charge for it under that mask.
 
-use crate::codegen::{execute_group_overlapped_us, PimWorkload};
+use crate::codegen::{price_fused_chain, PimWorkload};
 use crate::costcache::{pim_cost_us, CostCache, CostTable, MemoShard, WorkloadKey};
 use crate::engine::{ChannelMask, EngineConfig, LINK_GBPS};
 use crate::error::Result;
@@ -86,14 +86,6 @@ pub struct SearchOptions {
     /// options only extend the DP's candidate set, so a search with fusion
     /// enabled never predicts a worse time than one without.
     pub allow_fusion: bool,
-    /// Whether fused chains may additionally be priced overlap-linked in
-    /// one epoch (relaxed `OBARRIER` separators, carried engine state).
-    /// The committed chain time is `min(back_to_back, overlapped)`, so
-    /// disabling this only shrinks the fused candidate space — the knob
-    /// exists so benchmarks can measure what overlap buys.
-    /// [`ExecutionPlan::repair`] always re-prices with overlap on,
-    /// matching the default.
-    pub overlap_epochs: bool,
 }
 
 impl Default for SearchOptions {
@@ -104,7 +96,6 @@ impl Default for SearchOptions {
             allow_pipeline: true,
             pipeline_stages: 2,
             allow_fusion: true,
-            overlap_epochs: true,
         }
     }
 }
@@ -495,20 +486,11 @@ struct Profiler<'g> {
     /// [`WorkloadKey::new`], so the hot path re-rolls keys without
     /// re-hashing the config.
     template: WorkloadKey,
-    /// Whether fused chains may be priced overlap-linked (see
-    /// [`SearchOptions::overlap_epochs`]). Defaults on; the group-search
-    /// phase threads the option through.
-    overlap_epochs: bool,
     /// Immutable snapshot of the shared cross-search table.
     base: Arc<CostTable>,
     /// Private shard: keys this profiler had to price itself.
     shard: MemoShard,
 }
-
-/// XOR-salt folded into the group fingerprint when overlap pricing is
-/// disabled, so back-to-back-only chain times never alias overlap-priced
-/// entries in a cost cache shared across option sets.
-const OVERLAP_OFF_SALT: u64 = 0x4F56_4C50_4F46_465F; // "OVLPOFF_"
 
 impl<'g> Profiler<'g> {
     /// A profiler backed by `base`, a snapshot of the shared cost table
@@ -518,17 +500,10 @@ impl<'g> Profiler<'g> {
         Profiler {
             graph,
             template: WorkloadKey::new(PimWorkload::default(), cfg),
-            overlap_epochs: true,
             cfg: cfg.clone(),
             base,
             shard: MemoShard::new(),
         }
-    }
-
-    /// Sets whether fused chains may be priced overlap-linked.
-    fn overlap(mut self, on: bool) -> Self {
-        self.overlap_epochs = on;
-        self
     }
 
     /// Consumes the profiler, returning its memo shard for merging.
@@ -757,41 +732,25 @@ impl<'g> Profiler<'g> {
             .collect()
     }
 
-    /// PIM time of a fused group's heavy chain: the cheaper of running the members back-to-back (one epoch each,
-    /// the sum of their fused-role times) and overlap-linked in a single
-    /// epoch (relaxed `OBARRIER` separators, carried engine state, member
-    /// imbalance hides under the neighbours' tails). Element-wise riders
-    /// between the members are applied during the hand-off and cost
-    /// nothing. The result is memoized group-level: the key is the head's
-    /// workload re-rolled with the group fingerprint, so it can never
-    /// answer a per-member lookup.
+    /// PIM time of a fused group's heavy chain, as [`price_fused_chain`]
+    /// commits it, with the member times read through [`Self::time`].
+    /// Element-wise riders between the members are applied during the
+    /// hand-off and cost nothing. The result is memoized group-level: the
+    /// key is the head's workload re-rolled with the group fingerprint, so
+    /// it can never answer a per-member lookup.
     fn fused_chain_time(&mut self, group: &FusionGroup) -> f64 {
-        let mut group_fp = self.group_fingerprint(group);
-        if !self.overlap_epochs {
-            group_fp ^= OVERLAP_OFF_SALT;
-        }
         let head = PimWorkload::from_node(self.graph, group.heavy[0]);
         let key = self
             .key(head)
             .with_role(FusedRole::Head)
-            .with_group(group_fp);
+            .with_group(self.group_fingerprint(group));
         self.memo(key, |p| {
             let members = p.fused_members(group);
-            let mut back_to_back = 0.0f64;
-            for &(w, role) in &members {
-                back_to_back += p.time(w, role);
-            }
-            if !p.overlap_epochs {
-                return back_to_back;
-            }
-            // Overlap is not structurally never-worse — a continuous run
-            // can cross refresh windows that per-epoch engine resets would
-            // dodge — so both compositions are priced and the min taken,
-            // keeping the candidate space a strict superset of the
-            // unlinked one.
-            let overlapped =
-                execute_group_overlapped_us(&members, &p.cfg.pim, p.channels(), p.cfg.granularity);
-            back_to_back.min(overlapped)
+            let (pim, channels, granularity) = (p.cfg.pim, p.channels(), p.cfg.granularity);
+            price_fused_chain(&members, &pim, channels, granularity, |w, role| {
+                p.time(w, role)
+            })
+            .chain_us
         })
     }
 
@@ -1195,7 +1154,7 @@ fn run_search(
     let base = cache.snapshot();
     let (group_costs, group_shards) = pool.map_with(
         &group_list,
-        || Profiler::new(graph, cfg, base.clone()).overlap(opts.overlap_epochs),
+        || Profiler::new(graph, cfg, base.clone()),
         |profiler, _, (_, group)| profiler.fused_group_cost(group),
     );
     cache.merge(group_shards.into_iter().map(Profiler::into_shard));

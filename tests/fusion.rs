@@ -16,11 +16,13 @@
 //!   carrying a removed placement — a fused group's interior GPU/PIM row
 //!   split, or a crossbar backend tag — is rejected, never reinterpreted.
 
+use pimflow::codegen::{execute_workload, price_fused_chain, PimWorkload};
 use pimflow::costcache::CostCache;
-use pimflow::engine::EngineConfig;
+use pimflow::engine::{execute, EngineConfig};
 use pimflow::evaluation::verify_equivalence;
+use pimflow::placement::{isa_role, FusedNodeRole};
 use pimflow::search::{apply_plan, Decision, ExecutionPlan, Search, SearchOptions};
-use pimflow_ir::{models, ActivationKind, Graph, GraphBuilder, Shape};
+use pimflow_ir::{infer_shapes, models, ActivationKind, Graph, GraphBuilder, Op, Shape};
 use pimflow_json::{FromJson, Json};
 use pimflow_rng::Rng;
 
@@ -303,6 +305,55 @@ fn zoo_models_keep_the_superset_invariant() {
             unfused.predicted_us
         );
     }
+}
+
+/// Overlap pays where the benchmark runs resnet-50: at 112 px the search
+/// fuses one 34-member group whose overlap-linked epoch hides member
+/// time, and the engine credits exactly what the shared chain pricer
+/// says the group's heavy members hide.
+#[test]
+fn resnet50_at_112_px_hides_member_time_by_overlap() {
+    let cfg = EngineConfig::pimflow();
+    let mut g = models::resnet50();
+    for v in g.inputs().to_vec() {
+        if let Some(desc) = g.value_mut(v).desc.as_mut() {
+            desc.shape = desc.shape.with_dim(1, 112).with_dim(2, 112);
+        }
+    }
+    infer_shapes(&mut g).expect("resnet-50 runs at 112 px");
+    let plan = search_at(&g, &cfg, fused_opts(), 2);
+    let fused = apply_plan(&g, &plan).expect("plan applies");
+    let report = execute(&fused, &cfg).expect("plan executes");
+    let group = report
+        .fused_groups
+        .iter()
+        .find(|s| s.members == 34)
+        .unwrap_or_else(|| panic!("no 34-member group: {:?}", report.fused_groups));
+    assert!(group.overlap_hidden_us > 0.0, "{group:?}");
+    // The group's heavy members in execution order, as the engine runs them.
+    let members: Vec<(PimWorkload, _)> = fused
+        .topo_order()
+        .expect("acyclic")
+        .into_iter()
+        .filter_map(|id| {
+            let node = fused.node(id);
+            let tag = node.placement.fusion()?;
+            let heavy = matches!(node.op, Op::Conv2d(_) | Op::Dense(_));
+            (tag.gid == group.gid && heavy && tag.role != FusedNodeRole::Rider)
+                .then(|| (PimWorkload::from_node(&fused, id), isa_role(tag.role)))
+        })
+        .collect();
+    let (pim, channels) = (cfg.pim, cfg.effective_pim_channels());
+    let priced = price_fused_chain(&members, &pim, channels, cfg.granularity, |w, role| {
+        execute_workload(&w, &pim, channels, cfg.granularity, role)
+            .0
+            .time_us
+    });
+    assert_eq!(
+        group.overlap_hidden_us.to_bits(),
+        (priced.back_to_back_us - priced.chain_us).to_bits(),
+        "{group:?} vs {priced:?}"
+    );
 }
 
 /// A plan serialized before fusion existed: no `Fused` decisions, no

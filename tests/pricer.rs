@@ -11,8 +11,8 @@
 //! `generate_group_program_overlapped`'s output.
 
 use pimflow::codegen::{
-    execute_group_overlapped, execute_group_overlapped_us, execute_workload, generate_block_runs,
-    generate_fused_program, generate_group_program_overlapped, PimWorkload,
+    execute_group_overlapped, execute_workload, generate_block_runs, generate_fused_program,
+    generate_group_program_overlapped, price_fused_chain, PimWorkload,
 };
 use pimflow_ir::models;
 use pimflow_isa::FusedRole;
@@ -276,12 +276,10 @@ fn streamed_group_pricing_equals_interpreting_the_overlapped_program() {
                             granularity,
                         );
                         let (merged, _) = interpret(&program, &cfg);
-                        let interpreted_us = cfg.cycles_to_ns(merged.cycles) * 1e-3;
-                        let streamed_us =
-                            execute_group_overlapped_us(&members, &cfg, channels, granularity);
+                        let (streamed, _) =
+                            execute_group_overlapped(&members, &cfg, channels, granularity);
                         assert_eq!(
-                            streamed_us.to_bits(),
-                            interpreted_us.to_bits(),
+                            streamed, merged,
                             "{members:?} under {cfg_name}, {granularity}, {channels} ch"
                         );
                     }
@@ -315,8 +313,8 @@ fn streamed_pricing_holds_for_a_six_member_group() {
                     generate_group_program_overlapped(&members, &cfg, channels, granularity);
                 let (merged, _) = interpret(&program, &cfg);
                 assert_eq!(
-                    execute_group_overlapped_us(&members, &cfg, channels, granularity).to_bits(),
-                    (cfg.cycles_to_ns(merged.cycles) * 1e-3).to_bits(),
+                    execute_group_overlapped(&members, &cfg, channels, granularity).0,
+                    merged,
                     "six members under {cfg_name}, {granularity}, {channels} ch"
                 );
             }
@@ -327,9 +325,12 @@ fn streamed_pricing_holds_for_a_six_member_group() {
 #[test]
 fn empty_groups_and_workloads_price_to_zero() {
     let cfg = PimConfig::default();
+    let (merged, _) = execute_group_overlapped(&[], &cfg, 4, ScheduleGranularity::Comp);
+    assert_eq!(merged, ChannelStats::default());
+    let chain = price_fused_chain(&[], &cfg, 4, ScheduleGranularity::Comp, |_, _| 1.0);
     assert_eq!(
-        execute_group_overlapped_us(&[], &cfg, 4, ScheduleGranularity::Comp),
-        0.0
+        (chain.chain_us, chain.hidden_us, chain.scale),
+        (0.0, 0.0, 1.0)
     );
     let empty = PimWorkload {
         rows: 0,
