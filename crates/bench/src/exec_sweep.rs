@@ -10,12 +10,15 @@
 //! baseline it improves on. `figures exec` writes the result as
 //! `BENCH_exec.json`.
 //!
-//! Each side is timed over [`SAMPLES`] alternating runs, and the floor
-//! verdict is a Welch test ([`crate::stats`]) of the sequential times
-//! against the parallel times scaled by the floor: `Met` when the
-//! parallel time is significantly below `sequential / floor`, `Missed`
-//! when it is significantly above, `Unmeasured` when the difference is
-//! not significant or the host has one hardware thread.
+//! One untimed run per model comes first, so that no timed run pays for
+//! generating the model's parameters (they stay resident in the
+//! executor's weight store). Each side is then timed over [`SAMPLES`]
+//! alternating runs, and the floor verdict is a Welch test
+//! ([`crate::stats`]) of the sequential times against the parallel times
+//! scaled by the floor: `Met` when the parallel time is significantly
+//! below `sequential / floor`, `Missed` when it is significantly above,
+//! `Unmeasured` when the difference is not significant or the host has
+//! one hardware thread.
 
 use crate::stats::{self, FloorVerdict};
 use pimflow_ir::models;
@@ -157,6 +160,9 @@ pub fn sweep(
                 )
                 .expect("zoo models execute")
             };
+            // Untimed: the first run generates the model's parameters into
+            // the weight store, and every timed run reads them from there.
+            run_at(1);
             let ([seq_ms, par_ms], [seq, par]) =
                 stats::alternate(samples, || run_at(1), || run_at(jobs));
             let (sequential_ms, parallel_ms) = (stats::mean(&seq_ms), stats::mean(&par_ms));

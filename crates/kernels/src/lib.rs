@@ -32,6 +32,7 @@ pub mod ops;
 pub mod params;
 pub mod probe;
 pub mod schedule;
+pub mod store;
 pub mod tensor;
 pub mod tolerance;
 
@@ -43,5 +44,6 @@ pub use im2col::{gemm, im2col, im2col_rows, lowered_dims, KernelError, LoweredCo
 pub use microkernel::{pack_b, Epilogue, GemmPath, PackedB};
 pub use params::{param_cols, param_cols_packed, param_vec, ParamRole};
 pub use schedule::{Arena, ExecPlan};
+pub use store::{weight_store_counters, WeightStore, WeightStoreCounters, WEIGHT_STORE_BUDGET};
 pub use tensor::Tensor;
 pub use tolerance::{ulp_distance, Tolerance, ToleranceError, ToleranceReport};

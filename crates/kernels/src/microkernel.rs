@@ -231,6 +231,11 @@ impl PackedB {
         self.n
     }
 
+    /// Bytes of the panels, padding included.
+    pub(crate) fn size_bytes(&self) -> usize {
+        self.panels.len() * std::mem::size_of::<f32>()
+    }
+
     /// One `k x NR` panel of packed columns.
     fn panel(&self, j: usize) -> &[f32] {
         &self.panels[j * self.k * NR..(j + 1) * self.k * NR]

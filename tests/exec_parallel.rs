@@ -13,6 +13,7 @@ use pimflow::search::{apply_plan, Decision, ExecutionPlan, Search, SearchOptions
 use pimflow_ir::{infer_shapes, models, ActivationKind, Graph, GraphBuilder, Shape};
 use pimflow_kernels::{
     input_tensors, run_graph_with, ExecOptions, ExecOutput, GemmPath, MemoryMode, Tolerance,
+    WeightStore, WEIGHT_STORE_BUDGET,
 };
 use pimflow_rng::Rng;
 
@@ -98,7 +99,7 @@ fn zoo_outputs_are_width_and_mode_invariant() {
 #[test]
 fn transformed_graphs_are_width_invariant() {
     // Split (MD-DP) and pipelined graphs exercise Slice/Concat twins and
-    // shared weight keys — the param-cache path.
+    // shared weight keys — fetches a run repeats.
     let g = models::toy();
     let cfg = EngineConfig::pimflow();
     for opts in [
@@ -376,6 +377,76 @@ fn executor_results_are_pinned() {
         "unpinned graphs:\n{}",
         missing.join("\n")
     );
+}
+
+/// One conv whose input has `channels` channels: weight key 1, window
+/// `0..8`, fan-in `9 * channels`.
+fn conv_with_fan_in(channels: usize) -> Graph {
+    let mut b = GraphBuilder::new(format!("fan-in-{channels}"));
+    let x = b.input(Shape::nhwc(1, 6, 6, channels));
+    let y = b.conv(x, 8, 3, 1, 1);
+    b.finish(y)
+}
+
+/// Weight keys restart at 1 in every graph, so toy, resnet-50 and its
+/// split transform ask the weight store for the same key numbers with
+/// different shapes and windows, and two one-conv graphs ask for the same
+/// key, role and window with different fan-ins. Run interleaved, each
+/// must reproduce its reference bits on the path `PIMFLOW_EXACT_KERNELS`
+/// selects: through the process-wide store, and through a store too
+/// small to hold resnet-50, which evicts as it goes. The zoo graphs'
+/// reference is their pin; the one-conv graphs' is a run on a fresh
+/// store.
+#[test]
+fn weight_store_keys_hold_across_models_and_eviction() {
+    const SMALL_BUDGET: usize = 4 << 20;
+    let gemm = GemmPath::from_env();
+    let opts = ExecOptions {
+        jobs: Some(2),
+        ..ExecOptions::default()
+    };
+    let mut cases: Vec<(String, Graph, u64)> = pinned_graphs()
+        .into_iter()
+        .filter(|(label, _)| ["toy", "resnet-50", "resnet-50+split"].contains(&label.as_str()))
+        .map(|(label, g)| {
+            let pin = PINS.iter().find(|p| p.graph == label).expect("pinned");
+            let want = match gemm {
+                GemmPath::Fast => pin.fast,
+                GemmPath::Exact => pin.exact,
+            };
+            (label, g, want)
+        })
+        .collect();
+    assert_eq!(cases.len(), 3);
+    for channels in [3, 4] {
+        let g = conv_with_fan_in(channels);
+        let fresh = WeightStore::with_budget(WEIGHT_STORE_BUDGET)
+            .run_graph(&g, &input_tensors(&g, 7), &opts)
+            .expect("a conv executes");
+        cases.push((g.name.clone(), g, output_hash(&fresh)));
+    }
+    let small = WeightStore::with_budget(SMALL_BUDGET);
+    for round in 0..2 {
+        for (label, g, want) in &cases {
+            let inputs = input_tensors(g, 7);
+            let shared = run_graph_with(g, &inputs, &opts).expect("graph executes");
+            let own = small.run_graph(g, &inputs, &opts).expect("graph executes");
+            for (out, store) in [(&shared, "process-wide"), (&own, "small")] {
+                assert_eq!(
+                    output_hash(out),
+                    *want,
+                    "{label}: {gemm:?} bits, round {round}, {store} store"
+                );
+            }
+            assert_eq!(shared.stats, own.stats, "{label}: per-run counters");
+        }
+    }
+    let c = small.counters();
+    assert!(
+        c.evictions > 0,
+        "a {SMALL_BUDGET}-byte store must evict: {c:?}"
+    );
+    assert!(c.resident_bytes <= SMALL_BUDGET, "{c:?}");
 }
 
 /// Recorded on the executor before its data-movement and weight-staging
