@@ -27,6 +27,11 @@ PIMFLOW_JOBS=4 cargo test -q --workspace --offline
 echo "==> cargo test --release --test pricer"
 cargo test -q --release --offline --test pricer
 
+# The simulator's own tests in release for the same reason: they
+# fast-forward u64::MAX periods and a 10^9-block closed form.
+echo "==> cargo test --release -p pimflow-pimsim"
+cargo test -q --release --offline -p pimflow-pimsim
+
 # The engine pins in the release profile: release builds wrap u32 row and
 # u64 timestamp arithmetic silently, and the pins are the end-to-end check
 # on plan bytes.

@@ -44,7 +44,7 @@ fn bench_scheduler() {
         ("comp", ScheduleGranularity::Comp),
     ] {
         g.bench(name, || {
-            let traces = schedule(&blocks, 16, granularity, &cfg, &RunOptions::new());
+            let traces = schedule(&blocks, 16, granularity, &cfg);
             run_channels(&cfg, &traces, RunOptions::new())
         });
     }

@@ -136,7 +136,7 @@ pub fn fig6() -> Vec<(&'static str, u64)> {
     ]
     .into_iter()
     .map(|(name, g)| {
-        let traces = schedule(&blocks, 16, g, &cfg, &RunOptions::new());
+        let traces = schedule(&blocks, 16, g, &cfg);
         (name, run_channels(&cfg, &traces, RunOptions::new()).cycles)
     })
     .collect()

@@ -23,8 +23,7 @@ use pimflow_isa::{FusedRole, IsaProgram};
 use pimflow_kernels::lowered_dims;
 use pimflow_pimsim::{
     assign, lift_command, lift_traces, pim_energy_nj, schedule, Assignment, ChannelEngine,
-    ChannelStats, CommandBlock, NewtonInterpreter, PimConfig, PimEnergyParams, RunOptions,
-    ScheduleGranularity,
+    ChannelStats, CommandBlock, NewtonInterpreter, PimConfig, PimEnergyParams, ScheduleGranularity,
 };
 
 /// A PIM-offloadable workload in lowered (matrix) form. The default is
@@ -182,7 +181,7 @@ pub fn generate_program(
     granularity: ScheduleGranularity,
 ) -> IsaProgram {
     let blocks = generate_blocks(w, cfg);
-    let traces = schedule(&blocks, channels, granularity, cfg, &RunOptions::new());
+    let traces = schedule(&blocks, channels, granularity, cfg);
     lift_traces(&traces)
 }
 
@@ -404,7 +403,7 @@ pub fn execute_group_overlapped(
         .iter()
         .map(|(w, _)| {
             let blocks = generate_block_runs(w, cfg);
-            let assignment = assign(&blocks, channels, granularity, cfg, &RunOptions::new());
+            let assignment = assign(&blocks, channels, granularity, cfg);
             Assigned::new(assignment)
         })
         .collect();

@@ -27,11 +27,9 @@ use std::collections::{BTreeMap, HashMap};
 /// is up. The default mask reports every channel available; masks only
 /// matter for the first `pim_channels` bits of a configuration.
 ///
-/// The mask is the compiler-level view of the fault model: hard-failed
-/// channels are cleared (the search and the engine route no work there),
-/// while stalled or derated channels stay set — they are slow, not gone.
-/// `ChannelMask::from_bits(plan.availability_mask(total))` is the mask a
-/// simulator-level [`pimflow_pimsim::FaultPlan`] implies.
+/// The mask is the one channel-failure model: failed channels are cleared,
+/// and the search and the engine route no work there. Serving replays a
+/// timeline of masks (`pimflow_serve::FaultScenario`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChannelMask(u64);
 

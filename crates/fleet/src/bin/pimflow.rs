@@ -235,7 +235,7 @@ fn solve(args: &Args) -> Result<(), String> {
 /// (the artifact's trace files the Ramulator back-end replays).
 fn trace(args: &Args) -> Result<(), String> {
     use pimflow::codegen::{generate_blocks, PimWorkload};
-    use pimflow_pimsim::{schedule, traces_to_text, RunOptions};
+    use pimflow_pimsim::{schedule, traces_to_text};
     let g = load_model(&args.net)?;
     let cfg = args.policy.engine_config();
     let dir = args.out_dir.join("traces").join(&g.name);
@@ -247,13 +247,7 @@ fn trace(args: &Args) -> Result<(), String> {
         }
         let w = PimWorkload::from_node(&g, id);
         let blocks = generate_blocks(&w, &cfg.pim);
-        let traces = schedule(
-            &blocks,
-            cfg.pim_channels.max(1),
-            cfg.granularity,
-            &cfg.pim,
-            &RunOptions::new(),
-        );
+        let traces = schedule(&blocks, cfg.pim_channels.max(1), cfg.granularity, &cfg.pim);
         let path = dir.join(format!("{}.trace", g.node(id).name.replace("::", "_")));
         std::fs::write(&path, traces_to_text(&traces))
             .map_err(|e| format!("writing {}: {e}", path.display()))?;

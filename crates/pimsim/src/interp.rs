@@ -103,16 +103,13 @@ impl<'a> NewtonInterpreter<'a> {
     /// A program with barriers runs epoch by epoch — each epoch's channels
     /// in parallel (max cycles), consecutive epochs back to back (summed
     /// cycles) — with each channel's engine state reset at the barrier.
-    /// Stall faults are epoch-local under that reset: a scheduled stall can
-    /// fire once per epoch on the channel it targets.
     ///
     /// The per-channel callback, if any, receives each channel's
     /// epoch-summed statistics once, in channel order, before the merge.
     ///
     /// # Panics
     ///
-    /// Panics when the program's barriers are unbalanced across channels,
-    /// or a dead channel (per the options' fault plan) has work scheduled.
+    /// Panics when the program's barriers are unbalanced across channels.
     pub fn run(&self, program: &IsaProgram, opts: RunOptions<'_>) -> ChannelStats {
         let epochs = program
             .epochs()
@@ -120,18 +117,7 @@ impl<'a> NewtonInterpreter<'a> {
         if epochs.len() == 1 {
             return run_channels(self.cfg, &self.lower(program), opts);
         }
-        let RunOptions {
-            faults,
-            mut on_channel,
-        } = opts;
-        let healthy;
-        let plan = match faults {
-            Some(p) => p,
-            None => {
-                healthy = crate::fault::FaultPlan::healthy();
-                &healthy
-            }
-        };
+        let RunOptions { mut on_channel } = opts;
         let channels = program.num_channels();
         let mut per_channel = vec![ChannelStats::default(); channels];
         let mut total = ChannelStats::default();
@@ -139,12 +125,7 @@ impl<'a> NewtonInterpreter<'a> {
             let mut epoch_merged = ChannelStats::default();
             for (ch, insts) in epoch.iter().enumerate() {
                 let trace: Vec<PimCommand> = insts.iter().filter_map(Self::lower_inst).collect();
-                assert!(
-                    !plan.is_dead(ch) || trace.is_empty(),
-                    "dead channel {ch} was scheduled {} commands",
-                    trace.len()
-                );
-                let stats = ChannelEngine::with_fault(*self.cfg, plan, ch).run(&trace);
+                let stats = ChannelEngine::new(*self.cfg).run(&trace);
                 per_channel[ch] = per_channel[ch].merge_sequential(&stats);
                 epoch_merged = epoch_merged.merge_parallel(&stats);
             }
@@ -188,13 +169,7 @@ mod tests {
             };
             6
         ];
-        schedule(
-            &blocks,
-            4,
-            ScheduleGranularity::Comp,
-            &PimConfig::default(),
-            &RunOptions::new(),
-        )
+        schedule(&blocks, 4, ScheduleGranularity::Comp, &PimConfig::default())
     }
 
     #[test]

@@ -30,13 +30,7 @@
 //!     row_base: 0,
 //! };
 //! let cfg = PimConfig::default();
-//! let traces = schedule(
-//!     &[block],
-//!     4,
-//!     ScheduleGranularity::Comp,
-//!     &cfg,
-//!     &RunOptions::new(),
-//! );
+//! let traces = schedule(&[block], 4, ScheduleGranularity::Comp, &cfg);
 //! let stats = run_channels(&cfg, &traces, RunOptions::new());
 //! assert!(stats.cycles > 0);
 //! assert_eq!(stats.comps, 2 * 8 * 4);
@@ -52,7 +46,6 @@
 pub mod command;
 pub mod config;
 pub mod energy;
-pub mod fault;
 pub mod interp;
 pub mod memsys;
 pub mod scheduler;
@@ -62,12 +55,11 @@ pub mod trace;
 pub use command::{CommandBlock, PimCommand};
 pub use config::{ConfigError, DramTiming, PimConfig};
 pub use energy::{pim_energy_breakdown, pim_energy_nj, PimEnergyBreakdown, PimEnergyParams};
-pub use fault::{ChannelFault, FaultKind, FaultPlan};
 pub use interp::{lift_command, lift_traces, NewtonInterpreter};
 pub use memsys::MemorySystem;
 pub use scheduler::{
-    assign, estimate_block_cycles, schedule, schedule_refined, split_for_channels, Assignment,
-    BlockRuns, ScheduleGranularity,
+    assign, estimate_block_cycles, schedule, split_for_channels, Assignment, BlockRuns,
+    ScheduleGranularity,
 };
 pub use timing::{run_channels, ChannelEngine, ChannelStats, RunOptions};
 pub use trace::{

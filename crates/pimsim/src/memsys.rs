@@ -72,13 +72,7 @@ impl MemorySystem {
         blocks: &[CommandBlock],
         granularity: ScheduleGranularity,
     ) -> ChannelStats {
-        let traces = schedule(
-            blocks,
-            self.pim_channels,
-            granularity,
-            &self.cfg,
-            &RunOptions::new(),
-        );
+        let traces = schedule(blocks, self.pim_channels, granularity, &self.cfg);
         run_channels(&self.cfg, &traces, RunOptions::new())
     }
 
@@ -97,13 +91,7 @@ impl MemorySystem {
         burst_every: usize,
     ) -> ChannelStats {
         assert!(burst_every > 0, "burst interval must be positive");
-        let traces = schedule(
-            blocks,
-            self.pim_channels,
-            granularity,
-            &self.cfg,
-            &RunOptions::new(),
-        );
+        let traces = schedule(blocks, self.pim_channels, granularity, &self.cfg);
         let noisy: Vec<Vec<PimCommand>> = traces
             .iter()
             .map(|t| {

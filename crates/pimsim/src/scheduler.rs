@@ -19,8 +19,6 @@
 
 use crate::command::{CommandBlock, PimCommand};
 use crate::config::PimConfig;
-use crate::fault::FaultPlan;
-use crate::timing::RunOptions;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -109,14 +107,14 @@ fn split_reduction(block: &CommandBlock, factor: u32) -> impl Iterator<Item = Co
     }))
 }
 
-/// Whether [`split_for_channels`] splits `len` blocks for `channels` live
+/// Whether [`split_for_channels`] splits `len` blocks for `channels`
 /// channels (otherwise it returns them unchanged).
 fn splits(len: usize, channels: usize, granularity: ScheduleGranularity) -> bool {
     len > 0 && channels > 1 && len < channels * 2 && granularity != ScheduleGranularity::GAct
 }
 
-/// The parts each of `len` blocks splits into for `channels` live
-/// channels, or `None` if [`split_for_channels`] keeps them whole.
+/// The parts each of `len` blocks splits into for `channels` channels,
+/// or `None` if [`split_for_channels`] keeps them whole.
 fn parts_per_block(len: usize, channels: usize, granularity: ScheduleGranularity) -> Option<u32> {
     // Enough units for LPT to balance.
     splits(len, channels, granularity).then(|| (channels as u32 * 2).div_ceil(len as u32))
@@ -168,7 +166,7 @@ pub type BlockRuns = [(CommandBlock, usize)];
 /// The result of [`assign`]: the schedulable units and, per physical
 /// channel, the `(unit, repeat)` runs it executes in program order, each
 /// `repeat` back-to-back copies of `units[unit]`. Runs are maximal and
-/// non-empty; a dead or idle channel has none.
+/// non-empty; an idle channel has none.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     /// The blocks, split as the granularity allows.
@@ -180,7 +178,7 @@ pub struct Assignment {
 }
 
 impl Assignment {
-    /// Physical channels, dead ones included.
+    /// Channels, idle ones included.
     pub fn channels(&self) -> usize {
         self.ends.len()
     }
@@ -221,11 +219,11 @@ impl Assignment {
 ///
 /// Assignment is longest-processing-time greedy on the per-block cycle
 /// estimate, which keeps channel loads balanced without simulating twice.
-/// The common case has a closed form: on a healthy plan, blocks that are
-/// not split and are one run of `n` copies of a body plus at most one
-/// trailing block no heavier than the body (what the code generator
-/// emits) deal round robin — channel `c` runs `n / C + [c < n % C]` body
-/// copies and the tail lands on channel `n % C`. That is exactly the
+/// The common case has a closed form: blocks that are not split and are
+/// one run of `n` copies of a body plus at most one trailing block no
+/// heavier than the body (what the code generator emits) deal round
+/// robin — channel `c` runs `n / C + [c < n % C]` body copies and the
+/// tail lands on channel `n % C`. That is exactly the
 /// greedy's output on such input, computed in O(C) from the runs alone.
 /// Every other input goes through the greedy proper, which splits and
 /// estimates each run's block once, deals units heaviest first (ties in
@@ -233,35 +231,26 @@ impl Assignment {
 /// channel) through a min-heap, and coalesces each channel's consecutive
 /// equal units into runs.
 ///
-/// With a [`FaultPlan`] attached to `opts`, dead channels receive no
-/// units, derated channels are LPT-weighted by their remaining bandwidth
-/// so the balanced makespan accounts for their slower bus, and a channel
-/// with a pending stall is pre-loaded with the stall's duration
-/// (pessimistically assuming the freeze lands inside the layer). The
-/// per-channel callback, if any, is ignored here — it belongs to
-/// [`run_channels`](crate::timing::run_channels).
-///
 /// The assignment always has `channels` channels, so channel `i` is
 /// always physical channel `i`.
 ///
 /// # Panics
 ///
-/// Panics if `channels == 0` or the plan leaves no channel alive.
+/// Panics if `channels == 0`.
 pub fn assign(
     blocks: &BlockRuns,
     channels: usize,
     granularity: ScheduleGranularity,
     cfg: &PimConfig,
-    opts: &RunOptions<'_>,
 ) -> Assignment {
     assert!(channels > 0, "need at least one PIM channel");
     let len = blocks.iter().map(|&(_, n)| n).sum();
-    if opts.faults.is_none_or(FaultPlan::is_healthy) && !splits(len, channels, granularity) {
+    if !splits(len, channels, granularity) {
         if let Some(assignment) = round_robin(blocks, channels, cfg) {
             return assignment;
         }
     }
-    let (units, channel_of) = lpt(blocks, channels, granularity, cfg, opts);
+    let (units, channel_of) = lpt(blocks, channels, granularity, cfg);
     // Each channel's units in program order: a counting sort by channel,
     // after which `ends[c]` is where channel `c`'s units end.
     let mut ends = vec![0; channels + 1];
@@ -340,36 +329,23 @@ fn block_runs(blocks: &[CommandBlock]) -> Vec<(CommandBlock, usize)> {
 }
 
 /// The LPT greedy behind [`assign`]: the units — the expanded blocks,
-/// split by [`split_for_channels`] for the live channels — and the
-/// physical channel each unit runs on (a channel runs its units in
-/// program order).
+/// split by [`split_for_channels`] — and the channel each unit runs on
+/// (a channel runs its units in program order).
 ///
 /// Every copy of a run splits into the same parts with the same
 /// estimates, so each run's block is split and estimated once and its
 /// parts replicated. Units deal in decreasing estimate, ties in program
-/// order (a stable sort), each to the live channel with the least
-/// weighted load, ties to the lowest channel: a `(load, slot)` min-heap
-/// picks exactly the channel a first-minimum scan would.
+/// order (a stable sort), each to the channel with the least load, ties
+/// to the lowest channel: a `(load, channel)` min-heap picks exactly the
+/// channel a first-minimum scan would.
 fn lpt(
     blocks: &BlockRuns,
     channels: usize,
     granularity: ScheduleGranularity,
     cfg: &PimConfig,
-    opts: &RunOptions<'_>,
 ) -> (Vec<CommandBlock>, Vec<usize>) {
-    assert!(channels > 0, "need at least one PIM channel");
-    let healthy;
-    let plan = match opts.faults {
-        Some(p) => p,
-        None => {
-            healthy = FaultPlan::healthy();
-            &healthy
-        }
-    };
-    let alive = plan.alive_channels(channels);
-    assert!(!alive.is_empty(), "need at least one live PIM channel");
     let len = blocks.iter().map(|&(_, n)| n).sum();
-    let per_block = parts_per_block(len, alive.len(), granularity);
+    let per_block = parts_per_block(len, channels, granularity);
     let capacity = len * per_block.unwrap_or(1) as usize;
     let mut units = Vec::with_capacity(capacity);
     // `(estimate, unit)`, in dealing order once sorted.
@@ -392,46 +368,35 @@ fn lpt(
     }
     order.sort_unstable();
 
-    // LPT over the live channels only, with per-channel weighting: a block
-    // on a derated channel costs proportionally more, and a pending stall
-    // counts as load the channel must drain before it can help.
-    let mut loads: BinaryHeap<Reverse<(u64, usize)>> = alive
-        .iter()
-        .enumerate()
-        .map(|(slot, &ch)| Reverse((plan.stall(ch).map_or(0, |(_, duration)| duration), slot)))
-        .collect();
+    let mut loads: BinaryHeap<Reverse<(u64, usize)>> =
+        (0..channels).map(|c| Reverse((0, c))).collect();
     let mut channel_of = vec![0; units.len()];
     for (Reverse(estimate), unit) in order {
-        let mut least = loads.peek_mut().expect("alive");
-        let Reverse((load, slot)) = *least;
-        *least = Reverse((
-            load + estimate * 100 / plan.derate_percent(alive[slot]) as u64,
-            slot,
-        ));
-        channel_of[unit] = alive[slot];
+        let mut least = loads.peek_mut().expect("channels > 0");
+        let Reverse((load, channel)) = *least;
+        *least = Reverse((load + estimate, channel));
+        channel_of[unit] = channel;
     }
     (units, channel_of)
 }
 
 /// Distributes blocks across `channels` channels and expands each channel's
 /// assignment into a command trace: [`assign`] followed by block
-/// expansion, so the traces carry exactly the assignment's load balance
-/// and fault routing (dead channels receive empty traces).
+/// expansion, so the traces carry exactly the assignment's load balance.
 ///
 /// The returned vector always has `channels` entries so trace index `i`
 /// always corresponds to physical channel `i`.
 ///
 /// # Panics
 ///
-/// Panics if `channels == 0` or the plan leaves no channel alive.
+/// Panics if `channels == 0`.
 pub fn schedule(
     blocks: &[CommandBlock],
     channels: usize,
     granularity: ScheduleGranularity,
     cfg: &PimConfig,
-    opts: &RunOptions<'_>,
 ) -> Vec<Vec<PimCommand>> {
-    let assignment = assign(&block_runs(blocks), channels, granularity, cfg, opts);
+    let assignment = assign(&block_runs(blocks), channels, granularity, cfg);
     (0..assignment.channels())
         .map(|channel| {
             assignment
@@ -444,97 +409,6 @@ pub fn schedule(
                 .collect()
         })
         .collect()
-}
-
-/// Measurement-guided refinement of [`schedule`]: simulate the LPT
-/// assignment, then iteratively move the cheapest block off the slowest
-/// channel onto the fastest one while the makespan improves.
-///
-/// The estimate-based LPT greedy can misjudge blocks whose cost is dominated
-/// by state-dependent effects (open-row hits, refresh alignment); measuring
-/// with the actual timing engine closes that gap. Guaranteed to return an
-/// assignment no worse than plain [`schedule`].
-///
-/// # Panics
-///
-/// Panics if `channels == 0`.
-pub fn schedule_refined(
-    blocks: &[CommandBlock],
-    channels: usize,
-    granularity: ScheduleGranularity,
-    cfg: &PimConfig,
-    max_rounds: usize,
-) -> Vec<Vec<PimCommand>> {
-    // Start from the LPT assignment (indices into `units` per channel).
-    let (units, channel_of) = lpt(
-        &block_runs(blocks),
-        channels,
-        granularity,
-        cfg,
-        &RunOptions::new(),
-    );
-    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); channels];
-    for (unit, &channel) in channel_of.iter().enumerate() {
-        assignment[channel].push(unit);
-    }
-    let expand_channel = |idxs: &[usize]| -> Vec<PimCommand> {
-        let mut sorted: Vec<usize> = idxs.to_vec();
-        sorted.sort_unstable();
-        sorted.iter().flat_map(|&i| units[i].expand()).collect()
-    };
-    let measure = |idxs: &[usize]| -> u64 {
-        crate::timing::ChannelEngine::new(*cfg)
-            .run(&expand_channel(idxs))
-            .cycles
-    };
-
-    let mut cycles: Vec<u64> = assignment.iter().map(|a| measure(a)).collect();
-    for _ in 0..max_rounds {
-        let slow = (0..channels)
-            .max_by_key(|&c| cycles[c])
-            .expect("channels > 0");
-        let fast = (0..channels)
-            .min_by_key(|&c| cycles[c])
-            .expect("channels > 0");
-        if slow == fast || assignment[slow].len() <= 1 {
-            break;
-        }
-        // Move the estimated-cheapest unit from the slowest channel.
-        let (pos, _) = assignment[slow]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &i)| estimate_block_cycles(&units[i], cfg))
-            .expect("non-empty");
-        let unit = assignment[slow].remove(pos);
-        assignment[fast].push(unit);
-        let new_slow = measure(&assignment[slow]);
-        let new_fast = measure(&assignment[fast]);
-        let old_makespan = *cycles.iter().max().expect("non-empty");
-        let new_makespan = cycles
-            .iter()
-            .enumerate()
-            .map(|(c, &v)| {
-                if c == slow {
-                    new_slow
-                } else if c == fast {
-                    new_fast
-                } else {
-                    v
-                }
-            })
-            .max()
-            .expect("non-empty");
-        if new_makespan >= old_makespan {
-            // Revert and stop: no further improvement available this way.
-            let unit = assignment[fast].pop().expect("just pushed");
-            assignment[slow].insert(pos, unit);
-            break;
-        }
-        cycles[slow] = new_slow;
-        cycles[fast] = new_fast;
-    }
-
-    assignment.iter().map(|idxs| expand_channel(idxs)).collect()
 }
 
 #[cfg(test)]
@@ -588,7 +462,7 @@ mod tests {
             ScheduleGranularity::ReadRes,
             ScheduleGranularity::Comp,
         ] {
-            let traces = schedule(&blocks, 8, g, &cfg, &RunOptions::new());
+            let traces = schedule(&blocks, 8, g, &cfg);
             let cycles = run_channels(&cfg, &traces, RunOptions::new()).cycles;
             assert!(
                 cycles <= prev,
@@ -599,24 +473,12 @@ mod tests {
         // And the finest must be strictly better than the coarsest here.
         let coarse = run_channels(
             &cfg,
-            &schedule(
-                &blocks,
-                8,
-                ScheduleGranularity::GAct,
-                &cfg,
-                &RunOptions::new(),
-            ),
+            &schedule(&blocks, 8, ScheduleGranularity::GAct, &cfg),
             RunOptions::new(),
         );
         let fine = run_channels(
             &cfg,
-            &schedule(
-                &blocks,
-                8,
-                ScheduleGranularity::Comp,
-                &cfg,
-                &RunOptions::new(),
-            ),
+            &schedule(&blocks, 8, ScheduleGranularity::Comp, &cfg),
             RunOptions::new(),
         );
         assert!(fine.cycles < coarse.cycles);
@@ -628,24 +490,12 @@ mod tests {
         let blocks = vec![small_layer_block(); 64];
         let a = run_channels(
             &cfg,
-            &schedule(
-                &blocks,
-                8,
-                ScheduleGranularity::GAct,
-                &cfg,
-                &RunOptions::new(),
-            ),
+            &schedule(&blocks, 8, ScheduleGranularity::GAct, &cfg),
             RunOptions::new(),
         );
         let b = run_channels(
             &cfg,
-            &schedule(
-                &blocks,
-                8,
-                ScheduleGranularity::Comp,
-                &cfg,
-                &RunOptions::new(),
-            ),
+            &schedule(&blocks, 8, ScheduleGranularity::Comp, &cfg),
             RunOptions::new(),
         );
         assert_eq!(a.cycles, b.cycles);
@@ -656,13 +506,7 @@ mod tests {
     fn work_is_conserved_at_gact_granularity() {
         let cfg = PimConfig::default();
         let blocks = vec![small_layer_block(); 10];
-        let traces = schedule(
-            &blocks,
-            4,
-            ScheduleGranularity::GAct,
-            &cfg,
-            &RunOptions::new(),
-        );
+        let traces = schedule(&blocks, 4, ScheduleGranularity::GAct, &cfg);
         let merged = run_channels(&cfg, &traces, RunOptions::new());
         let serial: u64 = blocks.iter().map(|b| b.total_comps()).sum();
         assert_eq!(merged.comps, serial);
@@ -674,13 +518,7 @@ mod tests {
         let blocks = vec![small_layer_block(); 32];
         let mut prev = u64::MAX;
         for ch in [1usize, 2, 4, 8, 16] {
-            let traces = schedule(
-                &blocks,
-                ch,
-                ScheduleGranularity::Comp,
-                &cfg,
-                &RunOptions::new(),
-            );
+            let traces = schedule(&blocks, ch, ScheduleGranularity::Comp, &cfg);
             let cycles = run_channels(&cfg, &traces, RunOptions::new()).cycles;
             assert!(cycles <= prev, "{ch} channels slower: {cycles} > {prev}");
             prev = cycles;
@@ -690,196 +528,37 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one PIM channel")]
     fn zero_channels_panics() {
-        schedule(
-            &[],
-            0,
-            ScheduleGranularity::GAct,
-            &PimConfig::default(),
-            &RunOptions::new(),
-        );
+        schedule(&[], 0, ScheduleGranularity::GAct, &PimConfig::default());
     }
 
-    #[test]
-    fn dead_channels_receive_no_work() {
-        use crate::fault::{ChannelFault, FaultKind};
-        let cfg = PimConfig::default();
-        let blocks = vec![small_layer_block(); 12];
-        let plan = FaultPlan::healthy()
-            .with(ChannelFault {
-                channel: 0,
-                kind: FaultKind::Dead,
-            })
-            .with(ChannelFault {
-                channel: 3,
-                kind: FaultKind::Dead,
-            });
-        let traces = schedule(
-            &blocks,
-            4,
-            ScheduleGranularity::GAct,
-            &cfg,
-            &RunOptions::new().faults(&plan),
-        );
-        assert_eq!(traces.len(), 4, "trace index must stay = channel index");
-        assert!(traces[0].is_empty() && traces[3].is_empty());
-        assert!(!traces[1].is_empty() && !traces[2].is_empty());
-        // All work lands on the survivors.
-        let merged = run_channels(&cfg, &traces, RunOptions::new().faults(&plan));
-        let expected: u64 = blocks.iter().map(|b| b.total_comps()).sum();
-        assert_eq!(merged.comps, expected);
-    }
-
-    #[test]
-    fn derated_channel_gets_less_work() {
-        use crate::fault::{ChannelFault, FaultKind};
-        let cfg = PimConfig::default();
-        let blocks = vec![small_layer_block(); 32];
-        let plan = FaultPlan::healthy().with(ChannelFault {
-            channel: 0,
-            kind: FaultKind::Derate { percent: 25 },
-        });
-        let traces = schedule(
-            &blocks,
-            4,
-            ScheduleGranularity::GAct,
-            &cfg,
-            &RunOptions::new().faults(&plan),
-        );
-        let slow = traces[0].len();
-        let healthy_min = traces[1..].iter().map(Vec::len).min().unwrap();
-        assert!(
-            slow < healthy_min,
-            "derated channel got {slow} cmds, healthy min {healthy_min}"
-        );
-    }
-
-    #[test]
-    fn healthy_fault_plan_matches_plain_schedule() {
-        let cfg = PimConfig::default();
-        let blocks = vec![small_layer_block(); 9];
-        let plain = schedule(
-            &blocks,
-            4,
-            ScheduleGranularity::Comp,
-            &cfg,
-            &RunOptions::new(),
-        );
-        let healthy = FaultPlan::healthy();
-        let faulty = schedule(
-            &blocks,
-            4,
-            ScheduleGranularity::Comp,
-            &cfg,
-            &RunOptions::new().faults(&healthy),
-        );
-        assert_eq!(plain, faulty);
-    }
-
-    #[test]
-    #[should_panic(expected = "live PIM channel")]
-    fn all_dead_panics() {
-        use crate::fault::{ChannelFault, FaultKind};
-        let plan = FaultPlan::healthy().with(ChannelFault {
-            channel: 0,
-            kind: FaultKind::Dead,
-        });
-        schedule(
-            &[],
-            1,
-            ScheduleGranularity::GAct,
-            &PimConfig::default(),
-            &RunOptions::new().faults(&plan),
-        );
-    }
-
-    #[test]
-    fn refined_schedule_never_worse_than_lpt() {
-        let cfg = PimConfig::default();
-        // Heterogeneous block mix to give LPT something to misjudge.
-        let mut blocks = Vec::new();
-        for i in 0..24u32 {
-            blocks.push(CommandBlock {
-                buffer_rows: 1 + (i % 4) as u8,
-                gwrite_bytes: 64 + i * 37,
-                gwrites_per_row: 1,
-                gacts: 1 + i % 7,
-                comps_per_gact: 1 + (i * 5) % 32,
-                readres_bytes: 32 + i * 11,
-                oc_splits: 4,
-                row_base: i * 100,
-            });
-        }
-        for ch in [3usize, 7, 16] {
-            let lpt = run_channels(
-                &cfg,
-                &schedule(
-                    &blocks,
-                    ch,
-                    ScheduleGranularity::GAct,
-                    &cfg,
-                    &RunOptions::new(),
-                ),
-                RunOptions::new(),
-            );
-            let refined = run_channels(
-                &cfg,
-                &schedule_refined(&blocks, ch, ScheduleGranularity::GAct, &cfg, 32),
-                RunOptions::new(),
-            );
-            assert!(
-                refined.cycles <= lpt.cycles,
-                "{ch} channels: refined {} > lpt {}",
-                refined.cycles,
-                lpt.cycles
-            );
-            assert_eq!(refined.comps, lpt.comps, "work must be conserved");
-        }
-    }
-
-    #[test]
-    fn refined_schedule_conserves_work() {
-        let cfg = PimConfig::default();
-        let blocks = vec![small_layer_block(); 9];
-        let traces = schedule_refined(&blocks, 4, ScheduleGranularity::Comp, &cfg, 16);
-        let stats = run_channels(&cfg, &traces, RunOptions::new());
-        let expected: u64 = blocks.iter().map(|b| b.total_comps()).sum();
-        assert!(stats.comps >= expected);
-    }
     /// The greedy as it ran before it took run-length input, kept as the
-    /// reference for [`assign`]: expand the runs, split the blocks for the
-    /// live channels, estimate every unit, stable-sort them heaviest
-    /// first, give each the first least-loaded live channel by a linear
-    /// scan, and coalesce each channel's consecutive equal units into runs.
+    /// reference for [`assign`]: expand the runs, split the blocks,
+    /// estimate every unit, stable-sort them heaviest first, give each the
+    /// first least-loaded channel by a linear scan, and coalesce each
+    /// channel's consecutive equal units into runs.
     fn reference_assign(
         blocks: &BlockRuns,
         channels: usize,
         granularity: ScheduleGranularity,
         cfg: &PimConfig,
-        opts: &RunOptions<'_>,
     ) -> (Vec<CommandBlock>, Vec<Vec<(usize, usize)>>) {
         let blocks: Vec<CommandBlock> = blocks
             .iter()
             .flat_map(|&(b, n)| std::iter::repeat_n(b, n))
             .collect();
-        let healthy = FaultPlan::healthy();
-        let plan = opts.faults.unwrap_or(&healthy);
-        let alive = plan.alive_channels(channels);
-        let units = split_for_channels(&blocks, alive.len(), granularity);
+        let units = split_for_channels(&blocks, channels, granularity);
         let estimates: Vec<u64> = units
             .iter()
             .map(|u| estimate_block_cycles(u, cfg))
             .collect();
         let mut order: Vec<usize> = (0..units.len()).collect();
         order.sort_by_key(|&i| Reverse(estimates[i]));
-        let mut loads: Vec<u64> = alive
-            .iter()
-            .map(|&ch| plan.stall(ch).map_or(0, |(_, duration)| duration))
-            .collect();
+        let mut loads = vec![0u64; channels];
         let mut channel_of = vec![0; units.len()];
         for i in order {
-            let slot = (0..alive.len()).min_by_key(|&s| loads[s]).unwrap();
-            loads[slot] += estimates[i] * 100 / plan.derate_percent(alive[slot]) as u64;
-            channel_of[i] = alive[slot];
+            let channel = (0..channels).min_by_key(|&c| loads[c]).unwrap();
+            loads[channel] += estimates[i];
+            channel_of[i] = channel;
         }
         let mut runs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); channels];
         for (i, &ch) in channel_of.iter().enumerate() {
@@ -897,9 +576,8 @@ mod tests {
         channels: usize,
         granularity: ScheduleGranularity,
         cfg: &PimConfig,
-        opts: &RunOptions<'_>,
     ) -> Vec<Vec<CommandBlock>> {
-        let (units, runs) = reference_assign(&block_runs(blocks), channels, granularity, cfg, opts);
+        let (units, runs) = reference_assign(&block_runs(blocks), channels, granularity, cfg);
         expanded_runs(&units, &runs)
     }
 
@@ -931,7 +609,6 @@ mod tests {
 
     #[test]
     fn run_length_assignment_expands_to_the_greedy() {
-        use crate::fault::FaultPlan;
         use pimflow_rng::Rng;
         let cfg = PimConfig::default();
         let mut rng = Rng::seed_from_u64(0x5CED);
@@ -984,24 +661,16 @@ mod tests {
                 ScheduleGranularity::ReadRes,
                 ScheduleGranularity::Comp,
             ]);
-            let faults = FaultPlan::from_seed(rng.next_u64(), channels, rng.next_f64());
-            for opts in [RunOptions::new(), RunOptions::new().faults(&faults)] {
-                let assignment = assign(&block_runs(&blocks), channels, granularity, &cfg, &opts);
-                let (units, runs) = (&assignment.units, channel_runs(&assignment));
-                let case = format!("case {case}: {n} + {tail:?} on {channels} ch, {granularity}");
-                assert_eq!(runs.len(), channels, "{case}");
-                assert_eq!(
-                    expanded_runs(units, &runs),
-                    greedy_blocks(&blocks, channels, granularity, &cfg, &opts),
-                    "{case}"
-                );
-                if opts.faults.is_some_and(|f| !f.is_healthy()) {
-                    // Faults take the greedy path: one unit per block.
-                    assert!(units.len() >= blocks.len(), "{case}");
-                } else if units.len() < blocks.len() {
-                    closed_form += 1;
-                }
-            }
+            let assignment = assign(&block_runs(&blocks), channels, granularity, &cfg);
+            let (units, runs) = (&assignment.units, channel_runs(&assignment));
+            let case = format!("case {case}: {n} + {tail:?} on {channels} ch, {granularity}");
+            assert_eq!(runs.len(), channels, "{case}");
+            assert_eq!(
+                expanded_runs(units, &runs),
+                greedy_blocks(&blocks, channels, granularity, &cfg),
+                "{case}"
+            );
+            closed_form += usize::from(units.len() < blocks.len());
         }
         assert!(tails.iter().all(|&k| k > 50), "tail classes: {tails:?}");
         assert!(closed_form > 500, "closed form taken {closed_form} times");
@@ -1021,43 +690,13 @@ mod tests {
         }
     }
 
-    /// A fault plan over `channels` channels with at least one live
-    /// channel: the seeded generator's, or each channel drawn healthy,
-    /// dead, derated or stalled.
-    fn random_faults(rng: &mut pimflow_rng::Rng, channels: usize) -> FaultPlan {
-        use crate::fault::{ChannelFault, FaultKind};
-        if rng.range_u32(0, 2) == 0 {
-            return FaultPlan::from_seed(rng.next_u64(), channels, rng.next_f64());
-        }
-        let spared = rng.range_usize(0, channels);
-        let mut plan = FaultPlan::healthy();
-        for channel in (0..channels).filter(|&c| c != spared) {
-            let kind = match rng.range_u32(0, 4) {
-                0 => continue,
-                1 => FaultKind::Dead,
-                2 => FaultKind::Derate {
-                    percent: rng.range_u32(1, 101) as u8,
-                },
-                _ => FaultKind::Stall {
-                    start_cycle: rng.range_u32(0, 20_000) as u64,
-                    duration_cycles: rng.range_u32(1, 50_000) as u64,
-                },
-            };
-            plan.push(ChannelFault { channel, kind });
-        }
-        plan
-    }
-
     #[test]
     fn split_path_assignment_equals_the_reference_greedy() {
-        use crate::fault::FaultKind;
         use pimflow_rng::Rng;
         let cfg = PimConfig::default();
         let mut rng = Rng::seed_from_u64(0x1B7_5EED);
         let (mut split, mut whole) = (0usize, 0usize);
-        // Plans seen with a dead, a derated and a stalled channel.
-        let mut kinds = [0usize; 3];
-        for case in 0..3000 {
+        for case in 0..6000 {
             let channels = rng.range_usize(1, 25);
             let granularity = *rng.pick(&[
                 ScheduleGranularity::GAct,
@@ -1088,45 +727,28 @@ mod tests {
                     blocks.push((random_block(&mut rng), n));
                 }
             }
-            let faults = random_faults(&mut rng, channels);
-            for (k, kind) in kinds.iter_mut().enumerate() {
-                *kind += usize::from(faults.faults().iter().any(|f| {
-                    matches!(
-                        (k, f.kind),
-                        (0, FaultKind::Dead)
-                            | (1, FaultKind::Derate { .. })
-                            | (2, FaultKind::Stall { .. })
-                    )
-                }));
+            let got = assign(&blocks, channels, granularity, &cfg);
+            let want = reference_assign(&blocks, channels, granularity, &cfg);
+            let len: usize = blocks.iter().map(|&(_, n)| n).sum();
+            let case = format!("case {case}: {blocks:?} on {channels} ch, {granularity}");
+            if !splits(len, channels, granularity) && round_robin(&blocks, channels, &cfg).is_some()
+            {
+                // The closed form coalesces units; it deals the same.
+                assert_eq!(
+                    expanded_runs(&got.units, &channel_runs(&got)),
+                    expanded_runs(&want.0, &want.1),
+                    "{case}"
+                );
+                continue;
             }
-            for opts in [RunOptions::new(), RunOptions::new().faults(&faults)] {
-                let got = assign(&blocks, channels, granularity, &cfg, &opts);
-                let want = reference_assign(&blocks, channels, granularity, &cfg, &opts);
-                let len: usize = blocks.iter().map(|&(_, n)| n).sum();
-                let case =
-                    format!("case {case}: {blocks:?} on {channels} ch, {granularity}, {opts:?}");
-                if opts.faults.is_none_or(FaultPlan::is_healthy)
-                    && !splits(len, channels, granularity)
-                    && round_robin(&blocks, channels, &cfg).is_some()
-                {
-                    // The closed form coalesces units; it deals the same.
-                    assert_eq!(
-                        expanded_runs(&got.units, &channel_runs(&got)),
-                        expanded_runs(&want.0, &want.1),
-                        "{case}"
-                    );
-                    continue;
-                }
-                if got.units.len() > len {
-                    split += 1;
-                } else {
-                    whole += 1;
-                }
-                assert_eq!((got.units.clone(), channel_runs(&got)), want, "{case}");
+            if got.units.len() > len {
+                split += 1;
+            } else {
+                whole += 1;
             }
+            assert_eq!((got.units.clone(), channel_runs(&got)), want, "{case}");
         }
         assert!(split > 1000 && whole > 1000, "split {split}, whole {whole}");
-        assert!(kinds.iter().all(|&k| k > 300), "fault kinds: {kinds:?}");
     }
 
     /// Whether two units' filter-row ranges are equal or disjoint.
@@ -1168,18 +790,9 @@ mod tests {
                 .iter()
                 .flat_map(|&(b, n)| std::iter::repeat_n(b, n))
                 .collect();
-            let faults = random_faults(&mut rng, channels);
             let emitted = [
                 split_for_channels(&expanded, channels, granularity),
-                assign(&blocks, channels, granularity, &cfg, &RunOptions::new()).units,
-                assign(
-                    &blocks,
-                    channels,
-                    granularity,
-                    &cfg,
-                    &RunOptions::new().faults(&faults),
-                )
-                .units,
+                assign(&blocks, channels, granularity, &cfg).units,
             ];
             for units in &emitted {
                 split += usize::from(units.len() > expanded.len());
@@ -1196,11 +809,11 @@ mod tests {
         assert!(split > 1000, "split {split} times");
     }
 
-    /// A healthy channel engine reads filter rows only by equality with
-    /// the open row (and, fast-forwarding, relative to a period's rows), so
-    /// renaming every unit's row range injectively — equal ranges to equal
-    /// ones, disjoint to disjoint — leaves a unit stream's statistics
-    /// unchanged, whether it runs command by command or through
+    /// A channel engine reads filter rows only by equality with the open
+    /// row (and, fast-forwarding, relative to a period's rows), so renaming
+    /// every unit's row range injectively — equal ranges to equal ones,
+    /// disjoint to disjoint — leaves a unit stream's statistics unchanged,
+    /// whether it runs command by command or through
     /// [`ChannelEngine::run_blocks`].
     #[test]
     fn renaming_row_ranges_keeps_engine_stats() {

@@ -17,13 +17,12 @@
 
 use crate::command::{CommandBlock, PimCommand};
 use crate::config::PimConfig;
-use crate::fault::FaultPlan;
 use std::fmt;
 
-/// Options shared by the scheduling and timing entry points: an optional
-/// fault plan and an optional per-channel statistics callback.
+/// Options of the timing entry points: an optional per-channel statistics
+/// callback.
 ///
-/// The default options mean "every channel healthy, merged stats only":
+/// The default options mean "merged stats only":
 ///
 /// ```
 /// use pimflow_pimsim::{run_channels, PimConfig, PimCommand, RunOptions};
@@ -33,13 +32,9 @@ use std::fmt;
 /// ```
 ///
 /// Callers needing per-channel detail register a callback instead of a
-/// second entry point; callers simulating degraded hardware attach a
-/// [`FaultPlan`]. The same struct parameterizes
-/// [`schedule`](crate::scheduler::schedule) (which reads only the fault
-/// plan, to route work off dead channels).
+/// second entry point.
 #[derive(Default)]
 pub struct RunOptions<'a> {
-    pub(crate) faults: Option<&'a FaultPlan>,
     pub(crate) on_channel: Option<ChannelCallback<'a>>,
 }
 
@@ -49,22 +44,15 @@ type ChannelCallback<'a> = &'a mut dyn FnMut(usize, &ChannelStats);
 impl fmt::Debug for RunOptions<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RunOptions")
-            .field("faults", &self.faults)
             .field("on_channel", &self.on_channel.as_ref().map(|_| ".."))
             .finish()
     }
 }
 
 impl<'a> RunOptions<'a> {
-    /// Healthy channels, no callback.
+    /// No callback.
     pub fn new() -> Self {
         RunOptions::default()
-    }
-
-    /// Runs (and schedules) under the fault conditions in `plan`.
-    pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
     }
 
     /// Invokes `callback` with each channel's own statistics (in channel
@@ -104,8 +92,6 @@ pub struct ChannelStats {
     pub comp_busy_cycles: u64,
     /// All-bank refreshes serviced.
     pub refreshes: u64,
-    /// Cycles lost to injected transient stalls (fault model).
-    pub stall_cycles: u64,
 }
 
 impl ChannelStats {
@@ -138,7 +124,6 @@ impl ChannelStats {
             bankfeed_bytes: self.bankfeed_bytes + other.bankfeed_bytes,
             comp_busy_cycles: self.comp_busy_cycles + other.comp_busy_cycles,
             refreshes: self.refreshes + other.refreshes,
-            stall_cycles: self.stall_cycles + other.stall_cycles,
         }
     }
 
@@ -159,14 +144,13 @@ impl ChannelStats {
             bankfeed_bytes: self.bankfeed_bytes + other.bankfeed_bytes,
             comp_busy_cycles: self.comp_busy_cycles + other.comp_busy_cycles,
             refreshes: self.refreshes + other.refreshes,
-            stall_cycles: self.stall_cycles + other.stall_cycles,
         }
     }
 }
 
 /// A [`ChannelEngine`]'s state as the next command sees it, measured from
 /// the clock (see `ChannelEngine::capture`). Two equal phases behave
-/// alike until a refresh or a stall intervenes.
+/// alike until a refresh intervenes.
 #[derive(Debug, Default, PartialEq)]
 struct Phase {
     bus_free: u64,
@@ -193,10 +177,6 @@ pub struct ChannelEngine {
     open_row: Option<u32>,
     next_refresh: u64,
     stats: ChannelStats,
-    /// Remaining I/O bandwidth as a percentage of nominal (fault model).
-    derate_percent: u32,
-    /// Pending transient stall as `(start_cycle, duration_cycles)`.
-    stall: Option<(u64, u64)>,
 }
 
 impl ChannelEngine {
@@ -218,36 +198,6 @@ impl ChannelEngine {
                 u64::MAX
             },
             stats: ChannelStats::default(),
-            derate_percent: 100,
-            stall: None,
-        }
-    }
-
-    /// Creates an engine carrying the fault condition `plan` assigns to
-    /// `channel`: derated I/O slows bus transfers, a scheduled stall freezes
-    /// the channel once its clock reaches the start cycle. A `Dead` fault is
-    /// the scheduler's responsibility (no work may be routed here); the
-    /// engine treats it like a healthy channel so an empty trace still
-    /// yields zeroed stats.
-    pub fn with_fault(cfg: PimConfig, plan: &crate::fault::FaultPlan, channel: usize) -> Self {
-        let mut engine = ChannelEngine::new(cfg);
-        engine.derate_percent = plan.derate_percent(channel);
-        engine.stall = plan.stall(channel);
-        engine
-    }
-
-    /// Applies the scheduled stall if the clock has reached its start.
-    /// Fires at most once: the stall is consumed when it triggers.
-    fn service_stall(&mut self) {
-        if let Some((start, duration)) = self.stall {
-            if self.clock >= start {
-                self.clock += duration;
-                self.last_comp_end = self.last_comp_end.max(self.clock);
-                self.act_ready = self.act_ready.max(self.clock);
-                self.bus_free = self.bus_free.max(self.clock);
-                self.stats.stall_cycles += duration;
-                self.stall = None;
-            }
         }
     }
 
@@ -276,9 +226,7 @@ impl ChannelEngine {
     }
 
     fn io_cycles(&self, bytes: u32) -> u64 {
-        let nominal = (bytes as u64).div_ceil(self.cfg.io_bytes_per_cycle as u64);
-        // Bandwidth derating stretches every bus transfer proportionally.
-        (nominal * 100).div_ceil(self.derate_percent.clamp(1, 100) as u64)
+        (bytes as u64).div_ceil(self.cfg.io_bytes_per_cycle as u64)
     }
 
     /// Executes one command, advancing the channel state.
@@ -288,7 +236,6 @@ impl ChannelEngine {
     /// Panics if a `Gwrite`/`Comp` names a buffer index outside the
     /// configured number of global buffers.
     pub fn execute(&mut self, cmd: &PimCommand) {
-        self.service_stall();
         self.service_refresh();
         let t = self.cfg.timing;
         match *cmd {
@@ -432,7 +379,7 @@ impl ChannelEngine {
     /// O(1): timestamps advance by the period's clock advance, the open
     /// row by `row_step`, and each counter by the period's delta. A
     /// period that serviced a refresh or ended at the refresh deadline
-    /// is not a template, and a pending stall turns the skip off.
+    /// is not a template.
     pub fn run_periods(
         &mut self,
         periods: u64,
@@ -443,7 +390,7 @@ impl ChannelEngine {
         let mut phases: Option<(Phase, Phase)> = None;
         let mut k = 0;
         while k < periods {
-            if self.stall.is_some() || k + 1 == periods {
+            if k + 1 == periods {
                 period(self, k);
                 k += 1;
                 continue;
@@ -533,7 +480,7 @@ impl ChannelEngine {
         if let Some(row) = self.open_row.as_mut() {
             *row += u32::try_from(periods * row_step as u64).expect("rows fit in u32");
         }
-        // A template period serviced no refresh or stall, and `cycles` is
+        // A template period serviced no refresh, and `cycles` is
         // only set by `finish`: the other counters are the ones it moved.
         let s = &mut self.stats;
         for (now, was) in [
@@ -553,21 +500,8 @@ impl ChannelEngine {
         }
     }
 
-    /// Returns the statistics, closing out any in-flight bus transfer and
-    /// any stall that lands inside the trace's active window.
+    /// Returns the statistics, closing out any in-flight bus transfer.
     pub fn finish(mut self) -> ChannelStats {
-        let end = self.clock.max(self.bus_free);
-        if let Some((start, duration)) = self.stall {
-            // The stall began while the channel was still active (e.g.
-            // during the final bus drain): the channel cannot retire its
-            // last transfer until the freeze passes.
-            if end > 0 && start < end {
-                self.clock = end + duration;
-                self.bus_free = self.clock;
-                self.stats.stall_cycles += duration;
-                self.stall = None;
-            }
-        }
         self.stats.cycles = self.clock.max(self.bus_free);
         self.stats
     }
@@ -581,42 +515,17 @@ impl ChannelEngine {
 /// Runs one trace per channel and returns the merged statistics; the
 /// `cycles` field is the maximum over channels (channels run in parallel).
 ///
-/// `opts` carries the optional extras: with a [`FaultPlan`] attached,
-/// channel `i` runs under the fault condition the plan assigns to it
-/// (bandwidth derating, transient stalls); with a callback attached, each
-/// channel's own statistics are delivered (in channel order) before the
-/// merge. Dead channels must carry empty traces — route work around them
-/// with [`crate::scheduler::schedule`] under the same options first.
-///
-/// # Panics
-///
-/// Panics if a dead channel was given a non-empty trace; that is a
-/// scheduling bug, not a runtime condition.
+/// With a callback in `opts`, each channel's own statistics are delivered
+/// (in channel order) before the merge.
 pub fn run_channels(
     cfg: &PimConfig,
     traces: &[Vec<PimCommand>],
     opts: RunOptions<'_>,
 ) -> ChannelStats {
-    let RunOptions {
-        faults,
-        mut on_channel,
-    } = opts;
-    let healthy;
-    let plan = match faults {
-        Some(p) => p,
-        None => {
-            healthy = FaultPlan::healthy();
-            &healthy
-        }
-    };
+    let RunOptions { mut on_channel } = opts;
     let mut merged = ChannelStats::default();
     for (ch, t) in traces.iter().enumerate() {
-        assert!(
-            !plan.is_dead(ch) || t.is_empty(),
-            "dead channel {ch} was scheduled {} commands",
-            t.len()
-        );
-        let stats = ChannelEngine::with_fault(*cfg, plan, ch).run(t);
+        let stats = ChannelEngine::new(*cfg).run(t);
         if let Some(cb) = on_channel.as_mut() {
             cb(ch, &stats);
         }
@@ -881,121 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn derated_channel_pays_longer_transfers() {
-        use crate::fault::{ChannelFault, FaultKind, FaultPlan};
-        let trace = vec![
-            PimCommand::Gwrite {
-                buffer: 0,
-                bytes: 4096,
-            },
-            PimCommand::GAct { row: 0 },
-            PimCommand::Comp {
-                buffer: 0,
-                repeat: 4,
-            },
-            PimCommand::ReadRes { bytes: 2048 },
-        ];
-        let plan = FaultPlan::healthy().with(ChannelFault {
-            channel: 0,
-            kind: FaultKind::Derate { percent: 50 },
-        });
-        let healthy = ChannelEngine::new(cfg()).run(&trace);
-        let derated = ChannelEngine::with_fault(cfg(), &plan, 0).run(&trace);
-        assert!(
-            derated.cycles > healthy.cycles,
-            "derated {} <= healthy {}",
-            derated.cycles,
-            healthy.cycles
-        );
-        assert_eq!(derated.comps, healthy.comps, "work must be conserved");
-    }
-
-    #[test]
-    fn stall_adds_exactly_its_duration_when_it_fires() {
-        use crate::fault::{ChannelFault, FaultKind, FaultPlan};
-        let trace = vec![
-            PimCommand::GAct { row: 0 },
-            PimCommand::Comp {
-                buffer: 0,
-                repeat: 100,
-            },
-            PimCommand::ReadRes { bytes: 64 },
-        ];
-        let healthy = ChannelEngine::new(cfg()).run(&trace);
-        let plan = FaultPlan::healthy().with(ChannelFault {
-            channel: 0,
-            kind: FaultKind::Stall {
-                start_cycle: 10,
-                duration_cycles: 500,
-            },
-        });
-        let stalled = ChannelEngine::with_fault(cfg(), &plan, 0).run(&trace);
-        assert_eq!(stalled.stall_cycles, 500);
-        assert_eq!(stalled.cycles, healthy.cycles + 500);
-        assert_eq!(stalled.comps, healthy.comps);
-    }
-
-    #[test]
-    fn stall_past_the_trace_never_fires() {
-        use crate::fault::{ChannelFault, FaultKind, FaultPlan};
-        let trace = vec![PimCommand::GAct { row: 0 }];
-        let plan = FaultPlan::healthy().with(ChannelFault {
-            channel: 0,
-            kind: FaultKind::Stall {
-                start_cycle: 1_000_000,
-                duration_cycles: 500,
-            },
-        });
-        let stats = ChannelEngine::with_fault(cfg(), &plan, 0).run(&trace);
-        assert_eq!(stats.stall_cycles, 0);
-    }
-
-    #[test]
-    fn faults_only_touch_their_channel() {
-        use crate::fault::{ChannelFault, FaultKind, FaultPlan};
-        let trace = vec![
-            PimCommand::Gwrite {
-                buffer: 0,
-                bytes: 1024,
-            },
-            PimCommand::GAct { row: 0 },
-            PimCommand::Comp {
-                buffer: 0,
-                repeat: 16,
-            },
-        ];
-        let plan = FaultPlan::healthy().with(ChannelFault {
-            channel: 1,
-            kind: FaultKind::Derate { percent: 25 },
-        });
-        let mut per = Vec::new();
-        let mut collect = |_: usize, s: &ChannelStats| per.push(*s);
-        run_channels(
-            &cfg(),
-            &[trace.clone(), trace.clone()],
-            RunOptions::new().faults(&plan).on_channel(&mut collect),
-        );
-        let healthy = ChannelEngine::new(cfg()).run(&trace);
-        assert_eq!(per[0], healthy, "channel 0 must be unaffected");
-        assert!(per[1].cycles > healthy.cycles);
-    }
-
-    #[test]
-    #[should_panic(expected = "dead channel")]
-    fn dead_channel_with_work_is_a_scheduling_bug() {
-        use crate::fault::{ChannelFault, FaultKind, FaultPlan};
-        let plan = FaultPlan::healthy().with(ChannelFault {
-            channel: 0,
-            kind: FaultKind::Dead,
-        });
-        run_channels(
-            &cfg(),
-            &[vec![PimCommand::GAct { row: 0 }]],
-            RunOptions::new().faults(&plan),
-        );
-    }
-
-    #[test]
     fn sequential_merge_adds_cycles_parallel_merge_maxes() {
         let a = ChannelStats {
             cycles: 100,
@@ -1165,43 +959,6 @@ mod tests {
         (0..50).for_each(|k| period(&mut slow, k));
         assert_eq!(fast.clock(), slow.clock());
         assert_eq!(fast.finish(), slow.finish());
-    }
-
-    #[test]
-    fn fast_forward_matches_on_a_derated_engine() {
-        use crate::fault::{ChannelFault, FaultKind, FaultPlan};
-        let plan = FaultPlan::healthy().with(ChannelFault {
-            channel: 0,
-            kind: FaultKind::Derate { percent: 37 },
-        });
-        let engine = ChannelEngine::with_fault(cfg(), &plan, 0);
-        let (fast, slow) = both_ways(&engine, &pass_block(), 300);
-        assert_eq!(fast, slow);
-        assert!(fast.refreshes > 10, "the run must cross refresh windows");
-    }
-
-    #[test]
-    fn fast_forward_replays_a_stall_inside_the_repeated_range() {
-        use crate::fault::{ChannelFault, FaultKind, FaultPlan};
-        let healthy = both_ways(&ChannelEngine::new(cfg()), &pass_block(), 200).1;
-        for start in [1, 2_000, healthy.cycles / 2, healthy.cycles - 5] {
-            let plan = FaultPlan::healthy().with(ChannelFault {
-                channel: 0,
-                kind: FaultKind::Stall {
-                    start_cycle: start,
-                    duration_cycles: 777,
-                },
-            });
-            let engine = ChannelEngine::with_fault(cfg(), &plan, 0);
-            let (fast, slow) = both_ways(&engine, &pass_block(), 200);
-            assert_eq!(fast.stall_cycles, 777, "stall at {start}");
-            assert_eq!(
-                (fast.stall_cycles, fast.cycles),
-                (slow.stall_cycles, slow.cycles),
-                "stall at {start}"
-            );
-            assert_eq!(fast, slow, "stall at {start}");
-        }
     }
 
     #[test]

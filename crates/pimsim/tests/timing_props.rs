@@ -119,7 +119,7 @@ fn schedule_conserves_and_bounds() {
         let channels = rng.range_usize(1, 17);
         let granularity = *rng.pick(&granularities);
         let cfg = PimConfig::default();
-        let traces = schedule(&blocks, channels, granularity, &cfg, &RunOptions::new());
+        let traces = schedule(&blocks, channels, granularity, &cfg);
         assert_eq!(traces.len(), channels);
         let stats = run_channels(&cfg, &traces, RunOptions::new());
         let min_comps: u64 = blocks.iter().map(|b| b.total_comps()).sum();

@@ -1,12 +1,11 @@
 //! Timed channel-fault scenarios for serving runs.
 //!
-//! Where `pimflow_pimsim::FaultPlan` models faults at DRAM-command
-//! granularity, a serving run needs faults on the *wall-clock* timeline:
-//! channel `c` dies at `t_us`, recovers later (or never). A
+//! Channel loss is modelled once, as the engine-level [`ChannelMask`] the
+//! scheduler compiles against. A serving run needs it on the *wall-clock*
+//! timeline: channel `c` dies at `t_us`, recovers later (or never). A
 //! [`FaultScenario`] is that timeline — a sorted list of up/down
 //! transitions the discrete-event loop replays alongside arrivals,
-//! folding each transition into the engine-level
-//! [`ChannelMask`] the scheduler compiles against.
+//! folding each transition into the mask.
 
 use pimflow::engine::ChannelMask;
 use pimflow_json::json_struct;

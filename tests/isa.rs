@@ -118,7 +118,7 @@ fn interpreted_isa_matches_direct_timing_on_random_workloads() {
             ScheduleGranularity::ReadRes,
             ScheduleGranularity::Comp,
         ][trial % 3];
-        let traces = schedule(&blocks, channels, granularity, &cfg, &RunOptions::new());
+        let traces = schedule(&blocks, channels, granularity, &cfg);
         let mut per_channel = Vec::new();
         let mut collect = |_: usize, s: &ChannelStats| per_channel.push(*s);
         let merged = run_channels(&cfg, &traces, RunOptions::new().on_channel(&mut collect));

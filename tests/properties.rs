@@ -166,7 +166,7 @@ fn codegen_traces_are_protocol_valid() {
         };
         let cfg = PimConfig::default();
         let blocks = generate_blocks(&w, &cfg);
-        for trace in schedule(&blocks, channels, granularity, &cfg, &RunOptions::new()) {
+        for trace in schedule(&blocks, channels, granularity, &cfg) {
             if let Err(v) = pimflow_pimsim::validate_trace(&trace, &cfg) {
                 panic!("invalid trace for rows={rows} k={k} oc={oc}: {v}");
             }
@@ -195,7 +195,7 @@ fn scheduler_conserves_work() {
         let cfg = PimConfig::default();
         let blocks = generate_blocks(&w, &cfg);
         let comps_expected: u64 = blocks.iter().map(|b| b.total_comps()).sum();
-        let traces = schedule(&blocks, channels, granularity, &cfg, &RunOptions::new());
+        let traces = schedule(&blocks, channels, granularity, &cfg);
         assert_eq!(traces.len(), channels);
         let stats = run_channels(&cfg, &traces, RunOptions::new());
         // Splitting may only *add* COMPs (reduction-split rounding), never lose them.

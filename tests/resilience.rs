@@ -1,8 +1,10 @@
 //! Fault-resilience contracts across the stack: plan repair must be
 //! deterministic at every worker-pool width, a no-op on healthy hardware,
 //! mask-respecting and never optimistic for arbitrary seeded fault masks,
-//! and the serving runtime must replay a seeded mid-stream fault scenario
-//! byte-identically (report and JSONL trace) while dropping nothing.
+//! every zoo execution must keep the engine's timeline invariants under a
+//! seeded mask, and the serving runtime must replay a seeded mid-stream
+//! fault scenario byte-identically (report and JSONL trace) while dropping
+//! nothing.
 //!
 //! The fault seed honors the `PIMFLOW_FAULTS` environment variable (the
 //! knob the CI matrix turns) and falls back to a fixed constant, so a
@@ -152,6 +154,65 @@ fn repaired_plans_respect_the_mask_and_are_never_optimistic() {
                 assert!(
                     mask.is_up(ch) || *busy == 0.0,
                     "{model}: masked-out channel {ch} accumulated {busy} us of work"
+                );
+            }
+        }
+    }
+}
+
+/// Engine invariants on every zoo model's default plan, under the full
+/// mask and under a seeded mask with three channels down: every node runs
+/// inside the makespan, no channel is busier than the PIM stream, the PIM
+/// stream is not busier than the makespan, and a failed channel gets no
+/// work.
+#[test]
+fn zoo_executions_keep_the_engine_invariants_under_a_mask() {
+    let cfg = EngineConfig::pimflow();
+    let mut rng = Rng::seed_from_u64(fault_seed() ^ 0x200);
+    let degraded = seeded_mask(&mut rng, cfg.pim_channels, 3);
+    for model in [
+        "toy",
+        "mobilenet-v2",
+        "efficientnet-v1-b0",
+        "mnasnet-1.0",
+        "resnet-18",
+        "resnet-34",
+        "resnet-50",
+        "vgg-16",
+        "squeezenet-1.1",
+        "unet-small",
+        "bert-3",
+        "bert-64",
+    ] {
+        let g = models::by_name(model).expect("known model");
+        let plan = Search::new(&g, &cfg)
+            .options(SearchOptions::default())
+            .run()
+            .expect("zoo models search");
+        let transformed = apply_plan(&g, &plan).expect("plan applies");
+        for mask in [ChannelMask::all(), degraded] {
+            let r = execute(&transformed, &cfg.with_mask(mask)).expect("execute");
+            let case = format!("{model} under {:#x}", mask.bits());
+            for t in &r.timings {
+                assert!(
+                    0.0 <= t.start_us && t.start_us <= t.finish_us && t.finish_us <= r.total_us,
+                    "{case}: {} runs {}..{} us of {} us",
+                    t.name,
+                    t.start_us,
+                    t.finish_us,
+                    r.total_us
+                );
+            }
+            assert!(
+                r.pim_busy_us <= r.total_us,
+                "{case}: PIM stream busier than the makespan"
+            );
+            assert_eq!(r.pim_channel_busy_us.len(), cfg.pim_channels, "{case}");
+            for (ch, &busy) in r.pim_channel_busy_us.iter().enumerate() {
+                assert!(busy <= r.pim_busy_us, "{case}: channel {ch} busy {busy} us");
+                assert!(
+                    mask.is_up(ch) || busy == 0.0,
+                    "{case}: masked-out channel {ch} busy {busy} us"
                 );
             }
         }
