@@ -1,13 +1,13 @@
-//! Micro-benchmarks of the DRAM-PIM simulator itself: command trace
-//! execution throughput for representative layer shapes, and the scheduler
-//! at each granularity.
+//! Micro-benchmarks of the DRAM-PIM simulator itself: streamed pricing
+//! throughput for representative layer shapes, and the scheduler plus
+//! interpreter at each granularity.
 
 use pimflow::codegen::{execute_workload, generate_blocks, PimWorkload};
 use pimflow_bench::harness::Group;
 use pimflow_ir::{Conv2dAttrs, Shape};
 use pimflow_isa::FusedRole::Standalone;
 use pimflow_pimsim::ScheduleGranularity::{self, Comp};
-use pimflow_pimsim::{run_channels, schedule, PimConfig, RunOptions};
+use pimflow_pimsim::{schedule, NewtonInterpreter, PimConfig};
 
 fn representative_workloads() -> Vec<(&'static str, PimWorkload)> {
     vec![
@@ -44,8 +44,8 @@ fn bench_scheduler() {
         ("comp", ScheduleGranularity::Comp),
     ] {
         g.bench(name, || {
-            let traces = schedule(&blocks, 16, granularity, &cfg);
-            run_channels(&cfg, &traces, RunOptions::new())
+            let program = schedule(&blocks, 16, granularity, &cfg);
+            NewtonInterpreter::new(&cfg).run(&program).0
         });
     }
     g.finish();

@@ -12,7 +12,7 @@ use pimflow_gpusim::{kernel_time_with_launch_us, GpuConfig, KernelProfile};
 use pimflow_ir::analysis::{classify, node_cost, LayerClass};
 use pimflow_ir::{models, Conv2dAttrs, Graph, Shape};
 use pimflow_isa::FusedRole;
-use pimflow_pimsim::{run_channels, schedule, PimConfig, RunOptions, ScheduleGranularity};
+use pimflow_pimsim::{schedule, NewtonInterpreter, PimConfig, ScheduleGranularity};
 use pimflow_pool::WorkerPool;
 
 /// PIM time of the unfused lowering of `w` on 16 channels, microseconds.
@@ -136,8 +136,8 @@ pub fn fig6() -> Vec<(&'static str, u64)> {
     ]
     .into_iter()
     .map(|(name, g)| {
-        let traces = schedule(&blocks, 16, g, &cfg);
-        (name, run_channels(&cfg, &traces, RunOptions::new()).cycles)
+        let program = schedule(&blocks, 16, g, &cfg);
+        (name, NewtonInterpreter::new(&cfg).run(&program).0.cycles)
     })
     .collect()
 }

@@ -17,7 +17,7 @@ use crate::placement::Placement;
 use pimflow_gpusim::{kernel_for_node, kernel_time_with_launch_us, GpuConfig, KernelProfile};
 use pimflow_ir::{Graph, NodeId, Op};
 use pimflow_isa::IsaProgram;
-use pimflow_pimsim::{ChannelStats, NewtonInterpreter, PimConfig, RunOptions, ScheduleGranularity};
+use pimflow_pimsim::{ChannelStats, NewtonInterpreter, PimConfig, ScheduleGranularity};
 use std::error::Error;
 use std::fmt;
 
@@ -93,7 +93,7 @@ pub trait Backend {
 }
 
 /// The DRAM-PIM back-end: CONV (except depthwise) and FC layers lower to
-/// command traces over the PIM-enabled channels (§4.3).
+/// ISA programs over the PIM-enabled channels (§4.3).
 #[derive(Debug, Clone)]
 pub struct DramPimBackend {
     /// PIM hardware configuration.
@@ -134,7 +134,7 @@ impl Backend for DramPimBackend {
         }
         let workload = PimWorkload::from_node(graph, id);
         let program = generate_program(&workload, &self.pim, self.channels, self.granularity);
-        let stats = NewtonInterpreter::new(&self.pim).run(&program, RunOptions::new());
+        let (stats, _) = NewtonInterpreter::new(&self.pim).run(&program);
         Ok(CompiledKernel {
             node: graph.node(id).name.clone(),
             backend: self.name(),
@@ -256,14 +256,14 @@ mod tests {
         };
         assert_eq!(program.num_channels(), 16);
         // Interpreting the program reproduces the compiled cost exactly.
-        let stats = NewtonInterpreter::new(&be.pim).run(program, RunOptions::new());
+        let (stats, _) = NewtonInterpreter::new(&be.pim).run(program);
         assert_eq!(Some(stats), kernel.pim_stats);
         assert!(kernel.time_us > 0.0);
         // And it survives the ISA text round-trip, timing included.
         let text = pimflow_isa::program_to_text(program);
         let back = pimflow_isa::parse_program(&text).unwrap();
         assert_eq!(&back, program);
-        let replayed = NewtonInterpreter::new(&be.pim).run(&back, RunOptions::new());
+        let (replayed, _) = NewtonInterpreter::new(&be.pim).run(&back);
         assert_eq!(replayed, stats);
     }
 

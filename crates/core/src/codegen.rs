@@ -22,8 +22,8 @@ use pimflow_ir::{Conv2dAttrs, Graph, NodeId, Op, Shape};
 use pimflow_isa::{FusedRole, IsaProgram};
 use pimflow_kernels::lowered_dims;
 use pimflow_pimsim::{
-    assign, lift_command, lift_traces, pim_energy_nj, schedule, Assignment, ChannelEngine,
-    ChannelStats, CommandBlock, NewtonInterpreter, PimConfig, PimEnergyParams, ScheduleGranularity,
+    assign, pim_energy_nj, schedule, Assignment, ChannelEngine, ChannelStats, CommandBlock,
+    PimConfig, PimEnergyParams, ScheduleGranularity,
 };
 
 /// A PIM-offloadable workload in lowered (matrix) form. The default is
@@ -166,10 +166,10 @@ pub fn generate_block_runs(w: &PimWorkload, cfg: &PimConfig) -> Vec<(CommandBloc
 }
 
 /// Compiles a workload into a typed ISA program: generate the command
-/// blocks, schedule them over `channels` channels, and lift the scheduled
-/// traces into `pimflow-isa` form. This is the artifact the PIM backend
-/// carries — interpreting it under [`NewtonInterpreter`] reproduces the
-/// legacy trace timing bit-exactly (lift and lower are exact inverses).
+/// blocks and schedule them over `channels` channels. This is the
+/// artifact the PIM backend carries, prints and validates; the streamed
+/// pricer ([`execute_workload`]) reports exactly what interpreting it
+/// under [`pimflow_pimsim::NewtonInterpreter`] does.
 ///
 /// # Panics
 ///
@@ -180,9 +180,7 @@ pub fn generate_program(
     channels: usize,
     granularity: ScheduleGranularity,
 ) -> IsaProgram {
-    let blocks = generate_blocks(w, cfg);
-    let traces = schedule(&blocks, channels, granularity, cfg);
-    lift_traces(&traces)
+    schedule(&generate_blocks(w, cfg), channels, granularity, cfg)
 }
 
 /// Like [`generate_program`], but lowered for a fusion-group member: the
@@ -498,9 +496,8 @@ pub fn execute_group_overlapped(
                 row_base: lead.row_base,
                 ..assigned[lead.member].assignment.units[lead.shape]
             };
-            engine.run_blocks(&block, (lead.repeat - g.done) as u64, |cmd| {
-                let inst = role.rewrite(lift_command(cmd));
-                NewtonInterpreter::lower_inst(&inst).expect("block commands lower to commands")
+            engine.run_blocks(&block, (lead.repeat - g.done) as u64, |inst| {
+                role.rewrite(inst)
             });
             let through = g.lo
                 + (g.lo..same)

@@ -507,7 +507,7 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
             match device {
                 // GWRITE itself fetches input data from the GPU channels
                 // (§4.1), so GPU->PIM pays only the controller latency; the
-                // payload time is inside the PIM command trace.
+                // payload time is inside the PIM program.
                 Placement::Pim => {
                     if !state.at_pim {
                         t += cfg.transfer_latency_us;

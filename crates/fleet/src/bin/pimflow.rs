@@ -12,7 +12,7 @@
 //! # Step 3: execute (simulate) the transformed model
 //! pimflow -m=run -n=<net> [--gpu_only] [--policy=<Newton+|Newton++|MDDP|Pipeline|PIMFlow>]
 //!
-//! # Extra: dump per-layer DRAM-PIM command traces / model statistics
+//! # Extra: dump per-layer PIM programs (ISA text) / model statistics
 //! pimflow -m=trace -n=<net>
 //! pimflow -m=info  -n=<net>
 //!
@@ -231,11 +231,11 @@ fn solve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Dumps the generated DRAM-PIM command trace of every PIM-candidate layer
-/// (the artifact's trace files the Ramulator back-end replays).
+/// Dumps the compiled ISA program of every PIM-candidate layer in the ISA
+/// text format (the artifact's per-layer trace files, which the Newton
+/// interpreter replays).
 fn trace(args: &Args) -> Result<(), String> {
-    use pimflow::codegen::{generate_blocks, PimWorkload};
-    use pimflow_pimsim::{schedule, traces_to_text};
+    use pimflow::codegen::{generate_program, PimWorkload};
     let g = load_model(&args.net)?;
     let cfg = args.policy.engine_config();
     let dir = args.out_dir.join("traces").join(&g.name);
@@ -246,14 +246,13 @@ fn trace(args: &Args) -> Result<(), String> {
             continue;
         }
         let w = PimWorkload::from_node(&g, id);
-        let blocks = generate_blocks(&w, &cfg.pim);
-        let traces = schedule(&blocks, cfg.pim_channels.max(1), cfg.granularity, &cfg.pim);
-        let path = dir.join(format!("{}.trace", g.node(id).name.replace("::", "_")));
-        std::fs::write(&path, traces_to_text(&traces))
+        let program = generate_program(&w, &cfg.pim, cfg.pim_channels.max(1), cfg.granularity);
+        let path = dir.join(format!("{}.isa", g.node(id).name.replace("::", "_")));
+        std::fs::write(&path, pimflow_isa::program_to_text(&program))
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         count += 1;
     }
-    println!("wrote {count} layer traces to {}", dir.display());
+    println!("wrote {count} layer programs to {}", dir.display());
     Ok(())
 }
 

@@ -49,22 +49,50 @@ fn artifact_workflow_profile_solve_run() {
 
 #[test]
 fn trace_mode_writes_parseable_traces() {
+    use pimflow::codegen::{execute_workload, PimWorkload};
+    use pimflow::policy::Policy;
+    use pimflow_isa::{parse_program, validate_program, FusedRole, MachineSpec};
+    use pimflow_pimsim::NewtonInterpreter;
+
     let dir = std::env::temp_dir().join(format!("pimflow-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let (ok, out) = pimflow(&["-m=trace", "-n=toy"], &dir);
     assert!(ok, "{out}");
     let trace_dir = dir.join("pimflow-out/traces/toy");
+    // The files are the programs of the default policy's configuration.
+    let cfg = Policy::Pimflow.engine_config();
+    let spec = MachineSpec {
+        num_buffers: cfg.pim.num_global_buffers,
+        buffer_bytes: cfg.pim.global_buffer_bytes,
+    };
+    let g = pimflow_ir::models::toy();
     let mut found = 0;
-    for entry in std::fs::read_dir(&trace_dir).unwrap() {
-        let path = entry.unwrap().path();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let traces = pimflow_pimsim::parse_traces(&text).expect("trace parses");
-        assert!(!traces.is_empty());
+    for id in g.node_ids().filter(|&id| g.is_pim_candidate(id)) {
+        let name = g.node(id).name.replace("::", "_");
+        let path = trace_dir.join(format!("{name}.isa"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let program = parse_program(&text).expect("program parses");
+        assert_eq!(program.num_channels(), cfg.pim_channels, "{name}");
+        validate_program(&program, &spec).unwrap_or_else(|v| panic!("{name}: {v}"));
+        let (merged, _) = NewtonInterpreter::new(&cfg.pim).run(&program);
+        let (priced, _) = execute_workload(
+            &PimWorkload::from_node(&g, id),
+            &cfg.pim,
+            cfg.pim_channels,
+            cfg.granularity,
+            FusedRole::Standalone,
+        );
+        assert_eq!(merged, priced.stats, "{name}: interpreted vs priced");
         found += 1;
     }
+    assert_eq!(
+        std::fs::read_dir(&trace_dir).unwrap().count(),
+        found,
+        "one program per candidate layer"
+    );
     assert!(
         found >= 4,
-        "expected traces for every candidate layer, got {found}"
+        "expected programs for every candidate layer, got {found}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -13,7 +13,7 @@ use std::fmt;
 pub enum PimInst {
     /// Stage `bytes` of input into near-bank buffer `buffer`.
     ///
-    /// Newton lowers this to a GWRITE over the channel bus.
+    /// Newton times this as a GWRITE over the channel bus.
     BufWrite {
         /// Destination buffer index.
         buffer: u8,

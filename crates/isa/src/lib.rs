@@ -12,9 +12,8 @@
 //! The crate is hardware-neutral on purpose: the interpreter needs the
 //! cycle-level channel engine, so it lives with that engine.
 //!
-//! Programs have an exact text round-trip ([`text`], mirroring the command
-//! trace format of `pimflow-pimsim`) and a machine-checkable protocol
-//! ([`validate`]).
+//! Programs have an exact text round-trip ([`text`]) and a
+//! machine-checkable protocol ([`validate`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,8 +1,7 @@
 //! Text round-trip for ISA programs.
 //!
-//! The format extends the command-trace interchange of `pimflow-pimsim`
-//! (same line discipline, own header and mnemonics) so programs can be
-//! dumped, diffed, and replayed as files:
+//! The line-oriented format lets programs be dumped, diffed, and replayed
+//! as files (the role of the artifact's per-layer command traces, §5):
 //!
 //! ```text
 //! # pimflow pim-isa v1 channel=0
@@ -71,7 +70,13 @@ pub fn program_to_text(program: &IsaProgram) -> String {
     out
 }
 
-fn parse_field(token: &str, key: &str, line: usize) -> Result<u64, ParseProgramError> {
+/// Parses `key=<n>` into the field's type; a number the field cannot hold
+/// is an error, not a truncation.
+fn parse_field<T: std::str::FromStr>(
+    token: &str,
+    key: &str,
+    line: usize,
+) -> Result<T, ParseProgramError> {
     let value = token
         .strip_prefix(key)
         .and_then(|t| t.strip_prefix('='))
@@ -112,47 +117,29 @@ pub fn parse_program(text: &str) -> Result<IsaProgram, ParseProgramError> {
         })?;
         let mut parts = line.split_whitespace();
         let op = parts.next().expect("non-empty line has a first token");
+        let mut next = || parts.next().unwrap_or("");
         let inst = match op {
-            "BUFWRITE" => {
-                let buf = parse_field(parts.next().unwrap_or(""), "buf", line_no)?;
-                let bytes = parse_field(parts.next().unwrap_or(""), "bytes", line_no)?;
-                PimInst::BufWrite {
-                    buffer: buf as u8,
-                    bytes: bytes as u32,
-                }
-            }
-            "ROWACT" => {
-                let row = parse_field(parts.next().unwrap_or(""), "row", line_no)?;
-                PimInst::RowActivate { row: row as u32 }
-            }
-            "MACBURST" => {
-                let buf = parse_field(parts.next().unwrap_or(""), "buf", line_no)?;
-                let repeat = parse_field(parts.next().unwrap_or(""), "repeat", line_no)?;
-                PimInst::MacBurst {
-                    buffer: buf as u8,
-                    repeat: repeat as u32,
-                }
-            }
-            "DRAIN" => {
-                let bytes = parse_field(parts.next().unwrap_or(""), "bytes", line_no)?;
-                PimInst::Drain {
-                    bytes: bytes as u32,
-                }
-            }
-            "BANKFEED" => {
-                let buf = parse_field(parts.next().unwrap_or(""), "buf", line_no)?;
-                let bytes = parse_field(parts.next().unwrap_or(""), "bytes", line_no)?;
-                PimInst::BankFeed {
-                    buffer: buf as u8,
-                    bytes: bytes as u32,
-                }
-            }
-            "HOSTBURST" => {
-                let bytes = parse_field(parts.next().unwrap_or(""), "bytes", line_no)?;
-                PimInst::HostBurst {
-                    bytes: bytes as u32,
-                }
-            }
+            "BUFWRITE" => PimInst::BufWrite {
+                buffer: parse_field(next(), "buf", line_no)?,
+                bytes: parse_field(next(), "bytes", line_no)?,
+            },
+            "ROWACT" => PimInst::RowActivate {
+                row: parse_field(next(), "row", line_no)?,
+            },
+            "MACBURST" => PimInst::MacBurst {
+                buffer: parse_field(next(), "buf", line_no)?,
+                repeat: parse_field(next(), "repeat", line_no)?,
+            },
+            "DRAIN" => PimInst::Drain {
+                bytes: parse_field(next(), "bytes", line_no)?,
+            },
+            "BANKFEED" => PimInst::BankFeed {
+                buffer: parse_field(next(), "buf", line_no)?,
+                bytes: parse_field(next(), "bytes", line_no)?,
+            },
+            "HOSTBURST" => PimInst::HostBurst {
+                bytes: parse_field(next(), "bytes", line_no)?,
+            },
             "BARRIER" => PimInst::Barrier,
             "OBARRIER" => PimInst::OverlapBarrier,
             other => {
@@ -217,6 +204,28 @@ mod tests {
         assert!(parse_program(&bad).is_err());
         let trailing = format!("{PROGRAM_HEADER} channel=0\nBARRIER extra\n");
         assert!(parse_program(&trailing).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_numbers_the_field_cannot_hold() {
+        for line in [
+            "BUFWRITE buf=256 bytes=1",
+            "ROWACT row=4294967296",
+            "DRAIN bytes=-1",
+        ] {
+            let text = format!("{PROGRAM_HEADER} channel=0\n{line}\n");
+            let err = parse_program(&text).unwrap_err();
+            assert_eq!(err.line, 2, "{line}");
+            assert!(err.message.contains("invalid number"), "{line}");
+        }
+        let max = format!("{PROGRAM_HEADER} channel=0\nBUFWRITE buf=255 bytes=4294967295\n");
+        assert_eq!(
+            parse_program(&max).unwrap().channels()[0],
+            vec![PimInst::BufWrite {
+                buffer: 255,
+                bytes: u32::MAX
+            }]
+        );
     }
 
     #[test]

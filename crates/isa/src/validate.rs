@@ -1,9 +1,9 @@
 //! The program validation pass.
 //!
-//! Checks the same buffer/activation/drain protocol the trace validator of
-//! `pimflow-pimsim` enforces, but over typed programs and against an
-//! abstract [`MachineSpec`] instead of a concrete DRAM config — plus the
-//! whole-program barrier-balance property no single channel can see.
+//! Checks the buffer/activation/drain protocol of each channel's stream
+//! against an abstract [`MachineSpec`] instead of a concrete DRAM config,
+//! plus the whole-program barrier-balance property no single channel can
+//! see.
 
 use crate::inst::{IsaProgram, PimInst, ProgramError};
 use std::error::Error;

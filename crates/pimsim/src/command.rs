@@ -1,75 +1,24 @@
-//! DRAM-PIM commands and command blocks.
+//! Command blocks: the unit of generated PIM work.
 //!
-//! The command vocabulary follows Newton (§2.1): `GWRITE` pushes input data
-//! into a global buffer, `G_ACT` activates filter rows across all banks,
-//! `COMP` triggers one column-I/O-wide MAC against a buffer, and `READRES`
-//! drains the result latches. PIMFlow's extensions (§4.1) appear as
-//! attributes: the target buffer index (multi-buffer `GWRITE_2`/`GWRITE_4`
-//! behaviour), strided GWRITE, and the latency-hiding overlap handled by the
-//! timing engine.
+//! A block expands into the Newton command order (§2.1) written as typed
+//! ISA instructions: `BUFWRITE` (Newton's `GWRITE`) pushes input data into
+//! a global buffer, `ROWACT` (`G_ACT`) activates filter rows across all
+//! banks, `MACBURST` (`COMP`) triggers column-I/O-wide MACs against a
+//! buffer, and `DRAIN` (`READRES`) reads the result latches. PIMFlow's
+//! extensions (§4.1) appear as attributes: the target buffer index
+//! (multiple global buffers), strided GWRITE, and the latency-hiding
+//! overlap handled by the timing engine.
 
-/// A single PIM (or interleaved GPU) command on one channel.
-///
-/// `Comp` is run-length encoded: `repeat` consecutive COMP issues at `tCCD`
-/// spacing. The timing engine's fast path is exact with respect to the
-/// expanded form (see `timing::tests::rle_matches_expanded`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PimCommand {
-    /// Push `bytes` of input data into global buffer `buffer`.
-    Gwrite {
-        /// Destination global buffer index.
-        buffer: u8,
-        /// Payload size in bytes.
-        bytes: u32,
-    },
-    /// Activate filter row `row` across all banks. Re-activating the row
-    /// that is already open is a no-op (row-buffer hit) — this is what lets
-    /// small 1x1-conv filter tiles stream thousands of input rows with a
-    /// single activation.
-    GAct {
-        /// Filter-row identifier within the layer tile.
-        row: u32,
-    },
-    /// `repeat` back-to-back COMP commands, each multiplying one column I/O
-    /// per bank against global buffer `buffer` and accumulating into the
-    /// result latches.
-    Comp {
-        /// Source global buffer index.
-        buffer: u8,
-        /// Number of consecutive COMP issues.
-        repeat: u32,
-    },
-    /// Read `bytes` of accumulated results back over the channel I/O.
-    ReadRes {
-        /// Result payload in bytes.
-        bytes: u32,
-    },
-    /// Move `bytes` of accumulated results into global buffer `buffer`
-    /// without crossing the channel bus — the fused-layer hand-off that
-    /// keeps an intermediate activation resident near the banks (ISA
-    /// `BANKFEED`).
-    BankFeed {
-        /// Destination global buffer index.
-        buffer: u8,
-        /// Payload size in bytes.
-        bytes: u32,
-    },
-    /// A burst of ordinary GPU memory traffic interleaved at the shared
-    /// memory controller (used by the §7 contention experiment).
-    GpuBurst {
-        /// Payload size in bytes.
-        bytes: u32,
-    },
-}
+use pimflow_isa::PimInst;
 
 /// One unit of generated PIM work for a layer tile: a group of input rows
 /// that share a streaming pass over a resident filter tile.
 ///
 /// The DRAM-PIM code generator (in the `pimflow` core crate) lowers each
 /// CONV/FC tile into a sequence of these blocks; the scheduler distributes
-/// them (whole or split) across PIM channels; the timing engine expands each
-/// block into the canonical `GWRITE* G_ACT (COMP*)* READRES` sequence
-/// (§4.1's "GWRITE-G_ACT-COMP-READRES" order).
+/// them (whole or split) across PIM channels; each block expands into the
+/// canonical `BUFWRITE* (ROWACT MACBURST*)* DRAIN` sequence (§4.1's
+/// "GWRITE-G_ACT-COMP-READRES" order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandBlock {
     /// Input rows processed by this block (each occupies one global buffer;
@@ -112,9 +61,9 @@ impl CommandBlock {
     /// materialising a trace.
     ///
     /// The order follows the paper: all GWRITEs (one buffer per input row),
-    /// then for each G_ACT a COMP burst per buffer, then one READRES per
-    /// input row.
-    pub fn expand(&self) -> impl Iterator<Item = PimCommand> {
+    /// then for each G_ACT a COMP burst per buffer, then one READRES
+    /// draining every row.
+    pub fn expand(&self) -> impl Iterator<Item = PimInst> {
         let b = *self;
         self.gwrites()
             .chain((0..b.gacts).flat_map(move |a| b.stream(a)))
@@ -123,11 +72,11 @@ impl CommandBlock {
 
     /// The staging GWRITEs: `gwrites_per_row` segments into each input
     /// row's buffer.
-    pub(crate) fn gwrites(&self) -> impl Iterator<Item = PimCommand> {
+    pub(crate) fn gwrites(&self) -> impl Iterator<Item = PimInst> {
         let b = *self;
         let bytes = b.gwrite_bytes / b.gwrites_per_row.max(1) as u32;
         (0..b.buffer_rows).flat_map(move |buffer| {
-            (0..b.gwrites_per_row).map(move |_| PimCommand::Gwrite { buffer, bytes })
+            (0..b.gwrites_per_row).map(move |_| PimInst::BufWrite { buffer, bytes })
         })
     }
 
@@ -135,20 +84,20 @@ impl CommandBlock {
     /// `row_base + a`, then one COMP burst per live buffer. Passes differ
     /// only in their row, which is what lets a timing engine fast-forward
     /// them as periods.
-    pub(crate) fn stream(&self, a: u32) -> impl Iterator<Item = PimCommand> {
+    pub(crate) fn stream(&self, a: u32) -> impl Iterator<Item = PimInst> {
         let b = *self;
-        std::iter::once(PimCommand::GAct {
+        std::iter::once(PimInst::RowActivate {
             row: b.row_base + a,
         })
-        .chain((0..b.buffer_rows).map(move |buffer| PimCommand::Comp {
+        .chain((0..b.buffer_rows).map(move |buffer| PimInst::MacBurst {
             buffer,
             repeat: b.comps_per_gact,
         }))
     }
 
     /// The READRES draining every row's result latches.
-    pub(crate) fn drain(&self) -> PimCommand {
-        PimCommand::ReadRes {
+    pub(crate) fn drain(&self) -> PimInst {
+        PimInst::Drain {
             bytes: self.readres_bytes * self.buffer_rows as u32,
         }
     }
@@ -179,23 +128,20 @@ mod tests {
 
     #[test]
     fn expansion_order_is_gwrite_gact_comp_readres() {
-        let cmds: Vec<PimCommand> = sample_block().expand().collect();
+        let cmds: Vec<PimInst> = sample_block().expand().collect();
         // 4 GWRITEs, then (GACT, 4 COMPs) x2, then READRES.
-        assert!(matches!(cmds[0], PimCommand::Gwrite { buffer: 0, .. }));
-        assert!(matches!(cmds[3], PimCommand::Gwrite { buffer: 3, .. }));
-        assert!(matches!(cmds[4], PimCommand::GAct { row: 0 }));
+        assert!(matches!(cmds[0], PimInst::BufWrite { buffer: 0, .. }));
+        assert!(matches!(cmds[3], PimInst::BufWrite { buffer: 3, .. }));
+        assert!(matches!(cmds[4], PimInst::RowActivate { row: 0 }));
         assert!(matches!(
             cmds[5],
-            PimCommand::Comp {
+            PimInst::MacBurst {
                 buffer: 0,
                 repeat: 8
             }
         ));
-        assert!(matches!(cmds[9], PimCommand::GAct { row: 1 }));
-        assert!(matches!(
-            cmds.last(),
-            Some(PimCommand::ReadRes { bytes: 128 })
-        ));
+        assert!(matches!(cmds[9], PimInst::RowActivate { row: 1 }));
+        assert!(matches!(cmds.last(), Some(PimInst::Drain { bytes: 128 })));
     }
 
     #[test]
@@ -209,13 +155,13 @@ mod tests {
     fn non_strided_splits_gwrites() {
         let mut b = sample_block();
         b.gwrites_per_row = 4;
-        let cmds: Vec<PimCommand> = b.expand().collect();
+        let cmds: Vec<PimInst> = b.expand().collect();
         let gwrites = cmds
             .iter()
-            .filter(|c| matches!(c, PimCommand::Gwrite { .. }))
+            .filter(|c| matches!(c, PimInst::BufWrite { .. }))
             .count();
         assert_eq!(gwrites, 16);
         // Payload is split across the segment GWRITEs.
-        assert!(matches!(cmds[0], PimCommand::Gwrite { bytes: 32, .. }));
+        assert!(matches!(cmds[0], PimInst::BufWrite { bytes: 32, .. }));
     }
 }

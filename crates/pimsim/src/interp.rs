@@ -1,54 +1,33 @@
 //! The Newton interpretation of the typed PIM ISA.
 //!
 //! `pimflow-isa` programs are hardware-neutral; this module gives them their
-//! Newton meaning. The five data-path instructions map 1:1 onto the
-//! simulator's command vocabulary —
+//! Newton timing. The channel engine ([`ChannelEngine::execute`]) runs ISA
+//! instructions directly, each with the timing of its Newton command:
 //!
-//! | ISA                  | Newton command |
-//! |----------------------|----------------|
-//! | `BUFWRITE`           | `GWRITE`       |
-//! | `ROWACT`             | `G_ACT`        |
-//! | `MACBURST`           | `COMP`         |
-//! | `DRAIN`              | `READRES`      |
-//! | `HOSTBURST`          | `GpuBurst`     |
+//! | ISA                  | Newton timing                                  |
+//! |----------------------|------------------------------------------------|
+//! | `BUFWRITE`           | `GWRITE`: CAS latency plus bus transfer        |
+//! | `ROWACT`             | `G_ACT`: `tRC`-spaced, free on an open row     |
+//! | `MACBURST`           | `COMP`s at `tCCD`, after row and buffer        |
+//! | `DRAIN`              | `READRES`: after the COMPs, over the bus       |
+//! | `BANKFEED`           | near-bank move at I/O width, no bus            |
+//! | `HOSTBURST`          | GPU traffic: occupies the bus only             |
+//! | `BARRIER`, `OBARRIER`| no-ops that touch no engine state              |
 //!
-//! — so lowering a program and lifting a trace are exact inverses, and a
-//! barrier-free program times **bit-identically** to running its lowered
-//! traces through [`run_channels`] directly. That identity is the
-//! interpreter contract: the compiler prices layers by streaming their
-//! block schedule through the channel engine rather than through a
-//! compiled program, and must land on exactly what interpreting the
-//! program reports. `BARRIER`s (which command traces cannot express) split
-//! a program into epochs that run back to back.
+//! `BARRIER`s split a program into epochs that run back to back, each
+//! channel's engine state reset at the barrier. `OBARRIER`s split nothing:
+//! overlap-linked member streams run through one continuous channel
+//! engine, so carried row/refresh/pacing state and cross-channel
+//! imbalance hiding are exactly the overlap semantics.
+//!
+//! The compiler prices layers by streaming their block schedule through
+//! the channel engine rather than through a compiled program, and must
+//! land on exactly what interpreting the program reports
+//! (`tests/pricer.rs` holds that contract).
 
-use crate::command::PimCommand;
 use crate::config::PimConfig;
-use crate::timing::{run_channels, ChannelEngine, ChannelStats, RunOptions};
-use pimflow_isa::{IsaProgram, PimInst};
-
-/// Lifts scheduled per-channel command traces into an ISA program (the
-/// exact inverse of [`NewtonInterpreter::lower`]).
-pub fn lift_traces(traces: &[Vec<PimCommand>]) -> IsaProgram {
-    IsaProgram::from_channels(
-        traces
-            .iter()
-            .map(|t| t.iter().map(|&cmd| lift_command(cmd)).collect())
-            .collect(),
-    )
-}
-
-/// Lifts one Newton command to its ISA instruction (the exact inverse of
-/// [`NewtonInterpreter::lower_inst`]).
-pub fn lift_command(cmd: PimCommand) -> PimInst {
-    match cmd {
-        PimCommand::Gwrite { buffer, bytes } => PimInst::BufWrite { buffer, bytes },
-        PimCommand::GAct { row } => PimInst::RowActivate { row },
-        PimCommand::Comp { buffer, repeat } => PimInst::MacBurst { buffer, repeat },
-        PimCommand::ReadRes { bytes } => PimInst::Drain { bytes },
-        PimCommand::BankFeed { buffer, bytes } => PimInst::BankFeed { buffer, bytes },
-        PimCommand::GpuBurst { bytes } => PimInst::HostBurst { bytes },
-    }
-}
+use crate::timing::{ChannelEngine, ChannelStats};
+use pimflow_isa::IsaProgram;
 
 /// Executes ISA programs on the cycle-level Newton channel engine.
 #[derive(Debug, Clone, Copy)]
@@ -62,90 +41,38 @@ impl<'a> NewtonInterpreter<'a> {
         NewtonInterpreter { cfg }
     }
 
-    /// Lowers a program to per-channel Newton command traces. Barriers
-    /// carry no command — they only partition execution into epochs — so
-    /// the lowering of a lifted trace is the original trace.
-    pub fn lower(&self, program: &IsaProgram) -> Vec<Vec<PimCommand>> {
-        program
-            .channels()
-            .iter()
-            .map(|stream| stream.iter().filter_map(Self::lower_inst).collect())
-            .collect()
-    }
-
-    /// Lowers one instruction to its Newton command; barriers lower to
-    /// nothing.
-    pub fn lower_inst(inst: &PimInst) -> Option<PimCommand> {
-        match *inst {
-            PimInst::BufWrite { buffer, bytes } => Some(PimCommand::Gwrite { buffer, bytes }),
-            PimInst::RowActivate { row } => Some(PimCommand::GAct { row }),
-            PimInst::MacBurst { buffer, repeat } => Some(PimCommand::Comp { buffer, repeat }),
-            PimInst::Drain { bytes } => Some(PimCommand::ReadRes { bytes }),
-            PimInst::BankFeed { buffer, bytes } => Some(PimCommand::BankFeed { buffer, bytes }),
-            PimInst::HostBurst { bytes } => Some(PimCommand::GpuBurst { bytes }),
-            // Barriers carry no command. The hard barrier partitions
-            // execution into epochs before lowering; the overlap barrier
-            // deliberately vanishes *without* an epoch split, so
-            // overlap-linked member streams run through one continuous
-            // channel engine — carried row/refresh/pacing state and
-            // cross-channel imbalance hiding are exactly the overlap
-            // semantics.
-            PimInst::Barrier | PimInst::OverlapBarrier => None,
-        }
-    }
-
-    /// Runs a program and returns the merged statistics, exactly as
-    /// [`run_channels`] reports them for the lowered traces.
+    /// Runs a program and returns the merged statistics and each channel's
+    /// own statistics (index = channel).
     ///
-    /// A barrier-free program (everything the block scheduler generates)
-    /// takes the direct path: its statistics are bit-identical to running
-    /// the lowered traces through [`run_channels`] with the same options.
-    /// A program with barriers runs epoch by epoch — each epoch's channels
-    /// in parallel (max cycles), consecutive epochs back to back (summed
-    /// cycles) — with each channel's engine state reset at the barrier.
-    ///
-    /// The per-channel callback, if any, receives each channel's
-    /// epoch-summed statistics once, in channel order, before the merge.
+    /// Each epoch's channels run in parallel (merged with
+    /// [`ChannelStats::merge_parallel`], max cycles); consecutive epochs
+    /// run back to back (merged with [`ChannelStats::merge_sequential`]),
+    /// each channel on a fresh engine. A channel's statistics are summed
+    /// over the epochs. The interpreter is pure: the same program yields
+    /// the same statistics on every call and every platform.
     ///
     /// # Panics
     ///
-    /// Panics when the program's barriers are unbalanced across channels.
-    pub fn run(&self, program: &IsaProgram, opts: RunOptions<'_>) -> ChannelStats {
+    /// Panics when the program's barriers are unbalanced across channels,
+    /// or when an instruction names a buffer outside the configuration;
+    /// a program that passes [`pimflow_isa::validate_program`] against the
+    /// configuration's buffers does neither.
+    pub fn run(&self, program: &IsaProgram) -> (ChannelStats, Vec<ChannelStats>) {
         let epochs = program
             .epochs()
             .unwrap_or_else(|e| panic!("newton interpreter: {e}"));
-        if epochs.len() == 1 {
-            return run_channels(self.cfg, &self.lower(program), opts);
-        }
-        let RunOptions { mut on_channel } = opts;
-        let channels = program.num_channels();
-        let mut per_channel = vec![ChannelStats::default(); channels];
+        let mut per_channel = vec![ChannelStats::default(); program.num_channels()];
         let mut total = ChannelStats::default();
         for epoch in &epochs {
             let mut epoch_merged = ChannelStats::default();
-            for (ch, insts) in epoch.iter().enumerate() {
-                let trace: Vec<PimCommand> = insts.iter().filter_map(Self::lower_inst).collect();
-                let stats = ChannelEngine::new(*self.cfg).run(&trace);
+            for (ch, stream) in epoch.iter().enumerate() {
+                let stats = ChannelEngine::new(*self.cfg).run(stream);
                 per_channel[ch] = per_channel[ch].merge_sequential(&stats);
                 epoch_merged = epoch_merged.merge_parallel(&stats);
             }
             total = total.merge_sequential(&epoch_merged);
         }
-        if let Some(cb) = on_channel.as_mut() {
-            for (ch, stats) in per_channel.iter().enumerate() {
-                cb(ch, stats);
-            }
-        }
-        total
-    }
-
-    /// Simulated wall-clock microseconds to execute `program`. The
-    /// interpreter is pure: the same program yields the same time on every
-    /// call and every platform, which is what lets interpreted costs live
-    /// in the cross-search cost cache.
-    pub fn interpret_us(&self, program: &IsaProgram) -> f64 {
-        let stats = self.run(program, RunOptions::new());
-        self.cfg.cycles_to_ns(stats.cycles) * 1e-3
+        (total, per_channel)
     }
 }
 
@@ -154,8 +81,9 @@ mod tests {
     use super::*;
     use crate::command::CommandBlock;
     use crate::scheduler::{schedule, ScheduleGranularity};
+    use pimflow_isa::PimInst;
 
-    fn sample_traces() -> Vec<Vec<PimCommand>> {
+    fn sample_program() -> IsaProgram {
         let blocks = vec![
             CommandBlock {
                 buffer_rows: 4,
@@ -173,51 +101,37 @@ mod tests {
     }
 
     #[test]
-    fn lift_then_lower_is_identity() {
-        let traces = sample_traces();
-        let program = lift_traces(&traces);
-        let lowered = NewtonInterpreter::new(&PimConfig::default()).lower(&program);
-        assert_eq!(lowered, traces);
-    }
-
-    #[test]
-    fn barrier_free_program_times_bit_identically() {
+    fn channels_run_in_parallel() {
         let cfg = PimConfig::default();
-        let traces = sample_traces();
-        let direct = run_channels(&cfg, &traces, RunOptions::new());
-        let interpreted =
-            NewtonInterpreter::new(&cfg).run(&lift_traces(&traces), RunOptions::new());
-        assert_eq!(direct, interpreted);
+        let burst = |repeat| {
+            vec![
+                PimInst::RowActivate { row: 0 },
+                PimInst::MacBurst { buffer: 0, repeat },
+            ]
+        };
+        let program = IsaProgram::from_channels(vec![burst(1), burst(1000)]);
+        let (merged, per_channel) = NewtonInterpreter::new(&cfg).run(&program);
+        let long_alone = ChannelEngine::new(cfg).run(&burst(1000));
+        assert_eq!(per_channel[1], long_alone);
+        assert_eq!(merged.cycles, long_alone.cycles);
+        assert_eq!(merged.comps, 1001);
     }
 
     #[test]
     fn epochs_run_back_to_back() {
         let cfg = PimConfig::default();
-        let traces = sample_traces();
-        let single = NewtonInterpreter::new(&cfg).run(&lift_traces(&traces), RunOptions::new());
-        let mut linked = lift_traces(&traces);
-        linked.append(&lift_traces(&traces));
-        let double = NewtonInterpreter::new(&cfg).run(&linked, RunOptions::new());
+        let program = sample_program();
+        let (single, single_per) = NewtonInterpreter::new(&cfg).run(&program);
+        let mut linked = program.clone();
+        linked.append(&program);
+        let (double, per_channel) = NewtonInterpreter::new(&cfg).run(&linked);
         assert_eq!(double.cycles, 2 * single.cycles);
         assert_eq!(double.comps, 2 * single.comps);
         assert_eq!(double.macs, 2 * single.macs);
-    }
-
-    #[test]
-    fn multi_epoch_callback_reports_summed_channels() {
-        let cfg = PimConfig::default();
-        let traces = sample_traces();
-        let mut linked = lift_traces(&traces);
-        linked.append(&lift_traces(&traces));
-        let mut per = Vec::new();
-        let mut collect = |ch: usize, s: &ChannelStats| per.push((ch, *s));
-        NewtonInterpreter::new(&cfg).run(&linked, RunOptions::new().on_channel(&mut collect));
-        assert_eq!(per.len(), 4);
-        let single = run_channels(&cfg, &traces, RunOptions::new());
-        let folded = per
-            .iter()
-            .fold(ChannelStats::default(), |acc, (_, s)| acc.merge_parallel(s));
-        assert_eq!(folded.comps, 2 * single.comps);
+        // Each channel's statistics are summed over the epochs.
+        for (twice, once) in per_channel.iter().zip(&single_per) {
+            assert_eq!(*twice, once.merge_sequential(once));
+        }
     }
 
     #[test]
@@ -230,16 +144,16 @@ mod tests {
         // avoided — which is why the compiler prices a fused region as the
         // min of both compositions.)
         let cfg = PimConfig::default();
-        let traces = sample_traces();
-        let single = NewtonInterpreter::new(&cfg).run(&lift_traces(&traces), RunOptions::new());
-        let mut hard = lift_traces(&traces);
-        hard.append(&lift_traces(&traces));
-        let mut soft = lift_traces(&traces);
-        soft.append_overlapped(&lift_traces(&traces));
-        assert_eq!(soft.epochs().unwrap().len(), 1, "overlap keeps one epoch");
+        let program = sample_program();
         let interp = NewtonInterpreter::new(&cfg);
-        let hard_stats = interp.run(&hard, RunOptions::new());
-        let soft_stats = interp.run(&soft, RunOptions::new());
+        let (single, _) = interp.run(&program);
+        let mut hard = program.clone();
+        hard.append(&program);
+        let mut soft = program.clone();
+        soft.append_overlapped(&program);
+        assert_eq!(soft.epochs().unwrap().len(), 1, "overlap keeps one epoch");
+        let (hard_stats, _) = interp.run(&hard);
+        let (soft_stats, _) = interp.run(&soft);
         assert!(soft_stats.cycles >= single.cycles);
         assert_eq!(soft_stats.comps, hard_stats.comps);
         assert_eq!(soft_stats.macs, hard_stats.macs);
@@ -276,8 +190,8 @@ mod tests {
         hard.append(&member(1));
         let mut soft = member(0);
         soft.append_overlapped(&member(1));
-        let hard_cycles = interp.run(&hard, RunOptions::new()).cycles;
-        let soft_cycles = interp.run(&soft, RunOptions::new()).cycles;
+        let hard_cycles = interp.run(&hard).0.cycles;
+        let soft_cycles = interp.run(&soft).0.cycles;
         assert!(
             soft_cycles < hard_cycles,
             "overlap must hide the imbalance: soft {soft_cycles} vs hard {hard_cycles}"
@@ -285,20 +199,9 @@ mod tests {
     }
 
     #[test]
-    fn interpreter_reports_us() {
-        let cfg = PimConfig::default();
-        let interp = NewtonInterpreter::new(&cfg);
-        let traces = sample_traces();
-        let program = lift_traces(&traces);
-        let us = interp.interpret_us(&program);
-        let cycles = run_channels(&cfg, &traces, RunOptions::new()).cycles;
-        assert!((us - cfg.cycles_to_ns(cycles) * 1e-3).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "newton interpreter")]
     fn unbalanced_barriers_panic() {
         let program = IsaProgram::from_channels(vec![vec![PimInst::Barrier], vec![]]);
-        NewtonInterpreter::new(&PimConfig::default()).run(&program, RunOptions::new());
+        NewtonInterpreter::new(&PimConfig::default()).run(&program);
     }
 }

@@ -3,19 +3,20 @@
 //! Cycle-level Newton/AiM-style GDDR6 DRAM-PIM simulator — the Rust
 //! counterpart of the paper's extended-Ramulator back-end (§5).
 //!
-//! The simulator executes **PIM command traces** (`GWRITE`, `G_ACT`, `COMP`,
-//! `READRES`, plus interleaved GPU bursts) against the Table 1 timing
-//! parameters, models PIMFlow's architectural extensions (multiple global
-//! buffers, strided GWRITE, GWRITE latency hiding, §4.1), schedules command
-//! blocks across PIM-enabled channels at three granularities (Fig. 6), and
-//! reports cycles plus CACTI-style energy.
+//! The simulator executes typed `pimflow-isa` programs (`BUFWRITE`,
+//! `ROWACT`, `MACBURST`, `DRAIN`, plus interleaved host bursts) with the
+//! timing of Newton's `GWRITE`, `G_ACT`, `COMP` and `READRES` commands
+//! under the Table 1 parameters, models PIMFlow's architectural extensions
+//! (multiple global buffers, strided GWRITE, GWRITE latency hiding, §4.1),
+//! schedules command blocks across PIM-enabled channels at three
+//! granularities (Fig. 6), and reports cycles plus CACTI-style energy.
+//! The ISA is the one command vocabulary: only the timing is Newton's.
 //!
 //! ## Example
 //!
 //! ```
 //! use pimflow_pimsim::{
-//!     schedule, run_channels, CommandBlock, PimConfig, RunOptions,
-//!     ScheduleGranularity,
+//!     schedule, CommandBlock, NewtonInterpreter, PimConfig, ScheduleGranularity,
 //! };
 //!
 //! // A small 1x1-conv-like tile: 4 input rows sharing one filter pass.
@@ -30,15 +31,12 @@
 //!     row_base: 0,
 //! };
 //! let cfg = PimConfig::default();
-//! let traces = schedule(&[block], 4, ScheduleGranularity::Comp, &cfg);
-//! let stats = run_channels(&cfg, &traces, RunOptions::new());
+//! let program = schedule(&[block], 4, ScheduleGranularity::Comp, &cfg);
+//! let (stats, per_channel) = NewtonInterpreter::new(&cfg).run(&program);
 //! assert!(stats.cycles > 0);
 //! assert_eq!(stats.comps, 2 * 8 * 4);
+//! assert_eq!(per_channel.len(), 4);
 //! ```
-//!
-//! The same traces lift into the typed `pimflow-isa` program form via
-//! [`lift_traces`], where [`NewtonInterpreter`] gives them exactly the
-//! timing above — the simulator is the Newton *interpretation* of the ISA.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -50,18 +48,14 @@ pub mod interp;
 pub mod memsys;
 pub mod scheduler;
 pub mod timing;
-pub mod trace;
 
-pub use command::{CommandBlock, PimCommand};
+pub use command::CommandBlock;
 pub use config::{ConfigError, DramTiming, PimConfig};
 pub use energy::{pim_energy_breakdown, pim_energy_nj, PimEnergyBreakdown, PimEnergyParams};
-pub use interp::{lift_command, lift_traces, NewtonInterpreter};
+pub use interp::NewtonInterpreter;
 pub use memsys::MemorySystem;
 pub use scheduler::{
     assign, estimate_block_cycles, schedule, split_for_channels, Assignment, BlockRuns,
     ScheduleGranularity,
 };
-pub use timing::{run_channels, ChannelEngine, ChannelStats, RunOptions};
-pub use trace::{
-    command_to_line, parse_traces, traces_to_text, validate_trace, ParseTraceError, TraceViolation,
-};
+pub use timing::{ChannelEngine, ChannelStats};

@@ -7,10 +7,12 @@
 //! experiment (interleaving ordinary GPU traffic into PIM command streams)
 //! as a first-class operation.
 
-use crate::command::{CommandBlock, PimCommand};
+use crate::command::CommandBlock;
 use crate::config::{ConfigError, PimConfig};
+use crate::interp::NewtonInterpreter;
 use crate::scheduler::{schedule, ScheduleGranularity};
-use crate::timing::{run_channels, ChannelStats, RunOptions};
+use crate::timing::ChannelStats;
+use pimflow_isa::{IsaProgram, PimInst};
 
 /// A GPU memory with a contiguous subset of PIM-enabled channels.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,13 +74,13 @@ impl MemorySystem {
         blocks: &[CommandBlock],
         granularity: ScheduleGranularity,
     ) -> ChannelStats {
-        let traces = schedule(blocks, self.pim_channels, granularity, &self.cfg);
-        run_channels(&self.cfg, &traces, RunOptions::new())
+        let program = schedule(blocks, self.pim_channels, granularity, &self.cfg);
+        NewtonInterpreter::new(&self.cfg).run(&program).0
     }
 
     /// Executes one layer while ordinary GPU traffic shares the controller:
-    /// a `burst_bytes` GPU access is interleaved every `burst_every`
-    /// PIM commands on every channel (§7's contention methodology).
+    /// a `burst_bytes` `HOSTBURST` is interleaved every `burst_every`
+    /// PIM instructions on every channel (§7's contention methodology).
     ///
     /// # Panics
     ///
@@ -91,21 +93,24 @@ impl MemorySystem {
         burst_every: usize,
     ) -> ChannelStats {
         assert!(burst_every > 0, "burst interval must be positive");
-        let traces = schedule(blocks, self.pim_channels, granularity, &self.cfg);
-        let noisy: Vec<Vec<PimCommand>> = traces
+        let program = schedule(blocks, self.pim_channels, granularity, &self.cfg);
+        let noisy = program
+            .channels()
             .iter()
-            .map(|t| {
-                let mut out = Vec::with_capacity(t.len() + t.len() / burst_every + 1);
-                for (i, c) in t.iter().enumerate() {
+            .map(|stream| {
+                let mut out = Vec::with_capacity(stream.len() + stream.len() / burst_every + 1);
+                for (i, &inst) in stream.iter().enumerate() {
                     if i % burst_every == 0 {
-                        out.push(PimCommand::GpuBurst { bytes: burst_bytes });
+                        out.push(PimInst::HostBurst { bytes: burst_bytes });
                     }
-                    out.push(*c);
+                    out.push(inst);
                 }
                 out
             })
             .collect();
-        run_channels(&self.cfg, &noisy, RunOptions::new())
+        NewtonInterpreter::new(&self.cfg)
+            .run(&IsaProgram::from_channels(noisy))
+            .0
     }
 
     /// Cycles to move `bytes` between the channel groups over the memory

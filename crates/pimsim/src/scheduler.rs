@@ -17,8 +17,9 @@
 //!   pays the full READRES for its partial results plus the replicated
 //!   GWRITEs. Most parallel, most overhead.
 
-use crate::command::{CommandBlock, PimCommand};
+use crate::command::CommandBlock;
 use crate::config::PimConfig;
+use pimflow_isa::IsaProgram;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -213,7 +214,7 @@ impl Assignment {
 /// takes the blocks as [`BlockRuns`] and returns the schedulable units
 /// (the blocks, split as `granularity` allows) and, per physical channel,
 /// the run-length list of units it runs in program order. [`schedule`] is
-/// this assignment expanded into command traces; pricing paths that
+/// this assignment expanded into an ISA program; pricing paths that
 /// simulate the units directly share the same assignment, so there is
 /// exactly one load balancer.
 ///
@@ -381,11 +382,12 @@ fn lpt(
 }
 
 /// Distributes blocks across `channels` channels and expands each channel's
-/// assignment into a command trace: [`assign`] followed by block
-/// expansion, so the traces carry exactly the assignment's load balance.
+/// assignment into its instruction stream: [`assign`] followed by block
+/// expansion, so the program carries exactly the assignment's load
+/// balance. The program is barrier-free.
 ///
-/// The returned vector always has `channels` entries so trace index `i`
-/// always corresponds to physical channel `i`.
+/// The program always has `channels` streams, so stream `i` always
+/// corresponds to physical channel `i`.
 ///
 /// # Panics
 ///
@@ -395,26 +397,34 @@ pub fn schedule(
     channels: usize,
     granularity: ScheduleGranularity,
     cfg: &PimConfig,
-) -> Vec<Vec<PimCommand>> {
+) -> IsaProgram {
     let assignment = assign(&block_runs(blocks), channels, granularity, cfg);
-    (0..assignment.channels())
-        .map(|channel| {
-            assignment
-                .runs(channel)
-                .iter()
-                .flat_map(|&(unit, repeat)| {
-                    let block = assignment.units[unit];
-                    (0..repeat).flat_map(move |_| block.expand())
-                })
-                .collect()
-        })
-        .collect()
+    IsaProgram::from_channels(
+        (0..assignment.channels())
+            .map(|channel| {
+                assignment
+                    .runs(channel)
+                    .iter()
+                    .flat_map(|&(unit, repeat)| {
+                        let block = assignment.units[unit];
+                        (0..repeat).flat_map(move |_| block.expand())
+                    })
+                    .collect()
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::{run_channels, RunOptions};
+    use crate::interp::NewtonInterpreter;
+    use pimflow_isa::PimInst;
+
+    /// Interprets `program`, returning the merged statistics.
+    fn run(cfg: &PimConfig, program: &IsaProgram) -> crate::ChannelStats {
+        NewtonInterpreter::new(cfg).run(program).0
+    }
 
     fn small_layer_block() -> CommandBlock {
         // A 1x1-conv-like block: tiny filter, few G_ACTs, lots of splittable
@@ -462,8 +472,8 @@ mod tests {
             ScheduleGranularity::ReadRes,
             ScheduleGranularity::Comp,
         ] {
-            let traces = schedule(&blocks, 8, g, &cfg);
-            let cycles = run_channels(&cfg, &traces, RunOptions::new()).cycles;
+            let program = schedule(&blocks, 8, g, &cfg);
+            let cycles = run(&cfg, &program).cycles;
             assert!(
                 cycles <= prev,
                 "granularity {g:?} slower: {cycles} > {prev}"
@@ -471,16 +481,8 @@ mod tests {
             prev = cycles;
         }
         // And the finest must be strictly better than the coarsest here.
-        let coarse = run_channels(
-            &cfg,
-            &schedule(&blocks, 8, ScheduleGranularity::GAct, &cfg),
-            RunOptions::new(),
-        );
-        let fine = run_channels(
-            &cfg,
-            &schedule(&blocks, 8, ScheduleGranularity::Comp, &cfg),
-            RunOptions::new(),
-        );
+        let coarse = run(&cfg, &schedule(&blocks, 8, ScheduleGranularity::GAct, &cfg));
+        let fine = run(&cfg, &schedule(&blocks, 8, ScheduleGranularity::Comp, &cfg));
         assert!(fine.cycles < coarse.cycles);
     }
 
@@ -488,16 +490,8 @@ mod tests {
     fn large_layers_are_unaffected_by_granularity() {
         let cfg = PimConfig::default();
         let blocks = vec![small_layer_block(); 64];
-        let a = run_channels(
-            &cfg,
-            &schedule(&blocks, 8, ScheduleGranularity::GAct, &cfg),
-            RunOptions::new(),
-        );
-        let b = run_channels(
-            &cfg,
-            &schedule(&blocks, 8, ScheduleGranularity::Comp, &cfg),
-            RunOptions::new(),
-        );
+        let a = run(&cfg, &schedule(&blocks, 8, ScheduleGranularity::GAct, &cfg));
+        let b = run(&cfg, &schedule(&blocks, 8, ScheduleGranularity::Comp, &cfg));
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.comps, b.comps);
     }
@@ -506,8 +500,8 @@ mod tests {
     fn work_is_conserved_at_gact_granularity() {
         let cfg = PimConfig::default();
         let blocks = vec![small_layer_block(); 10];
-        let traces = schedule(&blocks, 4, ScheduleGranularity::GAct, &cfg);
-        let merged = run_channels(&cfg, &traces, RunOptions::new());
+        let program = schedule(&blocks, 4, ScheduleGranularity::GAct, &cfg);
+        let merged = run(&cfg, &program);
         let serial: u64 = blocks.iter().map(|b| b.total_comps()).sum();
         assert_eq!(merged.comps, serial);
     }
@@ -518,8 +512,8 @@ mod tests {
         let blocks = vec![small_layer_block(); 32];
         let mut prev = u64::MAX;
         for ch in [1usize, 2, 4, 8, 16] {
-            let traces = schedule(&blocks, ch, ScheduleGranularity::Comp, &cfg);
-            let cycles = run_channels(&cfg, &traces, RunOptions::new()).cycles;
+            let program = schedule(&blocks, ch, ScheduleGranularity::Comp, &cfg);
+            let cycles = run(&cfg, &program).cycles;
             assert!(cycles <= prev, "{ch} channels slower: {cycles} > {prev}");
             prev = cycles;
         }
@@ -871,7 +865,7 @@ mod tests {
                 })
                 .collect();
             let by_command = |steps: &[(CommandBlock, usize)]| {
-                let trace: Vec<PimCommand> = steps
+                let trace: Vec<PimInst> = steps
                     .iter()
                     .flat_map(|&(b, n)| (0..n).flat_map(move |_| b.expand()))
                     .collect();

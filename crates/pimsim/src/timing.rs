@@ -15,53 +15,9 @@
 //! involves all channels), the command stream blocks until the transfer
 //! completes.
 
-use crate::command::{CommandBlock, PimCommand};
+use crate::command::CommandBlock;
 use crate::config::PimConfig;
-use std::fmt;
-
-/// Options of the timing entry points: an optional per-channel statistics
-/// callback.
-///
-/// The default options mean "merged stats only":
-///
-/// ```
-/// use pimflow_pimsim::{run_channels, PimConfig, PimCommand, RunOptions};
-/// let traces = vec![vec![PimCommand::GAct { row: 0 }]];
-/// let stats = run_channels(&PimConfig::default(), &traces, RunOptions::new());
-/// assert_eq!(stats.gacts, 1);
-/// ```
-///
-/// Callers needing per-channel detail register a callback instead of a
-/// second entry point.
-#[derive(Default)]
-pub struct RunOptions<'a> {
-    pub(crate) on_channel: Option<ChannelCallback<'a>>,
-}
-
-/// Per-channel statistics callback, invoked in channel order before merging.
-type ChannelCallback<'a> = &'a mut dyn FnMut(usize, &ChannelStats);
-
-impl fmt::Debug for RunOptions<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunOptions")
-            .field("on_channel", &self.on_channel.as_ref().map(|_| ".."))
-            .finish()
-    }
-}
-
-impl<'a> RunOptions<'a> {
-    /// No callback.
-    pub fn new() -> Self {
-        RunOptions::default()
-    }
-
-    /// Invokes `callback` with each channel's own statistics (in channel
-    /// order) before they are merged.
-    pub fn on_channel(mut self, callback: &'a mut dyn FnMut(usize, &ChannelStats)) -> Self {
-        self.on_channel = Some(callback);
-        self
-    }
-}
+use pimflow_isa::PimInst;
 
 /// Execution statistics of one channel trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -229,17 +185,27 @@ impl ChannelEngine {
         (bytes as u64).div_ceil(self.cfg.io_bytes_per_cycle as u64)
     }
 
-    /// Executes one command, advancing the channel state.
+    /// Executes one instruction with its Newton timing, advancing the
+    /// channel state.
+    ///
+    /// Barriers are structure, not work: a `BARRIER` or `OBARRIER` is a
+    /// no-op that touches no state (not even a refresh that has come due).
+    /// Hard barriers split epochs before instructions reach an engine
+    /// ([`crate::NewtonInterpreter::run`]); overlap barriers run straight
+    /// through one engine, which is their meaning.
     ///
     /// # Panics
     ///
-    /// Panics if a `Gwrite`/`Comp` names a buffer index outside the
-    /// configured number of global buffers.
-    pub fn execute(&mut self, cmd: &PimCommand) {
+    /// Panics if a `BUFWRITE`/`MACBURST`/`BANKFEED` names a buffer index
+    /// outside the configured number of global buffers.
+    pub fn execute(&mut self, inst: &PimInst) {
+        if matches!(inst, PimInst::Barrier | PimInst::OverlapBarrier) {
+            return;
+        }
         self.service_refresh();
         let t = self.cfg.timing;
-        match *cmd {
-            PimCommand::Gwrite { buffer, bytes } => {
+        match *inst {
+            PimInst::BufWrite { buffer, bytes } => {
                 let buffer = buffer as usize;
                 assert!(
                     buffer < self.buffer_ready.len(),
@@ -267,7 +233,7 @@ impl ChannelEngine {
                 self.stats.gwrites += 1;
                 self.stats.gwrite_bytes += bytes as u64;
             }
-            PimCommand::GAct { row } => {
+            PimInst::RowActivate { row } => {
                 // Row-buffer hit: the requested filter row is already open
                 // in every bank — nothing to do (this is what amortizes one
                 // activation over thousands of COMP-streamed input rows).
@@ -287,7 +253,7 @@ impl ChannelEngine {
                 self.clock = issue + 1;
                 self.stats.gacts += 1;
             }
-            PimCommand::Comp { buffer, repeat } => {
+            PimInst::MacBurst { buffer, repeat } => {
                 let buffer = buffer as usize;
                 assert!(
                     buffer < self.buffer_ready.len(),
@@ -320,7 +286,7 @@ impl ChannelEngine {
                     remaining -= fit;
                 }
             }
-            PimCommand::ReadRes { bytes } => {
+            PimInst::Drain { bytes } => {
                 let start = self.clock.max(self.last_comp_end).max(self.bus_free);
                 let end = start + t.t_cl as u64 + self.io_cycles(bytes);
                 self.bus_free = end;
@@ -328,7 +294,7 @@ impl ChannelEngine {
                 self.stats.readres += 1;
                 self.stats.readres_bytes += bytes as u64;
             }
-            PimCommand::BankFeed { buffer, bytes } => {
+            PimInst::BankFeed { buffer, bytes } => {
                 let buffer = buffer as usize;
                 assert!(
                     buffer < self.buffer_ready.len(),
@@ -347,7 +313,7 @@ impl ChannelEngine {
                 self.stats.bankfeeds += 1;
                 self.stats.bankfeed_bytes += bytes as u64;
             }
-            PimCommand::GpuBurst { bytes } => {
+            PimInst::HostBurst { bytes } => {
                 // Ordinary GPU traffic at the shared controller: occupies
                 // the bus, but PIM bank commands keep flowing (§7).
                 let start = self.clock.max(self.bus_free);
@@ -355,13 +321,15 @@ impl ChannelEngine {
                 self.clock = start + 1;
                 self.stats.gpu_burst_bytes += bytes as u64;
             }
+            PimInst::Barrier | PimInst::OverlapBarrier => {}
         }
     }
 
-    /// Executes a full trace and returns the final statistics.
-    pub fn run(mut self, trace: &[PimCommand]) -> ChannelStats {
-        for cmd in trace {
-            self.execute(cmd);
+    /// Executes one channel's instruction stream and returns the final
+    /// statistics.
+    pub fn run(mut self, stream: &[PimInst]) -> ChannelStats {
+        for inst in stream {
+            self.execute(inst);
         }
         self.finish()
     }
@@ -417,25 +385,26 @@ impl ChannelEngine {
         }
     }
 
-    /// Runs `count` back-to-back copies of `block`'s command sequence
-    /// ([`CommandBlock::expand`]), each command passed through `lower`
-    /// first, exactly as executing the expanded copies one by one would.
-    /// The copies are periods of one [`run_periods`](Self::run_periods)
-    /// sequence, and so are each copy's streaming passes (rows rising by
-    /// one). `lower` must therefore move every G_ACT row by the same
-    /// amount, as a fused-role rewrite plus a fixed row offset does.
+    /// Runs `count` back-to-back copies of `block`'s instruction sequence
+    /// ([`CommandBlock::expand`]), each instruction passed through
+    /// `rewrite` first, exactly as executing the expanded copies one by one
+    /// would. The copies are periods of one
+    /// [`run_periods`](Self::run_periods) sequence, and so are each copy's
+    /// streaming passes (rows rising by one). `rewrite` must therefore move
+    /// every `ROWACT` row by the same amount, as a fused-role rewrite
+    /// ([`pimflow_isa::FusedRole::rewrite`]) does.
     pub fn run_blocks(
         &mut self,
         block: &CommandBlock,
         count: u64,
-        lower: impl Fn(PimCommand) -> PimCommand,
+        rewrite: impl Fn(PimInst) -> PimInst,
     ) {
         self.run_periods(count, 0, |e, _| {
-            block.gwrites().for_each(|c| e.execute(&lower(c)));
+            block.gwrites().for_each(|i| e.execute(&rewrite(i)));
             e.run_periods(block.gacts as u64, 1, |e, a| {
-                block.stream(a as u32).for_each(|c| e.execute(&lower(c)));
+                block.stream(a as u32).for_each(|i| e.execute(&rewrite(i)));
             });
-            e.execute(&lower(block.drain()));
+            e.execute(&rewrite(block.drain()));
         });
     }
 
@@ -512,28 +481,6 @@ impl ChannelEngine {
     }
 }
 
-/// Runs one trace per channel and returns the merged statistics; the
-/// `cycles` field is the maximum over channels (channels run in parallel).
-///
-/// With a callback in `opts`, each channel's own statistics are delivered
-/// (in channel order) before the merge.
-pub fn run_channels(
-    cfg: &PimConfig,
-    traces: &[Vec<PimCommand>],
-    opts: RunOptions<'_>,
-) -> ChannelStats {
-    let RunOptions { mut on_channel } = opts;
-    let mut merged = ChannelStats::default();
-    for (ch, t) in traces.iter().enumerate() {
-        let stats = ChannelEngine::new(*cfg).run(t);
-        if let Some(cb) = on_channel.as_mut() {
-            cb(ch, &stats);
-        }
-        merged = merged.merge_parallel(&stats);
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,13 +492,13 @@ mod tests {
     #[test]
     fn comp_waits_for_act_and_buffer() {
         let mut e = ChannelEngine::new(cfg());
-        e.execute(&PimCommand::Gwrite {
+        e.execute(&PimInst::BufWrite {
             buffer: 0,
             bytes: 64,
         });
-        e.execute(&PimCommand::GAct { row: 0 });
+        e.execute(&PimInst::RowActivate { row: 0 });
         let before = e.clock();
-        e.execute(&PimCommand::Comp {
+        e.execute(&PimInst::MacBurst {
             buffer: 0,
             repeat: 1,
         });
@@ -566,32 +513,32 @@ mod tests {
     fn rle_matches_expanded() {
         // Run-length-encoded COMP must be cycle-identical to the expansion.
         let trace_rle = vec![
-            PimCommand::Gwrite {
+            PimInst::BufWrite {
                 buffer: 0,
                 bytes: 256,
             },
-            PimCommand::GAct { row: 0 },
-            PimCommand::Comp {
+            PimInst::RowActivate { row: 0 },
+            PimInst::MacBurst {
                 buffer: 0,
                 repeat: 17,
             },
-            PimCommand::ReadRes { bytes: 64 },
+            PimInst::Drain { bytes: 64 },
         ];
         let mut trace_exp = vec![
-            PimCommand::Gwrite {
+            PimInst::BufWrite {
                 buffer: 0,
                 bytes: 256,
             },
-            PimCommand::GAct { row: 0 },
+            PimInst::RowActivate { row: 0 },
         ];
         trace_exp.extend(std::iter::repeat_n(
-            PimCommand::Comp {
+            PimInst::MacBurst {
                 buffer: 0,
                 repeat: 1,
             },
             17,
         ));
-        trace_exp.push(PimCommand::ReadRes { bytes: 64 });
+        trace_exp.push(PimInst::Drain { bytes: 64 });
 
         let a = ChannelEngine::new(cfg()).run(&trace_rle);
         let b = ChannelEngine::new(cfg()).run(&trace_exp);
@@ -612,7 +559,7 @@ mod tests {
             oc_splits: 1,
             row_base: 0,
         };
-        let trace: Vec<PimCommand> = block.expand().collect();
+        let trace: Vec<PimInst> = block.expand().collect();
         let hidden = ChannelEngine::new(PimConfig::default()).run(&trace);
         let no_hide_cfg = PimConfig {
             gwrite_latency_hiding: false,
@@ -630,7 +577,10 @@ mod tests {
     #[test]
     fn gacts_respect_row_cycle_time() {
         let t = cfg().timing;
-        let trace = vec![PimCommand::GAct { row: 0 }, PimCommand::GAct { row: 1 }];
+        let trace = vec![
+            PimInst::RowActivate { row: 0 },
+            PimInst::RowActivate { row: 1 },
+        ];
         let mut e = ChannelEngine::new(cfg());
         for c in &trace {
             e.execute(c);
@@ -678,18 +628,18 @@ mod tests {
     fn gpu_bursts_delay_bus_not_banks() {
         // A GPU burst before a COMP stream should barely move the finish
         // time (contention is negligible, §7)...
-        let mut base_trace = vec![PimCommand::GAct { row: 0 }];
-        base_trace.push(PimCommand::Comp {
+        let mut base_trace = vec![PimInst::RowActivate { row: 0 }];
+        base_trace.push(PimInst::MacBurst {
             buffer: 0,
             repeat: 100,
         });
         let base = ChannelEngine::new(cfg()).run(&base_trace);
 
         let mut burst_trace = vec![
-            PimCommand::GpuBurst { bytes: 4096 },
-            PimCommand::GAct { row: 0 },
+            PimInst::HostBurst { bytes: 4096 },
+            PimInst::RowActivate { row: 0 },
         ];
-        burst_trace.push(PimCommand::Comp {
+        burst_trace.push(PimInst::MacBurst {
             buffer: 0,
             repeat: 100,
         });
@@ -700,37 +650,38 @@ mod tests {
     }
 
     #[test]
-    fn run_channels_takes_max_cycles() {
-        let short = vec![
-            PimCommand::GAct { row: 0 },
-            PimCommand::Comp {
-                buffer: 0,
-                repeat: 1,
-            },
-        ];
-        let long = vec![
-            PimCommand::GAct { row: 0 },
-            PimCommand::Comp {
-                buffer: 0,
-                repeat: 1000,
-            },
-        ];
-        let merged = run_channels(&cfg(), &[short.clone(), long.clone()], RunOptions::new());
-        let long_alone = ChannelEngine::new(cfg()).run(&long);
-        assert_eq!(merged.cycles, long_alone.cycles);
-        assert_eq!(merged.comps, 1001);
+    fn barriers_touch_no_state() {
+        // A barrier at a refresh deadline must not service the refresh:
+        // the next instruction does, exactly as if the barrier were absent.
+        let due = (1..4000)
+            .map(|repeat| {
+                let mut e = ChannelEngine::new(cfg());
+                e.execute(&PimInst::RowActivate { row: 0 });
+                e.execute(&PimInst::MacBurst { buffer: 0, repeat });
+                e
+            })
+            .find(|e| e.clock() >= e.next_refresh)
+            .expect("some burst ends with a refresh due");
+        let mut with = due.clone();
+        with.execute(&PimInst::Barrier);
+        with.execute(&PimInst::OverlapBarrier);
+        assert_eq!((with.clock(), with.stats), (due.clock(), due.stats));
+        let mut without = due;
+        with.execute(&PimInst::Drain { bytes: 64 });
+        without.execute(&PimInst::Drain { bytes: 64 });
+        assert_eq!(with.finish(), without.finish());
     }
 
     #[test]
     fn refresh_fires_on_long_traces() {
         let c = cfg();
         let trace = vec![
-            PimCommand::GAct { row: 0 },
-            PimCommand::Comp {
+            PimInst::RowActivate { row: 0 },
+            PimInst::MacBurst {
                 buffer: 0,
                 repeat: 10_000,
             }, // 20k cycles >> tREFI
-            PimCommand::ReadRes { bytes: 64 },
+            PimInst::Drain { bytes: 64 },
         ];
         let stats = ChannelEngine::new(c).run(&trace);
         assert!(stats.refreshes >= 1, "long trace must hit refresh windows");
@@ -741,12 +692,12 @@ mod tests {
         // Every refresh that interrupts work on an open row costs one
         // controller re-activation.
         let mut e = ChannelEngine::new(cfg());
-        e.execute(&PimCommand::GAct { row: 3 });
-        e.execute(&PimCommand::Comp {
+        e.execute(&PimInst::RowActivate { row: 3 });
+        e.execute(&PimInst::MacBurst {
             buffer: 0,
             repeat: 10_000,
         });
-        e.execute(&PimCommand::GAct { row: 3 }); // still open: free
+        e.execute(&PimInst::RowActivate { row: 3 }); // still open: free
         let s = e.finish();
         assert!(s.refreshes >= 1);
         assert_eq!(s.gacts, 1 + s.refreshes, "one re-activation per refresh");
@@ -757,8 +708,8 @@ mod tests {
         let mut c = cfg();
         c.timing.t_refi = 0;
         let trace = vec![
-            PimCommand::GAct { row: 0 },
-            PimCommand::Comp {
+            PimInst::RowActivate { row: 0 },
+            PimInst::MacBurst {
                 buffer: 0,
                 repeat: 10_000,
             },
@@ -770,8 +721,8 @@ mod tests {
     #[test]
     fn refresh_overhead_is_single_digit_percent() {
         let with = ChannelEngine::new(cfg()).run(&[
-            PimCommand::GAct { row: 0 },
-            PimCommand::Comp {
+            PimInst::RowActivate { row: 0 },
+            PimInst::MacBurst {
                 buffer: 0,
                 repeat: 100_000,
             },
@@ -779,8 +730,8 @@ mod tests {
         let mut c = cfg();
         c.timing.t_refi = 0;
         let without = ChannelEngine::new(c).run(&[
-            PimCommand::GAct { row: 0 },
-            PimCommand::Comp {
+            PimInst::RowActivate { row: 0 },
+            PimInst::MacBurst {
                 buffer: 0,
                 repeat: 100_000,
             },
@@ -870,25 +821,25 @@ mod tests {
         use pimflow_rng::Rng;
         let mut rng = Rng::seed_from_u64(0x9E71);
         let random_command = |rng: &mut Rng, buffers: u32, row: u32| match rng.range_u32(0, 6) {
-            0 => PimCommand::Gwrite {
+            0 => PimInst::BufWrite {
                 buffer: rng.range_u32(0, buffers) as u8,
                 bytes: rng.range_u32(0, 600),
             },
-            1 => PimCommand::GAct {
+            1 => PimInst::RowActivate {
                 row: row + rng.range_u32(0, 2),
             },
-            2 => PimCommand::Comp {
+            2 => PimInst::MacBurst {
                 buffer: rng.range_u32(0, buffers) as u8,
                 repeat: rng.range_u32(0, 30),
             },
-            3 => PimCommand::ReadRes {
+            3 => PimInst::Drain {
                 bytes: rng.range_u32(0, 300),
             },
-            4 => PimCommand::BankFeed {
+            4 => PimInst::BankFeed {
                 buffer: rng.range_u32(0, buffers) as u8,
                 bytes: rng.range_u32(0, 300),
             },
-            _ => PimCommand::GpuBurst {
+            _ => PimInst::HostBurst {
                 bytes: rng.range_u32(0, 600),
             },
         };
@@ -904,7 +855,7 @@ mod tests {
             }
             let buffers = cfg.num_global_buffers.max(1) as u32;
             let row_step = rng.range_u32(0, 2);
-            let period: Vec<PimCommand> = (0..rng.range_u32(1, 6))
+            let period: Vec<PimInst> = (0..rng.range_u32(1, 6))
                 .map(|_| random_command(&mut rng, buffers, 0))
                 .collect();
             let mut engine = ChannelEngine::new(cfg);
@@ -913,8 +864,8 @@ mod tests {
                 engine.execute(&random_command(&mut rng, buffers, row));
             }
             let count = rng.range_u64(1, 150);
-            let shifted = |k: u64, cmd: PimCommand| match cmd {
-                PimCommand::GAct { row } => PimCommand::GAct {
+            let shifted = |k: u64, cmd: PimInst| match cmd {
+                PimInst::RowActivate { row } => PimInst::RowActivate {
                     row: row + k as u32 * row_step,
                 },
                 other => other,
@@ -939,16 +890,16 @@ mod tests {
         // first period is no template for the rest, although every other
         // part of the state repeats.
         let mut engine = ChannelEngine::new(cfg());
-        engine.execute(&PimCommand::GAct { row: 99 });
-        engine.execute(&PimCommand::Comp {
+        engine.execute(&PimInst::RowActivate { row: 99 });
+        engine.execute(&PimInst::MacBurst {
             buffer: 0,
             repeat: 20,
         });
         let period = |e: &mut ChannelEngine, k: u64| {
-            e.execute(&PimCommand::GAct {
+            e.execute(&PimInst::RowActivate {
                 row: 100 + k as u32,
             });
-            e.execute(&PimCommand::Comp {
+            e.execute(&PimInst::MacBurst {
                 buffer: 0,
                 repeat: 8,
             });
@@ -998,10 +949,12 @@ mod tests {
         // Re-activating the open row costs nothing: after the first
         // period the clock never moves, so the rest is skipped at once.
         let mut e = ChannelEngine::new(cfg());
-        e.run_periods(u64::MAX, 0, |e, _| e.execute(&PimCommand::GAct { row: 5 }));
+        e.run_periods(u64::MAX, 0, |e, _| {
+            e.execute(&PimInst::RowActivate { row: 5 })
+        });
         let mut slow = ChannelEngine::new(cfg());
         for _ in 0..1_000 {
-            slow.execute(&PimCommand::GAct { row: 5 });
+            slow.execute(&PimInst::RowActivate { row: 5 });
         }
         assert_eq!(e.clock(), slow.clock());
         assert_eq!(e.finish(), slow.finish());
@@ -1013,7 +966,7 @@ mod tests {
         let mut c = cfg();
         c.num_global_buffers = 1;
         let mut e = ChannelEngine::new(c);
-        e.execute(&PimCommand::Gwrite {
+        e.execute(&PimInst::BufWrite {
             buffer: 3,
             bytes: 8,
         });

@@ -2,9 +2,9 @@
 //! seeded random cases from `pimflow-rng` (the workspace builds offline, so
 //! `proptest` is not available).
 
+use pimflow_isa::PimInst;
 use pimflow_pimsim::{
-    run_channels, schedule, ChannelEngine, CommandBlock, PimCommand, PimConfig, RunOptions,
-    ScheduleGranularity,
+    schedule, ChannelEngine, CommandBlock, NewtonInterpreter, PimConfig, ScheduleGranularity,
 };
 use pimflow_rng::Rng;
 
@@ -34,27 +34,27 @@ fn rle_comp_is_exact() {
             .collect();
         let cfg = PimConfig::default();
         let mut rle = vec![
-            PimCommand::Gwrite {
+            PimInst::BufWrite {
                 buffer: 0,
                 bytes: 128,
             },
-            PimCommand::GAct { row: 0 },
+            PimInst::RowActivate { row: 0 },
         ];
         let mut expanded = rle.clone();
         for &r in &repeats {
-            rle.push(PimCommand::Comp {
+            rle.push(PimInst::MacBurst {
                 buffer: 0,
                 repeat: r,
             });
             for _ in 0..r {
-                expanded.push(PimCommand::Comp {
+                expanded.push(PimInst::MacBurst {
                     buffer: 0,
                     repeat: 1,
                 });
             }
         }
-        rle.push(PimCommand::ReadRes { bytes: 32 });
-        expanded.push(PimCommand::ReadRes { bytes: 32 });
+        rle.push(PimInst::Drain { bytes: 32 });
+        expanded.push(PimInst::Drain { bytes: 32 });
         let a = ChannelEngine::new(cfg).run(&rle);
         let b = ChannelEngine::new(cfg).run(&expanded);
         assert_eq!(a.cycles, b.cycles);
@@ -69,7 +69,7 @@ fn hiding_never_hurts() {
     let mut rng = Rng::seed_from_u64(0x7151_0002);
     for _ in 0..CASES {
         let block = random_block(&mut rng);
-        let trace: Vec<PimCommand> = block.expand().collect();
+        let trace: Vec<PimInst> = block.expand().collect();
         let hidden = ChannelEngine::new(PimConfig::default()).run(&trace);
         let cfg = PimConfig {
             gwrite_latency_hiding: false,
@@ -119,9 +119,9 @@ fn schedule_conserves_and_bounds() {
         let channels = rng.range_usize(1, 17);
         let granularity = *rng.pick(&granularities);
         let cfg = PimConfig::default();
-        let traces = schedule(&blocks, channels, granularity, &cfg);
-        assert_eq!(traces.len(), channels);
-        let stats = run_channels(&cfg, &traces, RunOptions::new());
+        let program = schedule(&blocks, channels, granularity, &cfg);
+        assert_eq!(program.num_channels(), channels);
+        let (stats, _) = NewtonInterpreter::new(&cfg).run(&program);
         let min_comps: u64 = blocks.iter().map(|b| b.total_comps()).sum();
         assert!(stats.comps >= min_comps);
         // Lower bound: total COMP cycles spread perfectly over channels.

@@ -8,11 +8,14 @@
 //! 2. **Interpreter identity** — for seeded random workloads and for the
 //!    compiled kernels of zoo PIM candidates, encoding to text, decoding,
 //!    and interpreting on the Newton engine reports exactly the merged
-//!    and per-channel statistics of running the scheduled command traces
-//!    directly, or of the streamed pricer the search uses. The ISA is a
-//!    lens over the simulator, not a second cost model.
+//!    and per-channel statistics of running each scheduled channel stream
+//!    on its own engine, or of the streamed pricer the search uses. The
+//!    ISA is the simulator's own input, not a second cost model.
 //! 3. **Plan stability** — Newton plans are pool-width invariant, and
 //!    legacy split JSON decodes unchanged.
+//!
+//! Seeded mutants of the zoo candidates' program text are rejected or
+//! run, never panic.
 
 use pimflow::backend::{Backend, DramPimBackend, KernelArtifact};
 use pimflow::codegen::{execute_workload, PimWorkload};
@@ -20,11 +23,12 @@ use pimflow::engine::EngineConfig;
 use pimflow::search::{Decision, Search, SearchOptions};
 use pimflow_ir::models;
 use pimflow_isa::{
-    inst_to_line, parse_program, program_to_text, FusedRole, IsaProgram, PimInst, PROGRAM_HEADER,
+    inst_to_line, parse_program, program_to_text, validate_program, FusedRole, IsaProgram,
+    MachineSpec, PimInst, PROGRAM_HEADER,
 };
 use pimflow_pimsim::{
-    lift_traces, run_channels, schedule, ChannelStats, CommandBlock, NewtonInterpreter, PimConfig,
-    RunOptions, ScheduleGranularity,
+    schedule, ChannelEngine, ChannelStats, CommandBlock, NewtonInterpreter, PimConfig,
+    ScheduleGranularity,
 };
 use pimflow_rng::Rng;
 
@@ -118,13 +122,20 @@ fn interpreted_isa_matches_direct_timing_on_random_workloads() {
             ScheduleGranularity::ReadRes,
             ScheduleGranularity::Comp,
         ][trial % 3];
-        let traces = schedule(&blocks, channels, granularity, &cfg);
-        let mut per_channel = Vec::new();
-        let mut collect = |_: usize, s: &ChannelStats| per_channel.push(*s);
-        let merged = run_channels(&cfg, &traces, RunOptions::new().on_channel(&mut collect));
+        let program = schedule(&blocks, channels, granularity, &cfg);
+        // The direct run: each channel's stream on its own engine, merged
+        // as parallel channels.
+        let per_channel: Vec<ChannelStats> = program
+            .channels()
+            .iter()
+            .map(|stream| ChannelEngine::new(cfg).run(stream))
+            .collect();
+        let merged = per_channel
+            .iter()
+            .fold(ChannelStats::default(), |acc, s| acc.merge_parallel(s));
         Case {
             label: format!("trial {trial}"),
-            program: lift_traces(&traces),
+            program,
             merged,
             per_channel,
         }
@@ -173,10 +184,7 @@ fn interpreted_isa_matches_direct_timing_on_random_workloads() {
             decoded, case.program,
             "{label}: text round-trip must be exact"
         );
-        let mut per_channel = Vec::new();
-        let mut collect = |_: usize, s: &ChannelStats| per_channel.push(*s);
-        let interpreted =
-            NewtonInterpreter::new(&cfg).run(&decoded, RunOptions::new().on_channel(&mut collect));
+        let (interpreted, per_channel) = NewtonInterpreter::new(&cfg).run(&decoded);
         assert_eq!(
             interpreted, case.merged,
             "{label}: ISA interpretation diverged from the direct run"
@@ -186,6 +194,143 @@ fn interpreted_isa_matches_direct_timing_on_random_workloads() {
             "{label}: per-channel statistics diverged from the direct run"
         );
     }
+}
+
+/// One seeded mutation of a program's text lines: drop, duplicate or swap
+/// lines, corrupt a number or a channel header. Returns what it did.
+fn mutate(rng: &mut Rng, lines: &mut Vec<String>) -> String {
+    if lines.is_empty() {
+        lines.push(PROGRAM_HEADER.to_string());
+        return "insert header".into();
+    }
+    let i = rng.range_usize(0, lines.len());
+    match rng.range_u32(0, 5) {
+        0 => {
+            lines.remove(i);
+            format!("drop line {i}")
+        }
+        1 => {
+            let at = rng.range_usize(0, lines.len() + 1);
+            lines.insert(at, lines[i].clone());
+            format!("duplicate line {i} at {at}")
+        }
+        2 => {
+            let j = rng.range_usize(0, lines.len());
+            lines.swap(i, j);
+            format!("swap lines {i} and {j}")
+        }
+        3 => {
+            let Some(eq) = lines[i].rfind('=') else {
+                return format!("no number on line {i}");
+            };
+            let number = *rng.pick(&[
+                "",
+                "0",
+                "1",
+                "3",
+                "4",
+                "255",
+                "256",
+                "4096",
+                "4097",
+                "65535",
+                "4294967295",
+                "4294967296",
+                "18446744073709551616",
+                "-1",
+                "+7",
+                "1e3",
+                "0x10",
+                "banana",
+            ]);
+            lines[i].truncate(eq + 1);
+            lines[i].push_str(number);
+            format!("line {i} number -> `{number}`")
+        }
+        _ => {
+            let header = *rng.pick(&[
+                "# pimflow pim-isa v1 channel=0",
+                "# pimflow pim-isa v1 channel=99",
+                "# pimflow pim-isa v1",
+                "# pimflow pim-isa v2 channel=0",
+                "# pimflow dram-pim trace v1 channel=0",
+                "pimflow pim-isa v1 channel=0",
+                "#",
+            ]);
+            let at = match lines.iter().position(|l| l.starts_with('#')) {
+                Some(h) if rng.chance(0.5) => {
+                    lines[h] = header.to_string();
+                    h
+                }
+                _ => {
+                    lines.insert(i, header.to_string());
+                    i
+                }
+            };
+            format!("header `{header}` at line {at}")
+        }
+    }
+}
+
+/// Seeded mutants of the zoo candidates' ISA text (dropped, duplicated
+/// and swapped lines, corrupted numbers and headers, truncation) never
+/// panic: parsing and validation return `Ok` or `Err`, and every mutant
+/// that parses and validates against the configuration's buffers runs on
+/// the Newton interpreter.
+#[test]
+fn mutated_isa_text_is_rejected_or_runs() {
+    let be = DramPimBackend::newton_plus_plus();
+    let spec = MachineSpec {
+        num_buffers: be.pim.num_global_buffers,
+        buffer_bytes: be.pim.global_buffer_bytes,
+    };
+    let mut programs: Vec<(String, Vec<String>)> = Vec::new();
+    for name in ["toy", "squeezenet-1.1", "mobilenet-v2"] {
+        let g = models::by_name(name).expect("zoo model");
+        for id in g.node_ids().filter(|&id| g.is_pim_candidate(id)) {
+            let kernel = be.compile(&g, id).expect("zoo candidate compiles");
+            let KernelArtifact::PimProgram(program) = kernel.artifact else {
+                panic!("the PIM backend emits an ISA program");
+            };
+            let lines = program_to_text(&program)
+                .lines()
+                .map(str::to_string)
+                .collect();
+            programs.push((format!("{name}/{}", g.node(id).name), lines));
+        }
+    }
+    let mut rng = Rng::seed_from_u64(0x15a_f022);
+    // Mutants rejected by the parser, rejected by the validator, and run.
+    let mut outcomes = [0usize; 3];
+    for trial in 0..1500 {
+        let (label, original) = rng.pick(&programs);
+        let mut lines = original.clone();
+        let mut applied: Vec<String> = (0..rng.range_usize(1, 4))
+            .map(|_| mutate(&mut rng, &mut lines))
+            .collect();
+        let mut text = lines.join("\n");
+        if rng.chance(0.2) {
+            let at = rng.range_usize(0, text.len() + 1);
+            text.truncate(at);
+            applied.push(format!("truncate at byte {at}"));
+        }
+        let outcome = std::panic::catch_unwind(|| match parse_program(&text) {
+            Err(_) => 0,
+            Ok(program) => match validate_program(&program, &spec) {
+                Err(_) => 1,
+                Ok(()) => {
+                    NewtonInterpreter::new(&be.pim).run(&program);
+                    2
+                }
+            },
+        })
+        .unwrap_or_else(|_| panic!("{label}, mutant {trial} ({applied:?}) panicked"));
+        outcomes[outcome] += 1;
+    }
+    assert!(
+        outcomes.iter().all(|&n| n >= 100),
+        "every stage must see mutants: {outcomes:?} (parse errors, invalid, run)"
+    );
 }
 
 /// Newton-only plans are byte-identical whether the search routes costs

@@ -16,7 +16,7 @@ use pimflow::codegen::{
 };
 use pimflow_ir::models;
 use pimflow_isa::FusedRole;
-use pimflow_pimsim::{ChannelStats, NewtonInterpreter, PimConfig, RunOptions, ScheduleGranularity};
+use pimflow_pimsim::{ChannelStats, NewtonInterpreter, PimConfig, ScheduleGranularity};
 use pimflow_rng::Rng;
 
 /// Every model of the zoo (`models::by_name`), whose PIM candidates the
@@ -97,11 +97,7 @@ fn interpret(
     program: &pimflow_isa::IsaProgram,
     cfg: &PimConfig,
 ) -> (ChannelStats, Vec<ChannelStats>) {
-    let mut per_channel = Vec::new();
-    let mut collect = |_: usize, s: &ChannelStats| per_channel.push(*s);
-    let merged =
-        NewtonInterpreter::new(cfg).run(program, RunOptions::new().on_channel(&mut collect));
-    (merged, per_channel)
+    NewtonInterpreter::new(cfg).run(program)
 }
 
 /// Every distinct PIM candidate workload of the zoo.

@@ -4,12 +4,13 @@
 //! Cases are drawn from a seeded `pimflow-rng` generator (the workspace
 //! builds offline, so `proptest` is not available).
 
-use pimflow::codegen::{generate_blocks, PimWorkload};
+use pimflow::codegen::{generate_blocks, generate_program, PimWorkload};
 use pimflow::engine::{execute, EngineConfig};
 use pimflow::passes::{find_chains, pipeline_chain, split_node};
 use pimflow_ir::{ActivationKind, Graph, GraphBuilder, Op, Shape};
+use pimflow_isa::{validate_program, MachineSpec};
 use pimflow_kernels::{input_tensors, run_graph};
-use pimflow_pimsim::{run_channels, schedule, PimConfig, RunOptions, ScheduleGranularity};
+use pimflow_pimsim::{schedule, NewtonInterpreter, PimConfig, ScheduleGranularity};
 use pimflow_rng::Rng;
 
 const CASES: usize = 24;
@@ -145,9 +146,10 @@ fn codegen_covers_workload() {
     }
 }
 
-/// Every trace the code generator + scheduler emit obeys the command
-/// protocol (buffers written before read, rows activated before COMP,
-/// results computed before READRES, payloads within buffer capacity).
+/// Every program the code generator + scheduler emit obeys the ISA
+/// protocol (buffers staged before read, a row activated before MAC
+/// bursts, results computed before drains, payloads within buffer
+/// capacity, balanced barriers) on the configuration's buffers.
 #[test]
 fn codegen_traces_are_protocol_valid() {
     let mut rng = Rng::seed_from_u64(0xc405_0005);
@@ -165,11 +167,13 @@ fn codegen_traces_are_protocol_valid() {
             segments: 1,
         };
         let cfg = PimConfig::default();
-        let blocks = generate_blocks(&w, &cfg);
-        for trace in schedule(&blocks, channels, granularity, &cfg) {
-            if let Err(v) = pimflow_pimsim::validate_trace(&trace, &cfg) {
-                panic!("invalid trace for rows={rows} k={k} oc={oc}: {v}");
-            }
+        let spec = MachineSpec {
+            num_buffers: cfg.num_global_buffers,
+            buffer_bytes: cfg.global_buffer_bytes,
+        };
+        let program = generate_program(&w, &cfg, channels, granularity);
+        if let Err(v) = validate_program(&program, &spec) {
+            panic!("invalid program for rows={rows} k={k} oc={oc}: {v}");
         }
     }
 }
@@ -195,9 +199,9 @@ fn scheduler_conserves_work() {
         let cfg = PimConfig::default();
         let blocks = generate_blocks(&w, &cfg);
         let comps_expected: u64 = blocks.iter().map(|b| b.total_comps()).sum();
-        let traces = schedule(&blocks, channels, granularity, &cfg);
-        assert_eq!(traces.len(), channels);
-        let stats = run_channels(&cfg, &traces, RunOptions::new());
+        let program = schedule(&blocks, channels, granularity, &cfg);
+        assert_eq!(program.num_channels(), channels);
+        let (stats, _) = NewtonInterpreter::new(&cfg).run(&program);
         // Splitting may only *add* COMPs (reduction-split rounding), never lose them.
         assert!(stats.comps >= comps_expected);
         assert!(stats.macs >= w.macs());

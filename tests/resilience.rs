@@ -1,8 +1,8 @@
 //! Fault-resilience contracts across the stack: plan repair must be
 //! deterministic at every worker-pool width, a no-op on healthy hardware,
 //! mask-respecting and never optimistic for arbitrary seeded fault masks,
-//! every zoo execution must keep the engine's timeline invariants under a
-//! seeded mask, and the serving runtime must replay a seeded mid-stream
+//! every zoo execution must keep the engine's timeline and byte-count
+//! invariants under a seeded mask, and the serving runtime must replay a seeded mid-stream
 //! fault scenario byte-identically (report and JSONL trace) while dropping
 //! nothing.
 //!
@@ -11,12 +11,13 @@
 //! plain `cargo test` run is reproducible and a seeded CI run stresses a
 //! different scenario.
 
-use pimflow::engine::{execute, ChannelMask, EngineConfig};
+use pimflow::engine::{execute, ChannelMask, EngineConfig, ExecutionReport};
 use pimflow::policy::Policy;
 use pimflow::search::{apply_plan, Search, SearchOptions};
-use pimflow_ir::models;
+use pimflow_ir::{models, Graph, Placement, ValueId};
 use pimflow_rng::Rng;
 use pimflow_serve::{run, ArrivalSpec, FaultScenario, ServeConfig};
+use std::collections::{HashMap, HashSet};
 
 /// Fault seed: `PIMFLOW_FAULTS` when set (the CI matrix knob), else fixed.
 fn fault_seed() -> u64 {
@@ -165,11 +166,50 @@ fn repaired_plans_respect_the_mask_and_are_never_optimistic() {
 /// inside the makespan, no channel is busier than the PIM stream, the PIM
 /// stream is not busier than the makespan, and a failed channel gets no
 /// work.
+/// The engine's two boundary byte totals recounted from the timeline's
+/// devices and the graph's value sizes: `(host_to_pim_bytes,
+/// transfer_bytes)`. A value not produced on PIM (graph inputs included)
+/// crosses into the PIM channels once if some PIM-timed node reads it; a
+/// PIM-produced value crosses back once if some GPU-timed node reads it.
+fn recount_crossings(g: &Graph, r: &ExecutionReport) -> (u64, u64) {
+    let device: HashMap<&str, Placement> = r
+        .timings
+        .iter()
+        .map(|t| (t.name.as_str(), t.device))
+        .collect();
+    assert_eq!(device.len(), g.node_ids().count(), "one timing per node");
+    let on_pim = |node: &pimflow_ir::Node| device[node.name.as_str()] == Placement::Pim;
+    let mut produced_on_pim: HashMap<ValueId, bool> =
+        g.inputs().iter().map(|&v| (v, false)).collect();
+    // Each value with the devices that read it.
+    let mut reads: HashSet<(ValueId, bool)> = HashSet::new();
+    for id in g.node_ids() {
+        let node = g.node(id);
+        produced_on_pim.insert(node.output, on_pim(node));
+        reads.extend(node.inputs.iter().map(|&v| (v, on_pim(node))));
+    }
+    let bytes = |v: ValueId| {
+        g.value(v)
+            .desc
+            .as_ref()
+            .map_or(0, |d| d.size_bytes() as u64)
+    };
+    let crossing = |read_on_pim: bool| -> u64 {
+        reads
+            .iter()
+            .filter(|&&(v, on)| on == read_on_pim && produced_on_pim[&v] != read_on_pim)
+            .map(|&(v, _)| bytes(v))
+            .sum()
+    };
+    (crossing(true), crossing(false))
+}
+
 #[test]
 fn zoo_executions_keep_the_engine_invariants_under_a_mask() {
     let cfg = EngineConfig::pimflow();
     let mut rng = Rng::seed_from_u64(fault_seed() ^ 0x200);
     let degraded = seeded_mask(&mut rng, cfg.pim_channels, 3);
+    let mut crossed = (0u64, 0u64);
     for model in [
         "toy",
         "mobilenet-v2",
@@ -215,8 +255,16 @@ fn zoo_executions_keep_the_engine_invariants_under_a_mask() {
                     "{case}: masked-out channel {ch} busy {busy} us"
                 );
             }
+            assert_eq!(
+                recount_crossings(&transformed, &r),
+                (r.host_to_pim_bytes, r.transfer_bytes),
+                "{case}: (host_to_pim_bytes, transfer_bytes)"
+            );
+            crossed.0 += r.host_to_pim_bytes;
+            crossed.1 += r.transfer_bytes;
         }
     }
+    assert!(crossed.0 > 0 && crossed.1 > 0, "the zoo crosses both ways");
 }
 
 #[test]
