@@ -112,8 +112,8 @@ rm -rf "$tmpdir"
 # register-blocked micro-kernel and must pass the numerical tolerance
 # gate on every config (the Welch ACCEPT/REJECT verdicts are recorded
 # in the artifact but are host-dependent, so CI only asserts accuracy),
-# and the portable and AVX2 paths (GEMM tiles, weight lanes) must give
-# the same bits.
+# and every instruction set the host runs must give the portable path's
+# bits: the AVX2 and AVX-512 GEMM tiles and the AVX2 weight lanes.
 echo "==> figures kernels --smoke"
 tmpdir="$(mktemp -d)"
 cargo run -q --offline -p pimflow-bench --bin figures -- kernels "$tmpdir" --smoke

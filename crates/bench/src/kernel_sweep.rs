@@ -18,10 +18,11 @@
 //!   feature-gated [`pimflow_kernels::probe`] layer, captured from one
 //!   instrumented run per path after the timed samples;
 //! * a bit-identity check of the instruction-set paths: the shape's GEMM
-//!   on the portable tiles and on the host's best ones ([`Simd::detect`]),
-//!   and a `k x n` weight stream drawn sequentially and through the AVX2
-//!   [`Lanes`](pimflow_rng::Lanes) (`simd_paths_bit_identical`, the second CI invariant key;
-//!   `simd_isa` names the instruction set that ran).
+//!   on the portable tiles and on every other instruction set the host
+//!   runs ([`Simd::supported`]), and a `k x n` weight stream drawn
+//!   sequentially and through the AVX2 [`Lanes`](pimflow_rng::Lanes)
+//!   (`simd_paths_bit_identical`, the second CI invariant key; `simd_isa`
+//!   names the instruction set [`Simd::detect`] picks).
 //!
 //! `figures kernels [dir] [--smoke]` writes the result as
 //! `BENCH_kernels.json`.
@@ -176,11 +177,14 @@ pub struct KernelSweepReport {
     /// True when **every** configuration passed its tolerance check — the
     /// invariant CI greps for.
     pub tolerance_check_passed: bool,
-    /// The instruction set the hot loops ran on: `"avx2"` or `"portable"`.
+    /// The instruction set the hot loops ran on: `"avx512"`, `"avx2"` or
+    /// `"portable"`.
     pub simd_isa: String,
-    /// True when every configuration's GEMM and weight stream gave the
-    /// same bits on the portable path and on `simd_isa` (trivially so on a
-    /// portable-only host) — the second invariant CI greps for.
+    /// True when every configuration's GEMM gave the same bits on the
+    /// portable path and on every other instruction set the host runs, and
+    /// its weight stream the same bits sequentially and through the lanes
+    /// (trivially so on a portable-only host) — the second invariant CI
+    /// greps for.
     pub simd_paths_bit_identical: bool,
     /// Configurations where the micro-kernel was ACCEPTed.
     pub accepted: usize,
@@ -222,9 +226,10 @@ fn operands(shape: &SweepShape, rng: &mut Rng) -> (Tensor, Tensor) {
 }
 
 /// Whether `shape`'s GEMM (plain and with the fused bias + ReLU
-/// epilogue) and a `k x n` weight stream give the same bits on the
-/// portable path and on `simd` / the lanes.
-fn simd_paths_agree(shape: &SweepShape, a: &Tensor, b: &Tensor, simd: Simd) -> bool {
+/// epilogue) gives the same bits on the portable path and on every other
+/// instruction set the host runs, and a `k x n` weight stream the same
+/// bits sequentially and through the lanes.
+fn simd_paths_agree(shape: &SweepShape, a: &Tensor, b: &Tensor) -> bool {
     let (m, k, n) = (shape.m, shape.k, shape.n);
     let packed = pack_b(b.data(), k, n);
     let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.01 - 0.05).collect();
@@ -235,7 +240,13 @@ fn simd_paths_agree(shape: &SweepShape, a: &Tensor, b: &Tensor, simd: Simd) -> b
     };
     let gemm_same = [Epilogue::None, Epilogue::BiasRelu(&bias)]
         .into_iter()
-        .all(|ep| gemm(Simd::Portable, ep) == gemm(simd, ep));
+        .all(|ep| {
+            let want = gemm(Simd::Portable, ep);
+            Simd::ALL[1..]
+                .iter()
+                .filter(|s| s.supported())
+                .all(|&simd| gemm(simd, ep) == want)
+        });
 
     // The weight stream: k rows of n values, lane `i` owning rows
     // `i * per..(i + 1) * per` and the rows left over drawn after the
@@ -265,13 +276,12 @@ fn simd_paths_agree(shape: &SweepShape, a: &Tensor, b: &Tensor, simd: Simd) -> b
 fn sweep(shapes: &[SweepShape], samples: usize, target_ms: u64, smoke: bool) -> KernelSweepReport {
     let mut rng = Rng::seed_from_u64(0x6e57_3a7e);
     let tol = Tolerance::kernel_default();
-    let simd = Simd::detect();
     let mut simd_paths_bit_identical = true;
     let mut rows = Vec::with_capacity(shapes.len());
 
     for shape in shapes {
         let (a, b) = operands(shape, &mut rng);
-        simd_paths_bit_identical &= simd_paths_agree(shape, &a, &b, simd);
+        simd_paths_bit_identical &= simd_paths_agree(shape, &a, &b);
 
         // Correctness first: the fast path must sit inside the documented
         // tolerance of the scalar oracle before its timings mean anything.
@@ -337,7 +347,7 @@ fn sweep(shapes: &[SweepShape], samples: usize, target_ms: u64, smoke: bool) -> 
         alpha: stats::ALPHA,
         smoke,
         tolerance_check_passed: rows.iter().all(|r| r.tolerance_check_passed),
-        simd_isa: simd.name().to_string(),
+        simd_isa: Simd::detect().name().to_string(),
         simd_paths_bit_identical,
         accepted,
         rejected: rows.len() - accepted,
@@ -373,10 +383,10 @@ pub fn write_bench_artifact(
         sweep(&shapes, 7, 30, false)
     };
     if !report.simd_paths_bit_identical {
-        return Err(format!(
-            "the portable and {} paths disagreed on a swept configuration",
-            report.simd_isa
-        ));
+        return Err(
+            "an instruction-set path disagreed with the portable one on a swept configuration"
+                .to_string(),
+        );
     }
     if let Some(bad) = report.configs.iter().find(|r| !r.tolerance_check_passed) {
         return Err(format!(

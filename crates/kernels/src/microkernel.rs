@@ -37,29 +37,56 @@
 //!
 //! # Instruction sets
 //!
-//! Each tile body is compiled twice: for the baseline target (SSE2 on
-//! x86-64) and, on x86-64, for AVX2, where one `NR`-lane accumulator row
-//! is one ymm register. [`gemm_packed`] picks the AVX2 instance when the
-//! host has it ([`Simd::detect`]); both are bit-identical, because AVX2
-//! is enabled without FMA: every product still joins its sum as one
-//! rounded multiply and one rounded add, in ascending `k`. A fused
-//! multiply-add rounds once and would break that. The dispatch call is
-//! the only `unsafe` here.
+//! The tiles are compiled once per instruction set, each instance a module
+//! stamped out by one macro: the baseline target (SSE2 on x86-64) and, on
+//! x86-64, AVX2 and AVX-512F. [`gemm_packed`] picks the best one the host
+//! has ([`Simd::detect`]). Per instance:
+//!
+//! | instance | rows per full tile | accumulators |
+//! |---|---|---|
+//! | portable | [`MR`] = 4 | 16 xmm (4 rows x 4 xmm) |
+//! | AVX2 | [`MR`] = 4 | 8 ymm |
+//! | AVX-512 | [`MR_WIDE`] = 8, then 4 | 8 zmm |
+//!
+//! [`gemm_packed_on`] steps each instance by its own row count: AVX-512
+//! fills 8-row tiles while eight rows remain and then falls back to the
+//! 4-row full and remainder tiles. A panel of at most eight columns (the
+//! last one when `n % NR` is 1–8) runs tiles that compute only the first
+//! eight lanes of each packed row.
+//!
+//! Every instance gives the same bits, because none enables FMA: every
+//! product joins its sum as one rounded multiply and one rounded add, in
+//! ascending `k`. A fused multiply-add rounds once and would break that.
+//! LLVM's `avx512f` feature implies `fma`, so the AVX-512 instance *could*
+//! fuse — but Rust never contracts a separate `*` and `+` into one FMA
+//! (there are no fast-math flags on plain float ops), so enabling the
+//! feature only widens the registers. `objdump -d` of the release binary
+//! shows no `vfmadd` in any tile. The dispatch calls are the only `unsafe`
+//! here.
 
 use crate::probe::{self, ProbePoint};
 
-/// Rows per register tile. Four accumulator rows of [`NR`] f32 lanes fit in
-/// registers alongside a packed-B vector: eight xmm registers on baseline
-/// x86-64, four ymm registers on the AVX2 instance, NEON on aarch64.
+/// Rows per register tile on the portable and AVX2 instances, and of the
+/// AVX-512 instance's fallback tiles. Four accumulator rows of [`NR`] f32
+/// lanes: sixteen xmm registers on baseline x86-64, eight ymm registers on
+/// AVX2.
 pub const MR: usize = 4;
 
-/// Columns per register tile — the unrolled f32 lanes of the accumulator.
-/// Packed-B panels are padded to this width so the inner loop is always a
-/// fixed-trip-count, auto-vectorizable lane loop.
-pub const NR: usize = 8;
+/// Rows of the AVX-512 instance's full tile: eight accumulator rows of
+/// [`NR`] lanes, one zmm register each.
+pub const MR_WIDE: usize = 8;
 
-/// k extent per cache panel: a `KC x NR` packed-B panel (8 KiB) stays in L1
-/// while an `MR x KC` slab of `A` streams against it.
+/// Columns per register tile — the unrolled f32 lanes of the accumulator,
+/// one zmm register. Packed-B panels are padded to this width so the inner
+/// loop is always a fixed-trip-count, auto-vectorizable lane loop.
+pub const NR: usize = 16;
+
+/// Lanes of a half panel: remainder panels of at most this many columns
+/// compute only these lanes, not all [`NR`].
+const HALF_NR: usize = NR / 2;
+
+/// k extent per cache panel: a `KC x NR` packed-B panel (16 KiB) stays in
+/// L1 while an `MR x KC` slab of `A` streams against it.
 pub const KC: usize = 256;
 
 /// Rows per L2 block: bounds the working set of `A` rows revisited per
@@ -112,16 +139,20 @@ pub enum Simd {
     Portable,
     /// AVX2 without FMA, on x86-64 hosts that have it.
     Avx2,
+    /// AVX-512F without FMA, on x86-64 hosts that have it.
+    Avx512,
 }
 
 impl Simd {
+    /// Every instruction set, portable first.
+    pub const ALL: [Simd; 3] = [Simd::Portable, Simd::Avx2, Simd::Avx512];
+
     /// The best instruction set this host runs.
     pub fn detect() -> Simd {
-        if Simd::Avx2.supported() {
-            Simd::Avx2
-        } else {
-            Simd::Portable
-        }
+        [Simd::Avx512, Simd::Avx2]
+            .into_iter()
+            .find(|s| s.supported())
+            .unwrap_or(Simd::Portable)
     }
 
     /// Whether this host runs `self`.
@@ -130,16 +161,19 @@ impl Simd {
             Simd::Portable => true,
             #[cfg(target_arch = "x86_64")]
             Simd::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Simd::Avx512 => is_x86_feature_detected!("avx512f"),
             #[cfg(not(target_arch = "x86_64"))]
-            Simd::Avx2 => false,
+            Simd::Avx2 | Simd::Avx512 => false,
         }
     }
 
-    /// Stable name for artifacts: `"portable"` or `"avx2"`.
+    /// Stable name for artifacts: `"portable"`, `"avx2"` or `"avx512"`.
     pub fn name(self) -> &'static str {
         match self {
             Simd::Portable => "portable",
             Simd::Avx2 => "avx2",
+            Simd::Avx512 => "avx512",
         }
     }
 }
@@ -209,7 +243,7 @@ impl PackedB {
             let dst = &mut panel[first * NR..(first + rows) * NR];
             let pairs = dst.chunks_exact_mut(NR).zip(block.chunks_exact(n));
             if nw == NR {
-                // A constant-length copy: two vector moves, not a memcpy call.
+                // A constant-length copy: a few vector moves, not a memcpy call.
                 for (lanes, row) in pairs {
                     lanes.copy_from_slice(&row[col0..col0 + NR]);
                 }
@@ -274,7 +308,7 @@ pub fn gemm_packed(a: &[f32], b: &PackedB, out: &mut [f32], epilogue: Epilogue<'
 }
 
 /// [`gemm_packed`] on a chosen instruction set — the hook the bit-identity
-/// checks use to run both instances on one host.
+/// checks use to run every instance the host supports.
 ///
 /// # Panics
 ///
@@ -307,36 +341,25 @@ pub fn gemm_packed_on(simd: Simd, a: &[f32], b: &PackedB, out: &mut [f32], epilo
                 let col0 = jr * NR;
                 let nw = NR.min(n - col0);
                 let panel = &b.panel(jr)[kb * NR..(kb + kw) * NR];
-                for ir in (0..mw).step_by(MR) {
-                    let row0 = ic + ir;
-                    let rw = MR.min(mw - ir);
-                    if rw == MR && nw == NR {
-                        match simd {
-                            Simd::Portable => {
-                                tile_full(a, k, kb, kw, row0, panel, out, n, col0, first, ep)
-                            }
-                            #[cfg(target_arch = "x86_64")]
-                            // SAFETY: `simd.supported()` was asserted above,
-                            // so this host runs AVX2.
-                            Simd::Avx2 => unsafe {
-                                tile_full_avx2(a, k, kb, kw, row0, panel, out, n, col0, first, ep)
-                            },
-                            #[cfg(not(target_arch = "x86_64"))]
-                            Simd::Avx2 => unreachable!("AVX2 is never supported off x86-64"),
-                        }
-                        continue;
+                let (rows, cols) = ((ic, mw), (col0, nw));
+                match simd {
+                    Simd::Portable => {
+                        portable::panel_tiles(a, k, kb, kw, panel, out, n, rows, cols, first, ep)
                     }
-                    match simd {
-                        Simd::Portable => {
-                            tile(a, k, kb, kw, row0, rw, panel, out, n, col0, nw, first, ep)
-                        }
-                        #[cfg(target_arch = "x86_64")]
-                        // SAFETY: as for the full tile.
-                        Simd::Avx2 => unsafe {
-                            tile_avx2(a, k, kb, kw, row0, rw, panel, out, n, col0, nw, first, ep)
-                        },
-                        #[cfg(not(target_arch = "x86_64"))]
-                        Simd::Avx2 => unreachable!("AVX2 is never supported off x86-64"),
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: `simd.supported()` was asserted above, so this
+                    // host runs AVX2.
+                    Simd::Avx2 => unsafe {
+                        avx2::panel_tiles(a, k, kb, kw, panel, out, n, rows, cols, first, ep)
+                    },
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: as above, for AVX-512F.
+                    Simd::Avx512 => unsafe {
+                        avx512::panel_tiles(a, k, kb, kw, panel, out, n, rows, cols, first, ep)
+                    },
+                    #[cfg(not(target_arch = "x86_64"))]
+                    Simd::Avx2 | Simd::Avx512 => {
+                        unreachable!("no x86 instruction set is supported off x86-64")
                     }
                 }
             }
@@ -344,192 +367,306 @@ pub fn gemm_packed_on(simd: Simd, a: &[f32], b: &PackedB, out: &mut [f32], epilo
     }
 }
 
-/// The full `MR x NR` register tile — the hot kernel, on the baseline
-/// target.
+/// Stamps out one instruction set's tiles as a module: `panel_tiles`, which
+/// runs every register tile of one packed panel, and the outlined tiles it
+/// calls, all compiled with `$feature` (none for the portable instance).
 ///
-/// `inline(never)` is load-bearing: inlined into `gemm_packed` next to the
-/// generic [`tile`], the merged body overwhelms the register allocator and
-/// the accumulator spills to the stack every k step (~6x slower). As an
-/// outlined function the accumulator stays in vector registers.
-///
-/// Its operands, like [`tile`]'s, are separate arguments, not a struct:
-/// a `&mut` inside a struct loses its no-alias guarantee, and without it
-/// the portable instance ran about 6x slower.
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn tile_full(
-    a: &[f32],
-    k: usize,
-    kb: usize,
-    kw: usize,
-    row0: usize,
-    panel: &[f32],
-    out: &mut [f32],
-    n: usize,
-    col0: usize,
-    first: bool,
-    epilogue: Epilogue<'_>,
-) {
-    tile_full_body(a, k, kb, kw, row0, panel, out, n, col0, first, epilogue)
+/// The tiles are `inline(never)`, and this is load-bearing: inlined next to
+/// each other, the merged bodies overwhelm the register allocator and the
+/// accumulators spill to the stack every k step (~6x slower). Their
+/// operands are separate arguments, not a struct: a `&mut` inside a struct
+/// loses its no-alias guarantee, and without it the portable full tile ran
+/// about 6x slower.
+macro_rules! instance {
+    ($isa:ident, rows: $rows:expr $(, feature: $feature:literal)?) => {
+        mod $isa {
+            use super::*;
+
+            /// Rows of this instance's full tile.
+            const ROWS: usize = $rows;
+
+            /// Every register tile of output rows `ic..ic + mw` and columns
+            /// `col0..col0 + nw` against k rows `kb..kb + kw` of one packed
+            /// panel: 8-row tiles while eight rows remain (AVX-512 only),
+            /// then 4-row full tiles, then one remainder tile of fewer rows.
+            /// A panel of at most [`HALF_NR`] columns runs tiles that
+            /// compute only [`HALF_NR`] lanes.
+            $(#[target_feature(enable = $feature)])?
+            #[allow(clippy::too_many_arguments)]
+            pub(super) fn panel_tiles(
+                a: &[f32],
+                k: usize,
+                kb: usize,
+                kw: usize,
+                panel: &[f32],
+                out: &mut [f32],
+                n: usize,
+                (ic, mw): (usize, usize),
+                (col0, nw): (usize, usize),
+                first: bool,
+                ep: Epilogue<'_>,
+            ) {
+                let mut ir = 0;
+                while ir < mw {
+                    let row0 = ic + ir;
+                    let rw = mw - ir;
+                    if ROWS > MR && rw >= ROWS && nw == NR {
+                        wide(a, k, kb, kw, row0, panel, out, n, col0, first, ep);
+                        ir += ROWS;
+                        continue;
+                    }
+                    match (rw >= MR, nw) {
+                        (true, NR) => {
+                            full::<NR>(a, k, kb, kw, row0, panel, out, n, col0, first, ep)
+                        }
+                        (true, HALF_NR) => {
+                            full::<HALF_NR>(a, k, kb, kw, row0, panel, out, n, col0, first, ep)
+                        }
+                        (_, ..=HALF_NR) => remainder::<HALF_NR>(
+                            a, k, kb, row0, rw.min(MR), panel, out, n, col0, nw, first, ep,
+                        ),
+                        _ => remainder::<NR>(
+                            a, k, kb, row0, rw.min(MR), panel, out, n, col0, nw, first, ep,
+                        ),
+                    }
+                    ir += MR;
+                }
+            }
+
+            /// The [`MR_WIDE`]-row tile; only the AVX-512 instance calls it.
+            $(#[target_feature(enable = $feature)])?
+            #[inline(never)]
+            #[allow(clippy::too_many_arguments)]
+            fn wide(
+                a: &[f32],
+                k: usize,
+                kb: usize,
+                kw: usize,
+                row0: usize,
+                panel: &[f32],
+                out: &mut [f32],
+                n: usize,
+                col0: usize,
+                first: bool,
+                ep: Epilogue<'_>,
+            ) {
+                tile_wide_body(a, k, kb, kw, row0, panel, out, n, col0, first, ep)
+            }
+
+            /// The full [`MR`]-row tile of `L` lanes.
+            $(#[target_feature(enable = $feature)])?
+            #[inline(never)]
+            #[allow(clippy::too_many_arguments)]
+            fn full<const L: usize>(
+                a: &[f32],
+                k: usize,
+                kb: usize,
+                kw: usize,
+                row0: usize,
+                panel: &[f32],
+                out: &mut [f32],
+                n: usize,
+                col0: usize,
+                first: bool,
+                ep: Epilogue<'_>,
+            ) {
+                tile_full_body::<L>(a, k, kb, kw, row0, panel, out, n, col0, first, ep)
+            }
+
+            /// A remainder tile of `rw <= MR` rows and `nw <= L` columns,
+            /// computing `L` lanes.
+            $(#[target_feature(enable = $feature)])?
+            #[inline(never)]
+            #[allow(clippy::too_many_arguments)]
+            fn remainder<const L: usize>(
+                a: &[f32],
+                k: usize,
+                kb: usize,
+                row0: usize,
+                rw: usize,
+                panel: &[f32],
+                out: &mut [f32],
+                n: usize,
+                col0: usize,
+                nw: usize,
+                first: bool,
+                ep: Epilogue<'_>,
+            ) {
+                tile_body::<L>(a, k, kb, row0, rw, panel, out, n, col0, nw, first, ep)
+            }
+        }
+    };
 }
 
-/// [`tile_full`] compiled for AVX2 (and not FMA; see the module docs).
+instance!(portable, rows: MR);
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn tile_full_avx2(
-    a: &[f32],
-    k: usize,
-    kb: usize,
-    kw: usize,
-    row0: usize,
-    panel: &[f32],
-    out: &mut [f32],
-    n: usize,
-    col0: usize,
-    first: bool,
-    epilogue: Epilogue<'_>,
-) {
-    tile_full_body(a, k, kb, kw, row0, panel, out, n, col0, first, epilogue)
+instance!(avx2, rows: MR, feature: "avx2");
+#[cfg(target_arch = "x86_64")]
+instance!(avx512, rows: MR_WIDE, feature: "avx512f");
+
+/// The first `L` lanes of every packed row of `panel`.
+#[inline(always)]
+fn panel_rows<const L: usize>(panel: &[f32]) -> impl Iterator<Item = &[f32; L]> {
+    panel
+        .as_chunks::<NR>()
+        .0
+        .iter()
+        .map(|lanes| lanes.first_chunk::<L>().expect("L <= NR"))
 }
 
-/// The body of [`tile_full`] and [`tile_full_avx2`]. Every loop has a
-/// constant trip count and every operand is a pre-sliced zip (no index
-/// arithmetic or bounds checks inside the k loop), so the accumulator
-/// stays in vector registers for the whole panel. Same accumulation order
-/// as [`tile`]; only the remainder handling is gone.
+/// `acc[j] += a * lanes[j]` on every lane: a rounded multiply, then a
+/// rounded add — never one fused multiply-add.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn tile_full_body(
-    a: &[f32],
-    k: usize,
-    kb: usize,
-    kw: usize,
-    row0: usize,
-    panel: &[f32],
+fn madd<const L: usize>(acc: &mut [f32; L], a: f32, lanes: &[f32; L]) {
+    for j in 0..L {
+        acc[j] += a * lanes[j];
+    }
+}
+
+/// The `L` partial sums of a row at `out[base..]`, or zeros on the first
+/// k panel.
+#[inline(always)]
+fn reload<const L: usize>(out: &[f32], base: usize, first: bool) -> [f32; L] {
+    if first {
+        [0.0; L]
+    } else {
+        *out[base..]
+            .first_chunk::<L>()
+            .expect("a row of L partial sums")
+    }
+}
+
+/// Applies the epilogue to one finished `L`-lane row of columns
+/// `col0..col0 + L` and stores it at `out[base..]`.
+#[inline(always)]
+fn finish<const L: usize>(
+    mut row: [f32; L],
     out: &mut [f32],
-    n: usize,
+    base: usize,
     col0: usize,
-    first: bool,
     epilogue: Epilogue<'_>,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
-    if !first {
-        for (i, row) in acc.iter_mut().enumerate() {
-            let base = (row0 + i) * n + col0;
-            row.copy_from_slice(&out[base..base + NR]);
-        }
-    }
-    let arow = |i: usize| &a[(row0 + i) * k + kb..][..kw];
-    let (r0, r1, r2, r3) = (arow(0), arow(1), arow(2), arow(3));
-    // Pure slice-iterator zips (no `take`, no indexing): std specializes
-    // these to one counted loop with no bounds checks, which is what lets
-    // the accumulator live in registers instead of spilling every k step.
-    let rows = r0.iter().zip(r1).zip(r2.iter().zip(r3));
-    for (lanes, ((a0, a1), (a2, a3))) in panel.chunks_exact(NR).zip(rows) {
-        let (a0, a1, a2, a3) = (*a0, *a1, *a2, *a3);
-        // Ascending k order per element, identical to the naive loop.
-        for j in 0..NR {
-            acc[0][j] += a0 * lanes[j];
-        }
-        for j in 0..NR {
-            acc[1][j] += a1 * lanes[j];
-        }
-        for j in 0..NR {
-            acc[2][j] += a2 * lanes[j];
-        }
-        for j in 0..NR {
-            acc[3][j] += a3 * lanes[j];
-        }
-    }
     match epilogue {
         Epilogue::None => {}
         Epilogue::Bias(bias) => {
-            let b: &[f32; NR] = bias[col0..col0 + NR].try_into().expect("NR bias lanes");
-            for row in &mut acc {
-                for j in 0..NR {
-                    row[j] += b[j];
-                }
+            let b = bias[col0..].first_chunk::<L>().expect("L bias lanes");
+            for j in 0..L {
+                row[j] += b[j];
             }
         }
         Epilogue::BiasRelu(bias) => {
-            let b: &[f32; NR] = bias[col0..col0 + NR].try_into().expect("NR bias lanes");
-            for row in &mut acc {
-                for j in 0..NR {
-                    row[j] = (row[j] + b[j]).max(0.0);
-                }
+            let b = bias[col0..].first_chunk::<L>().expect("L bias lanes");
+            for j in 0..L {
+                row[j] = (row[j] + b[j]).max(0.0);
             }
         }
     }
-    for (i, row) in acc.iter().enumerate() {
-        let base = (row0 + i) * n + col0;
-        out[base..base + NR].copy_from_slice(row);
-    }
+    out[base..base + L].copy_from_slice(&row);
 }
 
-/// One `rw x nw` accumulator tile (`rw <= MR`, `nw <= NR`) on the
-/// baseline target. Remainder tiles only — full tiles take
-/// [`tile_full`]. Outlined for the same register-pressure reason, and
-/// with separate arguments for the same no-alias reason.
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn tile(
-    a: &[f32],
-    k: usize,
-    kb: usize,
-    kw: usize,
-    row0: usize,
-    rw: usize,
-    panel: &[f32],
-    out: &mut [f32],
-    n: usize,
-    col0: usize,
-    nw: usize,
-    first: bool,
-    epilogue: Epilogue<'_>,
-) {
-    tile_body(
-        a, k, kb, kw, row0, rw, panel, out, n, col0, nw, first, epilogue,
-    )
-}
-
-/// [`tile`] compiled for AVX2 (and not FMA; see the module docs).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn tile_avx2(
-    a: &[f32],
-    k: usize,
-    kb: usize,
-    kw: usize,
-    row0: usize,
-    rw: usize,
-    panel: &[f32],
-    out: &mut [f32],
-    n: usize,
-    col0: usize,
-    nw: usize,
-    first: bool,
-    epilogue: Epilogue<'_>,
-) {
-    tile_body(
-        a, k, kb, kw, row0, rw, panel, out, n, col0, nw, first, epilogue,
-    )
-}
-
-/// The body of [`tile`] and [`tile_avx2`]: load the partial sums unless
-/// this is the first k panel, accumulate `kw` steps in ascending k order
-/// across all [`NR`] lanes (padding lanes compute zeros and are never
-/// stored), apply the epilogue, store `nw` columns.
+/// The full `MR x L` tile (`L` is [`NR`] or [`HALF_NR`]). Every loop has a
+/// constant trip count and every operand is a pre-sliced zip (no index
+/// arithmetic or bounds checks inside the k loop), so the accumulator stays
+/// in vector registers for the whole panel. Same accumulation order as
+/// [`tile_body`]; only the remainder handling is gone.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile_body(
+fn tile_full_body<const L: usize>(
     a: &[f32],
     k: usize,
     kb: usize,
     kw: usize,
+    row0: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+    col0: usize,
+    first: bool,
+    epilogue: Epilogue<'_>,
+) {
+    let base = |i: usize| (row0 + i) * n + col0;
+    let mut c0 = reload::<L>(out, base(0), first);
+    let mut c1 = reload::<L>(out, base(1), first);
+    let mut c2 = reload::<L>(out, base(2), first);
+    let mut c3 = reload::<L>(out, base(3), first);
+    let arow = |i: usize| &a[(row0 + i) * k + kb..][..kw];
+    // Pure slice-iterator zips (no `take`, no indexing): std specializes
+    // these to one counted loop with no bounds checks, which is what lets
+    // the accumulator live in registers instead of spilling every k step.
+    let rows = arow(0).iter().zip(arow(1)).zip(arow(2).iter().zip(arow(3)));
+    for (lanes, ((a0, a1), (a2, a3))) in panel_rows::<L>(panel).zip(rows) {
+        // Ascending k order per element, identical to the naive loop.
+        madd(&mut c0, *a0, lanes);
+        madd(&mut c1, *a1, lanes);
+        madd(&mut c2, *a2, lanes);
+        madd(&mut c3, *a3, lanes);
+    }
+    finish(c0, out, base(0), col0, epilogue);
+    finish(c1, out, base(1), col0, epilogue);
+    finish(c2, out, base(2), col0, epilogue);
+    finish(c3, out, base(3), col0, epilogue);
+}
+
+/// The full `MR_WIDE x NR` tile: [`tile_full_body`] with eight rows. Each
+/// row is its own variable and statement; a version that indexed an array
+/// of eight rows spilled the accumulators and ran about 10x slower.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile_wide_body(
+    a: &[f32],
+    k: usize,
+    kb: usize,
+    kw: usize,
+    row0: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+    col0: usize,
+    first: bool,
+    epilogue: Epilogue<'_>,
+) {
+    let base = |i: usize| (row0 + i) * n + col0;
+    let mut c0 = reload::<NR>(out, base(0), first);
+    let mut c1 = reload::<NR>(out, base(1), first);
+    let mut c2 = reload::<NR>(out, base(2), first);
+    let mut c3 = reload::<NR>(out, base(3), first);
+    let mut c4 = reload::<NR>(out, base(4), first);
+    let mut c5 = reload::<NR>(out, base(5), first);
+    let mut c6 = reload::<NR>(out, base(6), first);
+    let mut c7 = reload::<NR>(out, base(7), first);
+    let arow = |i: usize| &a[(row0 + i) * k + kb..][..kw];
+    let pair = |i: usize| arow(i).iter().zip(arow(i + 1));
+    let rows = (pair(0).zip(pair(2))).zip(pair(4).zip(pair(6)));
+    for (lanes, (((a0, a1), (a2, a3)), ((a4, a5), (a6, a7)))) in panel_rows::<NR>(panel).zip(rows) {
+        madd(&mut c0, *a0, lanes);
+        madd(&mut c1, *a1, lanes);
+        madd(&mut c2, *a2, lanes);
+        madd(&mut c3, *a3, lanes);
+        madd(&mut c4, *a4, lanes);
+        madd(&mut c5, *a5, lanes);
+        madd(&mut c6, *a6, lanes);
+        madd(&mut c7, *a7, lanes);
+    }
+    finish(c0, out, base(0), col0, epilogue);
+    finish(c1, out, base(1), col0, epilogue);
+    finish(c2, out, base(2), col0, epilogue);
+    finish(c3, out, base(3), col0, epilogue);
+    finish(c4, out, base(4), col0, epilogue);
+    finish(c5, out, base(5), col0, epilogue);
+    finish(c6, out, base(6), col0, epilogue);
+    finish(c7, out, base(7), col0, epilogue);
+}
+
+/// One `rw x nw` remainder tile (`rw <= MR`, `nw <= L`): load the partial
+/// sums unless this is the first k panel, accumulate the panel's k steps
+/// in ascending order across `L` lanes (padding lanes compute zeros and are
+/// never stored), apply the epilogue, store `nw` columns.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile_body<const L: usize>(
+    a: &[f32],
+    k: usize,
+    kb: usize,
     row0: usize,
     rw: usize,
     panel: &[f32],
@@ -540,23 +677,19 @@ fn tile_body(
     first: bool,
     epilogue: Epilogue<'_>,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
+    let mut acc = [[0.0f32; L]; MR];
     if !first {
         for (i, row) in acc.iter_mut().enumerate().take(rw) {
             let base = (row0 + i) * n + col0;
             row[..nw].copy_from_slice(&out[base..base + nw]);
         }
     }
-    for kk in 0..kw {
-        let lanes: &[f32; NR] = panel[kk * NR..(kk + 1) * NR].try_into().expect("NR lanes");
+    for (kk, lanes) in panel_rows::<L>(panel).enumerate() {
         for (i, row) in acc.iter_mut().enumerate().take(rw) {
             // Per element the products join in ascending k order — the same
             // reduction order as the naive triple loop; the tile only
             // reorders memory traffic.
-            let av = a[(row0 + i) * k + kb + kk];
-            for (o, &bv) in row.iter_mut().zip(lanes) {
-                *o += av * bv;
-            }
+            madd(row, a[(row0 + i) * k + kb + kk], lanes);
         }
     }
     match epilogue {
@@ -608,16 +741,17 @@ mod tests {
         (a, b)
     }
 
-    /// The instruction sets this host runs, saying when only the portable
-    /// one did.
+    /// The instruction sets this host runs, naming those it does not.
     fn simds(test: &str) -> Vec<Simd> {
-        if !Simd::Avx2.supported() {
-            eprintln!("{test}: AVX2 not detected, only the portable path ran");
+        let (run, missing): (Vec<Simd>, Vec<Simd>) =
+            Simd::ALL.into_iter().partition(|s| s.supported());
+        for simd in missing {
+            eprintln!(
+                "{test}: {} not detected, its tiles did not run",
+                simd.name()
+            );
         }
-        [Simd::Portable, Simd::Avx2]
-            .into_iter()
-            .filter(|s| s.supported())
-            .collect()
+        run
     }
 
     /// Shapes hitting every remainder: M % MR, N % NR, K < KC, K > KC,
@@ -631,10 +765,28 @@ mod tests {
         (17, 2 * KC + 9, 19),
     ];
 
+    /// Row counts around the 8-row tile and its 4-row fallbacks.
+    const WIDE_TILE_ROWS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17];
+
+    /// Column counts around the half panel, the full panel and two panels.
+    const PANEL_COLS: [usize; 7] = [1, 8, 9, 15, 16, 17, 33];
+
+    /// [`REMAINDER_SHAPES`] plus every `WIDE_TILE_ROWS x PANEL_COLS` shape,
+    /// within one k panel and across a spill.
+    fn remainder_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = REMAINDER_SHAPES.to_vec();
+        for m in WIDE_TILE_ROWS {
+            for n in PANEL_COLS {
+                shapes.extend([(m, 5, n), (m, KC + 3, n)]);
+            }
+        }
+        shapes
+    }
+
     #[test]
     fn packed_gemm_without_epilogue_is_bit_identical_to_naive() {
         for simd in simds("packed_gemm_without_epilogue_is_bit_identical_to_naive") {
-            for (m, k, n) in REMAINDER_SHAPES {
+            for (m, k, n) in remainder_shapes() {
                 let (a, b) = operands(m, k, n);
                 let packed = pack_b(&b, k, n);
                 let mut out = vec![0.0f32; m * n];
@@ -652,7 +804,7 @@ mod tests {
         // the host runs, against the portable tiles.
         let simds = simds("every_instruction_set_gives_the_same_bits");
         let mut rng = pimflow_rng::Rng::seed_from_u64(0x51AD);
-        let mut shapes = REMAINDER_SHAPES.to_vec();
+        let mut shapes = remainder_shapes();
         for _ in 0..12 {
             shapes.push((
                 rng.range_usize(1, 2 * MC + 3),

@@ -337,7 +337,8 @@ mod tests {
     #[test]
     fn packed_generation_equals_packing_the_generated_matrix() {
         // Windows: empty, full, at either edge, interior; the widths cover
-        // n % NR != 0, one short panel, and exactly one panel.
+        // n % NR != 0, a half panel and shorter, one short panel, exactly
+        // one panel, and one panel plus a column.
         let (rows, row_len, fan_in) = (11, 21, 9);
         for role in [
             ParamRole::Weight,
@@ -345,7 +346,17 @@ mod tests {
             ParamRole::BnScale,
             ParamRole::BnShift,
         ] {
-            for (begin, end) in [(0, 0), (7, 7), (0, 21), (0, 8), (13, 21), (20, 21), (3, 16)] {
+            for (begin, end) in [
+                (0, 0),
+                (7, 7),
+                (0, 21),
+                (0, 8),
+                (13, 21),
+                (20, 21),
+                (3, 16),
+                (5, 21),
+                (0, 17),
+            ] {
                 let cols = param_cols(42, role, rows, row_len, begin, end, fan_in);
                 let want = pack_b(&cols, rows, end - begin);
                 let got = param_cols_packed(42, role, rows, row_len, begin, end, fan_in);
@@ -359,8 +370,9 @@ mod tests {
         // Long streams, (rows, row_len, begin, end): LANE_MIN_STREAM - 1,
         // exactly and + 1 positions; row counts one off a multiple of the
         // lane count; lane shares one off a multiple of the 8-value tile;
-        // and windows with n % NR != 0 that span several slabs, through
-        // the lanes and through the sequential tail.
+        // windows of one, two and many 16-lane panels plus a column; and
+        // windows with n % NR != 0 that span several slabs, through the
+        // lanes and through the sequential tail.
         if Rng::seed_from_u64(0).lanes(1).is_none() {
             eprintln!("AVX2 not detected: only the portable (sequential) path ran");
         }
@@ -375,6 +387,7 @@ mod tests {
             (LANES * 40 + 1, 13, 2, 11),
             (LANES * 40 + 7, 9, 0, 9),
             (LANES * 3, 24, 0, 17),
+            (edge / 40 + 1, 40, 3, 36),
             (LANES * 3 * slab_rows + 5, 30, 4, 25),
             (3 * SLAB_FLOATS / 21 + 2, 21, 0, 21),
             (LANES * 40 + 3, 4200, 100, 4197),

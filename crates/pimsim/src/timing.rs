@@ -137,7 +137,16 @@ pub struct ChannelEngine {
 
 impl ChannelEngine {
     /// Creates an idle engine for the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`](crate::ConfigError) if `cfg` fails
+    /// [`PimConfig::validate`]: with `tRFC >= tREFI`, for one, refresh
+    /// servicing would never catch up with its deadline and loop forever.
     pub fn new(cfg: PimConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid PIM config: {e}");
+        }
         let buffers = cfg.num_global_buffers.max(1);
         ChannelEngine {
             cfg,
@@ -487,6 +496,17 @@ mod tests {
 
     fn cfg() -> PimConfig {
         PimConfig::default()
+    }
+
+    #[test]
+    #[should_panic(expected = "tRFC must be far below tREFI")]
+    fn an_engine_refuses_a_refresh_longer_than_its_interval() {
+        // Only constructs the engine: were the check gone, running a
+        // command would service refreshes forever instead of failing.
+        let mut cfg = cfg();
+        cfg.timing.t_refi = 100;
+        assert!(cfg.timing.t_rfc >= cfg.timing.t_refi);
+        ChannelEngine::new(cfg);
     }
 
     #[test]
