@@ -76,6 +76,15 @@ for sweep in serve resilience fleet; do
   rm -rf "$tmpdir"
 done
 
+# The paper figures (`figures all`) are pure simulated time and print no
+# host timings, so their output must reproduce the committed
+# figures_output.txt byte for byte.
+echo "==> figures all (byte-identical to figures_output.txt)"
+tmpdir="$(mktemp -d)"
+cargo run -q --offline --release -p pimflow-bench --bin figures -- all > "$tmpdir/figures_output.txt"
+cmp "$tmpdir/figures_output.txt" figures_output.txt
+rm -rf "$tmpdir"
+
 # The fleet smoke sweep runs the multi-tenant simulator end to end. All
 # three invariants are simulated-time properties (no wall-clock), so they
 # must hold unconditionally: no admitted request is dropped on a healthy
