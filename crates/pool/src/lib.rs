@@ -123,69 +123,15 @@ impl WorkerPool {
         R: Send,
         S: Send,
     {
-        let workers = self.jobs.min(items.len()).max(1);
-        if workers == 1 {
-            let mut state = init();
-            let results = items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| f(&mut state, i, item))
-                .collect();
-            return (results, vec![state]);
-        }
-
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        let states = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let init = &init;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut state = init();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            let r = f(&mut state, i, &items[i]);
-                            if tx.send((i, r)).is_err() {
-                                break;
-                            }
-                        }
-                        state
-                    })
-                })
-                .collect();
-            drop(tx);
-            // Merge by input index, not completion order: the channel
-            // delivers results as workers finish, but each lands in its
-            // item's slot.
-            while let Ok((i, r)) = rx.recv() {
-                slots[i] = Some(r);
-            }
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(state) => state,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect::<Vec<S>>()
-        });
-        let results = slots
-            .into_iter()
-            .map(|slot| slot.expect("one result per item"))
-            .collect();
-        (results, states)
+        self.map_consume_with(items.iter().collect(), init, f)
     }
 
     /// Like [`map_with`](WorkerPool::map_with), but the pool takes the
     /// items *by value*: each item is handed to exactly one worker, which
     /// consumes it. This is how the graph executor ships pre-allocated
-    /// output tensors into workers that fill them in place.
+    /// output tensors into workers that fill them in place, and the one
+    /// worker loop every other map runs on ([`map_with`](WorkerPool::map_with)
+    /// hands it item references).
     ///
     /// The determinism contract is unchanged — results come back in input
     /// order, states in worker-index order.
@@ -252,6 +198,9 @@ impl WorkerPool {
                 })
                 .collect();
             drop(tx);
+            // Merge by input index, not completion order: the channel
+            // delivers results as workers finish, but each lands in its
+            // item's slot.
             while let Ok((i, r)) = rx.recv() {
                 out[i] = Some(r);
             }
