@@ -23,7 +23,7 @@
 use crate::stats::{self, FloorVerdict};
 use pimflow_ir::models;
 use pimflow_json::json_struct;
-use pimflow_kernels::{input_tensors, run_graph_with, ExecOptions, MemoryMode};
+use pimflow_kernels::{input_tensors, run_graph_with, ExecOptions};
 use pimflow_pool::WorkerPool;
 
 /// One model's sequential-vs-parallel execution timing.
@@ -154,7 +154,6 @@ pub fn sweep(
                     &inputs,
                     &ExecOptions {
                         jobs: Some(width),
-                        memory: MemoryMode::Arena,
                         gemm: None,
                     },
                 )

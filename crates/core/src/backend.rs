@@ -93,25 +93,22 @@ pub trait Backend {
 }
 
 /// The DRAM-PIM back-end: CONV (except depthwise) and FC layers lower to
-/// ISA programs over the PIM-enabled channels (§4.3).
+/// ISA programs over the PIM-enabled channels (§4.3), scheduled at COMP
+/// granularity.
 #[derive(Debug, Clone)]
 pub struct DramPimBackend {
     /// PIM hardware configuration.
     pub pim: PimConfig,
     /// Number of PIM-enabled channels.
     pub channels: usize,
-    /// Command scheduling granularity.
-    pub granularity: ScheduleGranularity,
 }
 
 impl DramPimBackend {
-    /// The evaluation configuration: Newton++ on 16 channels, finest
-    /// scheduling granularity.
+    /// The evaluation configuration: Newton++ on 16 channels.
     pub fn newton_plus_plus() -> Self {
         DramPimBackend {
             pim: PimConfig::newton_plus_plus(),
             channels: 16,
-            granularity: ScheduleGranularity::Comp,
         }
     }
 }
@@ -133,7 +130,12 @@ impl Backend for DramPimBackend {
             });
         }
         let workload = PimWorkload::from_node(graph, id);
-        let program = generate_program(&workload, &self.pim, self.channels, self.granularity);
+        let program = generate_program(
+            &workload,
+            &self.pim,
+            self.channels,
+            ScheduleGranularity::Comp,
+        );
         let (stats, _) = NewtonInterpreter::new(&self.pim).run(&program);
         Ok(CompiledKernel {
             node: graph.node(id).name.clone(),

@@ -265,7 +265,8 @@ pub struct FusedChainTime {
 /// Overlap is not structurally never worse (a continuous run can cross
 /// refresh windows that per-epoch engine resets avoid), hence the `min`,
 /// which keeps the fused candidate space a superset of the back-to-back
-/// one. A chain of fewer than two members has nothing to overlap.
+/// one. A chain of fewer than two members has nothing to overlap. Members
+/// are scheduled at COMP granularity, as the engine runs them.
 ///
 /// # Panics
 ///
@@ -274,7 +275,6 @@ pub fn price_fused_chain(
     members: &[(PimWorkload, FusedRole)],
     cfg: &PimConfig,
     channels: usize,
-    granularity: ScheduleGranularity,
     mut member_us: impl FnMut(PimWorkload, FusedRole) -> f64,
 ) -> FusedChainTime {
     let mut back_to_back_us = 0.0f64;
@@ -284,7 +284,8 @@ pub fn price_fused_chain(
     let chain_us = if members.len() < 2 {
         back_to_back_us
     } else {
-        let (stats, _) = execute_group_overlapped(members, cfg, channels, granularity);
+        let (stats, _) =
+            execute_group_overlapped(members, cfg, channels, ScheduleGranularity::Comp);
         back_to_back_us.min(cfg.cycles_to_ns(stats.cycles) * 1e-3)
     };
     FusedChainTime {
@@ -774,7 +775,8 @@ mod tests {
         use crate::passes::find_fusion_groups;
         use pimflow_ir::{infer_shapes, models};
         let cfg = EngineConfig::pimflow();
-        let (pim, channels, granularity) = (cfg.pim, cfg.effective_pim_channels(), cfg.granularity);
+        let (pim, channels) = (cfg.pim, cfg.effective_pim_channels());
+        let granularity = ScheduleGranularity::Comp;
         let mut resnet = models::resnet50();
         for v in resnet.inputs().to_vec() {
             if let Some(desc) = resnet.value_mut(v).desc.as_mut() {
@@ -817,7 +819,7 @@ mod tests {
                 let (stats, _) = execute_group_overlapped(&members, &pim, channels, granularity);
                 let overlapped = pim.cycles_to_ns(stats.cycles) * 1e-3;
                 let mut member_times = members.iter().zip(&times);
-                let priced = price_fused_chain(&members, &pim, channels, granularity, |w, role| {
+                let priced = price_fused_chain(&members, &pim, channels, |w, role| {
                     let (&(want_w, want_role), &t) = member_times.next().unwrap();
                     assert_eq!((w, role), (want_w, want_role), "members in chain order");
                     t

@@ -14,8 +14,9 @@
 //!   folded shape fingerprint ([`PimWorkload`], which already encodes op
 //!   kind, split ratio and batch via its row count) plus every engine-config
 //!   field that affects the PIM estimate (effective channel count, raw
-//!   [`ChannelMask`](crate::engine::ChannelMask) bits, command scheduling
-//!   granularity, and the full [`PimConfig`] fingerprint).
+//!   [`ChannelMask`](crate::engine::ChannelMask) bits, and the full
+//!   [`PimConfig`] fingerprint). Every estimate schedules at COMP
+//!   granularity, as the engine does.
 //! * [`pim_cost_us`] — the PIM schedule estimate as a *pure function* of a
 //!   key: same key, same microseconds, always.
 //! * [`CostTable`] — an interned read-only table: keys become dense `u32`
@@ -72,8 +73,6 @@ pub struct WorkloadKey {
     /// Raw channel-availability mask bits
     /// ([`ChannelMask::bits`](crate::engine::ChannelMask::bits)).
     pub mask_bits: u64,
-    /// Command scheduling granularity of the estimate.
-    pub granularity: ScheduleGranularity,
     /// [`PimConfig::fingerprint`] of the priced hardware model.
     pub pim_fingerprint: u64,
     /// Fusion-group role of the lowering ([`FusedRole::Standalone`] for
@@ -97,7 +96,6 @@ impl WorkloadKey {
             workload,
             channels: cfg.effective_pim_channels().max(1) as u32,
             mask_bits: cfg.pim_channel_mask.bits(),
-            granularity: cfg.granularity,
             pim_fingerprint: cfg.pim.fingerprint(),
             fused: FusedRole::Standalone,
             group_fp: 0,
@@ -129,7 +127,7 @@ impl WorkloadKey {
 
 /// The PIM schedule estimate as a pure function of its [`WorkloadKey`]:
 /// microseconds to execute the keyed workload over the keyed channel count
-/// at the keyed granularity. `pim` must be the config the key was built
+/// at COMP granularity. `pim` must be the config the key was built
 /// from (checked in debug builds via the fingerprint).
 pub fn pim_cost_us(key: &WorkloadKey, pim: &PimConfig) -> f64 {
     debug_assert_eq!(
@@ -142,7 +140,7 @@ pub fn pim_cost_us(key: &WorkloadKey, pim: &PimConfig) -> f64 {
         &key.workload,
         pim,
         key.channels as usize,
-        key.granularity,
+        ScheduleGranularity::Comp,
         key.fused,
     )
     .0
@@ -416,7 +414,7 @@ mod tests {
             &k.workload,
             &cfg.pim,
             k.channels as usize,
-            k.granularity,
+            ScheduleGranularity::Comp,
             FusedRole::Standalone,
         )
         .0

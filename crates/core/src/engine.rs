@@ -98,10 +98,6 @@ pub struct EngineConfig {
     /// Which of the `pim_channels` channels are currently available.
     /// Defaults to all; clear bits to model hard channel failures.
     pub pim_channel_mask: ChannelMask,
-    /// PIM command scheduling granularity.
-    pub granularity: ScheduleGranularity,
-    /// Whether the memory layout optimizer (§4.3.2) is active.
-    pub memopt: bool,
     /// Fixed latency per cross-boundary transfer, microseconds.
     pub transfer_latency_us: f64,
 }
@@ -115,8 +111,6 @@ impl EngineConfig {
             gpu_channels: 32,
             pim_channels: 0,
             pim_channel_mask: ChannelMask::all(),
-            granularity: ScheduleGranularity::Comp,
-            memopt: true,
             transfer_latency_us: 0.3,
         }
     }
@@ -383,7 +377,7 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
             &workload,
             &cfg.pim,
             effective_channels,
-            cfg.granularity,
+            ScheduleGranularity::Comp,
             role,
         );
         let busy_us: Vec<f64> = per_channel
@@ -420,13 +414,9 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
     let mut fused_groups = Vec::with_capacity(group_members.len());
     for (&gid, &members) in &group_members {
         let chain = group_chain.get(&gid).map(Vec::as_slice).unwrap_or(&[]);
-        let priced = price_fused_chain(
-            chain,
-            &cfg.pim,
-            effective_channels,
-            cfg.granularity,
-            |w, r| pim_lookup(w, r).0,
-        );
+        let priced = price_fused_chain(chain, &cfg.pim, effective_channels, |w, r| {
+            pim_lookup(w, r).0
+        });
         overlap_scale.insert(gid, priced.scale);
         fused_groups.push(FusedGroupStat {
             gid,
@@ -541,7 +531,7 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
             // Addressing only: no kernel, no occupancy, no crossing.
             (ready, ready)
         } else if is_data_move(graph, id) {
-            let bytes = data_move_bytes(graph, id, cfg.memopt);
+            let bytes = data_move_bytes(graph, id);
             if bytes == 0 {
                 // Free view: no kernel, no resource occupancy.
                 (ready, ready)
@@ -758,23 +748,6 @@ mod tests {
         let r = execute(&g, &EngineConfig::pimflow()).unwrap();
         assert!(r.pim_busy_us > 0.0);
         assert!(r.gpu_busy_us > 0.0);
-    }
-
-    #[test]
-    fn memopt_reduces_total_time_for_split_graphs() {
-        let mut g = models::toy();
-        let id = g.find_node("conv_1").unwrap();
-        split_node(&mut g, id, 50).unwrap();
-        let with = execute(&g, &EngineConfig::pimflow()).unwrap();
-        let mut cfg = EngineConfig::pimflow();
-        cfg.memopt = false;
-        let without = execute(&g, &cfg).unwrap();
-        assert!(
-            with.total_us < without.total_us,
-            "memopt {} vs plain {}",
-            with.total_us,
-            without.total_us
-        );
     }
 
     #[test]

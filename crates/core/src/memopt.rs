@@ -11,9 +11,9 @@
 //!   it, and having the producer write from the padding offset.
 //!
 //! The optimizer is a *cost model*: it decides how many bytes each
-//! data-movement node actually copies; the execution engine charges copy
-//! kernels accordingly. Disabling it restores the full copy costs (the
-//! ablation the paper motivates the optimization with).
+//! data-movement node actually copies; the search and the execution engine
+//! charge copy kernels accordingly. It is always on, as in the paper's
+//! system.
 
 use pimflow_ir::{Graph, NodeId, Op};
 
@@ -29,14 +29,13 @@ fn axis_is_contiguous(rank: usize, axis: usize) -> bool {
 
 /// Bytes physically copied by data-movement node `id`.
 ///
-/// Returns 0 for compute nodes. With `memopt` enabled, contiguous-axis
-/// slices/concats and all pads are free; `Flatten`/`Identity` are always
-/// views.
+/// Returns 0 for compute nodes. Contiguous-axis slices/concats, all pads
+/// and `Flatten`/`Identity` are free views.
 ///
 /// # Panics
 ///
 /// Panics if shape inference has not run.
-pub fn data_move_bytes(graph: &Graph, id: NodeId, memopt: bool) -> u64 {
+pub fn data_move_bytes(graph: &Graph, id: NodeId) -> u64 {
     let node = graph.node(id);
     let out = graph
         .value(node.output)
@@ -48,27 +47,8 @@ pub fn data_move_bytes(graph: &Graph, id: NodeId, memopt: bool) -> u64 {
         Op::Flatten | Op::Identity => 0,
         // Upsampling physically writes the expanded tensor.
         Op::Upsample { .. } => out_bytes,
-        Op::Pad(_) => {
-            if memopt {
-                0
-            } else {
-                out_bytes
-            }
-        }
-        Op::Slice(s) => {
-            if memopt && axis_is_contiguous(out.shape.rank(), s.axis) {
-                0
-            } else {
-                out_bytes
-            }
-        }
-        Op::Concat(c) => {
-            if memopt && axis_is_contiguous(out.shape.rank(), c.axis) {
-                0
-            } else {
-                out_bytes
-            }
-        }
+        Op::Slice(s) if !axis_is_contiguous(out.shape.rank(), s.axis) => out_bytes,
+        Op::Concat(c) if !axis_is_contiguous(out.shape.rank(), c.axis) => out_bytes,
         _ => 0,
     }
 }
@@ -128,39 +108,35 @@ mod tests {
     fn h_slice_is_free_with_memopt() {
         let g = graph_with_moves();
         let s_h = g.find_node("slice_1").unwrap();
-        assert_eq!(data_move_bytes(&g, s_h, true), 0);
-        assert!(data_move_bytes(&g, s_h, false) > 0);
+        assert_eq!(data_move_bytes(&g, s_h), 0);
     }
 
     #[test]
     fn w_slice_always_copies() {
         let g = graph_with_moves();
         let s_w = g.find_node("slice_2").unwrap();
-        assert!(data_move_bytes(&g, s_w, true) > 0);
+        assert_eq!(data_move_bytes(&g, s_w), 8 * 3 * 4 * 2);
     }
 
     #[test]
     fn pad_is_free_with_memopt() {
         let g = graph_with_moves();
         let p = g.find_node("pad_3").unwrap();
-        assert_eq!(data_move_bytes(&g, p, true), 0);
-        let bytes = data_move_bytes(&g, p, false);
-        assert_eq!(bytes, 6 * 6 * 4 * 2);
+        assert_eq!(data_move_bytes(&g, p), 0);
     }
 
     #[test]
     fn h_concat_is_free_with_memopt() {
         let g = graph_with_moves();
         let c = g.find_node("concat_4").unwrap();
-        assert_eq!(data_move_bytes(&g, c, true), 0);
-        assert!(data_move_bytes(&g, c, false) > 0);
+        assert_eq!(data_move_bytes(&g, c), 0);
     }
 
     #[test]
     fn compute_nodes_move_nothing() {
         let g = pimflow_ir::models::toy();
         let conv = g.find_node("conv_1").unwrap();
-        assert_eq!(data_move_bytes(&g, conv, false), 0);
+        assert_eq!(data_move_bytes(&g, conv), 0);
         assert!(!is_data_move(&g, conv));
     }
 }

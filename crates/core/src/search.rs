@@ -66,6 +66,11 @@ use pimflow_pool::WorkerPool;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+/// Stage count of every pipeline candidate the search prices (2 in the
+/// paper). Plans with other stage counts still apply and execute; Fig. 15
+/// sweeps them through [`estimate_chain_pipelined_us`].
+const SEARCH_PIPELINE_STAGES: usize = 2;
+
 /// Which execution modes the search may choose from (varies per offloading
 /// mechanism, §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,10 +81,9 @@ pub struct SearchOptions {
     /// Restrict MD-DP to full offload / full GPU (Newton+/Newton++ and
     /// PIMFlow-pl behaviour).
     pub offload_only: bool,
-    /// Whether pipelining candidates are considered.
+    /// Whether pipelining candidates are considered. The search prices
+    /// them at 2 stages, as in the paper.
     pub allow_pipeline: bool,
-    /// Pipeline stage count (2 in the paper; Fig. 15 sweeps it).
-    pub pipeline_stages: usize,
     /// Whether fusion-group candidates are considered: producer→consumer
     /// runs of PIM-eligible layers priced as one fused region whose
     /// intermediate activations never cross the channel bus. The fused
@@ -94,7 +98,6 @@ impl Default for SearchOptions {
             ratio_step: 10,
             offload_only: false,
             allow_pipeline: true,
-            pipeline_stages: 2,
             allow_fusion: true,
         }
     }
@@ -746,11 +749,8 @@ impl<'g> Profiler<'g> {
             .with_group(self.group_fingerprint(group));
         self.memo(key, |p| {
             let members = p.fused_members(group);
-            let (pim, channels, granularity) = (p.cfg.pim, p.channels(), p.cfg.granularity);
-            price_fused_chain(&members, &pim, channels, granularity, |w, role| {
-                p.time(w, role)
-            })
-            .chain_us
+            let (pim, channels) = (p.cfg.pim, p.channels());
+            price_fused_chain(&members, &pim, channels, |w, role| p.time(w, role)).chain_us
         })
     }
 
@@ -855,7 +855,7 @@ impl TopoWalk {
 fn solo_gpu_cost(p: &mut Profiler<'_>, id: NodeId, fused_after_conv: bool) -> f64 {
     let graph = p.graph;
     if crate::memopt::is_data_move(graph, id) {
-        let bytes = crate::memopt::data_move_bytes(graph, id, p.cfg.memopt);
+        let bytes = crate::memopt::data_move_bytes(graph, id);
         if bytes == 0 {
             return 0.0;
         }
@@ -1131,7 +1131,7 @@ fn run_search(
             .filter_map(|c| Some((walk.region_start(&c.nodes)?, c)))
             .collect();
     }
-    let stages = opts.pipeline_stages.max(2);
+    let stages = SEARCH_PIPELINE_STAGES;
     let base = cache.snapshot();
     let (chain_costs, chain_shards) = pool.map_with(
         &chain_list,

@@ -236,6 +236,7 @@ fn solve(args: &Args) -> Result<(), String> {
 /// interpreter replays).
 fn trace(args: &Args) -> Result<(), String> {
     use pimflow::codegen::{generate_program, PimWorkload};
+    use pimflow_pimsim::ScheduleGranularity;
     let g = load_model(&args.net)?;
     let cfg = args.policy.engine_config();
     let dir = args.out_dir.join("traces").join(&g.name);
@@ -246,7 +247,12 @@ fn trace(args: &Args) -> Result<(), String> {
             continue;
         }
         let w = PimWorkload::from_node(&g, id);
-        let program = generate_program(&w, &cfg.pim, cfg.pim_channels.max(1), cfg.granularity);
+        let program = generate_program(
+            &w,
+            &cfg.pim,
+            cfg.pim_channels.max(1),
+            ScheduleGranularity::Comp,
+        );
         let path = dir.join(format!("{}.isa", g.node(id).name.replace("::", "_")));
         std::fs::write(&path, pimflow_isa::program_to_text(&program))
             .map_err(|e| format!("writing {}: {e}", path.display()))?;

@@ -52,7 +52,7 @@ fn trace_mode_writes_parseable_traces() {
     use pimflow::codegen::{execute_workload, PimWorkload};
     use pimflow::policy::Policy;
     use pimflow_isa::{parse_program, validate_program, FusedRole, MachineSpec};
-    use pimflow_pimsim::NewtonInterpreter;
+    use pimflow_pimsim::{NewtonInterpreter, ScheduleGranularity};
 
     let dir = std::env::temp_dir().join(format!("pimflow-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -79,7 +79,7 @@ fn trace_mode_writes_parseable_traces() {
             &PimWorkload::from_node(&g, id),
             &cfg.pim,
             cfg.pim_channels,
-            cfg.granularity,
+            ScheduleGranularity::Comp,
             FusedRole::Standalone,
         );
         assert_eq!(merged, priced.stats, "{name}: interpreted vs priced");

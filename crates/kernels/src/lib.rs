@@ -38,7 +38,6 @@ pub mod tolerance;
 
 pub use executor::{
     input_tensors, run_graph, run_graph_with, ExecError, ExecOptions, ExecOutput, ExecStats,
-    MemoryMode,
 };
 pub use im2col::{gemm, im2col, im2col_rows, lowered_dims, KernelError, LoweredConv};
 pub use microkernel::{pack_b, Epilogue, GemmPath, PackedB};

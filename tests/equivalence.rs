@@ -5,7 +5,8 @@
 
 use pimflow::engine::EngineConfig;
 use pimflow::evaluation::verify_equivalence;
-use pimflow::search::{apply_plan, Search, SearchOptions};
+use pimflow::passes::find_chains;
+use pimflow::search::{apply_plan, Decision, ExecutionPlan, Search, SearchOptions};
 use pimflow_ir::{models, ActivationKind, Graph, GraphBuilder, Shape};
 
 /// Worker widths every equivalence case is verified at: the executor
@@ -14,12 +15,18 @@ use pimflow_ir::{models, ActivationKind, Graph, GraphBuilder, Shape};
 const JOBS_WIDTHS: [usize; 2] = [1, 4];
 
 fn assert_plan_preserves_semantics(g: &Graph, opts: &SearchOptions, tol: f32) {
-    let cfg = EngineConfig::pimflow();
-    let plan = Search::new(g, &cfg)
+    assert_applied_plan_preserves_semantics(g, &search(g, opts), tol);
+}
+
+fn search(g: &Graph, opts: &SearchOptions) -> ExecutionPlan {
+    Search::new(g, &EngineConfig::pimflow())
         .options(*opts)
         .run()
-        .expect("search succeeds on valid graphs");
-    let transformed = apply_plan(g, &plan).expect("plan applies to its own graph");
+        .expect("search succeeds on valid graphs")
+}
+
+fn assert_applied_plan_preserves_semantics(g: &Graph, plan: &ExecutionPlan, tol: f32) {
+    let transformed = apply_plan(g, plan).expect("plan applies to its own graph");
     transformed
         .validate()
         .expect("transformed graph is well-formed");
@@ -93,13 +100,27 @@ fn bert_like_flow_is_equivalent() {
 
 #[test]
 fn pipeline_stage_counts_preserve_semantics() {
+    // The search prices 2-stage pipelines, but plans with more stages
+    // apply too: pipeline toy's first chain at 2 and 3 stages.
+    let g = models::toy();
+    let chain = find_chains(&g).remove(0);
+    let node_names: Vec<String> = chain
+        .nodes
+        .iter()
+        .map(|&id| g.node(id).name.clone())
+        .collect();
     for stages in [2, 3] {
-        let opts = SearchOptions {
-            offload_only: true,
-            allow_pipeline: true,
-            pipeline_stages: stages,
-            ..Default::default()
+        let decision = Decision::Pipeline {
+            node_names: node_names.clone(),
+            stages,
         };
-        assert_plan_preserves_semantics(&models::toy(), &opts, 1e-4);
+        let plan = ExecutionPlan {
+            model: g.name.clone(),
+            decisions: vec![(node_names[0].clone(), decision)],
+            profiles: Vec::new(),
+            predicted_us: 1.0,
+            conv_layer_us: 0.0,
+        };
+        assert_applied_plan_preserves_semantics(&g, &plan, 1e-4);
     }
 }

@@ -2,9 +2,9 @@
 //! liveness-based tensor arena never change results.
 //!
 //! The executor's contract is strict: for a fixed `(graph, inputs)` the
-//! output bytes are identical at every worker width and under every
-//! [`MemoryMode`], and the memory counters (peak bytes, drops, steals,
-//! arena reuse) are identical at every width. These tests enforce the
+//! output bytes are identical at every worker width, and the memory
+//! counters (peak bytes, drops, steals, arena reuse) are identical at every
+//! width. These tests enforce the
 //! contract across the model zoo, across transformed (split + pipelined)
 //! graphs, and across a seeded family of random graphs.
 
@@ -12,21 +12,20 @@ use pimflow::engine::EngineConfig;
 use pimflow::search::{apply_plan, Decision, ExecutionPlan, Search, SearchOptions};
 use pimflow_ir::{infer_shapes, models, ActivationKind, Graph, GraphBuilder, Shape};
 use pimflow_kernels::{
-    input_tensors, run_graph_with, ExecOptions, ExecOutput, GemmPath, MemoryMode, Tolerance,
-    WeightStore, WEIGHT_STORE_BUDGET,
+    input_tensors, run_graph_with, ExecOptions, ExecOutput, GemmPath, Tolerance, WeightStore,
+    WEIGHT_STORE_BUDGET,
 };
 use pimflow_rng::Rng;
 
 const WIDTHS: [usize; 3] = [1, 2, 8];
 
-fn run_path(g: &Graph, seed: u64, jobs: usize, memory: MemoryMode, gemm: GemmPath) -> ExecOutput {
+fn run_path(g: &Graph, seed: u64, jobs: usize, gemm: GemmPath) -> ExecOutput {
     let inputs = input_tensors(g, seed);
     run_graph_with(
         g,
         &inputs,
         &ExecOptions {
             jobs: Some(jobs),
-            memory,
             gemm: Some(gemm),
         },
     )
@@ -34,16 +33,15 @@ fn run_path(g: &Graph, seed: u64, jobs: usize, memory: MemoryMode, gemm: GemmPat
 }
 
 /// Asserts the executor contract for one graph: byte-identical outputs at
-/// every width and memory mode — on **both** GEMM paths (the micro-kernel
-/// fast path and the scalar exact oracle) — with width-invariant memory
-/// counters, and the two paths within the documented kernel tolerance of
-/// each other.
+/// every width on **both** GEMM path modes (the micro-kernel fast path and
+/// the scalar exact oracle), with width-invariant memory counters, and the
+/// two paths within the documented kernel tolerance of each other.
 fn assert_width_and_mode_invariant(g: &Graph, seed: u64) {
     let mut per_path = Vec::new();
     for gemm in [GemmPath::Fast, GemmPath::Exact] {
-        let baseline = run_path(g, seed, 1, MemoryMode::Arena, gemm);
+        let baseline = run_path(g, seed, 1, gemm);
         for &jobs in &WIDTHS[1..] {
-            let wide = run_path(g, seed, jobs, MemoryMode::Arena, gemm);
+            let wide = run_path(g, seed, jobs, gemm);
             for (a, b) in baseline.outputs.iter().zip(&wide.outputs) {
                 assert_eq!(
                     a.data(),
@@ -60,17 +58,6 @@ fn assert_width_and_mode_invariant(g: &Graph, seed: u64) {
             assert_eq!(s1.arena_reuses, sw.arena_reuses, "{}", g.name);
             assert_eq!(s1.arena_allocs, sw.arena_allocs, "{}", g.name);
             assert_eq!(s1.waves, sw.waves, "{}", g.name);
-        }
-        for memory in [MemoryMode::Retain, MemoryMode::Drop] {
-            let other = run_path(g, seed, 2, memory, gemm);
-            for (a, b) in baseline.outputs.iter().zip(&other.outputs) {
-                assert_eq!(
-                    a.data(),
-                    b.data(),
-                    "{}: {gemm:?} outputs must not depend on {memory:?}",
-                    g.name
-                );
-            }
         }
         per_path.push(baseline);
     }
@@ -107,7 +94,6 @@ fn transformed_graphs_are_width_invariant() {
         SearchOptions {
             offload_only: true,
             allow_pipeline: true,
-            pipeline_stages: 2,
             ..Default::default()
         },
     ] {
@@ -126,7 +112,7 @@ fn arena_cuts_peak_memory_on_resnet50() {
     // far below the sum of all intermediates a retain-everything executor
     // holds (resnet-50 is ~180 tensors deep with small late layers).
     let g = models::by_name("resnet-50").expect("zoo has resnet-50");
-    let out = run_path(&g, 3, 1, MemoryMode::Arena, GemmPath::Fast);
+    let out = run_path(&g, 3, 1, GemmPath::Fast);
     let s = &out.stats;
     assert!(s.dropped_tensors + s.stolen_buffers > 100, "{s:?}");
     assert!(s.arena_reuses > 0, "residual towers must recycle buffers");
@@ -238,17 +224,14 @@ fn zoo_at(name: &str, px: usize) -> Graph {
 }
 
 /// Pinned executor results for one graph: the output bit hash per GEMM
-/// path, and per memory mode (`Retain`, `Drop`, `Arena`) the counters
-/// `(param_cache_hits, param_cache_misses, peak_live_bytes, arena_reuses,
-/// arena_allocs)`.
+/// path, and the counters `(param_cache_hits, param_cache_misses,
+/// peak_live_bytes, arena_reuses, arena_allocs)`.
 struct Pin {
     graph: &'static str,
     fast: u64,
     exact: u64,
-    stats: [(usize, usize, usize, u64, u64); 3],
+    stats: (usize, usize, usize, u64, u64),
 }
-
-const PIN_MODES: [MemoryMode; 3] = [MemoryMode::Retain, MemoryMode::Drop, MemoryMode::Arena];
 
 /// A plan that MD-DP-splits every PIM candidate whose output has more
 /// than one row, cycling through four GPU shares. At the small extents
@@ -308,7 +291,7 @@ fn pinned_graphs() -> Vec<(String, Graph)> {
 
 /// Pins the executor's observable results: the output bits and the
 /// memory and parameter-cache counters of every pinned graph, on both GEMM
-/// paths, at one and two workers, in every memory mode. A kernel or
+/// paths, at one and two workers. A kernel or
 /// staging rewrite must leave all of them unchanged. The last check runs
 /// the path `PIMFLOW_EXACT_KERNELS` selects, so CI covers the exact path
 /// through its environment route too. A graph without a pin fails with
@@ -320,31 +303,26 @@ fn executor_results_are_pinned() {
     for (label, g) in pinned_graphs() {
         let pin = PINS.iter().find(|p| p.graph == label);
         let mut hashes = [0u64; 2];
-        let mut stats = [(0, 0, 0, 0, 0); 3];
+        let mut stats = (0, 0, 0, 0, 0);
         for (p, gemm) in [GemmPath::Fast, GemmPath::Exact].into_iter().enumerate() {
             for jobs in [1, 2] {
-                for (m, memory) in PIN_MODES.into_iter().enumerate() {
-                    let out = run_path(&g, 7, jobs, memory, gemm);
-                    let s = &out.stats;
-                    hashes[p] = output_hash(&out);
-                    stats[m] = (
-                        s.param_cache_hits,
-                        s.param_cache_misses,
-                        s.peak_live_bytes,
-                        s.arena_reuses,
-                        s.arena_allocs,
+                let out = run_path(&g, 7, jobs, gemm);
+                let s = &out.stats;
+                hashes[p] = output_hash(&out);
+                stats = (
+                    s.param_cache_hits,
+                    s.param_cache_misses,
+                    s.peak_live_bytes,
+                    s.arena_reuses,
+                    s.arena_allocs,
+                );
+                if let Some(pin) = pin {
+                    let want = [pin.fast, pin.exact][p];
+                    assert_eq!(
+                        hashes[p], want,
+                        "{label}: {gemm:?} output bits at {jobs} jobs"
                     );
-                    if let Some(pin) = pin {
-                        let want = [pin.fast, pin.exact][p];
-                        assert_eq!(
-                            hashes[p], want,
-                            "{label}: {gemm:?} output bits at {jobs} jobs, {memory:?}"
-                        );
-                        assert_eq!(
-                            stats[m], pin.stats[m],
-                            "{label}: {gemm:?} stats at {jobs} jobs, {memory:?}"
-                        );
-                    }
+                    assert_eq!(stats, pin.stats, "{label}: {gemm:?} stats at {jobs} jobs");
                 }
             }
         }
@@ -456,100 +434,60 @@ const PINS: &[Pin] = &[
         graph: "toy",
         fast: 0x38a357e3f2f1f539,
         exact: 0xf807b3ba91e5d694,
-        stats: [
-            (0, 10, 1192488, 0, 0),
-            (0, 10, 524288, 0, 0),
-            (0, 10, 393216, 0, 6),
-        ],
+        stats: (0, 10, 393216, 0, 6),
     },
     Pin {
         graph: "toy+split",
         fast: 0x38a357e3f2f1f539,
         exact: 0xf807b3ba91e5d694,
-        stats: [
-            (6, 10, 1875592, 0, 0),
-            (6, 10, 524288, 0, 0),
-            (6, 10, 524288, 1, 19),
-        ],
+        stats: (6, 10, 524288, 1, 19),
     },
     Pin {
         graph: "squeezenet-1.1",
         fast: 0x71e47e27731a9181,
         exact: 0xb830da55f59f3377,
-        stats: [
-            (0, 52, 1044640, 0, 0),
-            (0, 52, 270848, 0, 0),
-            (0, 52, 166400, 19, 19),
-        ],
+        stats: (0, 52, 166400, 19, 19),
     },
     Pin {
         graph: "squeezenet-1.1+split",
         fast: 0x71e47e27731a9181,
         exact: 0xb830da55f59f3377,
-        stats: [
-            (40, 52, 1627808, 0, 0),
-            (40, 52, 270848, 0, 0),
-            (40, 52, 270848, 60, 64),
-        ],
+        stats: (40, 52, 270848, 60, 64),
     },
     Pin {
         graph: "mobilenet-v2",
         fast: 0x459a15ce92a271f3,
         exact: 0xc288e9a05eb42ec1,
-        stats: [
-            (0, 106, 1087776, 0, 0),
-            (0, 106, 196608, 0, 0),
-            (0, 106, 122880, 26, 28),
-        ],
+        stats: (0, 106, 122880, 26, 28),
     },
     Pin {
         graph: "mobilenet-v2+split",
         fast: 0x459a15ce92a271f3,
         exact: 0xc288e9a05eb42ec1,
-        stats: [
-            (42, 106, 1587920, 0, 0),
-            (42, 106, 196608, 0, 0),
-            (42, 106, 196608, 91, 49),
-        ],
+        stats: (42, 106, 196608, 91, 49),
     },
     Pin {
         graph: "mnasnet-1.0",
         fast: 0x1fd9a52b431d3299,
         exact: 0x3141f1ab967917b8,
-        stats: [
-            (0, 106, 887456, 0, 0),
-            (0, 106, 98304, 0, 0),
-            (0, 106, 65536, 26, 28),
-        ],
+        stats: (0, 106, 65536, 26, 28),
     },
     Pin {
         graph: "mnasnet-1.0+split",
         fast: 0x1fd9a52b431d3299,
         exact: 0x3141f1ab967917b8,
-        stats: [
-            (38, 108, 1286128, 0, 0),
-            (38, 108, 98304, 0, 0),
-            (38, 108, 98304, 83, 51),
-        ],
+        stats: (38, 108, 98304, 83, 51),
     },
     Pin {
         graph: "resnet-50",
         fast: 0x9630f8a4fd96234f,
         exact: 0xf09add3972092a8d,
-        stats: [
-            (0, 108, 2191264, 0, 0),
-            (0, 108, 196608, 0, 0),
-            (0, 108, 147456, 43, 13),
-        ],
+        stats: (0, 108, 147456, 43, 13),
     },
     Pin {
         graph: "resnet-50+split",
         fast: 0x9630f8a4fd96234f,
         exact: 0xf09add3972092a8d,
-        stats: [
-            (66, 110, 3750288, 0, 0),
-            (66, 110, 196608, 0, 0),
-            (66, 110, 196608, 163, 39),
-        ],
+        stats: (66, 110, 196608, 163, 39),
     },
 ];

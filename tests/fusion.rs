@@ -24,6 +24,7 @@ use pimflow::placement::{isa_role, FusedNodeRole};
 use pimflow::search::{apply_plan, Decision, ExecutionPlan, Search, SearchOptions};
 use pimflow_ir::{infer_shapes, models, ActivationKind, Graph, GraphBuilder, Op, Shape};
 use pimflow_json::{FromJson, Json};
+use pimflow_pimsim::ScheduleGranularity;
 use pimflow_rng::Rng;
 
 /// Worker widths every fusion case is probed at (the `PIMFLOW_JOBS`
@@ -344,8 +345,8 @@ fn resnet50_at_112_px_hides_member_time_by_overlap() {
         })
         .collect();
     let (pim, channels) = (cfg.pim, cfg.effective_pim_channels());
-    let priced = price_fused_chain(&members, &pim, channels, cfg.granularity, |w, role| {
-        execute_workload(&w, &pim, channels, cfg.granularity, role)
+    let priced = price_fused_chain(&members, &pim, channels, |w, role| {
+        execute_workload(&w, &pim, channels, ScheduleGranularity::Comp, role)
             .0
             .time_us
     });

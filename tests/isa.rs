@@ -159,7 +159,7 @@ fn interpreted_isa_matches_direct_timing_on_random_workloads() {
                     &PimWorkload::from_node(&g, id),
                     &be.pim,
                     be.channels,
-                    be.granularity,
+                    ScheduleGranularity::Comp,
                     FusedRole::Standalone,
                 );
                 assert_eq!(

@@ -323,7 +323,7 @@ fn empty_groups_and_workloads_price_to_zero() {
     let cfg = PimConfig::default();
     let (merged, _) = execute_group_overlapped(&[], &cfg, 4, ScheduleGranularity::Comp);
     assert_eq!(merged, ChannelStats::default());
-    let chain = price_fused_chain(&[], &cfg, 4, ScheduleGranularity::Comp, |_, _| 1.0);
+    let chain = price_fused_chain(&[], &cfg, 4, |_, _| 1.0);
     assert_eq!(
         (chain.chain_us, chain.hidden_us, chain.scale),
         (0.0, 0.0, 1.0)
