@@ -3,7 +3,7 @@
 //! ```text
 //! figures [all|fig1|fig3|fig6|fig8|fig9|fig10|fig11|fig12|fig13|fig14|
 //!          fig15|fig16|table1|table2|internode|crossover|ablation|
-//!          autotune|portability|contention]
+//!          portability|contention]
 //! figures csv <dir>      # machine-readable fig9/fig12 matrix
 //! figures serve [dir]    # serving RPS sweep -> <dir>/BENCH_serve.json
 //! figures resilience [dir] # channel-fault degradation sweep
@@ -304,16 +304,6 @@ fn portability() {
     println!("  {:<22} {:>10} {:>10}", "model", "GDDR6-PIM", "HBM-PIM");
     for (model, newton, hbm) in exp::portability_hbm_pim() {
         println!("  {model:<22} {newton:9.2}x {hbm:9.2}x");
-    }
-}
-
-fn autotune() {
-    println!("== §9 future work: measured auto-tuning over the Algorithm 1 plan ==");
-    for (model, initial, tuned, gain) in exp::autotune_gains() {
-        println!(
-            "  {model:<22} DP plan {initial:8.1}us -> tuned {tuned:8.1}us ({:+.2}%)",
-            gain * 100.0
-        );
     }
 }
 
@@ -769,9 +759,6 @@ fn main() {
     }
     if run("ablation") {
         ablation();
-    }
-    if run("autotune") {
-        autotune();
     }
     if run("portability") {
         portability();

@@ -193,12 +193,9 @@ pub fn sweep(
 
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let floor = rows.last().expect("at least one model");
-    let (speedup_floor_verdict, speedup_floor_p_value) = if host_threads == 1 {
-        (FloorVerdict::Unmeasured, 1.0)
-    } else {
-        let [seq_ms, par_ms] = &floor_samples;
-        FloorVerdict::judge(seq_ms, par_ms, speedup_floor)
-    };
+    let [seq_ms, par_ms] = &floor_samples;
+    let (speedup_floor_verdict, speedup_floor_p_value) =
+        floor_verdict(host_threads, seq_ms, par_ms, speedup_floor);
     ExecSweepReport {
         jobs,
         host_threads,
@@ -209,6 +206,22 @@ pub fn sweep(
         speedup_floor_p_value,
         meets_memory_floor: floor.peak_reduction >= 2.0,
         models: rows,
+    }
+}
+
+/// The speedup-floor verdict and its p-value: `Unmeasured` (p 1.0) on a
+/// host with one hardware thread, else [`FloorVerdict::judge`] of the
+/// sequential times against the parallel times.
+fn floor_verdict(
+    host_threads: usize,
+    seq_ms: &[f64],
+    par_ms: &[f64],
+    speedup_floor: f64,
+) -> (FloorVerdict, f64) {
+    if host_threads == 1 {
+        (FloorVerdict::Unmeasured, 1.0)
+    } else {
+        FloorVerdict::judge(seq_ms, par_ms, speedup_floor)
     }
 }
 
@@ -271,16 +284,24 @@ mod tests {
 
     #[test]
     fn single_thread_hosts_waive_the_speedup_floor() {
-        let report = sweep(&["toy"], 4, SAMPLES, 1e6);
-        let want = if report.host_threads == 1 {
-            FloorVerdict::Unmeasured
-        } else {
-            FloorVerdict::Missed
-        };
-        assert_eq!(report.speedup_floor_verdict, want, "unreachable floor");
-        let zero = sweep(&["toy"], 4, SAMPLES, 0.0);
-        if zero.host_threads > 1 {
-            assert_eq!(zero.speedup_floor_verdict, FloorVerdict::Met, "zero floor");
-        }
+        // Fixed samples, so the verdict does not depend on host load: the
+        // parallel side runs about 2x faster than the sequential one.
+        let seq = [10.0, 10.2, 9.9, 10.1, 10.0, 9.8, 10.3, 10.1];
+        let par = [5.0, 5.1, 4.9, 5.2, 5.0, 4.8, 5.1, 5.0];
+        assert_eq!(
+            floor_verdict(1, &seq, &par, 1e6),
+            (FloorVerdict::Unmeasured, 1.0),
+            "one hardware thread"
+        );
+        assert_eq!(
+            floor_verdict(4, &seq, &par, 1e6).0,
+            FloorVerdict::Missed,
+            "unreachable floor"
+        );
+        assert_eq!(
+            floor_verdict(4, &seq, &par, 0.0).0,
+            FloorVerdict::Met,
+            "zero floor"
+        );
     }
 }

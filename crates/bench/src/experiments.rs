@@ -490,24 +490,6 @@ pub fn portability_hbm_pim() -> Vec<(String, f64, f64)> {
     })
 }
 
-/// Future-work experiment (§9): measured auto-tuning on top of the
-/// Algorithm 1 plan. Returns `(model, DP-plan us, tuned us, gain)`.
-pub fn autotune_gains() -> Vec<(String, f64, f64, f64)> {
-    use pimflow::autotune::autotune;
-    let zoo = models::evaluated_cnns();
-    WorkerPool::from_env().map(&zoo, |_, g| {
-        let cfg = EngineConfig::pimflow();
-        let plan = Search::new(g, &cfg).run().expect("zoo models search");
-        let result = autotune(g, &cfg, &plan, 2, 10).expect("DP plans tune");
-        (
-            g.name.clone(),
-            result.initial_us,
-            result.tuned_us,
-            result.gain(),
-        )
-    })
-}
-
 /// Table 2: the distribution of chosen MD-DP split ratios over all
 /// PIM-candidate layers of the five evaluated models.
 pub fn table2() -> Vec<(u32, f64)> {
@@ -656,13 +638,6 @@ mod tests {
         // speedup < 1 would be a search bug, and >= 1.05 shows real use).
         for (model, _, hbm) in portability_hbm_pim() {
             assert!(hbm >= 1.0, "{model}: HBM-PIM made things worse: {hbm}");
-        }
-    }
-
-    #[test]
-    fn autotuning_never_regresses_any_model() {
-        for (model, initial, tuned, _) in autotune_gains() {
-            assert!(tuned <= initial + 1e-9, "{model}: {tuned} > {initial}");
         }
     }
 

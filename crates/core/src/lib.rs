@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod autotune;
 pub mod backend;
 pub mod batch;
 pub mod codegen;

@@ -331,7 +331,7 @@ impl ExecutionPlan {
     /// share the re-pricing work. `None` uses a private scratch memo; the
     /// repaired plan is byte-identical either way.
     ///
-    /// Compare against `Search::new(graph, cfg).mask(mask).run()` to
+    /// Compare against `Search::new(graph, &cfg.with_mask(mask)).run()` to
     /// measure how much plan quality the shortcut gives up.
     ///
     /// # Errors
@@ -981,14 +981,6 @@ impl<'g> Search<'g> {
         } else {
             WorkerPool::new(jobs)
         });
-        self
-    }
-
-    /// Overrides the channel-availability mask of the config: PIM costs
-    /// are simulated over the surviving channels only, and offload is
-    /// disabled entirely when no channel survives.
-    pub fn mask(mut self, mask: ChannelMask) -> Self {
-        self.cfg = self.cfg.with_mask(mask);
         self
     }
 
@@ -1688,8 +1680,7 @@ mod tests {
     fn masked_out_search_keeps_everything_on_gpu() {
         let g = models::toy();
         let cfg = pimflow_cfg();
-        let plan = Search::new(&g, &cfg)
-            .mask(ChannelMask::from_bits(0))
+        let plan = Search::new(&g, &cfg.with_mask(ChannelMask::from_bits(0)))
             .run()
             .unwrap();
         assert!(plan

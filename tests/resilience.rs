@@ -74,16 +74,15 @@ fn repair_is_deterministic_at_every_pool_width() {
     }
     // Searching directly under the degraded mask is equally
     // width-invariant (the full-replan path the runtime compares against).
-    let direct = Search::new(&g, &cfg)
+    let masked = cfg.with_mask(mask);
+    let direct = Search::new(&g, &masked)
         .options(SearchOptions::default())
-        .mask(mask)
         .pool(1)
         .run()
         .expect("masked search");
     for jobs in [2usize, 8] {
-        let d = Search::new(&g, &cfg)
+        let d = Search::new(&g, &masked)
             .options(SearchOptions::default())
-            .mask(mask)
             .pool(jobs)
             .run()
             .expect("masked search");
