@@ -32,6 +32,15 @@ cargo test -q --release --offline --test pricer
 echo "==> cargo test --release -p pimflow-pimsim"
 cargo test -q --release --offline -p pimflow-pimsim
 
+# The GEMM tiles and the executor pins in the release profile, which
+# perfbench and the figures run: inlining and `target_feature` codegen of
+# the tiles (and their prefetches) differ from debug builds.
+echo "==> cargo test --release -p pimflow-kernels"
+cargo test -q --release --offline -p pimflow-kernels
+
+echo "==> cargo test --release --test exec_parallel"
+cargo test -q --release --offline --test exec_parallel
+
 # The engine pins in the release profile: release builds wrap u32 row and
 # u64 timestamp arithmetic silently, and the pins are the end-to-end check
 # on plan bytes.

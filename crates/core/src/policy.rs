@@ -114,7 +114,7 @@ impl Policy {
 
 impl std::fmt::Display for Policy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+        f.pad(self.name())
     }
 }
 
@@ -219,6 +219,14 @@ mod tests {
             assert_eq!(Policy::from_cli(s), Some(p));
         }
         assert_eq!(Policy::from_cli("what"), None);
+    }
+
+    #[test]
+    fn display_honours_width_and_alignment() {
+        assert_eq!(format!("{}|", Policy::NewtonPlus), "Newton+|");
+        assert_eq!(format!("{:<11}|", Policy::NewtonPlus), "Newton+    |");
+        assert_eq!(format!("{:>11}|", Policy::PimflowMd), " PIMFlow-md|");
+        assert_eq!(format!("{:^9}|", Policy::Pimflow), " PIMFlow |");
     }
 
     #[test]

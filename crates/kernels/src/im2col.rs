@@ -167,25 +167,31 @@ pub fn im2col_rows(
     out.clear();
     out.resize((row_end - row_begin) * dims.k_elems, 0.0);
     let xd = x.data();
+    let (kw, pw) = (attrs.kernel.w, attrs.padding.w);
     for row in row_begin..row_end {
         let ox = row % ow;
         let oy = (row / ow) % oh;
         let b = row / (ow * oh);
         let base = (row - row_begin) * dims.k_elems;
+        // Tap `kx` reads input column `ox * stride + kx - pad`, so the
+        // in-bounds taps of a kernel row are one contiguous run of
+        // `kx_lo..kx_hi`, `ic` floats each, in the input and in the row
+        // alike; the out-of-bounds taps stay zero.
+        let x0 = ox * attrs.stride.w;
+        let kx_lo = pw.saturating_sub(x0);
+        let kx_hi = kw.min((iw + pw).saturating_sub(x0));
+        if kx_lo >= kx_hi {
+            continue;
+        }
+        let run = (kx_hi - kx_lo) * ic;
         for ky in 0..attrs.kernel.h {
             let iy = (oy * attrs.stride.h + ky) as isize - attrs.padding.h as isize;
             if iy < 0 || iy as usize >= ih {
                 continue;
             }
-            for kx in 0..attrs.kernel.w {
-                let ix = (ox * attrs.stride.w + kx) as isize - attrs.padding.w as isize;
-                if ix < 0 || ix as usize >= iw {
-                    continue;
-                }
-                let src = (((b * ih) + iy as usize) * iw + ix as usize) * ic;
-                let dst = base + (ky * attrs.kernel.w + kx) * ic;
-                out[dst..dst + ic].copy_from_slice(&xd[src..src + ic]);
-            }
+            let src = ((b * ih + iy as usize) * iw + x0 + kx_lo - pw) * ic;
+            let dst = base + (ky * kw + kx_lo) * ic;
+            out[dst..dst + run].copy_from_slice(&xd[src..src + run]);
         }
     }
     Ok(())

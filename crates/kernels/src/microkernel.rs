@@ -61,8 +61,19 @@
 //! fuse — but Rust never contracts a separate `*` and `+` into one FMA
 //! (there are no fast-math flags on plain float ops), so enabling the
 //! feature only widens the registers. `objdump -d` of the release binary
-//! shows no `vfmadd` in any tile. The dispatch calls are the only `unsafe`
-//! here.
+//! shows no `vfmadd` in any tile.
+//!
+//! # Prefetch
+//!
+//! A GEMM with few rows uses each weight panel for only one or two row
+//! tiles, and in the executor the weights come cold from DRAM: the resident
+//! weights outgrow the caches. The full tiles (8-row and 4-row) therefore
+//! prefetch one packed row per k step, `PREFETCH_ROWS` = 64 rows (4 KiB)
+//! ahead, so the panel streams in while the tile computes. The hints walk
+//! on through the rest of the pack (the panel's later rows, then the next
+//! panel's) and stop at its end, so every address hinted is inside the
+//! pack. Prefetching changes no value: every instance keeps its bits. The
+//! dispatch calls and the prefetch are the only `unsafe` here.
 
 use crate::probe::{self, ProbePoint};
 
@@ -92,6 +103,11 @@ pub const KC: usize = 256;
 /// Rows per L2 block: bounds the working set of `A` rows revisited per
 /// packed-B panel to `MC x KC` floats.
 pub const MC: usize = 64;
+
+/// How far ahead of the k step the full tiles prefetch the pack, in packed
+/// rows (see the module docs): 64 rows of [`NR`] lanes are 4 KiB, one cache
+/// line per row.
+const PREFETCH_ROWS: usize = 64;
 
 /// Which path a GEMM-backed kernel takes.
 ///
@@ -270,9 +286,13 @@ impl PackedB {
         self.panels.len() * std::mem::size_of::<f32>()
     }
 
-    /// One `k x NR` panel of packed columns.
-    fn panel(&self, j: usize) -> &[f32] {
-        &self.panels[j * self.k * NR..(j + 1) * self.k * NR]
+    /// Rows `kb..kb + kw` of panel `j`, and the rest of the pack from
+    /// [`PREFETCH_ROWS`] rows past row `kb`: the rows a tile reads, and the
+    /// rows it prefetches, one per k step.
+    fn panel(&self, j: usize, kb: usize, kw: usize) -> (&[f32], &[f32]) {
+        let at = (j * self.k + kb) * NR;
+        let ahead = (at + PREFETCH_ROWS * NR).min(self.panels.len());
+        (&self.panels[at..at + kw * NR], &self.panels[ahead..])
     }
 }
 
@@ -340,22 +360,22 @@ pub fn gemm_packed_on(simd: Simd, a: &[f32], b: &PackedB, out: &mut [f32], epilo
             for jr in 0..n.div_ceil(NR) {
                 let col0 = jr * NR;
                 let nw = NR.min(n - col0);
-                let panel = &b.panel(jr)[kb * NR..(kb + kw) * NR];
+                let panel = b.panel(jr, kb, kw);
                 let (rows, cols) = ((ic, mw), (col0, nw));
                 match simd {
                     Simd::Portable => {
-                        portable::panel_tiles(a, k, kb, kw, panel, out, n, rows, cols, first, ep)
+                        portable::panel_tiles(a, k, kb, panel, out, n, rows, cols, first, ep)
                     }
                     #[cfg(target_arch = "x86_64")]
                     // SAFETY: `simd.supported()` was asserted above, so this
                     // host runs AVX2.
                     Simd::Avx2 => unsafe {
-                        avx2::panel_tiles(a, k, kb, kw, panel, out, n, rows, cols, first, ep)
+                        avx2::panel_tiles(a, k, kb, panel, out, n, rows, cols, first, ep)
                     },
                     #[cfg(target_arch = "x86_64")]
                     // SAFETY: as above, for AVX-512F.
                     Simd::Avx512 => unsafe {
-                        avx512::panel_tiles(a, k, kb, kw, panel, out, n, rows, cols, first, ep)
+                        avx512::panel_tiles(a, k, kb, panel, out, n, rows, cols, first, ep)
                     },
                     #[cfg(not(target_arch = "x86_64"))]
                     Simd::Avx2 | Simd::Avx512 => {
@@ -386,19 +406,19 @@ macro_rules! instance {
             const ROWS: usize = $rows;
 
             /// Every register tile of output rows `ic..ic + mw` and columns
-            /// `col0..col0 + nw` against k rows `kb..kb + kw` of one packed
-            /// panel: 8-row tiles while eight rows remain (AVX-512 only),
-            /// then 4-row full tiles, then one remainder tile of fewer rows.
-            /// A panel of at most [`HALF_NR`] columns runs tiles that
-            /// compute only [`HALF_NR`] lanes.
+            /// `col0..col0 + nw` against the k rows `kb..` of one packed
+            /// panel (`panel`, from [`PackedB::panel`] with `ahead`):
+            /// 8-row tiles while eight rows remain (AVX-512 only), then
+            /// 4-row full tiles, then one remainder tile of fewer rows. A
+            /// panel of at most [`HALF_NR`] columns runs tiles that compute
+            /// only [`HALF_NR`] lanes.
             $(#[target_feature(enable = $feature)])?
             #[allow(clippy::too_many_arguments)]
             pub(super) fn panel_tiles(
                 a: &[f32],
                 k: usize,
                 kb: usize,
-                kw: usize,
-                panel: &[f32],
+                (panel, ahead): (&[f32], &[f32]),
                 out: &mut [f32],
                 n: usize,
                 (ic, mw): (usize, usize),
@@ -406,22 +426,23 @@ macro_rules! instance {
                 first: bool,
                 ep: Epilogue<'_>,
             ) {
+                let kw = panel.len() / NR;
                 let mut ir = 0;
                 while ir < mw {
                     let row0 = ic + ir;
                     let rw = mw - ir;
                     if ROWS > MR && rw >= ROWS && nw == NR {
-                        wide(a, k, kb, kw, row0, panel, out, n, col0, first, ep);
+                        wide(a, k, kb, kw, row0, panel, ahead, out, n, col0, first, ep);
                         ir += ROWS;
                         continue;
                     }
                     match (rw >= MR, nw) {
-                        (true, NR) => {
-                            full::<NR>(a, k, kb, kw, row0, panel, out, n, col0, first, ep)
-                        }
-                        (true, HALF_NR) => {
-                            full::<HALF_NR>(a, k, kb, kw, row0, panel, out, n, col0, first, ep)
-                        }
+                        (true, NR) => full::<NR>(
+                            a, k, kb, kw, row0, panel, ahead, out, n, col0, first, ep,
+                        ),
+                        (true, HALF_NR) => full::<HALF_NR>(
+                            a, k, kb, kw, row0, panel, ahead, out, n, col0, first, ep,
+                        ),
                         (_, ..=HALF_NR) => remainder::<HALF_NR>(
                             a, k, kb, row0, rw.min(MR), panel, out, n, col0, nw, first, ep,
                         ),
@@ -444,13 +465,14 @@ macro_rules! instance {
                 kw: usize,
                 row0: usize,
                 panel: &[f32],
+                ahead: &[f32],
                 out: &mut [f32],
                 n: usize,
                 col0: usize,
                 first: bool,
                 ep: Epilogue<'_>,
             ) {
-                tile_wide_body(a, k, kb, kw, row0, panel, out, n, col0, first, ep)
+                tile_wide_body(a, k, kb, kw, row0, panel, ahead, out, n, col0, first, ep)
             }
 
             /// The full [`MR`]-row tile of `L` lanes.
@@ -464,13 +486,14 @@ macro_rules! instance {
                 kw: usize,
                 row0: usize,
                 panel: &[f32],
+                ahead: &[f32],
                 out: &mut [f32],
                 n: usize,
                 col0: usize,
                 first: bool,
                 ep: Epilogue<'_>,
             ) {
-                tile_full_body::<L>(a, k, kb, kw, row0, panel, out, n, col0, first, ep)
+                tile_full_body::<L>(a, k, kb, kw, row0, panel, ahead, out, n, col0, first, ep)
             }
 
             /// A remainder tile of `rw <= MR` rows and `nw <= L` columns,
@@ -564,11 +587,30 @@ fn finish<const L: usize>(
     out[base..base + L].copy_from_slice(&row);
 }
 
+/// Hints the CPU to bring packed row `row` of `ahead` into L1. Past the
+/// end of the pack it does nothing, so every address it hints is inside
+/// the pack. A prefetch only moves a cache line: it changes no value and
+/// no result bit.
+#[inline(always)]
+fn prefetch_row(ahead: &[f32], row: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lane) = ahead.get(row * NR) {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: `_mm_prefetch` needs SSE, which every x86-64 host has; it
+        // reads no value and cannot fault, and `lane` is an element of the
+        // pack.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((lane as *const f32).cast()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (ahead, row);
+}
+
 /// The full `MR x L` tile (`L` is [`NR`] or [`HALF_NR`]). Every loop has a
 /// constant trip count and every operand is a pre-sliced zip (no index
 /// arithmetic or bounds checks inside the k loop), so the accumulator stays
 /// in vector registers for the whole panel. Same accumulation order as
-/// [`tile_body`]; only the remainder handling is gone.
+/// [`tile_body`]; only the remainder handling is gone. Each k step also
+/// prefetches one packed row of `ahead`, [`PREFETCH_ROWS`] rows ahead.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tile_full_body<const L: usize>(
@@ -578,6 +620,7 @@ fn tile_full_body<const L: usize>(
     kw: usize,
     row0: usize,
     panel: &[f32],
+    ahead: &[f32],
     out: &mut [f32],
     n: usize,
     col0: usize,
@@ -594,7 +637,8 @@ fn tile_full_body<const L: usize>(
     // these to one counted loop with no bounds checks, which is what lets
     // the accumulator live in registers instead of spilling every k step.
     let rows = arow(0).iter().zip(arow(1)).zip(arow(2).iter().zip(arow(3)));
-    for (lanes, ((a0, a1), (a2, a3))) in panel_rows::<L>(panel).zip(rows) {
+    for (kk, (lanes, ((a0, a1), (a2, a3)))) in panel_rows::<L>(panel).zip(rows).enumerate() {
+        prefetch_row(ahead, kk);
         // Ascending k order per element, identical to the naive loop.
         madd(&mut c0, *a0, lanes);
         madd(&mut c1, *a1, lanes);
@@ -607,9 +651,10 @@ fn tile_full_body<const L: usize>(
     finish(c3, out, base(3), col0, epilogue);
 }
 
-/// The full `MR_WIDE x NR` tile: [`tile_full_body`] with eight rows. Each
-/// row is its own variable and statement; a version that indexed an array
-/// of eight rows spilled the accumulators and ran about 10x slower.
+/// The full `MR_WIDE x NR` tile: [`tile_full_body`] with eight rows,
+/// prefetching the same way. Each row is its own variable and statement; a
+/// version that indexed an array of eight rows spilled the accumulators and
+/// ran about 10x slower.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tile_wide_body(
@@ -619,6 +664,7 @@ fn tile_wide_body(
     kw: usize,
     row0: usize,
     panel: &[f32],
+    ahead: &[f32],
     out: &mut [f32],
     n: usize,
     col0: usize,
@@ -637,7 +683,9 @@ fn tile_wide_body(
     let arow = |i: usize| &a[(row0 + i) * k + kb..][..kw];
     let pair = |i: usize| arow(i).iter().zip(arow(i + 1));
     let rows = (pair(0).zip(pair(2))).zip(pair(4).zip(pair(6)));
-    for (lanes, (((a0, a1), (a2, a3)), ((a4, a5), (a6, a7)))) in panel_rows::<NR>(panel).zip(rows) {
+    let steps = panel_rows::<NR>(panel).zip(rows).enumerate();
+    for (kk, (lanes, (((a0, a1), (a2, a3)), ((a4, a5), (a6, a7))))) in steps {
+        prefetch_row(ahead, kk);
         madd(&mut c0, *a0, lanes);
         madd(&mut c1, *a1, lanes);
         madd(&mut c2, *a2, lanes);
@@ -783,10 +831,20 @@ mod tests {
         shapes
     }
 
+    /// Shapes whose full tiles prefetch within one k panel, across k panels
+    /// and panels, and off the end of the pack.
+    fn prefetch_shapes() -> impl Iterator<Item = (usize, usize, usize)> {
+        let ks = [5, KC + 3, 4 * KC + 1];
+        [1, 7, 8, 16, 17, 49].into_iter().flat_map(move |m| {
+            ks.into_iter()
+                .flat_map(move |k| [16, 17, 512].map(|n| (m, k, n)))
+        })
+    }
+
     #[test]
     fn packed_gemm_without_epilogue_is_bit_identical_to_naive() {
         for simd in simds("packed_gemm_without_epilogue_is_bit_identical_to_naive") {
-            for (m, k, n) in remainder_shapes() {
+            for (m, k, n) in remainder_shapes().into_iter().chain(prefetch_shapes()) {
                 let (a, b) = operands(m, k, n);
                 let packed = pack_b(&b, k, n);
                 let mut out = vec![0.0f32; m * n];

@@ -26,7 +26,9 @@ use crate::microkernel::{self, Epilogue, GemmPath, PackedB};
 use crate::probe::{self, ProbePoint};
 use crate::tensor::Tensor;
 use pimflow_ir::shape_infer::conv_out_extent;
-use pimflow_ir::{ActivationKind, Conv2dAttrs, PadAttrs, PoolAttrs, PoolKind, Shape, SliceAttrs};
+use pimflow_ir::{
+    ActivationKind, Conv2dAttrs, Hw, PadAttrs, PoolAttrs, PoolKind, Shape, SliceAttrs,
+};
 use std::ops::Range;
 
 /// Lowered rows streamed through the GEMM per block: bounds the im2col
@@ -260,7 +262,8 @@ pub(crate) fn conv2d_into(
 /// NHWC output covering those rows). `scratch` is the caller's reusable
 /// im2col buffer — per-worker scratch under intra-op sharding.
 ///
-/// Streams [`CONV_ROW_BLOCK`] rows at a time: bias-seed, lower, GEMM. The
+/// Streams [`CONV_ROW_BLOCK`] rows at a time: bias-seed, lower, GEMM (a
+/// pointwise convolution reads its rows in place instead of lowering). The
 /// per-element accumulation order (`k` ascending) is independent of both
 /// the block size and the row range, so any sharding of the row space is
 /// bit-identical to the unsharded run.
@@ -289,22 +292,46 @@ pub fn conv2d_rows_into(
     let mut begin = rows.start;
     while begin < rows.end {
         let end = (begin + CONV_ROW_BLOCK).min(rows.end);
-        im2col_rows(x, attrs, begin, end, scratch)?;
+        let lowered = lowered_rows(x, attrs, begin, end, scratch)?;
         let block = &mut out[(begin - rows.start) * oc..(end - rows.start) * oc];
         // Direct conv starts each accumulator at the bias; seed the output
         // rows the same way so this path reproduces it bit for bit.
         for row in block.chunks_exact_mut(oc) {
             row.copy_from_slice(bias);
         }
-        gemm_accumulate(scratch, weights, block, dims.k_elems, oc);
+        gemm_accumulate(lowered, weights, block, dims.k_elems, oc);
         begin = end;
     }
     Ok(())
 }
 
+/// Rows `begin..end` of the lowered input matrix. A pointwise convolution
+/// (1x1 kernel, stride 1, no padding, one group) lowers input pixel `r` to
+/// row `r` unchanged, so its rows are read in place from the input; any
+/// other regular convolution is lowered into `scratch` by [`im2col_rows`].
+///
+/// # Errors
+///
+/// Returns [`KernelError::Unsupported`] for grouped attrs.
+fn lowered_rows<'a>(
+    x: &'a Tensor,
+    attrs: &Conv2dAttrs,
+    begin: usize,
+    end: usize,
+    scratch: &'a mut Vec<f32>,
+) -> Result<&'a [f32], KernelError> {
+    if attrs.is_pointwise() && attrs.stride == Hw::square(1) && attrs.padding == Hw::square(0) {
+        let c = x.shape().c();
+        return Ok(&x.data()[begin * c..end * c]);
+    }
+    im2col_rows(x, attrs, begin, end, scratch)?;
+    Ok(scratch)
+}
+
 /// Fast-path counterpart of [`conv2d_rows_into`]: streams the same
-/// [`CONV_ROW_BLOCK`]-row im2col blocks through the register-blocked
-/// micro-kernel against a pre-packed weight matrix
+/// [`CONV_ROW_BLOCK`]-row im2col blocks (or, for a pointwise convolution,
+/// the input rows in place) through the register-blocked micro-kernel
+/// against a pre-packed weight matrix
 /// (the `[k_elems, oc]` filter as a [`PackedB`]), with the bias fused into
 /// the store epilogue.
 ///
@@ -342,9 +369,9 @@ pub fn conv2d_rows_packed(
     let mut begin = rows.start;
     while begin < rows.end {
         let end = (begin + CONV_ROW_BLOCK).min(rows.end);
-        im2col_rows(x, attrs, begin, end, scratch)?;
+        let lowered = lowered_rows(x, attrs, begin, end, scratch)?;
         let block = &mut out[(begin - rows.start) * oc..(end - rows.start) * oc];
-        microkernel::gemm_packed(scratch, packed, block, Epilogue::Bias(bias));
+        microkernel::gemm_packed(lowered, packed, block, Epilogue::Bias(bias));
         begin = end;
     }
     Ok(())
@@ -1184,6 +1211,126 @@ mod tests {
             assert_eq!(fast.shape(), direct.shape());
             tol.check(fast.data(), direct.data())
                 .unwrap_or_else(|e| panic!("fast path outside tolerance: {e}"));
+        }
+    }
+
+    /// The lowered matrix of a regular convolution, built one element at a
+    /// time from the definition: row `(b, oy, ox)`, column `(ky, kx, c)`
+    /// holds the input at `(oy * stride + ky - pad, ox * stride + kx - pad)`,
+    /// or zero outside the input.
+    fn per_tap_lowering(x: &Tensor, attrs: &Conv2dAttrs) -> Vec<f32> {
+        let (n, ih, iw, ic) = (x.shape().n(), x.shape().h(), x.shape().w(), x.shape().c());
+        let (kh, kw) = (attrs.kernel.h, attrs.kernel.w);
+        let (sh, sw) = (attrs.stride.h, attrs.stride.w);
+        let (ph, pw) = (attrs.padding.h, attrs.padding.w);
+        let oh = conv_out_extent(ih, kh, sh, ph).unwrap();
+        let ow = conv_out_extent(iw, kw, sw, pw).unwrap();
+        let k_elems = kh * kw * ic;
+        let mut out = vec![0.0f32; n * oh * ow * k_elems];
+        for b in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = ((b * oh + oy) * ow + ox) * k_elems;
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            let iy = (oy * sh + ky) as isize - ph as isize;
+                            let ix = (ox * sw + kx) as isize - pw as isize;
+                            if iy < 0 || ix < 0 || iy as usize >= ih || ix as usize >= iw {
+                                continue;
+                            }
+                            for c in 0..ic {
+                                out[row + (ky * kw + kx) * ic + c] =
+                                    x.data()[((b * ih + iy as usize) * iw + ix as usize) * ic + c];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// One case of the lowering property: a seeded input whose every image
+    /// has 10 to 13 output rows and columns, lowered and convolved on the
+    /// whole row range and on a window that straddles [`CONV_ROW_BLOCK`].
+    fn assert_lowering_matches_per_tap(
+        rng: &mut pimflow_rng::Rng,
+        attrs: &Conv2dAttrs,
+        ic: usize,
+        batch: usize,
+    ) {
+        let (k, s, p, oc) = (
+            attrs.kernel.h,
+            attrs.stride.h,
+            attrs.padding.h,
+            attrs.out_channels,
+        );
+        let mut extent = || {
+            (s * (rng.range_usize(10, 14) - 1) + k)
+                .saturating_sub(2 * p)
+                .max(1)
+        };
+        let (h, w) = (extent(), extent());
+        let x = Tensor::from_fn(Shape::nhwc(batch, h, w, ic), |_| rng.range_f32(-1.0, 1.0));
+        let k_elems = k * k * ic;
+        let wts: Vec<f32> = (0..k_elems * oc)
+            .map(|_| rng.range_f32(-1.0, 1.0))
+            .collect();
+        let bias: Vec<f32> = (0..oc).map(|_| rng.range_f32(-0.5, 0.5)).collect();
+        let packed = microkernel::pack_b(&wts, k_elems, oc);
+        let lowered = per_tap_lowering(&x, attrs);
+        let rows = lowered.len() / k_elems;
+        let start = rng.range_usize(1, CONV_ROW_BLOCK / 2);
+        let straddle = start..(start + CONV_ROW_BLOCK + 9).min(rows);
+        let case = format!("ic={ic} k={k} s={s} p={p} n={batch} {h}x{w}");
+        for window in [0..rows, straddle] {
+            let (a, z) = (window.start, window.end);
+            let want_rows = &lowered[a * k_elems..z * k_elems];
+            let mut scratch = Vec::new();
+            let got = lowered_rows(&x, attrs, a, z, &mut scratch).unwrap();
+            assert!(got == want_rows, "lowering {case} rows {a}..{z}");
+
+            let mut want = vec![0.0f32; window.len() * oc];
+            microkernel::gemm_packed(want_rows, &packed, &mut want, Epilogue::Bias(&bias));
+            let mut got = vec![0.0f32; window.len() * oc];
+            let r = window.clone();
+            conv2d_rows_packed(&x, &packed, &bias, attrs, r, &mut scratch, &mut got).unwrap();
+            assert!(got == want, "fast path {case} rows {a}..{z}");
+
+            for row in want.chunks_exact_mut(oc) {
+                row.copy_from_slice(&bias);
+            }
+            gemm_accumulate(want_rows, &wts, &mut want, k_elems, oc);
+            conv2d_rows_into(&x, &wts, &bias, attrs, window, &mut scratch, &mut got).unwrap();
+            assert!(got == want, "exact path {case} rows {a}..{z}");
+        }
+    }
+
+    #[test]
+    fn in_place_and_whole_row_lowerings_match_a_per_tap_reference() {
+        // Pointwise convolutions read their rows in place; every other one
+        // copies each kernel row's in-bounds taps in one run. Both must give
+        // the per-tap lowering's bits, and so must both GEMM paths over
+        // them.
+        let mut rng = pimflow_rng::Rng::seed_from_u64(0x1A2C_0105);
+        for ic in [1, 3, 5, 16] {
+            for k in [1, 3, 5, 7] {
+                for (s, p) in [1, 2]
+                    .into_iter()
+                    .flat_map(|s| (0..=3).map(move |p| (s, p)))
+                {
+                    let attrs = Conv2dAttrs {
+                        out_channels: 17,
+                        kernel: Hw::square(k),
+                        stride: Hw::square(s),
+                        padding: Hw::square(p),
+                        groups: 1,
+                    };
+                    for batch in [1, 2] {
+                        assert_lowering_matches_per_tap(&mut rng, &attrs, ic, batch);
+                    }
+                }
+            }
         }
     }
 

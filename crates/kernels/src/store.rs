@@ -11,7 +11,8 @@
 //! whose parameters exceed the budget keeps the entries that fit resident
 //! for its later runs, instead of evicting each entry before its next
 //! use. An entry that cannot fit without evicting those is handed out but
-//! not stored.
+//! not stored, and so is every later entry of that run: a run stores a
+//! prefix of its fetch order.
 //!
 //! An entry's key is everything its bytes depend on: the weight key,
 //! role, row count, row length, column window and `fan_in` the generator
@@ -208,6 +209,7 @@ impl WeightStore {
         RunParams {
             store: self,
             fetched: HashSet::new(),
+            storing: true,
             hits: 0,
             misses: 0,
         }
@@ -224,9 +226,19 @@ impl WeightStore {
 /// store; for [`ExecStats`](crate::ExecStats), a fetch of a tensor this
 /// run fetched before is a hit and any other fetch a miss, whatever the
 /// store held. The store never evicts an entry the run has fetched.
+///
+/// Once an entry does not fit, the run stores nothing more, so what a run
+/// leaves stored is a prefix of its fetch order. A later run of the same
+/// model then hits that whole prefix and misses only past it, where it
+/// stores nothing either: it evicts none of the entries it is about to
+/// use. (Were smaller entries later in the run stored in the room left
+/// over, the next run would miss an unstored entry before it reached them
+/// and evict them before their use.)
 pub(crate) struct RunParams<'s> {
     store: &'s WeightStore,
     fetched: HashSet<(ParamSpec, Form)>,
+    /// False once an entry of this run did not fit.
+    storing: bool,
     pub(crate) hits: usize,
     pub(crate) misses: usize,
 }
@@ -268,7 +280,8 @@ impl RunParams<'_> {
         }
         let param = Param::generate(spec, form);
         let bytes = param.size_bytes();
-        if bytes > self.store.budget {
+        if !self.storing || bytes > self.store.budget {
+            self.storing = false;
             return param;
         }
         let mut guard = self.store.lock();
@@ -278,6 +291,7 @@ impl RunParams<'_> {
         }
         while e.counters.resident_bytes + bytes > self.store.budget {
             if !e.evict_lru(&self.fetched) {
+                self.storing = false;
                 return param;
             }
         }
@@ -394,6 +408,54 @@ mod tests {
             (1, 4, 1, 800)
         );
         assert_eq!((run.hits, run.misses), (0, 2));
+    }
+
+    #[test]
+    fn a_run_stores_nothing_after_an_entry_that_does_not_fit() {
+        // Room for two 100-float entries.
+        let store = WeightStore::with_budget(800);
+        let mut run = store.run();
+        run.rows(weight(1, 100));
+        run.rows(weight(2, 150)); // would evict key 1, which this run fetched
+        run.rows(weight(3, 50)); // fits the room left, but comes after key 2
+        let c = store.counters();
+        assert_eq!((c.misses, c.evictions, c.resident_bytes), (3, 0, 400));
+        // The next run stores again.
+        store.run().rows(weight(3, 50));
+        assert_eq!(store.counters().resident_bytes, 600);
+    }
+
+    #[test]
+    fn a_model_over_the_budget_stores_a_prefix_and_evicts_nothing_later() {
+        // bert-16's parameters are about 340 MB; a 64 MiB store holds the
+        // first few of its fetches.
+        use crate::executor::input_tensors;
+        let g = pimflow_ir::models::bert_like(16);
+        let inputs = input_tensors(&g, 1);
+        let opts = ExecOptions {
+            jobs: Some(1),
+            ..ExecOptions::default()
+        };
+        let store = WeightStore::with_budget(64 << 20);
+        let first = store.run_graph(&g, &inputs, &opts).unwrap();
+        let after_first = store.counters();
+        let stored: HashSet<_> = store.lock().map.keys().copied().collect();
+        assert!(
+            !stored.is_empty() && (stored.len() as u64) < after_first.misses,
+            "a prefix is stored: {} of {after_first:?}",
+            stored.len()
+        );
+        let second = store.run_graph(&g, &inputs, &opts).unwrap();
+        let c = store.counters();
+        assert_eq!(
+            c.evictions, after_first.evictions,
+            "the second run evicts nothing"
+        );
+        assert_eq!(c.hits - after_first.hits, stored.len() as u64);
+        assert_eq!(c.resident_bytes, after_first.resident_bytes);
+        let still: HashSet<_> = store.lock().map.keys().copied().collect();
+        assert_eq!(still, stored);
+        assert_eq!(first.outputs, second.outputs);
     }
 
     #[test]

@@ -134,9 +134,8 @@ fn check_family(family: &str, graphs: &[Graph], policy: Policy, bound: f64) -> u
     }
     let sum = |f: fn(&Comparison) -> f64| rows.iter().map(|(_, c)| f(c)).sum::<f64>();
     println!(
-        "{family:<9} {:<11} graphs {:>2}  predicted {:8.3} us  executed {:8.3} us  \
+        "{family:<9} {policy:<11} graphs {:>2}  predicted {:8.3} us  executed {:8.3} us  \
          oracle {:8.3} us  worst gap {:+.2}%",
-        policy.name(),
         rows.len(),
         sum(|c| c.predicted_us),
         sum(|c| c.executed_us),
