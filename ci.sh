@@ -6,6 +6,19 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# The workspace is fully self-contained: every dependency is an in-repo
+# crate, so builds and tests must succeed without touching the network.
+export CARGO_NET_OFFLINE=true
+
+# `set -e` does not stop on a failing `! cmd`, so checks that a pattern is
+# absent go through this.
+refute_grep() {
+  if grep -q "$1" "$2"; then
+    echo "unexpected match for $1 in $2" >&2
+    exit 1
+  fi
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -149,9 +162,9 @@ echo "==> figures fusion --smoke"
 tmpdir="$(mktemp -d)"
 cargo run -q --offline -p pimflow-bench --bin figures -- fusion "$tmpdir" --smoke
 grep -q '"fused_never_worse": true' "$tmpdir/BENCH_fusion.json"
-! grep -q '"resnet_residual_candidates": 0,' "$tmpdir/BENCH_fusion.json"
-! grep -q '"models_with_traffic_reduction": 0,' "$tmpdir/BENCH_fusion.json"
-! grep -q '"total_traffic_reduction_bytes": 0,' "$tmpdir/BENCH_fusion.json"
+refute_grep '"resnet_residual_candidates": 0,' "$tmpdir/BENCH_fusion.json"
+refute_grep '"models_with_traffic_reduction": 0,' "$tmpdir/BENCH_fusion.json"
+refute_grep '"total_traffic_reduction_bytes": 0,' "$tmpdir/BENCH_fusion.json"
 rm -rf "$tmpdir"
 
 # The fusion contracts (numerical equivalence on residual fan-out/rejoin

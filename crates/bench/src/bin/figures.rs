@@ -27,7 +27,7 @@
 //! Output is textual (rows/series in the same structure as the paper's
 //! plots); `EXPERIMENTS.md` records the paper-vs-measured comparison.
 
-use pimflow::policy::Policy;
+use pimflow::policy::{Policy, PolicyEvaluation};
 use pimflow_bench::experiments as exp;
 use pimflow_pimsim::{DramTiming, PimConfig};
 
@@ -85,27 +85,22 @@ fn fig8() {
     }
 }
 
-fn fig9(rows: &[pimflow::policy::PolicyEvaluation]) {
+fn fig9(rows: &[PolicyEvaluation]) {
     println!("== Fig. 9: CONV-layer and end-to-end speedup over the GPU baseline ==");
-    let mut model = String::new();
-    let mut base_conv = 1.0;
-    let mut base_e2e = 1.0;
+    let mut model = "";
     for e in rows {
         if e.model != model {
-            model = e.model.clone();
+            model = &e.model;
             println!("{model}:");
         }
-        if e.policy == Policy::Baseline {
-            base_conv = e.conv_layer_us;
-            base_e2e = e.report.total_us;
-        }
+        let (e2e_speedup, conv_speedup, _) = normalized(rows, e);
         println!(
             "  {:<11} conv {:8.1}us ({:4.2}x)   e2e {:8.1}us ({:4.2}x)",
             e.policy.name(),
             e.conv_layer_us,
-            base_conv / e.conv_layer_us,
+            conv_speedup,
             e.report.total_us,
-            base_e2e / e.report.total_us,
+            e2e_speedup,
         );
     }
 }
@@ -144,23 +139,19 @@ fn fig11() {
     }
 }
 
-fn fig12(rows: &[pimflow::policy::PolicyEvaluation]) {
+fn fig12(rows: &[PolicyEvaluation]) {
     println!("== Fig. 12: energy consumption normalized to the GPU baseline ==");
-    let mut model = String::new();
-    let mut base = 1.0;
+    let mut model = "";
     for e in rows {
         if e.model != model {
-            model = e.model.clone();
+            model = &e.model;
             println!("{model}:");
-        }
-        if e.policy == Policy::Baseline {
-            base = e.report.energy_uj;
         }
         println!(
             "  {:<11} {:10.0} uJ  ({:4.2} of baseline)",
             e.policy.name(),
             e.report.energy_uj,
-            e.report.energy_uj / base
+            normalized(rows, e).2
         );
     }
 }
@@ -317,20 +308,67 @@ fn contention() {
     }
 }
 
-/// Writes the full evaluation matrix as CSV (for downstream plotting).
+/// Writes the Fig. 9/12 matrix as CSV (for downstream plotting).
 fn csv(dir: &str) {
-    use pimflow::evaluation::EvaluationSuite;
-    let suite = EvaluationSuite::run(&pimflow_ir::models::evaluated_cnns(), &Policy::all())
-        .expect("zoo models evaluate");
+    let rows = exp::fig9();
     let path = std::path::Path::new(dir).join("fig9_fig12.csv");
     std::fs::create_dir_all(dir).expect("create output directory");
-    std::fs::write(&path, suite.to_csv()).expect("write CSV");
+    std::fs::write(&path, fig9_csv(&rows)).expect("write CSV");
     println!(
         "wrote {} ({} rows); geomean PIMFlow e2e speedup {:.2}x",
         path.display(),
-        suite.cells.len(),
-        suite.geomean_e2e_speedup(Policy::Pimflow)
+        rows.len(),
+        geomean_e2e_speedup(&rows, Policy::Pimflow)
     );
+}
+
+/// `e` over its model's baseline row in `rows`: end-to-end speedup,
+/// CONV-layer speedup, and energy ratio (< 1 is a saving). Figs. 9 and 12
+/// and the CSV all normalize through here.
+fn normalized(rows: &[PolicyEvaluation], e: &PolicyEvaluation) -> (f64, f64, f64) {
+    let base = rows
+        .iter()
+        .find(|b| b.model == e.model && b.policy == Policy::Baseline)
+        .expect("fig9 evaluates every model's baseline");
+    (
+        base.report.total_us / e.report.total_us,
+        base.conv_layer_us.max(1e-12) / e.conv_layer_us.max(1e-12),
+        e.report.energy_uj / base.report.energy_uj,
+    )
+}
+
+/// Geometric-mean end-to-end speedup of `policy` across the models.
+fn geomean_e2e_speedup(rows: &[PolicyEvaluation], policy: Policy) -> f64 {
+    let logs: Vec<f64> = rows
+        .iter()
+        .filter(|e| e.policy == policy)
+        .map(|e| normalized(rows, e).0.ln())
+        .collect();
+    (logs.iter().sum::<f64>() / logs.len() as f64).exp()
+}
+
+/// Renders `rows` as CSV (`model,policy,e2e_us,...`), one line per row.
+fn fig9_csv(rows: &[PolicyEvaluation]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::from(
+        "model,policy,e2e_us,conv_us,energy_uj,e2e_speedup,conv_speedup,energy_ratio\n",
+    );
+    for e in rows {
+        let (e2e_speedup, conv_speedup, energy_ratio) = normalized(rows, e);
+        let _ = writeln!(
+            out,
+            "{},{},{:.3},{:.3},{:.3},{:.4},{:.4},{:.4}",
+            e.model,
+            e.policy.name(),
+            e.report.total_us,
+            e.conv_layer_us,
+            e.report.energy_uj,
+            e2e_speedup,
+            conv_speedup,
+            energy_ratio
+        );
+    }
+    out
 }
 
 /// Runs the serving RPS sweep and writes `BENCH_serve.json` under `dir`.
@@ -768,5 +806,49 @@ fn main() {
     }
     if run("contention") {
         contention();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pimflow::policy::evaluate;
+
+    fn toy_rows() -> Vec<PolicyEvaluation> {
+        let g = pimflow_ir::models::toy();
+        Policy::all()
+            .into_iter()
+            .map(|p| evaluate(&g, p).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn baseline_rows_normalize_to_one() {
+        let rows = toy_rows();
+        let base = &rows[0];
+        assert_eq!(base.policy, Policy::Baseline);
+        assert_eq!(normalized(&rows, base), (1.0, 1.0, 1.0));
+        assert_eq!(geomean_e2e_speedup(&rows, Policy::Baseline), 1.0);
+    }
+
+    #[test]
+    fn pimflow_geomean_beats_baseline() {
+        assert!(geomean_e2e_speedup(&toy_rows(), Policy::Pimflow) > 1.0);
+    }
+
+    #[test]
+    fn csv_has_header_and_one_line_per_model_and_policy() {
+        let rows = toy_rows();
+        let csv = fig9_csv(&rows);
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(
+            lines[0],
+            "model,policy,e2e_us,conv_us,energy_uj,e2e_speedup,conv_speedup,energy_ratio"
+        );
+        assert_eq!(lines.len(), 1 + Policy::all().len());
+        for (line, p) in lines[1..].iter().zip(Policy::all()) {
+            assert!(line.starts_with(&format!("toy,{},", p.name())), "{line}");
+        }
+        assert!(lines[1].ends_with(",1.0000,1.0000,1.0000"), "{}", lines[1]);
     }
 }

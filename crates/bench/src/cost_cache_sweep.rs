@@ -286,11 +286,7 @@ pub fn write_bench_artifact(
     if let Some(bad) = report.models.iter().find(|m| !m.plans_identical) {
         return Err(format!("warm search diverged from cold on {}", bad.model));
     }
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let path = dir.join("BENCH_costcache.json");
-    std::fs::write(&path, pimflow_json::to_string_pretty(&report))
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    Ok((report, path))
+    crate::write_json_artifact(dir, "BENCH_costcache.json", report)
 }
 
 #[cfg(test)]

@@ -423,11 +423,7 @@ pub fn write_bench_artifact(
         FleetSweepConfig::default()
     };
     let report = sweep(&cfg, smoke).map_err(|e| e.to_string())?;
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let path = dir.join("BENCH_fleet.json");
-    std::fs::write(&path, pimflow_json::to_string_pretty(&report))
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    Ok((report, path))
+    crate::write_json_artifact(dir, "BENCH_fleet.json", report)
 }
 
 #[cfg(test)]

@@ -367,11 +367,7 @@ pub fn write_bench_artifact(
     if has_resnet && report.resnet_residual_candidates == 0 {
         return Err("no resnet residual candidate — the residual-aware walker regressed".into());
     }
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let path = dir.join("BENCH_fusion.json");
-    std::fs::write(&path, pimflow_json::to_string_pretty(&report))
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    Ok((report, path))
+    crate::write_json_artifact(dir, "BENCH_fusion.json", report)
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 //! The workspace builds with zero network access, so Criterion is not
 //! available; this module provides the small slice of it the bench targets
 //! need: named groups, adaptive iteration counts, and a median-of-samples
-//! report printed to stdout — now with variance accounting: every row
-//! carries mean ± stddev, and [`Group::bench_pair`] prints a Welch-t-test
-//! p-value column with the ACCEPT/REJECT verdict from [`crate::stats`].
+//! report printed to stdout, where every row carries mean ± stddev. The
+//! per-sample times are kept in [`Measurement::sample_us`] for a Welch
+//! test through [`crate::stats`].
 //! Bench binaries keep `harness = false` in the manifest and drive a
 //! [`Group`] from `main`.
 
@@ -142,35 +142,6 @@ impl Group {
             m.label, m.median, m.mean, m.stddev, m.min, m.iters_per_sample
         );
         self.results.push(m);
-    }
-
-    /// Times a baseline and a candidate back to back and prints one
-    /// comparison row carrying the Welch p-value column and the
-    /// ACCEPT/REJECT verdict (see [`stats::compare_lower_is_better`]).
-    /// Both measurements are also recorded in the group's results.
-    pub fn bench_pair<R1, R2>(
-        &mut self,
-        name: &str,
-        baseline: impl FnMut() -> R1,
-        candidate: impl FnMut() -> R2,
-    ) -> stats::Comparison {
-        let base = self.measure(&format!("{name}/baseline"), baseline);
-        let cand = self.measure(&format!("{name}/candidate"), candidate);
-        let cmp = stats::compare_lower_is_better(&base.sample_us, &cand.sample_us);
-        println!(
-            "{:<48} {:>9.1}µs ± {:<7.1} vs {:>9.1}µs ± {:<7.1}  speedup {:>5.2}x  p={:<9.3e} {}",
-            format!("{}/{}", self.name, name),
-            cmp.baseline_mean,
-            cmp.baseline_stddev,
-            cmp.candidate_mean,
-            cmp.candidate_stddev,
-            cmp.speedup,
-            cmp.p_value,
-            cmp.decision,
-        );
-        self.results.push(base);
-        self.results.push(cand);
-        cmp
     }
 
     /// Finishes the group and returns its measurements.

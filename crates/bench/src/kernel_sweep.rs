@@ -394,11 +394,7 @@ pub fn write_bench_artifact(
             bad.config, bad.max_ulps, bad.max_abs_diff
         ));
     }
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let path = dir.join("BENCH_kernels.json");
-    std::fs::write(&path, pimflow_json::to_string_pretty(&report))
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    Ok((report, path))
+    crate::write_json_artifact(dir, "BENCH_kernels.json", report)
 }
 
 #[cfg(test)]

@@ -149,11 +149,7 @@ pub fn write_bench_artifact(
     dir: &std::path::Path,
 ) -> Result<(SweepReport, std::path::PathBuf), String> {
     let report = sweep(&SweepConfig::default(), &DEFAULT_RPS_POINTS).map_err(|e| e.to_string())?;
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let path = dir.join("BENCH_serve.json");
-    std::fs::write(&path, pimflow_json::to_string_pretty(&report))
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    Ok((report, path))
+    crate::write_json_artifact(dir, "BENCH_serve.json", report)
 }
 
 #[cfg(test)]

@@ -3,9 +3,8 @@
 //! Every entry point that can fail on a malformed-but-constructible input —
 //! a cyclic graph, an out-of-range split ratio, a plan naming nodes the
 //! graph does not have — returns [`Result`] instead of panicking. The
-//! transformation passes' historical `PassError` is a type alias of
-//! [`Error`], so pass-level code and engine/search-level code share one
-//! error surface.
+//! transformation passes return the same [`Error`], so pass-level code and
+//! engine/search-level code share one error surface.
 
 use pimflow_ir::GraphError;
 use pimflow_pimsim::ConfigError;

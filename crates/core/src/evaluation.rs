@@ -1,17 +1,12 @@
-//! Whole-evaluation runner and machine-readable reporting.
+//! Numerical equivalence of a transformed graph and its original.
 //!
-//! The artifact's top-level script ends by "run\[ning] the traces and
-//! generat\[ing] an execution time graph for all PIM-candidate CONV layers
-//! with four offloading mechanisms" (§A.6, Fig. 17). This module is that
-//! step: it evaluates a set of models under a set of mechanisms, collects
-//! the normalized results into one serializable [`EvaluationSuite`], and
-//! renders them as CSV for downstream plotting.
+//! Every PIM-aware transformation must compute the same function as the
+//! graph it rewrote (§4.2.1). [`verify_equivalence`] runs both graphs on
+//! the `pimflow-kernels` reference executor with identical seeded inputs
+//! and reports how closely their outputs agree.
 
-use crate::policy::{evaluate, Policy};
 use pimflow_ir::Graph;
-use pimflow_json::json_struct;
-use pimflow_kernels::{input_tensors, run_graph_with, ExecOptions, ExecOutput, ExecStats, Tensor};
-use std::fmt::Write as _;
+use pimflow_kernels::{input_tensors, run_graph_with, ExecOptions, ExecStats};
 
 /// Numerical comparison of two graphs that are supposed to compute the
 /// same function, produced by [`verify_equivalence`].
@@ -34,31 +29,6 @@ impl EquivalenceReport {
     }
 }
 
-/// Runs `graph` on the reference executor at an explicit worker width
-/// (`None` reads `PIMFLOW_JOBS`), converting executor failures into
-/// [`crate::Error::Execution`]. This is how the evaluation and equivalence
-/// flows thread a `--jobs` setting down to kernel execution.
-///
-/// # Errors
-///
-/// Returns [`crate::Error::Execution`] if the executor rejects the graph or
-/// inputs.
-pub fn run_with_pool(
-    graph: &Graph,
-    inputs: &[Tensor],
-    jobs: Option<usize>,
-) -> crate::Result<ExecOutput> {
-    run_graph_with(
-        graph,
-        inputs,
-        &ExecOptions {
-            jobs,
-            ..ExecOptions::default()
-        },
-    )
-    .map_err(|e| crate::Error::Execution(e.to_string()))
-}
-
 /// Runs `original` and `transformed` on identical seeded inputs (at worker
 /// width `jobs`) and reports how closely their outputs agree. The caller
 /// decides the tolerance — bitwise equality is `max_abs_diff == 0.0`.
@@ -74,8 +44,15 @@ pub fn verify_equivalence(
     jobs: Option<usize>,
 ) -> crate::Result<EquivalenceReport> {
     let inputs = input_tensors(original, seed);
-    let a = run_with_pool(original, &inputs, jobs)?;
-    let b = run_with_pool(transformed, &inputs, jobs)?;
+    let opts = ExecOptions {
+        jobs,
+        ..ExecOptions::default()
+    };
+    let run = |g: &Graph| {
+        run_graph_with(g, &inputs, &opts).map_err(|e| crate::Error::Execution(e.to_string()))
+    };
+    let a = run(original)?;
+    let b = run(transformed)?;
     if a.outputs.len() != b.outputs.len() {
         return Err(crate::Error::Execution(format!(
             "output arity differs: {} vs {}",
@@ -102,165 +79,10 @@ pub fn verify_equivalence(
     })
 }
 
-/// One `(model, policy)` cell of the evaluation matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvaluationCell {
-    /// Model name.
-    pub model: String,
-    /// Mechanism evaluated.
-    pub policy: Policy,
-    /// End-to-end latency, microseconds.
-    pub e2e_us: f64,
-    /// PIM-candidate CONV layer time, microseconds.
-    pub conv_us: f64,
-    /// Total energy, microjoules.
-    pub energy_uj: f64,
-    /// E2E speedup over this model's baseline.
-    pub e2e_speedup: f64,
-    /// CONV-layer speedup over this model's baseline.
-    pub conv_speedup: f64,
-    /// Energy relative to this model's baseline (< 1 is a saving).
-    pub energy_ratio: f64,
-}
-
-/// The full evaluation matrix.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EvaluationSuite {
-    /// All cells, grouped by model in input order.
-    pub cells: Vec<EvaluationCell>,
-}
-
-json_struct!(EvaluationCell {
-    model,
-    policy,
-    e2e_us,
-    conv_us,
-    energy_uj,
-    e2e_speedup,
-    conv_speedup,
-    energy_ratio,
-});
-json_struct!(EvaluationSuite { cells });
-
-impl EvaluationSuite {
-    /// Runs `policies` over `models` (the baseline is always evaluated
-    /// first per model so the normalizations are well-defined).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`crate::Error`] any `(model, policy)` cell
-    /// produces.
-    pub fn run(models: &[Graph], policies: &[Policy]) -> crate::Result<EvaluationSuite> {
-        let mut cells = Vec::new();
-        for g in models {
-            let baseline = evaluate(g, Policy::Baseline)?;
-            let base_e2e = baseline.report.total_us;
-            let base_conv = baseline.conv_layer_us.max(1e-12);
-            let base_energy = baseline.report.energy_uj;
-            for &policy in policies {
-                let e = if policy == Policy::Baseline {
-                    baseline.clone()
-                } else {
-                    evaluate(g, policy)?
-                };
-                cells.push(EvaluationCell {
-                    model: g.name.clone(),
-                    policy,
-                    e2e_us: e.report.total_us,
-                    conv_us: e.conv_layer_us,
-                    energy_uj: e.report.energy_uj,
-                    e2e_speedup: base_e2e / e.report.total_us,
-                    conv_speedup: base_conv / e.conv_layer_us.max(1e-12),
-                    energy_ratio: e.report.energy_uj / base_energy,
-                });
-            }
-        }
-        Ok(EvaluationSuite { cells })
-    }
-
-    /// The cell for `(model, policy)`, if present.
-    pub fn cell(&self, model: &str, policy: Policy) -> Option<&EvaluationCell> {
-        self.cells
-            .iter()
-            .find(|c| c.model == model && c.policy == policy)
-    }
-
-    /// Geometric-mean e2e speedup of `policy` across all models.
-    pub fn geomean_e2e_speedup(&self, policy: Policy) -> f64 {
-        let vals: Vec<f64> = self
-            .cells
-            .iter()
-            .filter(|c| c.policy == policy)
-            .map(|c| c.e2e_speedup)
-            .collect();
-        if vals.is_empty() {
-            return 1.0;
-        }
-        (vals.iter().map(|v| v.ln()).sum::<f64>() / vals.len() as f64).exp()
-    }
-
-    /// Renders the suite as CSV (`model,policy,e2e_us,...`), one row per
-    /// cell, parseable by any plotting tool.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "model,policy,e2e_us,conv_us,energy_uj,e2e_speedup,conv_speedup,energy_ratio\n",
-        );
-        for c in &self.cells {
-            let _ = writeln!(
-                out,
-                "{},{},{:.3},{:.3},{:.3},{:.4},{:.4},{:.4}",
-                c.model,
-                c.policy.name(),
-                c.e2e_us,
-                c.conv_us,
-                c.energy_uj,
-                c.e2e_speedup,
-                c.conv_speedup,
-                c.energy_ratio
-            );
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pimflow_ir::models;
-
-    fn toy_suite() -> EvaluationSuite {
-        EvaluationSuite::run(
-            &[models::toy()],
-            &[Policy::Baseline, Policy::NewtonPlusPlus, Policy::Pimflow],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn baseline_cells_normalize_to_one() {
-        let s = toy_suite();
-        let b = s.cell("toy", Policy::Baseline).unwrap();
-        assert_eq!(b.e2e_speedup, 1.0);
-        assert_eq!(b.conv_speedup, 1.0);
-        assert_eq!(b.energy_ratio, 1.0);
-    }
-
-    #[test]
-    fn pimflow_geomean_beats_baseline() {
-        let s = toy_suite();
-        assert!(s.geomean_e2e_speedup(Policy::Pimflow) > 1.0);
-        assert_eq!(s.geomean_e2e_speedup(Policy::Baseline), 1.0);
-    }
-
-    #[test]
-    fn csv_has_header_and_all_rows() {
-        let s = toy_suite();
-        let csv = s.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert!(lines[0].starts_with("model,policy,"));
-        assert_eq!(lines.len(), 1 + s.cells.len());
-        assert!(csv.contains("toy,PIMFlow,"));
-    }
 
     #[test]
     fn verify_equivalence_on_identical_graphs_is_bitwise() {
@@ -283,21 +105,5 @@ mod tests {
         let other = b.finish(y);
         let err = verify_equivalence(&g, &other, 7, Some(1));
         assert!(matches!(err, Err(crate::Error::Execution(_))));
-    }
-
-    #[test]
-    fn suite_serializes() {
-        let s = toy_suite();
-        let json = pimflow_json::to_string(&s);
-        let back: EvaluationSuite = pimflow_json::from_str(&json).unwrap();
-        // Float JSON round-trips lose ulps; compare structure and values
-        // within tolerance instead of bitwise.
-        assert_eq!(s.cells.len(), back.cells.len());
-        for (a, b) in s.cells.iter().zip(&back.cells) {
-            assert_eq!(a.model, b.model);
-            assert_eq!(a.policy, b.policy);
-            assert!((a.e2e_us - b.e2e_us).abs() < 1e-6);
-            assert!((a.energy_uj - b.energy_uj).abs() < 1e-3);
-        }
     }
 }

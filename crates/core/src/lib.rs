@@ -8,9 +8,8 @@
 //!
 //! * **PIM-aware graph transformations** ([`passes`]) — the multi-device
 //!   data-parallel (MD-DP) split pass and the pipelining pass create
-//!   inter-node parallelism that lets GPU and PIM execute concurrently;
-//!   [`passes::cleanup::cleanup`] canonicalizes the transformed graphs. Every
-//!   transformation is numerically exact (verified against the
+//!   inter-node parallelism that lets GPU and PIM execute concurrently.
+//!   Every transformation is numerically exact (verified against the
 //!   `pimflow-kernels` reference executor).
 //! * **Execution mode and task size search** ([`search`], Algorithm 1) —
 //!   profiles every PIM-candidate layer at 10% MD-DP ratio intervals and

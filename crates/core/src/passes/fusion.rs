@@ -16,9 +16,9 @@
 //! fused lowering; Algorithm 1 decides where fusing pays (see
 //! [`Decision::Fused`](crate::search::Decision::Fused)).
 
-use crate::passes::mddp::PassError;
 use crate::passes::split_util::{is_linear_rider, is_residual_rider};
 use crate::placement::{FusedNodeRole, FusionTag, NodePlacement};
+use crate::Error;
 use pimflow_ir::{Graph, NodeId, ValueId};
 use std::collections::HashSet;
 
@@ -160,19 +160,19 @@ fn residual_run(graph: &Graph, start: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
 ///
 /// # Errors
 ///
-/// Returns [`PassError::NotApplicable`] when the group has fewer than two
+/// Returns [`Error::NotApplicable`] when the group has fewer than two
 /// heavy layers, a member is already placed on PIM, a listed
 /// rider is not element-wise, or a heavy member is not in the node list.
-pub fn fuse_group(graph: &mut Graph, group: &FusionGroup, gid: usize) -> Result<(), PassError> {
+pub fn fuse_group(graph: &mut Graph, group: &FusionGroup, gid: usize) -> Result<(), Error> {
     if group.heavy.len() < 2 {
-        return Err(PassError::NotApplicable(
+        return Err(Error::NotApplicable(
             "fusion group needs at least two heavy layers".into(),
         ));
     }
     let heavy: HashSet<NodeId> = group.heavy.iter().copied().collect();
     for &id in &group.heavy {
         if !group.nodes.contains(&id) {
-            return Err(PassError::NotApplicable(
+            return Err(Error::NotApplicable(
                 "fusion group heavy layer missing from its node list".into(),
             ));
         }
@@ -180,13 +180,13 @@ pub fn fuse_group(graph: &mut Graph, group: &FusionGroup, gid: usize) -> Result<
     for &id in &group.nodes {
         let node = graph.node(id);
         if node.placement != NodePlacement::Gpu {
-            return Err(PassError::NotApplicable(format!(
+            return Err(Error::NotApplicable(format!(
                 "node `{}` is already placed",
                 node.name
             )));
         }
         if !heavy.contains(&id) && !is_linear_rider(&node.op) && !is_residual_rider(&node.op) {
-            return Err(PassError::NotApplicable(format!(
+            return Err(Error::NotApplicable(format!(
                 "fusion rider `{}` is not element-wise",
                 node.name
             )));
@@ -396,7 +396,7 @@ mod tests {
         };
         assert!(matches!(
             fuse_group(&mut g, &solo, 0),
-            Err(PassError::NotApplicable(_))
+            Err(Error::NotApplicable(_))
         ));
         // Double-fusing the same nodes is rejected: they are already
         // placed.
@@ -404,7 +404,7 @@ mod tests {
         fuse_group(&mut g, &group, 0).unwrap();
         assert!(matches!(
             fuse_group(&mut g, &group, 1),
-            Err(PassError::NotApplicable(_))
+            Err(Error::NotApplicable(_))
         ));
     }
 }

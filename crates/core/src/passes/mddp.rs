@@ -17,17 +17,10 @@
 
 use crate::passes::split_util::emit_conv_part;
 use crate::placement::{NodePlacement, Placement};
+use crate::Error;
 use pimflow_ir::{
     infer_shapes_from, ConcatAttrs, DenseAttrs, Graph, NodeId, Op, ParamView, SliceAttrs, ValueId,
 };
-
-/// Errors returned by transformation passes.
-///
-/// Historically its own enum; now an alias of the crate-wide
-/// [`Error`](crate::error::Error) so pass-level and engine/search-level
-/// failures share one surface. Variant paths like
-/// `PassError::NotApplicable(..)` keep working through the alias.
-pub type PassError = crate::error::Error;
 
 /// Outcome of [`split_node`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,19 +55,15 @@ fn producer_of(graph: &Graph, v: ValueId) -> NodeId {
 ///
 /// # Errors
 ///
-/// Returns [`PassError::NotApplicable`] if the node is not a PIM candidate
+/// Returns [`Error::NotApplicable`] if the node is not a PIM candidate
 /// or is too small to split at the requested ratio, and
-/// [`PassError::BadRatio`] if `gpu_percent > 100`.
-pub fn split_node(
-    graph: &mut Graph,
-    id: NodeId,
-    gpu_percent: u32,
-) -> Result<SplitOutcome, PassError> {
+/// [`Error::BadRatio`] if `gpu_percent > 100`.
+pub fn split_node(graph: &mut Graph, id: NodeId, gpu_percent: u32) -> Result<SplitOutcome, Error> {
     if gpu_percent > 100 {
-        return Err(PassError::BadRatio(gpu_percent));
+        return Err(Error::BadRatio(gpu_percent));
     }
     if !graph.is_pim_candidate(id) {
-        return Err(PassError::NotApplicable(format!(
+        return Err(Error::NotApplicable(format!(
             "`{}` is not a PIM-candidate node",
             graph.node(id).name
         )));
@@ -101,7 +90,7 @@ pub fn split_node(
         Op::Conv2d(_) => {
             let oh = out_shape.h();
             if oh < 2 {
-                return Err(PassError::NotApplicable(format!(
+                return Err(Error::NotApplicable(format!(
                     "`{}` output height {oh} cannot be split",
                     node.name
                 )));
@@ -151,7 +140,7 @@ pub fn split_node(
                 // Single-row FC: split the output features (weight columns).
                 let of = d.out_features;
                 if of < 2 {
-                    return Err(PassError::NotApplicable(format!(
+                    return Err(Error::NotApplicable(format!(
                         "`{}` has {of} output features; cannot split",
                         node.name
                     )));
@@ -192,7 +181,7 @@ pub fn split_node(
             }
         }
         other => {
-            return Err(PassError::NotApplicable(format!(
+            return Err(Error::NotApplicable(format!(
                 "`{}` ({other}) is not splittable",
                 node.name
             )))
@@ -372,7 +361,7 @@ mod tests {
         let id = t.find_node("dwconv_5").unwrap();
         assert!(matches!(
             split_node(&mut t, id, 50),
-            Err(PassError::NotApplicable(_))
+            Err(Error::NotApplicable(_))
         ));
     }
 
@@ -382,7 +371,7 @@ mod tests {
         let id = t.find_node("conv_3").unwrap();
         assert!(matches!(
             split_node(&mut t, id, 101),
-            Err(PassError::BadRatio(101))
+            Err(Error::BadRatio(101))
         ));
         // Graph untouched by the rejected call.
         assert_eq!(t.node_count(), models::toy().node_count());

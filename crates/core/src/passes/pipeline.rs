@@ -10,11 +10,11 @@
 //! "enforces data dependency for boundary elements when filters are bigger
 //! than 1x1" exactly as in Fig. 5 (nodes 3(A)/3(B)/4(A)/4(B)).
 
-use crate::passes::mddp::PassError;
 use crate::passes::split_util::{
     conv_input_span, emit_conv_on_span, emit_elementwise_part, even_ranges, rows_from_parts,
 };
 use crate::placement::Placement;
+use crate::Error;
 use pimflow_ir::{
     analysis::{classify, LayerClass},
     infer_shapes_from, ConcatAttrs, Graph, NodeId, Op, ValueId,
@@ -186,12 +186,12 @@ pub fn find_chains(graph: &Graph) -> Vec<Chain> {
 ///
 /// # Errors
 ///
-/// Returns [`PassError::NotApplicable`] if the chain is degenerate (final
+/// Returns [`Error::NotApplicable`] if the chain is degenerate (final
 /// height too small to split).
-pub fn pipeline_chain(graph: &mut Graph, chain: &Chain, stages: usize) -> Result<(), PassError> {
+pub fn pipeline_chain(graph: &mut Graph, chain: &Chain, stages: usize) -> Result<(), Error> {
     let first_part = graph.next_node_id();
     if stages < 2 {
-        return Err(PassError::NotApplicable(
+        return Err(Error::NotApplicable(
             "need at least 2 pipeline stages".into(),
         ));
     }
@@ -205,7 +205,7 @@ pub fn pipeline_chain(graph: &mut Graph, chain: &Chain, stages: usize) -> Result
         .shape
         .h();
     if final_h < stages {
-        return Err(PassError::NotApplicable(format!(
+        return Err(Error::NotApplicable(format!(
             "final height {final_h} < {stages} stages"
         )));
     }
@@ -544,7 +544,7 @@ mod tests {
         let chain = find_chains(&g).into_iter().next().unwrap();
         assert!(matches!(
             pipeline_chain(&mut g, &chain, 2),
-            Err(PassError::NotApplicable(_))
+            Err(Error::NotApplicable(_))
         ));
     }
 }

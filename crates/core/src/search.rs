@@ -1252,7 +1252,6 @@ pub fn apply_plan(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
 
 /// [`apply_plan`] without its closing full shape inference.
 fn apply_decisions(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
-    use crate::passes::PassError;
     let mut out = graph.clone();
     let mut fused_gid = 0usize;
     for (name, decision) in &plan.decisions {
@@ -1260,7 +1259,7 @@ fn apply_decisions(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
             Decision::Gpu => {}
             Decision::Split { gpu_percent, .. } => {
                 let id = out.find_node(name).ok_or_else(|| {
-                    PassError::NotApplicable(format!("plan references unknown node `{name}`"))
+                    crate::Error::NotApplicable(format!("plan references unknown node `{name}`"))
                 })?;
                 crate::passes::split_node(&mut out, id, *gpu_percent)?;
             }
@@ -1269,12 +1268,12 @@ fn apply_decisions(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
                     .iter()
                     .map(|n| {
                         out.find_node(n).ok_or_else(|| {
-                            PassError::NotApplicable(format!(
+                            crate::Error::NotApplicable(format!(
                                 "plan references unknown node `{n}` in fusion group at `{name}`"
                             ))
                         })
                     })
-                    .collect::<Result<Vec<NodeId>, PassError>>()?;
+                    .collect::<Result<Vec<NodeId>>>()?;
                 let heavy: Vec<NodeId> = ids
                     .iter()
                     .copied()
@@ -1289,7 +1288,7 @@ fn apply_decisions(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
                     .into_iter()
                     .find(|c| named(&out, &c.nodes, node_names))
                     .ok_or_else(|| {
-                        PassError::NotApplicable(format!(
+                        crate::Error::NotApplicable(format!(
                             "plan references unknown chain at `{name}`"
                         ))
                     })?;

@@ -62,14 +62,6 @@ impl KernelProfile {
             algo_speedup: 1.0,
         }
     }
-
-    /// True for kernels that are epilogue-fusable into a preceding
-    /// convolution/GEMM (BN, activation, element-wise add) — cuDNN and
-    /// CUTLASS fuse these, so the execution engine charges them no launch
-    /// and no extra DRAM round-trip.
-    pub fn is_fusable_epilogue(&self) -> bool {
-        self.kind == KernelKind::Elementwise
-    }
 }
 
 /// Builds the kernel profile of graph node `id`. Requires inferred shapes.

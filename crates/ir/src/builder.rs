@@ -244,37 +244,6 @@ impl GraphBuilder {
         self.act(y, act)
     }
 
-    /// Conv → BN → activation, the unfused training-time block (kept for
-    /// transformation tests; the model zoo uses [`GraphBuilder::conv_act`]).
-    pub fn conv_bn_act(
-        &mut self,
-        x: ValueId,
-        out_channels: usize,
-        k: usize,
-        s: usize,
-        p: usize,
-        act: ActivationKind,
-    ) -> ValueId {
-        let y = self.conv(x, out_channels, k, s, p);
-        let y = self.bn(y);
-        self.act(y, act)
-    }
-
-    /// DW-Conv → BN → activation.
-    pub fn dw_bn_act(
-        &mut self,
-        x: ValueId,
-        channels: usize,
-        k: usize,
-        s: usize,
-        p: usize,
-        act: ActivationKind,
-    ) -> ValueId {
-        let y = self.dwconv(x, channels, k, s, p);
-        let y = self.bn(y);
-        self.act(y, act)
-    }
-
     /// Marks `output` as the graph output, runs shape inference, and returns
     /// the finished graph.
     ///
@@ -317,15 +286,6 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), g.node_count());
-    }
-
-    #[test]
-    fn conv_bn_act_block_adds_three_nodes() {
-        let mut b = GraphBuilder::new("t");
-        let x = b.input(Shape::nhwc(1, 8, 8, 3));
-        let y = b.conv_bn_act(x, 8, 3, 1, 1, ActivationKind::Relu);
-        let g = b.finish(y);
-        assert_eq!(g.node_count(), 3);
     }
 
     #[test]

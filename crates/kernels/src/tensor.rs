@@ -115,21 +115,6 @@ impl Tensor {
         self.data[off] = v;
     }
 
-    /// Zero-copy view of rows `[begin, end)` of a 4-D NHWC batch-1 tensor —
-    /// the contiguity property the memory-layout optimizer (§4.3.2) builds
-    /// on: an H-slice *is* a sub-slice of the flat buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 4-D batch-1 or the range is invalid.
-    pub fn h_rows(&self, begin: usize, end: usize) -> &[f32] {
-        assert_eq!(self.shape.rank(), 4, "h_rows requires NHWC");
-        assert_eq!(self.shape.n(), 1, "h_rows requires batch 1");
-        assert!(begin <= end && end <= self.shape.h(), "invalid row range");
-        let row = self.shape.w() * self.shape.c();
-        &self.data[begin * row..end * row]
-    }
-
     /// Maximum absolute difference to another tensor.
     ///
     /// # Panics
@@ -179,14 +164,6 @@ mod tests {
         let slice = &t.data()[start..start + 2 * row_elems];
         assert_eq!(slice[0], (2 * row_elems) as f32);
         assert_eq!(slice.len(), 2 * row_elems);
-    }
-
-    #[test]
-    fn h_rows_view_equals_slice_op() {
-        let t = Tensor::from_fn(Shape::nhwc(1, 6, 3, 2), |i| i as f32);
-        let view = t.h_rows(2, 5);
-        assert_eq!(view.len(), 3 * 3 * 2);
-        assert_eq!(view[0], (2 * 3 * 2) as f32);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! A single DRAM serves as both GPU memory and PIM device by dividing its
 //! channels into two contiguous sets: regular channels for GPU data and
-//! PIM-enabled channels. This facade owns that division and the memory
-//! network connecting the two sets, and provides the §7 contention
-//! experiment (interleaving ordinary GPU traffic into PIM command streams)
-//! as a first-class operation.
+//! PIM-enabled channels. This facade owns that division and provides the
+//! §7 contention experiment (interleaving ordinary GPU traffic into PIM
+//! command streams) as a first-class operation.
 
 use crate::command::CommandBlock;
 use crate::config::{ConfigError, PimConfig};
@@ -23,9 +22,6 @@ pub struct MemorySystem {
     pub pim_channels: usize,
     /// Per-channel PIM configuration.
     pub cfg: PimConfig,
-    /// Memory-network links between channel groups (one per PIM channel in
-    /// the paper's crossbar, §4.1/\[63]).
-    pub network_links: usize,
 }
 
 impl MemorySystem {
@@ -35,7 +31,6 @@ impl MemorySystem {
             gpu_channels: 16,
             pim_channels: 16,
             cfg: PimConfig::newton_plus_plus(),
-            network_links: 16,
         }
     }
 
@@ -59,7 +54,6 @@ impl MemorySystem {
             gpu_channels,
             pim_channels,
             cfg,
-            network_links: pim_channels,
         })
     }
 
@@ -111,13 +105,6 @@ impl MemorySystem {
         NewtonInterpreter::new(&self.cfg)
             .run(&IsaProgram::from_channels(noisy))
             .0
-    }
-
-    /// Cycles to move `bytes` between the channel groups over the memory
-    /// network (all links in parallel, each as wide as a channel I/O).
-    pub fn transfer_cycles(&self, bytes: u64) -> u64 {
-        let per_cycle = (self.network_links.max(1) * self.cfg.io_bytes_per_cycle) as u64;
-        bytes.div_ceil(per_cycle)
     }
 }
 
@@ -177,16 +164,5 @@ mod tests {
         let slowdown = noisy.cycles as f64 / clean.cycles as f64 - 1.0;
         assert!(slowdown < 0.05, "contention slowdown {slowdown}");
         assert_eq!(noisy.comps, clean.comps, "work must be unchanged");
-    }
-
-    #[test]
-    fn transfer_scales_with_links() {
-        let m = MemorySystem::pimflow_default();
-        let one_link = MemorySystem {
-            network_links: 1,
-            ..MemorySystem::pimflow_default()
-        };
-        let bytes = 1 << 20;
-        assert!(m.transfer_cycles(bytes) * 8 < one_link.transfer_cycles(bytes));
     }
 }
