@@ -176,11 +176,13 @@ PIMFLOW_JOBS=2 cargo test -q --offline --test fusion
 
 # The overlap/residual unit contracts (residual-aware group walking,
 # overlap-aware epoch timing, the fused-chain min composition over every
-# zoo fusion candidate, near-bank re-addressing, fused group stats)
-# re-run at a 2-wide pool from the core crate's own tests.
+# zoo fusion candidate, near-bank re-addressing, fused group stats) and
+# the shared node-cost contracts (the GPU-only search predicts the
+# engine's timeline on every zoo model) re-run at a 2-wide pool from the
+# core crate's own tests.
 # A name filter that selects no test still exits 0, so each filtered run
 # must also report at least one passed test.
-for filter in fusion overlap; do
+for filter in fusion overlap nodecost; do
   echo "==> cargo test -p pimflow $filter (PIMFLOW_JOBS=2)"
   out="$(PIMFLOW_JOBS=2 cargo test -q --offline -p pimflow "$filter" 2>&1)"
   printf '%s\n' "$out"

@@ -363,7 +363,6 @@ pub fn sweep(cfg: &FleetSweepConfig, smoke: bool) -> Result<FleetBenchReport, Fl
         interval_us: cfg.duration_s * 1e6 / 40.0,
         up_queue_per_active: 4.0,
         down_utilization: 0.10,
-        min_active: 1,
     };
     let ar = run_fleet(&auto_cfg)?.report;
     let autoscale = AutoscalePoint {

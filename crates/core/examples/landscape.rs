@@ -103,7 +103,7 @@ fn main() {
             .node_ids()
             .find(|&i| matches!(g.node(i).op, pimflow_ir::Op::Conv2d(_)))
             .unwrap();
-        let tg = gpu_node_time_us(&g, id, &gpu, 16);
+        let tg = pimflow::nodecost::gpu_kernel_us(&g, id, 1.0, &gpu, 16);
         let w = PimWorkload::from_conv(&shape, &attrs);
         let tpp = pim_us(&w, &npp);
         let tp = pim_us(&w, &np);

@@ -13,8 +13,10 @@
 //! which needs an engine execution path before the search may price it.
 
 use crate::codegen::{generate_program, PimWorkload};
+use crate::memopt::{data_move_bytes, is_data_move};
+use crate::nodecost;
 use crate::placement::Placement;
-use pimflow_gpusim::{kernel_for_node, kernel_time_with_launch_us, GpuConfig, KernelProfile};
+use pimflow_gpusim::{kernel_for_node, GpuConfig, KernelProfile};
 use pimflow_ir::{Graph, NodeId, Op};
 use pimflow_isa::IsaProgram;
 use pimflow_pimsim::{ChannelStats, NewtonInterpreter, PimConfig, ScheduleGranularity};
@@ -147,8 +149,10 @@ impl Backend for DramPimBackend {
     }
 }
 
-/// The GPU back-end: everything except pure data movement compiles to a
-/// kernel launch (cuDNN/cuBLAS/CUTLASS analogue).
+/// The GPU back-end: everything except pure views compiles to a kernel
+/// launch (cuDNN/cuBLAS/CUTLASS analogue), priced as the engine prices it
+/// ([`crate::nodecost`]): a data-movement kernel at the memory bandwidth,
+/// any other kernel by the GPU model.
 #[derive(Debug, Clone)]
 pub struct GpuBackend {
     /// GPU hardware configuration.
@@ -186,10 +190,15 @@ impl Backend for GpuBackend {
             });
         }
         let profile = kernel_for_node(graph, id);
+        let time_us = if is_data_move(graph, id) {
+            nodecost::data_move_us(data_move_bytes(graph, id), &self.gpu, self.channels)
+        } else {
+            nodecost::kernel_us(&profile, &self.gpu, self.channels)
+        };
         Ok(CompiledKernel {
             node: graph.node(id).name.clone(),
             backend: self.name(),
-            time_us: kernel_time_with_launch_us(&profile, &self.gpu, self.channels.max(1)),
+            time_us,
             artifact: KernelArtifact::GpuKernel(profile),
             pim_stats: None,
         })
@@ -280,6 +289,23 @@ mod tests {
                 assert!(be.supports(&g, id), "{}", g.node(id).name);
             }
         }
+    }
+
+    #[test]
+    fn gpu_backend_prices_a_data_move_as_the_engine_does() {
+        use crate::engine::{execute, EngineConfig};
+        use pimflow_ir::{GraphBuilder, Shape};
+        // A channel-axis concat copies its output: a data-movement kernel
+        // at memory bandwidth, not a compute kernel.
+        let mut b = GraphBuilder::new("concat");
+        let x = b.input(Shape::nhwc(1, 8, 8, 16));
+        let y = b.concat(vec![x, x], 3);
+        let g = b.finish(y);
+        let id = g.producer(y).unwrap();
+        let kernel = GpuBackend::rtx2060_like().compile(&g, id).unwrap();
+        let report = execute(&g, &EngineConfig::pimflow()).unwrap();
+        let t = report.timing(&g.node(id).name).unwrap();
+        assert_eq!(kernel.time_us, t.finish_us - t.start_us);
     }
 
     #[test]

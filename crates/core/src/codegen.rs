@@ -17,7 +17,6 @@
 //! bit-identical to interpreting the compiled program (`tests/pricer.rs`
 //! holds that contract).
 
-use pimflow_gpusim::GpuConfig;
 use pimflow_ir::{Conv2dAttrs, Graph, NodeId, Op, Shape};
 use pimflow_isa::{FusedRole, IsaProgram};
 use pimflow_kernels::lowered_dims;
@@ -565,16 +564,11 @@ pub fn execute_workload(
     (exec, per_channel)
 }
 
-/// Convenience: GPU execution time of graph node `id` (standalone launch) in
-/// microseconds with `channels` memory channels.
-pub fn gpu_node_time_us(graph: &Graph, id: NodeId, cfg: &GpuConfig, channels: usize) -> f64 {
-    let p = pimflow_gpusim::kernel_for_node(graph, id);
-    pimflow_gpusim::kernel_time_with_launch_us(&p, cfg, channels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nodecost::{gpu_kernel_us, kernel_us};
+    use pimflow_gpusim::GpuConfig;
     use pimflow_ir::Hw;
 
     /// The unfused lowering's execution at command granularity.
@@ -631,7 +625,7 @@ mod tests {
         let pim = exec(&w, &PimConfig::default(), 16);
         let gpu_cfg = GpuConfig::rtx2060_like();
         let p = pimflow_gpusim::KernelProfile::matvec(4096, 25088, 1);
-        let gpu_us = pimflow_gpusim::kernel_time_with_launch_us(&p, &gpu_cfg, 32);
+        let gpu_us = kernel_us(&p, &gpu_cfg, 32);
         let speedup = gpu_us / pim.time_us;
         assert!(
             (5.0..40.0).contains(&speedup),
@@ -704,7 +698,7 @@ mod tests {
             .node_ids()
             .find(|&i| matches!(g.node(i).op, Op::Conv2d(_)))
             .unwrap();
-        let gpu = gpu_node_time_us(&g, id, &GpuConfig::rtx2060_like(), 32);
+        let gpu = gpu_kernel_us(&g, id, 1.0, &GpuConfig::rtx2060_like(), 32);
         assert!(
             gpu < pim.time_us,
             "GPU {gpu:.1}us should beat PIM {:.1}us on dense conv",
@@ -728,7 +722,7 @@ mod tests {
             .node_ids()
             .find(|&i| matches!(g.node(i).op, Op::Conv2d(_)))
             .unwrap();
-        let gpu = gpu_node_time_us(&g, id, &GpuConfig::rtx2060_like(), 16);
+        let gpu = gpu_kernel_us(&g, id, 1.0, &GpuConfig::rtx2060_like(), 16);
         let ratio = gpu / pim.time_us;
         assert!(
             (1.0 / 3.5..3.5).contains(&ratio),

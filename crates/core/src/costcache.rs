@@ -1,4 +1,4 @@
-//! Canonical workload interning and the cross-search cost cache.
+//! Canonical workload keys and the cross-search cost cache.
 //!
 //! Algorithm 1 prices every `(node, ratio, split/pipeline)` candidate on
 //! the simulated hardware, and CNN zoos repeat identical layer shapes
@@ -19,8 +19,7 @@
 //!   granularity, as the engine does.
 //! * [`pim_cost_us`] — the PIM schedule estimate as a *pure function* of a
 //!   key: same key, same microseconds, always.
-//! * [`CostTable`] — an interned read-only table: keys become dense `u32`
-//!   ids (via [`pimflow_ir::Interner`]) indexing a parallel cost vector.
+//! * [`CostTable`] — a read-only map from key to microseconds.
 //! * [`CostCache`] — the shared, read-mostly cache: cloning it is an `Arc`
 //!   clone, [`snapshot`](CostCache::snapshot) hands workers an immutable
 //!   base table, and [`merge`](CostCache::merge) folds their per-worker
@@ -45,10 +44,10 @@
 
 use crate::codegen::{execute_workload, PimWorkload};
 use crate::engine::EngineConfig;
-use pimflow_ir::Interner;
 use pimflow_isa::FusedRole;
 use pimflow_json::json_struct;
 use pimflow_pimsim::{PimConfig, ScheduleGranularity};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -226,43 +225,41 @@ impl MemoShard {
     }
 }
 
-/// An immutable interned cost table: each distinct [`WorkloadKey`] gets a
-/// dense `u32` id indexing a parallel cost vector. Snapshots are shared
-/// read-only across worker threads via `Arc`.
+/// An immutable cost table: each distinct [`WorkloadKey`]'s cost,
+/// microseconds. Snapshots are shared read-only across worker threads via
+/// `Arc`.
 #[derive(Debug, Clone, Default)]
 pub struct CostTable {
-    keys: Interner<WorkloadKey>,
-    costs: Vec<f64>,
+    costs: HashMap<WorkloadKey, f64>,
 }
 
 impl CostTable {
     /// The cached cost of `key`, if present.
     pub fn get(&self, key: &WorkloadKey) -> Option<f64> {
-        self.keys.get(key).map(|id| self.costs[id as usize])
+        self.costs.get(key).copied()
     }
 
     /// Inserts `key` if absent; returns whether it was newly inserted.
     /// Existing entries are never overwritten — costs are values of a pure
     /// function, so a duplicate carries the same number.
     fn insert_if_missing(&mut self, key: WorkloadKey, cost: f64) -> bool {
-        let before = self.keys.len();
-        let id = self.keys.intern(key);
-        if id as usize == before {
-            self.costs.push(cost);
-            true
-        } else {
-            false
+        match self.costs.entry(key) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(cost);
+                true
+            }
         }
     }
 
     /// Distinct keys in the table.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.costs.len()
     }
 
     /// True when nothing has been cached.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.costs.is_empty()
     }
 }
 

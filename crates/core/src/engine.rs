@@ -7,21 +7,23 @@
 //! overlap the MD-DP and pipelining transformations create — independent
 //! GPU- and PIM-placed nodes — turns into wall-clock overlap here.
 //!
-//! GPU-side fusion: BN / activation / element-wise nodes directly consuming
-//! a GPU convolution or GEMM are epilogue-fused (no launch, no extra DRAM
-//! round-trip), matching the cuDNN/CUTLASS mappings the artifact relies on.
+//! Every per-node cost — GPU kernels, data moves, result drains and which
+//! GPU kernels host a fused element-wise epilogue (no launch, no extra DRAM
+//! round-trip, matching the cuDNN/CUTLASS mappings the artifact relies on)
+//! — comes from [`crate::nodecost`], the rules the search prices with.
 
 use crate::codegen::{execute_workload, price_fused_chain, PimWorkload};
 use crate::costcache::CacheCounters;
 use crate::error::Result;
 use crate::memopt::{data_move_bytes, is_data_move};
+use crate::nodecost::{self, op_is_fusable, TRANSFER_LATENCY_US};
 use crate::placement::{isa_role, FusedNodeRole, FusionTag, Placement};
-use pimflow_gpusim::{kernel_for_node, GpuConfig};
-use pimflow_ir::{ActivationKind, Graph, Op, ValueId};
+use pimflow_gpusim::GpuConfig;
+use pimflow_ir::{Graph, NodeId, Op, ValueId};
 use pimflow_isa::FusedRole;
 use pimflow_json::json_struct;
 use pimflow_pimsim::{ChannelStats, PimConfig, PimEnergyParams, ScheduleGranularity};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Availability mask over the PIM channels: bit `c` set means channel `c`
 /// is up. The default mask reports every channel available; masks only
@@ -98,8 +100,6 @@ pub struct EngineConfig {
     /// Which of the `pim_channels` channels are currently available.
     /// Defaults to all; clear bits to model hard channel failures.
     pub pim_channel_mask: ChannelMask,
-    /// Fixed latency per cross-boundary transfer, microseconds.
-    pub transfer_latency_us: f64,
 }
 
 impl EngineConfig {
@@ -111,7 +111,6 @@ impl EngineConfig {
             gpu_channels: 32,
             pim_channels: 0,
             pim_channel_mask: ChannelMask::all(),
-            transfer_latency_us: 0.3,
         }
     }
 
@@ -154,11 +153,6 @@ impl EngineConfig {
             .collect()
     }
 }
-
-/// Inter-channel memory-network bandwidth, GB/s (§4.1 "memory networks"
-/// between GPU and PIM channels). The network connects all 32 channels, so
-/// a tensor striped over the PIM channels drains over many links at once.
-pub const LINK_GBPS: f64 = 256.0;
 
 /// Where a node ran and for how long.
 #[derive(Debug, Clone, PartialEq)]
@@ -289,12 +283,6 @@ impl ExecutionReport {
     }
 }
 
-/// True for ops cuDNN/CUTLASS can fuse into a preceding conv/GEMM epilogue.
-pub fn op_is_fusable(op: &Op) -> bool {
-    matches!(op, Op::BatchNorm | Op::Add | Op::Mul)
-        || matches!(op, Op::Activation(k) if *k != ActivationKind::Softmax)
-}
-
 fn is_heavy_compute(op: &Op) -> bool {
     matches!(op, Op::Conv2d(_) | Op::Dense(_))
 }
@@ -388,8 +376,8 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
         pim_memo.insert((workload, role), entry.clone());
         entry
     };
-    // Device that produced each value (for fusion decisions).
-    let mut produced_on_gpu_conv: HashMap<ValueId, bool> = HashMap::new();
+    // Nodes that ran on the GPU (their kernels may host epilogues).
+    let mut gpu_nodes: HashSet<NodeId> = HashSet::new();
 
     // Pre-scan the fusion groups: collect each group's heavy-member chain
     // and price it with the search's composition ([`price_fused_chain`]),
@@ -424,8 +412,6 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
             overlap_hidden_us: priced.hidden_us,
         });
     }
-
-    let link_bw_bytes_per_us = LINK_GBPS * 1e3; // GB/s -> bytes/us
 
     for id in order {
         let node = graph.node(id);
@@ -500,7 +486,7 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
                 // payload time is inside the PIM program.
                 Placement::Pim => {
                     if !state.at_pim {
-                        t += cfg.transfer_latency_us;
+                        t += TRANSFER_LATENCY_US;
                         host_to_pim_bytes += state.bytes;
                         state.at_pim = true;
                     }
@@ -509,7 +495,7 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
                 // (Fig. 4, movement (4)).
                 Placement::Gpu => {
                     if !state.at_gpu {
-                        t += cfg.transfer_latency_us + state.bytes as f64 / link_bw_bytes_per_us;
+                        t += nodecost::drain_us(state.bytes as f64);
                         transfer_bytes += state.bytes;
                         state.at_gpu = true;
                     }
@@ -519,7 +505,6 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
         }
 
         // Node cost.
-        let profile = kernel_for_node(graph, id);
         let mut fused = false;
         let (start, finish) = if pim_activation || fused_rider {
             // Applied by the PIM activation units during READRES drain
@@ -536,8 +521,7 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
                 // Free view: no kernel, no resource occupancy.
                 (ready, ready)
             } else {
-                let dur = bytes as f64 / cfg.gpu.mem_bandwidth(cfg.gpu_channels.max(1)) * 1e6
-                    + cfg.gpu.kernel_launch_us;
+                let dur = nodecost::data_move_us(bytes, &cfg.gpu, cfg.gpu_channels);
                 gpu_dynamic_uj += bytes as f64 * cfg.gpu.dram_pj_per_byte * 1e-6;
                 let start = ready.max(gpu_free);
                 gpu_free = start + dur;
@@ -572,27 +556,14 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
             pim_busy += dur;
             (start, start + dur)
         } else {
-            // GPU compute node: fusable epilogues ride along for free. TVM
-            // fuses element-wise chains into the producing kernel — a conv,
-            // a GEMM, or a preceding element-wise kernel (injective
-            // fusion) — so an epilogue is standalone only when its producer
-            // is a PIM node, a data-movement view, or a graph input.
-            let producer_is_gpu_kernel = node
-                .inputs
-                .first()
-                .and_then(|v| produced_on_gpu_conv.get(v))
-                .copied()
-                .unwrap_or(false);
-            if op_is_fusable(&node.op) && producer_is_gpu_kernel {
+            // GPU compute node: fusable epilogues ride along for free.
+            let profile = nodecost::gpu_profile(graph, id, 1.0);
+            if nodecost::fuses_into_producer(graph, id, |p| gpu_nodes.contains(&p)) {
                 fused = true;
                 gpu_dynamic_uj += profile.flops * cfg.gpu.dynamic_pj_per_flop * 1e-6;
                 (ready, ready)
             } else {
-                let dur = pimflow_gpusim::kernel_time_with_launch_us(
-                    &profile,
-                    &cfg.gpu,
-                    cfg.gpu_channels.max(1),
-                );
+                let dur = nodecost::kernel_us(&profile, &cfg.gpu, cfg.gpu_channels);
                 gpu_dynamic_uj += (profile.flops * cfg.gpu.dynamic_pj_per_flop
                     + profile.dram_bytes * cfg.gpu.dram_pj_per_byte)
                     * 1e-6;
@@ -603,16 +574,9 @@ pub fn execute(graph: &Graph, cfg: &EngineConfig) -> Result<ExecutionReport> {
             }
         };
 
-        // Any GPU compute kernel (or a node fused into one) can host further
-        // element-wise epilogues; data-movement views and PIM nodes cannot.
-        let hosts_fusion = device == Placement::Gpu
-            && !is_data_move(graph, id)
-            && (is_heavy_compute(&node.op)
-                || fused
-                || op_is_fusable(&node.op)
-                || matches!(node.op, Op::Pool(_) | Op::GlobalAvgPool));
-        produced_on_gpu_conv.insert(node.output, hosts_fusion);
-
+        if device == Placement::Gpu {
+            gpu_nodes.insert(id);
+        }
         values.insert(
             node.output,
             ValueState {

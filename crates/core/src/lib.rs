@@ -55,6 +55,7 @@ pub mod error;
 pub mod evaluation;
 pub mod layout;
 pub mod memopt;
+pub mod nodecost;
 pub mod passes;
 pub mod placement;
 pub mod policy;

@@ -242,7 +242,7 @@ fn epilogue_chain(graph: &Graph, id: NodeId) -> Vec<NodeId> {
         }
         let next = succ[0];
         let node = graph.node(next);
-        if node.inputs.len() != 1 || !crate::engine::op_is_fusable(&node.op) {
+        if node.inputs.len() != 1 || !crate::nodecost::op_is_fusable(&node.op) {
             break;
         }
         chain.push(next);

@@ -11,8 +11,10 @@
 //!
 //! The paper performs these measurements on the simulated hardware; we do
 //! the same — PIM costs come from command-trace execution on the DRAM-PIM
-//! simulator, GPU costs from the analytical GPU model — and record them in a
-//! serializable profile log, mirroring the artifact's metadata log file.
+//! simulator, GPU costs, data moves, result drains and epilogue fusion from
+//! [`crate::nodecost`], the rules the engine executes with — and record
+//! them in a serializable profile log, mirroring the artifact's metadata
+//! log file.
 //!
 //! [`Search`] is the one entry point. Its measurement loops — per-node
 //! MD-DP profiling, per-chain pipeline costing and per-group fusion
@@ -53,13 +55,13 @@
 
 use crate::codegen::{price_fused_chain, PimWorkload};
 use crate::costcache::{pim_cost_us, CostCache, CostTable, MemoShard, WorkloadKey};
-use crate::engine::{ChannelMask, EngineConfig, LINK_GBPS};
+use crate::engine::{ChannelMask, EngineConfig};
 use crate::error::Result;
+use crate::nodecost::{self, op_is_fusable};
 use crate::passes::fusion::{find_fusion_groups, FusionGroup};
 use crate::passes::pipeline::{find_chains, Chain};
 use crate::placement::Placement;
-use pimflow_gpusim::{kernel_time_with_launch_us, KernelProfile};
-use pimflow_ir::{analysis, Graph, NodeId, Op};
+use pimflow_ir::{Graph, NodeId, Op};
 use pimflow_isa::FusedRole;
 use pimflow_json::{json_struct, FromJson, Json, JsonError, ToJson};
 use pimflow_pool::WorkerPool;
@@ -374,7 +376,7 @@ impl ExecutionPlan {
         while i < walk.order.len() {
             let id = walk.order[i];
             let name = graph.node(id).name.clone();
-            let solo = walk.solo(&mut profiler, id);
+            let solo = profiler.solo(id);
             let decision = decided.get(name.as_str()).copied();
             // Re-price on the ratio and stages the plan chose:
             // repair migrates work, it does not re-run the search. The
@@ -439,9 +441,9 @@ impl ExecutionPlan {
             // GPU-resident cost; otherwise dissolve it, every member
             // falling back to the GPU.
             let region_us = region_us.unwrap_or(f64::INFINITY);
-            let gpu_us: f64 = nodes.iter().map(|&nid| walk.solo(&mut profiler, nid)).sum();
+            let gpu_us: f64 = nodes.iter().map(|&nid| profiler.solo(nid)).sum();
             if region_us < gpu_us {
-                let riders = rider_cost(graph, &nodes, |nid| walk.solo(&mut profiler, nid));
+                let riders = rider_cost(graph, &nodes, |nid| profiler.solo(nid));
                 predicted_us += region_us;
                 conv_layer_us += (region_us - riders).max(0.0);
                 decisions.push((name, kept.clone()));
@@ -449,7 +451,7 @@ impl ExecutionPlan {
                 predicted_us += gpu_us;
                 for &nid in &nodes {
                     if graph.is_pim_candidate(nid) {
-                        let c = walk.solo(&mut profiler, nid);
+                        let c = profiler.solo(nid);
                         if is_candidate_conv(graph, nid) {
                             conv_layer_us += c;
                         }
@@ -558,19 +560,16 @@ impl<'g> Profiler<'g> {
     }
 
     /// GPU time of `frac` of node `id`'s rows (standalone launch),
-    /// microseconds. Weight traffic does not scale with the split.
+    /// microseconds.
     fn gpu_time(&self, id: NodeId, frac: f64) -> f64 {
-        let p = pimflow_gpusim::kernel_for_node(self.graph, id);
-        let cost = analysis::node_cost(self.graph, id);
-        let weight_bytes = cost.weight_elems as f64 * 2.0;
-        let act_bytes = (p.dram_bytes - weight_bytes).max(0.0);
-        let scaled = KernelProfile {
-            flops: p.flops * frac,
-            dram_bytes: weight_bytes + act_bytes * frac,
-            parallel_items: (p.parallel_items * frac).max(1.0),
-            ..p
-        };
-        kernel_time_with_launch_us(&scaled, &self.cfg.gpu, self.cfg.gpu_channels.max(1))
+        nodecost::gpu_kernel_us(self.graph, id, frac, &self.cfg.gpu, self.cfg.gpu_channels)
+    }
+
+    /// Node `id`'s cost in the all-GPU timeline
+    /// ([`nodecost::gpu_resident_us`]), microseconds: the single-node
+    /// cost every region competes with.
+    fn solo(&self, id: NodeId) -> f64 {
+        nodecost::gpu_resident_us(self.graph, id, &self.cfg.gpu, self.cfg.gpu_channels)
     }
 
     /// Result-return transfer cost for `frac` of node `id`'s output.
@@ -583,7 +582,7 @@ impl<'g> Profiler<'g> {
             .map(|d| d.size_bytes() as f64)
             .unwrap_or(0.0)
             * frac;
-        self.cfg.transfer_latency_us + bytes / (LINK_GBPS * 1e3)
+        nodecost::drain_us(bytes)
     }
 
     /// Standalone GPU cost of the epilogue slice that *stops being fused*
@@ -601,7 +600,7 @@ impl<'g> Profiler<'g> {
         }
         let next = succ[0];
         let next_node = self.graph.node(next);
-        if !crate::engine::op_is_fusable(&next_node.op) {
+        if !op_is_fusable(&next_node.op) {
             return 0.0;
         }
         if next_node.inputs.len() == 1 {
@@ -793,14 +792,10 @@ fn ratio_grid(opts: &SearchOptions) -> Vec<u32> {
 }
 
 /// The topological order the search's DP and [`ExecutionPlan::repair`]
-/// both walk, with each node's position in it and whether the node fuses
-/// into its producer in the all-GPU timeline (mirrors the engine:
-/// element-wise ops fuse into any GPU compute kernel; only data-movement
-/// views and graph inputs break fusion).
+/// both walk, with each node's position in it.
 struct TopoWalk {
     order: Vec<NodeId>,
     index_of: HashMap<NodeId, usize>,
-    fused: HashMap<NodeId, bool>,
 }
 
 impl TopoWalk {
@@ -813,28 +808,7 @@ impl TopoWalk {
     fn new(graph: &Graph) -> Result<Self> {
         let order = graph.topo_order()?;
         let index_of = order.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        let fused = order
-            .iter()
-            .map(|&id| {
-                let node = graph.node(id);
-                let after_kernel = node
-                    .inputs
-                    .first()
-                    .and_then(|v| graph.producer(*v))
-                    .is_some_and(|p| !crate::memopt::is_data_move(graph, p));
-                (id, crate::engine::op_is_fusable(&node.op) && after_kernel)
-            })
-            .collect();
-        Ok(TopoWalk {
-            order,
-            index_of,
-            fused,
-        })
-    }
-
-    /// [`solo_gpu_cost`] of node `id` at its place in the walk.
-    fn solo(&self, p: &mut Profiler<'_>, id: NodeId) -> f64 {
-        solo_gpu_cost(p, id, self.fused[&id])
+        Ok(TopoWalk { order, index_of })
     }
 
     /// Position of a region's first node when its members occupy
@@ -848,24 +822,6 @@ impl TopoWalk {
             .all(|(k, nid)| self.index_of[nid] == start + k);
         contiguous.then_some(start)
     }
-}
-
-/// Baseline (GPU-resident) cost of a node inside the model timeline:
-/// fused epilogues and optimized-away data movement cost nothing.
-fn solo_gpu_cost(p: &mut Profiler<'_>, id: NodeId, fused_after_conv: bool) -> f64 {
-    let graph = p.graph;
-    if crate::memopt::is_data_move(graph, id) {
-        let bytes = crate::memopt::data_move_bytes(graph, id);
-        if bytes == 0 {
-            return 0.0;
-        }
-        return bytes as f64 / p.cfg.gpu.mem_bandwidth(p.cfg.gpu_channels.max(1)) * 1e6
-            + p.cfg.gpu.kernel_launch_us;
-    }
-    if fused_after_conv && crate::engine::op_is_fusable(&graph.node(id).op) {
-        return 0.0;
-    }
-    p.gpu_time(id, 1.0)
 }
 
 /// Whether `nodes` carry exactly `names`, in order.
@@ -1038,7 +994,7 @@ fn run_search(
         order,
         || Profiler::new(graph, cfg, base.clone()),
         |profiler, _, &id| {
-            let gpu_only = walk.solo(profiler, id);
+            let gpu_only = profiler.solo(id);
             if !(graph.is_pim_candidate(id) && pim_available) {
                 return NodeOutcome {
                     cost: gpu_only,
@@ -1303,7 +1259,7 @@ fn apply_decisions(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
 mod tests {
     use super::*;
     use crate::engine::execute;
-    use pimflow_ir::{models, Op};
+    use pimflow_ir::models;
     use pimflow_kernels::{input_tensors, run_graph};
 
     fn pimflow_cfg() -> EngineConfig {
@@ -1463,19 +1419,11 @@ mod tests {
     fn dp_never_worse_than_all_gpu() {
         let g = models::toy();
         let plan = Search::new(&g, &pimflow_cfg()).run().unwrap();
-        let all_gpu: f64 = {
-            let mut p = Profiler::new(&g, &pimflow_cfg(), Arc::default());
-            let order = g.topo_order().unwrap();
-            let mut conv_seen = false;
-            order
-                .iter()
-                .map(|&id| {
-                    let fused = conv_seen && crate::engine::op_is_fusable(&g.node(id).op);
-                    conv_seen = matches!(g.node(id).op, Op::Conv2d(_) | Op::Dense(_)) || fused;
-                    solo_gpu_cost(&mut p, id, fused)
-                })
-                .sum()
-        };
+        let cfg = pimflow_cfg();
+        let all_gpu: f64 = g
+            .node_ids()
+            .map(|id| nodecost::gpu_resident_us(&g, id, &cfg.gpu, cfg.gpu_channels))
+            .sum();
         assert!(plan.predicted_us <= all_gpu + 1e-9);
     }
 
@@ -1561,9 +1509,9 @@ mod tests {
         // the bucket's real mass.
         let g = models::toy();
         let mut cfg = pimflow_cfg();
-        // Make offloading hopeless: every result-return transfer costs an
-        // eternity, so the best ratio is 100 for every candidate.
-        cfg.transfer_latency_us = 1e9;
+        // Make offloading hopeless: a PIM clocked at 1 Hz takes an eternity
+        // over any row, so the best ratio is 100 for every candidate.
+        cfg.pim.clock_ghz = 1e-9;
         let opts = SearchOptions {
             allow_pipeline: false,
             ..Default::default()

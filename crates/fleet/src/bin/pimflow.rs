@@ -405,7 +405,7 @@ fn parse_serve_args(raw: &[String]) -> Result<ServeArgs, String> {
                 if n == 0 {
                     return Err(format!("{key} must be at least 1"));
                 }
-                sa.cfg.cache_capacity = n;
+                sa.cfg.plan_cache_cap = n;
             }
             "--precompile" => sa.cfg.precompile = true,
             "--faults" => {

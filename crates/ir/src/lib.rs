@@ -29,7 +29,6 @@ pub mod analysis;
 pub mod builder;
 pub mod export;
 pub mod graph;
-pub mod intern;
 pub mod models;
 pub mod ops;
 pub mod placement;
@@ -38,7 +37,6 @@ pub mod tensor;
 
 pub use builder::GraphBuilder;
 pub use graph::{Graph, GraphError, Node, NodeId, ParamView, Value, ValueId};
-pub use intern::Interner;
 pub use ops::{
     ActivationKind, ConcatAttrs, Conv2dAttrs, DenseAttrs, Hw, Op, PadAttrs, PoolAttrs, PoolKind,
     SliceAttrs,

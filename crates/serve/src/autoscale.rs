@@ -9,6 +9,9 @@
 
 use crate::config::AutoscaleConfig;
 
+/// The autoscaler never drains below this many active nodes.
+pub const MIN_ACTIVE_NODES: usize = 1;
+
 /// Fleet state sampled at one autoscaler tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleSignal {
@@ -36,8 +39,8 @@ pub enum ScaleDecision {
 /// The decision rule: scale up when the backlog exceeds
 /// `up_queue_per_active` requests per active node (and a standby node
 /// exists); scale down when the fleet is idle — utilization below
-/// `down_utilization` with an empty backlog — and more than `min_active`
-/// nodes are active. Backlog pressure wins over idleness.
+/// `down_utilization` with an empty backlog — and more than
+/// [`MIN_ACTIVE_NODES`] nodes are active. Backlog pressure wins over idleness.
 pub fn decide(cfg: &AutoscaleConfig, sig: &ScaleSignal) -> ScaleDecision {
     if !cfg.enabled {
         return ScaleDecision::Hold;
@@ -51,7 +54,7 @@ pub fn decide(cfg: &AutoscaleConfig, sig: &ScaleSignal) -> ScaleDecision {
     }
     if sig.queued_total == 0
         && sig.utilization < cfg.down_utilization
-        && sig.active_nodes > cfg.min_active
+        && sig.active_nodes > MIN_ACTIVE_NODES
     {
         return ScaleDecision::Down;
     }
@@ -68,7 +71,6 @@ mod tests {
             interval_us: 50_000.0,
             up_queue_per_active: 8.0,
             down_utilization: 0.15,
-            min_active: 1,
         }
     }
 

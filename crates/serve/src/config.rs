@@ -139,8 +139,6 @@ pub struct AutoscaleConfig {
     /// Drain a node when window utilization falls below this fraction (and
     /// nothing is queued).
     pub down_utilization: f64,
-    /// Never drain below this many active nodes.
-    pub min_active: usize,
 }
 
 impl Default for AutoscaleConfig {
@@ -150,7 +148,6 @@ impl Default for AutoscaleConfig {
             interval_us: 50_000.0,
             up_queue_per_active: 8.0,
             down_utilization: 0.15,
-            min_active: 1,
         }
     }
 }

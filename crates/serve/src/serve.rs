@@ -43,7 +43,7 @@ pub struct ServeConfig {
     pub batch_timeout_us: f64,
     /// LRU plan-cache capacity (plans); [`ServeConfig::new`] uses
     /// [`DEFAULT_PLAN_CACHE_CAP`].
-    pub cache_capacity: usize,
+    pub plan_cache_cap: usize,
     /// Compile plans for every batch size `1..=max_batch` on the worker
     /// pool before serving starts (width from `PIMFLOW_JOBS`/`--jobs`).
     /// The serving timeline is unchanged — compilation is host work, not
@@ -72,7 +72,7 @@ impl ServeConfig {
             seed: 0,
             max_batch: 8,
             batch_timeout_us: 2_000.0,
-            cache_capacity: DEFAULT_PLAN_CACHE_CAP,
+            plan_cache_cap: DEFAULT_PLAN_CACHE_CAP,
             precompile: false,
             faults: FaultScenario::none(),
             measure_replan: false,
@@ -287,7 +287,7 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeRun, ServeError> {
         seed: cfg.seed,
         max_batch: cfg.max_batch,
         batch_timeout_us: cfg.batch_timeout_us,
-        plan_cache_cap: cfg.cache_capacity,
+        plan_cache_cap: cfg.plan_cache_cap,
         precompile: cfg.precompile,
         ..FleetConfig::new(1, Vec::new())
     };
@@ -466,12 +466,12 @@ mod tests {
             ..ServeConfig::new("toy", Policy::Pimflow)
         };
         let roomy = run(&ServeConfig {
-            cache_capacity: 16,
+            plan_cache_cap: 16,
             ..base.clone()
         })
         .unwrap();
         let tiny = run(&ServeConfig {
-            cache_capacity: 1,
+            plan_cache_cap: 1,
             ..base
         })
         .unwrap();

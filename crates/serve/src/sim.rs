@@ -1480,7 +1480,6 @@ mod tests {
             interval_us: 2_000.0,
             up_queue_per_active: 4.0,
             down_utilization: 0.05,
-            min_active: 1,
         };
         let r = run_fleet(&cfg).unwrap().report;
         assert!(r.scale_ups > 0, "backlog must trigger scale-ups");

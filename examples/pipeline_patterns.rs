@@ -6,8 +6,8 @@
 //! cargo run --release --example pipeline_patterns [model]
 //! ```
 
-use pimflow::codegen::gpu_node_time_us;
 use pimflow::engine::{execute, EngineConfig};
+use pimflow::nodecost::gpu_resident_us;
 use pimflow::passes::{find_chains, pipeline_chain, PatternKind};
 use pimflow::placement::Placement;
 use pimflow::search::{estimate_chain_pipelined_us, Search, SearchOptions};
@@ -43,7 +43,7 @@ fn main() {
         }
         // Compare pipelined vs MD-DP for each chain (Fig. 11): a node's
         // MD-DP time is its best profiled sample when it is a PIM
-        // candidate, its standalone GPU time otherwise.
+        // candidate, its cost in the all-GPU timeline otherwise.
         let mut wins = 0;
         for c in &matching {
             let pipelined = estimate_chain_pipelined_us(&model, &cfg, c, 2);
@@ -53,7 +53,7 @@ fn main() {
                 .map(|&id| {
                     let name = &model.node(id).name;
                     plan.profiles.iter().find(|p| &p.name == name).map_or_else(
-                        || gpu_node_time_us(&model, id, &cfg.gpu, cfg.gpu_channels),
+                        || gpu_resident_us(&model, id, &cfg.gpu, cfg.gpu_channels),
                         |p| p.best_us,
                     )
                 })

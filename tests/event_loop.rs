@@ -26,7 +26,7 @@ fn one_node_fleet(cfg: &ServeConfig) -> FleetConfig {
         duration_s: cfg.duration_s,
         max_batch: cfg.max_batch,
         batch_timeout_us: cfg.batch_timeout_us,
-        plan_cache_cap: cfg.cache_capacity,
+        plan_cache_cap: cfg.plan_cache_cap,
         ..FleetConfig::new(
             1,
             vec![TenantSpec::new(

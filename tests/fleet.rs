@@ -73,7 +73,6 @@ fn faulty_fleet() -> FleetConfig {
         interval_us: 2_000.0,
         up_queue_per_active: 8.0,
         down_utilization: 0.05,
-        min_active: 1,
     };
     cfg.node_faults = FaultScenario::from_seed(99, cfg.node_count(), 0.6, cfg.duration_s);
     cfg
