@@ -80,11 +80,22 @@ rm -rf "$tmpdir"
 # searches not significantly slower than cold ones; it exercises the
 # figures binary end to end on CI-sized models. The floor verdict is a
 # Welch test per model over sixteen alternating cold/warm pairs: Met,
-# Missed or Unmeasured (not significant); only Missed fails.
+# Missed or Unmeasured (not significant); only Missed fails. Every model
+# must also plan identically warm and cold and miss nothing warm: the
+# merges extend the shared table in place, and a table they corrupted
+# would show up here.
 echo "==> figures costcache --smoke"
 tmpdir="$(mktemp -d)"
 cargo run -q --offline -p pimflow-bench --bin figures -- costcache "$tmpdir" --smoke
-grep -Eq '"speedup_floor_verdict": "(Met|Unmeasured)"' "$tmpdir/BENCH_costcache.json"
+report="$tmpdir/BENCH_costcache.json"
+grep -Eq '"speedup_floor_verdict": "(Met|Unmeasured)"' "$report"
+models="$(grep -c '"model":' "$report")"
+for key in '"plans_identical": true' '"warm_misses": 0,'; do
+  if [ "$(grep -c "$key" "$report" || true)" != "$models" ]; then
+    echo "not all $models models read $key in $report" >&2
+    exit 1
+  fi
+done
 rm -rf "$tmpdir"
 
 # The serving, fault-resilience and fleet sweeps are pure simulated time,

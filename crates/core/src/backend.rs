@@ -5,19 +5,18 @@
 //! calls while PIM-placed nodes route to the DRAM-PIM code generator.
 //! This module reproduces that boundary as a Rust trait: a [`Backend`]
 //! decides which nodes it supports and compiles each into a
-//! [`CompiledKernel`] carrying the executable artifact (a typed
-//! `pimflow-isa` program or a GPU kernel profile) and its simulated cost.
-//! PIM artifacts are ISA programs that the Newton interpreter (cycle-level
+//! [`CompiledKernel`] carrying the executable artifact and its simulated
+//! cost. The one implementation, [`DramPimBackend`], emits typed
+//! `pimflow-isa` programs that the Newton interpreter (cycle-level
 //! DRAM-PIM) prices and that round-trip through the ISA text format for
-//! inspection and replay. The trait stays the seam for a further backend,
-//! which needs an engine execution path before the search may price it.
+//! inspection and replay. GPU-resident nodes need no artifact here:
+//! [`crate::nodecost`] prices them for the engine and the search alike.
+//! The trait stays the seam for a further backend, which needs an engine
+//! execution path before the search may price it.
 
 use crate::codegen::{generate_program, PimWorkload};
-use crate::memopt::{data_move_bytes, is_data_move};
-use crate::nodecost;
-use crate::placement::Placement;
-use pimflow_gpusim::{kernel_for_node, GpuConfig, KernelProfile};
-use pimflow_ir::{Graph, NodeId, Op};
+use pimflow_gpusim::KernelProfile;
+use pimflow_ir::{Graph, NodeId};
 use pimflow_isa::IsaProgram;
 use pimflow_pimsim::{ChannelStats, NewtonInterpreter, PimConfig, ScheduleGranularity};
 use std::error::Error;
@@ -149,95 +148,9 @@ impl Backend for DramPimBackend {
     }
 }
 
-/// The GPU back-end: everything except pure views compiles to a kernel
-/// launch (cuDNN/cuBLAS/CUTLASS analogue), priced as the engine prices it
-/// ([`crate::nodecost`]): a data-movement kernel at the memory bandwidth,
-/// any other kernel by the GPU model.
-#[derive(Debug, Clone)]
-pub struct GpuBackend {
-    /// GPU hardware configuration.
-    pub gpu: GpuConfig,
-    /// Memory channels serving the GPU.
-    pub channels: usize,
-}
-
-impl GpuBackend {
-    /// The evaluation configuration: RTX 2060-class on 16 channels (the
-    /// GPU's share of the split memory).
-    pub fn rtx2060_like() -> Self {
-        GpuBackend {
-            gpu: GpuConfig::rtx2060_like(),
-            channels: 16,
-        }
-    }
-}
-
-impl Backend for GpuBackend {
-    fn name(&self) -> &'static str {
-        "gpu"
-    }
-
-    fn supports(&self, graph: &Graph, id: NodeId) -> bool {
-        // Pure views never become kernels.
-        !matches!(graph.node(id).op, Op::Identity | Op::Flatten)
-    }
-
-    fn compile(&self, graph: &Graph, id: NodeId) -> Result<CompiledKernel, BackendError> {
-        if !self.supports(graph, id) {
-            return Err(BackendError::Unsupported {
-                backend: self.name().into(),
-                node: graph.node(id).name.clone(),
-            });
-        }
-        let profile = kernel_for_node(graph, id);
-        let time_us = if is_data_move(graph, id) {
-            nodecost::data_move_us(data_move_bytes(graph, id), &self.gpu, self.channels)
-        } else {
-            nodecost::kernel_us(&profile, &self.gpu, self.channels)
-        };
-        Ok(CompiledKernel {
-            node: graph.node(id).name.clone(),
-            backend: self.name(),
-            time_us,
-            artifact: KernelArtifact::GpuKernel(profile),
-            pim_stats: None,
-        })
-    }
-}
-
-/// Compiles every node of `graph` with the first backend that supports it
-/// (PIM-tagged nodes try the PIM backend first, everything else the GPU),
-/// mirroring the artifact's partitioning of the Relay graph.
-///
-/// # Errors
-///
-/// Returns [`BackendError`] if some node is supported by neither backend.
-pub fn compile_graph(
-    graph: &Graph,
-    pim: &DramPimBackend,
-    gpu: &GpuBackend,
-) -> Result<Vec<CompiledKernel>, BackendError> {
-    let mut out = Vec::new();
-    for id in graph.topo_order().expect("acyclic") {
-        let node = graph.node(id);
-        if matches!(node.op, Op::Identity | Op::Flatten) {
-            continue; // views vanish at code generation
-        }
-        let prefer_pim = node.placement.device() == Placement::Pim;
-        let kernel = if prefer_pim && pim.supports(graph, id) {
-            pim.compile(graph, id)?
-        } else {
-            gpu.compile(graph, id)?
-        };
-        out.push(kernel);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passes::split_node;
     use pimflow_ir::models;
 
     #[test]
@@ -276,53 +189,5 @@ mod tests {
         assert_eq!(&back, program);
         let (replayed, _) = NewtonInterpreter::new(&be.pim).run(&back);
         assert_eq!(replayed, stats);
-    }
-
-    #[test]
-    fn gpu_backend_takes_the_rest() {
-        let g = models::toy();
-        let be = GpuBackend::rtx2060_like();
-        for id in g.node_ids() {
-            if matches!(g.node(id).op, Op::Flatten) {
-                assert!(!be.supports(&g, id));
-            } else {
-                assert!(be.supports(&g, id), "{}", g.node(id).name);
-            }
-        }
-    }
-
-    #[test]
-    fn gpu_backend_prices_a_data_move_as_the_engine_does() {
-        use crate::engine::{execute, EngineConfig};
-        use pimflow_ir::{GraphBuilder, Shape};
-        // A channel-axis concat copies its output: a data-movement kernel
-        // at memory bandwidth, not a compute kernel.
-        let mut b = GraphBuilder::new("concat");
-        let x = b.input(Shape::nhwc(1, 8, 8, 16));
-        let y = b.concat(vec![x, x], 3);
-        let g = b.finish(y);
-        let id = g.producer(y).unwrap();
-        let kernel = GpuBackend::rtx2060_like().compile(&g, id).unwrap();
-        let report = execute(&g, &EngineConfig::pimflow()).unwrap();
-        let t = report.timing(&g.node(id).name).unwrap();
-        assert_eq!(kernel.time_us, t.finish_us - t.start_us);
-    }
-
-    #[test]
-    fn compile_graph_partitions_by_placement() {
-        let mut g = models::toy();
-        let id = g.find_node("conv_3").unwrap();
-        split_node(&mut g, id, 0).unwrap();
-        let kernels = compile_graph(
-            &g,
-            &DramPimBackend::newton_plus_plus(),
-            &GpuBackend::rtx2060_like(),
-        )
-        .unwrap();
-        let pim_kernels: Vec<_> = kernels.iter().filter(|k| k.backend == "dram-pim").collect();
-        assert_eq!(pim_kernels.len(), 1);
-        assert_eq!(pim_kernels[0].node, "conv_3");
-        assert_eq!(g.node(id).placement.device(), Placement::Pim);
-        assert!(kernels.iter().any(|k| k.backend == "gpu"));
     }
 }

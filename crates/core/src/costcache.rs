@@ -42,7 +42,7 @@
 //! whose analytic queries are orders of magnitude cheaper than a PIM
 //! command-trace simulation).
 
-use crate::codegen::{execute_workload, PimWorkload};
+use crate::codegen::{execute_group_overlapped, PimWorkload};
 use crate::engine::EngineConfig;
 use pimflow_isa::FusedRole;
 use pimflow_json::json_struct;
@@ -135,15 +135,14 @@ pub fn pim_cost_us(key: &WorkloadKey, pim: &PimConfig) -> f64 {
         "workload key priced under a different PimConfig"
     );
     debug_assert_eq!(key.group_fp, 0, "per-member pricer fed a group-level key");
-    execute_workload(
-        &key.workload,
+    // The time `execute_workload` reports, without its energy figure.
+    let (stats, _) = execute_group_overlapped(
+        &[(key.workload, key.fused)],
         pim,
         key.channels as usize,
         ScheduleGranularity::Comp,
-        key.fused,
-    )
-    .0
-    .time_us
+    );
+    pim.cycles_to_ns(stats.cycles) * 1e-3
 }
 
 /// Hit/miss/entry counters of a cost cache, as surfaced in
@@ -292,8 +291,8 @@ impl CostCache {
     }
 
     /// The current immutable table. Lookups against a snapshot never block
-    /// and never observe later merges — a later merge republishes a new
-    /// `Arc`, it does not mutate tables already handed out.
+    /// and never observe later merges: a merge extends the table in place
+    /// only when no snapshot of it is alive, and copies it otherwise.
     pub fn snapshot(&self) -> Arc<CostTable> {
         self.inner
             .lock()
@@ -323,7 +322,9 @@ impl CostCache {
         let mut state = self.inner.lock().expect("cost cache lock poisoned");
         let mut added = 0u64;
         if shards.iter().any(|s| !s.is_empty()) {
-            let mut table = (*state.snapshot).clone();
+            // In place, unless a snapshot handed out earlier is still
+            // alive: that one keeps the old table and this merge copies.
+            let table = Arc::make_mut(&mut state.snapshot);
             for shard in shards {
                 for (key, (cost, nested)) in shard.entries {
                     if table.insert_if_missing(key, cost) {
@@ -333,7 +334,6 @@ impl CostCache {
                     }
                 }
             }
-            state.snapshot = Arc::new(table);
         }
         state.misses += added;
         state.hits += lookups - added;

@@ -5,9 +5,8 @@
 //! once: the GPU kernel time of a node or of a fraction of its rows, the
 //! time of a data-movement kernel, the PIM→GPU result drain, and which
 //! GPU kernels host a fused element-wise epilogue. [`crate::engine`]
-//! composes these into its two-stream timeline, [`crate::search`] into
-//! its DP costs, and [`crate::backend::GpuBackend`] into its compiled
-//! kernels. PIM workloads are priced by [`crate::codegen`]'s streamed
+//! composes these into its two-stream timeline and [`crate::search`] into
+//! its DP costs. PIM workloads are priced by [`crate::codegen`]'s streamed
 //! Newton pricer; fused chains by [`crate::codegen::price_fused_chain`].
 
 use crate::memopt::{data_move_bytes, is_data_move};

@@ -91,7 +91,7 @@ fn residual_run(graph: &Graph, start: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
     loop {
         let out = graph.node(cur).output;
         let consumers = graph.successors(cur);
-        let next = match consumers.as_slice() {
+        let next = match consumers {
             [one] => *one,
             [a, b] => {
                 // Skip-connection fan-out: exactly one trunk successor to

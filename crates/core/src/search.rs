@@ -361,8 +361,9 @@ impl ExecutionPlan {
             .iter()
             .map(|(n, d)| (n.as_str(), d))
             .collect();
+        let ids = node_ids_by_name(graph);
         for name in decided.keys() {
-            if graph.find_node(name).is_none() {
+            if !ids.contains_key(name) {
                 return Err(crate::Error::NotApplicable(format!(
                     "plan references unknown node `{name}`"
                 )));
@@ -824,6 +825,17 @@ impl TopoWalk {
     }
 }
 
+/// Each node name's first live node in `graph`, the node
+/// [`Graph::find_node`] finds, for resolving a plan's names without a scan
+/// per name.
+fn node_ids_by_name(graph: &Graph) -> HashMap<&str, NodeId> {
+    let mut ids = HashMap::new();
+    for id in graph.node_ids() {
+        ids.entry(graph.node(id).name.as_str()).or_insert(id);
+    }
+    ids
+}
+
 /// Whether `nodes` carry exactly `names`, in order.
 fn named(graph: &Graph, nodes: &[NodeId], names: &[String]) -> bool {
     nodes.len() == names.len()
@@ -1062,7 +1074,9 @@ fn run_search(
     );
     // Merge the worker memo shards into the shared table (worker-index
     // order; contents are pure, so only recompute rates — never values —
-    // depend on the sharding).
+    // depend on the sharding). The snapshot goes first, so the merge
+    // extends the table in place.
+    drop(base);
     cache.merge(shards.into_iter().map(Profiler::into_shard));
 
     let profiles: Vec<LayerProfile> = outcomes.iter().filter_map(|o| o.profile.clone()).collect();
@@ -1086,6 +1100,7 @@ fn run_search(
         || Profiler::new(graph, cfg, base.clone()),
         |profiler, _, (_, chain)| profiler.pipeline_cost(chain, stages),
     );
+    drop(base);
     cache.merge(chain_shards.into_iter().map(Profiler::into_shard));
 
     // Fusion-group candidates: runs of PIM-eligible heavy layers whose
@@ -1105,6 +1120,7 @@ fn run_search(
         || Profiler::new(graph, cfg, base.clone()),
         |profiler, _, (_, group)| profiler.fused_group_cost(group),
     );
+    drop(base);
     cache.merge(group_shards.into_iter().map(Profiler::into_shard));
 
     // Every region option per start position: chains first, then groups,
@@ -1208,13 +1224,21 @@ pub fn apply_plan(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
 
 /// [`apply_plan`] without its closing full shape inference.
 fn apply_decisions(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
+    let ids = node_ids_by_name(graph);
     let mut out = graph.clone();
+    // `out.find_node(name)`: the passes add nodes and remove some, but
+    // rename none, so a node of `graph` still live in `out` is its name's
+    // first live node there too.
+    let find = |out: &Graph, name: &str| match ids.get(name) {
+        Some(&id) if out.try_node(id).is_some() => Some(id),
+        _ => out.find_node(name),
+    };
     let mut fused_gid = 0usize;
     for (name, decision) in &plan.decisions {
         match decision {
             Decision::Gpu => {}
             Decision::Split { gpu_percent, .. } => {
-                let id = out.find_node(name).ok_or_else(|| {
+                let id = find(&out, name).ok_or_else(|| {
                     crate::Error::NotApplicable(format!("plan references unknown node `{name}`"))
                 })?;
                 crate::passes::split_node(&mut out, id, *gpu_percent)?;
@@ -1223,7 +1247,7 @@ fn apply_decisions(graph: &Graph, plan: &ExecutionPlan) -> Result<Graph> {
                 let ids = node_names
                     .iter()
                     .map(|n| {
-                        out.find_node(n).ok_or_else(|| {
+                        find(&out, n).ok_or_else(|| {
                             crate::Error::NotApplicable(format!(
                                 "plan references unknown node `{n}` in fusion group at `{name}`"
                             ))

@@ -364,10 +364,9 @@ pub fn independent_node_fraction(graph: &Graph) -> f64 {
     let mut reach: Vec<HashSet<usize>> = vec![HashSet::new(); n];
     for (i, &id) in order.iter().enumerate().rev() {
         reach[i].insert(i);
-        let succ = graph.successors(id);
         let mut acc: HashSet<usize> = HashSet::new();
-        for s in succ {
-            acc.extend(reach[pos[&s]].iter().copied());
+        for s in graph.successors(id) {
+            acc.extend(reach[pos[s]].iter().copied());
         }
         reach[i].extend(acc);
     }

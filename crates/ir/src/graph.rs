@@ -13,6 +13,7 @@ use pimflow_json::{json_struct, FromJson, Json, JsonError, ToJson};
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a tensor value within a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -173,6 +174,58 @@ pub struct Graph {
     inputs: Vec<ValueId>,
     outputs: Vec<ValueId>,
     next_weight_key: u64,
+    /// Every value's consumers, built by the first query that needs them.
+    /// Every method that adds a value or may change a node drops it, so it
+    /// never goes stale, and building a graph never builds it.
+    consumers: OnceLock<ConsumerIndex>,
+}
+
+/// Each value's live consuming nodes, ascending by id, in one table: the
+/// consumers of value `v` are `nodes[starts[v]..starts[v + 1]]`. A node
+/// reading a value twice is listed once; an input id past the value table
+/// is left out.
+#[derive(Debug, Clone)]
+struct ConsumerIndex {
+    starts: Vec<usize>,
+    nodes: Vec<NodeId>,
+}
+
+impl ConsumerIndex {
+    fn new(graph: &Graph) -> Self {
+        let values = graph.values.len();
+        // Each live node with the values it reads, each value once.
+        let uses = || {
+            graph.node_ids().flat_map(move |id| {
+                let inputs = &graph.node(id).inputs;
+                inputs
+                    .iter()
+                    .enumerate()
+                    .filter(move |&(i, v)| v.0 < values && !inputs[..i].contains(v))
+                    .map(move |(_, v)| (v.0, id))
+            })
+        };
+        let mut starts = vec![0usize; values + 1];
+        for (v, _) in uses() {
+            starts[v + 1] += 1;
+        }
+        for v in 0..values {
+            starts[v + 1] += starts[v];
+        }
+        let mut next = starts.clone();
+        let mut nodes = vec![NodeId(0); starts[values]];
+        for (v, id) in uses() {
+            nodes[next[v]] = id;
+            next[v] += 1;
+        }
+        ConsumerIndex { starts, nodes }
+    }
+
+    fn of(&self, v: ValueId) -> &[NodeId] {
+        match self.starts.get(v.0..v.0 + 2) {
+            Some(&[lo, hi]) => &self.nodes[lo..hi],
+            _ => &[],
+        }
+    }
 }
 
 impl Graph {
@@ -185,11 +238,13 @@ impl Graph {
             inputs: Vec::new(),
             outputs: Vec::new(),
             next_weight_key: 1,
+            consumers: OnceLock::new(),
         }
     }
 
     /// Adds a graph input value.
     pub fn add_input(&mut self, name: impl Into<String>, shape: Shape, dtype: DataType) -> ValueId {
+        self.consumers.take();
         let id = ValueId(self.values.len());
         self.values.push(Value {
             name: name.into(),
@@ -216,6 +271,7 @@ impl Graph {
         inputs: Vec<ValueId>,
         weight_key: u64,
     ) -> ValueId {
+        self.consumers.take();
         let name = name.into();
         let node_id = NodeId(self.nodes.len());
         let out_id = ValueId(self.values.len());
@@ -301,6 +357,7 @@ impl Graph {
     ///
     /// Panics if the node does not exist or was removed.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        self.consumers.take();
         self.nodes[id.0]
             .as_mut()
             .expect("node was removed or never existed")
@@ -309,6 +366,7 @@ impl Graph {
     /// Removes a node, leaving its output value dangling. Callers must
     /// rewire consumers of the output first (see [`Graph::replace_uses`]).
     pub fn remove_node(&mut self, id: NodeId) {
+        self.consumers.take();
         self.nodes[id.0] = None;
     }
 
@@ -339,6 +397,7 @@ impl Graph {
 
     /// Rewires every use of `old` (as a node input or graph output) to `new`.
     pub fn replace_uses(&mut self, old: ValueId, new: ValueId) {
+        self.consumers.take();
         for node in self.nodes.iter_mut().flatten() {
             for input in &mut node.inputs {
                 if *input == old {
@@ -349,11 +408,12 @@ impl Graph {
         self.replace_output(old, new);
     }
 
-    /// Nodes that consume `v` as an input.
-    pub fn consumers(&self, v: ValueId) -> Vec<NodeId> {
-        self.node_ids()
-            .filter(|&id| self.node(id).inputs.contains(&v))
-            .collect()
+    /// Live nodes that consume `v` as an input, ascending by id (none for
+    /// an id past the value table).
+    pub fn consumers(&self, v: ValueId) -> &[NodeId] {
+        self.consumers
+            .get_or_init(|| ConsumerIndex::new(self))
+            .of(v)
     }
 
     /// The node producing `v`, if `v` is not a graph input and its producer
@@ -381,7 +441,7 @@ impl Graph {
     }
 
     /// Live successor nodes of `id` (consumers of its output).
-    pub fn successors(&self, id: NodeId) -> Vec<NodeId> {
+    pub fn successors(&self, id: NodeId) -> &[NodeId] {
         self.consumers(self.node(id).output)
     }
 
@@ -395,19 +455,10 @@ impl Graph {
     ///
     /// Returns [`GraphError::Cycle`] if the graph is cyclic.
     pub fn topo_order(&self) -> Result<Vec<NodeId>, GraphError> {
-        // Successor lists built once, in ascending id: a node is appended
-        // to each distinct live producer of its inputs, and any earlier
-        // append of the same node to that list is still its last entry.
         let mut indegree = vec![0usize; self.nodes.len()];
-        let mut successors: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
         for id in self.node_ids() {
-            for &v in &self.node(id).inputs {
-                if let Some(p) = self.producer(v) {
-                    if successors[p.0].last() != Some(&id) {
-                        successors[p.0].push(id);
-                        indegree[id.0] += 1;
-                    }
-                }
+            for succ in self.successors(id) {
+                indegree[succ.0] += 1;
             }
         }
         let mut ready: VecDeque<NodeId> =
@@ -415,7 +466,7 @@ impl Graph {
         let mut sorted: Vec<NodeId> = Vec::with_capacity(self.nodes.len());
         while let Some(id) = ready.pop_front() {
             sorted.push(id);
-            for &succ in &successors[id.0] {
+            for &succ in self.successors(id) {
                 indegree[succ.0] -= 1;
                 if indegree[succ.0] == 0 {
                     ready.push_back(succ);
@@ -430,7 +481,8 @@ impl Graph {
         }
     }
 
-    /// Structural validation: arities, acyclicity, live references.
+    /// Structural validation: arities, acyclicity, live references, and
+    /// every value id inside the value table.
     ///
     /// # Errors
     ///
@@ -455,6 +507,12 @@ impl Graph {
                     })
                 }
                 _ => {}
+            }
+            if node.output.0 >= self.values.len() {
+                return Err(GraphError::Dangling(format!(
+                    "node `{}` writes value #{}",
+                    node.name, node.output.0
+                )));
             }
             for &v in &node.inputs {
                 if v.0 >= self.values.len() {
@@ -547,14 +605,34 @@ json_struct!(Node {
     param_view,
     placement
 });
-json_struct!(Graph {
-    name,
-    values,
-    nodes,
-    inputs,
-    outputs,
-    next_weight_key
-});
+
+impl ToJson for Graph {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("name".into(), self.name.to_json()),
+            ("values".into(), self.values.to_json()),
+            ("nodes".into(), self.nodes.to_json()),
+            ("inputs".into(), self.inputs.to_json()),
+            ("outputs".into(), self.outputs.to_json()),
+            ("next_weight_key".into(), self.next_weight_key.to_json()),
+        ])
+    }
+}
+
+/// Decodes the graph's own fields; the consumer index starts empty.
+impl FromJson for Graph {
+    fn from_json(json: &Json) -> Result<Self, JsonError> {
+        Ok(Graph {
+            name: FromJson::from_json(json.field("name")?)?,
+            values: FromJson::from_json(json.field("values")?)?,
+            nodes: FromJson::from_json(json.field("nodes")?)?,
+            inputs: FromJson::from_json(json.field("inputs")?)?,
+            outputs: FromJson::from_json(json.field("outputs")?)?,
+            next_weight_key: FromJson::from_json(json.field("next_weight_key")?)?,
+            consumers: OnceLock::new(),
+        })
+    }
+}
 
 impl fmt::Display for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -689,12 +767,101 @@ mod tests {
         assert_eq!(g.node(b).inputs, vec![x]);
     }
 
+    /// Checks every consumer and successor list against a scan of the
+    /// live nodes; an id past the value table has no consumers.
+    fn assert_consumers_fresh(g: &Graph, when: &str) {
+        let scan = |v: ValueId| -> Vec<NodeId> {
+            if v.0 >= g.value_count() {
+                return Vec::new();
+            }
+            g.node_ids()
+                .filter(|&id| g.node(id).inputs.contains(&v))
+                .collect()
+        };
+        for v in (0..g.value_count() + 2).map(ValueId) {
+            assert_eq!(g.consumers(v), scan(v), "{when}: value {v:?}");
+        }
+        for id in g.node_ids() {
+            assert_eq!(g.successors(id), scan(g.node(id).output), "{when}");
+        }
+    }
+
     #[test]
     fn consumers_and_successors() {
-        let g = diamond();
+        let mut g = diamond();
         let a = g.find_node("a").unwrap();
-        let succ = g.successors(a);
-        assert_eq!(succ.len(), 2);
+        assert_eq!(g.successors(a).len(), 2);
+        // Every mutator runs on a graph whose index is built.
+        assert_consumers_fresh(&g, "built");
+        let x = g.inputs()[0];
+        let a_out = g.node(a).output;
+        let y = g.add_input("y", Shape::nhwc(1, 4, 4, 2), DataType::F16);
+        assert_consumers_fresh(&g, "add_input");
+        let e = g.add_node("e", Op::Add, vec![a_out, y]);
+        assert_consumers_fresh(&g, "add_node");
+        let f = g.add_node_with_key("f", Op::Add, vec![e, e], 7);
+        assert_consumers_fresh(&g, "add_node_with_key");
+        let d = g.find_node("d").unwrap();
+        g.node_mut(d).inputs[0] = f;
+        assert_consumers_fresh(&g, "node_mut");
+        g.replace_uses(a_out, x);
+        assert_consumers_fresh(&g, "replace_uses");
+        g.remove_node(a);
+        assert_consumers_fresh(&g, "remove_node");
+        // A JSON round trip carries no index: it is built from the decoded
+        // graph.
+        for name in [
+            "toy",
+            "efficientnet-v1-b0",
+            "efficientnet-v1-b2",
+            "efficientnet-v1-b4",
+            "efficientnet-v1-b6",
+            "mobilenet-v2",
+            "mnasnet-1.0",
+            "resnet-18",
+            "resnet-34",
+            "resnet-50",
+            "vgg-16",
+            "squeezenet-1.1",
+            "unet-small",
+            "bert-3",
+            "bert-64",
+        ] {
+            let g = crate::models::by_name(name).unwrap();
+            assert_consumers_fresh(&g, name);
+            let back = Graph::from_json(&g.to_json().unwrap()).unwrap();
+            assert_consumers_fresh(&back, name);
+            assert_eq!(back.topo_order(), g.topo_order(), "{name}");
+        }
+    }
+
+    #[test]
+    fn value_ids_past_the_table_are_rejected_without_panics() {
+        let g = diamond();
+        let past = Json::Num(g.value_count() as f64);
+        // Node `b` (node 1) reads, then writes, a value id one past the
+        // table.
+        for (field, value) in [("inputs", Json::Arr(vec![past.clone()])), ("output", past)] {
+            let mut json = ToJson::to_json(&g);
+            let Json::Obj(graph) = &mut json else {
+                unreachable!()
+            };
+            let Some((_, Json::Arr(nodes))) = graph.iter_mut().find(|(k, _)| k == "nodes") else {
+                unreachable!()
+            };
+            let Json::Obj(b) = &mut nodes[1] else {
+                unreachable!()
+            };
+            b.iter_mut().find(|(k, _)| k == field).unwrap().1 = value;
+            let bad = Graph::from_json(&json.to_string_compact()).unwrap();
+            assert!(
+                matches!(bad.validate(), Err(GraphError::Dangling(_))),
+                "{field}"
+            );
+            assert_consumers_fresh(&bad, field);
+            assert!(bad.topo_order().is_ok(), "{field}");
+            assert_eq!(bad.find_node("b"), g.find_node("b"), "{field}");
+        }
     }
 
     #[test]

@@ -61,6 +61,25 @@ impl ChannelStats {
         }
     }
 
+    /// The counters a run of commands moves: every field but `cycles`,
+    /// which only [`ChannelEngine::finish`] sets, and `refreshes`, which no
+    /// template period moves.
+    fn work_counters(&mut self) -> [&mut u64; 11] {
+        [
+            &mut self.gacts,
+            &mut self.comps,
+            &mut self.gwrites,
+            &mut self.readres,
+            &mut self.macs,
+            &mut self.gwrite_bytes,
+            &mut self.readres_bytes,
+            &mut self.gpu_burst_bytes,
+            &mut self.bankfeeds,
+            &mut self.bankfeed_bytes,
+            &mut self.comp_busy_cycles,
+        ]
+    }
+
     /// Merges two phases' statistics that ran back to back: cycle counts
     /// add (the second phase starts only after the first finished), as do
     /// all work counters. Used by the ISA interpreter to compose
@@ -118,6 +137,25 @@ struct Phase {
     /// Open row minus the period's row offset.
     open_row: Option<i64>,
     buffers: Vec<u64>,
+}
+
+/// A steady-state period of a [`ChannelEngine::run_periods`] sequence:
+/// the phase it starts and ends in, its clock advance and what it adds to
+/// the work counters.
+#[derive(Debug)]
+struct Template {
+    phase: Phase,
+    advance: u64,
+    delta: ChannelStats,
+}
+
+/// One period sequence's template, if found yet, and the phase snapshots
+/// it is found with.
+#[derive(Debug, Default)]
+struct Periods {
+    template: Option<Template>,
+    now: Phase,
+    after: Phase,
 }
 
 /// Per-channel timing engine.
@@ -347,50 +385,75 @@ impl ChannelEngine {
     /// issues period `k`'s commands, which must equal period 0's with every
     /// G_ACT row raised by `k * row_step`. The result is exactly that of
     /// issuing every period command by command, but a steady-state period
-    /// is simulated once and the rest of its refresh window skipped.
+    /// is simulated once and the rest of each refresh window skipped.
     ///
     /// After each simulated period the engine compares its state before
     /// and after, both measured from the clock (its phase). Equal phases
-    /// mean the next period replays this one shifted in time, so every
-    /// remaining period that ends before the next refresh is applied in
-    /// O(1): timestamps advance by the period's clock advance, the open
-    /// row by `row_step`, and each counter by the period's delta. A
-    /// period that serviced a refresh or ended at the refresh deadline
-    /// is not a template.
-    pub fn run_periods(
+    /// mean the next period replays this one shifted in time, so the
+    /// period becomes the sequence's template, and every remaining period
+    /// that ends before the next refresh is applied in O(1): timestamps
+    /// advance by the template's clock advance, the open row by
+    /// `row_step`, and each counter by the template's delta. A period that
+    /// serviced a refresh or ended at the refresh deadline is not a
+    /// template. Once a refresh has passed, the first boundary whose phase
+    /// equals the template's, with the refresh deadline still ahead,
+    /// skips at once: the template needs no second confirming period.
+    pub fn run_periods(&mut self, periods: u64, row_step: u32, period: impl FnMut(&mut Self, u64)) {
+        self.run_periods_with(&mut Periods::default(), periods, row_step, period);
+    }
+
+    /// [`run_periods`](Self::run_periods) with the template kept in
+    /// `state`, so that later sequences of the same period reuse it.
+    fn run_periods_with(
         &mut self,
+        state: &mut Periods,
         periods: u64,
         row_step: u32,
         mut period: impl FnMut(&mut Self, u64),
     ) {
-        // Phase snapshots, allocated on the first sample and reused.
-        let mut phases: Option<(Phase, Phase)> = None;
+        let Periods {
+            template,
+            now,
+            after,
+        } = state;
         let mut k = 0;
         while k < periods {
-            if k + 1 == periods {
+            let last = k + 1 == periods;
+            if last && template.is_none() {
                 period(self, k);
                 k += 1;
                 continue;
             }
-            let (before, after) = phases.get_or_insert_with(Default::default);
-            self.capture(before, k, row_step);
-            let (clock, stats) = (self.clock, self.stats);
+            self.capture(now, k, row_step);
+            if let Some(t) = template.as_ref() {
+                if self.clock < self.next_refresh && t.phase == *now {
+                    let skip = self.periods_before_refresh(t.advance).min(periods - k);
+                    if skip > 0 {
+                        self.fast_forward(skip, t.advance, row_step, t.delta);
+                        k += skip;
+                        continue;
+                    }
+                }
+            }
+            let (clock, mut stats) = (self.clock, self.stats);
             period(self, k);
             k += 1;
-            if self.stats.refreshes != stats.refreshes || self.clock >= self.next_refresh {
+            if last || self.stats.refreshes != stats.refreshes || self.clock >= self.next_refresh {
                 continue;
             }
             self.capture(after, k, row_step);
-            if after != before {
-                continue;
+            if after == now {
+                // The next boundary's phase is this one: it skips.
+                let mut delta = self.stats;
+                for (d, was) in delta.work_counters().into_iter().zip(stats.work_counters()) {
+                    *d -= *was;
+                }
+                *template = Some(Template {
+                    phase: std::mem::take(now),
+                    advance: self.clock - clock,
+                    delta,
+                });
             }
-            let advance = self.clock - clock;
-            let skip = match advance {
-                0 => periods - k,
-                d => ((self.next_refresh - 1 - self.clock) / d).min(periods - k),
-            };
-            self.fast_forward(skip, advance, row_step, &stats);
-            k += skip;
         }
     }
 
@@ -402,15 +465,20 @@ impl ChannelEngine {
     /// streaming passes (rows rising by one). `rewrite` must therefore move
     /// every `ROWACT` row by the same amount, as a fused-role rewrite
     /// ([`pimflow_isa::FusedRole::rewrite`]) does.
+    ///
+    /// Every copy issues the same passes at the same rows (the copies'
+    /// row step is 0), so the passes of all copies share one template: a
+    /// copy whose pass reaches the template's phase skips at once.
     pub fn run_blocks(
         &mut self,
         block: &CommandBlock,
         count: u64,
         rewrite: impl Fn(PimInst) -> PimInst,
     ) {
+        let mut passes = Periods::default();
         self.run_periods(count, 0, |e, _| {
             block.gwrites().for_each(|i| e.execute(&rewrite(i)));
-            e.run_periods(block.gacts as u64, 1, |e, a| {
+            e.run_periods_with(&mut passes, block.gacts as u64, 1, |e, a| {
                 block.stream(a as u32).for_each(|i| e.execute(&rewrite(i)));
             });
             e.execute(&rewrite(block.drain()));
@@ -441,9 +509,20 @@ impl ChannelEngine {
             .extend(self.buffer_ready.iter().map(|&b| ahead(b)));
     }
 
-    /// Applies `periods` more repetitions of the period just simulated,
-    /// which advanced the clock by `advance` from counters `from`.
-    fn fast_forward(&mut self, periods: u64, advance: u64, row_step: u32, from: &ChannelStats) {
+    /// How many periods of clock advance `advance` fit before the next
+    /// refresh falls due: each must end before the deadline, so that no
+    /// command of it services a refresh. The clock must be before the
+    /// deadline.
+    fn periods_before_refresh(&self, advance: u64) -> u64 {
+        match advance {
+            0 => u64::MAX,
+            d => (self.next_refresh - 1 - self.clock) / d,
+        }
+    }
+
+    /// Applies `periods` repetitions of a template period, which advances
+    /// the clock by `advance` and the work counters by `delta`.
+    fn fast_forward(&mut self, periods: u64, advance: u64, row_step: u32, mut delta: ChannelStats) {
         let shift = periods * advance;
         self.clock += shift;
         self.bus_free += shift;
@@ -458,23 +537,13 @@ impl ChannelEngine {
         if let Some(row) = self.open_row.as_mut() {
             *row += u32::try_from(periods * row_step as u64).expect("rows fit in u32");
         }
-        // A template period serviced no refresh, and `cycles` is
-        // only set by `finish`: the other counters are the ones it moved.
-        let s = &mut self.stats;
-        for (now, was) in [
-            (&mut s.gacts, from.gacts),
-            (&mut s.comps, from.comps),
-            (&mut s.gwrites, from.gwrites),
-            (&mut s.readres, from.readres),
-            (&mut s.macs, from.macs),
-            (&mut s.gwrite_bytes, from.gwrite_bytes),
-            (&mut s.readres_bytes, from.readres_bytes),
-            (&mut s.gpu_burst_bytes, from.gpu_burst_bytes),
-            (&mut s.bankfeeds, from.bankfeeds),
-            (&mut s.bankfeed_bytes, from.bankfeed_bytes),
-            (&mut s.comp_busy_cycles, from.comp_busy_cycles),
-        ] {
-            *now += periods * (*now - was);
+        for (now, per) in self
+            .stats
+            .work_counters()
+            .into_iter()
+            .zip(delta.work_counters())
+        {
+            *now += periods * *per;
         }
     }
 
@@ -838,6 +907,7 @@ mod tests {
 
     #[test]
     fn fast_forward_matches_on_random_command_periods() {
+        use pimflow_isa::FusedRole;
         use pimflow_rng::Rng;
         let mut rng = Rng::seed_from_u64(0x9E71);
         let random_command = |rng: &mut Rng, buffers: u32, row: u32| match rng.range_u32(0, 6) {
@@ -902,6 +972,65 @@ mod tests {
             assert_eq!(fast.clock(), slow.clock(), "{case}");
             assert_eq!(fast.finish(), slow.finish(), "{case}");
         }
+        // Blocks through `run_blocks`, whose copies span many refresh
+        // intervals: a block, a variant of it, the block again, on one
+        // engine under one fused-role rewrite. Each block's copies share a
+        // pass template; the next block must find its own.
+        let mut spanning = 0;
+        for case in 0..400 {
+            let cfg = *rng.pick(&[
+                PimConfig::newton_plus_plus(),
+                PimConfig::newton_plus(),
+                PimConfig::aim_like(),
+                PimConfig::hbm_pim_like(),
+            ]);
+            let role = *rng.pick(&[
+                FusedRole::Standalone,
+                FusedRole::Head,
+                FusedRole::Middle,
+                FusedRole::Tail,
+            ]);
+            let buffers = cfg.num_global_buffers.max(1) as u32;
+            let block = CommandBlock {
+                buffer_rows: rng.range_u32(1, buffers + 1) as u8,
+                gwrite_bytes: rng.range_u32(2, 2048),
+                gwrites_per_row: rng.range_u32(1, 4) as u16,
+                gacts: rng.range_u32(1, 80),
+                comps_per_gact: rng.range_u32(1, 64),
+                readres_bytes: rng.range_u32(2, 512),
+                oc_splits: 1,
+                row_base: rng.range_u32(0, 8),
+            };
+            let variant = match rng.range_u32(0, 3) {
+                0 => CommandBlock {
+                    comps_per_gact: block.comps_per_gact + 1,
+                    ..block
+                },
+                1 => CommandBlock {
+                    gacts: block.gacts + 1,
+                    ..block
+                },
+                _ => CommandBlock {
+                    readres_bytes: block.readres_bytes * 2,
+                    ..block
+                },
+            };
+            let steps = [block, variant, block].map(|b| (b, rng.range_u64(1, 40)));
+            let mut fast = ChannelEngine::new(cfg);
+            let mut slow = fast.clone();
+            for (b, count) in steps {
+                fast.run_blocks(&b, count, |i| role.rewrite(i));
+                for _ in 0..count {
+                    b.expand().for_each(|i| slow.execute(&role.rewrite(i)));
+                }
+            }
+            let case = format!("block case {case}: {role:?}, {steps:?}");
+            assert_eq!(fast.clock(), slow.clock(), "{case}");
+            let (fast, slow) = (fast.finish(), slow.finish());
+            assert_eq!(fast, slow, "{case}");
+            spanning += usize::from(slow.refreshes >= 10);
+        }
+        assert!(spanning >= 300, "{spanning} of 400 cases span 10 refreshes");
     }
 
     #[test]
